@@ -82,6 +82,9 @@ UNITS = {name: "s" for name in SELF_TIME} | {name: "count" for name in COUNTS} |
     "walk_lab.steps_per_s": "1/s",
     "host.probe_s": "s",
     "trace.overhead_s": "s",
+    "wall.setup_s": "s",
+    "wall.op_s_p50": "s",
+    "wall.edges_per_s": "1/s",
 }
 
 

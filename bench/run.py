@@ -8,6 +8,15 @@ the round count is ``seconds`` divided by the workload's nominal round time,
 so the work done depends on the arguments only, never on the host's speed.
 Each operation is timed without its checks, then checked (see checks.py).
 
+The host's speed drifts by up to half within a minute, and every step of the
+pipeline slows with it.  So a fixed probe (``host_probe``) is timed right
+before and right after each operation and each set-up sample, and the
+end-to-end times are reported in *reference seconds*: each wall time is
+scaled by ``PROBE_REF_S`` over the mean of its two probes, i.e. to the time
+the step takes on a host where the probe takes ``PROBE_REF_S``.  The unscaled
+wall times are kept in the result file and reported by traced runs as
+``wall.*``.  The run is single-threaded: BLAS starts no worker threads.
+
 With ``--trace 0`` the last stdout line carries the end-to-end metrics; with
 ``--trace 1`` half as many rounds run, each operation once untraced and once
 traced, and the line carries the per-layer metrics.  Run results and span
@@ -19,6 +28,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import resource
 import statistics
 import subprocess
@@ -27,40 +37,64 @@ import time
 import traceback
 from pathlib import Path
 
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"      # before numpy loads; inherited by the set-up children
+
+import numpy as np  # noqa: E402
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".bench_out"
-SETUP_SAMPLES = 3
-PROBE_REPS = 3
+SETUP_SAMPLES = 5
+# About host_probe()'s seconds on a 2-vCPU Xeon VM under CPython 3.11 and
+# numpy 2.4 when nothing else slows the host: the speed that end-to-end
+# times are scaled to.
+PROBE_REF_S = 0.025
 
 
 def host_probe() -> float:
-    """Seconds for a fixed pure-Python loop: a yardstick of host speed."""
+    """Seconds for a fixed mix of the two kinds of work the pipeline does:
+    interpreter arithmetic and small numpy calls, about half each.  It is a
+    yardstick of host speed and never calls the program."""
     t0 = time.perf_counter()
-    acc = 0
-    for i in range(400_000):
+    acc = 0.0
+    for i in range(200_000):
         acc += (i * i) % 7
+    a = np.arange(40.0)
+    for _ in range(3000):
+        acc += float((a * 1.5 + 1.0).sum())
     return time.perf_counter() - t0
 
 
-def measure_setup(args) -> float:
-    """Median time from spawning a fresh interpreter until it has imported
-    everything and prepared the inputs, i.e. could begin its first operation."""
+def measure_setup(args) -> tuple[list, list]:
+    """Wall times from spawning a fresh interpreter until it has imported
+    everything and prepared the inputs, i.e. could begin its first operation,
+    and the mean host probe around each."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--setup-only",
            "--workload", args.workload, "--seed", str(args.seed)]
-    samples = []
+    walls, probes = [], []
     for _ in range(SETUP_SAMPLES):
+        p0 = host_probe()
         t0 = time.monotonic()
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120, check=True)
-        samples.append(float(proc.stdout.split()[-1]) - t0)
-    return statistics.median(samples)
+        walls.append(float(proc.stdout.split()[-1]) - t0)
+        probes.append((p0 + host_probe()) / 2)
+    return walls, probes
+
+
+def scaled(walls, probes) -> list:
+    """Wall times in reference seconds (see the module docstring)."""
+    return [w * PROBE_REF_S / p for w, p in zip(walls, probes)]
 
 
 def timed(workload, spec):
+    """``(result, wall seconds, mean host probe around the call)``."""
     gc.collect()
+    p0 = host_probe()
     t0 = time.perf_counter()
     result = workload.run(spec)
-    return result, time.perf_counter() - t0
+    dt = time.perf_counter() - t0
+    return result, dt, (p0 + host_probe()) / 2
 
 
 def timed_traced(tracer, workload, spec):
@@ -78,13 +112,14 @@ def timed_traced(tracer, workload, spec):
 class Tally:
     def __init__(self):
         self.attempted = self.failed = self.wrong = 0
-        self.times, self.edges = [], 0
+        self.times, self.probes, self.edges = [], [], 0
 
     def record(self, workload, spec, run):
-        """``run()`` -> (result, seconds); counts the operation and checks it."""
+        """``run()`` -> (result, seconds, probe); counts the operation and
+        checks it."""
         self.attempted += 1
         try:
-            result, dt = run()
+            result, dt, probe = run()
         except Exception:
             self.failed += 1
             print(f"operation {spec!r} raised:\n{traceback.format_exc()}", file=sys.stderr)
@@ -95,6 +130,7 @@ class Tally:
             self.wrong += 1
             print(f"operation {spec!r} failed its checks: {problems}", file=sys.stderr)
         self.times.append(dt)
+        self.probes.append(probe)
         self.edges += workload.edges(result)
 
 
@@ -125,8 +161,7 @@ def main(argv=None) -> int:
     import layers
     from tracer import Tracer
 
-    setup_s = measure_setup(args)
-    probes = [host_probe() for _ in range(PROBE_REPS)]
+    setup_walls, setup_probes = measure_setup(args)
     rounds = max(1, round(args.seconds / workload.round_s))
     plain, traced = Tally(), Tally()
     tracer = Tracer(layers.OBSERVERS, layers.TRACED)
@@ -144,23 +179,28 @@ def main(argv=None) -> int:
         for _ in range(rounds):
             for spec in specs:
                 plain.record(workload, spec, lambda: timed(workload, spec))
-    probes += [host_probe() for _ in range(PROBE_REPS)]
 
+    def end_to_end(setup, ops):
+        busy = sum(ops)
+        return {"setup_s": statistics.median(setup),
+                "op_s_p50": statistics.median(ops) if ops else 0.0,
+                "edges_per_s": plain.edges / busy if busy else 0.0}
+
+    ref = end_to_end(scaled(setup_walls, setup_probes), scaled(plain.times, plain.probes))
+    wall = end_to_end(setup_walls, plain.times)
     if args.trace:
         tally = traced
         metrics = layers.per_layer(tracer, max(1, len(traced.times)))
-        metrics["host.probe_s"] = statistics.median(probes)
+        metrics["host.probe_s"] = statistics.median(setup_probes + plain.probes + traced.probes)
         metrics["trace.overhead_s"] = (
-            statistics.median(traced.times) - statistics.median(plain.times)
+            statistics.median(scaled(traced.times, traced.probes))
+            - statistics.median(scaled(plain.times, plain.probes))
             if traced.times and plain.times else 0.0)
+        metrics.update({f"wall.{k}": v for k, v in wall.items()})
         units = layers.UNITS
     else:
         tally = plain
-        busy = sum(plain.times)
-        metrics = {
-            "setup_s": setup_s,
-            "op_s_p50": statistics.median(plain.times) if plain.times else 0.0,
-            "edges_per_s": plain.edges / busy if busy else 0.0,
+        metrics = ref | {
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         }
         units = {"setup_s": "s", "op_s_p50": "s", "edges_per_s": "1/s", "peak_rss_mb": "MB"}
@@ -176,8 +216,11 @@ def main(argv=None) -> int:
     OUT.mkdir(exist_ok=True)
     tag = f"{workload.name}-seed{args.seed}-trace{args.trace}"
     with open(OUT / f"result-{tag}.json", "w") as fh:
-        json.dump({"result": line, "rounds": rounds, "op_times": tally.times,
-                   "untraced_op_times": plain.times, "host_probes": probes}, fh, indent=1)
+        json.dump({"result": line, "rounds": rounds, "probe_ref_s": PROBE_REF_S,
+                   "op_times": tally.times, "op_probes": tally.probes,
+                   "untraced_op_times": plain.times, "untraced_op_probes": plain.probes,
+                   "setup_times": setup_walls, "setup_probes": setup_probes,
+                   "wall": wall, "ref": ref}, fh, indent=1)
     if args.trace:
         tracer.dump(OUT / f"spans-{tag}.json")
     print(f"{workload.name}: {attempted} operations, {failed} failed, "

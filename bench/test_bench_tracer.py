@@ -127,7 +127,9 @@ def test_counts_repeat_for_the_same_seed(name):
     first = _traced_counts(w, spec)
     assert first == _traced_counts(w, spec)
     per_layer = layers.per_layer(Tracer(), 1)
-    assert set(per_layer) | {"host.probe_s", "trace.overhead_s"} == set(layers.UNITS)
+    run_level = {"host.probe_s", "trace.overhead_s", "wall.setup_s", "wall.op_s_p50",
+                 "wall.edges_per_s"}
+    assert set(per_layer) | run_level == set(layers.UNITS)
 
 
 def test_large_lattice_uses_cg():

@@ -83,7 +83,7 @@ class CrtTile:
     GAMMA, N = 1.8, 1024
     MAP_SEEDS = tuple(range(1, 9))
     PAIRS = 32              # random cell pairs and map arcs checked per map
-    round_s = 10.0
+    round_s = 13.0
 
     def ops(self, seed):
         k = len(self.MAP_SEEDS)
@@ -183,7 +183,7 @@ class WalkLaws:
     MAP_SEEDS = tuple(range(1, 5))
     STARTS, WALKS = 6, 250          # random map: starts, walks per start
     LN, LH, LWALKS = 8, 2.0, 150    # lattice and its dual: size, walks per start
-    round_s = 7.0
+    round_s = 6.0
 
     def ops(self, seed):
         k = len(self.MAP_SEEDS)
