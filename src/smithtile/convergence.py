@@ -12,8 +12,6 @@ and on its dual.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +22,7 @@ from .electrical import solve_voltage, conjugate
 from .smith_tiling import SmithEmbedding, build_diagram, smith_embedding
 from .rng import make_rng
 
-from .walk_lab import _sample_dart, StepBudgetExceeded
+from .walk_lab import walk
 
 
 def lattice_shape(n: int, H: float) -> tuple:
@@ -212,9 +210,10 @@ def invariance_diagnostic(m: CombMap, height, starts, h_lo: float, h_hi: float,
         hi = {x for x in range(m.num_vertices) if height[x] >= h_hi - tol}
     if not lo or not hi or lo & hi:
         raise ValueError("stop levels must bound a nonempty open band")
+    if walks_per_start < 1:
+        raise ValueError("walks_per_start must be positive")
     stop = lo | hi
     rng = make_rng(seed)
-    tables = m.walk_tables()
     starts = np.asarray(list(starts), dtype=np.int64)
     p_exact = np.empty(len(starts))
     p_hat = np.empty(len(starts))
@@ -225,14 +224,9 @@ def invariance_diagnostic(m: CombMap, height, starts, h_lo: float, h_hi: float,
         p = min(1.0, max(0.0, p))
         hits = 0
         for _ in range(walks_per_start):
-            v = s
-            steps = 0
-            while v not in stop:
-                steps += 1
-                if steps > max_steps:
-                    raise StepBudgetExceeded("diagnostic walk budget exhausted")
-                v = int(m.dart_head[_sample_dart(m, tables, rng, v)])
-            if v in hi:
+            darts = walk(m, rng, s, stop, max_steps)
+            end = int(m.dart_head[darts[-1]]) if darts else s
+            if end in hi:
                 hits += 1
         p_exact[i] = p
         p_hat[i] = hits / walks_per_start
@@ -242,13 +236,6 @@ def invariance_diagnostic(m: CombMap, height, starts, h_lo: float, h_hi: float,
             z[i] = math.inf
     return InvarianceReport(starts, p_exact, p_hat, z, walks_per_start,
                             passed=bool(np.all(np.abs(z) <= 3.0)))
-
-
-def dual_lattice(m: CombMap, emb: CylinderEmbedding) -> tuple:
-    """The dual map with per-face representative heights, for running the
-    invariance diagnostic on the dual family."""
-    dm = dual(m, emb)
-    return dm.map, dm.rep_height.copy()
 
 
 # -- per-n pipeline --------------------------------------------------------------
@@ -272,20 +259,9 @@ def lattice_report(n: int, band: float = 1.0, H: float = 4.0) -> dict:
     }
 
 
-def converge_rows(n_list, band: float = 1.0, H: float = 4.0,
-                  max_workers: int | None = None) -> list:
-    """Run the lattice pipeline for each n in parallel; rows sorted by n."""
-    ns = sorted(set(int(n) for n in n_list))
-    if max_workers is None:
-        env = os.environ.get("SMITH_THREADS")
-        max_workers = int(env) if env else min(len(ns), os.cpu_count() or 1)
-    max_workers = max(1, max_workers)
-    if max_workers == 1 or len(ns) == 1:
-        rows = [lattice_report(n, band, H) for n in ns]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(lambda n: lattice_report(n, band, H), ns))
-    return sorted(rows, key=lambda r: r["n"])
+def converge_rows(n_list, band: float = 1.0, H: float = 4.0) -> list:
+    """Run the lattice pipeline for each distinct n in turn; rows sorted by n."""
+    return [lattice_report(n, band, H) for n in sorted(set(int(n) for n in n_list))]
 
 
 def overlay_svg(se: SmithEmbedding, emb: CylinderEmbedding, fit: AffineFit,

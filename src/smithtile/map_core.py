@@ -194,13 +194,13 @@ class CombMap:
         return v == self.v0 or v == self.v1
 
     def walk_tables(self):
-        """Per-vertex dart arrays and cumulative conductance for sampling steps."""
+        """Python lists for the walk kernel: head per dart, darts per vertex,
+        and cumulative conductance over each vertex's darts."""
         if self._walk_tables is None:
-            cums = []
-            for v in range(self.num_vertices):
-                c = self.conductance[self.vertex_darts[v] >> 1]
-                cums.append(np.cumsum(c))
-            self._walk_tables = cums
+            self._walk_tables = (
+                self.dart_head.tolist(),
+                [d.tolist() for d in self.vertex_darts],
+                [np.cumsum(self.conductance[d >> 1]).tolist() for d in self.vertex_darts])
         return self._walk_tables
 
     def __repr__(self):

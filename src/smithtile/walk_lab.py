@@ -6,13 +6,15 @@ level machinery inserts vertices so that queried voltage levels are fully
 vertexed; on the augmented map the conditional law of the walk given its
 height sequence is computed exactly by forward-backward recursions over level
 sets, and the expected winding of the re-randomized tiled-cylinder walk is a
-drift-weighted sum over the same recursion.  Monte Carlo appears only in the
-Wilson-tree sampler and the disconnection estimate, where no exact form is
-available.
+drift-weighted sum over the same recursion.  Monte Carlo sampling, all of it
+through the one stepping kernel ``walk``, appears in ``simulate``, the
+Wilson-tree sampler, the Monte Carlo total-variation branch and disconnection
+estimate of ``tv_coupling_check``, and ``convergence.invariance_diagnostic``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -61,12 +63,27 @@ class WalkTrace:
         return len(self.vertices)
 
 
-def _sample_dart(m: CombMap, tables, rng, v: int) -> int:
-    cum = tables[v]
-    at = m.vertex_darts[v]
-    r = rng.random() * cum[-1]
-    i = min(int(np.searchsorted(cum, r, side="right")), len(at) - 1)
-    return int(at[i])
+def walk(m: CombMap, rng, start: int, stop: set, max_steps: int) -> list:
+    """Darts of the conductance-weighted walk from ``start`` up to its first
+    entry into the vertex set ``stop`` (empty when ``start`` is in it).
+
+    Draws exactly one ``rng.random()`` per step.  Raises StepBudgetExceeded
+    when the walk needs more than ``max_steps`` steps."""
+    if not stop:
+        raise ValueError("stop set must be nonempty")
+    head, vertex_darts, cum = m.walk_tables()
+    random = rng.random
+    darts: list = []
+    v = int(start)
+    while v not in stop:
+        if len(darts) >= max_steps:
+            raise StepBudgetExceeded(f"no stop vertex within {max_steps} steps")
+        c = cum[v]
+        # a draw that rounds up to the total still picks the last dart
+        h = vertex_darts[v][min(bisect_right(c, random() * c[-1]), len(c) - 1)]
+        darts.append(h)
+        v = head[h]
+    return darts
 
 
 def simulate(m: CombMap, start: int, stop_set, seed: int,
@@ -77,27 +94,14 @@ def simulate(m: CombMap, start: int, stop_set, seed: int,
     Bit-reproducible for a fixed seed.  Raises StepBudgetExceeded past the cap.
     """
     stop = set(int(s) for s in stop_set)
-    if not stop:
-        raise ValueError("stop set must be nonempty")
-    rng = make_rng(seed)
-    tables = m.walk_tables()
-    verts = [int(start)]
-    darts: list = []
-    v = int(start)
-    while v not in stop:
-        if len(darts) >= max_steps:
-            raise StepBudgetExceeded(f"no stop vertex within {max_steps} steps")
-        h = _sample_dart(m, tables, rng, v)
-        v = int(m.dart_head[h])
-        darts.append(h)
-        verts.append(v)
+    darts = np.array(walk(m, make_rng(seed), start, stop, max_steps), dtype=np.int64)
+    verts = np.concatenate(([int(start)], m.dart_head[darts]))
     offsets = None
     if emb is not None:
         offsets = np.zeros(len(verts))
-        if darts:
-            offsets[1:] = np.cumsum(emb.dart_dtheta(np.array(darts)))
-    return WalkTrace(np.array(verts, dtype=np.int64),
-                     np.array(darts, dtype=np.int64), offsets)
+        if len(darts):
+            offsets[1:] = np.cumsum(emb.dart_dtheta(darts))
+    return WalkTrace(verts, darts, offsets)
 
 
 def winding(trace, circumference: float) -> float:
@@ -393,33 +397,26 @@ def wilson_tree(m: CombMap, wired_set, seed: int,
                 max_steps: int = 10_000_000) -> np.ndarray:
     """Sample a weighted spanning tree with the wired boundary by Wilson's
     loop-erased walks.  Returns the sorted edge indices; the law is
-    proportional to the product of tree conductances."""
-    wired = sorted(set(int(x) for x in wired_set))
-    if not wired:
-        raise ValueError("wired set must be nonempty")
+    proportional to the product of tree conductances.  All the walks share
+    one budget of ``max_steps`` steps."""
+    tree = set(int(x) for x in wired_set)
     rng = make_rng(seed)
-    tables = m.walk_tables()
-    in_tree = np.zeros(m.num_vertices, dtype=bool)
-    in_tree[wired] = True
-    exit_dart = np.full(m.num_vertices, -1, dtype=np.int64)
+    exit_dart: dict = {}
     edges: list = []
     budget = max_steps
     for v0 in range(m.num_vertices):
-        if in_tree[v0]:
+        if v0 in tree:
             continue
+        darts = walk(m, rng, v0, tree, budget)
+        budget -= len(darts)
+        # a later exit from the same vertex overwrites the earlier one: the
+        # loop erasure
+        exit_dart.update(zip(m.dart_tail[darts].tolist(), darts))
         v = v0
-        while not in_tree[v]:
-            budget -= 1
-            if budget < 0:
-                raise StepBudgetExceeded("Wilson walk budget exhausted")
-            h = _sample_dart(m, tables, rng, v)
-            exit_dart[v] = h          # overwriting erases the loop
-            v = int(m.dart_head[h])
-        v = v0
-        while not in_tree[v]:
-            h = int(exit_dart[v])
+        while v not in tree:
+            h = exit_dart[v]
             edges.append(h >> 1)
-            in_tree[v] = True
+            tree.add(v)
             v = int(m.dart_head[h])
     return np.array(sorted(edges), dtype=np.int64)
 
@@ -539,8 +536,9 @@ def tv_coupling_check(m: CombMap, W, x: int, y: int, samples: int, seed: int,
     W = set(int(s) for s in W)
     if int(x) in W or int(y) in W:
         raise ValueError("x and y must lie outside the wired set")
+    if samples < 1:
+        raise ValueError("samples must be positive")
     rng = make_rng(seed)
-    tables = m.walk_tables()
 
     if m.num_vertices <= EXACT_TV_LIMIT:
         probs, _order = absorption_probs(m, sorted(W))
@@ -551,31 +549,16 @@ def tv_coupling_check(m: CombMap, W, x: int, y: int, samples: int, seed: int,
         order = {w: j for j, w in enumerate(sorted(W))}
         for row, start in enumerate((int(x), int(y))):
             for _ in range(samples):
-                v = start
-                steps = 0
-                while v not in W:
-                    steps += 1
-                    if steps > max_steps:
-                        raise StepBudgetExceeded("absorption walk budget exhausted")
-                    v = int(m.dart_head[_sample_dart(m, tables, rng, v)])
-                counts[row, order[v]] += 1
+                exit_vertex = int(m.dart_head[walk(m, rng, start, W, max_steps)[-1]])
+                counts[row, order[exit_vertex]] += 1
         tv = 0.5 * float(np.abs(counts[0] - counts[1]).sum()) / samples
         tv_exact = False
 
     disc = 0
     for _ in range(samples):
-        v = int(x)
-        visited = {v}
-        used: set = set()
-        steps = 0
-        while v not in W:
-            steps += 1
-            if steps > max_steps:
-                raise StepBudgetExceeded("coupling walk budget exhausted")
-            h = _sample_dart(m, tables, rng, v)
-            used.add(h >> 1)
-            v = int(m.dart_head[h])
-            visited.add(v)
+        darts = walk(m, rng, x, W, max_steps)
+        visited = {int(x)} | set(m.dart_head[darts].tolist())
+        used = {h >> 1 for h in darts}
         if _trace_disconnects(m, visited, used, int(y), W):
             disc += 1
     p_disc = disc / samples

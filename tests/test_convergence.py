@@ -1,7 +1,6 @@
 """Lattice families, affine certificates, and walk-invariance diagnostics."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -10,8 +9,8 @@ from smithtile import (SmithEmbedding, build_diagram, conjugate, converge_rows,
                        dcmp, dual, fit_affine, invariance_diagnostic,
                        lattice_report, make_lattice, smith_embedding,
                        solve_voltage)
-from smithtile.convergence import (cylinder_distance, dual_lattice,
-                                   lattice_shape, overlay_svg)
+from smithtile.convergence import (cylinder_distance, lattice_shape,
+                                   overlay_svg)
 
 TWO_PI = 2.0 * math.pi
 
@@ -184,10 +183,18 @@ def test_invariance_requires_open_band(lattice8):
                               walks_per_start=10, seed=0)
 
 
+def test_invariance_requires_walks(lattice8):
+    m, emb = lattice8
+    with pytest.raises(ValueError, match="walks_per_start"):
+        invariance_diagnostic(m, emb.height, [0], -1.0, 1.0,
+                              walks_per_start=0, seed=0)
+
+
 def test_invariance_dual(lattice8):
     # dual faces sit on rows shifted by half a spacing
     m, emb = lattice8
-    dm, rep_height = dual_lattice(m, emb)
+    dmap = dual(m, emb)
+    dm, rep_height = dmap.map, dmap.rep_height
     s = TWO_PI / 8
     finite = np.isfinite(rep_height)
     starts = [f for f in range(dm.num_vertices)
@@ -212,20 +219,13 @@ def test_lattice_report_values():
 
 
 def test_converge_rows_sequence():
-    rows = converge_rows([16, 8], band=1.0, H=2.0, max_workers=1)
+    rows = converge_rows([16, 8], band=1.0, H=2.0)
     assert [r["n"] for r in rows] == [8, 16]
     for r in rows:
         assert r["sup_err_height"] < 1e-9
     # the family is exact at every n, so the certificate errors stay at
     # rounding scale rather than degrading with size
     assert rows[1]["sup_err_angle"] <= max(rows[0]["sup_err_angle"], 1e-9)
-
-
-def test_converge_rows_thread_env_matches(monkeypatch):
-    serial = converge_rows([8, 12], band=1.0, H=2.0, max_workers=2)
-    monkeypatch.setenv("SMITH_THREADS", "1")
-    env_rows = converge_rows([8, 12], band=1.0, H=2.0)
-    assert serial == env_rows
 
 
 def test_overlay_svg(lattice8_solved):

@@ -5,6 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from smithtile import walk_lab
+from smithtile.convergence import invariance_diagnostic
+from smithtile.rng import make_rng
+from smithtile.walk_lab import TVReport, _trace_disconnects
 from smithtile import (InadmissibleHeights, LevelNotVertexed,
                        StepBudgetExceeded, absorption_probs,
                        admissible_sequences, augment_all_levels, build_diagram,
@@ -470,6 +474,20 @@ def test_tv_rejects_wired_start(path4_map):
         tv_coupling_check(path4_map, {0, 3}, 1, 3, samples=10, seed=0)
 
 
+def test_tv_rejects_empty_wired_set(path4_map):
+    with pytest.raises(ValueError, match="nonempty"):
+        tv_coupling_check(path4_map, set(), 1, 2, samples=10, seed=0)
+    m, _ = make_lattice(24, 1.2)
+    assert m.num_vertices > walk_lab.EXACT_TV_LIMIT
+    with pytest.raises(ValueError, match="nonempty"):
+        tv_coupling_check(m, set(), 0, 1, samples=10, seed=0)
+
+
+def test_tv_rejects_no_samples(path4_map):
+    with pytest.raises(ValueError, match="samples"):
+        tv_coupling_check(path4_map, {0, 3}, 1, 2, samples=0, seed=0)
+
+
 def test_tv_exact_lattice(lattice16):
     m, _ = lattice16
     assert m.num_vertices <= 200
@@ -528,3 +546,211 @@ def test_exact_law_report_keys(rung_map):
     assert rep["winding_max_abs"] <= 1e-10
     assert rep["projection_max_dev"] <= 1e-10
     assert len(rep["sequences"]) == 3
+
+
+# -- the walk kernel against the per-step loop it replaced ---------------------
+# Each reference below is the loop its function ran before every Monte Carlo
+# walk went through walk_lab.walk: a numpy search over the cumulative
+# conductances, one rng.random() per step.  The kernel must reproduce it bit
+# for bit, and the step counts give the exact step-budget boundaries.
+
+def ref_sample_dart(m, rng, v):
+    at = m.vertex_darts[v]
+    cum = np.cumsum(m.conductance[at >> 1])
+    r = rng.random() * cum[-1]
+    i = min(int(np.searchsorted(cum, r, side="right")), len(at) - 1)
+    return int(at[i])
+
+
+def ref_simulate(m, start, stop, seed):
+    rng = make_rng(seed)
+    verts, darts = [start], []
+    v = start
+    while v not in stop:
+        h = ref_sample_dart(m, rng, v)
+        v = int(m.dart_head[h])
+        darts.append(h)
+        verts.append(v)
+    return darts, verts
+
+
+def ref_wilson(m, wired, seed):
+    """Sorted tree edges and the total step count of all walks."""
+    rng = make_rng(seed)
+    in_tree = np.zeros(m.num_vertices, dtype=bool)
+    in_tree[sorted(wired)] = True
+    exit_dart = np.full(m.num_vertices, -1, dtype=np.int64)
+    edges, steps = [], 0
+    for v0 in range(m.num_vertices):
+        if in_tree[v0]:
+            continue
+        v = v0
+        while not in_tree[v]:
+            steps += 1
+            h = ref_sample_dart(m, rng, v)
+            exit_dart[v] = h
+            v = int(m.dart_head[h])
+        v = v0
+        while not in_tree[v]:
+            h = int(exit_dart[v])
+            edges.append(h >> 1)
+            in_tree[v] = True
+            v = int(m.dart_head[h])
+    return sorted(edges), steps
+
+
+def ref_tv(m, W, x, y, samples, seed, exact):
+    """The report and the longest single walk."""
+    rng = make_rng(seed)
+    longest = 0
+    if exact:
+        probs, _ = absorption_probs(m, sorted(W))
+        tv = 0.5 * float(np.abs(probs[x] - probs[y]).sum())
+    else:
+        counts = np.zeros((2, len(W)))
+        order = {w: j for j, w in enumerate(sorted(W))}
+        for row, start in enumerate((x, y)):
+            for _ in range(samples):
+                v, steps = start, 0
+                while v not in W:
+                    steps += 1
+                    v = int(m.dart_head[ref_sample_dart(m, rng, v)])
+                longest = max(longest, steps)
+                counts[row, order[v]] += 1
+        tv = 0.5 * float(np.abs(counts[0] - counts[1]).sum()) / samples
+    disc = 0
+    for _ in range(samples):
+        v, visited, used, steps = x, {x}, set(), 0
+        while v not in W:
+            steps += 1
+            h = ref_sample_dart(m, rng, v)
+            used.add(h >> 1)
+            v = int(m.dart_head[h])
+            visited.add(v)
+        longest = max(longest, steps)
+        disc += _trace_disconnects(m, visited, used, y, W)
+    p_disc = disc / samples
+    p_not = 1.0 - p_disc
+    stderr = float(np.sqrt(p_disc * p_not / samples))
+    return TVReport(tv, exact, p_disc, p_not, stderr, samples,
+                    bound_ok=tv <= p_not + 3.0 * stderr + 1e-12), longest
+
+
+def ref_invariance(m, height, starts, h_lo, h_hi, walks, seed):
+    """Top-exit frequencies and the longest single walk."""
+    lo = {x for x in range(m.num_vertices) if height[x] <= h_lo + 1e-9}
+    hi = {x for x in range(m.num_vertices) if height[x] >= h_hi - 1e-9}
+    stop = lo | hi
+    rng = make_rng(seed)
+    p_hat, longest = [], 0
+    for s in starts:
+        hits = 0
+        for _ in range(walks):
+            v, steps = s, 0
+            while v not in stop:
+                steps += 1
+                v = int(m.dart_head[ref_sample_dart(m, rng, v)])
+            longest = max(longest, steps)
+            hits += v in hi
+        p_hat.append(hits / walks)
+    return np.array(p_hat), longest
+
+
+class WalkCase:
+    """A map with the stop sets and starts every walk function needs."""
+
+    def __init__(self, m):
+        self.m = m
+        self.stop = {m.v0, m.v1} if m.num_vertices > 2 else {m.v1}
+        free = [x for x in range(m.num_vertices) if x not in self.stop]
+        self.starts = free[::max(1, len(free) // 4)][:4]
+        self.x, self.y = self.starts[0], self.starts[-1]
+        self.height = solve_voltage(m).values
+
+
+@pytest.fixture(scope="module")
+def walk_cases(random_maps, lattice8, parallel3_map):
+    maps = [m for m, _ in random_maps[::4]] + [lattice8[0], parallel3_map]
+    return [WalkCase(m) for m in maps]
+
+
+SEEDS = (0, 1, 17)
+
+
+def test_kernel_matches_reference_simulate(walk_cases):
+    for c in walk_cases:
+        for seed in SEEDS:
+            for start in c.starts:
+                tr = simulate(c.m, start, c.stop, seed=seed)
+                darts, verts = ref_simulate(c.m, start, c.stop, seed)
+                assert tr.darts.tolist() == darts
+                assert tr.vertices.tolist() == verts
+
+
+def test_kernel_matches_reference_wilson(walk_cases):
+    for c in walk_cases:
+        for seed in SEEDS:
+            edges, _ = ref_wilson(c.m, {c.m.v0}, seed)
+            assert wilson_tree(c.m, {c.m.v0}, seed=seed).tolist() == edges
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_kernel_matches_reference_tv(walk_cases, monkeypatch, exact):
+    if not exact:
+        monkeypatch.setattr(walk_lab, "EXACT_TV_LIMIT", 0)
+    for c in walk_cases:
+        for seed in SEEDS:
+            rep = tv_coupling_check(c.m, c.stop, c.x, c.y, samples=25, seed=seed)
+            ref, _ = ref_tv(c.m, c.stop, c.x, c.y, 25, seed, exact)
+            assert rep == ref
+
+
+def test_kernel_matches_reference_invariance(walk_cases):
+    for c in walk_cases:
+        for seed in SEEDS:
+            rep = invariance_diagnostic(c.m, c.height, c.starts, 0.25, 0.75,
+                                        walks_per_start=20, seed=seed)
+            p_hat, _ = ref_invariance(c.m, c.height, c.starts, 0.25, 0.75, 20, seed)
+            assert np.array_equal(rep.p_hat, p_hat)
+
+
+# a walk of exactly max_steps steps passes; one more step than the budget raises
+
+def test_budget_boundary_simulate(walk_cases):
+    c = walk_cases[0]
+    k = len(ref_simulate(c.m, c.x, c.stop, 5)[0])
+    assert len(simulate(c.m, c.x, c.stop, seed=5, max_steps=k).darts) == k
+    with pytest.raises(StepBudgetExceeded):
+        simulate(c.m, c.x, c.stop, seed=5, max_steps=k - 1)
+
+
+def test_budget_boundary_wilson(walk_cases):
+    # one budget for all of the tree's walks
+    c = walk_cases[0]
+    edges, k = ref_wilson(c.m, {c.m.v0}, 5)
+    assert wilson_tree(c.m, {c.m.v0}, seed=5, max_steps=k).tolist() == edges
+    with pytest.raises(StepBudgetExceeded):
+        wilson_tree(c.m, {c.m.v0}, seed=5, max_steps=k - 1)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_budget_boundary_tv(walk_cases, monkeypatch, exact):
+    # a budget for each walk: the longest one sets the boundary
+    if not exact:
+        monkeypatch.setattr(walk_lab, "EXACT_TV_LIMIT", 0)
+    c = walk_cases[0]
+    ref, k = ref_tv(c.m, c.stop, c.x, c.y, 25, 5, exact)
+    assert tv_coupling_check(c.m, c.stop, c.x, c.y, samples=25, seed=5, max_steps=k) == ref
+    with pytest.raises(StepBudgetExceeded):
+        tv_coupling_check(c.m, c.stop, c.x, c.y, samples=25, seed=5, max_steps=k - 1)
+
+
+def test_budget_boundary_invariance(walk_cases):
+    c = walk_cases[0]
+    p_hat, k = ref_invariance(c.m, c.height, c.starts, 0.25, 0.75, 20, 5)
+    rep = invariance_diagnostic(c.m, c.height, c.starts, 0.25, 0.75,
+                                walks_per_start=20, seed=5, max_steps=k)
+    assert np.array_equal(rep.p_hat, p_hat)
+    with pytest.raises(StepBudgetExceeded):
+        invariance_diagnostic(c.m, c.height, c.starts, 0.25, 0.75,
+                              walks_per_start=20, seed=5, max_steps=k - 1)
