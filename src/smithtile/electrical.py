@@ -12,13 +12,14 @@ well defined modulo eta.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .map_core import CombMap, DualMap, MapError, dual_cycle_winding_cut, marked_cut_path
+from .map_core import CombMap, DualMap, MapError, marked_cut_path
 
 DENSE_LIMIT = 500
 
@@ -126,7 +127,11 @@ def harmonic_dart(v: Voltage, k: int) -> int:
 
 
 def harmonic_darts(v: Voltage) -> np.ndarray:
-    return np.array([harmonic_dart(v, k) for k in range(v.map.num_edges)], dtype=np.int64)
+    """harmonic_dart for every edge at once, with the same tie rule."""
+    m = v.map
+    t, h = v.values[m.edge_tail], v.values[m.edge_head]
+    odd = (h < t) | ((h == t) & (m.edge_tail > m.edge_head))
+    return 2 * np.arange(m.num_edges, dtype=np.int64) + odd
 
 
 @dataclass
@@ -157,7 +162,12 @@ def conjugate(dmap: DualMap, v: Voltage, base: int | None = None,
 
     Every non-tree dual edge closes a cycle whose integration defect must be
     eta times the cycle's winding around the cylinder; a defect away from the
-    lattice eta*Z signals an inconsistent input embedding.
+    lattice eta*Z signals an inconsistent input embedding.  The winding is
+    checked independently and combinatorially: the BFS tree also carries a
+    crossing potential, the signed number of crossings of the primal cut path
+    from v0 to v1 on each face's tree path, so the fundamental cycle through
+    dart h winds cross[tail(h)] + sign(h) - cross[head(h)] times.  All
+    non-tree edges are checked at once; the first failing edge raises.
     """
     m = dmap.primal
     dm = dmap.map
@@ -170,12 +180,11 @@ def conjugate(dmap: DualMap, v: Voltage, base: int | None = None,
         else:
             base = 0
 
-    w = np.full(F, np.nan)
-    w[base] = 0.0
-    werr = np.zeros(F)
-    tree_dart = np.full(F, -1, dtype=np.int64)
-    in_tree = np.zeros(m.num_edges, dtype=bool)
-    queue = [base]
+    cut = marked_cut_path(m) if (m.v0 is not None and m.v1 is not None) else None
+    sgn = np.zeros(dm.num_darts, dtype=np.int64)
+    if cut is not None:
+        sgn[cut] = -1       # dual dart h crosses the upward path right-to-left
+        sgn[cut ^ 1] = 1
     inc = -v.dart_flow(np.arange(dm.num_darts))
     # one increment carries cancellation noise ~ eps * conductance * |v|:
     # level augmentation can slice an edge at nearly equal fractions, and the
@@ -184,55 +193,62 @@ def conjugate(dmap: DualMap, v: Voltage, base: int | None = None,
     vs = float(max(1.0, np.abs(v.values).max()))
     errinc = np.finfo(np.float64).eps * vs \
         * m.conductance[np.arange(dm.num_darts) >> 1]
+
+    # the BFS fixes the tree; the sums along it then run one depth at a time,
+    # each face adding its tree dart's term to its parent's value, which are
+    # the same float additions a face-by-face walk would do
+    head = dm.dart_head.tolist()
+    tree = [-1] * F
+    depth = [-1] * F
+    depth[base] = 0
+    queue = deque([base])
     while queue:
-        f = queue.pop(0)
-        for h in dm.vertex_darts[f]:
-            g = int(dm.dart_head[h])
-            if np.isnan(w[g]):
-                w[g] = w[f] + inc[h]
-                werr[g] = werr[f] + errinc[h]
-                tree_dart[g] = int(h)
-                in_tree[h >> 1] = True
+        f = queue.popleft()
+        for h in dm.vertex_darts[f].tolist():
+            g = head[h]
+            if depth[g] < 0:
+                depth[g] = depth[f] + 1
+                tree[g] = h
                 queue.append(g)
-    if np.any(np.isnan(w)):
+    depth = np.array(depth)
+    if np.any(depth < 0):
         raise MapError("dual graph is not connected")
+    tree_dart = np.array(tree, dtype=np.int64)
+    w = np.zeros(F)
+    werr = np.zeros(F)
+    cross = np.zeros(F, dtype=np.int64)
+    by_depth = np.argsort(depth, kind="stable")
+    bounds = np.searchsorted(depth[by_depth], np.arange(1, depth.max() + 2))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        g = by_depth[lo:hi]
+        h = tree_dart[g]
+        f = dm.dart_tail[h]
+        w[g] = w[f] + inc[h]
+        werr[g] = werr[f] + errinc[h]
+        cross[g] = cross[f] + sgn[h]
 
-    cut = marked_cut_path(m) if (m.v0 is not None and m.v1 is not None) else None
-    max_defect = 0.0
-    scale = max(1.0, eta)
-    for k in np.flatnonzero(~in_tree):
-        # integral of the increments around the fundamental cycle through 2k
-        defect = inc[2 * k] + w[dm.dart_tail[2 * k]] - w[dm.dart_head[2 * k]]
-        wind = round(defect / eta)
-        err = abs(defect - eta * wind)
-        allow = tol * scale + 8.0 * (errinc[2 * k] + werr[dm.dart_tail[2 * k]]
-                                     + werr[dm.dart_head[2 * k]])
-        if err > allow:
-            raise MapError(f"dual edge {k}: closure defect {defect} not in eta*Z")
-        if cut is not None:
-            cyc = _fundamental_cycle(dm, tree_dart, int(2 * k))
-            wind_cut = dual_cycle_winding_cut(dmap, cyc, cut=cut)
-            if wind_cut != wind:
-                raise MapError(
-                    f"dual edge {k}: defect winding {wind} != cycle winding {wind_cut}")
-        max_defect = max(max_defect, err)
+    in_tree = np.zeros(m.num_edges, dtype=bool)
+    in_tree[tree_dart[tree_dart >= 0] >> 1] = True
+    hs = 2 * np.flatnonzero(~in_tree)
+    tail, hd = dm.dart_tail[hs], dm.dart_head[hs]
+    # integral of the increments around the fundamental cycle through each h
+    defect = inc[hs] + w[tail] - w[hd]
+    wind = np.round(defect / eta)
+    err = np.abs(defect - eta * wind)
+    allow = tol * max(1.0, eta) + 8.0 * (errinc[hs] + werr[tail] + werr[hd])
+    wind_cut = cross[tail] + sgn[hs] - cross[hd]
+    bad = err > allow
+    if cut is not None:
+        bad |= wind_cut != wind
+    if bad.any():
+        i = int(np.argmax(bad))
+        k = int(hs[i]) >> 1
+        if err[i] > allow[i]:
+            raise MapError(f"dual edge {k}: closure defect {defect[i]} not in eta*Z")
+        raise MapError(f"dual edge {k}: defect winding {int(wind[i])} "
+                       f"!= cycle winding {wind_cut[i]}")
+    max_defect = float(err.max(initial=0.0))
     return Conjugate(dmap, v, base, w, max_defect, tree_dart, werr)
-
-
-def _fundamental_cycle(dm: CombMap, tree_dart: np.ndarray, h: int) -> list:
-    """Closed dual dart cycle: tree path to tail(h), then h, then back from head(h)."""
-
-    def path_from_base(f):
-        darts = []
-        while tree_dart[f] != -1:
-            d = int(tree_dart[f])
-            darts.append(d)
-            f = int(dm.dart_tail[d])
-        return darts[::-1]
-
-    up = path_from_base(int(dm.dart_tail[h]))
-    down = [d ^ 1 for d in reversed(path_from_base(int(dm.dart_head[h])))]
-    return up + [h] + down
 
 
 def interpolate_h(v: Voltage, dart: int, t: float) -> float:

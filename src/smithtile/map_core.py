@@ -12,6 +12,7 @@ and every edge touching them has horizontal displacement zero.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -412,9 +413,9 @@ def marked_cut_path(m: CombMap) -> np.ndarray:
     if m.v0 is None or m.v1 is None:
         raise MapError("cut path needs both marked vertices")
     parent = {m.v0: -1}
-    queue = [m.v0]
+    queue = deque([m.v0])
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         if v == m.v1:
             break
         for h in m.vertex_darts[v]:

@@ -19,6 +19,13 @@ from .map_core import CombMap, DualMap, MapError
 from .electrical import Conjugate, Voltage, harmonic_darts
 
 
+# validate() expands at most max(E // 2, SWEEP_PAIRS) (slab, piece) pairs at
+# once, unless one slab alone holds more: chunks in proportion to E keep the
+# per-chunk selection over all pieces linear overall, and half of E keeps
+# the sweep's arrays well below the size of the map's own
+SWEEP_PAIRS = 1 << 12
+
+
 class TilingError(ValueError):
     """The tiling could not be assembled from consistent data."""
 
@@ -257,7 +264,18 @@ def _circle_pieces(x0: float, width: float, eta: float):
 
 
 def validate(d: SmithDiagram, tol: float = 1e-9) -> TilingReport:
-    """Exhaustive tiling checks; returns a report, never raises."""
+    """Exhaustive tiling checks; returns a report, never raises.
+
+    Overlap and coverage come from a sweep over the slabs between
+    consecutive distinct rectangle levels.  Each rectangle of positive width
+    is split into its pieces on [0, eta) and found in its range of slabs by
+    searchsorted; within a slab, +1/-1 events at sorted piece ends give the
+    depth of cover, so the union is the length at depth >= 1 and the overlap
+    the length times (depth - 1).  The (slab, piece) pairs are expanded in
+    chunks of about max(E // 2, SWEEP_PAIRS) pairs, which keeps memory O(E).
+    At each vertex level, the segments there plus the rectangles spanning it
+    must fill the circumference.
+    """
     eta = d.eta
     heights = d.rect_y1 - d.rect_y0
     aspect = np.abs(d.rect_width - d.map.conductance * heights)
@@ -265,37 +283,64 @@ def validate(d: SmithDiagram, tol: float = 1e-9) -> TilingReport:
     area_defect = abs(float(np.sum(d.rect_width * heights)) - eta)
 
     ys = np.unique(np.concatenate([d.rect_y0, d.rect_y1]))
+    dy = np.diff(ys)
+    # circle pieces of the rectangles of positive width: an arc past the
+    # seam becomes [x0, eta) and [0, x0 + width - eta)
+    pos = np.flatnonzero(d.rect_width > 0)
+    x0, x1 = d.rect_x0[pos], d.rect_x0[pos] + d.rect_width[pos]
+    seam = x1 > eta
+    p_lo = np.concatenate([x0, np.zeros(np.count_nonzero(seam))])
+    p_hi = np.concatenate([np.where(seam, eta, x1), x1[seam] - eta])
+    rect = np.concatenate([pos, pos[seam]])
+    # slab i lies between ys[i] and ys[i + 1]; the rectangle covers slabs
+    # s_lo <= i < s_hi
+    s_lo = np.searchsorted(ys, d.rect_y0[rect])
+    s_hi = np.maximum(np.searchsorted(ys, d.rect_y1[rect]), s_lo)
+    per_slab = np.cumsum(np.bincount(s_lo, minlength=len(ys))
+                         - np.bincount(s_hi, minlength=len(ys)))[:-1]
+    pairs = np.cumsum(per_slab)
+    chunk = max(d.map.num_edges // 2, SWEEP_PAIRS)
     overlap_area = 0.0
     covered = 0.0
-    for a, b in zip(ys[:-1], ys[1:]):
-        if b <= a:
-            continue
-        act = np.flatnonzero((d.rect_y0 <= a) & (d.rect_y1 >= b) & (d.rect_width > 0))
-        pieces = []
-        for k in act:
-            pieces.extend(_circle_pieces(float(d.rect_x0[k]), float(d.rect_width[k]), eta))
-        pieces.sort()
-        total = sum(q - p for p, q in pieces)
-        union = 0.0
-        cur_lo, cur_hi = None, None
-        for p, q in pieces:
-            if cur_hi is None or p > cur_hi:
-                if cur_hi is not None:
-                    union += cur_hi - cur_lo
-                cur_lo, cur_hi = p, q
-            else:
-                cur_hi = max(cur_hi, q)
-        if cur_hi is not None:
-            union += cur_hi - cur_lo
-        overlap_area += (total - union) * (b - a)
-        covered += union * (b - a)
+    a = 0
+    while a < len(dy):
+        done = pairs[a - 1] if a else 0
+        b = max(a + 1, int(np.searchsorted(pairs, done + chunk, side="right")))
+        sel = np.flatnonzero((s_lo < b) & (s_hi > a))
+        lo = np.maximum(s_lo[sel], a)
+        n = np.minimum(s_hi[sel], b) - lo
+        # piece j covers chunk slabs lo_j - a, ..., lo_j - a + n_j - 1
+        slab = np.arange(n.sum()) + np.repeat(lo - a - np.cumsum(n) + n, n)
+        piece = np.repeat(sel, n)
+        ev_slab = np.concatenate([slab, slab])
+        ev_x = np.concatenate([p_lo[piece], p_hi[piece]])
+        ev_d = np.repeat([1, -1], len(slab))
+        order = np.lexsort((ev_x, ev_slab))
+        ev_slab, ev_x = ev_slab[order], ev_x[order]
+        depth = np.cumsum(ev_d[order])[:-1]
+        gap = np.diff(ev_x)
+        same = ev_slab[1:] == ev_slab[:-1]
+        where = ev_slab[:-1][same]
+        union = np.bincount(where, weights=(gap * (depth >= 1))[same], minlength=b - a)
+        extra = np.bincount(where, weights=(gap * np.maximum(depth - 1, 0))[same],
+                            minlength=b - a)
+        overlap_area += float(np.dot(extra, dy[a:b]))
+        covered += float(np.dot(union, dy[a:b]))
+        a = b
     coverage_defect = abs(eta * 1.0 - covered)
 
-    max_level = 0.0
-    for a in np.unique(d.hseg_level):
-        seg = float(np.sum(d.hseg_len[d.hseg_level == a]))
-        span = float(np.sum(d.rect_width[(d.rect_y0 < a) & (d.rect_y1 > a)]))
-        max_level = max(max_level, abs(seg + span - eta))
+    # width spanning level a: rectangles with y0 < a < y1, i.e. those of
+    # positive height with y0 < a, less those with y1 <= a
+    levels, at = np.unique(d.hseg_level, return_inverse=True)
+    seg = np.bincount(at, weights=d.hseg_len, minlength=len(levels))
+    tall = d.rect_y0 < d.rect_y1
+    y0, y1, wt = d.rect_y0[tall], d.rect_y1[tall], d.rect_width[tall]
+    o0, o1 = np.argsort(y0), np.argsort(y1)
+    c0 = np.concatenate([[0.0], np.cumsum(wt[o0])])
+    c1 = np.concatenate([[0.0], np.cumsum(wt[o1])])
+    span = (c0[np.searchsorted(y0[o0], levels)]
+            - c1[np.searchsorted(y1[o1], levels, side="right")])
+    max_level = float(np.abs(seg + span - eta).max(initial=0.0))
 
     return TilingReport(eta, overlap_area, coverage_defect, area_defect,
                         max_aspect, max_level, float(d.hseg_len.max()))

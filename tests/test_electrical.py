@@ -1,5 +1,8 @@
 """Harmonic voltages, flows, and the conjugate width function."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,8 @@ from smithtile import (MapError, build_map, conjugate, dual, flow,
                        flow_strength, harmonic_dart, harmonic_darts,
                        insert_vertices, make_lattice, make_rng,
                        solve_voltage)
-from smithtile.electrical import interpolate_h, interpolate_w
+from smithtile import electrical
+from smithtile.electrical import Conjugate, interpolate_h, interpolate_w
 from smithtile.map_core import dual_cycle_winding_cut, marked_cut_path
 
 
@@ -137,6 +141,28 @@ def test_harmonic_dart_orientations(rung_map):
     assert np.all(v.dart_flow(darts) >= 0.0)
 
 
+def test_harmonic_darts_match_per_edge_rule(rung_map, path_map, random_maps,
+                                            lattice8):
+    # rung_map has an exactly zero-gradient edge, the lattice's row edges
+    # nearly zero gradients, the random maps generic ones
+    maps = [rung_map, path_map, lattice8[0]] + [m for m, _ in random_maps]
+    for m in maps:
+        v = solve_voltage(m)
+        want = [harmonic_dart(v, k) for k in range(m.num_edges)]
+        got = harmonic_darts(v)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+
+
+def test_harmonic_darts_tie_rule_on_self_loop():
+    # a self-loop has equal endpoint voltages and equal (tail, head) pairs
+    m = build_map(2, [(0, 1, 1.0), (1, 1, 2.0)], [[0], [1, 2, 3]],
+                  marked=(0, 1))
+    v = solve_voltage(m)
+    assert harmonic_darts(v).tolist() == [harmonic_dart(v, 0), harmonic_dart(v, 1)] \
+        == [0, 2]
+
+
 def test_harmonic_dart_reversed_edge():
     # edge stored against the current: head lower than tail
     m = build_map(3, [(0, 1, 1.0), (2, 1, 1.0)], [[0], [1, 3], [2]],
@@ -222,6 +248,126 @@ def test_random_dual_cycles_quantized(random_maps):
             total = float(np.sum(c.dart_increment(np.array(darts))))
             wind = dual_cycle_winding_cut(dmc, darts, cut=cut)
             assert abs(total - v.eta * wind) <= 1e-10 * scale
+
+
+# -- reference: one fundamental-cycle walk per non-tree dual edge ----------
+
+def _fundamental_cycle(dm, tree_dart, h):
+    """Closed dual dart cycle: tree path to tail(h), then h, then back from head(h)."""
+
+    def path_from_base(f):
+        darts = []
+        while tree_dart[f] != -1:
+            d = int(tree_dart[f])
+            darts.append(d)
+            f = int(dm.dart_tail[d])
+        return darts[::-1]
+
+    up = path_from_base(int(dm.dart_tail[h]))
+    down = [d ^ 1 for d in reversed(path_from_base(int(dm.dart_head[h])))]
+    return up + [h] + down
+
+
+def reference_conjugate(dmap, v, base=None, tol=1e-9):
+    """The per-cycle conjugate: integrate over a list-queue BFS tree, then walk
+    every fundamental cycle and count its cut crossings one by one.  The cut
+    path is read from the electrical module, as conjugate() reads it."""
+    m = dmap.primal
+    dm = dmap.map
+    F = dm.num_vertices
+    eta = v.eta
+    if base is None:
+        if dmap.rep_theta is not None:
+            score = np.minimum(dmap.rep_theta, 2 * math.pi - dmap.rep_theta)
+            base = int(np.lexsort((np.arange(F), np.abs(dmap.rep_height), score))[0])
+        else:
+            base = 0
+    w = np.full(F, np.nan)
+    w[base] = 0.0
+    werr = np.zeros(F)
+    tree_dart = np.full(F, -1, dtype=np.int64)
+    in_tree = np.zeros(m.num_edges, dtype=bool)
+    queue = [base]
+    inc = -v.dart_flow(np.arange(dm.num_darts))
+    vs = float(max(1.0, np.abs(v.values).max()))
+    errinc = np.finfo(np.float64).eps * vs \
+        * m.conductance[np.arange(dm.num_darts) >> 1]
+    while queue:
+        f = queue.pop(0)
+        for h in dm.vertex_darts[f]:
+            g = int(dm.dart_head[h])
+            if np.isnan(w[g]):
+                w[g] = w[f] + inc[h]
+                werr[g] = werr[f] + errinc[h]
+                tree_dart[g] = int(h)
+                in_tree[h >> 1] = True
+                queue.append(g)
+    if np.any(np.isnan(w)):
+        raise MapError("dual graph is not connected")
+    cut = electrical.marked_cut_path(m) if (m.v0 is not None and m.v1 is not None) else None
+    max_defect = 0.0
+    scale = max(1.0, eta)
+    for k in np.flatnonzero(~in_tree):
+        defect = inc[2 * k] + w[dm.dart_tail[2 * k]] - w[dm.dart_head[2 * k]]
+        wind = round(defect / eta)
+        err = abs(defect - eta * wind)
+        allow = tol * scale + 8.0 * (errinc[2 * k] + werr[dm.dart_tail[2 * k]]
+                                     + werr[dm.dart_head[2 * k]])
+        if err > allow:
+            raise MapError(f"dual edge {k}: closure defect {defect} not in eta*Z")
+        if cut is not None:
+            cyc = _fundamental_cycle(dm, tree_dart, int(2 * k))
+            wind_cut = dual_cycle_winding_cut(dmap, cyc, cut=cut)
+            if wind_cut != wind:
+                raise MapError(
+                    f"dual edge {k}: defect winding {wind} != cycle winding {wind_cut}")
+        max_defect = max(max_defect, err)
+    return Conjugate(dmap, v, base, w, max_defect, tree_dart, werr)
+
+
+def test_conjugate_matches_per_cycle_reference(random_maps, lattice8, parallel3_map,
+                                               path_map, mated_crt64):
+    cases = list(random_maps) + [lattice8, (parallel3_map, None),
+                                 (path_map, None), (mated_crt64, None)]
+    for m, emb in cases:
+        v = solve_voltage(m)
+        dmc = dual(m, emb)
+        got, want = conjugate(dmc, v), reference_conjugate(dmc, v)
+        assert got.base == want.base
+        assert np.array_equal(got.w_lift, want.w_lift)
+        assert np.array_equal(got.w_err, want.w_err)
+        assert np.array_equal(got.tree_dart, want.tree_dart)
+        assert got.max_defect == want.max_defect
+
+
+def test_conjugate_rejects_closure_defect(random_maps):
+    m, emb = random_maps[0]
+    v = solve_voltage(m)
+    x = next(x for x in range(m.num_vertices) if not m.is_marked(x))
+    values = v.values.copy()
+    values[x] += 1e-3
+    bad = dataclasses.replace(v, values=values)
+    dmc = dual(m, emb)
+    with pytest.raises(MapError, match="closure defect .* not in eta\\*Z") as got:
+        conjugate(dmc, bad)
+    with pytest.raises(MapError) as want:
+        reference_conjugate(dmc, bad)
+    assert str(got.value) == str(want.value)
+
+
+def test_conjugate_rejects_wrong_cut_winding(random_maps, lattice8, monkeypatch):
+    # the reversed cut path negates every cycle winding, so any fundamental
+    # cycle that winds around the cylinder disagrees with its defect
+    monkeypatch.setattr(electrical, "marked_cut_path",
+                        lambda m: marked_cut_path(m) ^ 1)
+    for m, emb in (random_maps[0], lattice8):
+        v = solve_voltage(m)
+        dmc = dual(m, emb)
+        with pytest.raises(MapError, match="defect winding -?\\d+ != cycle winding") as got:
+            conjugate(dmc, v)
+        with pytest.raises(MapError) as want:
+            reference_conjugate(dmc, v)
+        assert str(got.value) == str(want.value)
 
 
 def test_interpolate_h_linear(path_map):

@@ -269,6 +269,27 @@ def test_marked_cut_path_runs_bottom_to_top(lattice8):
         assert m.dart_head[a] == m.dart_tail[b]
 
 
+def test_marked_cut_path_matches_list_queue_bfs(lattice8, random_maps):
+    # the BFS visiting order fixes which shortest path is the cut
+    for m, _ in [lattice8] + list(random_maps[:5]):
+        parent = {m.v0: -1}
+        queue = [m.v0]
+        while queue:
+            v = queue.pop(0)
+            if v == m.v1:
+                break
+            for h in m.vertex_darts[v]:
+                w = int(m.dart_head[h])
+                if w not in parent:
+                    parent[w] = int(h)
+                    queue.append(w)
+        want, v = [], m.v1
+        while parent[v] != -1:
+            want.append(parent[v])
+            v = int(m.dart_tail[parent[v]])
+        assert marked_cut_path(m).tolist() == want[::-1]
+
+
 def test_marked_cut_path_requires_marks(triangle_map):
     m = build_map(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)],
                   [[0, 4], [1, 2], [3, 5]])

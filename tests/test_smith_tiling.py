@@ -1,13 +1,17 @@
 """Rectangle tilings: geometry, validation report, adjacency, rendering."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from smithtile import (TilingReport, build_diagram, conjugate,
-                       contact_violations, dart_drift, dual, reduce_mod,
-                       render_svg, smith_embedding, solve_voltage, validate)
+                       contact_violations, dart_drift, dual, make_lattice,
+                       reduce_mod, render_svg, smith_embedding, solve_voltage,
+                       validate)
+from smithtile import smith_tiling
+from smithtile.smith_tiling import _circle_pieces
 
 
 def diagram_for(m, emb=None):
@@ -197,3 +201,113 @@ def test_render_svg_splits_seam_rectangles(random_maps):
                 if d.rect_width[k] > 0 and d.rect_y1[k] > d.rect_y0[k])
     svg = render_svg(d, segments=False)
     assert svg.count("<rect") == 1 + drawn + seam
+
+
+# -- reference: one pass over all rectangles per slab and per level --------
+
+def reference_validate(d):
+    """The slab-by-slab validate: mask the active rectangles of each slab,
+    merge their sorted pieces, and mask each vertex level separately."""
+    eta = d.eta
+    heights = d.rect_y1 - d.rect_y0
+    aspect = np.abs(d.rect_width - d.map.conductance * heights)
+    max_aspect = float(aspect.max()) if len(aspect) else 0.0
+    area_defect = abs(float(np.sum(d.rect_width * heights)) - eta)
+    ys = np.unique(np.concatenate([d.rect_y0, d.rect_y1]))
+    overlap_area = 0.0
+    covered = 0.0
+    for a, b in zip(ys[:-1], ys[1:]):
+        act = np.flatnonzero((d.rect_y0 <= a) & (d.rect_y1 >= b) & (d.rect_width > 0))
+        pieces = []
+        for k in act:
+            pieces.extend(_circle_pieces(float(d.rect_x0[k]), float(d.rect_width[k]), eta))
+        pieces.sort()
+        total = sum(q - p for p, q in pieces)
+        union = 0.0
+        cur_lo, cur_hi = None, None
+        for p, q in pieces:
+            if cur_hi is None or p > cur_hi:
+                if cur_hi is not None:
+                    union += cur_hi - cur_lo
+                cur_lo, cur_hi = p, q
+            else:
+                cur_hi = max(cur_hi, q)
+        if cur_hi is not None:
+            union += cur_hi - cur_lo
+        overlap_area += (total - union) * (b - a)
+        covered += union * (b - a)
+    coverage_defect = abs(eta * 1.0 - covered)
+    max_level = 0.0
+    for a in np.unique(d.hseg_level):
+        seg = float(np.sum(d.hseg_len[d.hseg_level == a]))
+        span = float(np.sum(d.rect_width[(d.rect_y0 < a) & (d.rect_y1 > a)]))
+        max_level = max(max_level, abs(seg + span - eta))
+    return TilingReport(eta, overlap_area, coverage_defect, area_defect,
+                        max_aspect, max_level, float(d.hseg_len.max()))
+
+
+REPORT_FIELDS = [f.name for f in dataclasses.fields(TilingReport)]
+
+
+def assert_reports_agree(got, want, tol=1e-12):
+    for name in REPORT_FIELDS:
+        assert abs(getattr(got, name) - getattr(want, name)) <= tol, name
+
+
+@pytest.fixture(scope="module")
+def sweep_diagrams(random_maps, rung_map, path_map, parallel3_map, lattice8,
+                   mated_crt64):
+    """Diagrams with seam rectangles (random maps), a zero-width rectangle
+    (rung_map), full belts (path_map), a CG-solved lattice whose rows split
+    into many levels, and a mated-CRT map without embedding."""
+    cases = list(random_maps) + [(rung_map, None), (path_map, None),
+                                 (parallel3_map, None), lattice8,
+                                 make_lattice(32, 2.0), (mated_crt64, None)]
+    return [diagram_for(m, emb) for m, emb in cases]
+
+
+def test_validate_matches_slab_reference(sweep_diagrams):
+    seam = 0
+    for d in sweep_diagrams:
+        assert_reports_agree(validate(d), reference_validate(d))
+        seam += int(np.sum((d.rect_width > 0) & (d.rect_x0 + d.rect_width > d.eta)))
+    assert seam > 0
+
+
+def test_validate_chunking_does_not_change_report(sweep_diagrams, monkeypatch):
+    # the CG lattice needs several chunks even at the default size; one slab
+    # per chunk is the other extreme
+    want = [validate(d) for d in sweep_diagrams]
+    monkeypatch.setattr(smith_tiling, "SWEEP_PAIRS", 0)
+    for d, w in zip(sweep_diagrams, want):
+        assert_reports_agree(validate(d), w)
+
+
+def _perturbed(d):
+    """Three broken copies of a diagram: a shifted rectangle (overlap and a
+    gap), a zero width (a coverage defect) and a wrong segment length (a
+    level defect)."""
+    k = int(np.argmax(d.rect_width * (d.rect_y1 - d.rect_y0)))
+    x0 = d.rect_x0.copy()
+    x0[k] = reduce_mod(x0[k] + d.rect_width[k] / 2, d.eta)
+    width = d.rect_width.copy()
+    width[k] = 0.0
+    x = next(x for x in range(d.map.num_vertices) if not d.map.is_marked(x))
+    seg = d.hseg_len.copy()
+    seg[x] += 0.1 * d.eta
+    return [(("overlap_area", "coverage_defect"), dataclasses.replace(d, rect_x0=x0)),
+            (("coverage_defect",), dataclasses.replace(d, rect_width=width)),
+            (("max_level_defect",), dataclasses.replace(d, hseg_len=seg))]
+
+
+def test_validate_flags_perturbed_diagrams_like_reference(sweep_diagrams):
+    for d in sweep_diagrams:
+        if d.map.num_vertices <= 3:
+            continue    # path_map's belts shift onto themselves; parallel3_map
+                        # has no unmarked vertex to give a wrong segment
+        for fields, bad in _perturbed(d):
+            got, want = validate(bad), reference_validate(bad)
+            assert_reports_agree(got, want)
+            for field in fields:
+                assert getattr(got, field) > 1e-9, field
+            assert not got.passed() and not want.passed()
