@@ -13,8 +13,7 @@ from .map_core import (CombMap, CylinderEmbedding, DualMap, MapError,
                        build_map, check_embedding, dual, insert_vertices,
                        lift_path, path_winding, wrap_angle, wrap_signed)
 from .electrical import (Conjugate, SolveError, Voltage, conjugate,
-                         flow, flow_strength, harmonic_dart, harmonic_darts,
-                         solve_voltage)
+                         harmonic_dart, harmonic_darts, solve_voltage)
 from .smith_tiling import (SmithDiagram, SmithEmbedding, TilingError,
                            TilingReport, build_diagram, contact_violations,
                            dart_drift, reduce_mod, render_svg, smith_embedding,
@@ -42,8 +41,8 @@ __all__ = [
     "CombMap", "CylinderEmbedding", "DualMap", "MapError", "build_map",
     "check_embedding", "dual", "insert_vertices", "lift_path", "path_winding",
     "wrap_angle", "wrap_signed",
-    "Conjugate", "SolveError", "Voltage", "conjugate", "flow",
-    "flow_strength", "harmonic_dart", "harmonic_darts", "solve_voltage",
+    "Conjugate", "SolveError", "Voltage", "conjugate", "harmonic_dart",
+    "harmonic_darts", "solve_voltage",
     "SmithDiagram", "SmithEmbedding", "TilingError", "TilingReport",
     "build_diagram", "contact_violations", "dart_drift", "reduce_mod",
     "render_svg", "smith_embedding", "validate",

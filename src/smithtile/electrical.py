@@ -104,14 +104,6 @@ def solve_voltage(m: CombMap, tol: float = 1e-10) -> Voltage:
     return volt
 
 
-def flow(v: Voltage, dart: int) -> float:
-    return float(v.dart_flow(np.array([dart]))[0])
-
-
-def flow_strength(v: Voltage) -> float:
-    return v.eta
-
-
 def harmonic_dart(v: Voltage, k: int) -> int:
     """The dart of edge k oriented from lower to higher voltage; zero-gradient
     edges (and self-loops) take the orientation with the lexicographically
@@ -250,18 +242,3 @@ def conjugate(dmap: DualMap, v: Voltage, base: int | None = None,
     max_defect = float(err.max(initial=0.0))
     return Conjugate(dmap, v, base, w, max_defect, tree_dart, werr)
 
-
-def interpolate_h(v: Voltage, dart: int, t: float) -> float:
-    """Voltage at the point a fraction t from tail(dart) toward head(dart)."""
-    m = v.map
-    a = v.values[m.dart_tail[dart]]
-    b = v.values[m.dart_head[dart]]
-    return float(a + t * (b - a))
-
-
-def interpolate_w(c: Conjugate, dual_dart: int, t: float) -> float:
-    """Conjugate value (mod eta) a fraction t along a dual dart."""
-    dm = c.dual.map
-    a = c.w_lift[dm.dart_tail[dual_dart]]
-    inc = float(c.dart_increment(np.array([dual_dart]))[0])
-    return float(np.mod(a + t * inc, c.voltage.eta))

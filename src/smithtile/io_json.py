@@ -1,4 +1,4 @@
-"""JSON/CSV serialization, schema "smith/1".
+"""JSON serialization, schema "smith/1".
 
 Documents (all carry "schema" and "kind"):
 
@@ -18,8 +18,9 @@ diagram: {"schema", "kind": "diagram", "eta",
           "vsegs": [{"face", "x", "y0", "y1"}]}
 
 Numbers are written by Python's float repr (shortest string that round-trips
-the IEEE double), so read(write(x)) is bit-exact.  Writers are deterministic:
-sorted keys, two-space indent, trailing newline.
+the IEEE double), so a document parsed back from ``dump_json`` is bit-exact.
+``dump_json`` is deterministic: sorted keys, two-space indent, trailing
+newline.
 """
 
 from __future__ import annotations
@@ -45,16 +46,6 @@ class SchemaError(ValueError):
 
 def dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def write_json(path, obj) -> None:
-    with open(path, "w") as fh:
-        fh.write(dump_json(obj))
-
-
-def read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def _num(x) -> float | None:
@@ -249,14 +240,6 @@ def map_from_json(obj) -> tuple:
     return m, emb
 
 
-def write_map(path, m: CombMap, emb: CylinderEmbedding | None = None) -> None:
-    write_json(path, map_to_json(m, emb))
-
-
-def read_map(path) -> tuple:
-    return map_from_json(read_json(path))
-
-
 # -- solution ---------------------------------------------------------------------
 
 def solution_to_json(v, c=None) -> dict:
@@ -362,25 +345,3 @@ def diagram_from_json(obj) -> DiagramData:
     return DiagramData(float(eta), arr(rx0), arr(rw), arr(ry0), arr(ry1),
                        arr(hs), arr(hl), arr(hlev), arr(vx), arr(vy0), arr(vy1))
 
-
-def write_diagram(path, d) -> None:
-    write_json(path, diagram_to_json(d))
-
-
-def read_diagram(path) -> DiagramData:
-    return diagram_from_json(read_json(path))
-
-
-# -- csv ---------------------------------------------------------------------------
-
-def write_csv(path, header, rows) -> None:
-    """Plain deterministic CSV; floats via repr so values round-trip."""
-    def cell(u):
-        if isinstance(u, float):
-            return repr(u)
-        return str(u)
-
-    lines = [",".join(header)]
-    lines += [",".join(cell(u) for u in row) for row in rows]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

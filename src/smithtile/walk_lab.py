@@ -1,15 +1,16 @@
 """Random walks on cylinder maps: exact hitting laws, windings, couplings.
 
 The conductance-weighted walk steps along darts with probability proportional
-to conductance (a self-loop is stepped from either of its two darts).  The
-level machinery inserts vertices so that queried voltage levels are fully
-vertexed; on the augmented map the conditional law of the walk given its
-height sequence is computed exactly by forward-backward recursions over level
-sets, and the expected winding of the re-randomized tiled-cylinder walk is a
-drift-weighted sum over the same recursion.  Monte Carlo sampling, all of it
-through the one stepping kernel ``walk``, appears in ``simulate``, the
-Wilson-tree sampler, the Monte Carlo total-variation branch and disconnection
-estimate of ``tv_coupling_check``, and ``convergence.invariance_diagnostic``.
+to conductance (a self-loop is stepped from either of its two darts).
+``augment_all_levels`` inserts vertices so that every queried voltage level is
+fully vertexed, once per map.  On that level-graded map one forward-backward
+pass over the level sets gives the exact conditional law of the walk given its
+height sequence, and the expected winding of the re-randomized tiled-cylinder
+walk is a drift-weighted sum over the transitions the pass recorded.  Monte
+Carlo sampling, all of it through the one stepping kernel ``walk``, appears in
+``simulate``, the Wilson-tree sampler, the Monte Carlo total-variation branch
+and disconnection estimate of ``tv_coupling_check``, and
+``convergence.invariance_diagnostic``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .map_core import CombMap, CylinderEmbedding, insert_vertices, dual
-from .electrical import Voltage, Conjugate, conjugate
+from .electrical import Voltage, conjugate
 from .smith_tiling import SmithDiagram, build_diagram, dart_drift
 from .rng import make_rng
 
@@ -149,18 +150,28 @@ def realized_levels(m: CombMap, v: Voltage, tol: float = 1e-12) -> np.ndarray:
 
 
 def level_set(m: CombMap, v: Voltage, a: float, tol: float = 1e-12) -> np.ndarray:
-    return np.array([x for x in range(m.num_vertices)
-                     if not m.is_marked(x) and abs(v.values[x] - a) <= tol],
-                    dtype=np.int64)
+    """Non-marked vertices within tol of level a, in ascending id."""
+    x = np.flatnonzero(np.abs(v.values - a) <= tol)
+    return x[(x != m.v0) & (x != m.v1)]
 
 
 @dataclass
 class Augmented:
+    """A map with its queried levels vertexed; ``measure(a)`` is the level
+    measure of level a at the same tol, computed once per level."""
     map: CombMap
     voltage: Voltage
     emb: CylinderEmbedding | None
     inserted: int
+    tol: float
     notice: str | None = None
+    _measures: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def measure(self, a: float) -> LevelMeasure:
+        a = float(a)
+        if a not in self._measures:
+            self._measures[a] = level_measure(self.map, self.voltage, a, self.tol)
+        return self._measures[a]
 
 
 def _augment(m: CombMap, v: Voltage, levels, emb: CylinderEmbedding | None,
@@ -189,12 +200,12 @@ def _augment(m: CombMap, v: Voltage, levels, emb: CylinderEmbedding | None,
             points.append((k, t))
             new_vals.append(a)
     if not points:
-        return Augmented(m, v, emb, 0)
+        return Augmented(m, v, emb, 0, tol)
     m2, emb2, _origin = insert_vertices(m, emb, points)
     # insert_vertices numbers new vertices in (edge, fraction) order = points order
     vals2 = np.concatenate([v.values, np.array(new_vals)])
     v2 = Voltage(m2, vals2, v.residual, v.eta, v.eta_mismatch)
-    return Augmented(m2, v2, emb2, len(points))
+    return Augmented(m2, v2, emb2, len(points), tol)
 
 
 def level_augment(m: CombMap, v: Voltage, a: float,
@@ -209,7 +220,7 @@ def level_augment(m: CombMap, v: Voltage, a: float,
         raise ValueError("level must lie strictly between the marked values")
     gap = np.min(np.abs(v.values - a))
     if gap <= tol:
-        return Augmented(m, v, emb, 0,
+        return Augmented(m, v, emb, 0, tol,
                          notice=f"level {a} already realized by a vertex")
     return _augment(m, v, [a], emb, tol)
 
@@ -217,12 +228,18 @@ def level_augment(m: CombMap, v: Voltage, a: float,
 def augment_all_levels(m: CombMap, v: Voltage, extra=(),
                        emb: CylinderEmbedding | None = None,
                        tol: float = 1e-12) -> Augmented:
-    """Vertex every level realized by a vertex, plus the requested extras.
+    """Vertex every level realized by a vertex, plus the requested extra
+    heights, which must be finite and lie strictly between 0 and 1.
 
     Afterwards every edge joins two consecutive realized levels, the standing
     assumption behind the exact level-set recursions.  One pass suffices since
     inserted vertices sit at levels already in the set."""
-    levels = list(realized_levels(m, v, tol)) + [float(a) for a in extra]
+    extra = np.atleast_1d(np.asarray(extra, dtype=np.float64))
+    if not np.all(np.isfinite(extra)):
+        raise ValueError("heights must be finite")
+    if np.any((extra <= 0.0) | (extra >= 1.0)):
+        raise ValueError("heights must lie strictly between 0 and 1")
+    levels = list(realized_levels(m, v, tol)) + extra.tolist()
     return _augment(m, v, levels, emb, tol)
 
 
@@ -246,11 +263,11 @@ def level_measure(m: CombMap, v: Voltage, a: float, tol: float = 1e-12,
 
     In-flow and out-flow must agree at every level vertex (harmonicity); the
     defect is asserted against balance_tol."""
-    for k in range(m.num_edges):
-        ht = float(v.values[m.edge_tail[k]])
-        hh = float(v.values[m.edge_head[k]])
-        if min(ht, hh) + tol < a < max(ht, hh) - tol:
-            raise LevelNotVertexed(f"edge {k} crosses level {a} away from a vertex")
+    ht, hh = v.values[m.edge_tail], v.values[m.edge_head]
+    crossing = (np.minimum(ht, hh) + tol < a) & (a < np.maximum(ht, hh) - tol)
+    if crossing.any():
+        k = int(np.argmax(crossing))
+        raise LevelNotVertexed(f"edge {k} crosses level {a} away from a vertex")
     verts = level_set(m, v, a, tol)
     if len(verts) == 0:
         raise ValueError(f"level {a} is not realized by any vertex")
@@ -275,120 +292,88 @@ class HittingLaw:
     """Forward-backward decomposition of the walk conditioned on its heights.
 
     conditional[i][j] = P(X_i = levels[i][j] | full height sequence); mu[i] is
-    the level measure of heights[i] on the same vertex order.  forward and
-    backward are the unnormalized recursions with norm their pairing."""
+    the level measure of heights[i] on the same vertex order.  steps[i] lists
+    the transitions (j, dart, jj) from levels[i][j] to levels[i + 1][jj] in
+    the order the forward pass adds them.  forward and backward are the
+    unnormalized recursions with norm their pairing."""
     map: CombMap
-    voltage: Voltage
-    emb: CylinderEmbedding | None
     heights: np.ndarray
     levels: list
     conditional: list
     mu: list
-    forward: list = field(repr=False, default=None)
-    backward: list = field(repr=False, default=None)
-    norm: float = 0.0
+    steps: list = field(repr=False)
+    forward: list = field(repr=False)
+    backward: list = field(repr=False)
+    norm: float
 
     def max_deviation(self) -> float:
         return max(float(np.max(np.abs(c - u)))
                    for c, u in zip(self.conditional, self.mu))
 
 
-def conditional_hitting(m: CombMap, v: Voltage, heights,
-                        emb: CylinderEmbedding | None = None,
-                        tol: float = 1e-12) -> HittingLaw:
+def conditional_hitting(aug: Augmented, heights) -> HittingLaw:
     """Exact conditional law of the walk given its full voltage-level sequence.
 
-    The map is first augmented so every edge joins consecutive realized
-    levels; the walk starts from the level measure of heights[0].  Dense
+    ``aug`` must vertex every height (``augment_all_levels`` with them as
+    extras); the walk starts from the level measure of heights[0].  Dense
     recursions over the (small) level sets; no sampling."""
+    m = aug.map
     heights = np.atleast_1d(np.asarray(heights, dtype=np.float64))
-    if not np.all(np.isfinite(heights)):
-        raise ValueError("heights must be finite")
-    if np.any((heights <= 0.0) | (heights >= 1.0)):
-        raise ValueError("heights must lie strictly between 0 and 1")
-    aug = augment_all_levels(m, v, extra=heights, emb=emb, tol=tol)
-    m2, v2 = aug.map, aug.voltage
-    pi = m2.pi_weight
+    head, vertex_darts, _cum = m.walk_tables()
+    pi, c = m.pi_weight, m.conductance.tolist()
 
-    levels = [level_set(m2, v2, float(a), tol) for a in heights]
+    levels = [level_set(m, aug.voltage, float(a), aug.tol) for a in heights]
     for a, lv in zip(heights, levels):
         if len(lv) == 0:
             raise InadmissibleHeights(f"no vertex at level {a}")
-    index = [{int(x): j for j, x in enumerate(lv)} for lv in levels]
     N = len(heights)
 
-    mu0 = level_measure(m2, v2, float(heights[0]), tol).as_dict()
-    fwd = [np.zeros(len(lv)) for lv in levels]
-    fwd[0] = np.array([mu0.get(int(x), 0.0) for x in levels[0]])
+    fwd = [aug.measure(heights[0]).mass] + [np.zeros(len(lv)) for lv in levels[1:]]
+    steps = []
     for i in range(N - 1):
-        nxt = index[i + 1]
-        for j, x in enumerate(levels[i]):
-            fj = fwd[i][j]
-            if fj == 0.0:
-                continue
-            for g in m2.vertex_darts[int(x)]:
-                jj = nxt.get(int(m2.dart_head[g]))
-                if jj is not None:
-                    fwd[i + 1][jj] += fj * float(m2.conductance[g >> 1]) / pi[x]
+        nxt = {x: j for j, x in enumerate(levels[i + 1].tolist())}
+        step = [(j, g, jj) for j, x in enumerate(levels[i].tolist()) for g in vertex_darts[x]
+                if (jj := nxt.get(head[g])) is not None]
+        p = pi[levels[i]]
+        for j, g, jj in step:
+            fwd[i + 1][jj] += fwd[i][j] * c[g >> 1] / p[j]
         if fwd[i + 1].sum() <= 0.0:
             raise InadmissibleHeights(
                 f"step {i + 1}: level {heights[i + 1]} unreachable from {heights[i]}")
+        steps.append(step)
 
-    bwd = [np.ones(len(lv)) for lv in levels]
+    bwd = [np.zeros(len(lv)) for lv in levels[:-1]] + [np.ones(len(levels[-1]))]
     for i in range(N - 2, -1, -1):
-        nxt = index[i + 1]
-        for j, x in enumerate(levels[i]):
-            s = 0.0
-            for g in m2.vertex_darts[int(x)]:
-                jj = nxt.get(int(m2.dart_head[g]))
-                if jj is not None:
-                    s += float(m2.conductance[g >> 1]) / pi[x] * bwd[i + 1][jj]
-            bwd[i][j] = s
+        p = pi[levels[i]]
+        for j, g, jj in steps[i]:
+            bwd[i][j] += c[g >> 1] / p[j] * bwd[i + 1][jj]
 
     norm = float(np.sum(fwd[-1]))
     if norm <= 0.0:
         raise InadmissibleHeights("height sequence has zero probability")
     cond = [fwd[i] * bwd[i] / norm for i in range(N)]
-    mus = []
-    for a, lv in zip(heights, levels):
-        lm = level_measure(m2, v2, float(a), tol).as_dict()
-        mus.append(np.array([lm.get(int(x), 0.0) for x in lv]))
-    return HittingLaw(m2, v2, aug.emb, heights, levels, cond, mus,
-                      forward=fwd, backward=bwd, norm=norm)
+    mus = [aug.measure(a).mass for a in heights]
+    return HittingLaw(m, heights, levels, cond, mus, steps, fwd, bwd, norm)
 
 
-def expected_conditional_winding(m: CombMap, v: Voltage, c: Conjugate, heights,
-                                 emb: CylinderEmbedding | None = None,
-                                 tol: float = 1e-12) -> float:
+def expected_conditional_winding(law: HittingLaw, diagram: SmithDiagram) -> float:
     """Exact E[winding of the re-randomized tiled walk | height sequence].
 
     The uniform re-randomization on each horizontal segment has mean at the
     segment midpoint, so the expectation is the joint-law-weighted sum of
-    midpoint drifts along the steps, divided by eta.  Zero by the winding law."""
-    law = conditional_hitting(m, v, heights, emb=emb, tol=tol)
-    m2, v2 = law.map, law.voltage
-    if m2 is m:
-        diag = build_diagram(m, c.dual, v, c)
-    else:
-        dm2 = dual(m2, law.emb)
-        c2 = conjugate(dm2, v2)
-        diag = build_diagram(m2, dm2, v2, c2)
-    pi = m2.pi_weight
+    midpoint drifts over the law's recorded transitions, divided by eta.
+    ``diagram`` must tile the law's own map.  Zero by the winding law."""
+    if diagram.map is not law.map:
+        raise ValueError("diagram must tile the map of the hitting law")
+    pi, c = law.map.pi_weight, law.map.conductance.tolist()
     total = 0.0
-    for i in range(len(law.heights) - 1):
-        nxt = {int(x): j for j, x in enumerate(law.levels[i + 1])}
-        for j, x in enumerate(law.levels[i]):
-            fj = law.forward[i][j]
-            if fj == 0.0:
-                continue
-            for g in m2.vertex_darts[int(x)]:
-                jj = nxt.get(int(m2.dart_head[g]))
-                if jj is None:
-                    continue
-                wgt = fj * float(m2.conductance[g >> 1]) / pi[x] * law.backward[i + 1][jj]
-                if wgt != 0.0:
-                    total += wgt * dart_drift(diag, int(g))
-    return total / (diag.eta * law.norm)
+    for i, step in enumerate(law.steps):
+        fwd, bwd, p = law.forward[i], law.backward[i + 1], pi[law.levels[i]]
+        for j, g, jj in step:
+            wgt = fwd[j] * c[g >> 1] / p[j] * bwd[jj]
+            if wgt != 0.0:
+                total += wgt * dart_drift(diagram, g)
+    return total / (diagram.eta * law.norm)
 
 
 # -- Wilson sampling and couplings -------------------------------------------
@@ -607,28 +592,34 @@ def exact_law_report(m: CombMap, v: Voltage,
                      seed: int = 0) -> dict:
     """Max deviations of the exact walk laws on one map, for reporting.
 
-    Runs the hitting law and winding law over random admissible sequences,
-    checks level-measure totals on the fully augmented map, and the walk
-    projection on a global half-edge refinement."""
-    dmap = dual(m, emb)
-    c = conjugate(dmap, v)
+    Draws random admissible sequences, then vertexes every realized level and
+    every sequence height in one augmentation, whose dual, conjugate and
+    diagram are built once.  On that map it checks the level-measure totals
+    and runs the hitting law and the winding law of each sequence, every
+    level measure computed once.  The walk projection is checked on a global
+    half-edge refinement of ``m``."""
+    levels = realized_levels(m, v)
+    sequences = admissible_sequences(m, v, num_sequences, length, seed)
+    aug = augment_all_levels(m, v, extra=[a for seq in sequences for a in seq], emb=emb)
+    dmap = dual(aug.map, aug.emb)
+    diag = build_diagram(aug.map, dmap, aug.voltage, conjugate(dmap, aug.voltage))
 
-    aug = augment_all_levels(m, v, emb=emb)
     # realized levels can sit arbitrarily close together, and slicing an edge
     # at nearly equal fractions amplifies machine noise by the resulting
-    # conductance; the floor tells the caller what the map can resolve
-    noise = float(np.finfo(np.float64).eps) * float(max(1.0, aug.map.conductance.max()))
+    # conductance; the floor tells the caller what the map can resolve (the
+    # stand-in quartile heights of a map without levels are not the map's)
+    resolved = aug.map if len(levels) else m
+    noise = float(np.finfo(np.float64).eps) * float(max(1.0, resolved.conductance.max()))
     mass_dev = 0.0
-    for a in realized_levels(aug.map, aug.voltage):
-        mass_dev = max(mass_dev, abs(level_measure(aug.map, aug.voltage, a).total - 1.0))
+    for a in levels:
+        mass_dev = max(mass_dev, abs(aug.measure(a).total - 1.0))
 
     hit_dev = 0.0
     wind_dev = 0.0
-    sequences = admissible_sequences(m, v, num_sequences, length, seed)
     for seq in sequences:
-        law = conditional_hitting(m, v, seq, emb=emb)
+        law = conditional_hitting(aug, seq)
         hit_dev = max(hit_dev, law.max_deviation())
-        wind_dev = max(wind_dev, abs(expected_conditional_winding(m, v, c, seq, emb=emb)))
+        wind_dev = max(wind_dev, abs(expected_conditional_winding(law, diag)))
 
     half = [(k, 0.5) for k in range(m.num_edges)]
     m2, _e2, _origin = insert_vertices(m, None, half)

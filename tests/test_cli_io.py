@@ -9,11 +9,10 @@ import pytest
 
 from smithtile import (build_diagram, build_map, conjugate, dual, render_svg,
                        solve_voltage)
-from smithtile.cli import main
+from smithtile.cli import _read_map, main
 from smithtile.io_json import (SCHEMA, SchemaError, diagram_from_json,
                                diagram_to_json, dump_json, map_from_json,
-                               map_to_json, read_map, solution_to_json,
-                               write_csv, write_map)
+                               map_to_json, solution_to_json)
 
 
 def diagram_for(m, emb=None):
@@ -47,10 +46,10 @@ def test_map_roundtrip_bit_exact(random_maps, tmp_path):
             assert emb2.height[x] == emb.height[x]
     assert np.array_equal(emb2.dtheta, emb.dtheta)
     assert dump_json(map_to_json(m2, emb2)) == blob
-    # file round-trip
+    # file round-trip through the command line's reader
     p = tmp_path / "map.json"
-    write_map(p, m, emb)
-    m3, _ = read_map(p)
+    p.write_text(blob)
+    m3, _ = _read_map(str(p))
     assert np.array_equal(m3.next_dart, m.next_dart)
 
 
@@ -181,24 +180,11 @@ def test_diagram_schema_violations(parallel3_map):
     assert any("finite number" in e for e in exc.value.errors)
 
 
-def test_write_csv_roundtrip(tmp_path):
-    p = tmp_path / "t.csv"
-    rows = [[1, 0.1 + 0.2, -1.5e-13], [2, 1.0 / 3.0, 2.0]]
-    write_csv(p, ["n", "a", "b"], rows)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "n,a,b"
-    for line, row in zip(lines[1:], rows):
-        toks = line.split(",")
-        assert int(toks[0]) == row[0]
-        assert float(toks[1]) == row[1]     # repr round-trips exactly
-        assert float(toks[2]) == row[2]
-
-
 # -- cli ------------------------------------------------------------------------
 
 def write_map_file(tmp_path, m, emb=None, name="map.json"):
     p = tmp_path / name
-    write_map(p, m, emb)
+    p.write_text(dump_json(map_to_json(m, emb)))
     return str(p)
 
 

@@ -6,12 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from smithtile import (MapError, build_map, conjugate, dual, flow,
-                       flow_strength, harmonic_dart, harmonic_darts,
-                       insert_vertices, make_lattice, make_rng,
+from smithtile import (MapError, build_map, conjugate, dual, harmonic_dart,
+                       harmonic_darts, insert_vertices, make_lattice, make_rng,
                        solve_voltage)
 from smithtile import electrical
-from smithtile.electrical import Conjugate, interpolate_h, interpolate_w
+from smithtile.electrical import Conjugate
 from smithtile.map_core import dual_cycle_winding_cut, marked_cut_path
 
 
@@ -61,7 +60,7 @@ def test_parallel3_voltage(parallel3_map):
 def test_rung_carries_no_current(rung_map):
     v = solve_voltage(rung_map)
     assert np.allclose(v.values, [0.0, 0.5, 0.5, 1.0], atol=1e-12)
-    assert flow(v, 2 * 4) == pytest.approx(0.0, abs=1e-13)
+    assert v.dart_flow(2 * 4) == pytest.approx(0.0, abs=1e-13)
     assert v.eta == pytest.approx(1.0, abs=1e-12)
 
 
@@ -124,11 +123,12 @@ def test_node_law(random_maps):
 
 def test_flow_antisymmetry_and_sign(path_map):
     v = solve_voltage(path_map)
-    assert flow(v, 0) == pytest.approx(0.5)       # toward higher voltage
-    assert flow(v, 1) == pytest.approx(-0.5)
+    assert v.dart_flow(0) == pytest.approx(0.5)       # toward higher voltage
+    assert v.dart_flow(1) == pytest.approx(-0.5)
     hs = np.arange(path_map.num_darts)
     assert np.allclose(v.dart_flow(hs), -v.dart_flow(hs ^ 1), atol=0.0)
-    assert flow_strength(v) == v.eta
+    # the strength eta is the flow out of v0
+    assert float(np.sum(v.dart_flow(path_map.vertex_darts[path_map.v0]))) == v.eta
 
 
 def test_harmonic_dart_orientations(rung_map):
@@ -370,38 +370,16 @@ def test_conjugate_rejects_wrong_cut_winding(random_maps, lattice8, monkeypatch)
         assert str(got.value) == str(want.value)
 
 
-def test_interpolate_h_linear(path_map):
-    v = solve_voltage(path_map)
-    assert interpolate_h(v, 0, 0.5) == pytest.approx(0.25)
-    assert interpolate_h(v, 1, 0.5) == pytest.approx(0.25)
-    assert interpolate_h(v, 0, 0.0) == pytest.approx(0.0)
-    assert interpolate_h(v, 0, 1.0) == pytest.approx(0.5)
-
-
 def test_interpolate_h_matches_refined_solve(random_maps):
     # inserting a vertex at fraction t and re-solving must reproduce the
-    # interpolated voltage (series conductances preserve harmonicity)
+    # linearly interpolated voltage (series conductances preserve harmonicity)
     m, emb = random_maps[2]
     v = solve_voltage(m)
     t = 0.3
     m2, emb2, _ = insert_vertices(m, emb, [(0, t), (3, t)])
     v2 = solve_voltage(m2)
-    assert v2.values[m.num_vertices] == pytest.approx(
-        interpolate_h(v, 0, t), abs=1e-9)
-    assert v2.values[m.num_vertices + 1] == pytest.approx(
-        interpolate_h(v, 6, t), abs=1e-9)
+    for new, k in ((m.num_vertices, 0), (m.num_vertices + 1, 3)):
+        a, b = v.values[m.edge_tail[k]], v.values[m.edge_head[k]]
+        assert v2.values[new] == pytest.approx(a + t * (b - a), abs=1e-9)
     assert np.max(np.abs(v2.values[:m.num_vertices] - v.values)) < 1e-9
 
-
-def test_interpolate_w_endpoints(lattice8_solved):
-    m, emb, v = lattice8_solved
-    dmc = dual(m, emb)
-    c = conjugate(dmc, v)
-    d = dmc.map
-    for h in (0, 5, 11):
-        f0, f1 = int(d.dart_tail[h]), int(d.dart_head[h])
-        assert interpolate_w(c, h, 0.0) == pytest.approx(float(c.w(f0)),
-                                                         abs=1e-12)
-        lift_end = c.w_lift[f0] + float(c.dart_increment(np.array([h]))[0])
-        assert interpolate_w(c, h, 1.0) == pytest.approx(
-            float(np.mod(lift_end, v.eta)), abs=1e-12)

@@ -12,12 +12,14 @@ from smithtile.walk_lab import TVReport, _trace_disconnects
 from smithtile import (InadmissibleHeights, LevelNotVertexed,
                        StepBudgetExceeded, absorption_probs,
                        admissible_sequences, augment_all_levels, build_diagram,
-                       build_map, conditional_hitting, conjugate, dual,
-                       embed_trace, exact_law_report,
-                       expected_conditional_winding, level_augment,
-                       level_measure, level_set, make_lattice, projected_step_law,
-                       realized_levels, simulate, solve_voltage, step_law,
+                       build_map, conditional_hitting, conjugate, dart_drift,
+                       dual, embed_trace, exact_law_report,
+                       expected_conditional_winding, insert_vertices,
+                       level_augment, level_measure, level_set, make_lattice,
+                       mark_vertices, projected_step_law, realized_levels,
+                       sample_excursion, simulate, solve_voltage, step_law,
                        tv_coupling_check, wilson_tree, winding)
+from smithtile.mated_crt import build_map as build_mated
 
 TWO_PI = 2.0 * math.pi
 
@@ -246,16 +248,30 @@ def test_level_measure_requires_vertexed(lattice8_solved):
 
 # -- exact conditional laws ---------------------------------------------------
 
+def aug_diagram(aug):
+    dm = dual(aug.map, aug.emb)
+    return build_diagram(aug.map, dm, aug.voltage, conjugate(dm, aug.voltage))
+
+
+def hitting(m, v, heights, emb=None):
+    return conditional_hitting(augment_all_levels(m, v, extra=heights, emb=emb), heights)
+
+
+def cond_winding(m, v, heights, emb=None):
+    aug = augment_all_levels(m, v, extra=heights, emb=emb)
+    return expected_conditional_winding(conditional_hitting(aug, heights), aug_diagram(aug))
+
+
 def test_hitting_single_height_is_level_measure(lattice8_solved):
     m, _, v = lattice8_solved
-    law = conditional_hitting(m, v, [0.5])
+    law = hitting(m, v, [0.5])
     assert law.max_deviation() <= 1e-12
     assert np.sum(law.conditional[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hitting_parallel3_uniform(parallel3_map):
     v = solve_voltage(parallel3_map)
-    law = conditional_hitting(parallel3_map, v, [0.25, 0.5, 0.75, 0.5])
+    law = hitting(parallel3_map, v, [0.25, 0.5, 0.75, 0.5])
     for cond in law.conditional:
         assert np.allclose(cond, 1.0 / 3.0, atol=1e-12)
     assert law.max_deviation() <= 1e-12
@@ -264,7 +280,7 @@ def test_hitting_parallel3_uniform(parallel3_map):
 def test_hitting_lattice_sequences(lattice8_solved):
     m, _, v = lattice8_solved
     for seq in admissible_sequences(m, v, 4, 4, seed=2):
-        law = conditional_hitting(m, v, seq)
+        law = hitting(m, v, seq)
         assert law.max_deviation() <= 1e-10
         for cond in law.conditional:
             assert np.sum(cond) == pytest.approx(1.0, abs=1e-10)
@@ -274,7 +290,7 @@ def test_hitting_law_on_generic_maps(small_random_maps):
     for m, emb in small_random_maps:
         v = solve_voltage(m)
         for seq in admissible_sequences(m, v, 3, 4, seed=9):
-            law = conditional_hitting(m, v, seq, emb=emb)
+            law = hitting(m, v, seq, emb=emb)
             assert law.max_deviation() <= 1e-9
 
 
@@ -282,41 +298,54 @@ def test_hitting_rejects_skipped_level(lattice8_solved):
     m, _, v = lattice8_solved
     lv = realized_levels(m, v)
     with pytest.raises(InadmissibleHeights, match="unreachable"):
-        conditional_hitting(m, v, [lv[0], lv[2]])
+        hitting(m, v, [lv[0], lv[2]])
 
 
 def test_hitting_rejects_bad_heights(lattice8_solved):
     m, _, v = lattice8_solved
     with pytest.raises(ValueError, match="strictly between"):
-        conditional_hitting(m, v, [0.0])
+        augment_all_levels(m, v, extra=[0.0])
     with pytest.raises(ValueError, match="strictly between"):
-        conditional_hitting(m, v, [0.5, 1.2])
+        augment_all_levels(m, v, extra=[0.5, 1.2])
     with pytest.raises(ValueError, match="finite"):
-        conditional_hitting(m, v, [0.5, float("nan")])
+        augment_all_levels(m, v, extra=[0.5, float("nan")])
+
+
+def test_hitting_needs_vertexed_heights(lattice8_solved):
+    # a height the augmentation did not vertex has no level set on its map
+    m, emb, v = lattice8_solved
+    aug = augment_all_levels(m, v, emb=emb)
+    with pytest.raises(InadmissibleHeights, match="no vertex at level"):
+        conditional_hitting(aug, [0.5, 0.37])
 
 
 def test_winding_law_parallel3(parallel3_map):
     v = solve_voltage(parallel3_map)
-    c = conjugate(dual(parallel3_map), v)
-    w = expected_conditional_winding(parallel3_map, v, c, [0.25, 0.5])
+    w = cond_winding(parallel3_map, v, [0.25, 0.5])
     assert abs(w) <= 1e-12
 
 
 def test_winding_law_lattice(lattice8_solved):
     m, emb, v = lattice8_solved
-    c = conjugate(dual(m, emb), v)
     for seq in admissible_sequences(m, v, 3, 4, seed=11):
-        w = expected_conditional_winding(m, v, c, seq, emb=emb)
+        w = cond_winding(m, v, seq, emb=emb)
         assert abs(w) <= 1e-10
 
 
 def test_winding_law_generic(small_random_maps):
     for m, emb in small_random_maps[:3]:
         v = solve_voltage(m)
-        c = conjugate(dual(m, emb), v)
         for seq in admissible_sequences(m, v, 2, 3, seed=13):
-            w = expected_conditional_winding(m, v, c, seq, emb=emb)
+            w = cond_winding(m, v, seq, emb=emb)
             assert abs(w) <= 1e-9
+
+
+def test_winding_rejects_diagram_of_another_map(parallel3_map):
+    v = solve_voltage(parallel3_map)
+    law = hitting(parallel3_map, v, [0.25, 0.5])
+    assert law.map is not parallel3_map
+    with pytest.raises(ValueError, match="diagram must tile"):
+        expected_conditional_winding(law, diagram_for(parallel3_map))
 
 
 # -- Wilson trees ------------------------------------------------------------
@@ -438,7 +467,6 @@ def test_absorption_empty(path_map):
 
 
 def test_projected_step_law_matches(rung_map):
-    from smithtile import insert_vertices
     half = [(k, 0.5) for k in range(rung_map.num_edges)]
     m2, _, _ = insert_vertices(rung_map, None, half)
     for x in range(rung_map.num_vertices):
@@ -754,3 +782,206 @@ def test_budget_boundary_invariance(walk_cases):
     with pytest.raises(StepBudgetExceeded):
         invariance_diagnostic(c.m, c.height, c.starts, 0.25, 0.75,
                               walks_per_start=20, seed=5, max_steps=k - 1)
+
+
+# -- the one-augmentation report against the per-sequence rebuild it replaced --
+# The references below are the exact-law code that augmented, dualized,
+# conjugated and tiled the map again for every height sequence.  The report
+# built on one level-graded map must reproduce them bit for bit, including the
+# deviations of maps that fail verify.
+
+def ref_level_set(m, v, a, tol=1e-12):
+    return np.array([x for x in range(m.num_vertices)
+                     if not m.is_marked(x) and abs(v.values[x] - a) <= tol],
+                    dtype=np.int64)
+
+
+def ref_first_crossing(m, v, a, tol=1e-12):
+    for k in range(m.num_edges):
+        ht = float(v.values[m.edge_tail[k]])
+        hh = float(v.values[m.edge_head[k]])
+        if min(ht, hh) + tol < a < max(ht, hh) - tol:
+            return k
+    return None
+
+
+def ref_conditional_hitting(m, v, heights, emb=None, tol=1e-12):
+    """(augmented map, voltage, embedding, levels, conditional, mu, forward,
+    backward, norm), each heights sequence augmented on its own."""
+    heights = np.atleast_1d(np.asarray(heights, dtype=np.float64))
+    aug = augment_all_levels(m, v, extra=heights, emb=emb, tol=tol)
+    m2, v2 = aug.map, aug.voltage
+    pi = m2.pi_weight
+    levels = [ref_level_set(m2, v2, float(a), tol) for a in heights]
+    index = [{int(x): j for j, x in enumerate(lv)} for lv in levels]
+    N = len(heights)
+    mu0 = level_measure(m2, v2, float(heights[0]), tol).as_dict()
+    fwd = [np.zeros(len(lv)) for lv in levels]
+    fwd[0] = np.array([mu0.get(int(x), 0.0) for x in levels[0]])
+    for i in range(N - 1):
+        nxt = index[i + 1]
+        for j, x in enumerate(levels[i]):
+            fj = fwd[i][j]
+            if fj == 0.0:
+                continue
+            for g in m2.vertex_darts[int(x)]:
+                jj = nxt.get(int(m2.dart_head[g]))
+                if jj is not None:
+                    fwd[i + 1][jj] += fj * float(m2.conductance[g >> 1]) / pi[x]
+        if fwd[i + 1].sum() <= 0.0:
+            raise InadmissibleHeights("unreachable")
+    bwd = [np.ones(len(lv)) for lv in levels]
+    for i in range(N - 2, -1, -1):
+        nxt = index[i + 1]
+        for j, x in enumerate(levels[i]):
+            s = 0.0
+            for g in m2.vertex_darts[int(x)]:
+                jj = nxt.get(int(m2.dart_head[g]))
+                if jj is not None:
+                    s += float(m2.conductance[g >> 1]) / pi[x] * bwd[i + 1][jj]
+            bwd[i][j] = s
+    norm = float(np.sum(fwd[-1]))
+    cond = [fwd[i] * bwd[i] / norm for i in range(N)]
+    mus = []
+    for a, lv in zip(heights, levels):
+        lm = level_measure(m2, v2, float(a), tol).as_dict()
+        mus.append(np.array([lm.get(int(x), 0.0) for x in lv]))
+    return m2, v2, aug.emb, levels, cond, mus, fwd, bwd, norm
+
+
+def ref_expected_conditional_winding(m, v, c, heights, emb=None, tol=1e-12):
+    m2, v2, emb2, levels, _cond, _mus, fwd, bwd, norm = \
+        ref_conditional_hitting(m, v, heights, emb=emb, tol=tol)
+    if m2 is m:
+        diag = build_diagram(m, c.dual, v, c)
+    else:
+        dm2 = dual(m2, emb2)
+        diag = build_diagram(m2, dm2, v2, conjugate(dm2, v2))
+    pi = m2.pi_weight
+    total = 0.0
+    for i in range(len(heights) - 1):
+        nxt = {int(x): j for j, x in enumerate(levels[i + 1])}
+        for j, x in enumerate(levels[i]):
+            fj = fwd[i][j]
+            if fj == 0.0:
+                continue
+            for g in m2.vertex_darts[int(x)]:
+                jj = nxt.get(int(m2.dart_head[g]))
+                if jj is None:
+                    continue
+                wgt = fj * float(m2.conductance[g >> 1]) / pi[x] * bwd[i + 1][jj]
+                if wgt != 0.0:
+                    total += wgt * dart_drift(diag, int(g))
+    return total / (diag.eta * norm)
+
+
+def ref_exact_law_report(m, v, emb=None, num_sequences=5, length=4, seed=0):
+    c = conjugate(dual(m, emb), v)
+    aug = augment_all_levels(m, v, emb=emb)
+    noise = float(np.finfo(np.float64).eps) * float(max(1.0, aug.map.conductance.max()))
+    mass_dev = 0.0
+    for a in realized_levels(aug.map, aug.voltage):
+        mass_dev = max(mass_dev, abs(level_measure(aug.map, aug.voltage, a).total - 1.0))
+    hit_dev = 0.0
+    wind_dev = 0.0
+    sequences = admissible_sequences(m, v, num_sequences, length, seed)
+    for seq in sequences:
+        _m2, _v2, _e2, _lv, cond, mus, _f, _b, _n = ref_conditional_hitting(m, v, seq, emb=emb)
+        hit_dev = max(hit_dev, max(float(np.max(np.abs(c - u))) for c, u in zip(cond, mus)))
+        wind_dev = max(wind_dev, abs(ref_expected_conditional_winding(m, v, c, seq, emb=emb)))
+    half = [(k, 0.5) for k in range(m.num_edges)]
+    m2, _e2, _origin = insert_vertices(m, None, half)
+    proj_dev = 0.0
+    for x in range(m.num_vertices):
+        want = step_law(m, x)
+        got = projected_step_law(m2, range(m.num_vertices), x)
+        keys = set(want) | set(got)
+        keys.discard(x)
+        proj_dev = max(proj_dev, max(abs(want.get(k, 0.0) - got.get(k, 0.0))
+                                     for k in keys))
+    return {
+        "level_mass_max_dev": mass_dev,
+        "hitting_max_dev": hit_dev,
+        "winding_max_abs": wind_dev,
+        "projection_max_dev": proj_dev,
+        "noise_floor": noise,
+        "sequences": sequences,
+    }
+
+
+@pytest.fixture(scope="module")
+def crt48_maps():
+    """The gamma = 1.8, n = 48 maps of `smith mated-crt --seed 1, 2, 4`: their
+    zero-gradient edges make verify fail the hitting law."""
+    return [mark_vertices(build_mated(sample_excursion(1.8, 48, seed=s)), seed=s).map
+            for s in (1, 2, 4)]
+
+
+@pytest.fixture(scope="module")
+def law_maps(random_maps, small_random_maps, lattice8, rung_map, parallel3_map,
+             mated_crt64, crt48_maps):
+    return (list(random_maps[:4]) + list(small_random_maps) + [lattice8]
+            + [(m, None) for m in (rung_map, parallel3_map, mated_crt64, *crt48_maps)])
+
+
+def test_exact_law_report_matches_reference(law_maps):
+    for m, emb in law_maps:
+        v = solve_voltage(m)
+        assert exact_law_report(m, v, emb) == ref_exact_law_report(m, v, emb)
+
+
+def test_crt48_hitting_failure_stays_visible(crt48_maps):
+    m = crt48_maps[1]
+    rep = exact_law_report(m, solve_voltage(m))
+    assert rep["hitting_max_dev"] > 1e-3
+
+
+def test_hitting_and_winding_match_reference(law_maps):
+    for m, emb in law_maps[4:]:
+        v = solve_voltage(m)
+        c = conjugate(dual(m, emb), v)
+        for seq in admissible_sequences(m, v, 3, 4, seed=5):
+            aug = augment_all_levels(m, v, extra=seq, emb=emb)
+            law = conditional_hitting(aug, seq)
+            _m2, _v2, _e2, levels, cond, mus, fwd, bwd, norm = \
+                ref_conditional_hitting(m, v, seq, emb=emb)
+            for got, want in ((law.levels, levels), (law.conditional, cond),
+                              (law.mu, mus), (law.forward, fwd), (law.backward, bwd)):
+                assert [a.tolist() for a in got] == [a.tolist() for a in want]
+            assert law.norm == norm
+            assert expected_conditional_winding(law, aug_diagram(aug)) == \
+                ref_expected_conditional_winding(m, v, c, seq, emb=emb)
+
+
+def test_exact_law_report_builds_once(random_maps, monkeypatch):
+    # one augmentation, dual, conjugate and diagram per report, and one level
+    # measure per realized level
+    m, emb = random_maps[1]
+    v = solve_voltage(m)
+    calls = {}
+    for name in ("augment_all_levels", "dual", "conjugate", "build_diagram",
+                 "level_measure"):
+        def counted(*args, _f=getattr(walk_lab, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(walk_lab, name, counted)
+    walk_lab.exact_law_report(m, v, emb)
+    assert calls == {"augment_all_levels": 1, "dual": 1, "conjugate": 1,
+                     "build_diagram": 1, "level_measure": len(realized_levels(m, v))}
+
+
+def test_level_set_and_crossing_match_loops(law_maps):
+    for m, emb in law_maps:
+        v = solve_voltage(m)
+        lv = realized_levels(m, v)
+        probes = list(lv) + [0.0, 1.0, 0.37, 0.5]
+        if len(lv) > 1:
+            probes += list((lv[:-1] + lv[1:]) / 2)
+        for a in probes:
+            for tol in (1e-12, 1e-9):
+                assert level_set(m, v, a, tol).tolist() == ref_level_set(m, v, a, tol).tolist()
+            k = ref_first_crossing(m, v, a)
+            if k is None:
+                continue
+            with pytest.raises(LevelNotVertexed, match=f"^edge {k} crosses level"):
+                level_measure(m, v, a)
