@@ -3,29 +3,30 @@
 A doubly marked weighted planar map determines a harmonic voltage, a
 conjugate width function on the dual, and from the pair a tiling of the
 cylinder of circumference eta (the flow strength) by one rectangle per edge,
-with aspect ratio equal to the conductance.  The subpackages cover the map
-formalism, the electrical solves, the tiling itself, exact random-walk laws
-on the tiling, mated-CRT style random maps, and lattice convergence
-diagnostics.
+with aspect ratio equal to the conductance.  The modules hold that one
+pipeline: maps, duals and refinement (``map_core``), the voltage and
+conjugate solves (``electrical``), the tiling and its checks
+(``smith_tiling``), the exact walk laws that ``smith verify`` checks on the
+tiling (``walk_lab``), mated-CRT and random test maps (``mated_crt``,
+``mapgen``), and the comparison with an a priori embedding on lattices
+(``convergence``).
 """
 
 from .map_core import (CombMap, CylinderEmbedding, DualMap, MapError,
                        build_map, check_embedding, dual, insert_vertices,
                        lift_path, path_winding, wrap_angle, wrap_signed)
 from .electrical import (Conjugate, SolveError, Voltage, conjugate,
-                         harmonic_dart, harmonic_darts, solve_voltage)
+                         harmonic_darts, solve_voltage)
 from .smith_tiling import (SmithDiagram, SmithEmbedding, TilingError,
-                           TilingReport, build_diagram, contact_violations,
-                           dart_drift, reduce_mod, render_svg, smith_embedding,
-                           validate)
+                           TilingReport, build_diagram, dart_drift, reduce_mod,
+                           render_svg, smith_embedding, validate)
 from .walk_lab import (HittingLaw, InadmissibleHeights, LevelMeasure,
                        LevelNotVertexed, StepBudgetExceeded, WalkTrace,
                        absorption_probs, admissible_sequences,
-                       augment_all_levels, conditional_hitting, embed_trace,
+                       augment_all_levels, conditional_hitting,
                        exact_law_report, expected_conditional_winding,
-                       level_augment, level_measure, level_set,
-                       projected_step_law, realized_levels, simulate,
-                       step_law, tv_coupling_check, wilson_tree, winding)
+                       level_measure, level_set, projected_step_law,
+                       realized_levels, simulate, step_law)
 from .mated_crt import (Excursion, MatedCrtMap, SampleError,
                         adjacency_oracle, excursion_from_increments,
                         mark_vertices, sample_excursion)
@@ -41,18 +42,17 @@ __all__ = [
     "CombMap", "CylinderEmbedding", "DualMap", "MapError", "build_map",
     "check_embedding", "dual", "insert_vertices", "lift_path", "path_winding",
     "wrap_angle", "wrap_signed",
-    "Conjugate", "SolveError", "Voltage", "conjugate", "harmonic_dart",
-    "harmonic_darts", "solve_voltage",
+    "Conjugate", "SolveError", "Voltage", "conjugate", "harmonic_darts",
+    "solve_voltage",
     "SmithDiagram", "SmithEmbedding", "TilingError", "TilingReport",
-    "build_diagram", "contact_violations", "dart_drift", "reduce_mod",
-    "render_svg", "smith_embedding", "validate",
+    "build_diagram", "dart_drift", "reduce_mod", "render_svg",
+    "smith_embedding", "validate",
     "HittingLaw", "InadmissibleHeights", "LevelMeasure", "LevelNotVertexed",
     "StepBudgetExceeded", "WalkTrace", "absorption_probs",
     "admissible_sequences", "augment_all_levels", "conditional_hitting",
-    "embed_trace", "exact_law_report", "expected_conditional_winding",
-    "level_augment", "level_measure", "level_set", "projected_step_law",
-    "realized_levels", "simulate", "step_law", "tv_coupling_check",
-    "wilson_tree", "winding",
+    "exact_law_report", "expected_conditional_winding", "level_measure",
+    "level_set", "projected_step_law", "realized_levels", "simulate",
+    "step_law",
     "Excursion", "MatedCrtMap", "SampleError", "adjacency_oracle",
     "excursion_from_increments", "mark_vertices", "sample_excursion",
     "AffineFit", "InvarianceReport", "converge_rows", "dcmp", "fit_affine",

@@ -234,7 +234,7 @@ def _build_parser():
     sp.add_argument("--increments", default=None,
                     help="JSON file with 'dl'/'dr' increment arrays instead "
                          "of sampling")
-    sp.add_argument("--mark", choices=("uniform", "uniform-pair", "first-last"),
+    sp.add_argument("--mark", choices=("uniform-pair", "first-last"),
                     default="uniform-pair")
     sp.add_argument("-o", "--output", default="-")
 

@@ -263,35 +263,3 @@ def converge_rows(n_list, band: float = 1.0, H: float = 4.0) -> list:
     """Run the lattice pipeline for each distinct n in turn; rows sorted by n."""
     return [lattice_report(n, band, H) for n in sorted(set(int(n) for n in n_list))]
 
-
-def overlay_svg(se: SmithEmbedding, emb: CylinderEmbedding, fit: AffineFit,
-                width_px: int = 600) -> str:
-    """Scatter overlay of the affinely mapped Smith points (filled) against
-    the a priori positions (circles), over the fitted band."""
-    m = se.diagram.map
-    band = fit.band
-    scale = width_px / TWO_PI
-    hpix = int(2 * band * scale) + 40
-    rows = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width_px}" '
-            f'height="{hpix}" viewBox="0 0 {width_px} {hpix}">',
-            '<rect width="100%" height="100%" fill="white"/>']
-
-    def to_px(thetaval, heightval):
-        x = wrap_angle(thetaval) * scale
-        y = (band - heightval) * scale + 20
-        return x, y
-
-    for x in range(m.num_vertices):
-        if m.is_marked(x) or not np.isfinite(emb.height[x]):
-            continue
-        if abs(emb.height[x]) > band:
-            continue
-        ax, ay = to_px(emb.theta[x], emb.height[x])
-        tx = (TWO_PI / fit.eta) * se.points[x, 0] + fit.b_w
-        ty = fit.c_h * se.points[x, 1] + fit.b_h
-        sx, sy = to_px(tx, ty)
-        rows.append(f'<circle cx="{ax:.3f}" cy="{ay:.3f}" r="3.5" fill="none" '
-                    'stroke="#444444" stroke-width="0.8"/>')
-        rows.append(f'<circle cx="{sx:.3f}" cy="{sy:.3f}" r="1.8" fill="#cc3311"/>')
-    rows.append("</svg>")
-    return "\n".join(rows) + "\n"

@@ -104,22 +104,10 @@ def solve_voltage(m: CombMap, tol: float = 1e-10) -> Voltage:
     return volt
 
 
-def harmonic_dart(v: Voltage, k: int) -> int:
-    """The dart of edge k oriented from lower to higher voltage; zero-gradient
+def harmonic_darts(v: Voltage) -> np.ndarray:
+    """The dart of each edge oriented from lower to higher voltage; zero-gradient
     edges (and self-loops) take the orientation with the lexicographically
     smaller (tail, head) pair."""
-    m = v.map
-    t, h = v.values[m.edge_tail[k]], v.values[m.edge_head[k]]
-    if h > t:
-        return 2 * k
-    if h < t:
-        return 2 * k + 1
-    a, b = int(m.edge_tail[k]), int(m.edge_head[k])
-    return 2 * k if (a, b) <= (b, a) else 2 * k + 1
-
-
-def harmonic_darts(v: Voltage) -> np.ndarray:
-    """harmonic_dart for every edge at once, with the same tie rule."""
     m = v.map
     t, h = v.values[m.edge_tail], v.values[m.edge_head]
     odd = (h < t) | ((h == t) & (m.edge_tail > m.edge_head))

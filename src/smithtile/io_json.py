@@ -278,12 +278,6 @@ def diagram_to_json(d) -> dict:
             "rects": rects, "hsegs": hsegs, "vsegs": vsegs}
 
 
-@dataclass(frozen=True)
-class _Counts:
-    num_edges: int
-    num_vertices: int
-
-
 @dataclass
 class DiagramData:
     """Geometry-only stand-in for a tiling, enough to render."""
@@ -298,10 +292,6 @@ class DiagramData:
     vseg_x: np.ndarray
     vseg_y0: np.ndarray
     vseg_y1: np.ndarray
-
-    @property
-    def map(self):
-        return _Counts(len(self.rect_x0), len(self.hseg_start))
 
 
 def diagram_from_json(obj) -> DiagramData:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,9 +180,6 @@ class CombMap:
     def degree(self, v: int) -> int:
         return len(self.vertex_darts[v])
 
-    def dart_conductance(self, h):
-        return self.conductance[np.asarray(h) >> 1]
-
     @property
     def pi_weight(self):
         """Total conductance at each vertex, darts counted individually
@@ -300,71 +297,47 @@ class DualMap:
 
     The dual reuses the primal dart ids: dual dart h runs from the face right
     of primal dart h to the face left of it (the primal dart rotated CCW), so
-    dual edge k keeps index k with conductance 1/c_k.  rep_theta/rep_height
-    are representative points per face used for rendering and nearest queries;
-    dtheta_hat[k] is the horizontal displacement of dual dart 2k.
+    dual edge k keeps index k with conductance 1/c_k.  With an embedding,
+    rep_theta/rep_height give a representative point per face: ``conjugate``
+    picks its base face by them, and the dual walks of the invariance
+    diagnostic stop by rep_height.  pole_faces lists the faces around v0 and
+    around v1.
     """
     primal: CombMap
     map: CombMap
     rep_theta: np.ndarray | None
     rep_height: np.ndarray | None
-    rep_lift: np.ndarray | None
-    dtheta_hat: np.ndarray | None
     pole_faces: tuple
 
-    @property
-    def num_faces(self):
-        return self.map.num_vertices
 
-    def dart_dtheta_hat(self, h):
-        h = np.asarray(h)
-        return np.where(h & 1, -self.dtheta_hat[h >> 1], self.dtheta_hat[h >> 1])
-
-
-def _face_corner_lifts(m: CombMap, emb: CylinderEmbedding):
-    """Per-face boundary lift of tail vertices and edge midpoints.
+def _face_mean_lifts(m: CombMap, emb: CylinderEmbedding) -> np.ndarray:
+    """Mean lifted angle of the finite corners of each face (0 without any).
 
     Each face orbit is traversed from a dart whose tail is marked when one
     exists (placing the lift's cut at the pole, where horizontal displacement
     has no meaning); the lift is anchored so the first finite corner sits at
-    its theta in [0, 2*pi).  Returns (tail_lift, mid_lift, rep_lift) where
-    tail_lift[h]/mid_lift[h] are taken in the frame of face_of[h].
-    """
-    tail_lift = np.full(m.num_darts, np.nan)
-    mid_lift = np.full(m.num_darts, np.nan)
-    rep_lift = np.full(m.num_faces, 0.0)
+    its theta in [0, 2*pi)."""
+    out = np.zeros(m.num_faces)
     dd = emb.dart_dtheta(np.arange(m.num_darts))
     for f, orbit in enumerate(m.face_darts):
         orbit = list(orbit)
-        start = 0
-        for i, h in enumerate(orbit):
-            if m.is_marked(int(m.dart_tail[h])):
-                start = i
-                break
-        orbit = orbit[start:] + orbit[:start]
+        start = next((i for i, h in enumerate(orbit)
+                      if m.is_marked(int(m.dart_tail[h]))), 0)
         x = 0.0
-        finite = []
-        for h in orbit:
-            tail_lift[h] = x
-            mid_lift[h] = x + dd[h] / 2.0
+        lifts = []
+        for h in orbit[start:] + orbit[:start]:
             if not m.is_marked(int(m.dart_tail[h])):
-                finite.append(h)
+                if not lifts:
+                    shift = wrap_angle(emb.theta[m.dart_tail[h]]) - x
+                lifts.append(x)
             x += dd[h]
-        if finite:
-            h0 = finite[0]
-            shift = wrap_angle(emb.theta[m.dart_tail[h0]]) - tail_lift[h0]
-            for h in orbit:
-                tail_lift[h] += shift
-                mid_lift[h] += shift
-            rep_lift[f] = float(np.mean([tail_lift[h] for h in finite]))
-        else:
-            rep_lift[f] = 0.0
-    return tail_lift, mid_lift, rep_lift
+        if lifts:
+            out[f] = float(np.mean([u + shift for u in lifts]))
+    return out
 
 
 def dual(m: CombMap, emb: CylinderEmbedding | None = None) -> DualMap:
-    """Construct the dual map; with an embedding, also representative points
-    and dual displacements."""
+    """Construct the dual map; with an embedding, also representative points."""
     E = m.num_edges
     dual_next = (m.prev_dart ^ 1).copy()
     # dual dart h: tail = face_of[h], head = face_of[h^1]
@@ -381,10 +354,9 @@ def dual(m: CombMap, emb: CylinderEmbedding | None = None) -> DualMap:
         pole_faces = (sorted(f0), sorted(f1))
 
     if emb is None:
-        return DualMap(m, dmap, None, None, None, None, pole_faces)
+        return DualMap(m, dmap, None, None, pole_faces)
 
-    tail_lift, mid_lift, rep_lift = _face_corner_lifts(m, emb)
-    rep_theta = np.array([wrap_angle(x) for x in rep_lift])
+    rep_theta = np.array([wrap_angle(x) for x in _face_mean_lifts(m, emb)])
     hmax = float(np.nanmax(np.abs(emb.height))) if np.any(np.isfinite(emb.height)) else 0.0
     rep_height = np.zeros(m.num_faces)
     for f, orbit in enumerate(m.face_darts):
@@ -398,14 +370,7 @@ def dual(m: CombMap, emb: CylinderEmbedding | None = None) -> DualMap:
             rep_height[f] = hmax + 1.0
         else:
             rep_height[f] = float(np.mean(hs)) if hs else 0.0
-
-    # displacement of dual dart h = (mid - rep) in right frame + (rep - mid) in left frame
-    dhat = np.empty(E)
-    for k in range(E):
-        h, t = 2 * k, 2 * k + 1
-        fr, fl = int(m.face_of[h]), int(m.face_of[t])
-        dhat[k] = (mid_lift[h] - rep_lift[fr]) + (rep_lift[fl] - mid_lift[t])
-    return DualMap(m, dmap, rep_theta, rep_height, rep_lift, dhat, pole_faces)
+    return DualMap(m, dmap, rep_theta, rep_height, pole_faces)
 
 
 def marked_cut_path(m: CombMap) -> np.ndarray:
@@ -443,18 +408,6 @@ def dual_cycle_winding_cut(dual_map: DualMap, cycle_darts, cut=None) -> int:
         sign[int(h)] = -1     # dual dart h crosses the upward path right-to-left
         sign[int(h) ^ 1] = 1
     return sum(sign.get(int(h), 0) for h in cycle_darts)
-
-
-def dual_cycle_winding_dtheta(dual_map: DualMap, cycle_darts, tol=1e-8) -> int:
-    """Winding of a closed dual cycle from dual displacement sums; requires
-    an embedding with every face holding at least one finite corner."""
-    if dual_map.dtheta_hat is None:
-        raise MapError("dual has no displacement data")
-    s = float(np.sum(dual_map.dart_dtheta_hat(np.asarray(cycle_darts, dtype=np.int64))))
-    k = round(s / TWO_PI)
-    if abs(s - TWO_PI * k) > tol * max(1.0, abs(s)):
-        raise MapError(f"dual cycle displacement sum {s} is not a multiple of 2*pi")
-    return k
 
 
 # -- refinement -------------------------------------------------------------

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .map_core import (CombMap, CylinderEmbedding, MapError, TWO_PI,
-                       build_map, check_embedding, insert_vertices, wrap_angle)
+from .map_core import (CombMap, CylinderEmbedding, TWO_PI, build_map,
+                       check_embedding, insert_vertices, wrap_angle)
 from .convergence import make_lattice
 from .rng import make_rng
 

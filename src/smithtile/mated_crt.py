@@ -230,7 +230,7 @@ def mark_vertices(mm: MatedCrtMap, policy: str = "uniform-pair",
     n = mm.n
     if n < 2:
         raise ValueError("need at least two vertices to mark")
-    if policy in ("uniform", "uniform-pair"):
+    if policy == "uniform-pair":
         rng = make_rng(seed)
         v0 = int(rng.integers(n))
         v1 = int(rng.integers(n - 1))
@@ -247,30 +247,6 @@ def mark_vertices(mm: MatedCrtMap, policy: str = "uniform-pair",
 
 
 # -- structural reports --------------------------------------------------------
-
-def arc_sets(mm: MatedCrtMap) -> tuple:
-    """(lower, upper) lists of vertex pairs, for the noncrossing checks."""
-    lows, ups = [], []
-    for k in range(mm.map.num_edges):
-        pair = (int(mm.map.edge_tail[k]), int(mm.map.edge_head[k]))
-        if mm.kind[k] == LOWER:
-            lows.append(pair)
-        elif mm.kind[k] == UPPER:
-            ups.append(pair)
-    return lows, ups
-
-
-def noncrossing(pairs) -> bool:
-    """Arcs on a line cross iff they interleave: a1 < a2 < b1 < b2."""
-    ps = [tuple(sorted(p)) for p in pairs]
-    for i in range(len(ps)):
-        a1, b1 = ps[i]
-        for j in range(i + 1, len(ps)):
-            a2, b2 = ps[j]
-            if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
-                return False
-    return True
-
 
 def face_degree_histogram(m: CombMap) -> np.ndarray:
     """Face degree -> count, as a bincount array.  Reported, not asserted:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .map_core import CombMap, DualMap, MapError
+from .map_core import CombMap, DualMap
 from .electrical import Conjugate, Voltage, harmonic_darts
 
 
@@ -129,15 +129,17 @@ def build_diagram(m: CombMap, dmap: DualMap, v: Voltage, c: Conjugate,
                 a = hseg_start[x]
                 sheet[g] = round((a - x0[k]) / eta)
             continue
-        start_i = None
+        # the chain starts where a falling run begins: at the first falling
+        # dart whose previous dart of nonzero class is rising (a zero-class
+        # dart inside a falling run does not end the run); one exists, as
+        # the vertex has darts of both classes
         n = len(darts)
-        downs = np.flatnonzero(cls < 0)
-        for i in downs:
-            if cls[(i - 1) % n] >= 0:
-                start_i = int(i)
+        for start_i in np.flatnonzero(cls < 0).tolist():
+            j = start_i - 1
+            while cls[j] == 0:      # negative indices wrap around the rotation
+                j -= 1
+            if cls[j] > 0:
                 break
-        if start_i is None:
-            raise TilingError(f"vertex {x}: no boundary between rising and falling edges")
         anchor = reduce_mod(c.w_lift[m.face_of[darts[start_i]]], eta)
         werr_a = float(werr[m.face_of[darts[start_i]]])
         # crossing a dart CCW moves from its right face to its left, where w
@@ -346,47 +348,6 @@ def validate(d: SmithDiagram, tol: float = 1e-9) -> TilingReport:
                         max_aspect, max_level, float(d.hseg_len.max()))
 
 
-def contact_violations(d: SmithDiagram, tol: float = 1e-9) -> int:
-    """Count adjacency mismatches: rectangles meeting along a horizontal
-    stretch must come from edges sharing a vertex; along a vertical stretch,
-    from edges sharing a face.  tol gates which stretches are significant;
-    the touch test itself is machine-scale, since genuine contacts are exact
-    while weakly coupled clusters pack distinct boundaries closer than any
-    geometric tolerance."""
-    m, eta = d.map, d.eta
-    bad = 0
-    E = m.num_edges
-    zw = 1e-12 * max(1.0, eta)
-
-    def arc_overlap(i, j):
-        pi = _circle_pieces(float(d.rect_x0[i]), float(d.rect_width[i]), eta)
-        pj = _circle_pieces(float(d.rect_x0[j]), float(d.rect_width[j]), eta)
-        return sum(max(0.0, min(q1, q2) - max(p1, p2))
-                   for p1, q1 in pi for p2, q2 in pj)
-
-    for i in range(E):
-        for j in range(E):
-            if i == j:
-                continue
-            if d.rect_y1[i] == d.rect_y0[j] and arc_overlap(i, j) > tol:
-                if m.dart_head[d.harm[i]] != m.dart_tail[d.harm[j]]:
-                    bad += 1
-    for i in range(E):
-        for j in range(i + 1, E):
-            yy = min(d.rect_y1[i], d.rect_y1[j]) - max(d.rect_y0[i], d.rect_y0[j])
-            if yy <= tol:
-                continue
-            li = reduce_mod(d.rect_x0[i] + d.rect_width[i], eta)
-            lj = reduce_mod(d.rect_x0[j] + d.rect_width[j], eta)
-            touch_ij = abs(reduce_mod(li - d.rect_x0[j] + eta / 2, eta) - eta / 2) <= zw
-            touch_ji = abs(reduce_mod(lj - d.rect_x0[i] + eta / 2, eta) - eta / 2) <= zw
-            if touch_ij and m.face_of[d.harm[i]] != m.face_of[d.harm[j] ^ 1]:
-                bad += 1
-            if touch_ji and m.face_of[d.harm[j]] != m.face_of[d.harm[i] ^ 1]:
-                bad += 1
-    return bad
-
-
 def render_svg(d: SmithDiagram, color_by: str = "order", width_px: int = 800,
                segments: bool = True) -> str:
     """Deterministic SVG of the unrolled cylinder; seam rectangles drawn twice."""
@@ -395,7 +356,7 @@ def render_svg(d: SmithDiagram, color_by: str = "order", width_px: int = 800,
     eta = d.eta
     scale = width_px / eta
     hpx = scale * 1.0
-    E = d.map.num_edges
+    E = len(d.rect_x0)
     areas = d.rect_width * (d.rect_y1 - d.rect_y0)
     amax = areas.max() if E else 1.0
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width_px}" '
@@ -423,7 +384,7 @@ def render_svg(d: SmithDiagram, color_by: str = "order", width_px: int = 800,
                        f'height="{hh:.3f}" fill="{fill}" stroke="black" '
                        f'stroke-width="0.4"/>')
     if segments:
-        for x in range(d.map.num_vertices):
+        for x in range(len(d.hseg_start)):
             if d.hseg_len[x] <= 0:
                 continue
             y = (1.0 - d.hseg_level[x]) * hpx

@@ -1,4 +1,4 @@
-"""Random walks on cylinder maps: exact hitting laws, windings, couplings.
+"""Random walks on cylinder maps: exact hitting and winding laws.
 
 The conductance-weighted walk steps along darts with probability proportional
 to conductance (a self-loop is stepped from either of its two darts).
@@ -7,16 +7,13 @@ fully vertexed, once per map.  On that level-graded map one forward-backward
 pass over the level sets gives the exact conditional law of the walk given its
 height sequence, and the expected winding of the re-randomized tiled-cylinder
 walk is a drift-weighted sum over the transitions the pass recorded.  Monte
-Carlo sampling, all of it through the one stepping kernel ``walk``, appears in
-``simulate``, the Wilson-tree sampler, the Monte Carlo total-variation branch
-and disconnection estimate of ``tv_coupling_check``, and
-``convergence.invariance_diagnostic``.
+Carlo walks all step through the one kernel ``walk``; its users are
+``simulate`` and ``convergence.invariance_diagnostic``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,8 +54,6 @@ def step_law(m: CombMap, x: int) -> dict:
 class WalkTrace:
     vertices: np.ndarray
     darts: np.ndarray
-    offsets: np.ndarray | None = None   # cumulative real lift on the 2*pi cylinder
-    embedded: np.ndarray | None = None  # re-randomized points, real-lift abscissa
 
     def __len__(self):
         return len(self.vertices)
@@ -88,7 +83,6 @@ def walk(m: CombMap, rng, start: int, stop: set, max_steps: int) -> list:
 
 
 def simulate(m: CombMap, start: int, stop_set, seed: int,
-             emb: CylinderEmbedding | None = None,
              max_steps: int = 10_000_000) -> WalkTrace:
     """Run the weighted walk from ``start`` until it first enters ``stop_set``.
 
@@ -97,56 +91,25 @@ def simulate(m: CombMap, start: int, stop_set, seed: int,
     stop = set(int(s) for s in stop_set)
     darts = np.array(walk(m, make_rng(seed), start, stop, max_steps), dtype=np.int64)
     verts = np.concatenate(([int(start)], m.dart_head[darts]))
-    offsets = None
-    if emb is not None:
-        offsets = np.zeros(len(verts))
-        if len(darts):
-            offsets[1:] = np.cumsum(emb.dart_dtheta(darts))
-    return WalkTrace(verts, darts, offsets)
-
-
-def winding(trace, circumference: float) -> float:
-    """Net winding of a lifted trajectory: (final lift - initial lift) over the
-    circumference (2*pi for a priori traces, eta for Smith-embedded ones)."""
-    off = trace.offsets if isinstance(trace, WalkTrace) else np.asarray(trace)
-    if off is None:
-        raise ValueError("trace carries no lift offsets")
-    return float((off[-1] - off[0]) / circumference)
-
-
-def embed_trace(d: SmithDiagram, trace: WalkTrace, seed: int) -> np.ndarray:
-    """Re-randomized image of a walk on the tiled cylinder.
-
-    Each visit to x maps to an independent uniform point of x's horizontal
-    segment; the abscissa is lifted to the real line consistently along the
-    traversed darts (seam crossings shift by eta via the sheet indices)."""
-    rng = make_rng(seed)
-    n = len(trace.vertices)
-    pts = np.zeros((n, 2))
-    shift = 0
-    for i, x in enumerate(trace.vertices):
-        x = int(x)
-        u = rng.random()
-        pts[i, 0] = d.hseg_start[x] + u * d.hseg_len[x] + shift * d.eta
-        pts[i, 1] = d.hseg_level[x]
-        if i < n - 1:
-            g = int(trace.darts[i])
-            shift += int(d.sheet[g]) - int(d.sheet[g ^ 1])
-    trace.embedded = pts
-    return pts
+    return WalkTrace(verts, darts)
 
 
 # -- level structure ---------------------------------------------------------
 
-def realized_levels(m: CombMap, v: Voltage, tol: float = 1e-12) -> np.ndarray:
-    """Sorted distinct voltage values over non-marked vertices."""
-    interior = [x for x in range(m.num_vertices) if not m.is_marked(x)]
-    vals = np.sort(v.values[interior])
+def _merge_levels(values, tol: float) -> np.ndarray:
+    """Sorted values, each kept only if it exceeds the last kept one by more
+    than tol: a chain of close values names one level, its lowest."""
     out: list = []
-    for a in vals:
+    for a in np.sort(np.asarray(values, dtype=np.float64)):
         if not out or a - out[-1] > tol:
             out.append(float(a))
     return np.array(out)
+
+
+def realized_levels(m: CombMap, v: Voltage, tol: float = 1e-12) -> np.ndarray:
+    """Sorted distinct voltage values over non-marked vertices."""
+    interior = [x for x in range(m.num_vertices) if not m.is_marked(x)]
+    return _merge_levels(v.values[interior], tol)
 
 
 def level_set(m: CombMap, v: Voltage, a: float, tol: float = 1e-12) -> np.ndarray:
@@ -164,7 +127,6 @@ class Augmented:
     emb: CylinderEmbedding | None
     inserted: int
     tol: float
-    notice: str | None = None
     _measures: dict = field(default_factory=dict, repr=False, compare=False)
 
     def measure(self, a: float) -> LevelMeasure:
@@ -174,19 +136,24 @@ class Augmented:
         return self._measures[a]
 
 
-def _augment(m: CombMap, v: Voltage, levels, emb: CylinderEmbedding | None,
-             tol: float) -> Augmented:
-    """Insert a vertex wherever an edge strictly crosses one of the levels.
+def augment_all_levels(m: CombMap, v: Voltage, extra=(),
+                       emb: CylinderEmbedding | None = None,
+                       tol: float = 1e-12) -> Augmented:
+    """Vertex every level realized by a vertex, plus the requested extra
+    heights, which must be finite and lie strictly between 0 and 1.
 
+    A vertex is inserted wherever an edge strictly crosses one of the levels.
     Sub-edges get conductance c / dt (series law), so the returned voltage is
-    exact on old vertices and assigns each inserted vertex its level."""
-    levels = np.sort(np.asarray(levels, dtype=np.float64))
-    # collapse levels closer than tol: they name the same line
-    keep = []
-    for a in levels:
-        if not keep or a - keep[-1] > tol:
-            keep.append(float(a))
-    levels = np.array(keep)
+    exact on old vertices and assigns each inserted vertex its level.
+    Afterwards every edge joins two consecutive realized levels, the standing
+    assumption behind the exact level-set recursions.  One pass suffices since
+    inserted vertices sit at levels already in the set."""
+    extra = np.atleast_1d(np.asarray(extra, dtype=np.float64))
+    if not np.all(np.isfinite(extra)):
+        raise ValueError("heights must be finite")
+    if np.any((extra <= 0.0) | (extra >= 1.0)):
+        raise ValueError("heights must lie strictly between 0 and 1")
+    levels = _merge_levels(list(realized_levels(m, v, tol)) + extra.tolist(), tol)
     points, new_vals = [], []
     for k in range(m.num_edges):
         ht = float(v.values[m.edge_tail[k]])
@@ -206,41 +173,6 @@ def _augment(m: CombMap, v: Voltage, levels, emb: CylinderEmbedding | None,
     vals2 = np.concatenate([v.values, np.array(new_vals)])
     v2 = Voltage(m2, vals2, v.residual, v.eta, v.eta_mismatch)
     return Augmented(m2, v2, emb2, len(points), tol)
-
-
-def level_augment(m: CombMap, v: Voltage, a: float,
-                  emb: CylinderEmbedding | None = None,
-                  tol: float = 1e-12) -> Augmented:
-    """Fully vertex a single level a in (0, 1).
-
-    When a coincides (within tol) with an existing vertex value the map is
-    returned unchanged with a notice; realized levels are handled wholesale by
-    augment_all_levels."""
-    if not (0.0 < a < 1.0):
-        raise ValueError("level must lie strictly between the marked values")
-    gap = np.min(np.abs(v.values - a))
-    if gap <= tol:
-        return Augmented(m, v, emb, 0, tol,
-                         notice=f"level {a} already realized by a vertex")
-    return _augment(m, v, [a], emb, tol)
-
-
-def augment_all_levels(m: CombMap, v: Voltage, extra=(),
-                       emb: CylinderEmbedding | None = None,
-                       tol: float = 1e-12) -> Augmented:
-    """Vertex every level realized by a vertex, plus the requested extra
-    heights, which must be finite and lie strictly between 0 and 1.
-
-    Afterwards every edge joins two consecutive realized levels, the standing
-    assumption behind the exact level-set recursions.  One pass suffices since
-    inserted vertices sit at levels already in the set."""
-    extra = np.atleast_1d(np.asarray(extra, dtype=np.float64))
-    if not np.all(np.isfinite(extra)):
-        raise ValueError("heights must be finite")
-    if np.any((extra <= 0.0) | (extra >= 1.0)):
-        raise ValueError("heights must lie strictly between 0 and 1")
-    levels = list(realized_levels(m, v, tol)) + extra.tolist()
-    return _augment(m, v, levels, emb, tol)
 
 
 @dataclass
@@ -376,35 +308,7 @@ def expected_conditional_winding(law: HittingLaw, diagram: SmithDiagram) -> floa
     return total / (diagram.eta * law.norm)
 
 
-# -- Wilson sampling and couplings -------------------------------------------
-
-def wilson_tree(m: CombMap, wired_set, seed: int,
-                max_steps: int = 10_000_000) -> np.ndarray:
-    """Sample a weighted spanning tree with the wired boundary by Wilson's
-    loop-erased walks.  Returns the sorted edge indices; the law is
-    proportional to the product of tree conductances.  All the walks share
-    one budget of ``max_steps`` steps."""
-    tree = set(int(x) for x in wired_set)
-    rng = make_rng(seed)
-    exit_dart: dict = {}
-    edges: list = []
-    budget = max_steps
-    for v0 in range(m.num_vertices):
-        if v0 in tree:
-            continue
-        darts = walk(m, rng, v0, tree, budget)
-        budget -= len(darts)
-        # a later exit from the same vertex overwrites the earlier one: the
-        # loop erasure
-        exit_dart.update(zip(m.dart_tail[darts].tolist(), darts))
-        v = v0
-        while v not in tree:
-            h = exit_dart[v]
-            edges.append(h >> 1)
-            tree.add(v)
-            v = int(m.dart_head[h])
-    return np.array(sorted(edges), dtype=np.int64)
-
+# -- absorption and projection ------------------------------------------------
 
 def absorption_probs(m: CombMap, absorbing) -> tuple:
     """Exact absorption distribution: rows P(X hits w first | start v).
@@ -446,111 +350,6 @@ def projected_step_law(m: CombMap, originals, x: int) -> dict:
     targets = sorted(originals - {int(x)})
     probs, order = absorption_probs(m, targets)
     return {int(w): float(probs[int(x), j]) for j, w in enumerate(order)}
-
-
-@dataclass
-class TVReport:
-    tv: float
-    tv_exact: bool
-    p_disconnect: float
-    p_not_disconnect: float
-    stderr: float
-    samples: int
-    bound_ok: bool
-
-
-EXACT_TV_LIMIT = 200
-
-
-def _trace_disconnects(m: CombMap, visited: set, used_edges: set,
-                       y: int, W: set) -> bool:
-    """Planar test: does the traced curve separate y from every W vertex?
-
-    The complement of the trace deformation-retracts onto the graph whose
-    nodes are faces plus unvisited vertices, with face-face moves across
-    untraversed edges and face-vertex incidences at unvisited vertices.
-    Reaching any face incident to W counts as contact (slightly generous at
-    the trace endpoint, which keeps the upper-bound direction safe)."""
-    if y in visited:
-        return True    # the walk hit y: coupling succeeds, count with disconnection
-    target_faces = set()
-    for w in W:
-        for h in m.vertex_darts[int(w)]:
-            target_faces.add(int(m.face_of[h]))
-    seen_v = {int(y)}
-    seen_f: set = set()
-    queue: deque = deque()
-    for h in m.vertex_darts[int(y)]:
-        f = int(m.face_of[h])
-        if f not in seen_f:
-            seen_f.add(f)
-            queue.append(f)
-    while queue:
-        f = queue.popleft()
-        if f in target_faces:
-            return False
-        for h in m.face_darts[f]:
-            k = int(h) >> 1
-            if k not in used_edges:
-                g = int(m.face_of[h ^ 1])
-                if g not in seen_f:
-                    seen_f.add(g)
-                    queue.append(g)
-            t = int(m.dart_tail[h])
-            if t in visited or t in seen_v:
-                continue
-            if t in W:
-                return False
-            seen_v.add(t)
-            for hh in m.vertex_darts[t]:
-                g = int(m.face_of[hh])
-                if g not in seen_f:
-                    seen_f.add(g)
-                    queue.append(g)
-    return True
-
-
-def tv_coupling_check(m: CombMap, W, x: int, y: int, samples: int, seed: int,
-                      max_steps: int = 10_000_000) -> TVReport:
-    """Compare dTV(exit laws from x and y) against the disconnection bound.
-
-    The total variation is exact (absorption solves) below EXACT_TV_LIMIT
-    vertices, Monte Carlo above; the probability that the walk from x fails
-    to disconnect y from W is always Monte Carlo, with a planarity-based
-    trace test.  bound_ok reports tv <= p_not_disconnect + 3 stderr."""
-    W = set(int(s) for s in W)
-    if int(x) in W or int(y) in W:
-        raise ValueError("x and y must lie outside the wired set")
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    rng = make_rng(seed)
-
-    if m.num_vertices <= EXACT_TV_LIMIT:
-        probs, _order = absorption_probs(m, sorted(W))
-        tv = 0.5 * float(np.abs(probs[int(x)] - probs[int(y)]).sum())
-        tv_exact = True
-    else:
-        counts = np.zeros((2, len(W)))
-        order = {w: j for j, w in enumerate(sorted(W))}
-        for row, start in enumerate((int(x), int(y))):
-            for _ in range(samples):
-                exit_vertex = int(m.dart_head[walk(m, rng, start, W, max_steps)[-1]])
-                counts[row, order[exit_vertex]] += 1
-        tv = 0.5 * float(np.abs(counts[0] - counts[1]).sum()) / samples
-        tv_exact = False
-
-    disc = 0
-    for _ in range(samples):
-        darts = walk(m, rng, x, W, max_steps)
-        visited = {int(x)} | set(m.dart_head[darts].tolist())
-        used = {h >> 1 for h in darts}
-        if _trace_disconnects(m, visited, used, int(y), W):
-            disc += 1
-    p_disc = disc / samples
-    p_not = 1.0 - p_disc
-    stderr = float(np.sqrt(p_disc * p_not / samples))
-    return TVReport(tv, tv_exact, p_disc, p_not, stderr, samples,
-                    bound_ok=tv <= p_not + 3.0 * stderr + 1e-12)
 
 
 # -- exact-law sweep (used by the verify command) -----------------------------

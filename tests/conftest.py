@@ -50,21 +50,8 @@ def triangle_map():
 
 
 @pytest.fixture(scope="session")
-def weighted_triangle_map():
-    # spanning-tree weights proportional to conductance products:
-    # {01,12}: 2, {01,02}: 2, {12,02}: 1 -> probs 0.4 / 0.4 / 0.2.
-    return build_map(3, [(0, 1, 2.0), (1, 2, 1.0), (0, 2, 1.0)],
-                     [[0, 4], [1, 2], [3, 5]], marked=(0, 2))
-
-
-@pytest.fixture(scope="session")
 def lattice8():
     return make_lattice(8, 2.0)
-
-
-@pytest.fixture(scope="session")
-def lattice16():
-    return make_lattice(16, 2.0)
 
 
 @pytest.fixture(scope="session")

@@ -152,8 +152,8 @@ def test_diagram_roundtrip(parallel3_map):
     assert np.array_equal(dd.rect_x0, d.rect_x0)
     assert np.array_equal(dd.rect_width, d.rect_width)
     assert np.array_equal(dd.hseg_len, d.hseg_len)
-    assert dd.map.num_edges == parallel3_map.num_edges
-    assert dd.map.num_vertices == parallel3_map.num_vertices
+    assert len(dd.rect_x0) == parallel3_map.num_edges
+    assert len(dd.hseg_start) == parallel3_map.num_vertices
     # geometry-only data renders identically to the live diagram
     assert render_svg(dd) == render_svg(d)
 

@@ -9,8 +9,7 @@ from smithtile import (SmithEmbedding, build_diagram, conjugate, converge_rows,
                        dcmp, dual, fit_affine, invariance_diagnostic,
                        lattice_report, make_lattice, smith_embedding,
                        solve_voltage)
-from smithtile.convergence import (cylinder_distance, lattice_shape,
-                                   overlay_svg)
+from smithtile.convergence import cylinder_distance, lattice_shape
 
 TWO_PI = 2.0 * math.pi
 
@@ -227,15 +226,3 @@ def test_converge_rows_sequence():
     # rounding scale rather than degrading with size
     assert rows[1]["sup_err_angle"] <= max(rows[0]["sup_err_angle"], 1e-9)
 
-
-def test_overlay_svg(lattice8_solved):
-    m, emb, v = lattice8_solved
-    dm = dual(m, emb)
-    d = build_diagram(m, dm, v, conjugate(dm, v))
-    se = smith_embedding(d)
-    fit = fit_affine(se, emb, band=1.5)
-    svg = overlay_svg(se, emb, fit)
-    assert svg.startswith("<svg")
-    assert svg.rstrip().endswith("</svg>")
-    assert svg.count("<circle") == 2 * fit.count
-    assert overlay_svg(se, emb, fit) == svg

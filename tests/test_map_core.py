@@ -8,8 +8,7 @@ import pytest
 from smithtile import (CylinderEmbedding, MapError, build_map,
                        check_embedding, dual, insert_vertices, lift_path,
                        path_winding, wrap_angle, wrap_signed)
-from smithtile.map_core import (dual_cycle_winding_cut,
-                                dual_cycle_winding_dtheta, marked_cut_path)
+from smithtile.map_core import marked_cut_path
 
 TWO_PI = 2.0 * math.pi
 
@@ -295,25 +294,6 @@ def test_marked_cut_path_requires_marks(triangle_map):
                   [[0, 4], [1, 2], [3, 5]])
     with pytest.raises(MapError, match="marked"):
         marked_cut_path(m)
-
-
-def test_dual_cycle_winding_agreement(lattice8):
-    # both winding computations must agree on dual face boundaries (0) and
-    # on any closed dual cycle.
-    m, emb = lattice8
-    dm = dual(m, emb)
-    d = dm.map
-    cut = marked_cut_path(m)
-    for orbit in d.face_darts[:20]:
-        wc = dual_cycle_winding_cut(dm, orbit, cut=cut)
-        wd = dual_cycle_winding_dtheta(dm, orbit)
-        assert wc == wd
-
-
-def test_dual_cycle_winding_needs_displacements(parallel3_map):
-    dm = dual(parallel3_map)          # no embedding given
-    with pytest.raises(MapError, match="no displacement"):
-        dual_cycle_winding_dtheta(dm, dm.map.face_darts[0])
 
 
 # -- refinement -------------------------------------------------------------

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from smithtile import (Excursion, MapError, SampleError, adjacency_oracle,
-                       build_diagram, conjugate, contact_violations, dual,
+                       build_diagram, conjugate, dual,
                        excursion_from_increments, make_rng, mark_vertices,
                        sample_excursion, solve_voltage, validate)
-from smithtile.mated_crt import (LINE, LOWER, UPPER, arc_sets,
-                                 build_map as build_mated,
-                                 face_degree_histogram, noncrossing)
+from smithtile.mated_crt import (LINE, LOWER, UPPER, build_map as build_mated,
+                                 face_degree_histogram)
+
+from oracles import arc_sets, contact_violations, noncrossing
 
 
 # -- sampler -----------------------------------------------------------------

@@ -5,13 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from smithtile import (TilingReport, build_diagram, conjugate,
-                       contact_violations, dart_drift, dual, make_lattice,
-                       reduce_mod, render_svg, smith_embedding, solve_voltage,
-                       validate)
+from smithtile import (CombMap, TilingReport, build_diagram, build_map,
+                       conjugate, dart_drift, dual, make_lattice, mark_vertices,
+                       reduce_mod, render_svg, sample_excursion,
+                       smith_embedding, solve_voltage, validate)
+from smithtile.mated_crt import build_map as build_mated
 from smithtile import smith_tiling
 from smithtile.smith_tiling import _circle_pieces
+
+from oracles import contact_violations
 
 
 def diagram_for(m, emb=None):
@@ -109,6 +113,81 @@ def test_rect_widths_are_flows(random_maps):
     assert np.allclose(d.rect_width, np.abs(v.dart_flow(2 * np.arange(m.num_edges))),
                        atol=1e-12)
     assert np.all(d.rect_y1 >= d.rect_y0)
+
+
+# -- segment chain start ------------------------------------------------------
+
+def pendant_map():
+    """Vertex 1 has two falling darts to v0 with the dead pendant edge to
+    vertex 3 between them, then its rising dart to v1."""
+    return build_map(4, [(0, 1, 1.0), (0, 1, 2.0), (1, 2, 1.0), (1, 3, 1.0)],
+                     [[0, 2], [1, 6, 3, 4], [5], [7]], marked=(0, 2))
+
+
+def relabel_edges(m, perm, flip):
+    """The same map with edge k renamed perm[k], its darts swapped where
+    flip[k]; returns the map and the new id of each old dart.  Rotations
+    start at each vertex's smallest dart, so the chains start elsewhere."""
+    h = np.arange(m.num_darts)
+    new = 2 * perm[h >> 1] + ((h & 1) ^ flip[h >> 1])
+    tail = np.empty(m.num_edges, dtype=np.int64)
+    head = np.empty(m.num_edges, dtype=np.int64)
+    cond = np.empty(m.num_edges)
+    tail[perm] = np.where(flip, m.edge_head, m.edge_tail)
+    head[perm] = np.where(flip, m.edge_tail, m.edge_head)
+    cond[perm] = m.conductance
+    nxt = np.empty(m.num_darts, dtype=np.int64)
+    nxt[new] = new[m.next_dart]
+    return CombMap(m.num_vertices, tail, head, cond, nxt, v0=m.v0, v1=m.v1), new
+
+
+def circle_gap(a, b, eta):
+    d = np.mod(a - b, eta)
+    return np.minimum(d, eta - d)
+
+
+@pytest.fixture(scope="module")
+def chain_maps(rung_map, random_maps, mated_crt64):
+    maps = [pendant_map(), rung_map, random_maps[0][0], mated_crt64]
+    return [(m, diagram_for(m)) for m in maps]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_diagram_independent_of_rotation_start(chain_maps, seed):
+    rng = np.random.default_rng(seed)
+    for m, d in chain_maps:
+        perm = rng.permutation(m.num_edges)
+        flip = rng.integers(0, 2, m.num_edges)
+        m2, new = relabel_edges(m, perm, flip)
+        face = np.empty(m.num_faces, dtype=np.int64)
+        face[m.face_of] = m2.face_of[new]
+        v2 = solve_voltage(m2)
+        dm2 = dual(m2)
+        # the same base face, so that both conjugates share their zero
+        d2 = build_diagram(m2, dm2, v2, conjugate(dm2, v2, base=int(face[d.conjugate.base])))
+        eta = d.eta
+        for got, want in ((circle_gap(d2.rect_x0[perm], d.rect_x0, eta), 0.0),
+                          (d2.rect_width[perm], d.rect_width),
+                          (d2.rect_y0[perm], d.rect_y0),
+                          (d2.rect_y1[perm], d.rect_y1),
+                          (circle_gap(d2.hseg_start, d.hseg_start, eta), 0.0),
+                          (d2.hseg_len, d.hseg_len),
+                          (circle_gap(d2.vseg_x[face], d.vseg_x, eta), 0.0),
+                          (d2.vseg_y0[face], d.vseg_y0),
+                          (d2.vseg_y1[face], d.vseg_y1)):
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("map_seed, mark_seed", [(4, 3004), (5, 11005)])
+def test_weak_current_does_not_split_a_falling_run(map_seed, mark_seed):
+    # a genuine current below the flow floor is classed zero; at vertex 614
+    # (map 4) and 778 (map 5) it sits inside a falling run, where the chain
+    # must not start
+    m = mark_vertices(build_mated(sample_excursion(1.8, 1024, seed=map_seed)),
+                      seed=mark_seed).map
+    rep = validate(diagram_for(m))
+    assert rep.passed(1e-9), rep
 
 
 # -- lattice geometry --------------------------------------------------------

@@ -1,6 +1,4 @@
-"""Walk laws: stepping, level machinery, exact conditional laws, couplings."""
-
-import math
+"""Walk laws: stepping, level machinery, exact conditional laws."""
 
 import numpy as np
 import pytest
@@ -8,20 +6,15 @@ import pytest
 from smithtile import walk_lab
 from smithtile.convergence import invariance_diagnostic
 from smithtile.rng import make_rng
-from smithtile.walk_lab import TVReport, _trace_disconnects
 from smithtile import (InadmissibleHeights, LevelNotVertexed,
                        StepBudgetExceeded, absorption_probs,
                        admissible_sequences, augment_all_levels, build_diagram,
                        build_map, conditional_hitting, conjugate, dart_drift,
-                       dual, embed_trace, exact_law_report,
-                       expected_conditional_winding, insert_vertices,
-                       level_augment, level_measure, level_set, make_lattice,
+                       dual, exact_law_report, expected_conditional_winding,
+                       insert_vertices, level_measure, level_set,
                        mark_vertices, projected_step_law, realized_levels,
-                       sample_excursion, simulate, solve_voltage, step_law,
-                       tv_coupling_check, wilson_tree, winding)
+                       sample_excursion, simulate, solve_voltage, step_law)
 from smithtile.mated_crt import build_map as build_mated
-
-TWO_PI = 2.0 * math.pi
 
 
 def diagram_for(m, emb=None):
@@ -76,22 +69,12 @@ def test_simulate_stops_at_boundary(lattice8_solved):
 
 def test_simulate_reproducible(lattice8_solved):
     m, emb, _ = lattice8_solved
-    a = simulate(m, 12, {m.v0, m.v1}, seed=7, emb=emb)
-    b = simulate(m, 12, {m.v0, m.v1}, seed=7, emb=emb)
+    a = simulate(m, 12, {m.v0, m.v1}, seed=7)
+    b = simulate(m, 12, {m.v0, m.v1}, seed=7)
     assert np.array_equal(a.vertices, b.vertices)
     assert np.array_equal(a.darts, b.darts)
-    assert np.array_equal(a.offsets, b.offsets)
     c = simulate(m, 12, {m.v0, m.v1}, seed=8)
     assert not (len(c) == len(a) and np.array_equal(c.vertices, a.vertices))
-
-
-def test_simulate_offsets_accumulate_displacements(lattice8_solved):
-    m, emb, _ = lattice8_solved
-    tr = simulate(m, 20, {m.v0, m.v1}, seed=3, emb=emb)
-    assert tr.offsets is not None and len(tr.offsets) == len(tr)
-    assert tr.offsets[0] == 0.0
-    steps = np.diff(tr.offsets)
-    assert np.allclose(steps, emb.dart_dtheta(tr.darts), atol=0.0)
 
 
 def test_simulate_budget(path_map):
@@ -100,46 +83,9 @@ def test_simulate_budget(path_map):
 
 
 def test_simulate_empty_stop_set(path_map):
-    with pytest.raises(ValueError, match="stop set"):
+    # the walk kernel's guard: without it the walk would run to its budget
+    with pytest.raises(ValueError, match="stop set must be nonempty"):
         simulate(path_map, 1, set(), seed=1)
-
-
-def test_winding_values():
-    from smithtile.walk_lab import WalkTrace
-    tr = WalkTrace(np.array([0, 1]), np.array([0]),
-                   offsets=np.array([0.0, TWO_PI]))
-    assert winding(tr, TWO_PI) == pytest.approx(1.0)
-    assert winding(tr, TWO_PI / 2) == pytest.approx(2.0)
-    assert winding(np.array([1.0, 0.5, -2.0]), 1.5) == pytest.approx(-2.0)
-    bare = WalkTrace(np.array([0]), np.array([], dtype=np.int64))
-    with pytest.raises(ValueError, match="offsets"):
-        winding(bare, TWO_PI)
-
-
-def test_embed_trace_lies_on_segments(lattice8_solved):
-    m, emb, v = lattice8_solved
-    d = diagram_for(m, emb)
-    tr = simulate(m, 12, {m.v0, m.v1}, seed=5, emb=emb)
-    pts = embed_trace(d, tr, seed=6)
-    assert pts.shape == (len(tr), 2)
-    assert tr.embedded is pts
-    for (x, y), vtx in zip(pts, tr.vertices):
-        vtx = int(vtx)
-        assert y == pytest.approx(float(d.hseg_level[vtx]), abs=0.0)
-        rel = np.mod(x - d.hseg_start[vtx], d.eta)
-        assert rel <= d.hseg_len[vtx] + 1e-9 or rel >= d.eta - 1e-9
-
-
-def test_embed_trace_winding_tracks_a_priori(lattice8_solved):
-    # lifted Smith winding and a priori winding agree within one turn
-    m, emb, v = lattice8_solved
-    d = diagram_for(m, emb)
-    for seed in range(5):
-        tr = simulate(m, 12, {m.v0, m.v1}, seed=seed, emb=emb)
-        pts = embed_trace(d, tr, seed=seed + 100)
-        w_smith = (pts[-1, 0] - pts[0, 0]) / d.eta
-        w_apriori = winding(tr, TWO_PI)
-        assert abs(w_smith - w_apriori) <= 1.0
 
 
 # -- levels ------------------------------------------------------------------
@@ -162,10 +108,10 @@ def test_level_set_row(lattice8_solved):
 
 
 def test_level_augment_parallel(parallel3_map):
+    # no interior vertex, so the extra level is the only one
     v = solve_voltage(parallel3_map)
-    aug = level_augment(parallel3_map, v, 0.4)
+    aug = augment_all_levels(parallel3_map, v, extra=[0.4])
     assert aug.inserted == 3
-    assert aug.notice is None
     assert aug.map.num_vertices == 5
     assert np.allclose(aug.voltage.values[2:], 0.4)
     lm = level_measure(aug.map, aug.voltage, 0.4)
@@ -174,8 +120,9 @@ def test_level_augment_parallel(parallel3_map):
 
 
 def test_level_augment_path_conductances(path_map):
+    # the realized level 0.5 is already vertexed; only 0.25 is inserted
     v = solve_voltage(path_map)
-    aug = level_augment(path_map, v, 0.25)
+    aug = augment_all_levels(path_map, v, extra=[0.25])
     assert aug.inserted == 1
     new = aug.map.num_vertices - 1
     assert aug.voltage.values[new] == pytest.approx(0.25)
@@ -186,24 +133,26 @@ def test_level_augment_path_conductances(path_map):
 
 
 def test_level_augment_notice_when_realized(path_map):
+    # a requested level that a vertex already realizes inserts nothing and
+    # hands back the map itself
     v = solve_voltage(path_map)
-    aug = level_augment(path_map, v, 0.5)
+    aug = augment_all_levels(path_map, v, extra=[0.5])
     assert aug.inserted == 0
     assert aug.map is path_map
-    assert "already realized" in aug.notice
+    assert aug.voltage is v
 
 
 def test_level_augment_range(path_map):
     v = solve_voltage(path_map)
     for a in (0.0, 1.0, -0.3, 1.7):
         with pytest.raises(ValueError, match="strictly between"):
-            level_augment(path_map, v, a)
+            augment_all_levels(path_map, v, extra=[a])
 
 
 def test_level_augment_voltage_matches_resolve(random_maps):
     m, emb = random_maps[3]
     v = solve_voltage(m)
-    aug = level_augment(m, v, 0.37, emb=emb)
+    aug = augment_all_levels(m, v, extra=[0.37], emb=emb)
     assert aug.inserted > 0
     v2 = solve_voltage(aug.map)
     assert np.max(np.abs(v2.values - aug.voltage.values)) < 1e-9
@@ -348,96 +297,6 @@ def test_winding_rejects_diagram_of_another_map(parallel3_map):
         expected_conditional_winding(law, diagram_for(parallel3_map))
 
 
-# -- Wilson trees ------------------------------------------------------------
-
-def spanning_tree_oracle(m, wired):
-    """Exhaustively enumerate wired spanning trees with their weights."""
-    import itertools
-    wired = set(wired)
-    need = m.num_vertices - len(wired)
-    out = {}
-    for combo in itertools.combinations(range(m.num_edges), need):
-        # union-find over the contraction of the wired set
-        parent = list(range(m.num_vertices + 1))
-        root = m.num_vertices
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        ok = True
-        for k in combo:
-            a = find(int(m.edge_tail[k]) if int(m.edge_tail[k]) not in wired
-                     else root)
-            b = find(int(m.edge_head[k]) if int(m.edge_head[k]) not in wired
-                     else root)
-            if a == b:
-                ok = False
-                break
-            parent[a] = b
-        if ok:
-            out[combo] = float(np.prod(m.conductance[list(combo)]))
-    tot = sum(out.values())
-    return {k: w / tot for k, w in out.items()}
-
-
-def test_wilson_tree_uniform_triangle(triangle_map):
-    oracle = spanning_tree_oracle(triangle_map, {0})
-    assert oracle == pytest.approx({(0, 1): 1 / 3, (0, 2): 1 / 3,
-                                    (1, 2): 1 / 3})
-    N = 30_000
-    counts = {}
-    for seed in range(N):
-        t = tuple(wilson_tree(triangle_map, {0}, seed=seed).tolist())
-        counts[t] = counts.get(t, 0) + 1
-    for combo, p in oracle.items():
-        sigma = math.sqrt(p * (1 - p) / N)
-        assert abs(counts.get(combo, 0) / N - p) <= 3 * sigma
-
-
-def test_wilson_tree_weighted_triangle(weighted_triangle_map):
-    oracle = spanning_tree_oracle(weighted_triangle_map, {0})
-    assert oracle == pytest.approx({(0, 1): 0.4, (0, 2): 0.4, (1, 2): 0.2})
-    N = 30_000
-    counts = {}
-    for seed in range(N):
-        t = tuple(wilson_tree(weighted_triangle_map, {0}, seed=seed).tolist())
-        counts[t] = counts.get(t, 0) + 1
-    for combo, p in oracle.items():
-        sigma = math.sqrt(p * (1 - p) / N)
-        assert abs(counts.get(combo, 0) / N - p) <= 3 * sigma
-
-
-def test_wilson_tree_spans(random_maps):
-    m, _ = random_maps[0]
-    wired = {m.v0, m.v1}
-    tree = wilson_tree(m, wired, seed=42)
-    assert len(tree) == m.num_vertices - len(wired)
-    # every vertex reaches the wired set through tree edges
-    adj = {v: [] for v in range(m.num_vertices)}
-    for k in tree:
-        a, b = int(m.edge_tail[k]), int(m.edge_head[k])
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = set(wired)
-    stack = list(wired)
-    while stack:
-        a = stack.pop()
-        for b in adj[a]:
-            if b not in seen:
-                seen.add(b)
-                stack.append(b)
-    assert len(seen) == m.num_vertices
-    assert np.array_equal(tree, wilson_tree(m, wired, seed=42))
-
-
-def test_wilson_tree_empty_wired(triangle_map):
-    with pytest.raises(ValueError, match="nonempty"):
-        wilson_tree(triangle_map, set(), seed=0)
-
-
 # -- absorption and projection ------------------------------------------------
 
 def test_absorption_path(path_map, path4_map):
@@ -476,62 +335,6 @@ def test_projected_step_law_matches(rung_map):
         for k in keys:
             assert got.get(k, 0.0) == pytest.approx(want.get(k, 0.0),
                                                     abs=1e-10)
-
-
-# -- total-variation coupling -------------------------------------------------
-
-def test_tv_exact_path4(path4_map):
-    rep = tv_coupling_check(path4_map, {0, 3}, 1, 2, samples=2000, seed=1)
-    assert rep.tv_exact
-    assert rep.tv == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert rep.samples == 2000
-    assert rep.p_disconnect + rep.p_not_disconnect == pytest.approx(1.0)
-    assert rep.bound_ok
-
-
-def test_tv_same_start_is_zero(path4_map):
-    rep = tv_coupling_check(path4_map, {0, 3}, 1, 1, samples=200, seed=2)
-    assert rep.tv == 0.0
-    assert rep.bound_ok
-
-
-def test_tv_rejects_wired_start(path4_map):
-    with pytest.raises(ValueError, match="outside"):
-        tv_coupling_check(path4_map, {0, 3}, 0, 2, samples=10, seed=0)
-    with pytest.raises(ValueError, match="outside"):
-        tv_coupling_check(path4_map, {0, 3}, 1, 3, samples=10, seed=0)
-
-
-def test_tv_rejects_empty_wired_set(path4_map):
-    with pytest.raises(ValueError, match="nonempty"):
-        tv_coupling_check(path4_map, set(), 1, 2, samples=10, seed=0)
-    m, _ = make_lattice(24, 1.2)
-    assert m.num_vertices > walk_lab.EXACT_TV_LIMIT
-    with pytest.raises(ValueError, match="nonempty"):
-        tv_coupling_check(m, set(), 0, 1, samples=10, seed=0)
-
-
-def test_tv_rejects_no_samples(path4_map):
-    with pytest.raises(ValueError, match="samples"):
-        tv_coupling_check(path4_map, {0, 3}, 1, 2, samples=0, seed=0)
-
-
-def test_tv_exact_lattice(lattice16):
-    m, _ = lattice16
-    assert m.num_vertices <= 200
-    rep = tv_coupling_check(m, {m.v0, m.v1}, 0, 1, samples=400, seed=3)
-    assert rep.tv_exact
-    assert 0.0 <= rep.tv <= 1.0
-    assert rep.bound_ok
-
-
-def test_tv_monte_carlo_branch():
-    m, _ = make_lattice(24, 1.2)
-    assert m.num_vertices > 200
-    rep = tv_coupling_check(m, {m.v0, m.v1}, 0, 1, samples=150, seed=4)
-    assert not rep.tv_exact
-    assert 0.0 <= rep.tv <= 1.0
-    assert rep.bound_ok
 
 
 # -- sequence generation and report -------------------------------------------
@@ -602,68 +405,6 @@ def ref_simulate(m, start, stop, seed):
     return darts, verts
 
 
-def ref_wilson(m, wired, seed):
-    """Sorted tree edges and the total step count of all walks."""
-    rng = make_rng(seed)
-    in_tree = np.zeros(m.num_vertices, dtype=bool)
-    in_tree[sorted(wired)] = True
-    exit_dart = np.full(m.num_vertices, -1, dtype=np.int64)
-    edges, steps = [], 0
-    for v0 in range(m.num_vertices):
-        if in_tree[v0]:
-            continue
-        v = v0
-        while not in_tree[v]:
-            steps += 1
-            h = ref_sample_dart(m, rng, v)
-            exit_dart[v] = h
-            v = int(m.dart_head[h])
-        v = v0
-        while not in_tree[v]:
-            h = int(exit_dart[v])
-            edges.append(h >> 1)
-            in_tree[v] = True
-            v = int(m.dart_head[h])
-    return sorted(edges), steps
-
-
-def ref_tv(m, W, x, y, samples, seed, exact):
-    """The report and the longest single walk."""
-    rng = make_rng(seed)
-    longest = 0
-    if exact:
-        probs, _ = absorption_probs(m, sorted(W))
-        tv = 0.5 * float(np.abs(probs[x] - probs[y]).sum())
-    else:
-        counts = np.zeros((2, len(W)))
-        order = {w: j for j, w in enumerate(sorted(W))}
-        for row, start in enumerate((x, y)):
-            for _ in range(samples):
-                v, steps = start, 0
-                while v not in W:
-                    steps += 1
-                    v = int(m.dart_head[ref_sample_dart(m, rng, v)])
-                longest = max(longest, steps)
-                counts[row, order[v]] += 1
-        tv = 0.5 * float(np.abs(counts[0] - counts[1]).sum()) / samples
-    disc = 0
-    for _ in range(samples):
-        v, visited, used, steps = x, {x}, set(), 0
-        while v not in W:
-            steps += 1
-            h = ref_sample_dart(m, rng, v)
-            used.add(h >> 1)
-            v = int(m.dart_head[h])
-            visited.add(v)
-        longest = max(longest, steps)
-        disc += _trace_disconnects(m, visited, used, y, W)
-    p_disc = disc / samples
-    p_not = 1.0 - p_disc
-    stderr = float(np.sqrt(p_disc * p_not / samples))
-    return TVReport(tv, exact, p_disc, p_not, stderr, samples,
-                    bound_ok=tv <= p_not + 3.0 * stderr + 1e-12), longest
-
-
 def ref_invariance(m, height, starts, h_lo, h_hi, walks, seed):
     """Top-exit frequencies and the longest single walk."""
     lo = {x for x in range(m.num_vertices) if height[x] <= h_lo + 1e-9}
@@ -692,7 +433,7 @@ class WalkCase:
         self.stop = {m.v0, m.v1} if m.num_vertices > 2 else {m.v1}
         free = [x for x in range(m.num_vertices) if x not in self.stop]
         self.starts = free[::max(1, len(free) // 4)][:4]
-        self.x, self.y = self.starts[0], self.starts[-1]
+        self.x = self.starts[0]
         self.height = solve_voltage(m).values
 
 
@@ -715,24 +456,6 @@ def test_kernel_matches_reference_simulate(walk_cases):
                 assert tr.vertices.tolist() == verts
 
 
-def test_kernel_matches_reference_wilson(walk_cases):
-    for c in walk_cases:
-        for seed in SEEDS:
-            edges, _ = ref_wilson(c.m, {c.m.v0}, seed)
-            assert wilson_tree(c.m, {c.m.v0}, seed=seed).tolist() == edges
-
-
-@pytest.mark.parametrize("exact", [True, False])
-def test_kernel_matches_reference_tv(walk_cases, monkeypatch, exact):
-    if not exact:
-        monkeypatch.setattr(walk_lab, "EXACT_TV_LIMIT", 0)
-    for c in walk_cases:
-        for seed in SEEDS:
-            rep = tv_coupling_check(c.m, c.stop, c.x, c.y, samples=25, seed=seed)
-            ref, _ = ref_tv(c.m, c.stop, c.x, c.y, 25, seed, exact)
-            assert rep == ref
-
-
 def test_kernel_matches_reference_invariance(walk_cases):
     for c in walk_cases:
         for seed in SEEDS:
@@ -750,27 +473,6 @@ def test_budget_boundary_simulate(walk_cases):
     assert len(simulate(c.m, c.x, c.stop, seed=5, max_steps=k).darts) == k
     with pytest.raises(StepBudgetExceeded):
         simulate(c.m, c.x, c.stop, seed=5, max_steps=k - 1)
-
-
-def test_budget_boundary_wilson(walk_cases):
-    # one budget for all of the tree's walks
-    c = walk_cases[0]
-    edges, k = ref_wilson(c.m, {c.m.v0}, 5)
-    assert wilson_tree(c.m, {c.m.v0}, seed=5, max_steps=k).tolist() == edges
-    with pytest.raises(StepBudgetExceeded):
-        wilson_tree(c.m, {c.m.v0}, seed=5, max_steps=k - 1)
-
-
-@pytest.mark.parametrize("exact", [True, False])
-def test_budget_boundary_tv(walk_cases, monkeypatch, exact):
-    # a budget for each walk: the longest one sets the boundary
-    if not exact:
-        monkeypatch.setattr(walk_lab, "EXACT_TV_LIMIT", 0)
-    c = walk_cases[0]
-    ref, k = ref_tv(c.m, c.stop, c.x, c.y, 25, 5, exact)
-    assert tv_coupling_check(c.m, c.stop, c.x, c.y, samples=25, seed=5, max_steps=k) == ref
-    with pytest.raises(StepBudgetExceeded):
-        tv_coupling_check(c.m, c.stop, c.x, c.y, samples=25, seed=5, max_steps=k - 1)
 
 
 def test_budget_boundary_invariance(walk_cases):
