@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .map_core import (CombMap, CylinderEmbedding, check_embedding, dual,
-                       wrap_angle, wrap_signed, build_map as assemble_map, TWO_PI)
+                       wrap_angle, wrap_signed, wrap_signed_array, TWO_PI)
 from .electrical import solve_voltage, conjugate
 from .smith_tiling import SmithEmbedding, build_diagram, smith_embedding
 from .rng import make_rng
@@ -46,53 +46,33 @@ def make_lattice(n: int, H: float) -> tuple:
     M, s = lattice_shape(n, H)
     V = n * M + 2
     v0, v1 = n * M, n * M + 1
+    g = np.arange(n * M)                    # grid vertex ids
+    r, j = np.divmod(g, n)
+    col = np.arange(n)
+    top = (M - 1) * n + col
+    eh = n * M                              # first vertical edge
+    eb = eh + n * (M - 1)                   # first bottom apex edge
+    et = eb + n                             # first top apex edge
+    tail = np.concatenate([g, g[:-n], np.full(n, v0), top])
+    head = np.concatenate([r * n + (j + 1) % n, g[n:], col, np.full(n, v1)])
+    dtheta = np.concatenate([np.full(n * M, s), np.zeros(len(tail) - n * M)])
 
-    def vid(r, j):
-        return r * n + (j % n)
-
-    edges = []
-    dtheta = []
-    for r in range(M):
-        for j in range(n):
-            edges.append((vid(r, j), vid(r, j + 1), 1.0))
-            dtheta.append(s)
-    eh = len(edges)
-    for r in range(M - 1):
-        for j in range(n):
-            edges.append((vid(r, j), vid(r + 1, j), 1.0))
-            dtheta.append(0.0)
-    eb = len(edges)
-    for j in range(n):
-        edges.append((v0, vid(0, j), 1.0))
-        dtheta.append(0.0)
-    et = len(edges)
-    for j in range(n):
-        edges.append((vid(M - 1, j), v1, 1.0))
-        dtheta.append(0.0)
-
-    rotation = []
-    for r in range(M):
-        for j in range(n):
-            east = 2 * (r * n + j)
-            west = 2 * (r * n + (j - 1) % n) + 1
-            north = 2 * (eh + r * n + j) if r < M - 1 else 2 * (et + j)
-            south = 2 * (eh + (r - 1) * n + j) + 1 if r > 0 else 2 * (eb + j) + 1
-            rotation.append([east, north, west, south])
+    # grid rotation: east, north, west, south
+    east = 2 * g
+    north = np.where(r < M - 1, 2 * (eh + g), 2 * (et + j))
+    west = 2 * (r * n + (j - 1) % n) + 1
+    south = np.where(r > 0, 2 * (eh + g - n) + 1, 2 * (eb + j) + 1)
+    nxt = np.empty(2 * len(tail), dtype=np.int64)
+    nxt[east], nxt[north], nxt[west], nxt[south] = north, west, south, east
     # apex rotations: CCW seen from outside the sphere reverses theta at the
     # bottom pole
-    rotation.append([2 * (eb + j) for j in range(n - 1, -1, -1)])
-    rotation.append([2 * (et + j) + 1 for j in range(n)])
+    nxt[2 * (eb + col)] = 2 * (eb + (col - 1) % n)
+    nxt[2 * (et + col) + 1] = 2 * (et + (col + 1) % n) + 1
 
-    m = assemble_map(V, edges, rotation, marked=(v0, v1))
-    theta = np.empty(V)
-    height = np.empty(V)
-    for r in range(M):
-        for j in range(n):
-            theta[vid(r, j)] = TWO_PI * j / n
-            height[vid(r, j)] = (r - (M - 1) / 2.0) * s
-    theta[v0] = theta[v1] = math.nan
-    height[v0] = height[v1] = math.nan
-    emb = CylinderEmbedding(theta, height, np.array(dtheta))
+    m = CombMap(V, tail, head, np.ones(len(tail)), nxt, v0=v0, v1=v1)
+    theta = np.concatenate([TWO_PI * j / n, [math.nan, math.nan]])
+    height = np.concatenate([(r - (M - 1) / 2.0) * s, [math.nan, math.nan]])
+    emb = CylinderEmbedding(theta, height, dtheta)
     check_embedding(m, emb)
     return m, emb
 
@@ -127,9 +107,7 @@ def fit_affine(se: SmithEmbedding, emb: CylinderEmbedding,
     upper-bounds the optimal sup-error, so the fit is a certificate."""
     m = se.diagram.map
     eta = se.eta
-    K = [x for x in range(m.num_vertices)
-         if not m.is_marked(x) and np.isfinite(emb.height[x])
-         and abs(emb.height[x]) <= band]
+    K = np.flatnonzero(~m.marked & (np.abs(emb.height) <= band))
     if len(K) < 2:
         raise ValueError("band contains fewer than two vertices")
     s_re = se.points[K, 0]
@@ -145,8 +123,7 @@ def fit_affine(se: SmithEmbedding, emb: CylinderEmbedding,
     b_w = wrap_angle(b_w)
 
     herr = np.abs(c_h * s_im + b_h - emb.height[K])
-    aerr = np.array([abs(wrap_signed((TWO_PI / eta) * s_re[i] + b_w - emb.theta[K[i]]))
-                     for i in range(len(K))])
+    aerr = np.abs(wrap_signed_array((TWO_PI / eta) * s_re + b_w - emb.theta[K]))
     sup = float(np.max(np.hypot(aerr, herr)))
     return AffineFit(c_h, b_h, b_w, eta, band, len(K), sup,
                      float(herr.max()), float(aerr.max()))

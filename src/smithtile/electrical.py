@@ -43,40 +43,44 @@ class Voltage:
             self.values[self.map.dart_head[h]] - self.values[self.map.dart_tail[h]])
 
 
+def dirichlet_system(m: CombMap) -> tuple:
+    """(interior, A, b, diag): the reduced Laplacian on the unmarked
+    vertices, in CSR form, with the right-hand side from v1's unit voltage.
+
+    The COO entries list each edge but a self-loop in id order, seen from its
+    tail and then from its head, then the diagonal; diag and b add in that
+    same sequence."""
+    interior = np.flatnonzero(~m.marked)
+    n = len(interior)
+    idx = np.full(m.num_vertices, -1, dtype=np.int64)
+    idx[interior] = np.arange(n)
+    k = np.flatnonzero(m.edge_tail != m.edge_head)
+    a = np.stack([m.edge_tail[k], m.edge_head[k]], axis=1).ravel()
+    bb = np.stack([m.edge_head[k], m.edge_tail[k]], axis=1).ravel()
+    c = np.repeat(m.conductance[k], 2)
+    at = idx[a] >= 0
+    pair = at & (idx[bb] >= 0)
+    top = at & (bb == m.v1)
+    # bincount adds in sequence order, as a loop over the sequence would
+    diag = np.bincount(idx[a[at]], weights=c[at], minlength=n)
+    b = np.bincount(idx[a[top]], weights=c[top], minlength=n)
+    A = sp.csr_matrix((np.concatenate([-c[pair], diag]),
+                       (np.concatenate([idx[a[pair]], np.arange(n)]),
+                        np.concatenate([idx[bb[pair]], np.arange(n)]))), shape=(n, n))
+    return interior, A, b, diag
+
+
 def solve_voltage(m: CombMap, tol: float = 1e-10) -> Voltage:
     """Solve the Dirichlet problem; conjugate-gradient with Jacobi scaling on
     the reduced SPD system, dense elimination below DENSE_LIMIT unknowns."""
     if m.v0 is None or m.v1 is None:
         raise MapError("voltage needs both marked vertices")
     V = m.num_vertices
-    interior = np.array([v for v in range(V) if not m.is_marked(v)], dtype=np.int64)
-    idx = np.full(V, -1, dtype=np.int64)
-    idx[interior] = np.arange(len(interior))
-
-    rows, cols, vals = [], [], []
-    b = np.zeros(len(interior))
-    diag = np.zeros(len(interior))
-    for k in range(m.num_edges):
-        u, w = int(m.edge_tail[k]), int(m.edge_head[k])
-        c = float(m.conductance[k])
-        if u == w:
-            continue
-        for a, bb in ((u, w), (w, u)):
-            if idx[a] >= 0:
-                diag[idx[a]] += c
-                if idx[bb] >= 0:
-                    rows.append(idx[a])
-                    cols.append(idx[bb])
-                    vals.append(-c)
-                elif bb == m.v1:
-                    b[idx[a]] += c
-
+    interior, A, b, diag = dirichlet_system(m)
     n = len(interior)
     h = np.zeros(V)
     h[m.v1] = 1.0
     if n > 0:
-        A = sp.csr_matrix((vals + list(diag), (rows + list(range(n)),
-                                               cols + list(range(n)))), shape=(n, n))
         if n < DENSE_LIMIT:
             x = np.linalg.solve(A.toarray(), b)
         else:
@@ -92,8 +96,9 @@ def solve_voltage(m: CombMap, tol: float = 1e-10) -> Voltage:
         res = 0.0
 
     volt = Voltage(m, h, float(res), 0.0, 0.0)
-    eta0 = float(np.sum(volt.dart_flow(m.vertex_darts[m.v0])))
-    eta1 = float(-np.sum(volt.dart_flow(m.vertex_darts[m.v1])))
+    ptr = m.vert_ptr
+    eta0 = float(np.sum(volt.dart_flow(m.vert_dart[ptr[m.v0]:ptr[m.v0 + 1]])))
+    eta1 = float(-np.sum(volt.dart_flow(m.vert_dart[ptr[m.v1]:ptr[m.v1 + 1]])))
     mism = abs(eta0 - eta1)
     if mism > 1e-10 * max(1.0, abs(eta0)):
         raise SolveError(f"flow strength mismatch {mism}")
@@ -177,14 +182,14 @@ def conjugate(dmap: DualMap, v: Voltage, base: int | None = None,
     # the BFS fixes the tree; the sums along it then run one depth at a time,
     # each face adding its tree dart's term to its parent's value, which are
     # the same float additions a face-by-face walk would do
-    head = dm.dart_head.tolist()
+    head, darts, ptr = dm.dart_head.tolist(), dm.vert_dart.tolist(), dm.vert_ptr.tolist()
     tree = [-1] * F
     depth = [-1] * F
     depth[base] = 0
     queue = deque([base])
     while queue:
         f = queue.popleft()
-        for h in dm.vertex_darts[f].tolist():
+        for h in darts[ptr[f]:ptr[f + 1]]:
             g = head[h]
             if depth[g] < 0:
                 depth[g] = depth[f] + 1

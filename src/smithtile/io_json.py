@@ -74,8 +74,8 @@ def map_to_json(m: CombMap, emb: CylinderEmbedding | None = None) -> dict:
             "conductance": float(m.conductance[k]),
             "dtheta": None if emb is None else float(emb.dtheta[k]),
         })
-    rotation = {str(v): [int(h) for h in m.vertex_darts[v]]
-                for v in range(m.num_vertices)}
+    darts, ptr = m.vert_dart.tolist(), m.vert_ptr.tolist()
+    rotation = {str(v): darts[ptr[v]:ptr[v + 1]] for v in range(m.num_vertices)}
     return {
         "schema": SCHEMA,
         "kind": "map",

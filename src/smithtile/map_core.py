@@ -7,6 +7,21 @@ the face of an orbit lies to the RIGHT of each of its darts (bounded faces are
 traversed clockwise).  A map drawn on the cylinder carries two marked vertices
 pinned to the two ends at infinity; those vertices have no finite coordinates
 and every edge touching them has horizontal displacement zero.
+
+Both cycle systems are stored CSR-style, as one dart array and one offset
+array: the rotation at vertex v is ``vert_dart[vert_ptr[v]:vert_ptr[v + 1]]``
+and face f is ``face_dart[face_ptr[f]:face_ptr[f + 1]]``, with ``face_of``
+naming the face right of each dart.  Every cycle starts at its smallest dart
+and follows the permutation from there; faces are numbered in the order of
+their smallest darts.  The cycles are found by pointer doubling over the
+whole permutation at once (``_cycles``).  ``vertex_darts`` and ``face_darts``
+are the same cycles as lists of arrays, built on first use.
+
+Per-cycle sums run in the order a loop over each cycle would run them:
+``by_position`` visits the darts position by position, over the cycles
+sorted by length so that the cycles still open at position j are a prefix,
+and ``segment_sums`` adds each segment as ``np.sum`` adds it alone.  Results
+are therefore bit-identical to the cycle-by-cycle loops.
 """
 
 from __future__ import annotations
@@ -14,6 +29,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -41,6 +58,63 @@ def wrap_signed(x: float, period: float = TWO_PI) -> float:
     elif r > period / 2:
         r -= period
     return r
+
+
+def mod_array(x, period: float) -> np.ndarray:
+    """Elementwise ``wrap_angle`` (and ``smith_tiling.reduce_mod``): reduce
+    to [0, period); ``np.fmod`` is exact, like ``math.fmod``."""
+    r = np.fmod(x, period)
+    r = np.where(r < 0, r + period, r)
+    return np.where(r >= period, 0.0, r)
+
+
+def wrap_signed_array(x, period: float = TWO_PI) -> np.ndarray:
+    """Elementwise ``wrap_signed``."""
+    r = np.fmod(x, period)
+    return np.where(r <= -period / 2, r + period, np.where(r > period / 2, r - period, r))
+
+
+def by_position(lens):
+    """Yield (j, seg) for j = 0, 1, ...: the indices of the segments longer
+    than j, longest first.  Each ``seg`` is a prefix of one order, so a loop
+    over j touches every position of every segment once."""
+    lens = np.asarray(lens)
+    order = np.argsort(-lens, kind="stable")
+    longer = np.searchsorted(-lens[order], -np.arange(lens.max(initial=0)), side="left")
+    for j, n in enumerate(longer.tolist()):
+        yield j, order[:n]
+
+
+def segment_sums(values, ptr) -> np.ndarray:
+    """Sum of ``values[ptr[i]:ptr[i + 1]]`` for each i, each added as
+    ``np.sum`` adds it alone (numpy's pairwise order): segments of one
+    length are rows of one matrix, summed along the rows."""
+    lens = np.diff(ptr)
+    out = np.zeros(len(lens))
+    for n in np.unique(lens[lens > 0]).tolist():
+        seg = np.flatnonzero(lens == n)
+        out[seg] = values[ptr[seg, None] + np.arange(n)].sum(axis=1)
+    return out
+
+
+def _cycles(perm):
+    """(root, steps) of each element of a permutation: the smallest element
+    of its cycle and the number of steps from it forward to that root.
+
+    Pointer doubling: after round k, root[h] is the smallest element among
+    the 2^k starting at h.  A round that changes nothing means every window
+    already holds its cycle's minimum."""
+    root = np.arange(len(perm))
+    steps = np.zeros(len(perm), dtype=np.int64)
+    jump, stride = perm, 1
+    while True:
+        ahead = root[jump]
+        better = ahead < root
+        if not better.any():
+            return root, steps
+        root = np.where(better, ahead, root)
+        steps = np.where(better, steps[jump] + stride, steps)
+        jump, stride = jump[jump], 2 * stride
 
 
 class CombMap:
@@ -79,14 +153,15 @@ class CombMap:
 
         self.prev_dart = np.empty_like(self.next_dart)
         self.prev_dart[self.next_dart] = np.arange(self.num_darts)
-        self._build_vertex_darts()
+        self._build_rotations()
         self._build_faces()
 
         if check:
             self._check_topology()
         for a in (self.edge_tail, self.edge_head, self.conductance,
                   self.next_dart, self.prev_dart, self.dart_tail,
-                  self.dart_head, self.face_of):
+                  self.dart_head, self.face_of, self.vert_ptr, self.vert_dart,
+                  self.face_ptr, self.face_dart):
             a.flags.writeable = False
         self._walk_tables = None
 
@@ -101,9 +176,11 @@ class CombMap:
                 raise MapError(f"edge {name} out of range")
         if np.any(self.conductance <= 0) or not np.all(np.isfinite(self.conductance)):
             raise MapError("conductances must be positive and finite")
-        if sorted(self.next_dart.tolist()) != list(range(2 * E)):
+        nd = self.next_dart
+        if (len(nd) != 2 * E or nd.min() < 0 or nd.max() >= 2 * E
+                or np.any(np.bincount(nd, minlength=2 * E) != 1)):
             raise MapError("next_dart is not a permutation of the darts")
-        if np.any(self.dart_tail[self.next_dart] != self.dart_tail):
+        if np.any(self.dart_tail[nd] != self.dart_tail):
             raise MapError("rotation moves a dart to a different vertex")
         if self.v0 is not None and self.v1 is not None and self.v0 == self.v1:
             raise MapError("marked vertices must be distinct")
@@ -111,65 +188,84 @@ class CombMap:
             if v is not None and not (0 <= v < self.num_vertices):
                 raise MapError("marked vertex out of range")
 
-    def _build_vertex_darts(self):
+    def _build_rotations(self):
         """Rotation cycle at each vertex, starting from its smallest dart."""
-        order = np.argsort(self.dart_tail, kind="stable")
-        bounds = np.searchsorted(self.dart_tail[order], np.arange(self.num_vertices + 1))
-        self.vertex_darts = []
-        for v in range(self.num_vertices):
-            mine = order[bounds[v]:bounds[v + 1]]
-            if len(mine) == 0:
+        tail = self.dart_tail
+        deg = np.bincount(tail, minlength=self.num_vertices)
+        root, steps = _cycles(self.next_dart)
+        # the rotation keeps each dart at its tail, so each cycle lies at one
+        # vertex; count the cycles (their roots) at each vertex
+        cycles = np.bincount(tail[root == np.arange(self.num_darts)],
+                             minlength=self.num_vertices)
+        bad = np.flatnonzero(cycles != 1)
+        if len(bad):
+            v = int(bad[0])
+            if deg[v] == 0:
                 raise MapError(f"vertex {v} has no incident dart")
-            cyc = [int(mine.min())]
-            while True:
-                nxt = int(self.next_dart[cyc[-1]])
-                if nxt == cyc[0]:
-                    break
-                cyc.append(nxt)
-                if len(cyc) > len(mine):
-                    raise MapError(f"rotation at vertex {v} is not a single cycle")
-            if len(cyc) != len(mine):
-                raise MapError(f"rotation at vertex {v} is not a single cycle")
-            self.vertex_darts.append(np.array(cyc, dtype=np.int64))
+            raise MapError(f"rotation at vertex {v} is not a single cycle")
+        self.vert_ptr = np.concatenate([[0], np.cumsum(deg)])
+        self.vert_dart = np.empty(self.num_darts, dtype=np.int64)
+        d = deg[tail]
+        self.vert_dart[self.vert_ptr[tail] + (d - steps) % d] = np.arange(self.num_darts)
 
     def _build_faces(self):
         """Orbits of h -> next_dart[twin(h)]; each orbit is the face right of its darts."""
         n = self.num_darts
-        self.face_of = np.full(n, -1, dtype=np.int64)
-        self.face_darts = []
-        for h0 in range(n):
-            if self.face_of[h0] >= 0:
-                continue
-            f = len(self.face_darts)
-            orbit = []
-            h = h0
-            while True:
-                self.face_of[h] = f
-                orbit.append(h)
-                h = int(self.next_dart[h ^ 1])
-                if h == h0:
-                    break
-            self.face_darts.append(np.array(orbit, dtype=np.int64))
-        self.num_faces = len(self.face_darts)
+        root, steps = _cycles(self.next_dart[np.arange(n) ^ 1])
+        roots = np.flatnonzero(root == np.arange(n))
+        number = np.empty(n, dtype=np.int64)
+        number[roots] = np.arange(len(roots))
+        self.face_of = number[root]
+        self.num_faces = len(roots)
+        size = np.bincount(self.face_of, minlength=self.num_faces)
+        self.face_ptr = np.concatenate([[0], np.cumsum(size)])
+        self.face_dart = np.empty(n, dtype=np.int64)
+        d = size[self.face_of]
+        self.face_dart[self.face_ptr[self.face_of] + (d - steps) % d] = np.arange(n)
 
     def _check_topology(self):
-        seen = np.zeros(self.num_vertices, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            v = stack.pop()
-            for h in self.vertex_darts[v]:
-                w = int(self.dart_head[h])
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        if not seen.all():
+        # connected components by hooking and pointer jumping: each root
+        # hooks under the smallest root it shares an edge with, then every
+        # vertex jumps to its root; each component ends as one star whose
+        # root is its smallest vertex
+        root = np.arange(self.num_vertices)
+        while True:
+            a, b = root[self.edge_tail], root[self.edge_head]
+            cross = a != b
+            if not cross.any():
+                break
+            lo, hi = np.minimum(a, b)[cross], np.maximum(a, b)[cross]
+            np.minimum.at(root, hi, lo)
+            while True:
+                up = root[root]
+                if np.array_equal(up, root):
+                    break
+                root = up
+        if root.any():
             raise MapError("map is not connected")
         euler = self.num_vertices - self.num_edges + self.num_faces
         if euler != 2:
             raise MapError(f"Euler characteristic {euler} != 2: not a sphere map")
 
     # -- basic accessors ----------------------------------------------------
+
+    @cached_property
+    def vertex_darts(self) -> list:
+        """Rotation at each vertex as a list of arrays (views of vert_dart)."""
+        return np.split(self.vert_dart, self.vert_ptr[1:-1])
+
+    @cached_property
+    def face_darts(self) -> list:
+        """Darts of each face as a list of arrays (views of face_dart)."""
+        return np.split(self.face_dart, self.face_ptr[1:-1])
+
+    @cached_property
+    def marked(self) -> np.ndarray:
+        """Boolean mask of the marked vertices."""
+        mask = np.zeros(self.num_vertices, dtype=bool)
+        mask[[v for v in (self.v0, self.v1) if v is not None]] = True
+        mask.flags.writeable = False
+        return mask
 
     def twin(self, h: int) -> int:
         return h ^ 1
@@ -178,7 +274,7 @@ class CombMap:
         return h >> 1
 
     def degree(self, v: int) -> int:
-        return len(self.vertex_darts[v])
+        return int(self.vert_ptr[v + 1] - self.vert_ptr[v])
 
     @property
     def pi_weight(self):
@@ -213,17 +309,25 @@ def build_map(num_vertices, edges, rotation, marked=None) -> CombMap:
     2k and 2k+1.  ``rotation[v]`` lists the darts with tail v in CCW order.
     """
     E = len(edges)
-    tails = [e[0] for e in edges]
-    heads = [e[1] for e in edges]
-    cond = [e[2] for e in edges]
-    nxt = np.full(2 * E, -1, dtype=np.int64)
-    for v, cyc in enumerate(rotation):
-        for i, h in enumerate(cyc):
-            if nxt[h] != -1:
-                raise MapError(f"dart {h} appears twice in rotation data")
-            nxt[h] = cyc[(i + 1) % len(cyc)]
-    if np.any(nxt < 0):
+    tails, heads, cond = zip(*edges) if E else ((), (), ())
+    lens = np.fromiter(map(len, rotation), dtype=np.int64, count=len(rotation))
+    flat = np.fromiter(chain.from_iterable(rotation), dtype=np.int64, count=int(lens.sum()))
+    outside = np.flatnonzero((flat < 0) | (flat >= 2 * E))
+    if len(outside):
+        raise MapError(f"dart {flat[outside[0]]} in rotation data is not a dart of the map")
+    # each listed dart is followed by the next one of its cycle, the last by the first
+    start = np.cumsum(lens) - lens
+    succ = np.arange(1, len(flat) + 1)
+    succ[(start + lens - 1)[lens > 0]] = start[lens > 0]
+    _, first = np.unique(flat, return_index=True)
+    again = np.ones(len(flat), dtype=bool)
+    again[first] = False
+    if again.any():
+        raise MapError(f"dart {flat[np.argmax(again)]} appears twice in rotation data")
+    if len(first) != 2 * E:
         raise MapError("rotation data does not cover every dart")
+    nxt = np.empty(2 * E, dtype=np.int64)
+    nxt[flat] = flat[succ]
     v0, v1 = (None, None) if marked is None else marked
     return CombMap(num_vertices, tails, heads, cond, nxt, v0=v0, v1=v1)
 
@@ -249,25 +353,29 @@ class CylinderEmbedding:
 
 
 def check_embedding(m: CombMap, emb: CylinderEmbedding, tol: float = 1e-9) -> None:
-    """Raise MapError if the embedding data is inconsistent with the map."""
+    """Raise MapError if the embedding data is inconsistent with the map; the
+    first inconsistent edge is named, else the first inconsistent face."""
     if len(emb.theta) != m.num_vertices or len(emb.dtheta) != m.num_edges:
         raise MapError("embedding arrays have wrong length")
-    for k in range(m.num_edges):
-        t, h = int(m.edge_tail[k]), int(m.edge_head[k])
-        if m.is_marked(t) or m.is_marked(h):
-            if emb.dtheta[k] != 0.0:
-                raise MapError(f"edge {k} touches a marked vertex but has dtheta != 0")
-            continue
-        want = wrap_signed(emb.theta[h] - emb.theta[t] - emb.dtheta[k])
-        if abs(want) > tol:
-            raise MapError(f"edge {k}: dtheta inconsistent with theta difference")
+    t, h = m.edge_tail, m.edge_head
+    pole = m.marked[t] | m.marked[h]
+    gap = emb.theta[h] - emb.theta[t] - emb.dtheta
+    with np.errstate(invalid="ignore"):     # an infinite gap fails below
+        want = wrap_signed_array(gap)
+    bad = np.flatnonzero(np.where(pole, emb.dtheta != 0.0,
+                                  (np.abs(want) > tol) | np.isinf(gap)))
+    if len(bad):
+        k = int(bad[0])
+        if pole[k]:
+            raise MapError(f"edge {k} touches a marked vertex but has dtheta != 0")
+        raise MapError(f"edge {k}: dtheta inconsistent with theta difference")
     # bounded-face cycles (no marked corner) must sum to zero
-    for f, orbit in enumerate(m.face_darts):
-        if any(m.is_marked(int(m.dart_tail[h])) for h in orbit):
-            continue
-        s = float(np.sum(emb.dart_dtheta(orbit)))
-        if abs(s) > tol:
-            raise MapError(f"face {f}: displacement cycle sum {s} != 0")
+    at_pole = np.bincount(m.face_of[m.marked[m.dart_tail]], minlength=m.num_faces) > 0
+    s = segment_sums(emb.dart_dtheta(m.face_dart), m.face_ptr)
+    bad = np.flatnonzero(~at_pole & (np.abs(s) > tol))
+    if len(bad):
+        f = int(bad[0])
+        raise MapError(f"face {f}: displacement cycle sum {float(s[f])} != 0")
 
 
 def lift_path(m: CombMap, emb: CylinderEmbedding, darts) -> np.ndarray:
@@ -310,6 +418,15 @@ class DualMap:
     pole_faces: tuple
 
 
+def _face_means(m: CombMap, values, keep, darts) -> np.ndarray:
+    """Mean of the kept values of each face (0 where none is kept), each as
+    ``np.mean`` takes it alone; ``values`` and ``keep`` run over ``darts``,
+    which lists the faces one after another."""
+    counts = np.bincount(m.face_of[darts[keep]], minlength=m.num_faces)
+    sums = segment_sums(values[keep], np.concatenate([[0], np.cumsum(counts)]))
+    return np.divide(sums, counts, out=np.zeros(m.num_faces), where=counts > 0)
+
+
 def _face_mean_lifts(m: CombMap, emb: CylinderEmbedding) -> np.ndarray:
     """Mean lifted angle of the finite corners of each face (0 without any).
 
@@ -317,23 +434,33 @@ def _face_mean_lifts(m: CombMap, emb: CylinderEmbedding) -> np.ndarray:
     exists (placing the lift's cut at the pole, where horizontal displacement
     has no meaning); the lift is anchored so the first finite corner sits at
     its theta in [0, 2*pi)."""
-    out = np.zeros(m.num_faces)
+    F = m.num_faces
+    ptr, size = m.face_ptr, np.diff(m.face_ptr)
+    pole = m.marked[m.dart_tail[m.face_dart]]
+    # each orbit starts at its first dart with a marked tail, else its first dart
+    at = np.flatnonzero(pole)
+    face = m.face_of[m.face_dart[at]]
+    first = np.diff(face, prepend=-1) != 0
+    start = np.zeros(F, dtype=np.int64)
+    start[face[first]] = at[first] - ptr[face[first]]
     dd = emb.dart_dtheta(np.arange(m.num_darts))
-    for f, orbit in enumerate(m.face_darts):
-        orbit = list(orbit)
-        start = next((i for i, h in enumerate(orbit)
-                      if m.is_marked(int(m.dart_tail[h]))), 0)
-        x = 0.0
-        lifts = []
-        for h in orbit[start:] + orbit[:start]:
-            if not m.is_marked(int(m.dart_tail[h])):
-                if not lifts:
-                    shift = wrap_angle(emb.theta[m.dart_tail[h]]) - x
-                lifts.append(x)
-            x += dd[h]
-        if lifts:
-            out[f] = float(np.mean([u + shift for u in lifts]))
-    return out
+    x = np.zeros(F)
+    shift = np.zeros(F)
+    seen = np.zeros(F, dtype=bool)
+    lift = np.empty(m.num_darts)           # x at each dart of the orbit walk
+    walk = np.empty(m.num_darts, dtype=np.int64)   # the orbits from their starts
+    for j, f in by_position(size):
+        slot = ptr[f] + (start[f] + j) % size[f]
+        h = m.face_dart[slot]
+        walk[ptr[f] + j] = h
+        lift[h] = x[f]
+        new = ~seen[f] & ~pole[slot]
+        g = f[new]
+        shift[g] = mod_array(emb.theta[m.dart_tail[h[new]]], TWO_PI) - x[g]
+        seen[g] = True
+        x[f] = x[f] + dd[h]
+    return _face_means(m, lift[walk] + shift[m.face_of[walk]],
+                       ~m.marked[m.dart_tail[walk]], walk)
 
 
 def dual(m: CombMap, emb: CylinderEmbedding | None = None) -> DualMap:
@@ -349,27 +476,21 @@ def dual(m: CombMap, emb: CylinderEmbedding | None = None) -> DualMap:
 
     pole_faces = (None, None)
     if m.v0 is not None:
-        f0 = {int(m.face_of[h]) for h in m.vertex_darts[m.v0]}
-        f1 = {int(m.face_of[h]) for h in m.vertex_darts[m.v1]}
-        pole_faces = (sorted(f0), sorted(f1))
+        ptr = m.vert_ptr
+        pole_faces = tuple(np.unique(m.face_of[m.vert_dart[ptr[v]:ptr[v + 1]]]).tolist()
+                           for v in (m.v0, m.v1))
 
     if emb is None:
         return DualMap(m, dmap, None, None, pole_faces)
 
-    rep_theta = np.array([wrap_angle(x) for x in _face_mean_lifts(m, emb)])
+    rep_theta = mod_array(_face_mean_lifts(m, emb), TWO_PI)
     hmax = float(np.nanmax(np.abs(emb.height))) if np.any(np.isfinite(emb.height)) else 0.0
-    rep_height = np.zeros(m.num_faces)
-    for f, orbit in enumerate(m.face_darts):
-        hs = [emb.height[m.dart_tail[h]] for h in orbit
-              if not m.is_marked(int(m.dart_tail[h]))]
-        at_v0 = m.v0 is not None and any(int(m.dart_tail[h]) == m.v0 for h in orbit)
-        at_v1 = m.v1 is not None and any(int(m.dart_tail[h]) == m.v1 for h in orbit)
-        if at_v0 and not at_v1:
-            rep_height[f] = -(hmax + 1.0)
-        elif at_v1 and not at_v0:
-            rep_height[f] = hmax + 1.0
-        else:
-            rep_height[f] = float(np.mean(hs)) if hs else 0.0
+    corner = m.dart_tail[m.face_dart]
+    mean = _face_means(m, emb.height[corner], ~m.marked[corner], m.face_dart)
+    at_v0, at_v1 = (np.bincount(m.face_of[m.dart_tail == v], minlength=m.num_faces) > 0
+                    for v in (m.v0, m.v1))
+    rep_height = np.where(at_v0 & ~at_v1, -(hmax + 1.0),
+                          np.where(at_v1 & ~at_v0, hmax + 1.0, mean))
     return DualMap(m, dmap, rep_theta, rep_height, pole_faces)
 
 
@@ -377,24 +498,25 @@ def marked_cut_path(m: CombMap) -> np.ndarray:
     """A dart path from v0 to v1 (BFS); used as a homology cut of the cylinder."""
     if m.v0 is None or m.v1 is None:
         raise MapError("cut path needs both marked vertices")
+    darts, ptr, head = m.vert_dart.tolist(), m.vert_ptr.tolist(), m.dart_head.tolist()
     parent = {m.v0: -1}
     queue = deque([m.v0])
     while queue:
         v = queue.popleft()
         if v == m.v1:
             break
-        for h in m.vertex_darts[v]:
-            w = int(m.dart_head[h])
+        for h in darts[ptr[v]:ptr[v + 1]]:
+            w = head[h]
             if w not in parent:
-                parent[w] = int(h)
+                parent[w] = h
                 queue.append(w)
-    darts = []
+    path = []
     v = m.v1
     while parent[v] != -1:
         h = parent[v]
-        darts.append(h)
+        path.append(h)
         v = int(m.dart_tail[h])
-    return np.array(darts[::-1], dtype=np.int64)
+    return np.array(path[::-1], dtype=np.int64)
 
 
 def dual_cycle_winding_cut(dual_map: DualMap, cycle_darts, cut=None) -> int:
@@ -512,10 +634,7 @@ def insert_vertices(m: CombMap, emb: CylinderEmbedding | None, points):
     # substituted; inserted vertices get the 2-cycle along their chain.
     E_new = len(tails)
     nxt = np.full(2 * E_new, -1, dtype=np.int64)
-    for v in range(V):
-        cyc = [int(first_dart[h]) for h in m.vertex_darts[v]]
-        for i, h in enumerate(cyc):
-            nxt[h] = cyc[(i + 1) % len(cyc)]
+    nxt[first_dart] = first_dart[m.next_dart]
     for k, vs in chain_vertices.items():
         # chain darts: along nodes i -> i+1 the forward dart is
         # first_dart[2k] + 2*i when edges were appended consecutively

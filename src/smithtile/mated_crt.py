@@ -251,5 +251,4 @@ def mark_vertices(mm: MatedCrtMap, policy: str = "uniform-pair",
 def face_degree_histogram(m: CombMap) -> np.ndarray:
     """Face degree -> count, as a bincount array.  Reported, not asserted:
     the ends of the sequence can produce non-triangular faces."""
-    degs = np.array([len(orbit) for orbit in m.face_darts])
-    return np.bincount(degs)
+    return np.bincount(np.diff(m.face_ptr))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .map_core import CombMap, DualMap
+from .map_core import CombMap, DualMap, by_position, mod_array, segment_sums
 from .electrical import Conjugate, Voltage, harmonic_darts
 
 
@@ -79,7 +79,13 @@ class TilingReport:
 
 def build_diagram(m: CombMap, dmap: DualMap, v: Voltage, c: Conjugate,
                   tol: float = 1e-9) -> SmithDiagram:
-    E = m.num_edges
+    """Assemble the tiling; raise TilingError at the first vertex, else the
+    first face, whose segment cannot be formed within tolerance.
+
+    All vertices are handled at once.  Each vertex's segment chain is walked
+    dart by dart from its chain start, position by position over the
+    vertices sorted by degree (``map_core.by_position``), so the running
+    sums add in the order of a walk around one vertex at a time."""
     eta = v.eta
     h = v.values
     harm = harmonic_darts(v)
@@ -90,12 +96,9 @@ def build_diagram(m: CombMap, dmap: DualMap, v: Voltage, c: Conjugate,
     y0 = h[m.dart_tail[harm]]
     y1 = h[m.dart_head[harm]]
     # the face left of the upward dart carries the smaller w
-    x0 = np.array([reduce_mod(c.w_lift[m.face_of[harm[k] ^ 1]], eta) for k in range(E)])
+    x0 = mod_array(c.w_lift[m.face_of[harm ^ 1]], eta)
 
     flows = v.dart_flow(np.arange(m.num_darts))
-    hseg_start = np.zeros(m.num_vertices)
-    hseg_len = np.zeros(m.num_vertices)
-    sheet = np.zeros(m.num_darts, dtype=np.int64)
     scale = max(1.0, eta)
     # machine-scale flow floor: it only needs to separate exactly-symmetric
     # dead clusters (roundoff-size flows) from genuine weak currents, and the
@@ -108,115 +111,139 @@ def build_diagram(m: CombMap, dmap: DualMap, v: Voltage, c: Conjugate,
     vs = float(max(1.0, np.abs(h).max()))
     werr = c.w_err if c.w_err is not None else np.zeros(m.num_faces)
 
-    for x in range(m.num_vertices):
-        if m.is_marked(x):
-            hseg_start[x] = 0.0
-            hseg_len[x] = eta
-            continue
-        darts = m.vertex_darts[x]
-        fl = flows[darts]
-        noise = 8.0 * eps * vs * float(np.sum(m.conductance[np.asarray(darts) >> 1]))
-        # classify with a flow tolerance: exact symmetries leave whole clusters
-        # at one potential, where rounding noise must not masquerade as current;
-        # a one-sided star cannot carry balanced current, so it is noise too
-        cls = np.where(fl > zf, 1, np.where(fl < -zf, -1, 0))
-        if not ((cls > 0).any() and (cls < 0).any()):
-            # all incident flows vanish: degenerate point segment
-            hseg_start[x] = reduce_mod(c.w_lift[m.face_of[darts[0]]], eta)
-            hseg_len[x] = 0.0
-            for g in darts:
-                k = int(g) >> 1
-                a = hseg_start[x]
-                sheet[g] = round((a - x0[k]) / eta)
-            continue
-        # the chain starts where a falling run begins: at the first falling
-        # dart whose previous dart of nonzero class is rising (a zero-class
-        # dart inside a falling run does not end the run); one exists, as
-        # the vertex has darts of both classes
-        n = len(darts)
-        for start_i in np.flatnonzero(cls < 0).tolist():
-            j = start_i - 1
-            while cls[j] == 0:      # negative indices wrap around the rotation
-                j -= 1
-            if cls[j] > 0:
-                break
-        anchor = reduce_mod(c.w_lift[m.face_of[darts[start_i]]], eta)
-        werr_a = float(werr[m.face_of[darts[start_i]]])
-        # crossing a dart CCW moves from its right face to its left, where w
-        # is smaller by the flow
-        pos = 0.0
-        lo = hi = 0.0
-        up_lo, up_hi = math.inf, -math.inf
-        dn_lo, dn_hi = math.inf, -math.inf
-        for j in range(n):
-            i = (start_i + j) % n
-            g = int(darts[i])
-            f = float(flows[g])
-            nxt = pos - f
-            rlo = min(pos, nxt)
-            lo, hi = min(lo, nxt), max(hi, nxt)
-            if cls[i] > 0:
-                up_lo, up_hi = min(up_lo, rlo), max(up_hi, rlo + f)
-            elif cls[i] < 0:
-                dn_lo, dn_hi = min(dn_lo, rlo), max(dn_hi, rlo - f)
-            k = g >> 1
-            s = round((anchor + rlo - x0[k]) / eta)
-            allow = tol * scale + noise + 8.0 * (werr_a + float(werr[m.face_of[harm[k] ^ 1]]))
-            if abs(anchor + rlo - x0[k] - s * eta) > allow:
-                raise TilingError(f"vertex {x}: rectangle of edge {k} misaligned "
-                                  "with the segment chain")
-            sheet[g] = s
-            pos = nxt
-        if abs(pos) > tol * scale + noise:
-            raise TilingError(f"vertex {x}: flows do not balance around the rotation")
-        if lo < -tol * scale - noise:
-            raise TilingError(f"vertex {x}: segment union not contiguous modulo eta")
-        if dn_lo < math.inf and (abs(up_lo - dn_lo) > tol * scale + noise
-                                 or abs(up_hi - dn_hi) > tol * scale + noise):
-            raise TilingError(f"vertex {x}: incoming and outgoing unions differ")
-        hseg_start[x] = reduce_mod(anchor + up_lo, eta) if up_lo < math.inf else anchor
-        hseg_len[x] = max(0.0, hi - lo)
-        if hseg_len[x] > eta + tol * scale + noise:
-            raise TilingError(f"vertex {x}: segment longer than the circumference")
-        # sheets refer to the stored segment frame: the reduction above may
-        # move the chain origin by whole periods, and lifted drifts compare
-        # tail and head frames through the shared rectangle
-        r = round((anchor + up_lo - hseg_start[x]) / eta) if up_lo < math.inf else 0
-        if r:
-            for g in darts:
-                sheet[int(g)] -= r
+    V = m.num_vertices
+    ptr, darts = m.vert_ptr, m.vert_dart
+    deg = np.diff(ptr)
+    owner = np.repeat(np.arange(V), deg)        # vertex of each rotation slot
+    noise = 8.0 * eps * vs * segment_sums(m.conductance[darts >> 1], ptr)
+    hseg_start = np.zeros(V)
+    hseg_len = np.where(m.marked, eta, 0.0)
+    sheet = np.zeros(m.num_darts, dtype=np.int64)
 
-    # vertical segments: union of edge voltage intervals on each side of a face
+    # classify with a flow tolerance: exact symmetries leave whole clusters
+    # at one potential, where rounding noise must not masquerade as current;
+    # a one-sided star cannot carry balanced current, so it is noise too
+    cls = np.where(flows > zf, 1, np.where(flows < -zf, -1, 0))
+    rot_cls = cls[darts]
+    live = ((np.bincount(owner[rot_cls > 0], minlength=V) > 0)
+            & (np.bincount(owner[rot_cls < 0], minlength=V) > 0) & ~m.marked)
+    # all incident flows vanish: degenerate point segment
+    dead = ~live & ~m.marked
+    a = mod_array(c.w_lift[m.face_of[darts[ptr[:-1]]]], eta)
+    hseg_start[dead] = a[dead]
+    g = darts[dead[owner]]
+    sheet[g] = np.rint((a[m.dart_tail[g]] - x0[g >> 1]) / eta)
+
+    # the chain starts where a falling run begins: at the first falling
+    # dart whose previous dart of nonzero class is rising (a zero-class
+    # dart inside a falling run does not end the run); one exists, as
+    # the vertex has darts of both classes
+    last = np.maximum.accumulate(np.where(rot_cls != 0, np.arange(m.num_darts), -1))
+    prev = np.concatenate([[-1], last[:-1]])
+    prev = np.where(prev < ptr[owner], last[ptr[owner + 1] - 1], prev)   # wrap around
+    cand = np.flatnonzero(live[owner] & (rot_cls < 0) & (rot_cls[prev] > 0))
+    first = cand[np.diff(owner[cand], prepend=-1) != 0]
+    lv = owner[first]
+    anchor = np.zeros(V)
+    werr_a = np.zeros(V)
+    anchor[lv] = mod_array(c.w_lift[m.face_of[darts[first]]], eta)
+    werr_a[lv] = werr[m.face_of[darts[first]]]
+
+    # the chain of vertex x fills slots ptr[x]... in chain order: chain holds
+    # the darts and pos the chain position before each; crossing a dart CCW
+    # moves from its right face to its left, where w is smaller by the flow
+    chain = np.zeros(m.num_darts, dtype=np.int64)
+    pos = np.zeros(m.num_darts)
+    base, dl, st = ptr[lv], deg[lv], first - ptr[lv]
+    run = np.zeros(len(lv))
+    for j, i in by_position(dl):
+        g = darts[base[i] + (st[i] + j) % dl[i]]
+        chain[base[i] + j] = g
+        pos[base[i] + j] = run[i]
+        run[i] = run[i] - flows[g]
+    end = np.zeros(V)
+    end[lv] = run
+
+    on = live[owner]
+    f = flows[chain]
+    nxt = pos - f
+    rlo = np.where(nxt < pos, nxt, pos)
+    k = chain >> 1
+    off = anchor[owner] + rlo - x0[k]
+    s = np.rint(off / eta)
+    allow = tol * scale + noise[owner] + 8.0 * (werr_a[owner] + werr[m.face_of[harm[k] ^ 1]])
+    misaligned = on & (np.abs(off - s * eta) > allow)
+
+    def lowest(x, keep):
+        return np.minimum.reduceat(np.where(keep, x, np.inf), ptr[:-1])
+
+    def highest(x, keep):
+        return np.maximum.reduceat(np.where(keep, x, -np.inf), ptr[:-1])
+
+    lo = np.minimum(lowest(nxt, on), 0.0)
+    hi = np.maximum(highest(nxt, on), 0.0)
+    up, dn = on & (cls[chain] > 0), on & (cls[chain] < 0)
+    up_lo, up_hi = lowest(rlo, up), highest(rlo + f, up)
+    dn_lo, dn_hi = lowest(rlo, dn), highest(rlo - f, dn)
+    bound = tol * scale + noise
+    with np.errstate(invalid="ignore"):
+        span = hi - lo
+        length = np.where(span > 0.0, span, 0.0)
+        checks = (
+            ("flows do not balance around the rotation", np.abs(end) > bound),
+            ("segment union not contiguous modulo eta", lo < -tol * scale - noise),
+            ("incoming and outgoing unions differ",
+             (np.abs(up_lo - dn_lo) > bound) | (np.abs(up_hi - dn_hi) > bound)),
+            ("segment longer than the circumference", length > eta + tol * scale + noise))
+    bad = np.bincount(owner[misaligned], minlength=V) > 0
+    for _, fails in checks:
+        bad |= live & fails
+    if bad.any():
+        x = int(np.argmax(bad))
+        wrong = np.flatnonzero(misaligned[ptr[x]:ptr[x + 1]])
+        if len(wrong):
+            raise TilingError(f"vertex {x}: rectangle of edge {int(k[ptr[x] + wrong[0]])} "
+                              "misaligned with the segment chain")
+        raise TilingError(f"vertex {x}: " + next(msg for msg, fails in checks if fails[x]))
+    hseg_start[lv] = mod_array(anchor[lv] + up_lo[lv], eta)
+    hseg_len[lv] = length[lv]
+    # sheets refer to the stored segment frame: the reduction above may
+    # move the chain origin by whole periods, and lifted drifts compare
+    # tail and head frames through the shared rectangle
+    r = np.zeros(V)
+    r[lv] = np.rint((anchor[lv] + up_lo[lv] - hseg_start[lv]) / eta)
+    sheet[chain[on]] = (s - r[owner])[on]
+
+    # vertical segments: union of edge voltage intervals on each side of a
+    # face, the rectangle east of its left face and west of its right face
     F = m.num_faces
-    vx = np.array([reduce_mod(c.w_lift[f], eta) for f in range(F)])
-    vy0 = np.full(F, np.nan)
-    vy1 = np.full(F, np.nan)
-    east, west = [[] for _ in range(F)], [[] for _ in range(F)]
-    for k in range(E):
-        iv = (float(y0[k]), float(y1[k]))
-        east[int(m.face_of[harm[k] ^ 1])].append(iv)   # rect east of its left face
-        west[int(m.face_of[harm[k]])].append(iv)       # rect west of its right face
-    for f in range(F):
-        spans = []
-        for ivs in (east[f], west[f]):
-            if not ivs:
-                continue
-            ivs.sort()
-            lo, hi = ivs[0]
-            for a, b in ivs[1:]:
-                if a > hi + tol:
-                    raise TilingError(f"face {f}: vertical segment union not contiguous")
-                hi = max(hi, b)
-            spans.append((lo, hi))
-        if not spans:
-            raise TilingError(f"face {f}: no incident edges")
-        if len(spans) == 2 and (abs(spans[0][0] - spans[1][0]) > tol
-                                or abs(spans[0][1] - spans[1][1]) > tol):
-            raise TilingError(f"face {f}: left and right unions differ")
-        vy0[f], vy1[f] = spans[0]
+    sides = []
+    for face in (m.face_of[harm ^ 1], m.face_of[harm]):
+        o = np.lexsort((y1, y0, face))
+        lo_y, hi_y = y0[o], y1[o]
+        count = np.bincount(face, minlength=F)
+        start = np.cumsum(count) - count
+        lo_f, hi_f = np.full(F, np.nan), np.full(F, np.nan)
+        gap = np.zeros(F, dtype=bool)
+        for j, i in by_position(count):
+            a, b = lo_y[start[i] + j], hi_y[start[i] + j]
+            if j == 0:
+                lo_f[i], hi_f[i] = a, b
+            else:
+                gap[i] |= a > hi_f[i] + tol
+                hi_f[i] = np.where(b > hi_f[i], b, hi_f[i])
+        sides.append((count > 0, lo_f, hi_f, gap))
+    (east, lo_e, hi_e, gap_e), (west, lo_w, hi_w, gap_w) = sides
+    differ = east & west & ((np.abs(lo_e - lo_w) > tol) | (np.abs(hi_e - hi_w) > tol))
+    bad = gap_e | gap_w | differ
+    if bad.any():
+        f = int(np.argmax(bad))
+        raise TilingError(f"face {f}: vertical segment union not contiguous"
+                          if gap_e[f] or gap_w[f] else f"face {f}: left and right unions differ")
 
     return SmithDiagram(m, dmap, v, c, eta, harm, x0, widths, y0, y1,
-                        hseg_start, hseg_len, h.copy(), vx, vy0, vy1, sheet)
+                        hseg_start, hseg_len, h.copy(), mod_array(c.w_lift, eta),
+                        np.where(east, lo_e, lo_w), np.where(east, hi_e, hi_w), sheet)
 
 
 @dataclass
@@ -231,14 +258,10 @@ class SmithEmbedding:
 
 def smith_embedding(d: SmithDiagram) -> SmithEmbedding:
     """Midpoints of the horizontal segments; marked vertices sit at angle 0."""
-    V = d.map.num_vertices
-    pts = np.zeros((V, 2))
-    for x in range(V):
-        if d.map.is_marked(x):
-            pts[x] = (0.0, 0.0 if x == d.map.v0 else 1.0)
-        else:
-            pts[x] = (reduce_mod(d.hseg_start[x] + d.hseg_len[x] / 2.0, d.eta),
-                      d.hseg_level[x])
+    m = d.map
+    pts = np.stack([mod_array(d.hseg_start + d.hseg_len / 2.0, d.eta), d.hseg_level], axis=1)
+    pts[m.marked] = 0.0
+    pts[m.v1, 1] = 1.0
     return SmithEmbedding(d, pts)
 
 

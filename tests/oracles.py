@@ -1,13 +1,23 @@
 """Slow, direct checks that the tests hold the program's results against.
 
 Each one restates a rule the program applies in bulk: the harmonic
-orientation of one edge, the adjacency of touching rectangles, and the
-noncrossing of the arcs of a mated-CRT map.
+orientation of one edge, the adjacency of touching rectangles, the
+noncrossing of the arcs of a mated-CRT map, and (below) the loop forms of
+the steps that now run as array code.
 """
 
+import math
+
+import numpy as np
+import scipy.sparse as sp
+
+from smithtile.convergence import AffineFit, lattice_shape
+from smithtile.map_core import (TWO_PI, CombMap, CylinderEmbedding, DualMap,
+                                MapError, wrap_angle, wrap_signed)
 from smithtile.mated_crt import LOWER, UPPER, MatedCrtMap
-from smithtile.electrical import Voltage
-from smithtile.smith_tiling import SmithDiagram, _circle_pieces, reduce_mod
+from smithtile.electrical import Conjugate, Voltage, harmonic_darts
+from smithtile.smith_tiling import (SmithDiagram, SmithEmbedding, TilingError,
+                                    _circle_pieces, reduce_mod)
 
 
 def harmonic_dart(v: Voltage, k: int) -> int:
@@ -87,3 +97,459 @@ def noncrossing(pairs) -> bool:
             if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
                 return False
     return True
+
+
+def relabel_edges(m, perm, flip):
+    """The same map with edge k renamed perm[k], its darts swapped where
+    flip[k]; returns the map and the new id of each old dart.  Rotations
+    start at each vertex's smallest dart, so the chains start elsewhere."""
+    h = np.arange(m.num_darts)
+    new = 2 * perm[h >> 1] + ((h & 1) ^ flip[h >> 1])
+    tail = np.empty(m.num_edges, dtype=np.int64)
+    head = np.empty(m.num_edges, dtype=np.int64)
+    cond = np.empty(m.num_edges)
+    tail[perm] = np.where(flip, m.edge_head, m.edge_tail)
+    head[perm] = np.where(flip, m.edge_tail, m.edge_head)
+    cond[perm] = m.conductance
+    nxt = np.empty(m.num_darts, dtype=np.int64)
+    nxt[new] = new[m.next_dart]
+    return CombMap(m.num_vertices, tail, head, cond, nxt, v0=m.v0, v1=m.v1), new
+
+
+# -- the cycle-by-cycle loops that the array code replaced --------------------
+#
+# Each function below is the loop form of a program step, kept as it was
+# before that step became array code; the tests require the two to agree
+# exactly, in their results and in the first error they report.
+
+def map_cycles(num_vertices, edge_tail, edge_head, conductance, next_dart,
+               v0=None, v1=None):
+    """``CombMap``'s checks and cycles, one vertex and one dart at a time:
+    (vertex_darts, face_of, face_darts), or the MapError it raises."""
+    edge_tail = np.asarray(edge_tail, dtype=np.int64)
+    edge_head = np.asarray(edge_head, dtype=np.int64)
+    conductance = np.asarray(conductance, dtype=np.float64)
+    next_dart = np.asarray(next_dart, dtype=np.int64)
+    E = len(edge_tail)
+    dart_tail = np.empty(2 * E, dtype=np.int64)
+    dart_tail[0::2] = edge_tail
+    dart_tail[1::2] = edge_head
+    dart_head = dart_tail[np.arange(2 * E) ^ 1] if E else np.empty(0, dtype=np.int64)
+
+    if E == 0:
+        raise MapError("map must have at least one edge")
+    for arr, name in ((edge_tail, "tail"), (edge_head, "head")):
+        if arr.min(initial=0) < 0 or arr.max(initial=-1) >= num_vertices:
+            raise MapError(f"edge {name} out of range")
+    if np.any(conductance <= 0) or not np.all(np.isfinite(conductance)):
+        raise MapError("conductances must be positive and finite")
+    if sorted(next_dart.tolist()) != list(range(2 * E)):
+        raise MapError("next_dart is not a permutation of the darts")
+    if np.any(dart_tail[next_dart] != dart_tail):
+        raise MapError("rotation moves a dart to a different vertex")
+    if v0 is not None and v1 is not None and v0 == v1:
+        raise MapError("marked vertices must be distinct")
+    for v in (v0, v1):
+        if v is not None and not (0 <= v < num_vertices):
+            raise MapError("marked vertex out of range")
+
+    order = np.argsort(dart_tail, kind="stable")
+    bounds = np.searchsorted(dart_tail[order], np.arange(num_vertices + 1))
+    vertex_darts = []
+    for v in range(num_vertices):
+        mine = order[bounds[v]:bounds[v + 1]]
+        if len(mine) == 0:
+            raise MapError(f"vertex {v} has no incident dart")
+        cyc = [int(mine.min())]
+        while True:
+            nxt = int(next_dart[cyc[-1]])
+            if nxt == cyc[0]:
+                break
+            cyc.append(nxt)
+            if len(cyc) > len(mine):
+                raise MapError(f"rotation at vertex {v} is not a single cycle")
+        if len(cyc) != len(mine):
+            raise MapError(f"rotation at vertex {v} is not a single cycle")
+        vertex_darts.append(np.array(cyc, dtype=np.int64))
+
+    n = 2 * E
+    face_of = np.full(n, -1, dtype=np.int64)
+    face_darts = []
+    for h0 in range(n):
+        if face_of[h0] >= 0:
+            continue
+        f = len(face_darts)
+        orbit = []
+        h = h0
+        while True:
+            face_of[h] = f
+            orbit.append(h)
+            h = int(next_dart[h ^ 1])
+            if h == h0:
+                break
+        face_darts.append(np.array(orbit, dtype=np.int64))
+
+    seen = np.zeros(num_vertices, dtype=bool)
+    stack = [0]
+    seen[0] = True
+    while stack:
+        v = stack.pop()
+        for h in vertex_darts[v]:
+            w = int(dart_head[h])
+            if not seen[w]:
+                seen[w] = True
+                stack.append(w)
+    if not seen.all():
+        raise MapError("map is not connected")
+    euler = num_vertices - E + len(face_darts)
+    if euler != 2:
+        raise MapError(f"Euler characteristic {euler} != 2: not a sphere map")
+    return vertex_darts, face_of, face_darts
+
+
+def rotation_next(edges, rotation) -> np.ndarray:
+    """``build_map``'s next_dart, one listed dart at a time."""
+    E = len(edges)
+    nxt = np.full(2 * E, -1, dtype=np.int64)
+    for v, cyc in enumerate(rotation):
+        for i, h in enumerate(cyc):
+            if nxt[h] != -1:
+                raise MapError(f"dart {h} appears twice in rotation data")
+            nxt[h] = cyc[(i + 1) % len(cyc)]
+    if np.any(nxt < 0):
+        raise MapError("rotation data does not cover every dart")
+    return nxt
+
+
+def lattice(n: int, H: float) -> tuple:
+    """``make_lattice`` one vertex and one edge at a time: (num_vertices,
+    edges, rotation, marked, theta, height, dtheta)."""
+    M, s = lattice_shape(n, H)
+    V = n * M + 2
+    v0, v1 = n * M, n * M + 1
+
+    def vid(r, j):
+        return r * n + (j % n)
+
+    edges = []
+    dtheta = []
+    for r in range(M):
+        for j in range(n):
+            edges.append((vid(r, j), vid(r, j + 1), 1.0))
+            dtheta.append(s)
+    eh = len(edges)
+    for r in range(M - 1):
+        for j in range(n):
+            edges.append((vid(r, j), vid(r + 1, j), 1.0))
+            dtheta.append(0.0)
+    eb = len(edges)
+    for j in range(n):
+        edges.append((v0, vid(0, j), 1.0))
+        dtheta.append(0.0)
+    et = len(edges)
+    for j in range(n):
+        edges.append((vid(M - 1, j), v1, 1.0))
+        dtheta.append(0.0)
+
+    rotation = []
+    for r in range(M):
+        for j in range(n):
+            east = 2 * (r * n + j)
+            west = 2 * (r * n + (j - 1) % n) + 1
+            north = 2 * (eh + r * n + j) if r < M - 1 else 2 * (et + j)
+            south = 2 * (eh + (r - 1) * n + j) + 1 if r > 0 else 2 * (eb + j) + 1
+            rotation.append([east, north, west, south])
+    rotation.append([2 * (eb + j) for j in range(n - 1, -1, -1)])
+    rotation.append([2 * (et + j) + 1 for j in range(n)])
+
+    theta = np.empty(V)
+    height = np.empty(V)
+    for r in range(M):
+        for j in range(n):
+            theta[vid(r, j)] = TWO_PI * j / n
+            height[vid(r, j)] = (r - (M - 1) / 2.0) * s
+    theta[v0] = theta[v1] = math.nan
+    height[v0] = height[v1] = math.nan
+    return V, edges, rotation, (v0, v1), theta, height, np.array(dtheta)
+
+
+def check_embedding(m: CombMap, emb: CylinderEmbedding, tol: float = 1e-9) -> None:
+    """``map_core.check_embedding`` one edge and one face at a time."""
+    if len(emb.theta) != m.num_vertices or len(emb.dtheta) != m.num_edges:
+        raise MapError("embedding arrays have wrong length")
+    for k in range(m.num_edges):
+        t, h = int(m.edge_tail[k]), int(m.edge_head[k])
+        if m.is_marked(t) or m.is_marked(h):
+            if emb.dtheta[k] != 0.0:
+                raise MapError(f"edge {k} touches a marked vertex but has dtheta != 0")
+            continue
+        want = wrap_signed(emb.theta[h] - emb.theta[t] - emb.dtheta[k])
+        if abs(want) > tol:
+            raise MapError(f"edge {k}: dtheta inconsistent with theta difference")
+    for f, orbit in enumerate(m.face_darts):
+        if any(m.is_marked(int(m.dart_tail[h])) for h in orbit):
+            continue
+        s = float(np.sum(emb.dart_dtheta(orbit)))
+        if abs(s) > tol:
+            raise MapError(f"face {f}: displacement cycle sum {s} != 0")
+
+
+def face_mean_lifts(m: CombMap, emb: CylinderEmbedding) -> np.ndarray:
+    """``map_core._face_mean_lifts`` one face and one dart at a time."""
+    out = np.zeros(m.num_faces)
+    dd = emb.dart_dtheta(np.arange(m.num_darts))
+    for f, orbit in enumerate(m.face_darts):
+        orbit = list(orbit)
+        start = next((i for i, h in enumerate(orbit)
+                      if m.is_marked(int(m.dart_tail[h]))), 0)
+        x = 0.0
+        lifts = []
+        for h in orbit[start:] + orbit[:start]:
+            if not m.is_marked(int(m.dart_tail[h])):
+                if not lifts:
+                    shift = wrap_angle(emb.theta[m.dart_tail[h]]) - x
+                lifts.append(x)
+            x += dd[h]
+        if lifts:
+            out[f] = float(np.mean([u + shift for u in lifts]))
+    return out
+
+
+def dual_points(m: CombMap, emb: CylinderEmbedding) -> tuple:
+    """(rep_theta, rep_height, pole_faces) of ``map_core.dual``, one face at
+    a time."""
+    f0 = {int(m.face_of[h]) for h in m.vertex_darts[m.v0]}
+    f1 = {int(m.face_of[h]) for h in m.vertex_darts[m.v1]}
+    pole_faces = (sorted(f0), sorted(f1))
+    rep_theta = np.array([wrap_angle(x) for x in face_mean_lifts(m, emb)])
+    hmax = float(np.nanmax(np.abs(emb.height))) if np.any(np.isfinite(emb.height)) else 0.0
+    rep_height = np.zeros(m.num_faces)
+    for f, orbit in enumerate(m.face_darts):
+        hs = [emb.height[m.dart_tail[h]] for h in orbit
+              if not m.is_marked(int(m.dart_tail[h]))]
+        at_v0 = m.v0 is not None and any(int(m.dart_tail[h]) == m.v0 for h in orbit)
+        at_v1 = m.v1 is not None and any(int(m.dart_tail[h]) == m.v1 for h in orbit)
+        if at_v0 and not at_v1:
+            rep_height[f] = -(hmax + 1.0)
+        elif at_v1 and not at_v0:
+            rep_height[f] = hmax + 1.0
+        else:
+            rep_height[f] = float(np.mean(hs)) if hs else 0.0
+    return rep_theta, rep_height, pole_faces
+
+
+def dirichlet_system(m: CombMap) -> tuple:
+    """``electrical.dirichlet_system`` one edge at a time."""
+    V = m.num_vertices
+    interior = np.array([v for v in range(V) if not m.is_marked(v)], dtype=np.int64)
+    idx = np.full(V, -1, dtype=np.int64)
+    idx[interior] = np.arange(len(interior))
+
+    rows, cols, vals = [], [], []
+    b = np.zeros(len(interior))
+    diag = np.zeros(len(interior))
+    for k in range(m.num_edges):
+        u, w = int(m.edge_tail[k]), int(m.edge_head[k])
+        c = float(m.conductance[k])
+        if u == w:
+            continue
+        for a, bb in ((u, w), (w, u)):
+            if idx[a] >= 0:
+                diag[idx[a]] += c
+                if idx[bb] >= 0:
+                    rows.append(idx[a])
+                    cols.append(idx[bb])
+                    vals.append(-c)
+                elif bb == m.v1:
+                    b[idx[a]] += c
+
+    n = len(interior)
+    A = sp.csr_matrix((vals + list(diag), (rows + list(range(n)),
+                                           cols + list(range(n)))), shape=(n, n))
+    return interior, A, b, diag
+
+
+def build_diagram(m: CombMap, dmap: DualMap, v: Voltage, c: Conjugate,
+                  tol: float = 1e-9) -> SmithDiagram:
+    """``smith_tiling.build_diagram`` one vertex and one face at a time."""
+    E = m.num_edges
+    eta = v.eta
+    h = v.values
+    harm = harmonic_darts(v)
+    widths = v.dart_flow(harm)
+    if np.any(widths < -tol):
+        raise TilingError("negative width on a harmonically oriented edge")
+    widths = np.maximum(widths, 0.0)
+    y0 = h[m.dart_tail[harm]]
+    y1 = h[m.dart_head[harm]]
+    # the face left of the upward dart carries the smaller w
+    x0 = np.array([reduce_mod(c.w_lift[m.face_of[harm[k] ^ 1]], eta) for k in range(E)])
+
+    flows = v.dart_flow(np.arange(m.num_darts))
+    hseg_start = np.zeros(m.num_vertices)
+    hseg_len = np.zeros(m.num_vertices)
+    sheet = np.zeros(m.num_darts, dtype=np.int64)
+    scale = max(1.0, eta)
+    # machine-scale flow floor: it only needs to separate exactly-symmetric
+    # dead clusters (roundoff-size flows) from genuine weak currents, and the
+    # contiguity checks below absorb anything between the two scales
+    zf = 1e-12 * max(1.0, float(np.abs(flows).max()))
+    # each flow carries cancellation noise ~ eps * conductance, so the chain
+    # checks around a vertex cannot resolve below the incident conductance sum;
+    # w values inherit the integration error bound carried by the conjugate
+    eps = float(np.finfo(np.float64).eps)
+    vs = float(max(1.0, np.abs(h).max()))
+    werr = c.w_err if c.w_err is not None else np.zeros(m.num_faces)
+
+    for x in range(m.num_vertices):
+        if m.is_marked(x):
+            hseg_start[x] = 0.0
+            hseg_len[x] = eta
+            continue
+        darts = m.vertex_darts[x]
+        fl = flows[darts]
+        noise = 8.0 * eps * vs * float(np.sum(m.conductance[np.asarray(darts) >> 1]))
+        # classify with a flow tolerance: exact symmetries leave whole clusters
+        # at one potential, where rounding noise must not masquerade as current;
+        # a one-sided star cannot carry balanced current, so it is noise too
+        cls = np.where(fl > zf, 1, np.where(fl < -zf, -1, 0))
+        if not ((cls > 0).any() and (cls < 0).any()):
+            # all incident flows vanish: degenerate point segment
+            hseg_start[x] = reduce_mod(c.w_lift[m.face_of[darts[0]]], eta)
+            hseg_len[x] = 0.0
+            for g in darts:
+                k = int(g) >> 1
+                a = hseg_start[x]
+                sheet[g] = round((a - x0[k]) / eta)
+            continue
+        # the chain starts where a falling run begins: at the first falling
+        # dart whose previous dart of nonzero class is rising (a zero-class
+        # dart inside a falling run does not end the run); one exists, as
+        # the vertex has darts of both classes
+        n = len(darts)
+        for start_i in np.flatnonzero(cls < 0).tolist():
+            j = start_i - 1
+            while cls[j] == 0:      # negative indices wrap around the rotation
+                j -= 1
+            if cls[j] > 0:
+                break
+        anchor = reduce_mod(c.w_lift[m.face_of[darts[start_i]]], eta)
+        werr_a = float(werr[m.face_of[darts[start_i]]])
+        # crossing a dart CCW moves from its right face to its left, where w
+        # is smaller by the flow
+        pos = 0.0
+        lo = hi = 0.0
+        up_lo, up_hi = math.inf, -math.inf
+        dn_lo, dn_hi = math.inf, -math.inf
+        for j in range(n):
+            i = (start_i + j) % n
+            g = int(darts[i])
+            f = float(flows[g])
+            nxt = pos - f
+            rlo = min(pos, nxt)
+            lo, hi = min(lo, nxt), max(hi, nxt)
+            if cls[i] > 0:
+                up_lo, up_hi = min(up_lo, rlo), max(up_hi, rlo + f)
+            elif cls[i] < 0:
+                dn_lo, dn_hi = min(dn_lo, rlo), max(dn_hi, rlo - f)
+            k = g >> 1
+            s = round((anchor + rlo - x0[k]) / eta)
+            allow = tol * scale + noise + 8.0 * (werr_a + float(werr[m.face_of[harm[k] ^ 1]]))
+            if abs(anchor + rlo - x0[k] - s * eta) > allow:
+                raise TilingError(f"vertex {x}: rectangle of edge {k} misaligned "
+                                  "with the segment chain")
+            sheet[g] = s
+            pos = nxt
+        if abs(pos) > tol * scale + noise:
+            raise TilingError(f"vertex {x}: flows do not balance around the rotation")
+        if lo < -tol * scale - noise:
+            raise TilingError(f"vertex {x}: segment union not contiguous modulo eta")
+        if dn_lo < math.inf and (abs(up_lo - dn_lo) > tol * scale + noise
+                                 or abs(up_hi - dn_hi) > tol * scale + noise):
+            raise TilingError(f"vertex {x}: incoming and outgoing unions differ")
+        hseg_start[x] = reduce_mod(anchor + up_lo, eta) if up_lo < math.inf else anchor
+        hseg_len[x] = max(0.0, hi - lo)
+        if hseg_len[x] > eta + tol * scale + noise:
+            raise TilingError(f"vertex {x}: segment longer than the circumference")
+        # sheets refer to the stored segment frame: the reduction above may
+        # move the chain origin by whole periods, and lifted drifts compare
+        # tail and head frames through the shared rectangle
+        r = round((anchor + up_lo - hseg_start[x]) / eta) if up_lo < math.inf else 0
+        if r:
+            for g in darts:
+                sheet[int(g)] -= r
+
+    # vertical segments: union of edge voltage intervals on each side of a face
+    F = m.num_faces
+    vx = np.array([reduce_mod(c.w_lift[f], eta) for f in range(F)])
+    vy0 = np.full(F, np.nan)
+    vy1 = np.full(F, np.nan)
+    east, west = [[] for _ in range(F)], [[] for _ in range(F)]
+    for k in range(E):
+        iv = (float(y0[k]), float(y1[k]))
+        east[int(m.face_of[harm[k] ^ 1])].append(iv)   # rect east of its left face
+        west[int(m.face_of[harm[k]])].append(iv)       # rect west of its right face
+    for f in range(F):
+        spans = []
+        for ivs in (east[f], west[f]):
+            if not ivs:
+                continue
+            ivs.sort()
+            lo, hi = ivs[0]
+            for a, b in ivs[1:]:
+                if a > hi + tol:
+                    raise TilingError(f"face {f}: vertical segment union not contiguous")
+                hi = max(hi, b)
+            spans.append((lo, hi))
+        if not spans:
+            raise TilingError(f"face {f}: no incident edges")
+        if len(spans) == 2 and (abs(spans[0][0] - spans[1][0]) > tol
+                                or abs(spans[0][1] - spans[1][1]) > tol):
+            raise TilingError(f"face {f}: left and right unions differ")
+        vy0[f], vy1[f] = spans[0]
+
+    return SmithDiagram(m, dmap, v, c, eta, harm, x0, widths, y0, y1,
+                        hseg_start, hseg_len, h.copy(), vx, vy0, vy1, sheet)
+
+
+def smith_embedding(d: SmithDiagram) -> np.ndarray:
+    """The points of ``smith_tiling.smith_embedding``, one vertex at a time."""
+    V = d.map.num_vertices
+    pts = np.zeros((V, 2))
+    for x in range(V):
+        if d.map.is_marked(x):
+            pts[x] = (0.0, 0.0 if x == d.map.v0 else 1.0)
+        else:
+            pts[x] = (reduce_mod(d.hseg_start[x] + d.hseg_len[x] / 2.0, d.eta),
+                      d.hseg_level[x])
+    return pts
+
+
+def fit_affine(se: SmithEmbedding, emb: CylinderEmbedding,
+               band: float = 1.0) -> AffineFit:
+    """``convergence.fit_affine`` one vertex at a time."""
+    m = se.diagram.map
+    eta = se.eta
+    K = [x for x in range(m.num_vertices)
+         if not m.is_marked(x) and np.isfinite(emb.height[x])
+         and abs(emb.height[x]) <= band]
+    if len(K) < 2:
+        raise ValueError("band contains fewer than two vertices")
+    s_re = se.points[K, 0]
+    s_im = se.points[K, 1]
+    if np.ptp(s_im) <= 1e-15:
+        raise ValueError("degenerate fit: single Smith height in the band")
+    A = np.stack([s_im, np.ones(len(K))], axis=1)
+    sol, *_ = np.linalg.lstsq(A, emb.height[K], rcond=None)
+    c_h, b_h = float(sol[0]), float(sol[1])
+
+    alpha = emb.theta[K] - (TWO_PI / eta) * s_re
+    b_w = math.atan2(float(np.mean(np.sin(alpha))), float(np.mean(np.cos(alpha))))
+    b_w = wrap_angle(b_w)
+
+    herr = np.abs(c_h * s_im + b_h - emb.height[K])
+    aerr = np.array([abs(wrap_signed((TWO_PI / eta) * s_re[i] + b_w - emb.theta[K[i]]))
+                     for i in range(len(K))])
+    sup = float(np.max(np.hypot(aerr, herr)))
+    return AffineFit(c_h, b_h, b_w, eta, band, len(K), sup,
+                     float(herr.max()), float(aerr.max()))

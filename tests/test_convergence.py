@@ -11,6 +11,8 @@ from smithtile import (SmithEmbedding, build_diagram, conjugate, converge_rows,
                        solve_voltage)
 from smithtile.convergence import cylinder_distance, lattice_shape
 
+import oracles
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -93,6 +95,17 @@ def test_fit_affine_lattice_is_exact(lattice8_solved):
         math.hypot(fit.sup_err_angle, fit.sup_err_height), abs=1e-9)
     assert fit.count == sum(1 for x in range(n * M)
                             if abs(emb.height[x]) <= 1.5)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_fit_affine_and_points_match_loop_oracle(n):
+    m, emb = make_lattice(n, 4.0)
+    v = solve_voltage(m)
+    dm = dual(m, emb)
+    se = smith_embedding(build_diagram(m, dm, v, conjugate(dm, v)))
+    assert np.array_equal(se.points, oracles.smith_embedding(se.diagram))
+    for band in (1.0, 2.5, 4.0):
+        assert fit_affine(se, emb, band) == oracles.fit_affine(se, emb, band)
 
 
 def test_fit_affine_band_errors(lattice8_solved):

@@ -12,6 +12,7 @@ from smithtile import electrical
 from smithtile.electrical import Conjugate
 from smithtile.map_core import dual_cycle_winding_cut, marked_cut_path
 
+import oracles
 from oracles import harmonic_dart
 
 
@@ -94,6 +95,19 @@ def test_voltage_matches_dense_oracle(random_maps):
         h_ref, eta_ref = oracle_voltage(m)
         assert np.max(np.abs(v.values - h_ref)) < 1e-9
         assert v.eta == pytest.approx(eta_ref, rel=1e-9)
+
+
+def test_dirichlet_system_matches_loop_assembly(lattice8, random_maps, mated_crt64):
+    # the same COO entries in the same order: CSR, CG iterates and residual
+    # are then bit-identical too
+    loop_map = build_map(3, [(0, 1, 1.0), (1, 1, 2.0), (1, 2, 3.0), (0, 1, 0.5)],
+                         [[0, 6], [1, 2, 3, 4, 7], [5]], marked=(0, 2))
+    for m in [loop_map, lattice8[0], mated_crt64] + [m for m, _ in random_maps[:5]]:
+        got, want = electrical.dirichlet_system(m), oracles.dirichlet_system(m)
+        for a, b in zip(got[:1] + got[2:], want[:1] + want[2:]):
+            assert np.array_equal(a, b)
+        for field in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got[1], field), getattr(want[1], field))
 
 
 def test_voltage_needs_marks():

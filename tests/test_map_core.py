@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from smithtile import (CylinderEmbedding, MapError, build_map,
+from smithtile import (CombMap, CylinderEmbedding, MapError, build_map,
                        check_embedding, dual, insert_vertices, lift_path,
-                       path_winding, wrap_angle, wrap_signed)
+                       make_lattice, path_winding, wrap_angle, wrap_signed)
 from smithtile.map_core import marked_cut_path
+
+import oracles
+from oracles import relabel_edges
 
 TWO_PI = 2.0 * math.pi
 
@@ -98,6 +102,110 @@ def test_marked_vertices_validated():
         build_map(2, [(0, 1, 1.0)], [[0], [1]], marked=(0, 0))
     with pytest.raises(MapError, match="out of range"):
         build_map(2, [(0, 1, 1.0)], [[0], [1]], marked=(0, 5))
+
+
+# (num_vertices, edges as (tail, head), next_dart, error)
+STRUCTURAL_ERRORS = [
+    (3, [(0, 1)], [0, 1], "vertex 2 has no incident dart"),
+    (2, [(0, 1), (0, 1)], [0, 3, 2, 1], "rotation at vertex 0 is not a single cycle"),
+    (3, [(0, 1), (1, 2), (1, 2)], [0, 1, 4, 5, 2, 3], "rotation at vertex 1 is not a single cycle"),
+    (2, [(0, 1)], [0, 0], "next_dart is not a permutation of the darts"),
+    (2, [(0, 1)], [0], "next_dart is not a permutation of the darts"),
+    (2, [(0, 1)], [0, 2], "next_dart is not a permutation of the darts"),
+    (2, [(0, 1)], [1, 0], "rotation moves a dart to a different vertex"),
+    (4, [(0, 1), (2, 3)], [0, 1, 2, 3], "map is not connected"),
+    (1, [(0, 0), (0, 0)], [2, 3, 1, 0], "Euler characteristic 0 != 2: not a sphere map"),
+]
+
+
+def map_error(fn, *args):
+    try:
+        fn(*args)
+    except MapError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("V, edges, nxt, message", STRUCTURAL_ERRORS)
+def test_structural_errors_match_loop_checks(V, edges, nxt, message):
+    tail, head = zip(*edges)
+    args = (V, tail, head, np.ones(len(edges)), nxt)
+    assert map_error(CombMap, *args) == message
+    assert map_error(oracles.map_cycles, *args) == message
+
+
+def test_build_map_matches_loop_rotation(random_maps, mated_crt64):
+    for m in [mated_crt64] + [m for m, _ in random_maps[:5]]:
+        edges = list(zip(m.edge_tail.tolist(), m.edge_head.tolist(), m.conductance.tolist()))
+        rotation = [d.tolist() for d in m.vertex_darts]
+        m2 = build_map(m.num_vertices, edges, rotation, marked=(m.v0, m.v1))
+        assert np.array_equal(m2.next_dart, oracles.rotation_next(edges, rotation))
+        assert np.array_equal(m2.next_dart, m.next_dart)
+
+
+def test_build_map_rejects_darts_outside_the_map():
+    with pytest.raises(MapError, match="dart 2 in rotation data is not a dart"):
+        build_map(2, [(0, 1, 1.0)], [[0, 2], [1]])
+
+
+def same_cycles(m):
+    vd, face_of, fd = oracles.map_cycles(m.num_vertices, m.edge_tail, m.edge_head,
+                                         m.conductance, m.next_dart, m.v0, m.v1)
+    assert np.array_equal(m.vert_ptr, np.cumsum([0] + [len(d) for d in vd]))
+    assert np.array_equal(m.vert_dart, np.concatenate(vd))
+    assert np.array_equal(m.face_ptr, np.cumsum([0] + [len(d) for d in fd]))
+    assert np.array_equal(m.face_dart, np.concatenate(fd))
+    assert np.array_equal(m.face_of, face_of)
+    assert m.num_faces == len(fd)
+    assert all(np.array_equal(a, b) for a, b in zip(m.vertex_darts, vd))
+    assert all(np.array_equal(a, b) for a, b in zip(m.face_darts, fd))
+
+
+def relabel_embedding(emb, perm, flip):
+    dtheta = np.empty(len(perm))
+    dtheta[perm] = np.where(flip, -emb.dtheta, emb.dtheta)
+    return CylinderEmbedding(emb.theta, emb.height, dtheta)
+
+
+@pytest.fixture(scope="module")
+def relabel_maps(random_maps, rung_map, mated_crt64):
+    return [random_maps[0], random_maps[7], (rung_map, None), (mated_crt64, None)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_cycles_and_dual_match_loops_under_relabeling(relabel_maps, seed):
+    rng = np.random.default_rng(seed)
+    for m, emb in relabel_maps:
+        perm = rng.permutation(m.num_edges)
+        flip = rng.integers(0, 2, m.num_edges)
+        m2, _ = relabel_edges(m, perm, flip)
+        same_cycles(m2)
+        emb2 = None if emb is None else relabel_embedding(emb, perm, flip)
+        dm = dual(m2, emb2)
+        same_cycles(dm.map)
+        f0 = sorted({int(m2.face_of[h]) for h in m2.vertex_darts[m2.v0]})
+        f1 = sorted({int(m2.face_of[h]) for h in m2.vertex_darts[m2.v1]})
+        assert dm.pole_faces == (f0, f1)
+        if emb2 is not None:
+            rep_theta, rep_height, _ = oracles.dual_points(m2, emb2)
+            assert np.array_equal(dm.rep_theta, rep_theta)
+            assert np.array_equal(dm.rep_height, rep_height)
+
+
+@pytest.mark.parametrize("n, H", [(3, 0.5), (8, 2.0), (7, 2.5), (16, 4.0)])
+def test_make_lattice_matches_loop_construction(n, H):
+    m, emb = make_lattice(n, H)
+    V, edges, rotation, marked, theta, height, dtheta = oracles.lattice(n, H)
+    assert (m.num_vertices, (m.v0, m.v1)) == (V, marked)
+    assert np.array_equal(m.edge_tail, [e[0] for e in edges])
+    assert np.array_equal(m.edge_head, [e[1] for e in edges])
+    assert np.array_equal(m.conductance, [e[2] for e in edges])
+    assert np.array_equal(m.next_dart, oracles.rotation_next(edges, rotation))
+    assert np.array_equal(emb.theta, theta, equal_nan=True)
+    assert np.array_equal(emb.height, height, equal_nan=True)
+    assert np.array_equal(emb.dtheta, dtheta)
+    same_cycles(m)
 
 
 def test_pi_weight_counts_self_loops_twice():
@@ -190,6 +298,22 @@ def test_check_embedding_accepts_and_rejects(lattice8):
             break
     with pytest.raises(MapError):
         check_embedding(m, bad)
+
+
+def test_check_embedding_errors_match_loop_check(random_maps):
+    # a shifted edge fails at the edge; a whole turn added to an edge passes
+    # the edge check and fails at the first bounded face it borders
+    rng = np.random.default_rng(3)
+    seen = set()
+    for m, emb in random_maps[:6]:
+        for shift in (0.5, 1e-6, TWO_PI, -TWO_PI):
+            dtheta = emb.dtheta.copy()
+            dtheta[rng.integers(m.num_edges)] += shift
+            bad = CylinderEmbedding(emb.theta, emb.height, dtheta)
+            got = map_error(check_embedding, m, bad)
+            assert got == map_error(oracles.check_embedding, m, bad)
+            seen.add(None if got is None else got.split(" ")[0])
+    assert {"edge", "face"} <= seen
 
 
 def test_check_embedding_wrong_lengths(path_map):

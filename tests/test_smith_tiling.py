@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smithtile import (CombMap, TilingReport, build_diagram, build_map,
-                       conjugate, dart_drift, dual, make_lattice, mark_vertices,
+from smithtile import (TilingReport, build_diagram, build_map, conjugate,
+                       dart_drift, dual, make_lattice, mark_vertices,
                        reduce_mod, render_svg, sample_excursion,
                        smith_embedding, solve_voltage, validate)
 from smithtile.mated_crt import build_map as build_mated
 from smithtile import smith_tiling
-from smithtile.smith_tiling import _circle_pieces
+from smithtile.smith_tiling import TilingError, _circle_pieces
 
-from oracles import contact_violations
+import oracles
+from oracles import contact_violations, relabel_edges
 
 
 def diagram_for(m, emb=None):
@@ -124,23 +125,6 @@ def pendant_map():
                      [[0, 2], [1, 6, 3, 4], [5], [7]], marked=(0, 2))
 
 
-def relabel_edges(m, perm, flip):
-    """The same map with edge k renamed perm[k], its darts swapped where
-    flip[k]; returns the map and the new id of each old dart.  Rotations
-    start at each vertex's smallest dart, so the chains start elsewhere."""
-    h = np.arange(m.num_darts)
-    new = 2 * perm[h >> 1] + ((h & 1) ^ flip[h >> 1])
-    tail = np.empty(m.num_edges, dtype=np.int64)
-    head = np.empty(m.num_edges, dtype=np.int64)
-    cond = np.empty(m.num_edges)
-    tail[perm] = np.where(flip, m.edge_head, m.edge_tail)
-    head[perm] = np.where(flip, m.edge_tail, m.edge_head)
-    cond[perm] = m.conductance
-    nxt = np.empty(m.num_darts, dtype=np.int64)
-    nxt[new] = new[m.next_dart]
-    return CombMap(m.num_vertices, tail, head, cond, nxt, v0=m.v0, v1=m.v1), new
-
-
 def circle_gap(a, b, eta):
     d = np.mod(a - b, eta)
     return np.minimum(d, eta - d)
@@ -188,6 +172,59 @@ def test_weak_current_does_not_split_a_falling_run(map_seed, mark_seed):
                       seed=mark_seed).map
     rep = validate(diagram_for(m))
     assert rep.passed(1e-9), rep
+
+
+# -- array code against the loop oracle ----------------------------------------
+
+def tiling_error(fn, *args):
+    try:
+        fn(*args)
+    except TilingError as e:
+        return str(e)
+    return None
+
+
+def test_diagram_errors_match_loop_oracle(random_maps, mated_crt64):
+    """Inputs perturbed three ways fail at the same first vertex or face,
+    with the same text, as the vertex-by-vertex loop; unperturbed and
+    harmlessly perturbed ones give the same diagram."""
+    kinds = set()
+    for m, emb in (random_maps[2], (mated_crt64, None)):
+        v = solve_voltage(m)
+        dm = dual(m, emb)
+        c = conjugate(dm, v)
+        cases = [(v, c), (dataclasses.replace(v, eta=v.eta / 2), c)]
+        # a zero-width chain: a vertex takes a neighbour's voltage
+        for x in range(24):
+            for y in m.dart_head[m.vertex_darts[x]]:
+                h = v.values.copy()
+                h[x] = h[y]
+                cases.append((dataclasses.replace(v, values=h), c))
+        for f in range(0, m.num_faces, 9):
+            w = c.w_lift.copy()
+            w[f] += 1e-3 * v.eta
+            cases.append((v, dataclasses.replace(c, w_lift=w)))
+        for x in range(1, m.num_vertices, 9):
+            h = v.values.copy()
+            h[x] = min(1.0, h[x] + 1e-6)
+            cases.append((dataclasses.replace(v, values=h), c))
+        for v2, c2 in cases:
+            got = tiling_error(build_diagram, m, dm, v2, c2)
+            assert got == tiling_error(oracles.build_diagram, m, dm, v2, c2)
+            if got is None:
+                d, want = build_diagram(m, dm, v2, c2), oracles.build_diagram(m, dm, v2, c2)
+                for f in dataclasses.fields(d):
+                    if isinstance(getattr(d, f.name), np.ndarray):
+                        assert np.array_equal(getattr(d, f.name), getattr(want, f.name)), f.name
+            kinds.add(got if got is None else got.split(": ", 1)[1].split(" of edge")[0])
+    assert {None, "rectangle", "flows do not balance around the rotation",
+            "segment longer than the circumference"} <= kinds
+
+
+def test_smith_embedding_matches_loop_oracle(lattice8, random_maps, mated_crt64):
+    for m, emb in [lattice8, random_maps[3], (mated_crt64, None)]:
+        d = diagram_for(m, emb)
+        assert np.array_equal(smith_embedding(d).points, oracles.smith_embedding(d))
 
 
 # -- lattice geometry --------------------------------------------------------
