@@ -9,6 +9,16 @@ single line edge.  The planar structure is the arc diagram: vertices on a
 line, lower arcs below, upper arcs above, rotation given by the tangent order
 of nested semicircles; the Euler check in the map constructor fails loudly if
 that order is ever inconsistent.
+
+All three steps run in bulk and give the same bits as the loops they
+replaced, which tests/oracles.py keeps as references.  The sampler draws a
+block of attempts with one generator call; the generator fills the block in
+the order that single draws would consume its stream, and each row goes
+through the same float operations as a single draw, so the accepted
+excursion and its attempt count are those of the one-at-a-time loop.  The
+arcs of each path come from one sweep with a monotone stack of the left
+cells that can still be joined, in O(n) plus the pairs it meets, instead of
+an O(n^2) scan.  The rotations come from one lexsort of all darts.
 """
 
 from __future__ import annotations
@@ -18,10 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .map_core import CombMap, MapError, build_map as assemble_map
+from .map_core import CombMap, MapError
 from .rng import make_rng
 
 LINE, LOWER, UPPER = 0, 1, 2
+# Place in the counterclockwise rotation of a dart, by [kind, dart & 1]:
+# line-right, upper-right, upper-left, line-left, lower-left, lower-right.
+_ROTATION_GROUP = np.array([[0, 3], [5, 4], [1, 2]])
+# Normals drawn at once by the sampler: 64 attempts (about 1 MB) at n = 1024.
+BLOCK_NORMALS = 1 << 17
 
 
 class SampleError(RuntimeError):
@@ -65,6 +80,15 @@ def sample_excursion(gamma: float, n: int, seed: int,
     Per-step covariance [[1, rho], [rho, 1]] / n with rho = -cos(pi gamma^2/4);
     the bridge transform subtracts the mean increment, and a draw is accepted
     iff both coordinates stay >= 0.  Unbiased for the positivity conditioning.
+
+    Attempts are drawn in blocks of about BLOCK_NORMALS normals, as one
+    (b, 2, n) array: the generator fills it in order, so row i is the draw
+    that the (done + i + 1)-th single (2, n) draw would have made.  Each row
+    then goes through the same float operations as a single draw (row-wise
+    means sum each contiguous row pairwise, like the 1-d mean), so the
+    accepted excursion and its attempt count do not depend on the block
+    size.  R is formed only for rows whose L path stays nonnegative, and the
+    last block is cut at max_attempts.
     """
     if not (0.0 < gamma < 2.0):
         raise ValueError("gamma must lie in (0, 2)")
@@ -73,21 +97,39 @@ def sample_excursion(gamma: float, n: int, seed: int,
     rho = -math.cos(math.pi * gamma * gamma / 4.0)
     root = math.sqrt(max(0.0, 1.0 - rho * rho))
     rng = make_rng(seed)
-    for attempt in range(1, max_attempts + 1):
-        z = rng.standard_normal((2, n)) / math.sqrt(n)
-        dl = z[0]
-        dr = rho * z[0] + root * z[1]
-        dl = dl - dl.mean()
-        dr = dr - dr.mean()
-        lv = np.concatenate([[0.0], np.cumsum(dl)])
-        rv = np.concatenate([[0.0], np.cumsum(dr)])
-        lv[-1] = 0.0
-        rv[-1] = 0.0
-        if lv.min() >= 0.0 and rv.min() >= 0.0:
-            return Excursion(n, dl, dr, lv, rv, attempt)
+    scale = math.sqrt(n)
+    block = max(1, BLOCK_NORMALS // (2 * n))
+    done = 0
+    while done < max_attempts:
+        b = min(block, max_attempts - done)
+        z = rng.standard_normal((b, 2, n))
+        zl = z[:, 0] / scale
+        dl = zl - zl.mean(axis=1, keepdims=True)
+        lv = np.cumsum(dl, axis=1)
+        # the last lattice value is set to 0, so only the first n-1 count
+        rows = np.flatnonzero(lv[:, :-1].min(axis=1) >= 0.0)
+        if len(rows):
+            zr = z[rows] / scale
+            dr = rho * zr[:, 0] + root * zr[:, 1]
+            dr -= dr.mean(axis=1, keepdims=True)
+            rv = np.cumsum(dr, axis=1)
+            hit = np.flatnonzero(rv[:, :-1].min(axis=1) >= 0.0)
+            if len(hit):
+                h = hit[0]
+                i = int(rows[h])
+                return Excursion(n, dl[i].copy(), dr[h].copy(), _lattice(lv[i]),
+                                 _lattice(rv[h]), done + i + 1)
+        done += b
     raise SampleError(
         f"no excursion in {max_attempts} attempts at n={n} "
         f"(acceptance rate below {1.0 / max_attempts:.2e}; lower n)")
+
+
+def _lattice(partial: np.ndarray) -> np.ndarray:
+    """Lattice values 0, partial sums..., with the last one set to 0."""
+    out = np.concatenate([[0.0], partial])
+    out[-1] = 0.0
+    return out
 
 
 # -- adjacency ---------------------------------------------------------------
@@ -125,31 +167,59 @@ def adjacency_oracle(exc: Excursion, x1: int, x2: int) -> tuple:
     return _condition(exc.l, j1, j2), _condition(exc.r, j1, j2)
 
 
-def _arc_pairs(C: np.ndarray) -> list:
-    """All non-consecutive 1-based cell pairs joined under C (same rule as
-    _condition), by a scan with running gap minima; the inner loop breaks once
-    the gap falls below the left cell's minimum (it can only keep falling)."""
+def _arc_pairs(C: np.ndarray) -> np.ndarray:
+    """All non-consecutive 1-based cell pairs (j1, j2) joined under C (same
+    rule as _condition), as a (pairs, 2) array in lexicographic order.
+
+    One sweep over the lattice points p = 1..n-1 keeps a stack of the live
+    left cells: those whose minimum is at or below every lattice value from
+    their own right end to p.  A cell dies once a value falls below its
+    minimum and can never join a later cell, so the stack's minima never
+    decrease upward.  At p, first pop the cells whose minimum exceeds C[p],
+    then read off the pairs with j2 = p + 1, then push cell p (pushing first
+    would bury the cells that C[p] kills).
+
+    Each stack entry also carries the minimum of C over the lattice points
+    from its cell's right end to the next entry's (for the top entry, to p),
+    so the gap minimum of (j1, j2) is the running minimum walking down from
+    the top.  A popped entry's values are at or above its own minimum, hence
+    above C[p], which the new top takes in; so nothing is merged on a pop.
+    The running minimum only falls, so the walk stops at the first gap below
+    cell j2's minimum; the two pinch exclusions are applied unchanged on the
+    way.  Cost: O(n) for the sweep, one step per pair met (the arcs and the
+    pinches they exclude) and a sort of the arcs.
+    """
     n = len(C) - 1
-    cmin = [0.0] + [min(C[j - 1], C[j]) for j in range(1, n + 1)]
+    c = C.tolist()
+    cmin = [0.0] + np.minimum(C[:-1], C[1:]).tolist()
+    cells, gaps = [], []                # the stack, bottom first
     pairs = []
-    for j1 in range(1, n + 1):
-        cm1 = cmin[j1]
+    for p in range(1, n):
+        x = c[p]
+        while cells and cmin[cells[-1]] > x:
+            cells.pop()
+            gaps.pop()
+        if gaps and x < gaps[-1]:
+            gaps[-1] = x
+        j2 = p + 1
+        cm2 = cmin[j2]
         g = math.inf
-        for j2 in range(j1 + 1, n + 1):
-            g = min(g, C[j2 - 1])
-            if g < cm1:
+        for k in range(len(cells) - 1, -1, -1):
+            if gaps[k] < g:
+                g = gaps[k]
+            if g < cm2:
                 break
-            if j2 == j1 + 1:
-                continue    # consecutive cells carry a line edge, not an arc
-            cm2 = cmin[j2]
-            if max(cm1, cm2) > g:
+            j1 = cells[k]
+            cm1 = cmin[j1]
+            if cm2 >= cm1 and cm2 == x == g:
                 continue
-            if cm2 >= cm1 and cm2 == C[j2 - 1] == g:
-                continue
-            if cm1 >= cm2 and cm1 == C[j1] == g:
+            if cm1 >= cm2 and cm1 == c[j1] == g:
                 continue
             pairs.append((j1, j2))
-    return pairs
+        cells.append(p)
+        gaps.append(x)
+    out = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return out[np.lexsort((out[:, 1], out[:, 0]))]
 
 
 @dataclass
@@ -171,57 +241,42 @@ def build_map(exc: Excursion) -> MatedCrtMap:
 
     Vertex i (0-based) is cell i+1.  Edges: line edges between consecutive
     cells, a lower arc per L-adjacent non-consecutive pair, an upper arc per
-    R-adjacent pair; unit conductances.  Rotation at each vertex,
-    counterclockwise from the rightward line edge: upper-right arcs by
-    increasing far endpoint, upper-left arcs by increasing far endpoint,
-    leftward line edge, lower-left arcs by decreasing far endpoint,
-    lower-right arcs by decreasing far endpoint (tangent order of nested
-    semicircles).  The Euler check rejects any inconsistency.
+    R-adjacent pair, in that order and each kind in lexicographic order;
+    unit conductances.  Rotation at each vertex, counterclockwise from the
+    rightward line edge: upper-right arcs by increasing far endpoint,
+    upper-left arcs by increasing far endpoint, leftward line edge,
+    lower-left arcs by decreasing far endpoint, lower-right arcs by
+    decreasing far endpoint (tangent order of nested semicircles).  One
+    lexsort of the darts by (vertex, group, far endpoint) gives every
+    rotation at once.  The Euler check rejects any inconsistency.
     """
     exc.check()
     n = exc.n
-    edges = []
-    kind = []
-    lower_at = [[] for _ in range(n)]   # (far_vertex, edge_index)
-    upper_at = [[] for _ in range(n)]
-    for j in range(1, n):
-        edges.append((j - 1, j, 1.0))
-        kind.append(LINE)
-    for (j1, j2) in _arc_pairs(exc.l):
-        k = len(edges)
-        edges.append((j1 - 1, j2 - 1, 1.0))
-        kind.append(LOWER)
-        lower_at[j1 - 1].append((j2 - 1, k))
-        lower_at[j2 - 1].append((j1 - 1, k))
-    for (j1, j2) in _arc_pairs(exc.r):
-        k = len(edges)
-        edges.append((j1 - 1, j2 - 1, 1.0))
-        kind.append(UPPER)
-        upper_at[j1 - 1].append((j2 - 1, k))
-        upper_at[j2 - 1].append((j1 - 1, k))
-
-    rotation = []
-    for i in range(n):
-        cyc = []
-        if i < n - 1:
-            cyc.append(2 * i)                 # line edge i -> i+1, tail side
-        for far, k in sorted(p for p in upper_at[i] if p[0] > i):
-            cyc.append(2 * k)                 # i is the tail of the arc
-        for far, k in sorted(p for p in upper_at[i] if p[0] < i):
-            cyc.append(2 * k + 1)
-        if i > 0:
-            cyc.append(2 * (i - 1) + 1)       # line edge i-1 -> i, head side
-        for far, k in sorted((p for p in lower_at[i] if p[0] < i), reverse=True):
-            cyc.append(2 * k + 1)
-        for far, k in sorted((p for p in lower_at[i] if p[0] > i), reverse=True):
-            cyc.append(2 * k)
-        rotation.append(cyc)
-
+    low = _arc_pairs(exc.l) - 1
+    up = _arc_pairs(exc.r) - 1
+    line = np.arange(n - 1)
+    tail = np.concatenate([line, low[:, 0], up[:, 0]])
+    head = np.concatenate([line + 1, low[:, 1], up[:, 1]])
+    kind = np.repeat(np.array([LINE, LOWER, UPPER], dtype=np.int8),
+                     [n - 1, len(low), len(up)])
+    # dart 2k sits at the tail of edge k and points right (tail < head),
+    # dart 2k+1 at its head and points left
+    at = np.stack([tail, head], axis=1).ravel()
+    far = np.stack([head, tail], axis=1).ravel()
+    dkind = np.repeat(kind, 2)
+    group = _ROTATION_GROUP[dkind, np.arange(len(at)) & 1]
+    order = np.lexsort((np.where(dkind == LOWER, -far, far), group, at))
+    deg = np.bincount(at, minlength=n)
+    start = np.cumsum(deg) - deg
+    succ = np.arange(1, len(at) + 1)
+    succ[start + deg - 1] = start       # each rotation closes on its first dart
+    nxt = np.empty(len(at), dtype=np.int64)
+    nxt[order] = order[succ]
     try:
-        m = assemble_map(n, edges, rotation)
+        m = CombMap(n, tail, head, np.ones(len(tail)), nxt)
     except MapError as err:
         raise MapError(f"arc-diagram rotation inconsistent: {err}") from err
-    return MatedCrtMap(m, exc, np.array(kind, dtype=np.int8))
+    return MatedCrtMap(m, exc, kind)
 
 
 def mark_vertices(mm: MatedCrtMap, policy: str = "uniform-pair",

@@ -14,8 +14,10 @@ import scipy.sparse as sp
 from smithtile.convergence import AffineFit, lattice_shape
 from smithtile.map_core import (TWO_PI, CombMap, CylinderEmbedding, DualMap,
                                 MapError, wrap_angle, wrap_signed)
-from smithtile.mated_crt import LOWER, UPPER, MatedCrtMap
+from smithtile.mated_crt import (LINE, LOWER, UPPER, Excursion, MatedCrtMap,
+                                 SampleError)
 from smithtile.electrical import Conjugate, Voltage, harmonic_darts
+from smithtile.rng import make_rng
 from smithtile.smith_tiling import (SmithDiagram, SmithEmbedding, TilingError,
                                     _circle_pieces, reduce_mod)
 
@@ -553,3 +555,103 @@ def fit_affine(se: SmithEmbedding, emb: CylinderEmbedding,
     sup = float(np.max(np.hypot(aerr, herr)))
     return AffineFit(c_h, b_h, b_w, eta, band, len(K), sup,
                      float(herr.max()), float(aerr.max()))
+
+
+# -- the mated-CRT steps before they drew in blocks and scanned by stack -------
+
+def sample_excursion(gamma: float, n: int, seed: int,
+                     max_attempts: int = 200_000) -> Excursion:
+    """``mated_crt.sample_excursion`` one attempt, one draw at a time."""
+    if not (0.0 < gamma < 2.0):
+        raise ValueError("gamma must lie in (0, 2)")
+    if n < 2:
+        raise ValueError("need at least two cells")
+    rho = -math.cos(math.pi * gamma * gamma / 4.0)
+    root = math.sqrt(max(0.0, 1.0 - rho * rho))
+    rng = make_rng(seed)
+    for attempt in range(1, max_attempts + 1):
+        z = rng.standard_normal((2, n)) / math.sqrt(n)
+        dl = z[0]
+        dr = rho * z[0] + root * z[1]
+        dl = dl - dl.mean()
+        dr = dr - dr.mean()
+        lv = np.concatenate([[0.0], np.cumsum(dl)])
+        rv = np.concatenate([[0.0], np.cumsum(dr)])
+        lv[-1] = 0.0
+        rv[-1] = 0.0
+        if lv.min() >= 0.0 and rv.min() >= 0.0:
+            return Excursion(n, dl, dr, lv, rv, attempt)
+    raise SampleError(
+        f"no excursion in {max_attempts} attempts at n={n} "
+        f"(acceptance rate below {1.0 / max_attempts:.2e}; lower n)")
+
+
+def arc_pairs(C: np.ndarray) -> list:
+    """``mated_crt._arc_pairs`` by the O(n^2) scan with running gap minima:
+    for each left cell, the right cells in order until the gap falls below
+    the left cell's minimum (it can only keep falling)."""
+    n = len(C) - 1
+    cmin = [0.0] + [min(C[j - 1], C[j]) for j in range(1, n + 1)]
+    pairs = []
+    for j1 in range(1, n + 1):
+        cm1 = cmin[j1]
+        g = math.inf
+        for j2 in range(j1 + 1, n + 1):
+            g = min(g, C[j2 - 1])
+            if g < cm1:
+                break
+            if j2 == j1 + 1:
+                continue    # consecutive cells carry a line edge, not an arc
+            cm2 = cmin[j2]
+            if max(cm1, cm2) > g:
+                continue
+            if cm2 >= cm1 and cm2 == C[j2 - 1] == g:
+                continue
+            if cm1 >= cm2 and cm1 == C[j1] == g:
+                continue
+            pairs.append((j1, j2))
+    return pairs
+
+
+def mated_map(exc: Excursion) -> tuple:
+    """``mated_crt.build_map`` with per-vertex sorted lists: (n, edges,
+    rotation, kind), the arguments it hands to ``map_core.build_map``."""
+    exc.check()
+    n = exc.n
+    edges = []
+    kind = []
+    lower_at = [[] for _ in range(n)]   # (far_vertex, edge_index)
+    upper_at = [[] for _ in range(n)]
+    for j in range(1, n):
+        edges.append((j - 1, j, 1.0))
+        kind.append(LINE)
+    for (j1, j2) in arc_pairs(exc.l):
+        k = len(edges)
+        edges.append((j1 - 1, j2 - 1, 1.0))
+        kind.append(LOWER)
+        lower_at[j1 - 1].append((j2 - 1, k))
+        lower_at[j2 - 1].append((j1 - 1, k))
+    for (j1, j2) in arc_pairs(exc.r):
+        k = len(edges)
+        edges.append((j1 - 1, j2 - 1, 1.0))
+        kind.append(UPPER)
+        upper_at[j1 - 1].append((j2 - 1, k))
+        upper_at[j2 - 1].append((j1 - 1, k))
+
+    rotation = []
+    for i in range(n):
+        cyc = []
+        if i < n - 1:
+            cyc.append(2 * i)                 # line edge i -> i+1, tail side
+        for far, k in sorted(p for p in upper_at[i] if p[0] > i):
+            cyc.append(2 * k)                 # i is the tail of the arc
+        for far, k in sorted(p for p in upper_at[i] if p[0] < i):
+            cyc.append(2 * k + 1)
+        if i > 0:
+            cyc.append(2 * (i - 1) + 1)       # line edge i-1 -> i, head side
+        for far, k in sorted((p for p in lower_at[i] if p[0] < i), reverse=True):
+            cyc.append(2 * k + 1)
+        for far, k in sorted((p for p in lower_at[i] if p[0] > i), reverse=True):
+            cyc.append(2 * k)
+        rotation.append(cyc)
+    return n, edges, rotation, kind

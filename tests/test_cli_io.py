@@ -1,5 +1,6 @@
 """JSON schema round-trips and the command-line interface."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -368,3 +369,19 @@ def test_cli_subprocess_pipeline(tmp_path):
         input=r2.stdout, capture_output=True, text=True)
     assert r3.returncode == 0, r3.stderr
     assert (tmp_path / "m.svg").read_text().startswith("<svg")
+
+
+def test_cli_mated_crt_golden_bytes():
+    """The bytes of ``mated-crt --gamma 1.8 --n 256 --seed 3`` and of that map
+    through ``tile``, pinned by hash: a change to the sampler's random stream,
+    the arc rule, the rotations or the writers fails here."""
+    cli = [sys.executable, "-m", "smithtile.cli"]
+    r1 = subprocess.run(cli + ["mated-crt", "--gamma", "1.8", "--n", "256",
+                               "--seed", "3"], capture_output=True)
+    assert r1.returncode == 0, r1.stderr
+    r2 = subprocess.run(cli + ["tile"], input=r1.stdout, capture_output=True)
+    assert r2.returncode == 0, r2.stderr
+    assert hashlib.sha256(r1.stdout).hexdigest() == \
+        "62d9bea452aa0e10c27ffba20a9b78205b55921ac0313a0285bd00d3e2b2f78d"
+    assert hashlib.sha256(r2.stdout).hexdigest() == \
+        "8b05082ba520441f444cacd73c8771a83605f355e2d55cf2aca7888a41e975fe"

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from smithtile import (Excursion, MapError, SampleError, adjacency_oracle,
-                       build_diagram, conjugate, dual,
+                       build_diagram, build_map, conjugate, dual,
                        excursion_from_increments, make_rng, mark_vertices,
-                       sample_excursion, solve_voltage, validate)
-from smithtile.mated_crt import (LINE, LOWER, UPPER, build_map as build_mated,
+                       mated_crt, sample_excursion, solve_voltage, validate)
+from smithtile.mated_crt import (LINE, LOWER, UPPER, _arc_pairs,
+                                 build_map as build_mated,
                                  face_degree_histogram)
 
 from oracles import arc_sets, contact_violations, noncrossing
@@ -63,6 +66,64 @@ def test_sampler_uncorrelated_reconstruction():
     assert np.max(np.abs(exc.dr - (z[1] - z[1].mean()))) < 1e-15
 
 
+def assert_same_excursion(got, want):
+    for name in ("dl", "dr", "l", "r"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert type(got.attempts) is int and got.attempts == want.attempts
+
+
+def sample_both(gamma, n, seed, max_attempts):
+    """Both samplers' excursions, or both SampleError messages."""
+    out = []
+    for sample in (sample_excursion, oracles.sample_excursion):
+        try:
+            out.append(sample(gamma, n, seed, max_attempts=max_attempts))
+        except SampleError as err:
+            out.append(str(err))
+    return out
+
+
+@pytest.mark.parametrize("gamma", [1.5, 1.8, math.sqrt(2.0)])
+@pytest.mark.parametrize("n", [2, 3, 24, 64, 256])
+def test_sampler_matches_single_draws(gamma, n):
+    # a budget of 4000 is no multiple of any block here, and the hard cases
+    # at n = 256 exhaust it, so both the accepting and the failing path run
+    for seed in range(3):
+        got, want = sample_both(gamma, n, seed, 4000)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_same_excursion(got, want)
+
+
+@pytest.mark.parametrize("position", [1, 0])
+def test_sampler_accepts_at_block_edges(monkeypatch, position):
+    # the draw accepted at attempt a is the first (a % block == 1) or the
+    # last (a % block == 0) of its block, for every such block size
+    n = 24
+    want = oracles.sample_excursion(1.8, n, seed=0)
+    a = want.attempts
+    blocks = [b for b in range(1, a + 1) if a % b == position]
+    assert len(blocks) >= 3
+    for b in blocks:
+        monkeypatch.setattr(mated_crt, "BLOCK_NORMALS", 2 * n * b)
+        assert_same_excursion(sample_excursion(1.8, n, seed=0), want)
+
+
+def test_sampler_budget_cuts_last_block(monkeypatch):
+    n = 24
+    a = oracles.sample_excursion(1.8, n, seed=0).attempts
+    for b in (7, mated_crt.BLOCK_NORMALS // (2 * n)):
+        monkeypatch.setattr(mated_crt, "BLOCK_NORMALS", 2 * n * b)
+        assert (a - 1) % b and a % b
+        got, want = sample_both(1.8, n, 0, a - 1)
+        assert got == want and "no excursion in" in got
+        got, want = sample_both(1.8, n, 0, a)
+        assert_same_excursion(got, want)
+
+
 def test_excursion_from_increments_validation():
     with pytest.raises(ValueError, match="equal-length"):
         excursion_from_increments([1.0, -1.0], [1.0])
@@ -75,6 +136,62 @@ def test_excursion_from_increments_validation():
 
 
 # -- adjacency rule ----------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-2, 2), min_size=2, max_size=40))
+@example([-2, -2, -2])      # pushing cell 2 before popping buries cell 1
+def test_arc_pairs_match_scan(steps):
+    # integer steps make the ties and pinches the exclusions handle
+    C = np.concatenate([[0.0], np.cumsum(steps, dtype=np.float64)])
+    got = _arc_pairs(C)
+    assert got.dtype == np.int64
+    assert [tuple(p) for p in got.tolist()] == oracles.arc_pairs(C)
+
+
+def assert_same_map_as_loop(exc) -> bool:
+    """build_mated agrees with the per-vertex loop: the same edges, kinds
+    and next_dart, or the same rotation error.  True if a map was built."""
+    n, edges, rotation, kind = oracles.mated_map(exc)
+    try:
+        want = build_map(n, edges, rotation)
+    except MapError as err:
+        with pytest.raises(MapError) as got:
+            build_mated(exc)
+        assert str(got.value) == f"arc-diagram rotation inconsistent: {err}"
+        return False
+    mm = build_mated(exc)
+    for name in ("edge_tail", "edge_head", "conductance", "next_dart"):
+        a, b = getattr(mm.map, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert mm.kind.dtype == np.int8 and mm.kind.tolist() == kind
+    return True
+
+
+def closed_excursion(steps) -> list:
+    """Integer increments that stay >= 0 and end at 0: the steps closed by
+    one more step, then started after the walk's first minimum."""
+    steps = list(steps) + [-sum(steps)]
+    k = int(np.argmin(np.cumsum(steps))) + 1
+    return steps[k:] + steps[:k]
+
+
+def test_rotation_matches_loop_on_fixed_maps():
+    for n, seed in [(2, 0), (3, 1), (16, 2), (64, 7), (64, 8), (64, 9)]:
+        assert assert_same_map_as_loop(sample_excursion(1.8, n, seed=seed))
+    assert assert_same_map_as_loop(excursion_from_increments(
+        [1.0, -1.0, 1.0, -1.0], [2.0, -1.0, -0.5, -0.5]))
+    assert not assert_same_map_as_loop(excursion_from_increments(
+        [1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                min_size=1, max_size=39))
+def test_rotation_matches_loop_on_walks(steps):
+    dl, dr = zip(*steps)
+    assert_same_map_as_loop(excursion_from_increments(
+        closed_excursion(dl), closed_excursion(dr)))
+
 
 def test_adjacency_consecutive_always():
     exc = excursion_from_increments([1.0, 2.0, -3.0], [2.0, -1.0, -1.0])
