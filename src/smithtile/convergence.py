@@ -22,7 +22,7 @@ from .electrical import solve_voltage, conjugate
 from .smith_tiling import SmithEmbedding, build_diagram, smith_embedding
 from .rng import make_rng
 
-from .walk_lab import walk
+from .walk_lab import uniforms, walk
 
 
 def lattice_shape(n: int, H: float) -> tuple:
@@ -180,7 +180,8 @@ def invariance_diagnostic(m: CombMap, height, starts, h_lo: float, h_hi: float,
 
     Works for the primal lattice with vertex heights and for the dual with
     face representative heights (the dual of the lattice is the shifted
-    lattice)."""
+    lattice).  All walks take their steps from one ``uniforms`` stream of the
+    seed's generator, one value per step, in the order the walks run."""
     height = np.asarray(height, dtype=np.float64)
     with np.errstate(invalid="ignore"):
         lo = {x for x in range(m.num_vertices) if height[x] <= h_lo + tol}
@@ -190,7 +191,7 @@ def invariance_diagnostic(m: CombMap, height, starts, h_lo: float, h_hi: float,
     if walks_per_start < 1:
         raise ValueError("walks_per_start must be positive")
     stop = lo | hi
-    rng = make_rng(seed)
+    u = uniforms(make_rng(seed))
     starts = np.asarray(list(starts), dtype=np.int64)
     p_exact = np.empty(len(starts))
     p_hat = np.empty(len(starts))
@@ -201,7 +202,7 @@ def invariance_diagnostic(m: CombMap, height, starts, h_lo: float, h_hi: float,
         p = min(1.0, max(0.0, p))
         hits = 0
         for _ in range(walks_per_start):
-            darts = walk(m, rng, s, stop, max_steps)
+            darts = walk(m, u, s, stop, max_steps)
             end = int(m.dart_head[darts[-1]]) if darts else s
             if end in hi:
                 hits += 1

@@ -12,13 +12,14 @@ that order is ever inconsistent.
 
 All three steps run in bulk and give the same bits as the loops they
 replaced, which tests/oracles.py keeps as references.  The sampler draws a
-block of attempts with one generator call; the generator fills the block in
-the order that single draws would consume its stream, and each row goes
-through the same float operations as a single draw, so the accepted
-excursion and its attempt count are those of the one-at-a-time loop.  The
-arcs of each path come from one sweep with a monotone stack of the left
-cells that can still be joined, in O(n) plus the pairs it meets, instead of
-an O(n^2) scan.  The rotations come from one lexsort of all darts.
+block of attempts with one generator call, the blocks doubling from one
+attempt; the generator fills the block in the order that single draws would
+consume its stream, and each row goes through the same float operations as
+a single draw, so the accepted excursion and its attempt count are those of
+the one-at-a-time loop.  The arcs of each path come from one sweep with a
+monotone stack of the left cells that can still be joined, in O(n) plus the
+pairs it meets, instead of an O(n^2) scan.  The rotations come from one
+lexsort of all darts.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ LINE, LOWER, UPPER = 0, 1, 2
 # Place in the counterclockwise rotation of a dart, by [kind, dart & 1]:
 # line-right, upper-right, upper-left, line-left, lower-left, lower-right.
 _ROTATION_GROUP = np.array([[0, 3], [5, 4], [1, 2]])
-# Normals drawn at once by the sampler: 64 attempts (about 1 MB) at n = 1024.
+# Most normals drawn at once by the sampler: 64 attempts (about 1 MB) at n = 1024.
 BLOCK_NORMALS = 1 << 17
 
 
@@ -81,14 +82,16 @@ def sample_excursion(gamma: float, n: int, seed: int,
     the bridge transform subtracts the mean increment, and a draw is accepted
     iff both coordinates stay >= 0.  Unbiased for the positivity conditioning.
 
-    Attempts are drawn in blocks of about BLOCK_NORMALS normals, as one
-    (b, 2, n) array: the generator fills it in order, so row i is the draw
-    that the (done + i + 1)-th single (2, n) draw would have made.  Each row
-    then goes through the same float operations as a single draw (row-wise
-    means sum each contiguous row pairwise, like the 1-d mean), so the
-    accepted excursion and its attempt count do not depend on the block
-    size.  R is formed only for rows whose L path stays nonnegative, and the
-    last block is cut at max_attempts.
+    Attempts are drawn in blocks, each one (b, 2, n) array: the generator
+    fills it in order, so row i is the draw that the (done + i + 1)-th single
+    (2, n) draw would have made.  Each row then goes through the same float
+    operations as a single draw (row-wise means sum each contiguous row
+    pairwise, like the 1-d mean), so the accepted excursion and its attempt
+    count do not depend on the block sizes.  The first block is one attempt
+    and each next one doubles, up to about BLOCK_NORMALS normals, so an
+    excursion found in a few attempts draws few normals.  R is formed only
+    for rows whose L path stays nonnegative, and the last block is cut at
+    max_attempts.
     """
     if not (0.0 < gamma < 2.0):
         raise ValueError("gamma must lie in (0, 2)")
@@ -98,10 +101,11 @@ def sample_excursion(gamma: float, n: int, seed: int,
     root = math.sqrt(max(0.0, 1.0 - rho * rho))
     rng = make_rng(seed)
     scale = math.sqrt(n)
-    block = max(1, BLOCK_NORMALS // (2 * n))
-    done = 0
+    cap = max(1, BLOCK_NORMALS // (2 * n))
+    block, done = 1, 0
     while done < max_attempts:
         b = min(block, max_attempts - done)
+        block = min(2 * block, cap)
         z = rng.standard_normal((b, 2, n))
         zl = z[:, 0] / scale
         dl = zl - zl.mean(axis=1, keepdims=True)

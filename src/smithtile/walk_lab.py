@@ -8,7 +8,11 @@ pass over the level sets gives the exact conditional law of the walk given its
 height sequence, and the expected winding of the re-randomized tiled-cylinder
 walk is a drift-weighted sum over the transitions the pass recorded.  Monte
 Carlo walks all step through the one kernel ``walk``; its users are
-``simulate`` and ``convergence.invariance_diagnostic``.
+``simulate`` and ``convergence.invariance_diagnostic``.  The kernel takes one
+value per step from ``uniforms``, a stream that draws the generator's
+uniforms BLOCK at a time: ``rng.random(k)`` returns the same doubles as k
+calls of ``rng.random()``, so a walk sees the values that one call per step
+would give it, at a fraction of the per-call cost.
 """
 
 from __future__ import annotations
@@ -18,10 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .map_core import CombMap, CylinderEmbedding, insert_vertices, dual
+from .map_core import (CombMap, CylinderEmbedding, insert_vertices, dual,
+                       segment_sums)
 from .electrical import Voltage, conjugate
 from .smith_tiling import SmithDiagram, build_diagram, dart_drift
 from .rng import make_rng
+
+# Uniforms drawn per generator call by ``uniforms``.
+BLOCK = 128
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -59,37 +67,54 @@ class WalkTrace:
         return len(self.vertices)
 
 
-def walk(m: CombMap, rng, start: int, stop: set, max_steps: int) -> list:
+def uniforms(rng):
+    """Endless stream of the values of ``rng.random()``, in order, drawn
+    BLOCK at a time.  A walk that stops mid-block leaves the rest of the
+    block unused, so share one stream where walks must share one sequence."""
+    while True:
+        yield from rng.random(BLOCK).tolist()
+
+
+def walk(m: CombMap, u, start: int, stop: set, max_steps: int) -> list:
     """Darts of the conductance-weighted walk from ``start`` up to its first
     entry into the vertex set ``stop`` (empty when ``start`` is in it).
 
-    Draws exactly one ``rng.random()`` per step.  Raises StepBudgetExceeded
-    when the walk needs more than ``max_steps`` steps."""
+    Takes exactly one value per step from the uniform stream ``u`` (see
+    ``uniforms``) and scales it by the vertex's total conductance.  Raises
+    StepBudgetExceeded when the walk needs more than ``max_steps`` steps."""
     if not stop:
         raise ValueError("stop set must be nonempty")
     head, vertex_darts, cum = m.walk_tables()
-    random = rng.random
+    draw = u.__next__
     darts: list = []
+    step = darts.append
     v = int(start)
-    while v not in stop:
-        if len(darts) >= max_steps:
-            raise StepBudgetExceeded(f"no stop vertex within {max_steps} steps")
+    for _ in range(max_steps):
+        if v in stop:
+            return darts
         c = cum[v]
+        total = c[-1]
+        x = draw() * total
         # a draw that rounds up to the total still picks the last dart
-        h = vertex_darts[v][min(bisect_right(c, random() * c[-1]), len(c) - 1)]
-        darts.append(h)
+        h = vertex_darts[v][bisect_right(c, x) if x < total else -1]
+        step(h)
         v = head[h]
-    return darts
+    if v in stop:
+        return darts
+    raise StepBudgetExceeded(f"no stop vertex within {max_steps} steps")
 
 
 def simulate(m: CombMap, start: int, stop_set, seed: int,
              max_steps: int = 10_000_000) -> WalkTrace:
     """Run the weighted walk from ``start`` until it first enters ``stop_set``.
 
-    Bit-reproducible for a fixed seed.  Raises StepBudgetExceeded past the cap.
+    The walk takes the values of its own ``uniforms`` stream of the seed's
+    generator, one per step, so it is bit-reproducible for a fixed seed.
+    Raises StepBudgetExceeded past the cap.
     """
     stop = set(int(s) for s in stop_set)
-    darts = np.array(walk(m, make_rng(seed), start, stop, max_steps), dtype=np.int64)
+    darts = np.array(walk(m, uniforms(make_rng(seed)), start, stop, max_steps),
+                     dtype=np.int64)
     verts = np.concatenate(([int(start)], m.dart_head[darts]))
     return WalkTrace(verts, darts)
 
@@ -203,18 +228,29 @@ def level_measure(m: CombMap, v: Voltage, a: float, tol: float = 1e-12,
     verts = level_set(m, v, a, tol)
     if len(verts) == 0:
         raise ValueError(f"level {a} is not realized by any vertex")
-    mass = np.zeros(len(verts))
-    for i, x in enumerate(verts):
-        fl = v.dart_flow(m.vertex_darts[x])
-        inflow = -float(fl[fl < 0].sum())
-        outflow = float(fl[fl > 0].sum())
-        # rounding in each dart flow scales with its conductance, which mid-edge
-        # insertion at small fractions can make large
-        csum = float(np.sum(m.conductance[np.asarray(m.vertex_darts[x]) >> 1]))
-        if abs(inflow - outflow) > balance_tol * max(1.0, inflow, csum):
-            raise ValueError(f"vertex {x}: flow imbalance {inflow - outflow}")
-        mass[i] = inflow / v.eta
-    return LevelMeasure(a, verts, mass)
+    # the darts of the level vertices in rotation order; each vertex's
+    # in-flows, out-flows and conductances keep that order, so every sum is
+    # the np.sum a loop over the vertices would take
+    k = len(verts)
+    at = np.zeros(m.num_vertices, dtype=bool)
+    at[verts] = True
+    deg = np.diff(m.vert_ptr)
+    g = m.vert_dart[np.repeat(at, deg)]
+    fl = v.dart_flow(g)
+    owner = np.repeat(np.arange(k), deg[verts])
+    neg, pos = fl < 0, fl > 0
+    sizes = np.concatenate([np.bincount(owner[neg], minlength=k),
+                            np.bincount(owner[pos], minlength=k), deg[verts]])
+    sums = segment_sums(np.concatenate([fl[neg], fl[pos], m.conductance[g >> 1]]),
+                        np.concatenate([[0], np.cumsum(sizes)]))
+    inflow, outflow, csum = -sums[:k], sums[k:2 * k], sums[2 * k:]
+    # rounding in each dart flow scales with its conductance, which mid-edge
+    # insertion at small fractions can make large
+    bad = np.abs(inflow - outflow) > balance_tol * np.maximum(np.maximum(1.0, inflow), csum)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"vertex {int(verts[i])}: flow imbalance {float(inflow[i] - outflow[i])}")
+    return LevelMeasure(a, verts, inflow / v.eta)
 
 
 # -- exact conditional laws --------------------------------------------------
@@ -318,25 +354,26 @@ def absorption_probs(m: CombMap, absorbing) -> tuple:
     absorbing = sorted(set(int(x) for x in absorbing))
     if not absorbing:
         raise ValueError("absorbing set must be nonempty")
-    V = m.num_vertices
-    col = {w: j for j, w in enumerate(absorbing)}
-    free = [x for x in range(V) if x not in col]
-    fidx = {x: i for i, x in enumerate(free)}
-    nf, na = len(free), len(absorbing)
+    V, na = m.num_vertices, len(absorbing)
+    stops = np.zeros(V, dtype=bool)
+    stops[absorbing] = True
+    free = np.flatnonzero(~stops)
+    nf = len(free)
+    slot = np.empty(V, dtype=np.int64)
+    slot[free] = np.arange(nf)
+    slot[absorbing] = np.arange(na)
+    # every entry adds its darts' terms from 0.0 in rotation order, as a loop
+    # over the free vertices and their darts would
+    g = m.vert_dart[np.repeat(~stops, np.diff(m.vert_ptr))]
+    x, y = m.dart_tail[g], m.dart_head[g]
+    p = m.conductance[g >> 1] / m.pi_weight[x]
+    hit = stops[y]
     P = np.zeros((nf, nf))
     B = np.zeros((nf, na))
-    pi = m.pi_weight
-    for i, x in enumerate(free):
-        for g in m.vertex_darts[x]:
-            y = int(m.dart_head[g])
-            p = float(m.conductance[g >> 1]) / pi[x]
-            if y in col:
-                B[i, col[y]] += p
-            else:
-                P[i, fidx[y]] += p
+    np.add.at(P, (slot[x[~hit]], slot[y[~hit]]), p[~hit])
+    np.add.at(B, (slot[x[hit]], slot[y[hit]]), p[hit])
     out = np.zeros((V, na))
-    for w, j in col.items():
-        out[w, j] = 1.0
+    out[absorbing, np.arange(na)] = 1.0
     if nf:
         out[free] = np.linalg.solve(np.eye(nf) - P, B)
     return out, np.array(absorbing, dtype=np.int64)

@@ -20,6 +20,7 @@ from smithtile.electrical import Conjugate, Voltage, harmonic_darts
 from smithtile.rng import make_rng
 from smithtile.smith_tiling import (SmithDiagram, SmithEmbedding, TilingError,
                                     _circle_pieces, reduce_mod)
+from smithtile.walk_lab import LevelMeasure, LevelNotVertexed, level_set
 
 
 def harmonic_dart(v: Voltage, k: int) -> int:
@@ -655,3 +656,57 @@ def mated_map(exc: Excursion) -> tuple:
             cyc.append(2 * k)
         rotation.append(cyc)
     return n, edges, rotation, kind
+
+
+# -- the walk-layer steps before they ran as array code ------------------------
+
+def level_measure(m: CombMap, v: Voltage, a: float, tol: float = 1e-12,
+                  balance_tol: float = 1e-9) -> LevelMeasure:
+    """``walk_lab.level_measure`` vertex by vertex."""
+    ht, hh = v.values[m.edge_tail], v.values[m.edge_head]
+    crossing = (np.minimum(ht, hh) + tol < a) & (a < np.maximum(ht, hh) - tol)
+    if crossing.any():
+        k = int(np.argmax(crossing))
+        raise LevelNotVertexed(f"edge {k} crosses level {a} away from a vertex")
+    verts = level_set(m, v, a, tol)
+    if len(verts) == 0:
+        raise ValueError(f"level {a} is not realized by any vertex")
+    mass = np.zeros(len(verts))
+    for i, x in enumerate(verts):
+        fl = v.dart_flow(m.vertex_darts[x])
+        inflow = -float(fl[fl < 0].sum())
+        outflow = float(fl[fl > 0].sum())
+        csum = float(np.sum(m.conductance[np.asarray(m.vertex_darts[x]) >> 1]))
+        if abs(inflow - outflow) > balance_tol * max(1.0, inflow, csum):
+            raise ValueError(f"vertex {x}: flow imbalance {inflow - outflow}")
+        mass[i] = inflow / v.eta
+    return LevelMeasure(a, verts, mass)
+
+
+def absorption_probs(m: CombMap, absorbing) -> tuple:
+    """``walk_lab.absorption_probs`` filling P and B dart by dart."""
+    absorbing = sorted(set(int(x) for x in absorbing))
+    if not absorbing:
+        raise ValueError("absorbing set must be nonempty")
+    V = m.num_vertices
+    col = {w: j for j, w in enumerate(absorbing)}
+    free = [x for x in range(V) if x not in col]
+    fidx = {x: i for i, x in enumerate(free)}
+    nf, na = len(free), len(absorbing)
+    P = np.zeros((nf, nf))
+    B = np.zeros((nf, na))
+    pi = m.pi_weight
+    for i, x in enumerate(free):
+        for g in m.vertex_darts[x]:
+            y = int(m.dart_head[g])
+            p = float(m.conductance[g >> 1]) / pi[x]
+            if y in col:
+                B[i, col[y]] += p
+            else:
+                P[i, fidx[y]] += p
+    out = np.zeros((V, na))
+    for w, j in col.items():
+        out[w, j] = 1.0
+    if nf:
+        out[free] = np.linalg.solve(np.eye(nf) - P, B)
+    return out, np.array(absorbing, dtype=np.int64)

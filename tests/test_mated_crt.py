@@ -98,30 +98,72 @@ def test_sampler_matches_single_draws(gamma, n):
             assert_same_excursion(got, want)
 
 
-@pytest.mark.parametrize("position", [1, 0])
-def test_sampler_accepts_at_block_edges(monkeypatch, position):
-    # the draw accepted at attempt a is the first (a % block == 1) or the
-    # last (a % block == 0) of its block, for every such block size
+def block_of(cap, a):
+    """(first attempt, last attempt, size) of the block holding attempt a,
+    for blocks that double from one attempt up to cap attempts."""
+    first, size = 1, 1
+    while first + size <= a:
+        first += size
+        size = min(2 * size, cap)
+    return first, first + size - 1, size
+
+
+@pytest.mark.parametrize("edge", [0, 1])
+def test_sampler_accepts_at_block_edges(monkeypatch, edge):
+    # the accepted attempt is the first (edge 0) or the last (edge 1) of its
+    # block: of a block still growing at the default cap, and of a full block
+    # at every cap that puts it there
     n = 24
-    want = oracles.sample_excursion(1.8, n, seed=0)
+    growing_seed, full_seed = ((24, 0), (36, 4))[edge]
+    want = oracles.sample_excursion(1.8, n, seed=growing_seed)
+    block = block_of(mated_crt.BLOCK_NORMALS // (2 * n), want.attempts)
+    assert want.attempts == block[edge] and block[2] < mated_crt.BLOCK_NORMALS // (2 * n)
+    assert_same_excursion(sample_excursion(1.8, n, seed=growing_seed), want)
+    want = oracles.sample_excursion(1.8, n, seed=full_seed)
     a = want.attempts
-    blocks = [b for b in range(1, a + 1) if a % b == position]
-    assert len(blocks) >= 3
-    for b in blocks:
-        monkeypatch.setattr(mated_crt, "BLOCK_NORMALS", 2 * n * b)
-        assert_same_excursion(sample_excursion(1.8, n, seed=0), want)
+    caps = [c for c in range(1, a + 1) if block_of(c, a)[2] == c and block_of(c, a)[edge] == a]
+    assert len(caps) >= 3
+    for cap in caps:
+        monkeypatch.setattr(mated_crt, "BLOCK_NORMALS", 2 * n * cap)
+        assert_same_excursion(sample_excursion(1.8, n, seed=full_seed), want)
 
 
 def test_sampler_budget_cuts_last_block(monkeypatch):
+    # budgets of a - 1 and a attempts both end inside the block holding a:
+    # a block still growing at the default cap, and a full block at cap 7
     n = 24
     a = oracles.sample_excursion(1.8, n, seed=0).attempts
-    for b in (7, mated_crt.BLOCK_NORMALS // (2 * n)):
-        monkeypatch.setattr(mated_crt, "BLOCK_NORMALS", 2 * n * b)
-        assert (a - 1) % b and a % b
+    for cap in (mated_crt.BLOCK_NORMALS // (2 * n), 7):
+        monkeypatch.setattr(mated_crt, "BLOCK_NORMALS", 2 * n * cap)
+        first, last, size = block_of(cap, a)
+        assert first < a - 1 and a < last and (size == cap) == (cap == 7)
         got, want = sample_both(1.8, n, 0, a - 1)
         assert got == want and "no excursion in" in got
         got, want = sample_both(1.8, n, 0, a)
         assert_same_excursion(got, want)
+
+
+def test_sampler_blocks_double_from_one(monkeypatch):
+    # attempt 160 is reached in blocks of 1, 2, ..., 128 attempts, and a cap
+    # of 48 attempts stops the doubling
+    n = 24
+    drawn = []
+
+    class Recording:
+        def __init__(self, seed):
+            self.rng = make_rng(seed)
+
+        def standard_normal(self, size):
+            drawn.append(size[0])
+            return self.rng.standard_normal(size)
+
+    monkeypatch.setattr(mated_crt, "make_rng", Recording)
+    assert sample_excursion(1.8, n, seed=0).attempts == 160
+    assert drawn == [1, 2, 4, 8, 16, 32, 64, 128]
+    drawn.clear()
+    monkeypatch.setattr(mated_crt, "BLOCK_NORMALS", 2 * n * 48)
+    sample_excursion(1.8, n, seed=0)
+    assert drawn == [1, 2, 4, 8, 16, 32, 48, 48, 48]
 
 
 def test_excursion_from_increments_validation():

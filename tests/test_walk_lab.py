@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+import oracles
 from smithtile import walk_lab
 from smithtile.convergence import invariance_diagnostic
 from smithtile.rng import make_rng
 from smithtile import (InadmissibleHeights, LevelNotVertexed,
-                       StepBudgetExceeded, absorption_probs,
+                       StepBudgetExceeded, Voltage, absorption_probs,
                        admissible_sequences, augment_all_levels, build_diagram,
                        build_map, conditional_hitting, conjugate, dart_drift,
                        dual, exact_law_report, expected_conditional_winding,
@@ -484,6 +485,106 @@ def test_budget_boundary_invariance(walk_cases):
     with pytest.raises(StepBudgetExceeded):
         invariance_diagnostic(c.m, c.height, c.starts, 0.25, 0.75,
                               walks_per_start=20, seed=5, max_steps=k - 1)
+
+
+class Counted:
+    """A uniform stream that counts the values taken from it."""
+
+    def __init__(self, stream):
+        self.stream, self.taken = stream, 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.taken += 1
+        return next(self.stream)
+
+
+def test_walks_on_one_stream_take_one_value_per_step(walk_cases):
+    c = walk_cases[-2]          # the lattice
+    u = Counted(walk_lab.uniforms(make_rng(3)))
+    walks = []
+    while u.taken <= 2 * walk_lab.BLOCK:
+        start = c.starts[len(walks) % len(c.starts)]
+        walks.append(walk_lab.walk(c.m, u, start, c.stop, 10_000))
+        assert u.taken == sum(map(len, walks))
+    # each walk picks up the stream where the one before left it
+    flat = iter(make_rng(3).random(u.taken).tolist())
+    assert walks == [walk_lab.walk(c.m, flat, c.starts[i % len(c.starts)], c.stop, 10_000)
+                     for i in range(len(walks))]
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_walks_do_not_depend_on_block(walk_cases, monkeypatch, block):
+    monkeypatch.setattr(walk_lab, "BLOCK", block)
+    for c in walk_cases:
+        tr = simulate(c.m, c.x, c.stop, seed=1)
+        assert tr.darts.tolist() == ref_simulate(c.m, c.x, c.stop, 1)[0]
+        rep = invariance_diagnostic(c.m, c.height, c.starts, 0.25, 0.75,
+                                    walks_per_start=5, seed=1)
+        assert np.array_equal(rep.p_hat, ref_invariance(c.m, c.height, c.starts,
+                                                        0.25, 0.75, 5, 1)[0])
+
+
+def test_walk_draw_rounding_up_picks_last_dart():
+    # with subnormal conductances u * c[-1] can round up to c[-1], so the
+    # search lands past the last dart
+    m = build_map(2, [(0, 1, 5e-324)] * 3, [[0, 2, 4], [5, 3, 1]], marked=(0, 1))
+    c = m.walk_tables()[2][0]
+    u = 1.0 - 2.0 ** -53        # the largest value rng.random() returns
+    assert u * c[-1] == c[-1]
+    assert walk_lab.walk(m, iter([u]), 0, {1}, 1) == [4]
+
+
+# -- array kernels against the loops they replaced ------------------------------
+
+def test_absorption_probs_matches_loop(random_maps, parallel3_map, rung_map):
+    self_loop = build_map(2, [(0, 1, 1.0), (0, 0, 2.0)], [[0, 2, 3], [1]], marked=(0, 1))
+    # four parallel edges out of id order in the rotation: one entry adds four
+    # terms, in rotation order
+    bundle = build_map(4, [(0, 1, 1.0)] + [(1, 2, c) for c in (0.1, 0.2, 0.7, 0.6)]
+                       + [(2, 3, 1.0)],
+                       [[0], [1, 6, 2, 8, 4], [10, 5, 9, 3, 7], [11]], marked=(0, 3))
+    maps = [m for m, _ in random_maps[:8]] + [parallel3_map, rung_map, self_loop, bundle]
+    for m in maps:
+        half, _, _ = insert_vertices(m, None, [(k, 0.5) for k in range(m.num_edges)])
+        for mm in (m, half):
+            V = mm.num_vertices
+            order = make_rng(V).permutation(V)
+            for size in sorted({1, 2, V // 3, V // 2, V - 2, V - 1} - {0}):
+                got = absorption_probs(mm, order[:size])
+                want = oracles.absorption_probs(mm, order[:size])
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
+
+
+def test_level_measure_matches_loop(random_maps, lattice8):
+    for m, emb in list(random_maps[:8]) + [lattice8]:
+        v = solve_voltage(m)
+        aug = augment_all_levels(m, v, emb=emb)
+        for a in realized_levels(m, v):
+            got = level_measure(aug.map, aug.voltage, a)
+            want = oracles.level_measure(aug.map, aug.voltage, a)
+            assert got.vertices.tolist() == want.vertices.tolist()
+            assert got.mass.tobytes() == want.mass.tobytes()
+
+
+def test_level_measure_names_first_imbalanced_vertex(lattice8_solved):
+    # lifting two vertices of the row above unbalances the level vertices
+    # below them, columns 2 and 5; the error names column 2
+    m, _, v = lattice8_solved
+    values = v.values.copy()
+    for col, lift in ((5, 1e-3), (2, 2e-3)):
+        values[4 * 8 + col] += lift
+    bad = Voltage(m, values, v.residual, v.eta, v.eta_mismatch)
+    a = float(values[3 * 8])
+    errors = []
+    for measure in (level_measure, oracles.level_measure):
+        with pytest.raises(ValueError, match="^vertex 26: flow imbalance") as err:
+            measure(m, bad, a)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
 
 
 # -- the one-augmentation report against the per-sequence rebuild it replaced --
