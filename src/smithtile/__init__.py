@@ -14,7 +14,7 @@ tiling (``walk_lab``), mated-CRT and random test maps (``mated_crt``,
 
 from .map_core import (CombMap, CylinderEmbedding, DualMap, MapError,
                        build_map, check_embedding, dual, insert_vertices,
-                       lift_path, path_winding, wrap_angle, wrap_signed)
+                       wrap_angle, wrap_signed)
 from .electrical import (Conjugate, SolveError, Voltage, conjugate,
                          harmonic_darts, solve_voltage)
 from .smith_tiling import (SmithDiagram, SmithEmbedding, TilingError,
@@ -30,7 +30,7 @@ from .walk_lab import (HittingLaw, InadmissibleHeights, LevelMeasure,
 from .mated_crt import (Excursion, MatedCrtMap, SampleError,
                         adjacency_oracle, excursion_from_increments,
                         mark_vertices, sample_excursion)
-from .convergence import (AffineFit, InvarianceReport, converge_rows, dcmp,
+from .convergence import (AffineFit, InvarianceReport, converge_rows,
                           fit_affine, invariance_diagnostic, lattice_report,
                           make_lattice)
 from .mapgen import random_map
@@ -40,8 +40,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CombMap", "CylinderEmbedding", "DualMap", "MapError", "build_map",
-    "check_embedding", "dual", "insert_vertices", "lift_path", "path_winding",
-    "wrap_angle", "wrap_signed",
+    "check_embedding", "dual", "insert_vertices", "wrap_angle", "wrap_signed",
     "Conjugate", "SolveError", "Voltage", "conjugate", "harmonic_darts",
     "solve_voltage",
     "SmithDiagram", "SmithEmbedding", "TilingError", "TilingReport",
@@ -55,7 +54,7 @@ __all__ = [
     "step_law",
     "Excursion", "MatedCrtMap", "SampleError", "adjacency_oracle",
     "excursion_from_increments", "mark_vertices", "sample_excursion",
-    "AffineFit", "InvarianceReport", "converge_rows", "dcmp", "fit_affine",
+    "AffineFit", "InvarianceReport", "converge_rows", "fit_affine",
     "invariance_diagnostic", "lattice_report", "make_lattice",
     "random_map", "make_rng",
 ]

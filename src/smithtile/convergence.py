@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .map_core import (CombMap, CylinderEmbedding, check_embedding, dual,
-                       wrap_angle, wrap_signed, wrap_signed_array, TWO_PI)
+                       wrap_angle, wrap_signed_array, TWO_PI)
 from .electrical import solve_voltage, conjugate
 from .smith_tiling import SmithEmbedding, build_diagram, smith_embedding
 from .rng import make_rng
@@ -92,11 +92,6 @@ class AffineFit:
     sup_err_angle: float
 
 
-def cylinder_distance(p, q, period: float = TWO_PI) -> float:
-    dx = wrap_signed(p[0] - q[0], period)
-    return math.hypot(dx, p[1] - q[1])
-
-
 def fit_affine(se: SmithEmbedding, emb: CylinderEmbedding,
                band: float = 1.0) -> AffineFit:
     """Fit the cylinder affine map T taking the Smith embedding to the a
@@ -127,35 +122,6 @@ def fit_affine(se: SmithEmbedding, emb: CylinderEmbedding,
     sup = float(np.max(np.hypot(aerr, herr)))
     return AffineFit(c_h, b_h, b_w, eta, band, len(K), sup,
                      float(herr.max()), float(aerr.max()))
-
-
-def dcmp(curve1, curve2, period: float | None = None) -> float:
-    """Discrete Frechet distance between polylines (dynamic program).
-
-    With a period, the first coordinate is compared on the circle of that
-    circumference.  Symmetric; zero iff the curves agree as point sequences up
-    to repetitions."""
-    P = np.atleast_2d(np.asarray(curve1, dtype=np.float64))
-    Q = np.atleast_2d(np.asarray(curve2, dtype=np.float64))
-    if P.shape[0] == 1 and P.shape[1] > 2 and Q.shape[0] == 1:
-        P, Q = P.T, Q.T
-    p, q = len(P), len(Q)
-    if p == 0 or q == 0:
-        raise ValueError("curves must be nonempty")
-    diff = P[:, None, :] - Q[None, :, :]
-    if period is not None:
-        diff[..., 0] = np.mod(diff[..., 0] + period / 2.0, period) - period / 2.0
-    d = np.sqrt((diff ** 2).sum(axis=2))
-    ca = np.empty((p, q))
-    ca[0, 0] = d[0, 0]
-    for i in range(1, p):
-        ca[i, 0] = max(ca[i - 1, 0], d[i, 0])
-    for j in range(1, q):
-        ca[0, j] = max(ca[0, j - 1], d[0, j])
-    for i in range(1, p):
-        for j in range(1, q):
-            ca[i, j] = max(d[i, j], min(ca[i - 1, j], ca[i, j - 1], ca[i - 1, j - 1]))
-    return float(ca[-1, -1])
 
 
 # -- invariance diagnostic -------------------------------------------------------

@@ -127,7 +127,7 @@ class Conjugate:
     w_lift: np.ndarray          # real lift per dual vertex, w = w_lift mod eta
     max_defect: float           # worst |defect - eta * winding| over non-tree duals
     tree_dart: np.ndarray       # dual dart used to reach each face (-1 at base)
-    w_err: np.ndarray | None = None   # rounding bound on w_lift per dual vertex
+    w_err: np.ndarray           # rounding bound on w_lift per dual vertex
 
     def w(self, f):
         return np.mod(self.w_lift[f], self.voltage.eta)

@@ -48,12 +48,6 @@ def dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _num(x) -> float | None:
-    if x is None:
-        return None
-    return float(x)
-
-
 # -- map ------------------------------------------------------------------------
 
 def map_to_json(m: CombMap, emb: CylinderEmbedding | None = None) -> dict:

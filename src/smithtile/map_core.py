@@ -22,6 +22,20 @@ Per-cycle sums run in the order a loop over each cycle would run them:
 sorted by length so that the cycles still open at position j are a prefix,
 and ``segment_sums`` adds each segment as ``np.sum`` adds it alone.  Results
 are therefore bit-identical to the cycle-by-cycle loops.
+
+Refinement (``insert_vertices``) splits edge k at fractions t_1 < ... < t_j
+of its tail -> head length into a chain of sub-edges, the one from t_i to
+t_(i+1) with conductance c_k / (t_(i+1) - t_i).  By the series law every
+voltage on the original vertices stays the same.  The sub-edges keep the
+edge's orientation and are numbered in edge order, then along the chain, so
+``edge_origin`` is nondecreasing; the inserted vertices follow the original
+ones in (edge, fraction) order, whatever the order of the points.  Original
+darts keep their places in the rotations.  An inserted vertex takes the
+angle and height of the straight line along its edge; on an edge with one
+marked end it sits at the finite end's angle, on the line from that end's
+height to one unit beyond the largest |height| toward the pole, and the
+sub-edges carry displacement zero.  On an edge joining the two poles it has
+no coordinates (nan).
 """
 
 from __future__ import annotations
@@ -130,7 +144,7 @@ class CombMap:
     """
 
     def __init__(self, num_vertices, edge_tail, edge_head, conductance,
-                 next_dart, v0=None, v1=None, check=True):
+                 next_dart, v0=None, v1=None):
         self.num_vertices = int(num_vertices)
         self.edge_tail = np.asarray(edge_tail, dtype=np.int64)
         self.edge_head = np.asarray(edge_head, dtype=np.int64)
@@ -148,16 +162,14 @@ class CombMap:
         self.dart_tail[1::2] = self.edge_head
         self.dart_head = self.dart_tail[np.arange(2 * E) ^ 1] if E else np.empty(0, dtype=np.int64)
 
-        if check:
-            self._check_structure()
+        self._check_structure()
 
         self.prev_dart = np.empty_like(self.next_dart)
         self.prev_dart[self.next_dart] = np.arange(self.num_darts)
         self._build_rotations()
         self._build_faces()
 
-        if check:
-            self._check_topology()
+        self._check_topology()
         for a in (self.edge_tail, self.edge_head, self.conductance,
                   self.next_dart, self.prev_dart, self.dart_tail,
                   self.dart_head, self.face_of, self.vert_ptr, self.vert_dart,
@@ -378,25 +390,6 @@ def check_embedding(m: CombMap, emb: CylinderEmbedding, tol: float = 1e-9) -> No
         raise MapError(f"face {f}: displacement cycle sum {float(s[f])} != 0")
 
 
-def lift_path(m: CombMap, emb: CylinderEmbedding, darts) -> np.ndarray:
-    """Cumulative real horizontal lift along a dart path, starting at 0."""
-    darts = np.asarray(darts, dtype=np.int64)
-    if len(darts) == 0:
-        return np.zeros(1)
-    heads = m.dart_head[darts[:-1]]
-    tails = m.dart_tail[darts[1:]]
-    if np.any(heads != tails):
-        raise MapError("darts do not form a path")
-    out = np.zeros(len(darts) + 1)
-    out[1:] = np.cumsum(emb.dart_dtheta(darts))
-    return out
-
-
-def path_winding(m: CombMap, emb: CylinderEmbedding, darts) -> float:
-    lifts = lift_path(m, emb, darts)
-    return (lifts[-1] - lifts[0]) / TWO_PI
-
-
 # -- dual map ---------------------------------------------------------------
 
 @dataclass
@@ -519,138 +512,85 @@ def marked_cut_path(m: CombMap) -> np.ndarray:
     return np.array(path[::-1], dtype=np.int64)
 
 
-def dual_cycle_winding_cut(dual_map: DualMap, cycle_darts, cut=None) -> int:
-    """Winding of a closed dual cycle around the cylinder via signed crossings
-    of a fixed primal path from v0 to v1.  Purely combinatorial."""
-    m = dual_map.primal
-    if cut is None:
-        cut = marked_cut_path(m)
-    sign = {}
-    for h in cut:
-        sign[int(h)] = -1     # dual dart h crosses the upward path right-to-left
-        sign[int(h) ^ 1] = 1
-    return sum(sign.get(int(h), 0) for h in cycle_darts)
-
-
 # -- refinement -------------------------------------------------------------
 
 def insert_vertices(m: CombMap, emb: CylinderEmbedding | None, points):
     """Split edges at interior points, preserving the electrical network.
 
-    ``points`` is a sequence of (edge, fraction) with fractions in (0, 1)
-    measured along the stored tail -> head orientation.  A sub-edge of length
-    t (as a fraction of the unit-length edge) gets conductance c / t, so the
-    series law keeps voltages on original vertices unchanged.  Returns
-    (map, embedding, edge_origin) where edge_origin maps new edge index to the
-    original edge it came from; inserted vertices are appended after the
-    original ones in insertion order.
+    ``points`` holds (edge, fraction) pairs, as a sequence or an (n, 2)
+    array in any order, each fraction in (0, 1) along the stored tail -> head
+    orientation.  Returns (map, embedding, edge_origin): vertex V + i is the
+    i-th point in (edge, fraction) order, and edge_origin names the original
+    edge of each new edge (see the module docstring); the embedding is None
+    without ``emb``.  Raises MapError for a fraction outside (0, 1) (the
+    first in input order), an edge id that is not an integer in [0, E), or
+    two fractions of one edge less than 1e-15 apart (the edge that appears
+    first in ``points``).
     """
-    by_edge = {}
-    for e, t in points:
-        e = int(e)
-        if not (0.0 < t < 1.0):
-            raise MapError(f"fraction {t} not in (0, 1)")
-        by_edge.setdefault(e, []).append(float(t))
-    for e, ts in by_edge.items():
-        ts.sort()
-        if any(b - a < 1e-15 for a, b in zip(ts, ts[1:])):
-            raise MapError(f"edge {e}: fractions not strictly increasing")
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    e, t = pts[:, 0], pts[:, 1]
+    bad = np.flatnonzero(~((t > 0.0) & (t < 1.0)))
+    if len(bad):
+        raise MapError(f"fraction {points[bad[0]][1]} not in (0, 1)")
+    V, E, n = m.num_vertices, m.num_edges, len(t)
+    bad = np.flatnonzero(~((e >= 0) & (e < E) & (e == np.floor(e))))
+    if len(bad):
+        i = int(bad[0])
+        k, f = points[i]
+        raise MapError(f"point {i} ({k}, {f}): edge id is not an integer in [0, {E})")
+    given = e.astype(np.int64)
+    order = np.lexsort((t, given))
+    e, t = given[order], t[order]
+    close = (e[1:] == e[:-1]) & (t[1:] - t[:-1] < 1e-15)
+    if close.any():
+        k = int(given[np.isin(given, e[1:][close])][0])
+        raise MapError(f"edge {k}: fractions not strictly increasing")
 
-    V = m.num_vertices
-    new_theta, new_height = [], []
+    # edge k becomes cnt[k] + 1 sub-edges, numbered from start[k] on; the
+    # inserted vertex at the head of every sub-edge g but the last of its
+    # edge is V + g - origin[g], point g - origin[g] in (edge, fraction) order
+    cnt = np.bincount(e, minlength=E)
+    start = np.cumsum(cnt + 1) - (cnt + 1)
+    origin = np.repeat(np.arange(E), cnt + 1)
+    g = np.arange(E + n)
+    pos = g - start[origin]
+    first, last = pos == 0, pos == cnt[origin]
+    inner = V + g - origin
+    tails = np.where(first, m.edge_tail[origin], inner - 1)
+    heads = np.where(last, m.edge_head[origin], inner)
+    lo, hi = np.zeros(E + n), np.ones(E + n)
+    lo[~first] = t
+    hi[~last] = t
+    dt = hi - lo
+
+    # original darts keep their rotation slots, dart 2k now the first
+    # sub-edge's and 2k + 1 the last's; each inserted vertex holds the
+    # 2-cycle of its darts back and forward along the chain
+    lead = np.empty(2 * E, dtype=np.int64)
+    lead[0::2] = 2 * start
+    lead[1::2] = 2 * (start + cnt) + 1
+    nxt = np.empty(2 * (E + n), dtype=np.int64)
+    nxt[lead] = lead[m.next_dart]
+    fwd = 2 * g[~first]
+    nxt[fwd] = fwd - 1
+    nxt[fwd - 1] = fwd
+    m2 = CombMap(V + n, tails, heads, m.conductance[origin] / dt, nxt, v0=m.v0, v1=m.v1)
+    if emb is None:
+        return m2, None, origin
+
     hmax = 0.0
-    if emb is not None and np.any(np.isfinite(emb.height)):
+    if np.any(np.isfinite(emb.height)):
         hmax = float(np.nanmax(np.abs(emb.height)))
-
-    tails, heads, conds, dthetas, origin = [], [], [], [], []
-    # darts of the chain replacing each original dart
-    first_dart = np.empty(m.num_darts, dtype=np.int64)
-    last_dart = np.empty(m.num_darts, dtype=np.int64)
-    chain_vertices = {}
-
-    def edge_coords(k, t):
-        u, w = int(m.edge_tail[k]), int(m.edge_head[k])
-        if emb is None:
-            return math.nan, math.nan
-        um, wm = m.is_marked(u), m.is_marked(w)
-        if um and wm:
-            return math.nan, math.nan
-        if um:
-            # pole at t = 0: come up from one unit below the deepest vertex
-            hh = emb.height[w] - (1.0 - t) * (emb.height[w] + hmax + 1.0)
-            return wrap_angle(emb.theta[w]), hh
-        if wm:
-            return wrap_angle(emb.theta[u]), emb.height[u] + t * (hmax + 1.0 - emb.height[u])
-        th = wrap_angle(emb.theta[u] + t * emb.dtheta[k])
-        return th, emb.height[u] + t * (emb.height[w] - emb.height[u])
-
-    next_vertex = V
-    for k in range(m.num_edges):
-        ts = by_edge.get(k)
-        if not ts:
-            e_new = len(tails)
-            tails.append(int(m.edge_tail[k]))
-            heads.append(int(m.edge_head[k]))
-            conds.append(float(m.conductance[k]))
-            dthetas.append(0.0 if emb is None else float(emb.dtheta[k]))
-            origin.append(k)
-            first_dart[2 * k] = 2 * e_new
-            last_dart[2 * k] = 2 * e_new
-            first_dart[2 * k + 1] = 2 * e_new + 1
-            last_dart[2 * k + 1] = 2 * e_new + 1
-            continue
-        vs = []
-        for t in ts:
-            th, hh = edge_coords(k, t)
-            new_theta.append(th)
-            new_height.append(hh)
-            vs.append(next_vertex)
-            next_vertex += 1
-        chain_vertices[k] = vs
-        nodes = [int(m.edge_tail[k])] + vs + [int(m.edge_head[k])]
-        fr = [0.0] + ts + [1.0]
-        seg_edges = []
-        for i in range(len(nodes) - 1):
-            e_new = len(tails)
-            seg_edges.append(e_new)
-            dt = fr[i + 1] - fr[i]
-            tails.append(nodes[i])
-            heads.append(nodes[i + 1])
-            conds.append(float(m.conductance[k]) / dt)
-            if emb is None:
-                dthetas.append(0.0)
-            else:
-                um = m.is_marked(int(m.edge_tail[k]))
-                wm = m.is_marked(int(m.edge_head[k]))
-                base = 0.0 if (um or wm) else float(emb.dtheta[k])
-                dthetas.append(base * dt)
-            origin.append(k)
-        first_dart[2 * k] = 2 * seg_edges[0]
-        last_dart[2 * k] = 2 * seg_edges[-1]
-        first_dart[2 * k + 1] = 2 * seg_edges[-1] + 1
-        last_dart[2 * k + 1] = 2 * seg_edges[0] + 1
-
-    # rotations: original vertices keep their cyclic order with chain darts
-    # substituted; inserted vertices get the 2-cycle along their chain.
-    E_new = len(tails)
-    nxt = np.full(2 * E_new, -1, dtype=np.int64)
-    nxt[first_dart] = first_dart[m.next_dart]
-    for k, vs in chain_vertices.items():
-        # chain darts: along nodes i -> i+1 the forward dart is
-        # first_dart[2k] + 2*i when edges were appended consecutively
-        e0 = first_dart[2 * k] >> 1
-        for i, v in enumerate(vs):
-            fwd = 2 * (e0 + i + 1)      # dart v -> next node
-            bwd = 2 * (e0 + i) + 1      # dart v -> previous node
-            nxt[fwd] = bwd
-            nxt[bwd] = fwd
-
-    m2 = CombMap(next_vertex, tails, heads, conds, nxt, v0=m.v0, v1=m.v1)
-    emb2 = None
-    if emb is not None:
-        emb2 = CylinderEmbedding(
-            theta=np.concatenate([emb.theta, np.array(new_theta)]),
-            height=np.concatenate([emb.height, np.array(new_height)]),
-            dtheta=np.array(dthetas),
-        )
-    return m2, emb2, np.array(origin, dtype=np.int64)
+    u, w = m.edge_tail[e], m.edge_head[e]
+    um, wm = m.marked[u], m.marked[w]
+    th, h = emb.theta, emb.height
+    theta = mod_array(np.where(um, th[w], np.where(wm, th[u], th[u] + t * emb.dtheta[e])),
+                      TWO_PI)
+    height = np.where(um, h[w] - (1.0 - t) * (h[w] + hmax + 1.0),
+                      np.where(wm, h[u] + t * (hmax + 1.0 - h[u]), h[u] + t * (h[w] - h[u])))
+    both = um & wm
+    theta[both] = height[both] = math.nan
+    pole = (m.marked[m.edge_tail] | m.marked[m.edge_head])[origin]
+    dtheta = np.where(pole & (cnt[origin] > 0), 0.0, emb.dtheta[origin] * dt)
+    emb2 = CylinderEmbedding(np.concatenate([th, theta]), np.concatenate([h, height]), dtheta)
+    return m2, emb2, origin

@@ -62,14 +62,14 @@ class Excursion:
             raise ValueError("excursion leaves the first quadrant")
 
 
-def excursion_from_increments(dl, dr, attempts: int = 1) -> Excursion:
+def excursion_from_increments(dl, dr) -> Excursion:
     dl = np.asarray(dl, dtype=np.float64)
     dr = np.asarray(dr, dtype=np.float64)
     if dl.shape != dr.shape or dl.ndim != 1 or len(dl) < 2:
         raise ValueError("increment arrays must be equal-length 1-d, n >= 2")
     lv = np.concatenate([[0.0], np.cumsum(dl)])
     rv = np.concatenate([[0.0], np.cumsum(dr)])
-    exc = Excursion(len(dl), dl, dr, lv, rv, attempts)
+    exc = Excursion(len(dl), dl, dr, lv, rv)
     exc.check()
     return exc
 

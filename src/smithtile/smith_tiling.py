@@ -109,7 +109,7 @@ def build_diagram(m: CombMap, dmap: DualMap, v: Voltage, c: Conjugate,
     # w values inherit the integration error bound carried by the conjugate
     eps = float(np.finfo(np.float64).eps)
     vs = float(max(1.0, np.abs(h).max()))
-    werr = c.w_err if c.w_err is not None else np.zeros(m.num_faces)
+    werr = c.w_err
 
     V = m.num_vertices
     ptr, darts = m.vert_ptr, m.vert_dart

@@ -31,6 +31,9 @@ from .rng import make_rng
 # Uniforms drawn per generator call by ``uniforms``.
 BLOCK = 128
 
+# Relative bound on the flow imbalance at a level vertex in ``level_measure``.
+BALANCE_TOL = 1e-9
+
 
 class StepBudgetExceeded(RuntimeError):
     """A simulated walk ran past its step cap without stopping."""
@@ -133,8 +136,7 @@ def _merge_levels(values, tol: float) -> np.ndarray:
 
 def realized_levels(m: CombMap, v: Voltage, tol: float = 1e-12) -> np.ndarray:
     """Sorted distinct voltage values over non-marked vertices."""
-    interior = [x for x in range(m.num_vertices) if not m.is_marked(x)]
-    return _merge_levels(v.values[interior], tol)
+    return _merge_levels(v.values[~m.marked], tol)
 
 
 def level_set(m: CombMap, v: Voltage, a: float, tol: float = 1e-12) -> np.ndarray:
@@ -178,26 +180,24 @@ def augment_all_levels(m: CombMap, v: Voltage, extra=(),
         raise ValueError("heights must be finite")
     if np.any((extra <= 0.0) | (extra >= 1.0)):
         raise ValueError("heights must lie strictly between 0 and 1")
-    levels = _merge_levels(list(realized_levels(m, v, tol)) + extra.tolist(), tol)
-    points, new_vals = [], []
-    for k in range(m.num_edges):
-        ht = float(v.values[m.edge_tail[k]])
-        hh = float(v.values[m.edge_head[k]])
-        lo, hi = min(ht, hh), max(ht, hh)
-        if hi - lo <= 2 * tol:
-            continue
-        inside = levels[(levels > lo + tol) & (levels < hi - tol)]
-        ts = sorted((float((a - ht) / (hh - ht)), float(a)) for a in inside)
-        for t, a in ts:
-            points.append((k, t))
-            new_vals.append(a)
-    if not points:
+    levels = _merge_levels(np.concatenate([realized_levels(m, v, tol), extra]), tol)
+    # the levels strictly inside each edge are levels[start:stop]; they go in
+    # ascending along a rising edge and descending along a falling one, so the
+    # points come in (edge, fraction) order, the order of the new vertices
+    ht, hh = v.values[m.edge_tail], v.values[m.edge_head]
+    lo, hi = np.minimum(ht, hh), np.maximum(ht, hh)
+    start = np.searchsorted(levels, lo + tol, side="right")
+    stop = np.searchsorted(levels, hi - tol, side="left")
+    cnt = np.where(hi - lo > 2 * tol, np.maximum(stop - start, 0), 0)
+    if not cnt.any():
         return Augmented(m, v, emb, 0, tol)
-    m2, emb2, _origin = insert_vertices(m, emb, points)
-    # insert_vertices numbers new vertices in (edge, fraction) order = points order
-    vals2 = np.concatenate([v.values, np.array(new_vals)])
-    v2 = Voltage(m2, vals2, v.residual, v.eta, v.eta_mismatch)
-    return Augmented(m2, v2, emb2, len(points), tol)
+    k = np.repeat(np.arange(m.num_edges), cnt)
+    r = np.arange(len(k)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    a = levels[np.where(hh[k] > ht[k], start[k] + r, stop[k] - 1 - r)]
+    t = (a - ht[k]) / (hh[k] - ht[k])
+    m2, emb2, _origin = insert_vertices(m, emb, np.column_stack([k, t]))
+    v2 = Voltage(m2, np.concatenate([v.values, a]), v.residual, v.eta, v.eta_mismatch)
+    return Augmented(m2, v2, emb2, len(a), tol)
 
 
 @dataclass
@@ -214,12 +214,11 @@ class LevelMeasure:
         return float(self.mass.sum())
 
 
-def level_measure(m: CombMap, v: Voltage, a: float, tol: float = 1e-12,
-                  balance_tol: float = 1e-9) -> LevelMeasure:
+def level_measure(m: CombMap, v: Voltage, a: float, tol: float = 1e-12) -> LevelMeasure:
     """Harmonic measure of a fully vertexed level: mass(x) = in-flow / eta.
 
     In-flow and out-flow must agree at every level vertex (harmonicity); the
-    defect is asserted against balance_tol."""
+    defect is asserted against BALANCE_TOL."""
     ht, hh = v.values[m.edge_tail], v.values[m.edge_head]
     crossing = (np.minimum(ht, hh) + tol < a) & (a < np.maximum(ht, hh) - tol)
     if crossing.any():
@@ -246,7 +245,7 @@ def level_measure(m: CombMap, v: Voltage, a: float, tol: float = 1e-12,
     inflow, outflow, csum = -sums[:k], sums[k:2 * k], sums[2 * k:]
     # rounding in each dart flow scales with its conductance, which mid-edge
     # insertion at small fractions can make large
-    bad = np.abs(inflow - outflow) > balance_tol * np.maximum(np.maximum(1.0, inflow), csum)
+    bad = np.abs(inflow - outflow) > BALANCE_TOL * np.maximum(np.maximum(1.0, inflow), csum)
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"vertex {int(verts[i])}: flow imbalance {float(inflow[i] - outflow[i])}")

@@ -7,8 +7,9 @@ tests that use it, so they double as oracles.
 import numpy as np
 import pytest
 
-from smithtile import (build_map, make_lattice, mark_vertices, random_map,
-                       sample_excursion, solve_voltage)
+from smithtile import (CylinderEmbedding, build_map, make_lattice,
+                       mark_vertices, random_map, sample_excursion,
+                       solve_voltage)
 from smithtile.mated_crt import build_map as build_mated
 
 
@@ -65,6 +66,19 @@ def mated_crt64():
     """A gamma = 1.8, n = 64 mated-CRT map marked as `smith mated-crt
     --seed 7` marks it; it has no embedding."""
     return mark_vertices(build_mated(sample_excursion(1.8, 64, seed=7)), seed=7).map
+
+
+@pytest.fixture(scope="session")
+def refinement_cases(random_maps, lattice8, rung_map, mated_crt64,
+                     parallel3_map):
+    """(map, embedding or None) pairs for the refinement oracles: generic
+    and lattice maps with embeddings, maps without, and parallel3_map with
+    the one embedding it has, no finite coordinates, so that its edges join
+    the two poles."""
+    poles_only = CylinderEmbedding(np.full(2, np.nan), np.full(2, np.nan),
+                                   np.zeros(3))
+    return random_maps[:6] + [lattice8, (rung_map, None), (mated_crt64, None),
+                              (parallel3_map, None), (parallel3_map, poles_only)]
 
 
 @pytest.fixture(scope="session")

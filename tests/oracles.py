@@ -2,8 +2,9 @@
 
 Each one restates a rule the program applies in bulk: the harmonic
 orientation of one edge, the adjacency of touching rectangles, the
-noncrossing of the arcs of a mated-CRT map, and (below) the loop forms of
-the steps that now run as array code.
+noncrossing of the arcs of a mated-CRT map, the winding of a dual cycle by
+its crossings of a cut path, and (below) the loop forms of the steps that
+now run as array code.
 """
 
 import math
@@ -13,14 +14,16 @@ import scipy.sparse as sp
 
 from smithtile.convergence import AffineFit, lattice_shape
 from smithtile.map_core import (TWO_PI, CombMap, CylinderEmbedding, DualMap,
-                                MapError, wrap_angle, wrap_signed)
+                                MapError, marked_cut_path, wrap_angle,
+                                wrap_signed)
 from smithtile.mated_crt import (LINE, LOWER, UPPER, Excursion, MatedCrtMap,
                                  SampleError)
 from smithtile.electrical import Conjugate, Voltage, harmonic_darts
 from smithtile.rng import make_rng
 from smithtile.smith_tiling import (SmithDiagram, SmithEmbedding, TilingError,
                                     _circle_pieces, reduce_mod)
-from smithtile.walk_lab import LevelMeasure, LevelNotVertexed, level_set
+from smithtile.walk_lab import (Augmented, LevelMeasure, LevelNotVertexed,
+                               _merge_levels, level_set, realized_levels)
 
 
 def harmonic_dart(v: Voltage, k: int) -> int:
@@ -402,7 +405,7 @@ def build_diagram(m: CombMap, dmap: DualMap, v: Voltage, c: Conjugate,
     # w values inherit the integration error bound carried by the conjugate
     eps = float(np.finfo(np.float64).eps)
     vs = float(max(1.0, np.abs(h).max()))
-    werr = c.w_err if c.w_err is not None else np.zeros(m.num_faces)
+    werr = c.w_err
 
     for x in range(m.num_vertices):
         if m.is_marked(x):
@@ -656,6 +659,179 @@ def mated_map(exc: Excursion) -> tuple:
             cyc.append(2 * k)
         rotation.append(cyc)
     return n, edges, rotation, kind
+
+
+# -- the cut winding, and refinement before it ran as array code --------------
+
+def dual_cycle_winding_cut(dual_map: DualMap, cycle_darts, cut=None) -> int:
+    """Winding of a closed dual cycle around the cylinder via signed crossings
+    of a fixed primal path from v0 to v1.  Purely combinatorial."""
+    m = dual_map.primal
+    if cut is None:
+        cut = marked_cut_path(m)
+    sign = {}
+    for h in cut:
+        sign[int(h)] = -1     # dual dart h crosses the upward path right-to-left
+        sign[int(h) ^ 1] = 1
+    return sum(sign.get(int(h), 0) for h in cycle_darts)
+
+
+def insert_vertices(m: CombMap, emb: CylinderEmbedding | None, points):
+    """``map_core.insert_vertices`` edge by edge: a dict of fractions per
+    edge, one chain of sub-edges per split edge, then the chains' 2-cycles."""
+    by_edge = {}
+    for e, t in points:
+        e = int(e)
+        if not (0.0 < t < 1.0):
+            raise MapError(f"fraction {t} not in (0, 1)")
+        by_edge.setdefault(e, []).append(float(t))
+    for e, ts in by_edge.items():
+        ts.sort()
+        if any(b - a < 1e-15 for a, b in zip(ts, ts[1:])):
+            raise MapError(f"edge {e}: fractions not strictly increasing")
+
+    V = m.num_vertices
+    new_theta, new_height = [], []
+    hmax = 0.0
+    if emb is not None and np.any(np.isfinite(emb.height)):
+        hmax = float(np.nanmax(np.abs(emb.height)))
+
+    tails, heads, conds, dthetas, origin = [], [], [], [], []
+    # darts of the chain replacing each original dart
+    first_dart = np.empty(m.num_darts, dtype=np.int64)
+    last_dart = np.empty(m.num_darts, dtype=np.int64)
+    chain_vertices = {}
+
+    def edge_coords(k, t):
+        u, w = int(m.edge_tail[k]), int(m.edge_head[k])
+        if emb is None:
+            return math.nan, math.nan
+        um, wm = m.is_marked(u), m.is_marked(w)
+        if um and wm:
+            return math.nan, math.nan
+        if um:
+            # pole at t = 0: come up from one unit below the deepest vertex
+            hh = emb.height[w] - (1.0 - t) * (emb.height[w] + hmax + 1.0)
+            return wrap_angle(emb.theta[w]), hh
+        if wm:
+            return wrap_angle(emb.theta[u]), emb.height[u] + t * (hmax + 1.0 - emb.height[u])
+        th = wrap_angle(emb.theta[u] + t * emb.dtheta[k])
+        return th, emb.height[u] + t * (emb.height[w] - emb.height[u])
+
+    next_vertex = V
+    for k in range(m.num_edges):
+        ts = by_edge.get(k)
+        if not ts:
+            e_new = len(tails)
+            tails.append(int(m.edge_tail[k]))
+            heads.append(int(m.edge_head[k]))
+            conds.append(float(m.conductance[k]))
+            dthetas.append(0.0 if emb is None else float(emb.dtheta[k]))
+            origin.append(k)
+            first_dart[2 * k] = 2 * e_new
+            last_dart[2 * k] = 2 * e_new
+            first_dart[2 * k + 1] = 2 * e_new + 1
+            last_dart[2 * k + 1] = 2 * e_new + 1
+            continue
+        vs = []
+        for t in ts:
+            th, hh = edge_coords(k, t)
+            new_theta.append(th)
+            new_height.append(hh)
+            vs.append(next_vertex)
+            next_vertex += 1
+        chain_vertices[k] = vs
+        nodes = [int(m.edge_tail[k])] + vs + [int(m.edge_head[k])]
+        fr = [0.0] + ts + [1.0]
+        seg_edges = []
+        for i in range(len(nodes) - 1):
+            e_new = len(tails)
+            seg_edges.append(e_new)
+            dt = fr[i + 1] - fr[i]
+            tails.append(nodes[i])
+            heads.append(nodes[i + 1])
+            conds.append(float(m.conductance[k]) / dt)
+            if emb is None:
+                dthetas.append(0.0)
+            else:
+                um = m.is_marked(int(m.edge_tail[k]))
+                wm = m.is_marked(int(m.edge_head[k]))
+                base = 0.0 if (um or wm) else float(emb.dtheta[k])
+                dthetas.append(base * dt)
+            origin.append(k)
+        first_dart[2 * k] = 2 * seg_edges[0]
+        last_dart[2 * k] = 2 * seg_edges[-1]
+        first_dart[2 * k + 1] = 2 * seg_edges[-1] + 1
+        last_dart[2 * k + 1] = 2 * seg_edges[0] + 1
+
+    # rotations: original vertices keep their cyclic order with chain darts
+    # substituted; inserted vertices get the 2-cycle along their chain.
+    E_new = len(tails)
+    nxt = np.full(2 * E_new, -1, dtype=np.int64)
+    nxt[first_dart] = first_dart[m.next_dart]
+    for k, vs in chain_vertices.items():
+        # chain darts: along nodes i -> i+1 the forward dart is
+        # first_dart[2k] + 2*i when edges were appended consecutively
+        e0 = first_dart[2 * k] >> 1
+        for i, v in enumerate(vs):
+            fwd = 2 * (e0 + i + 1)      # dart v -> next node
+            bwd = 2 * (e0 + i) + 1      # dart v -> previous node
+            nxt[fwd] = bwd
+            nxt[bwd] = fwd
+
+    m2 = CombMap(next_vertex, tails, heads, conds, nxt, v0=m.v0, v1=m.v1)
+    emb2 = None
+    if emb is not None:
+        emb2 = CylinderEmbedding(
+            theta=np.concatenate([emb.theta, np.array(new_theta)]),
+            height=np.concatenate([emb.height, np.array(new_height)]),
+            dtheta=np.array(dthetas),
+        )
+    return m2, emb2, np.array(origin, dtype=np.int64)
+
+
+def augment_all_levels(m: CombMap, v: Voltage, extra=(),
+                       emb: CylinderEmbedding | None = None,
+                       tol: float = 1e-12) -> Augmented:
+    """``walk_lab.augment_all_levels`` edge by edge, through the loop
+    ``insert_vertices`` above."""
+    extra = np.atleast_1d(np.asarray(extra, dtype=np.float64))
+    if not np.all(np.isfinite(extra)):
+        raise ValueError("heights must be finite")
+    if np.any((extra <= 0.0) | (extra >= 1.0)):
+        raise ValueError("heights must lie strictly between 0 and 1")
+    levels = _merge_levels(list(realized_levels(m, v, tol)) + extra.tolist(), tol)
+    points, new_vals = [], []
+    for k in range(m.num_edges):
+        ht = float(v.values[m.edge_tail[k]])
+        hh = float(v.values[m.edge_head[k]])
+        lo, hi = min(ht, hh), max(ht, hh)
+        if hi - lo <= 2 * tol:
+            continue
+        inside = levels[(levels > lo + tol) & (levels < hi - tol)]
+        ts = sorted((float((a - ht) / (hh - ht)), float(a)) for a in inside)
+        for t, a in ts:
+            points.append((k, t))
+            new_vals.append(a)
+    if not points:
+        return Augmented(m, v, emb, 0, tol)
+    m2, emb2, _origin = insert_vertices(m, emb, points)
+    # insert_vertices numbers new vertices in (edge, fraction) order = points order
+    vals2 = np.concatenate([v.values, np.array(new_vals)])
+    v2 = Voltage(m2, vals2, v.residual, v.eta, v.eta_mismatch)
+    return Augmented(m2, v2, emb2, len(points), tol)
+
+
+def assert_same_refinement(m, emb, m_ref, emb_ref) -> None:
+    """Two refined maps and their embeddings (or None) agree array for array."""
+    assert (m.num_vertices, m.v0, m.v1) == (m_ref.num_vertices, m_ref.v0, m_ref.v1)
+    for name in ("edge_tail", "edge_head", "conductance", "next_dart"):
+        assert np.array_equal(getattr(m, name), getattr(m_ref, name)), name
+    assert (emb is None) == (emb_ref is None)
+    if emb is not None:
+        for name in ("theta", "height", "dtheta"):
+            assert np.array_equal(getattr(emb, name), getattr(emb_ref, name),
+                                  equal_nan=True), name
 
 
 # -- the walk-layer steps before they ran as array code ------------------------

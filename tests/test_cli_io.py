@@ -385,3 +385,34 @@ def test_cli_mated_crt_golden_bytes():
         "62d9bea452aa0e10c27ffba20a9b78205b55921ac0313a0285bd00d3e2b2f78d"
     assert hashlib.sha256(r2.stdout).hexdigest() == \
         "8b05082ba520441f444cacd73c8771a83605f355e2d55cf2aca7888a41e975fe"
+
+
+# seed: (exit code, sha256 of the report) for `mated-crt --gamma 1.8 --n 48`
+VERIFY_GOLDEN = {
+    1: (1, "df7102f6feec7028b0b96e03b98dfbe01e9982b5f82c2d08abf57f031d8b17b5"),
+    2: (1, "cd62ed307511b151760982e3184b61dd861539e21078db64e78ea63f6e4b8f94"),
+    3: (0, "309d03d4d545dd77da72980d29ac91001bc7d6b268747845f83a0798d60cef9a"),
+    4: (1, "e085de5f0799f187a8f28229becadea095101f69e28a58452f13aa41112bd628"),
+    5: (0, "80f3786b2e53d08f2de8238675e84ea11ac61fb3c723ca09c727771e1413bc18"),
+    6: (0, "c0228399218ee56756dd0e1afbc9ab5ddce66a5e1c089f67bfaae39ac673a965"),
+}
+
+
+def test_cli_verify_golden_bytes(random_maps, tmp_path, capsys):
+    """The bytes and exit codes of ``verify -o`` on the gamma = 1.8, n = 48
+    mated-CRT maps of seeds 1-6 and on random_map(1) with its embedding,
+    pinned by hash: a change to the refinement, the level augmentation or
+    the laws fails here.  Seeds 1, 2 and 4 fail the hitting law (and seed 2
+    the zero winding) through their zero-gradient edges."""
+    mp = str(tmp_path / "map.json")
+    rep = tmp_path / "report.json"
+    for seed, (code, digest) in VERIFY_GOLDEN.items():
+        assert main(["mated-crt", "--gamma", "1.8", "--n", "48", "--seed", str(seed),
+                     "-o", mp]) == 0
+        assert main(["verify", mp, "-o", str(rep)]) == code
+        assert hashlib.sha256(rep.read_bytes()).hexdigest() == digest, seed
+    m, emb = random_maps[1]
+    assert main(["verify", write_map_file(tmp_path, m, emb), "-o", str(rep)]) == 0
+    assert hashlib.sha256(rep.read_bytes()).hexdigest() == \
+        "c8e6686c18b9d4772cd094a2a4b617f5a2f201229bc258f0025851b826fdc919"
+    capsys.readouterr()

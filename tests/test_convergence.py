@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from smithtile import (SmithEmbedding, build_diagram, conjugate, converge_rows,
-                       dcmp, dual, fit_affine, invariance_diagnostic,
-                       lattice_report, make_lattice, smith_embedding,
-                       solve_voltage)
-from smithtile.convergence import cylinder_distance, lattice_shape
+                       dual, fit_affine, invariance_diagnostic, lattice_report,
+                       make_lattice, smith_embedding, solve_voltage)
+from smithtile.convergence import lattice_shape
 
 import oracles
 
@@ -120,46 +119,6 @@ def test_fit_affine_band_errors(lattice8_solved):
     shifted = CylinderEmbedding(emb.theta, emb.height + 50.0, emb.dtheta)
     with pytest.raises(ValueError, match="fewer than two"):
         fit_affine(se, shifted, band=1.0)
-
-
-# -- curve distance ----------------------------------------------------------
-
-def test_dcmp_basics():
-    a = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]])
-    assert dcmp(a, a) == 0.0
-    dup = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.0, 1.0],
-                    [2.0, 1.0]])
-    assert dcmp(a, dup) == 0.0
-    shifted = a + np.array([0.0, 0.7])
-    assert dcmp(a, shifted) == pytest.approx(0.7)
-    assert dcmp(a, shifted) == dcmp(shifted, a)
-
-
-def test_dcmp_period():
-    a = np.array([[0.0, 0.0]])
-    b = np.array([[TWO_PI, 0.0]])
-    assert dcmp(a, b, period=TWO_PI) == pytest.approx(0.0, abs=1e-12)
-    assert dcmp(a, b) == pytest.approx(TWO_PI)
-    c = np.array([[math.pi, 0.0]])
-    assert dcmp(a, c, period=TWO_PI) == pytest.approx(math.pi)
-
-
-def test_dcmp_triangle_inequality():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        P, Q, R = (rng.standard_normal((4, 2)) for _ in range(3))
-        assert dcmp(P, R) <= dcmp(P, Q) + dcmp(Q, R) + 1e-12
-
-
-def test_dcmp_rejects_empty():
-    with pytest.raises(ValueError, match="nonempty"):
-        dcmp(np.zeros((0, 2)), np.zeros((1, 2)))
-
-
-def test_cylinder_distance():
-    assert cylinder_distance((0.1, 0.0), (TWO_PI - 0.1, 0.0)) \
-        == pytest.approx(0.2)
-    assert cylinder_distance((0.0, 1.0), (0.0, -1.0)) == pytest.approx(2.0)
 
 
 # -- invariance diagnostic ------------------------------------------------------

@@ -10,10 +10,10 @@ from smithtile import (MapError, build_map, conjugate, dual, harmonic_darts,
                        insert_vertices, make_lattice, make_rng, solve_voltage)
 from smithtile import electrical
 from smithtile.electrical import Conjugate
-from smithtile.map_core import dual_cycle_winding_cut, marked_cut_path
+from smithtile.map_core import marked_cut_path
 
 import oracles
-from oracles import harmonic_dart
+from oracles import dual_cycle_winding_cut, harmonic_dart
 
 
 def oracle_voltage(m):

@@ -1,4 +1,4 @@
-"""Rotation-system maps: construction checks, duality, lifts, refinement."""
+"""Rotation-system maps: construction checks, duality, refinement."""
 
 import math
 
@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smithtile import (CombMap, CylinderEmbedding, MapError, build_map,
-                       check_embedding, dual, insert_vertices, lift_path,
-                       make_lattice, path_winding, wrap_angle, wrap_signed)
+                       check_embedding, dual, insert_vertices, make_lattice,
+                       wrap_angle, wrap_signed)
 from smithtile.map_core import marked_cut_path
 
 import oracles
@@ -238,45 +238,7 @@ def test_wrap_signed_halves():
     assert abs(wrap_signed(7.7, period=1.0)) <= 0.5
 
 
-# -- embeddings, lifts, winding ---------------------------------------------
-
-def lattice_row_loop(n, row):
-    """Darts 2 * edge for the horizontal edges of one lattice row."""
-    return [2 * (row * n + j) for j in range(n)]
-
-
-def test_lift_path_empty(lattice8):
-    m, emb = lattice8
-    out = lift_path(m, emb, [])
-    assert out.shape == (1,)
-    assert out[0] == 0.0
-
-
-def test_lift_path_row_loop_winds_once(lattice8):
-    m, emb = lattice8
-    darts = lattice_row_loop(8, 3)
-    lifts = lift_path(m, emb, darts)
-    assert lifts[0] == 0.0
-    assert lifts[-1] == pytest.approx(TWO_PI, abs=1e-12)
-    assert path_winding(m, emb, darts) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_lift_path_face_boundary_closes(lattice8):
-    m, emb = lattice8
-    for orbit in m.face_darts[:10]:
-        if any(m.is_marked(int(m.dart_tail[h])) for h in orbit):
-            continue
-        lifts = lift_path(m, emb, orbit)
-        assert abs(lifts[-1]) < 1e-12
-
-
-def test_lift_path_rejects_non_path(lattice8):
-    m, emb = lattice8
-    darts = lattice_row_loop(8, 0)
-    bad = [darts[0], darts[2]]          # skips a vertex
-    with pytest.raises(MapError, match="do not form a path"):
-        lift_path(m, emb, bad)
-
+# -- embeddings --------------------------------------------------------------
 
 def test_dart_dtheta_antisymmetric(lattice8):
     m, emb = lattice8
@@ -448,7 +410,7 @@ def test_insert_preserves_series_conductance(random_maps):
 
 def test_insert_appends_vertices_in_order(path_map):
     m2, _, _ = insert_vertices(path_map, None, [(1, 0.25), (0, 0.75)])
-    # originals keep ids 0..2; new ids 3 (edge 1) and 4 (edge 0)
+    # originals keep ids 0..2; new ids 3 (edge 0) and 4 (edge 1)
     assert m2.num_vertices == 5
     tails = set(map(int, m2.edge_tail)) | set(map(int, m2.edge_head))
     assert tails == {0, 1, 2, 3, 4}
@@ -464,7 +426,55 @@ def test_insert_rejects_bad_fractions(path_map):
         insert_vertices(path_map, None, [(0, 0.5), (0, 0.5)])
 
 
+def test_insert_rejects_bad_edge_ids(path_map):
+    # an id outside [0, E) used to be dropped, a fractional one truncated
+    for k in (99, 2, -1, 0.7):
+        for i, pts in enumerate(([(k, 0.5)], [(0, 0.5), (k, 0.25)])):
+            with pytest.raises(MapError) as err:
+                insert_vertices(path_map, None, pts)
+            f = pts[i][1]
+            assert str(err.value) == \
+                f"point {i} ({k}, {f}): edge id is not an integer in [0, 2)"
+
+
+def test_insert_errors_name_the_first_offender(path_map):
+    # a bad fraction: the first in input order; close fractions: the edge
+    # that appears first in the points; both as the loop reports them
+    cases = [([(0, 0.5), (1, 1.5), (0, 0.0)], "fraction 1.5 not in (0, 1)"),
+             ([(1, 0.5), (0, 0.3), (0, 0.3), (1, 0.5)],
+              "edge 1: fractions not strictly increasing"),
+             ([(1, 0.25), (0, 0.5), (0, 0.5 + 1e-16)],
+              "edge 0: fractions not strictly increasing")]
+    for pts, msg in cases:
+        for insert in (insert_vertices, oracles.insert_vertices):
+            with pytest.raises(MapError) as err:
+                insert(path_map, None, pts)
+            assert str(err.value) == msg
+
+
 def test_insert_euler_still_sphere(random_maps):
     m, emb = random_maps[1]
     m2, emb2, _ = insert_vertices(m, emb, [(0, 0.5), (0, 0.75), (1, 0.1)])
     assert m2.num_vertices - m2.num_edges + m2.num_faces == 2
+
+
+def test_insert_matches_loop(refinement_cases):
+    # pole edges, several points per edge, shuffled input, the half-edge
+    # refinement and no points, with and without the embedding; as a list
+    # of pairs and as an (n, 2) array
+    rng = np.random.default_rng(0)
+    for m, emb in refinement_cases:
+        pole = m.marked[m.edge_tail] | m.marked[m.edge_head]
+        point_sets = [[(k, 0.5) for k in range(m.num_edges)], []]
+        for _ in range(4):
+            edges = np.flatnonzero(pole | (rng.random(m.num_edges) < 0.3))
+            pts = [(int(k), float(t)) for k in edges
+                   for t in rng.uniform(0.05, 0.95, rng.integers(1, 4))]
+            point_sets.append([pts[i] for i in rng.permutation(len(pts))])
+        for pts in point_sets:
+            for e in (emb, None):
+                m1, e1, o1 = oracles.insert_vertices(m, e, pts)
+                for given in (pts, np.array(pts)):
+                    m2, e2, o2 = insert_vertices(m, e, given)
+                    oracles.assert_same_refinement(m2, e2, m1, e1)
+                    assert np.array_equal(o2, o1)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smithtile import (build_map, dcmp, excursion_from_increments, reduce_mod,
+from smithtile import (build_map, excursion_from_increments, reduce_mod,
                        solve_voltage, step_law, wrap_angle, wrap_signed)
 from smithtile.map_core import insert_vertices
 
@@ -87,20 +87,6 @@ def test_split_preserves_series_conductance(c, t):
     m2, _, origin = insert_vertices(m, None, [(0, t)])
     assert origin.tolist() == [0, 0]
     assert 1.0 / np.sum(1.0 / m2.conductance) == pytest.approx(c, rel=1e-12)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
-                min_size=1, max_size=6),
-       st.lists(st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
-                min_size=1, max_size=6),
-       st.lists(st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
-                min_size=1, max_size=6))
-def test_dcmp_metric_properties(p, q, r):
-    P, Q, R = np.array(p), np.array(q), np.array(r)
-    assert dcmp(P, Q) == dcmp(Q, P)
-    assert dcmp(P, P) == 0.0
-    assert dcmp(P, R) <= dcmp(P, Q) + dcmp(Q, R) + 1e-9
 
 
 @settings(max_examples=50, deadline=None)

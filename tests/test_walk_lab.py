@@ -173,6 +173,21 @@ def test_augment_all_levels_consecutive(random_maps):
         assert len(inside) == 0
 
 
+def test_augment_all_levels_matches_loop(refinement_cases):
+    # parallel3_map's edges join the poles, so the quartiles go in there
+    # with both ends marked; every other map gets them among its own levels.
+    # Heights within tol of the poles' 0 and 1 cross no edge.
+    for m, emb in refinement_cases:
+        v = solve_voltage(m)
+        for extra in ((), [0.25, 0.5, 0.75], [0.6, 0.3], [5e-13, 1.0 - 5e-13]):
+            for e in (emb, None):
+                got = augment_all_levels(m, v, extra=extra, emb=e)
+                want = oracles.augment_all_levels(m, v, extra=extra, emb=e)
+                assert got.inserted == want.inserted
+                oracles.assert_same_refinement(got.map, got.emb, want.map, want.emb)
+                assert np.array_equal(got.voltage.values, want.voltage.values)
+
+
 def test_level_measure_path_atom(path_map):
     v = solve_voltage(path_map)
     lm = level_measure(path_map, v, 0.5)
