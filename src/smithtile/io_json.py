@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -45,7 +46,86 @@ class SchemaError(ValueError):
 
 
 def dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """The bytes of ``json.dumps(obj, indent=2, sort_keys=True,
+    allow_nan=False) + "\n"``, written without the stdlib's pure-Python
+    indenting encoder.
+
+    Scalars are encoded by ``float.__repr__``, ``int.__repr__`` and
+    ``encode_basestring_ascii``, a whole column of one type at a time; a list
+    of dicts with one key set (the records of a table) fills one %-template
+    per record.  What this writer does not cover (keys that are not strings,
+    scalar subclasses, unknown types, non-finite floats) goes to the stdlib,
+    which encodes it or raises its own error."""
+    try:
+        return _encode(obj, "\n") + "\n"
+    except _Unsupported:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+class _Unsupported(Exception):
+    """A value that dump_json leaves to the stdlib encoder."""
+
+
+def _floats(col):
+    if not all(map(math.isfinite, col)):
+        raise _Unsupported
+    return list(map(float.__repr__, col))
+
+
+# encoders of a list of scalars of one exact type
+_COLUMN = {
+    float: _floats,
+    int: lambda col: list(map(int.__repr__, col)),
+    str: lambda col: list(map(encode_basestring_ascii, col)),
+    bool: lambda col: ["true" if u else "false" for u in col],
+    type(None): lambda col: ["null"] * len(col),
+}
+
+
+def _column(col, nl):
+    """The encoded items of a nonempty list, their nested lines starting
+    with nl."""
+    kinds = set(map(type, col))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind in _COLUMN:
+        return _COLUMN[kind](col)
+    if kind is dict and col[0] and all(map(col[0].keys().__eq__, map(dict.keys, col))):
+        return _records(col, nl)
+    return [_encode(u, nl) for u in col]
+
+
+def _records(rows, nl):
+    """Dicts that share one key set, by one %-template filled per record."""
+    if not all(type(k) is str for k in rows[0]):
+        raise _Unsupported
+    keys = sorted(rows[0])
+    inner = nl + "  "
+    cols = [_column([rec[k] for rec in rows], inner) for k in keys]
+    template = "{" + inner + ("," + inner).join(
+        encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys) + nl + "}"
+    return [template % values for values in zip(*cols)]
+
+
+def _encode(obj, nl) -> str:
+    """One value whose first line is already placed and whose nested lines
+    start with nl."""
+    enc = _COLUMN.get(type(obj))
+    if enc is not None:
+        return enc([obj])[0]
+    inner = nl + "  "
+    if type(obj) is dict:
+        if not obj:
+            return "{}"
+        if not all(type(k) is str for k in obj):
+            raise _Unsupported
+        return "{" + inner + ("," + inner).join(
+            encode_basestring_ascii(k) + ": " + _encode(obj[k], inner)
+            for k in sorted(obj)) + nl + "}"
+    if type(obj) in (list, tuple):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_column(obj, inner)) + nl + "]"
+    raise _Unsupported
 
 
 # -- map ------------------------------------------------------------------------

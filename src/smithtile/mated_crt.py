@@ -1,25 +1,21 @@
 """Mated-CRT maps with sphere topology from correlated lattice excursions.
 
 An excursion is a pair of piecewise-linear paths (L, R) with n Gaussian
-increment steps each, bridged to end at (0, 0) and conditioned (by rejection)
-to stay nonnegative.  Cells j = 1..n are the strips [(j-1)/n, j/n]; two cells
-are adjacent when a horizontal segment fits under L (lower arc) or over R
-(upper arc) between their strips, with consecutive cells always joined by a
-single line edge.  The planar structure is the arc diagram: vertices on a
-line, lower arcs below, upper arcs above, rotation given by the tangent order
-of nested semicircles; the Euler check in the map constructor fails loudly if
-that order is ever inconsistent.
+increment steps each, bridged to end at (0, 0) and conditioned to stay
+nonnegative.  The sampler gets L's conditioning for free from the cycle
+lemma (shift the bridge to start at its minimum) and rejects on R alone;
+see sample_excursion.  Cells j = 1..n are the strips [(j-1)/n, j/n]; two
+cells are adjacent when a horizontal segment fits under L (lower arc) or
+over R (upper arc) between their strips, with consecutive cells always
+joined by a single line edge.  The planar structure is the arc diagram:
+vertices on a line, lower arcs below, upper arcs above, rotation given by
+the tangent order of nested semicircles; the Euler check in the map
+constructor fails loudly if that order is ever inconsistent.
 
-All three steps run in bulk and give the same bits as the loops they
-replaced, which tests/oracles.py keeps as references.  The sampler draws a
-block of attempts with one generator call, the blocks doubling from one
-attempt; the generator fills the block in the order that single draws would
-consume its stream, and each row goes through the same float operations as
-a single draw, so the accepted excursion and its attempt count are those of
-the one-at-a-time loop.  The arcs of each path come from one sweep with a
-monotone stack of the left cells that can still be joined, in O(n) plus the
-pairs it meets, instead of an O(n^2) scan.  The rotations come from one
-lexsort of all darts.
+The arcs of each path come from one sweep with a monotone stack of the left
+cells that can still be joined, in O(n) plus the pairs it meets, instead of
+an O(n^2) scan.  The rotations come from one lexsort of all darts.
+tests/oracles.py keeps the loops these replaced as references.
 """
 
 from __future__ import annotations
@@ -76,22 +72,34 @@ def excursion_from_increments(dl, dr) -> Excursion:
 
 def sample_excursion(gamma: float, n: int, seed: int,
                      max_attempts: int = 200_000) -> Excursion:
-    """Bridge-plus-rejection sampler for the correlated excursion.
+    """Exact sampler for the correlated excursion: cycle lemma on L,
+    rejection on R.
 
-    Per-step covariance [[1, rho], [rho, 1]] / n with rho = -cos(pi gamma^2/4);
-    the bridge transform subtracts the mean increment, and a draw is accepted
-    iff both coordinates stay >= 0.  Unbiased for the positivity conditioning.
+    The lattice walk has per-step covariance [[1, rho], [rho, 1]] / n with
+    rho = -cos(pi gamma^2/4), bridged to return to (0, 0) and conditioned to
+    stay >= 0.  Write R = rho L + sqrt(1 - rho^2) W with L and W independent
+    Gaussian bridges.  One attempt draws z of shape (2, n), centres each row
+    and scales it by 1/sqrt(n), which gives the increments of L and of W.
+    Bridge increments are exchangeable, so by the cycle lemma (Vervaat 1979)
+    exactly one cyclic shift of L, the one that starts at its first minimum
+    k, stays nonnegative, and that shift has exactly the law of L
+    conditioned to stay nonnegative.  L's lattice values become
+    l[j] = L[(k + j) mod n] - L[k], which IEEE subtraction keeps >= 0 (it
+    rounds monotonically), with l[0] = l[n] = 0 exactly, and dl = diff(l).
+    W is independent of L, so the pair (shifted L, W) has the law of (L, W)
+    given L >= 0; accepting iff R's lattice values stay >= 0 then gives
+    exactly the law of (L, R) given both stay >= 0, which plain rejection of
+    both paths gave.  R's last lattice value is set to 0.
 
-    Attempts are drawn in blocks, each one (b, 2, n) array: the generator
-    fills it in order, so row i is the draw that the (done + i + 1)-th single
-    (2, n) draw would have made.  Each row then goes through the same float
-    operations as a single draw (row-wise means sum each contiguous row
-    pairwise, like the 1-d mean), so the accepted excursion and its attempt
-    count do not depend on the block sizes.  The first block is one attempt
-    and each next one doubles, up to about BLOCK_NORMALS normals, so an
-    excursion found in a few attempts draws few normals.  R is formed only
-    for rows whose L path stays nonnegative, and the last block is cut at
-    max_attempts.
+    Only R is rejected, so ``attempts`` counts the (2, n) draws until R
+    stayed nonnegative: about 1 / P(R >= 0 | L >= 0), a handful at gamma
+    1.8 against about n times as many for plain rejection.  Attempts are
+    drawn in blocks, each one (b, 2, n) array, doubling from one attempt up
+    to about BLOCK_NORMALS normals, so an excursion found in a few attempts
+    draws few normals; the last block is cut at max_attempts.  Row i of a
+    block is the draw that the (done + i + 1)-th single (2, n) draw would
+    have made, and goes through the same float operations, so the result
+    does not depend on the block sizes.
     """
     if not (0.0 < gamma < 2.0):
         raise ValueError("gamma must lie in (0, 2)")
@@ -102,27 +110,29 @@ def sample_excursion(gamma: float, n: int, seed: int,
     rng = make_rng(seed)
     scale = math.sqrt(n)
     cap = max(1, BLOCK_NORMALS // (2 * n))
+    shift = np.arange(n + 1)
     block, done = 1, 0
     while done < max_attempts:
         b = min(block, max_attempts - done)
         block = min(2 * block, cap)
         z = rng.standard_normal((b, 2, n))
         zl = z[:, 0] / scale
-        dl = zl - zl.mean(axis=1, keepdims=True)
-        lv = np.cumsum(dl, axis=1)
+        lv = np.zeros((b, n))
+        np.cumsum((zl - zl.mean(axis=1, keepdims=True))[:, :-1], axis=1,
+                  out=lv[:, 1:])
+        k = lv.argmin(axis=1)
+        rows = np.arange(b)[:, None]
+        l = lv[rows, (k[:, None] + shift) % n] - lv[rows, k[:, None]]
+        dl = np.diff(l, axis=1)
+        zw = z[:, 1] / scale
+        dr = rho * dl + root * (zw - zw.mean(axis=1, keepdims=True))
+        rv = np.cumsum(dr, axis=1)
         # the last lattice value is set to 0, so only the first n-1 count
-        rows = np.flatnonzero(lv[:, :-1].min(axis=1) >= 0.0)
-        if len(rows):
-            zr = z[rows] / scale
-            dr = rho * zr[:, 0] + root * zr[:, 1]
-            dr -= dr.mean(axis=1, keepdims=True)
-            rv = np.cumsum(dr, axis=1)
-            hit = np.flatnonzero(rv[:, :-1].min(axis=1) >= 0.0)
-            if len(hit):
-                h = hit[0]
-                i = int(rows[h])
-                return Excursion(n, dl[i].copy(), dr[h].copy(), _lattice(lv[i]),
-                                 _lattice(rv[h]), done + i + 1)
+        hit = np.flatnonzero(rv[:, :-1].min(axis=1) >= 0.0)
+        if len(hit):
+            i = hit[0]
+            return Excursion(n, dl[i].copy(), dr[i].copy(), l[i].copy(),
+                             _lattice(rv[i]), done + int(i) + 1)
         done += b
     raise SampleError(
         f"no excursion in {max_attempts} attempts at n={n} "

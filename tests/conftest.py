@@ -7,9 +7,9 @@ tests that use it, so they double as oracles.
 import numpy as np
 import pytest
 
+import oracles
 from smithtile import (CylinderEmbedding, build_map, make_lattice,
-                       mark_vertices, random_map, sample_excursion,
-                       solve_voltage)
+                       mark_vertices, random_map, solve_voltage)
 from smithtile.mated_crt import build_map as build_mated
 
 
@@ -64,8 +64,9 @@ def lattice8_solved(lattice8):
 @pytest.fixture(scope="session")
 def mated_crt64():
     """A gamma = 1.8, n = 64 mated-CRT map marked as `smith mated-crt
-    --seed 7` marks it; it has no embedding."""
-    return mark_vertices(build_mated(sample_excursion(1.8, 64, seed=7)), seed=7).map
+    --seed 7` marked the plain-rejection sample; it has no embedding."""
+    return mark_vertices(build_mated(oracles.sample_excursion(1.8, 64, seed=7)),
+                         seed=7).map
 
 
 @pytest.fixture(scope="session")

@@ -3,10 +3,11 @@
 Each one restates a rule the program applies in bulk: the harmonic
 orientation of one edge, the adjacency of touching rectangles, the
 noncrossing of the arcs of a mated-CRT map, the winding of a dual cycle by
-its crossings of a cut path, and (below) the loop forms of the steps that
-now run as array code.
+its crossings of a cut path, the stdlib JSON encoder, and (below) the loop
+forms of the steps that now run as array code.
 """
 
+import json
 import math
 
 import numpy as np
@@ -103,6 +104,11 @@ def noncrossing(pairs) -> bool:
             if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
                 return False
     return True
+
+
+def dump_json(obj) -> str:
+    """``io_json.dump_json`` by the stdlib's indenting encoder."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def relabel_edges(m, perm, flip):
@@ -561,11 +567,14 @@ def fit_affine(se: SmithEmbedding, emb: CylinderEmbedding,
                      float(herr.max()), float(aerr.max()))
 
 
-# -- the mated-CRT steps before they drew in blocks and scanned by stack -------
+# -- the mated-CRT steps one at a time, and plain rejection ----------------------
 
 def sample_excursion(gamma: float, n: int, seed: int,
                      max_attempts: int = 200_000) -> Excursion:
-    """``mated_crt.sample_excursion`` one attempt, one draw at a time."""
+    """Plain rejection, one draw at a time: both bridges drawn and the pair
+    accepted iff both stay >= 0.  Its excursions have the law of
+    ``mated_crt.sample_excursion``'s but are other draws; the regression
+    fixtures build their maps from it, so their known outputs stay put."""
     if not (0.0 < gamma < 2.0):
         raise ValueError("gamma must lie in (0, 2)")
     if n < 2:
@@ -585,6 +594,34 @@ def sample_excursion(gamma: float, n: int, seed: int,
         rv[-1] = 0.0
         if lv.min() >= 0.0 and rv.min() >= 0.0:
             return Excursion(n, dl, dr, lv, rv, attempt)
+    raise SampleError(
+        f"no excursion in {max_attempts} attempts at n={n} "
+        f"(acceptance rate below {1.0 / max_attempts:.2e}; lower n)")
+
+
+def sample_shifted_excursion(gamma: float, n: int, seed: int,
+                             max_attempts: int = 200_000) -> Excursion:
+    """``mated_crt.sample_excursion`` one attempt, one draw at a time: L's
+    bridge restarted at its first minimum, R = rho dl + root (centred z1)
+    accepted iff it stays >= 0."""
+    if not (0.0 < gamma < 2.0):
+        raise ValueError("gamma must lie in (0, 2)")
+    if n < 2:
+        raise ValueError("need at least two cells")
+    rho = -math.cos(math.pi * gamma * gamma / 4.0)
+    root = math.sqrt(max(0.0, 1.0 - rho * rho))
+    rng = make_rng(seed)
+    for attempt in range(1, max_attempts + 1):
+        z = rng.standard_normal((2, n)) / math.sqrt(n)
+        lv = np.concatenate([[0.0], np.cumsum(z[0] - z[0].mean())[:-1]])
+        k = int(np.argmin(lv))
+        l = np.concatenate([lv[k:], lv[:k + 1]]) - lv[k]
+        dl = np.diff(l)
+        dr = rho * dl + root * (z[1] - z[1].mean())
+        rv = np.concatenate([[0.0], np.cumsum(dr)])
+        rv[-1] = 0.0
+        if rv.min() >= 0.0:
+            return Excursion(n, dl, dr, l, rv, attempt)
     raise SampleError(
         f"no excursion in {max_attempts} attempts at n={n} "
         f"(acceptance rate below {1.0 / max_attempts:.2e}; lower n)")

@@ -7,7 +7,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from smithtile import (build_diagram, build_map, conjugate, dual, render_svg,
                        solve_voltage)
 from smithtile.cli import _read_map, main
@@ -27,8 +29,72 @@ def diagram_for(m, emb=None):
 def test_dump_json_format():
     s = dump_json({"b": 1, "a": [1.5, None]})
     assert s == '{\n  "a": [\n    1.5,\n    null\n  ],\n  "b": 1\n}\n'
-    with pytest.raises(ValueError):
-        dump_json({"x": float("nan")})
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for obj in ({"x": bad}, [1.0, bad], [{"a": 1.0}, {"a": bad}], bad):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                dump_json(obj)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        dump_json({"x": [np.int64(3)]})
+
+
+class Level(int):
+    pass
+
+
+EDGE_DOCUMENTS = [
+    {}, [], "", 0, -0.0, 1e300, -1e-300, 5e-324, 2**70, -(2**70), True, False, None,
+    {"a": [], "b": {}, "c": [[]], "d": [{}], "e": [{}, {}]},
+    {"nested": {"deeper": [[1, [2.5, {"x": None}]], {"y": [True, False]}]}},
+    {"caf\u00e9 \u2603 \U0001f600": "\"quoted\"\\ back\tslash\n\x00\x1f\u2028"},
+    {"%s": 1, "100%": "50%", "%(x)s": [{"%": 1, "%%": 2}]},
+    [{"a": 1, "b": 2.0}, {"b": 3.0, "a": 4}, {"a": None, "b": -0.0}],
+    [{"a": 1}, {"a": 1, "b": 2}, {"b": [1, 2]}, {}],
+    [{"rec": {"in": [1, 2]}, "t": (1, 2)}, {"rec": {"in": []}, "t": ()}],
+    [1, 1.0, True, None, "1", [1], {"1": 1}, (1.5, "x")],
+    {"tuple": (1, (2, 3)), "ints": [1, 2, 3], "floats": [0.1, 0.2, 1e16]},
+    {"subclasses": [Level(3), np.float64(0.5)], "bools": [True, True]},
+    {3: "int key", 2.5: "float key"},
+    {"z": [{1: "a"}, {1: "b"}]},
+]
+
+
+@pytest.mark.parametrize("obj", EDGE_DOCUMENTS, ids=range(len(EDGE_DOCUMENTS)))
+def test_dump_json_matches_stdlib_on_edge_cases(obj):
+    assert dump_json(obj) == oracles.dump_json(obj)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+                   | st.lists(st.fixed_dictionaries(
+                       {"a": inner, "%b": st.floats(allow_nan=False,
+                                                    allow_infinity=False)}),
+                       max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_values)
+def test_dump_json_matches_stdlib_on_nested_values(obj):
+    assert dump_json(obj) == oracles.dump_json(obj)
+
+
+def test_dump_json_matches_stdlib_on_documents(random_maps, mated_crt64, tmp_path):
+    m, emb = random_maps[0]
+    v = solve_voltage(m)
+    dm = dual(m, emb)
+    c = conjugate(dm, v)
+    d = build_diagram(m, dm, v, c)
+    docs = [map_to_json(m, emb), map_to_json(m), map_to_json(mated_crt64),
+            solution_to_json(v), solution_to_json(v, c), diagram_to_json(d)]
+    mp = write_map_file(tmp_path, m, emb)
+    rep = tmp_path / "report.json"
+    assert main(["verify", mp, "-o", str(rep)]) == 0
+    docs.append(json.loads(rep.read_text()))
+    for obj in docs:
+        assert dump_json(obj) == oracles.dump_json(obj)
 
 
 def test_map_roundtrip_bit_exact(random_maps, tmp_path):
@@ -371,6 +437,18 @@ def test_cli_subprocess_pipeline(tmp_path):
     assert (tmp_path / "m.svg").read_text().startswith("<svg")
 
 
+def test_cli_mated_crt_default_pipes_through_tile():
+    """``smith mated-crt --seed 7`` at its defaults, gamma = 1.0 and n = 32,
+    finds an excursion, and its map tiles."""
+    cli = [sys.executable, "-m", "smithtile.cli"]
+    r1 = subprocess.run(cli + ["mated-crt", "--seed", "7"], capture_output=True)
+    assert r1.returncode == 0, r1.stderr
+    assert json.loads(r1.stdout)["num_vertices"] == 32
+    r2 = subprocess.run(cli + ["tile"], input=r1.stdout, capture_output=True)
+    assert r2.returncode == 0, r2.stderr
+    assert json.loads(r2.stdout)["kind"] == "diagram"
+
+
 def test_cli_mated_crt_golden_bytes():
     """The bytes of ``mated-crt --gamma 1.8 --n 256 --seed 3`` and of that map
     through ``tile``, pinned by hash: a change to the sampler's random stream,
@@ -382,12 +460,14 @@ def test_cli_mated_crt_golden_bytes():
     r2 = subprocess.run(cli + ["tile"], input=r1.stdout, capture_output=True)
     assert r2.returncode == 0, r2.stderr
     assert hashlib.sha256(r1.stdout).hexdigest() == \
-        "62d9bea452aa0e10c27ffba20a9b78205b55921ac0313a0285bd00d3e2b2f78d"
+        "979ec252dda220f97fde6bd65386877271f7fab0c0dcb1d2dc9ee16c1c325a08"
     assert hashlib.sha256(r2.stdout).hexdigest() == \
-        "8b05082ba520441f444cacd73c8771a83605f355e2d55cf2aca7888a41e975fe"
+        "effbc9e29898e1128626dbf150cda36b326caf06099f2b2028cc7c4dff0971bf"
 
 
-# seed: (exit code, sha256 of the report) for `mated-crt --gamma 1.8 --n 48`
+# seed: (exit code, sha256 of the report) for `mated-crt --increments FILE
+# --seed s`, FILE holding the increments of the gamma = 1.8, n = 48
+# plain-rejection sample of that seed
 VERIFY_GOLDEN = {
     1: (1, "df7102f6feec7028b0b96e03b98dfbe01e9982b5f82c2d08abf57f031d8b17b5"),
     2: (1, "cd62ed307511b151760982e3184b61dd861539e21078db64e78ea63f6e4b8f94"),
@@ -404,10 +484,13 @@ def test_cli_verify_golden_bytes(random_maps, tmp_path, capsys):
     pinned by hash: a change to the refinement, the level augmentation or
     the laws fails here.  Seeds 1, 2 and 4 fail the hitting law (and seed 2
     the zero winding) through their zero-gradient edges."""
+    inc = tmp_path / "inc.json"
     mp = str(tmp_path / "map.json")
     rep = tmp_path / "report.json"
     for seed, (code, digest) in VERIFY_GOLDEN.items():
-        assert main(["mated-crt", "--gamma", "1.8", "--n", "48", "--seed", str(seed),
+        exc = oracles.sample_excursion(1.8, 48, seed)
+        inc.write_text(json.dumps({"dl": exc.dl.tolist(), "dr": exc.dr.tolist()}))
+        assert main(["mated-crt", "--increments", str(inc), "--seed", str(seed),
                      "-o", mp]) == 0
         assert main(["verify", mp, "-o", str(rep)]) == code
         assert hashlib.sha256(rep.read_bytes()).hexdigest() == digest, seed

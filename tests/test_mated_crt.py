@@ -1,10 +1,12 @@
 """Correlated-excursion maps: sampling, adjacency, arc diagrams, tilings."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.stats import ks_2samp
 
 import oracles
 from smithtile import (Excursion, MapError, SampleError, adjacency_oracle,
@@ -36,15 +38,17 @@ def test_sampler_exhausts_attempts():
 
 
 def test_sampler_excursion_invariants():
-    exc = sample_excursion(1.8, 48, seed=3)
-    exc.check()
-    assert exc.n == 48
-    assert exc.l[0] == 0.0 and exc.r[0] == 0.0
-    assert abs(exc.l[-1]) <= 1e-12 and abs(exc.r[-1]) <= 1e-12
-    assert exc.l.min() >= 0.0 and exc.r.min() >= 0.0
-    assert np.allclose(np.diff(exc.l), exc.dl)
-    assert np.allclose(np.diff(exc.r), exc.dr)
-    assert exc.attempts >= 1
+    # l >= 0 by the shift, not by a test, and both ends are exact zeros
+    cases = [(1.0, 2), (1.0, 32), (1.5, 24), (1.8, 3), (1.8, 1024)]
+    for (gamma, n), seed in itertools.product(cases, range(3)):
+        exc = sample_excursion(gamma, n, seed=seed)
+        exc.check()
+        assert exc.n == n and len(exc.l) == len(exc.r) == n + 1
+        assert exc.l[0] == exc.l[n] == exc.r[0] == exc.r[n] == 0.0
+        assert exc.l.min() >= 0.0 and exc.r.min() >= 0.0
+        assert np.array_equal(np.diff(exc.l), exc.dl)
+        assert np.allclose(np.diff(exc.r), exc.dr, rtol=0.0, atol=1e-12)
+        assert exc.attempts >= 1
 
 
 def test_sampler_reproducible():
@@ -56,14 +60,19 @@ def test_sampler_reproducible():
 
 def test_sampler_uncorrelated_reconstruction():
     # gamma = sqrt(2) makes the two coordinates independent: replaying the
-    # rejection loop recovers the accepted draw as two centered Gaussians
+    # stream recovers the accepted draw as L's bridge restarted at its
+    # minimum and W's bridge unshifted
     g = math.sqrt(2.0)
     exc = sample_excursion(g, 32, seed=5)
+    assert exc.attempts > 1
     rng = make_rng(5)
     for _ in range(exc.attempts):
         z = rng.standard_normal((2, 32)) / math.sqrt(32)
-    assert np.array_equal(exc.dl, z[0] - z[0].mean())
-    assert np.max(np.abs(exc.dr - (z[1] - z[1].mean()))) < 1e-15
+    bl, bw = z[0] - z[0].mean(), z[1] - z[1].mean()
+    k = int(np.argmin(np.concatenate([[0.0], np.cumsum(bl)[:-1]])))
+    assert k > 0
+    assert np.max(np.abs(exc.dl - np.roll(bl, -k))) < 1e-15
+    assert np.max(np.abs(exc.dr - bw)) < 1e-15
 
 
 def assert_same_excursion(got, want):
@@ -77,7 +86,7 @@ def assert_same_excursion(got, want):
 def sample_both(gamma, n, seed, max_attempts):
     """Both samplers' excursions, or both SampleError messages."""
     out = []
-    for sample in (sample_excursion, oracles.sample_excursion):
+    for sample in (sample_excursion, oracles.sample_shifted_excursion):
         try:
             out.append(sample(gamma, n, seed, max_attempts=max_attempts))
         except SampleError as err:
@@ -85,11 +94,12 @@ def sample_both(gamma, n, seed, max_attempts):
     return out
 
 
-@pytest.mark.parametrize("gamma", [1.5, 1.8, math.sqrt(2.0)])
+@pytest.mark.parametrize("gamma", [1.0, 1.5, 1.8, math.sqrt(2.0)])
 @pytest.mark.parametrize("n", [2, 3, 24, 64, 256])
 def test_sampler_matches_single_draws(gamma, n):
-    # a budget of 4000 is no multiple of any block here, and the hard cases
-    # at n = 256 exhaust it, so both the accepting and the failing path run
+    # a budget of 4000 is no multiple of any block here, and gamma = 1.0
+    # exhausts it at n = 24 (seed 1) and above, so both the accepting and
+    # the failing path run
     for seed in range(3):
         got, want = sample_both(gamma, n, seed, 4000)
         if isinstance(want, str):
@@ -114,37 +124,38 @@ def test_sampler_accepts_at_block_edges(monkeypatch, edge):
     # block: of a block still growing at the default cap, and of a full block
     # at every cap that puts it there
     n = 24
-    growing_seed, full_seed = ((24, 0), (36, 4))[edge]
-    want = oracles.sample_excursion(1.8, n, seed=growing_seed)
+    growing_seed, full_seed = ((161, 3), (147, 0))[edge]
+    want = oracles.sample_shifted_excursion(1.2, n, seed=growing_seed)
     block = block_of(mated_crt.BLOCK_NORMALS // (2 * n), want.attempts)
-    assert want.attempts == block[edge] and block[2] < mated_crt.BLOCK_NORMALS // (2 * n)
-    assert_same_excursion(sample_excursion(1.8, n, seed=growing_seed), want)
-    want = oracles.sample_excursion(1.8, n, seed=full_seed)
+    assert want.attempts == block[edge] > 1
+    assert block[2] < mated_crt.BLOCK_NORMALS // (2 * n)
+    assert_same_excursion(sample_excursion(1.2, n, seed=growing_seed), want)
+    want = oracles.sample_shifted_excursion(1.2, n, seed=full_seed)
     a = want.attempts
     caps = [c for c in range(1, a + 1) if block_of(c, a)[2] == c and block_of(c, a)[edge] == a]
     assert len(caps) >= 3
     for cap in caps:
         monkeypatch.setattr(mated_crt, "BLOCK_NORMALS", 2 * n * cap)
-        assert_same_excursion(sample_excursion(1.8, n, seed=full_seed), want)
+        assert_same_excursion(sample_excursion(1.2, n, seed=full_seed), want)
 
 
 def test_sampler_budget_cuts_last_block(monkeypatch):
     # budgets of a - 1 and a attempts both end inside the block holding a:
     # a block still growing at the default cap, and a full block at cap 7
     n = 24
-    a = oracles.sample_excursion(1.8, n, seed=0).attempts
+    a = oracles.sample_shifted_excursion(1.2, n, seed=0).attempts
     for cap in (mated_crt.BLOCK_NORMALS // (2 * n), 7):
         monkeypatch.setattr(mated_crt, "BLOCK_NORMALS", 2 * n * cap)
         first, last, size = block_of(cap, a)
         assert first < a - 1 and a < last and (size == cap) == (cap == 7)
-        got, want = sample_both(1.8, n, 0, a - 1)
+        got, want = sample_both(1.2, n, 0, a - 1)
         assert got == want and "no excursion in" in got
-        got, want = sample_both(1.8, n, 0, a)
+        got, want = sample_both(1.2, n, 0, a)
         assert_same_excursion(got, want)
 
 
 def test_sampler_blocks_double_from_one(monkeypatch):
-    # attempt 160 is reached in blocks of 1, 2, ..., 128 attempts, and a cap
+    # attempt 179 is reached in blocks of 1, 2, ..., 128 attempts, and a cap
     # of 48 attempts stops the doubling
     n = 24
     drawn = []
@@ -158,12 +169,33 @@ def test_sampler_blocks_double_from_one(monkeypatch):
             return self.rng.standard_normal(size)
 
     monkeypatch.setattr(mated_crt, "make_rng", Recording)
-    assert sample_excursion(1.8, n, seed=0).attempts == 160
+    assert sample_excursion(1.2, n, seed=0).attempts == 179
     assert drawn == [1, 2, 4, 8, 16, 32, 64, 128]
     drawn.clear()
     monkeypatch.setattr(mated_crt, "BLOCK_NORMALS", 2 * n * 48)
-    sample_excursion(1.8, n, seed=0)
+    sample_excursion(1.2, n, seed=0)
     assert drawn == [1, 2, 4, 8, 16, 32, 48, 48, 48]
+
+
+def excursion_laws(sample, gamma, n, seeds) -> np.ndarray:
+    """Per excursion: max L, max R, edge count, triangles, quadrangles."""
+    rows = []
+    for seed in seeds:
+        exc = sample(gamma, n, seed)
+        m = build_mated(exc).map
+        tri, quad = (face_degree_histogram(m).tolist() + [0, 0])[3:5]
+        rows.append((exc.l.max(), exc.r.max(), m.num_edges, tri, quad))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("gamma, n", [(1.8, 12), (1.5, 8)])
+def test_sampler_law_matches_plain_rejection(gamma, n):
+    # two-sample KS tests against plain rejection on disjoint seed ranges,
+    # fixed once: 600 excursions each
+    old = excursion_laws(oracles.sample_excursion, gamma, n, range(600))
+    new = excursion_laws(sample_excursion, gamma, n, range(10**6, 10**6 + 600))
+    for j in range(old.shape[1]):
+        assert ks_2samp(old[:, j], new[:, j], method="asymp").pvalue > 0.01, j
 
 
 def test_excursion_from_increments_validation():
@@ -302,7 +334,7 @@ def test_map_edges_match_oracle_exhaustively():
 
 
 def test_reference_map_counts():
-    exc = sample_excursion(1.8, 64, seed=7)
+    exc = oracles.sample_excursion(1.8, 64, seed=7)
     assert exc.attempts == 210
     mm = build_mated(exc)
     m = mm.map

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from smithtile import (TilingReport, build_diagram, build_map, conjugate,
                        dart_drift, dual, make_lattice, mark_vertices,
-                       reduce_mod, render_svg, sample_excursion,
-                       smith_embedding, solve_voltage, validate)
+                       reduce_mod, render_svg, smith_embedding,
+                       solve_voltage, validate)
 from smithtile.mated_crt import build_map as build_mated
 from smithtile import smith_tiling
 from smithtile.smith_tiling import TilingError, _circle_pieces
@@ -168,7 +168,7 @@ def test_weak_current_does_not_split_a_falling_run(map_seed, mark_seed):
     # a genuine current below the flow floor is classed zero; at vertex 614
     # (map 4) and 778 (map 5) it sits inside a falling run, where the chain
     # must not start
-    m = mark_vertices(build_mated(sample_excursion(1.8, 1024, seed=map_seed)),
+    m = mark_vertices(build_mated(oracles.sample_excursion(1.8, 1024, seed=map_seed)),
                       seed=mark_seed).map
     rep = validate(diagram_for(m))
     assert rep.passed(1e-9), rep
