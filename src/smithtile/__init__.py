@@ -14,7 +14,7 @@ tiling (``walk_lab``), mated-CRT and random test maps (``mated_crt``,
 
 from .map_core import (CombMap, CylinderEmbedding, DualMap, MapError,
                        build_map, check_embedding, dual, insert_vertices,
-                       wrap_angle, wrap_signed)
+                       wrap_angle)
 from .electrical import (Conjugate, SolveError, Voltage, conjugate,
                          harmonic_darts, solve_voltage)
 from .smith_tiling import (SmithDiagram, SmithEmbedding, TilingError,
@@ -40,7 +40,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CombMap", "CylinderEmbedding", "DualMap", "MapError", "build_map",
-    "check_embedding", "dual", "insert_vertices", "wrap_angle", "wrap_signed",
+    "check_embedding", "dual", "insert_vertices", "wrap_angle",
     "Conjugate", "SolveError", "Voltage", "conjugate", "harmonic_darts",
     "solve_voltage",
     "SmithDiagram", "SmithEmbedding", "TilingError", "TilingReport",

@@ -12,14 +12,13 @@ well defined modulo eta.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .map_core import CombMap, DualMap, MapError, marked_cut_path
+from .map_core import CombMap, DualMap, MapError, bfs_tree, marked_cut_path, mod_array
 
 DENSE_LIMIT = 500
 
@@ -130,15 +129,8 @@ class Conjugate:
     w_err: np.ndarray           # rounding bound on w_lift per dual vertex
 
     def w(self, f):
-        return np.mod(self.w_lift[f], self.voltage.eta)
-
-    def dart_increment(self, h):
-        """Increment of w along dual dart h: minus the primal flow along h.
-
-        Discrete Cauchy-Riemann with the orientation-preserving sign: w grows
-        in the crossing direction that keeps the flow on the left, so on a
-        lattice w increases with the a priori angle."""
-        return -self.voltage.dart_flow(h)
+        """w at dual vertices f, reduced to [0, eta) as the diagram reduces it."""
+        return mod_array(self.w_lift[f], self.voltage.eta)
 
 
 def conjugate(dmap: DualMap, v: Voltage, base: int | None = None,
@@ -153,6 +145,11 @@ def conjugate(dmap: DualMap, v: Voltage, base: int | None = None,
     from v0 to v1 on each face's tree path, so the fundamental cycle through
     dart h winds cross[tail(h)] + sign(h) - cross[head(h)] times.  All
     non-tree edges are checked at once; the first failing edge raises.
+
+    The tree is ``map_core.bfs_tree`` from the base face.  The sums along it
+    run one front at a time, each face adding its tree dart's term to its
+    parent's value, which are the same float additions a face-by-face walk
+    down the tree would do.
     """
     m = dmap.primal
     dm = dmap.map
@@ -170,6 +167,9 @@ def conjugate(dmap: DualMap, v: Voltage, base: int | None = None,
     if cut is not None:
         sgn[cut] = -1       # dual dart h crosses the upward path right-to-left
         sgn[cut ^ 1] = 1
+    # discrete Cauchy-Riemann with the orientation-preserving sign: w grows
+    # in the crossing direction that keeps the flow on the left, so on a
+    # lattice w increases with the a priori angle
     inc = -v.dart_flow(np.arange(dm.num_darts))
     # one increment carries cancellation noise ~ eps * conductance * |v|:
     # level augmentation can slice an edge at nearly equal fractions, and the
@@ -179,33 +179,13 @@ def conjugate(dmap: DualMap, v: Voltage, base: int | None = None,
     errinc = np.finfo(np.float64).eps * vs \
         * m.conductance[np.arange(dm.num_darts) >> 1]
 
-    # the BFS fixes the tree; the sums along it then run one depth at a time,
-    # each face adding its tree dart's term to its parent's value, which are
-    # the same float additions a face-by-face walk would do
-    head, darts, ptr = dm.dart_head.tolist(), dm.vert_dart.tolist(), dm.vert_ptr.tolist()
-    tree = [-1] * F
-    depth = [-1] * F
-    depth[base] = 0
-    queue = deque([base])
-    while queue:
-        f = queue.popleft()
-        for h in darts[ptr[f]:ptr[f + 1]]:
-            g = head[h]
-            if depth[g] < 0:
-                depth[g] = depth[f] + 1
-                tree[g] = h
-                queue.append(g)
-    depth = np.array(depth)
-    if np.any(depth < 0):
+    tree_dart, fronts = bfs_tree(dm, base)
+    if sum(map(len, fronts)) < F:
         raise MapError("dual graph is not connected")
-    tree_dart = np.array(tree, dtype=np.int64)
     w = np.zeros(F)
     werr = np.zeros(F)
     cross = np.zeros(F, dtype=np.int64)
-    by_depth = np.argsort(depth, kind="stable")
-    bounds = np.searchsorted(depth[by_depth], np.arange(1, depth.max() + 2))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        g = by_depth[lo:hi]
+    for g in fronts[1:]:
         h = tree_dart[g]
         f = dm.dart_tail[h]
         w[g] = w[f] + inc[h]

@@ -325,7 +325,7 @@ def solution_to_json(v, c=None) -> dict:
         "h": [float(u) for u in v.values],
     }
     if c is not None:
-        out["w"] = [float(c.w(f)) for f in range(len(c.w_lift))]
+        out["w"] = c.w(np.arange(len(c.w_lift))).tolist()
     return out
 
 

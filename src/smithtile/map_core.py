@@ -17,6 +17,16 @@ their smallest darts.  The cycles are found by pointer doubling over the
 whole permutation at once (``_cycles``).  ``vertex_darts`` and ``face_darts``
 are the same cycles as lists of arrays, built on first use.
 
+``bfs_tree`` is the breadth-first search of a FIFO queue that pops a vertex
+and scans its darts in rotation order, taking each dart to an unseen vertex
+into the tree.  It runs one depth at a time as array code: the darts of the
+current front in front order, then rotation order, of which the first to
+reach each unseen vertex is its tree dart, and the new front is ordered by
+the position of that dart, which is the order the queue would find the
+vertices in.  It returns the fronts because the sums along the tree (the
+conjugate's) run one depth at a time too: each vertex of a front adds its
+tree dart's term to its parent's value, which the front before has fixed.
+
 Per-cycle sums run in the order a loop over each cycle would run them:
 ``by_position`` visits the darts position by position, over the cycles
 sorted by length so that the cycles still open at position j are a prefix,
@@ -41,7 +51,6 @@ no coordinates (nan).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -64,16 +73,6 @@ def wrap_angle(x: float) -> float:
     return 0.0 if r >= TWO_PI else r
 
 
-def wrap_signed(x: float, period: float = TWO_PI) -> float:
-    """Reduce to (-period/2, period/2]."""
-    r = math.fmod(x, period)
-    if r <= -period / 2:
-        r += period
-    elif r > period / 2:
-        r -= period
-    return r
-
-
 def mod_array(x, period: float) -> np.ndarray:
     """Elementwise ``wrap_angle`` (and ``smith_tiling.reduce_mod``): reduce
     to [0, period); ``np.fmod`` is exact, like ``math.fmod``."""
@@ -83,7 +82,7 @@ def mod_array(x, period: float) -> np.ndarray:
 
 
 def wrap_signed_array(x, period: float = TWO_PI) -> np.ndarray:
-    """Elementwise ``wrap_signed``."""
+    """Reduce to (-period/2, period/2]; ``np.fmod`` is exact."""
     r = np.fmod(x, period)
     return np.where(r <= -period / 2, r + period, np.where(r > period / 2, r - period, r))
 
@@ -175,7 +174,6 @@ class CombMap:
                   self.dart_head, self.face_of, self.vert_ptr, self.vert_dart,
                   self.face_ptr, self.face_dart):
             a.flags.writeable = False
-        self._walk_tables = None
 
     # -- construction checks ------------------------------------------------
 
@@ -279,12 +277,6 @@ class CombMap:
         mask.flags.writeable = False
         return mask
 
-    def twin(self, h: int) -> int:
-        return h ^ 1
-
-    def edge_of(self, h: int) -> int:
-        return h >> 1
-
     def degree(self, v: int) -> int:
         return int(self.vert_ptr[v + 1] - self.vert_ptr[v])
 
@@ -299,15 +291,13 @@ class CombMap:
     def is_marked(self, v: int) -> bool:
         return v == self.v0 or v == self.v1
 
-    def walk_tables(self):
+    @cached_property
+    def walk_tables(self) -> tuple:
         """Python lists for the walk kernel: head per dart, darts per vertex,
         and cumulative conductance over each vertex's darts."""
-        if self._walk_tables is None:
-            self._walk_tables = (
-                self.dart_head.tolist(),
+        return (self.dart_head.tolist(),
                 [d.tolist() for d in self.vertex_darts],
                 [np.cumsum(self.conductance[d >> 1]).tolist() for d in self.vertex_darts])
-        return self._walk_tables
 
     def __repr__(self):
         return (f"CombMap(V={self.num_vertices}, E={self.num_edges}, "
@@ -487,28 +477,39 @@ def dual(m: CombMap, emb: CylinderEmbedding | None = None) -> DualMap:
     return DualMap(m, dmap, rep_theta, rep_height, pole_faces)
 
 
+def bfs_tree(m: CombMap, root: int) -> tuple:
+    """(tree_dart, fronts) of the breadth-first search from ``root`` (see the
+    module docstring): the dart that first reaches each vertex (-1 at the
+    root and at unreached vertices), and the vertices first reached at each
+    depth, each front in the order the FIFO queue finds them."""
+    ptr, darts, head = m.vert_ptr, m.vert_dart, m.dart_head
+    tree_dart = np.full(m.num_vertices, -1, dtype=np.int64)
+    seen = np.zeros(m.num_vertices, dtype=bool)
+    seen[root] = True
+    front, fronts = np.array([root], dtype=np.int64), []
+    while len(front):
+        fronts.append(front)
+        # the front's darts, vertex after vertex, each in rotation order
+        lens = ptr[front + 1] - ptr[front]
+        h = darts[np.repeat(ptr[front] - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())]
+        h = h[~seen[head[h]]]
+        h = h[np.sort(np.unique(head[h], return_index=True)[1])]
+        front = head[h]
+        tree_dart[front] = h
+        seen[front] = True
+    return tree_dart, fronts
+
+
 def marked_cut_path(m: CombMap) -> np.ndarray:
     """A dart path from v0 to v1 (BFS); used as a homology cut of the cylinder."""
     if m.v0 is None or m.v1 is None:
         raise MapError("cut path needs both marked vertices")
-    darts, ptr, head = m.vert_dart.tolist(), m.vert_ptr.tolist(), m.dart_head.tolist()
-    parent = {m.v0: -1}
-    queue = deque([m.v0])
-    while queue:
-        v = queue.popleft()
-        if v == m.v1:
-            break
-        for h in darts[ptr[v]:ptr[v + 1]]:
-            w = head[h]
-            if w not in parent:
-                parent[w] = h
-                queue.append(w)
+    tree_dart = bfs_tree(m, m.v0)[0]
     path = []
     v = m.v1
-    while parent[v] != -1:
-        h = parent[v]
-        path.append(h)
-        v = int(m.dart_tail[h])
+    while tree_dart[v] != -1:
+        path.append(int(tree_dart[v]))
+        v = m.dart_tail[path[-1]]
     return np.array(path[::-1], dtype=np.int64)
 
 

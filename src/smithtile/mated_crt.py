@@ -246,9 +246,6 @@ class MatedCrtMap:
     def n(self) -> int:
         return self.exc.n
 
-    def x_value(self, vertex: int) -> float:
-        return (vertex + 1) / self.exc.n
-
 
 def build_map(exc: Excursion) -> MatedCrtMap:
     """Assemble the arc-diagram planar map of an excursion.

@@ -87,7 +87,7 @@ def walk(m: CombMap, u, start: int, stop: set, max_steps: int) -> list:
     StepBudgetExceeded when the walk needs more than ``max_steps`` steps."""
     if not stop:
         raise ValueError("stop set must be nonempty")
-    head, vertex_darts, cum = m.walk_tables()
+    head, vertex_darts, cum = m.walk_tables
     draw = u.__next__
     darts: list = []
     step = darts.append
@@ -126,7 +126,9 @@ def simulate(m: CombMap, start: int, stop_set, seed: int,
 
 def _merge_levels(values, tol: float) -> np.ndarray:
     """Sorted values, each kept only if it exceeds the last kept one by more
-    than tol: a chain of close values names one level, its lowest."""
+    than tol.  A chain of close values is not one level: a value more than
+    tol above the last kept one is kept even when a dropped value lies
+    within tol of both, which then sits within tol of two kept levels."""
     out: list = []
     for a in np.sort(np.asarray(values, dtype=np.float64)):
         if not out or a - out[-1] > tol:
@@ -286,7 +288,7 @@ def conditional_hitting(aug: Augmented, heights) -> HittingLaw:
     recursions over the (small) level sets; no sampling."""
     m = aug.map
     heights = np.atleast_1d(np.asarray(heights, dtype=np.float64))
-    head, vertex_darts, _cum = m.walk_tables()
+    head, vertex_darts, _cum = m.walk_tables
     pi, c = m.pi_weight, m.conductance.tolist()
 
     levels = [level_set(m, aug.voltage, float(a), aug.tol) for a in heights]

@@ -9,14 +9,14 @@ forms of the steps that now run as array code.
 
 import json
 import math
+from collections import deque
 
 import numpy as np
 import scipy.sparse as sp
 
 from smithtile.convergence import AffineFit, lattice_shape
 from smithtile.map_core import (TWO_PI, CombMap, CylinderEmbedding, DualMap,
-                                MapError, marked_cut_path, wrap_angle,
-                                wrap_signed)
+                                MapError, wrap_angle)
 from smithtile.mated_crt import (LINE, LOWER, UPPER, Excursion, MatedCrtMap,
                                  SampleError)
 from smithtile.electrical import Conjugate, Voltage, harmonic_darts
@@ -283,6 +283,16 @@ def lattice(n: int, H: float) -> tuple:
     theta[v0] = theta[v1] = math.nan
     height[v0] = height[v1] = math.nan
     return V, edges, rotation, (v0, v1), theta, height, np.array(dtheta)
+
+
+def wrap_signed(x: float, period: float = TWO_PI) -> float:
+    """``map_core.wrap_signed_array`` on one float: reduce to (-period/2, period/2]."""
+    r = math.fmod(x, period)
+    if r <= -period / 2:
+        r += period
+    elif r > period / 2:
+        r -= period
+    return r
 
 
 def check_embedding(m: CombMap, emb: CylinderEmbedding, tol: float = 1e-9) -> None:
@@ -698,7 +708,54 @@ def mated_map(exc: Excursion) -> tuple:
     return n, edges, rotation, kind
 
 
-# -- the cut winding, and refinement before it ran as array code --------------
+# -- the BFS tree, the cut winding and refinement before they ran as array code
+
+def bfs_tree(m: CombMap, root: int) -> tuple:
+    """The queue loop ``map_core.bfs_tree`` replaced: (tree_dart, depth, order),
+    with depth -1 at unreached vertices and order the vertices as the queue
+    pops them."""
+    head, darts, ptr = m.dart_head.tolist(), m.vert_dart.tolist(), m.vert_ptr.tolist()
+    tree = [-1] * m.num_vertices
+    depth = [-1] * m.num_vertices
+    depth[root] = 0
+    order = []
+    queue = deque([root])
+    while queue:
+        f = queue.popleft()
+        order.append(f)
+        for h in darts[ptr[f]:ptr[f + 1]]:
+            g = head[h]
+            if depth[g] < 0:
+                depth[g] = depth[f] + 1
+                tree[g] = h
+                queue.append(g)
+    return np.array(tree, dtype=np.int64), np.array(depth), order
+
+
+def marked_cut_path(m: CombMap) -> np.ndarray:
+    """``map_core.marked_cut_path`` as a queue loop that stops at v1."""
+    if m.v0 is None or m.v1 is None:
+        raise MapError("cut path needs both marked vertices")
+    darts, ptr, head = m.vert_dart.tolist(), m.vert_ptr.tolist(), m.dart_head.tolist()
+    parent = {m.v0: -1}
+    queue = deque([m.v0])
+    while queue:
+        v = queue.popleft()
+        if v == m.v1:
+            break
+        for h in darts[ptr[v]:ptr[v + 1]]:
+            w = head[h]
+            if w not in parent:
+                parent[w] = h
+                queue.append(w)
+    path = []
+    v = m.v1
+    while parent[v] != -1:
+        h = parent[v]
+        path.append(h)
+        v = int(m.dart_tail[h])
+    return np.array(path[::-1], dtype=np.int64)
+
 
 def dual_cycle_winding_cut(dual_map: DualMap, cycle_darts, cut=None) -> int:
     """Winding of a closed dual cycle around the cylinder via signed crossings

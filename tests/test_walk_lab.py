@@ -101,6 +101,22 @@ def test_realized_levels(path_map, rung_map, lattice8_solved):
         (np.arange(M) + 1.0) / (M + 1), abs=1e-10)
 
 
+def test_merge_levels_keeps_a_chain_of_close_values_apart():
+    # each value is kept if it is more than tol above the last kept one, so a
+    # chain of values tol/2 apart keeps every second one, and a dropped value
+    # lies within tol of two kept levels.  Equipotential clusters (ROADMAP
+    # open item 1) would name such a chain one level.
+    tol = 1e-12
+    chain = [0.0, 0.6e-12, 1.2e-12, 1.8e-12]
+    assert walk_lab._merge_levels(chain, tol).tolist() == [0.0, 1.2e-12]
+    m = build_map(6, [(i, i + 1, 1.0) for i in range(5)],
+                  [[0]] + [[2 * i - 1, 2 * i] for i in range(1, 5)] + [[9]], marked=(0, 5))
+    v = Voltage(m, np.array([0.0] + chain + [1.0]), 0.0, 1.0, 0.0)
+    assert realized_levels(m, v, tol).tolist() == [0.0, 1.2e-12]
+    assert level_set(m, v, 0.0, tol).tolist() == [1, 2]
+    assert level_set(m, v, 1.2e-12, tol).tolist() == [2, 3, 4]
+
+
 def test_level_set_row(lattice8_solved):
     m, _, v = lattice8_solved
     M = (m.num_vertices - 2) // 8
@@ -546,7 +562,7 @@ def test_walk_draw_rounding_up_picks_last_dart():
     # with subnormal conductances u * c[-1] can round up to c[-1], so the
     # search lands past the last dart
     m = build_map(2, [(0, 1, 5e-324)] * 3, [[0, 2, 4], [5, 3, 1]], marked=(0, 1))
-    c = m.walk_tables()[2][0]
+    c = m.walk_tables[2][0]
     u = 1.0 - 2.0 ** -53        # the largest value rng.random() returns
     assert u * c[-1] == c[-1]
     assert walk_lab.walk(m, iter([u]), 0, {1}, 1) == [4]
