@@ -7,6 +7,14 @@ before the bottom one.  Its gradient is a divergence-free flow whose total
 strength eta becomes the circumference of the tiled cylinder.  The conjugate
 integrates that flow across edges, giving a function on dual vertices that is
 well defined modulo eta.
+
+An edge with no current joins its ends at one potential, so the vertices
+joined by such edges share one level of the tiling (Brooks, Smith, Stone and
+Tutte, 1940), and the edges become degenerate rectangles.  The solve leaves
+those equal voltages apart in their last bits, which would split one level
+into many.  ``solve_voltage`` therefore snaps each equipotential cluster,
+found through the edges whose flow is below the flow floor, to one voltage,
+and checks the harmonic residual again on the snapped values.
 """
 
 from __future__ import annotations
@@ -18,9 +26,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .map_core import CombMap, DualMap, MapError, bfs_tree, marked_cut_path, mod_array
+from .map_core import (CombMap, DualMap, MapError, bfs_tree, components,
+                       marked_cut_path, mod_array)
 
 DENSE_LIMIT = 500
+# flows of at most FLOW_FLOOR * max(1, max |flow|) count as no current: the
+# floor separates rounding-size flows from genuine weak currents
+FLOW_FLOOR = 1e-12
 
 
 class SolveError(RuntimeError):
@@ -71,7 +83,9 @@ def dirichlet_system(m: CombMap) -> tuple:
 
 def solve_voltage(m: CombMap, tol: float = 1e-10) -> Voltage:
     """Solve the Dirichlet problem; conjugate-gradient with Jacobi scaling on
-    the reduced SPD system, dense elimination below DENSE_LIMIT unknowns."""
+    the reduced SPD system, dense elimination below DENSE_LIMIT unknowns.
+    The equipotential clusters are then snapped (``snap_clusters``); the
+    residual must stay within ``tol`` both before and after."""
     if m.v0 is None or m.v1 is None:
         raise MapError("voltage needs both marked vertices")
     V = m.num_vertices
@@ -87,10 +101,14 @@ def solve_voltage(m: CombMap, tol: float = 1e-10) -> Voltage:
             x, info = spla.cg(A, b, rtol=1e-13, atol=0.0, M=M, maxiter=40 * n)
             if info != 0 or np.max(np.abs(A @ x - b)) > 1e-11 * max(1.0, np.max(diag)):
                 x = spla.spsolve(A.tocsc(), b)
-        res = np.max(np.abs(A @ x - b) / diag) if n else 0.0
+        res = np.max(np.abs(A @ x - b) / diag)
         if res > tol:
             raise SolveError(f"harmonic residual {res} exceeds {tol}")
         h[interior] = np.clip(x, 0.0, 1.0)
+        h = snap_clusters(m, h)
+        res = np.max(np.abs(A @ h[interior] - b) / diag)
+        if res > tol:
+            raise SolveError(f"harmonic residual {res} after snapping exceeds {tol}")
     else:
         res = 0.0
 
@@ -106,6 +124,31 @@ def solve_voltage(m: CombMap, tol: float = 1e-10) -> Voltage:
     volt.eta = eta0
     volt.eta_mismatch = mism
     return volt
+
+
+def flow_floor(flows) -> float:
+    """The largest |flow| that counts as no current among ``flows``."""
+    return FLOW_FLOOR * max(1.0, float(np.abs(flows).max(initial=0.0)))
+
+
+def snap_clusters(m: CombMap, h: np.ndarray) -> np.ndarray:
+    """Voltages with each equipotential cluster at one value.
+
+    Edges whose flow is below the flow floor join the clusters; each cluster
+    takes the mean of its voltages, exactly 0 or 1 if it holds v0 or v1.
+    The mean is taken as offsets from the cluster's smallest vertex, so a
+    cluster whose voltages already agree keeps them bit for bit."""
+    flows = m.conductance * (h[m.edge_head] - h[m.edge_tail])
+    dead = np.abs(flows) <= flow_floor(flows)
+    root = components(m.num_vertices, m.edge_tail[dead], m.edge_head[dead])
+    if root[m.v0] == root[m.v1]:
+        raise SolveError("the marked vertices share one equipotential cluster")
+    size = np.bincount(root, minlength=m.num_vertices)
+    off = np.bincount(root, weights=h - h[root], minlength=m.num_vertices)
+    out = (h + off / np.maximum(size, 1))[root]
+    out[root == root[m.v0]] = 0.0
+    out[root == root[m.v1]] = 1.0
+    return out
 
 
 def harmonic_darts(v: Voltage) -> np.ndarray:

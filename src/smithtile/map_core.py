@@ -130,6 +130,27 @@ def _cycles(perm):
         jump, stride = jump[jump], 2 * stride
 
 
+def components(num_vertices, tail, head) -> np.ndarray:
+    """The smallest vertex of each vertex's connected component in the graph
+    of the edges tail[k] -- head[k].
+
+    Hooking and pointer jumping: each root hooks under the smallest root it
+    shares an edge with, then every vertex jumps to its root; each component
+    ends as one star whose root is its smallest vertex."""
+    root = np.arange(num_vertices)
+    while True:
+        a, b = root[tail], root[head]
+        cross = a != b
+        if not cross.any():
+            return root
+        np.minimum.at(root, np.maximum(a, b)[cross], np.minimum(a, b)[cross])
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+
+
 class CombMap:
     """Connected planar map of sphere topology given by a rotation system.
 
@@ -234,24 +255,7 @@ class CombMap:
         self.face_dart[self.face_ptr[self.face_of] + (d - steps) % d] = np.arange(n)
 
     def _check_topology(self):
-        # connected components by hooking and pointer jumping: each root
-        # hooks under the smallest root it shares an edge with, then every
-        # vertex jumps to its root; each component ends as one star whose
-        # root is its smallest vertex
-        root = np.arange(self.num_vertices)
-        while True:
-            a, b = root[self.edge_tail], root[self.edge_head]
-            cross = a != b
-            if not cross.any():
-                break
-            lo, hi = np.minimum(a, b)[cross], np.maximum(a, b)[cross]
-            np.minimum.at(root, hi, lo)
-            while True:
-                up = root[root]
-                if np.array_equal(up, root):
-                    break
-                root = up
-        if root.any():
+        if components(self.num_vertices, self.edge_tail, self.edge_head).any():
             raise MapError("map is not connected")
         euler = self.num_vertices - self.num_edges + self.num_faces
         if euler != 2:
@@ -486,6 +490,9 @@ def bfs_tree(m: CombMap, root: int) -> tuple:
     tree_dart = np.full(m.num_vertices, -1, dtype=np.int64)
     seen = np.zeros(m.num_vertices, dtype=bool)
     seen[root] = True
+    # first[x]: the position in its front's dart list of the first dart to
+    # reach x; each x is reached from one front only, so no entry is reused
+    first = np.full(m.num_vertices, len(head), dtype=np.int64)
     front, fronts = np.array([root], dtype=np.int64), []
     while len(front):
         fronts.append(front)
@@ -493,7 +500,9 @@ def bfs_tree(m: CombMap, root: int) -> tuple:
         lens = ptr[front + 1] - ptr[front]
         h = darts[np.repeat(ptr[front] - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())]
         h = h[~seen[head[h]]]
-        h = h[np.sort(np.unique(head[h], return_index=True)[1])]
+        x, at = head[h], np.arange(len(h))
+        np.minimum.at(first, x, at)
+        h = h[first[x] == at]
         front = head[h]
         tree_dart[front] = h
         seen[front] = True

@@ -5,6 +5,11 @@ width is its flow, so the aspect ratio equals the conductance.  Each vertex
 becomes a horizontal segment (its incoming rectangles chained side by side,
 which must form one arc), each face a vertical segment.  The circumference of
 the tiled cylinder is the flow strength eta and the height runs from 0 to 1.
+
+The voltage solve snaps each cluster of vertices joined by zero-current
+edges to one voltage (see ``electrical``), so the vertices of a cluster lie
+on one level, its edges are point rectangles, and the levels of the tiling
+are the distinct potentials rather than their rounded copies.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .map_core import CombMap, DualMap, by_position, mod_array, segment_sums
-from .electrical import Conjugate, Voltage, harmonic_darts
+from .electrical import Conjugate, Voltage, flow_floor, harmonic_darts
 
 
 # validate() expands at most max(E // 2, SWEEP_PAIRS) (slab, piece) pairs at
@@ -100,10 +105,12 @@ def build_diagram(m: CombMap, dmap: DualMap, v: Voltage, c: Conjugate,
 
     flows = v.dart_flow(np.arange(m.num_darts))
     scale = max(1.0, eta)
-    # machine-scale flow floor: it only needs to separate exactly-symmetric
-    # dead clusters (roundoff-size flows) from genuine weak currents, and the
-    # contiguity checks below absorb anything between the two scales
-    zf = 1e-12 * max(1.0, float(np.abs(flows).max()))
+    # the voltage solve's flow floor: the clusters below it arrive snapped,
+    # and it still classes weak flows the snap left or never saw (those
+    # that fell below it after snapping, or of refined maps); the
+    # contiguity checks below absorb anything between rounding and genuine
+    # currents
+    zf = flow_floor(flows)
     # each flow carries cancellation noise ~ eps * conductance, so the chain
     # checks around a vertex cannot resolve below the incident conductance sum;
     # w values inherit the integration error bound carried by the conjugate
@@ -292,11 +299,14 @@ def validate(d: SmithDiagram, tol: float = 1e-9) -> TilingReport:
     """Exhaustive tiling checks; returns a report, never raises.
 
     Overlap and coverage come from a sweep over the slabs between
-    consecutive distinct rectangle levels.  Each rectangle of positive width
-    is split into its pieces on [0, eta) and found in its range of slabs by
-    searchsorted; within a slab, +1/-1 events at sorted piece ends give the
-    depth of cover, so the union is the length at depth >= 1 and the overlap
-    the length times (depth - 1).  The (slab, piece) pairs are expanded in
+    consecutive distinct rectangle levels, which are the distinct potentials
+    because the voltage solve snaps equipotential clusters; rounding would
+    otherwise split a lattice row into dozens of levels, each slab as costly
+    as a real one.  Each rectangle of positive width is split into its
+    pieces on [0, eta) and found in its range of slabs by searchsorted;
+    within a slab, +1/-1 events at sorted piece ends give the depth of
+    cover, so the union is the length at depth >= 1 and the overlap the
+    length times (depth - 1).  The (slab, piece) pairs are expanded in
     chunks of about max(E // 2, SWEEP_PAIRS) pairs, which keeps memory O(E).
     At each vertex level, the segments there plus the rectangles spanning it
     must fill the circumference.

@@ -70,6 +70,16 @@ def mated_crt64():
 
 
 @pytest.fixture(scope="session")
+def crt48_maps():
+    """The gamma = 1.8, n = 48 plain-rejection maps of seeds 1, 2, 4, marked as
+    `smith mated-crt --seed` marks them: their zero-gradient edges make
+    verify fail the hitting law."""
+    return [mark_vertices(build_mated(oracles.sample_excursion(1.8, 48, seed=s)),
+                          seed=s).map
+            for s in (1, 2, 4)]
+
+
+@pytest.fixture(scope="session")
 def refinement_cases(random_maps, lattice8, rung_map, mated_crt64,
                      parallel3_map):
     """(map, embedding or None) pairs for the refinement oracles: generic

@@ -732,6 +732,27 @@ def bfs_tree(m: CombMap, root: int) -> tuple:
     return np.array(tree, dtype=np.int64), np.array(depth), order
 
 
+def components(num_vertices: int, tail, head) -> np.ndarray:
+    """``map_core.components`` by breadth-first search from each unreached
+    vertex in increasing order, which is then its component's smallest."""
+    adj = [[] for _ in range(num_vertices)]
+    for a, b in zip(np.asarray(tail).tolist(), np.asarray(head).tolist()):
+        adj[a].append(b)
+        adj[b].append(a)
+    root = [-1] * num_vertices
+    for s in range(num_vertices):
+        if root[s] >= 0:
+            continue
+        root[s] = s
+        queue = deque([s])
+        while queue:
+            for y in adj[queue.popleft()]:
+                if root[y] < 0:
+                    root[y] = s
+                    queue.append(y)
+    return np.array(root, dtype=np.int64)
+
+
 def marked_cut_path(m: CombMap) -> np.ndarray:
     """``map_core.marked_cut_path`` as a queue loop that stops at v1."""
     if m.v0 is None or m.v1 is None:

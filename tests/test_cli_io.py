@@ -479,17 +479,17 @@ def test_cli_mated_crt_golden_bytes():
     assert hashlib.sha256(r1.stdout).hexdigest() == \
         "979ec252dda220f97fde6bd65386877271f7fab0c0dcb1d2dc9ee16c1c325a08"
     assert hashlib.sha256(r2.stdout).hexdigest() == \
-        "effbc9e29898e1128626dbf150cda36b326caf06099f2b2028cc7c4dff0971bf"
+        "7143c0fccf3c6456ec698676ecc011e638d5f9daafe98e9e596e30999e4f1cf2"
 
 
 # seed: (exit code, sha256 of the report) for `mated-crt --increments FILE
 # --seed s`, FILE holding the increments of the gamma = 1.8, n = 48
 # plain-rejection sample of that seed
 VERIFY_GOLDEN = {
-    1: (1, "df7102f6feec7028b0b96e03b98dfbe01e9982b5f82c2d08abf57f031d8b17b5"),
-    2: (1, "cd62ed307511b151760982e3184b61dd861539e21078db64e78ea63f6e4b8f94"),
+    1: (1, "81d0134087be123e22992c8a2f3051daaceadde64d5513068ee064640b6aae8e"),
+    2: (1, "c86ad5674e589d50f99405c03f25bd346037ffb23df7ba5c008e495afa0fa6ff"),
     3: (0, "309d03d4d545dd77da72980d29ac91001bc7d6b268747845f83a0798d60cef9a"),
-    4: (1, "e085de5f0799f187a8f28229becadea095101f69e28a58452f13aa41112bd628"),
+    4: (1, "91b4a266168372a779dce363cfe9b871979efadfea52617d428ca55060d8ce9d"),
     5: (0, "80f3786b2e53d08f2de8238675e84ea11ac61fb3c723ca09c727771e1413bc18"),
     6: (0, "c0228399218ee56756dd0e1afbc9ab5ddce66a5e1c089f67bfaae39ac673a965"),
 }

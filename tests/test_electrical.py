@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from smithtile import (MapError, build_map, conjugate, dual, harmonic_darts,
-                       insert_vertices, make_lattice, make_rng, solve_voltage)
+from smithtile import (MapError, SolveError, build_diagram, build_map, conjugate,
+                       dual, harmonic_darts, insert_vertices, make_lattice,
+                       make_rng, mark_vertices, solve_voltage)
 from smithtile import electrical
 from smithtile.electrical import Conjugate
-from smithtile.map_core import marked_cut_path
+from smithtile.map_core import components, marked_cut_path
+from smithtile.mated_crt import build_map as build_mated
 
 import oracles
 from oracles import dual_cycle_winding_cut, harmonic_dart
@@ -108,6 +110,75 @@ def test_dirichlet_system_matches_loop_assembly(lattice8, random_maps, mated_crt
             assert np.array_equal(a, b)
         for field in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got[1], field), getattr(want[1], field))
+
+
+# -- equipotential clusters ----------------------------------------------------
+
+def test_lattice_snaps_to_its_rows():
+    # 83 rows and the two poles: 85 voltages and 85 levels of the tiling,
+    # where the solve alone leaves 2848 distinct values
+    n = 64
+    m, emb = make_lattice(n, 4.0)
+    v = solve_voltage(m)
+    M = (m.num_vertices - 2) // n
+    assert M == 83
+    assert len(np.unique(v.values)) == M + 2
+    rows = v.values[:n * M].reshape(M, n)
+    assert np.array_equal(rows, np.repeat(rows[:, :1], n, axis=1))
+    assert np.max(np.abs(rows[:, 0] - (np.arange(M) + 1.0) / (M + 1))) <= 1e-12
+    dm = dual(m, emb)
+    d = build_diagram(m, dm, v, conjugate(dm, v))
+    assert len(np.unique(np.concatenate([d.rect_y0, d.rect_y1]))) == M + 2
+    assert len(np.unique(d.hseg_level)) == M + 2
+
+
+def test_snap_clusters_takes_means_and_pins_the_poles(path4_map, rung_map):
+    # v0 - a - b - v1: a is within rounding of v0, b of v1
+    got = electrical.snap_clusters(path4_map, np.array([0.0, 1e-14, 1.0 - 1e-14, 1.0]))
+    assert got.tolist() == [0.0, 0.0, 1.0, 1.0]
+    # the rung joins a and b, which take their mean; the poles keep theirs
+    h = np.array([0.0, 0.5, 0.5 + 2e-13, 1.0])
+    got = electrical.snap_clusters(rung_map, h)
+    assert got.tolist() == [0.0, 0.5 + (h[2] - h[1]) / 2, 0.5 + (h[2] - h[1]) / 2, 1.0]
+
+
+def test_snapped_voltages_match_dense_oracle(crt48_maps, mated_crt64, random_maps,
+                                             lattice8):
+    for m in [*crt48_maps, mated_crt64, lattice8[0]] + [m for m, _ in random_maps]:
+        h_ref, _ = oracle_voltage(m)
+        assert np.max(np.abs(solve_voltage(m).values - h_ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("map_seed, mark_seed", [(4, 3004), (5, 11005)])
+def test_snap_leaves_weak_currents_outside_clusters(map_seed, mark_seed, monkeypatch):
+    # the maps of the falling-run test carry genuine currents that decay
+    # below the flow floor, so the snap merges some vertices whose dense
+    # voltages differ by up to a few 1e-12; every vertex outside a cluster
+    # keeps its voltage bit for bit, and every one stays near the dense solve
+    m = mark_vertices(build_mated(oracles.sample_excursion(1.8, 1024, seed=map_seed)),
+                      seed=mark_seed).map
+    h = solve_voltage(m).values
+    with monkeypatch.context() as patch:
+        patch.setattr(electrical, "snap_clusters", lambda m, h: h)
+        raw = solve_voltage(m).values
+    flows = m.conductance * (raw[m.edge_head] - raw[m.edge_tail])
+    dead = np.abs(flows) <= electrical.flow_floor(flows)
+    root = components(m.num_vertices, m.edge_tail[dead], m.edge_head[dead])
+    alone = np.bincount(root, minlength=m.num_vertices)[root] == 1
+    assert alone.sum() > 0 and (~alone).sum() > 0
+    assert np.array_equal(h[alone], raw[alone])
+    assert np.max(np.abs(h - oracle_voltage(m)[0])) <= 1e-11
+
+
+def test_snap_rechecks_the_residual(random_maps, monkeypatch):
+    # a floor far above rounding merges vertices that carry real current
+    m = random_maps[0][0]
+    monkeypatch.setattr(electrical, "FLOW_FLOOR", 1e-3)
+    with pytest.raises(SolveError, match="after snapping exceeds"):
+        solve_voltage(m)
+    monkeypatch.setattr(electrical, "FLOW_FLOOR", 1e3)
+    with pytest.raises(SolveError, match="marked vertices share one"):
+        solve_voltage(m)
 
 
 def test_voltage_needs_marks():

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from smithtile import (CombMap, CylinderEmbedding, MapError, build_map,
                        check_embedding, dual, insert_vertices, make_lattice,
                        wrap_angle)
-from smithtile.map_core import bfs_tree, marked_cut_path, wrap_signed_array
+from smithtile.map_core import (bfs_tree, components, marked_cut_path,
+                                wrap_signed_array)
 
 import oracles
 from oracles import relabel_edges
@@ -381,6 +382,20 @@ def test_bfs_tree_matches_queue_loop(random_maps, mated_crt64, path_map, paralle
             assert np.array_equal(tree_dart, want)
             assert np.concatenate(fronts).tolist() == order
             assert [set(depth[f].tolist()) for f in fronts] == [{i} for i in range(len(fronts))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_components_match_bfs_oracle(random_maps, lattice8, data):
+    """Components over drawn subsets of a map's edges; the loop map brings
+    a self-loop and parallel edges."""
+    maps = [lattice8[0], _loop_and_parallel_map()] + [m for m, _ in random_maps[:4]]
+    m = data.draw(st.sampled_from(maps))
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=m.num_edges,
+                                       max_size=m.num_edges)), dtype=bool)
+    t, h = m.edge_tail[keep], m.edge_head[keep]
+    assert np.array_equal(components(m.num_vertices, t, h),
+                          oracles.components(m.num_vertices, t, h))
 
 
 def test_bfs_tree_leaves_unreached_vertices_out():

@@ -13,9 +13,8 @@ from smithtile import (InadmissibleHeights, LevelNotVertexed,
                        build_map, conditional_hitting, conjugate, dart_drift,
                        dual, exact_law_report, expected_conditional_winding,
                        insert_vertices, level_measure, level_set,
-                       mark_vertices, projected_step_law, realized_levels,
-                       simulate, solve_voltage, step_law)
-from smithtile.mated_crt import build_map as build_mated
+                       projected_step_law, realized_levels, simulate,
+                       solve_voltage, step_law)
 
 
 def diagram_for(m, emb=None):
@@ -741,16 +740,6 @@ def ref_exact_law_report(m, v, emb=None, num_sequences=5, length=4, seed=0):
         "noise_floor": noise,
         "sequences": sequences,
     }
-
-
-@pytest.fixture(scope="module")
-def crt48_maps():
-    """The gamma = 1.8, n = 48 plain-rejection maps of seeds 1, 2, 4, marked as
-    `smith mated-crt --seed` marks them: their zero-gradient edges make
-    verify fail the hitting law."""
-    return [mark_vertices(build_mated(oracles.sample_excursion(1.8, 48, seed=s)),
-                          seed=s).map
-            for s in (1, 2, 4)]
 
 
 @pytest.fixture(scope="module")
