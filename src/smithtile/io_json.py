@@ -20,14 +20,29 @@ diagram: {"schema", "kind": "diagram", "eta",
 Numbers are written by Python's float repr (shortest string that round-trips
 the IEEE double), so a document parsed back from ``dump_json`` is bit-exact.
 ``dump_json`` is deterministic: sorted keys, two-space indent, trailing
-newline.
+newline.  It formats each distinct nonzero float of a document once,
+through a memo that lives for one call, since a vertex voltage reappears as
+a segment level and as rectangle and segment bounds.  Zeros are formatted
+where they occur: 0.0 == -0.0, so a memo keyed by value would give both one
+repr.  The writers build their records from whole array columns
+(``ndarray.tolist``).
+
+The readers check each table (``vertices``, ``edges``, ``rotation``,
+``rects``, ``hsegs``, ``vsegs``) a column at a time: the field set of every
+record, the id sequence 0, 1, 2, ..., the type of every value, and, with
+numpy, ranges, finiteness and repeated darts.  They report every violation
+in one SchemaError, record by record in document order.  A JSON boolean is
+neither a number nor an id, though Python counts it as an int, and an
+integer too large for a double is not a finite number.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
+from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -53,11 +68,16 @@ def dump_json(obj) -> str:
     Scalars are encoded by ``float.__repr__``, ``int.__repr__`` and
     ``encode_basestring_ascii``, a whole column of one type at a time; a list
     of dicts with one key set (the records of a table) fills one %-template
-    per record.  What this writer does not cover (keys that are not strings,
-    scalar subclasses, unknown types, non-finite floats) goes to the stdlib,
-    which encodes it or raises its own error."""
+    per record.  The values of a dict form one column, and the items of a
+    list of lists (the rotation) one flat column.  ``float.__repr__`` runs
+    once per distinct nonzero float of the document: a memo for this call
+    maps each float written so far to its repr.  Zeros are formatted where
+    they occur, since 0.0 == -0.0 would share one memo entry.  What this
+    writer does not cover (keys that are not strings, scalar subclasses,
+    unknown types, non-finite floats) goes to the stdlib, which encodes it
+    or raises its own error."""
     try:
-        return _encode(obj, "\n") + "\n"
+        return _encode(obj, "\n", _Reprs()) + "\n"
     except _Unsupported:
         return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
@@ -66,99 +86,145 @@ class _Unsupported(Exception):
     """A value that dump_json leaves to the stdlib encoder."""
 
 
-def _floats(col):
-    if not all(map(math.isfinite, col)):
-        raise _Unsupported
-    return list(map(float.__repr__, col))
+class _Reprs(dict):
+    """The float memo of one document: each float met so far to its repr.
+    Zeros are formatted each time they occur, since 0.0 == -0.0 would share
+    one entry."""
+
+    def __missing__(self, u):
+        if not math.isfinite(u):
+            raise _Unsupported
+        s = float.__repr__(u)
+        if u:
+            self[u] = s
+        return s
 
 
-# encoders of a list of scalars of one exact type
+# encoders of a list of scalars of one exact type, given the float memo
 _COLUMN = {
-    float: _floats,
-    int: lambda col: list(map(int.__repr__, col)),
-    str: lambda col: list(map(encode_basestring_ascii, col)),
-    bool: lambda col: ["true" if u else "false" for u in col],
-    type(None): lambda col: ["null"] * len(col),
+    float: lambda col, memo: list(map(memo.__getitem__, col)),
+    int: lambda col, memo: list(map(int.__repr__, col)),
+    str: lambda col, memo: list(map(encode_basestring_ascii, col)),
+    bool: lambda col, memo: ["true" if u else "false" for u in col],
+    type(None): lambda col, memo: ["null"] * len(col),
 }
 
 
-def _column(col, nl):
+def _column(col, nl, memo):
     """The encoded items of a nonempty list, their nested lines starting
-    with nl."""
+    with nl.  Lists of lists are encoded as one flat column and split."""
     kinds = set(map(type, col))
     kind = kinds.pop() if len(kinds) == 1 else None
     if kind in _COLUMN:
-        return _COLUMN[kind](col)
-    if kind is dict and col[0] and all(map(col[0].keys().__eq__, map(dict.keys, col))):
-        return _records(col, nl)
-    return [_encode(u, nl) for u in col]
+        return _COLUMN[kind](col, memo)
+    if kind is dict and col[0]:
+        out = _records(col, nl, memo)
+        if out is not None:
+            return out
+    if kind in (list, tuple):
+        flat = list(chain.from_iterable(col))
+        inner = nl + "  "
+        items = iter(_column(flat, inner, memo) if flat else ())
+        sep = "," + inner
+        return ["[" + inner + sep.join(islice(items, n)) + nl + "]" if n else "[]"
+                for n in map(len, col)]
+    return [_encode(u, nl, memo) for u in col]
 
 
-def _records(rows, nl):
-    """Dicts that share one key set, by one %-template filled per record."""
+def _records(rows, nl, memo):
+    """The records of a table, dicts with one key set, each joined from the
+    fixed pieces between its values; None if the key sets differ."""
     if not all(type(k) is str for k in rows[0]):
         raise _Unsupported
     keys = sorted(rows[0])
+    try:
+        cols = [list(map(dict.__getitem__, rows, repeat(k))) for k in keys]
+    except KeyError:
+        return None
+    if sum(map(len, rows)) != len(keys) * len(rows):
+        return None
     inner = nl + "  "
-    cols = [_column([rec[k] for rec in rows], inner) for k in keys]
-    template = "{" + inner + ("," + inner).join(
-        encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys) + nl + "}"
-    return [template % values for values in zip(*cols)]
+    pieces = []
+    for head, k, col in zip(["{"] + [","] * (len(keys) - 1), keys, cols):
+        pieces += [repeat(head + inner + encode_basestring_ascii(k) + ": "),
+                   _column(col, inner, memo)]
+    return list(map("".join, zip(*pieces, repeat(nl + "}"))))
 
 
-def _encode(obj, nl) -> str:
+def _encode(obj, nl, memo) -> str:
     """One value whose first line is already placed and whose nested lines
     start with nl."""
     enc = _COLUMN.get(type(obj))
     if enc is not None:
-        return enc([obj])[0]
+        return enc([obj], memo)[0]
     inner = nl + "  "
     if type(obj) is dict:
         if not obj:
             return "{}"
         if not all(type(k) is str for k in obj):
             raise _Unsupported
+        keys = sorted(obj)
+        values = _column([obj[k] for k in keys], inner, memo)
         return "{" + inner + ("," + inner).join(
-            encode_basestring_ascii(k) + ": " + _encode(obj[k], inner)
-            for k in sorted(obj)) + nl + "}"
+            encode_basestring_ascii(k) + ": " + v for k, v in zip(keys, values)) + nl + "}"
     if type(obj) in (list, tuple):
         if not obj:
             return "[]"
-        return "[" + inner + ("," + inner).join(_column(obj, inner)) + nl + "]"
+        return "[" + inner + ("," + inner).join(_column(obj, inner, memo)) + nl + "]"
     raise _Unsupported
 
 
-# -- map ------------------------------------------------------------------------
+def _tolist(a) -> list:
+    """An array's entries as Python floats."""
+    return np.asarray(a, dtype=np.float64).tolist()
 
-def map_to_json(m: CombMap, emb: CylinderEmbedding | None = None) -> dict:
-    if m.v0 is None:
-        raise ValueError("map JSON requires the marked pair")
-    verts = []
-    for x in range(m.num_vertices):
-        th = hh = None
-        if emb is not None and not m.is_marked(x):
-            th, hh = float(emb.theta[x]), float(emb.height[x])
-        verts.append({"id": x, "theta": th, "height": hh})
-    edges = []
-    for k in range(m.num_edges):
-        edges.append({
-            "id": k,
-            "tail": int(m.edge_tail[k]),
-            "head": int(m.edge_head[k]),
-            "conductance": float(m.conductance[k]),
-            "dtheta": None if emb is None else float(emb.dtheta[k]),
-        })
-    darts, ptr = m.vert_dart.tolist(), m.vert_ptr.tolist()
-    rotation = {str(v): darts[ptr[v]:ptr[v + 1]] for v in range(m.num_vertices)}
-    return {
-        "schema": SCHEMA,
-        "kind": "map",
-        "num_vertices": m.num_vertices,
-        "marked": {"v0": m.v0, "v1": m.v1},
-        "vertices": verts,
-        "edges": edges,
-        "rotation": rotation,
-    }
+
+# -- reading tables -----------------------------------------------------------------
+
+def _int_type(t) -> bool:
+    return issubclass(t, int) and t is not bool
+
+
+def _number_type(t) -> bool:
+    return issubclass(t, (int, float)) and t is not bool
+
+
+def _typed(col, accept) -> np.ndarray:
+    """Mask of the entries of col whose type passes accept, which is asked
+    once per distinct type."""
+    types = set(map(type, col))
+    ok = {t for t in types if accept(t)}
+    if len(ok) == len(types) or not ok:
+        return np.full(len(col), bool(ok))
+    return np.fromiter(map(ok.__contains__, map(type, col)), dtype=bool, count=len(col))
+
+
+def _double(u) -> float:
+    try:
+        return float(u)
+    except OverflowError:
+        return math.nan
+
+
+def _numbers(col) -> np.ndarray:
+    """col as float64, nan at each entry that is not a number and at each
+    integer too large for a double."""
+    ok = _typed(col, _number_type)
+    vals = col if ok.all() else list(compress(col, ok))
+    out = np.full(len(col), np.nan)
+    try:
+        out[ok] = vals
+    except OverflowError:
+        out[ok] = list(map(_double, vals))
+    return out
+
+
+def _below(col, hi) -> np.ndarray:
+    """Mask of the entries of col that are integers in [0, hi)."""
+    ok = _typed(col, _int_type)
+    v = np.array(col if ok.all() else list(compress(col, ok)))  # float64 or object beyond int64
+    ok[np.flatnonzero(ok)] = (v >= 0) & (v < hi)
+    return ok
 
 
 def _check_fields(obj, where, required, errors):
@@ -175,6 +241,95 @@ def _check_fields(obj, where, required, errors):
     return ok
 
 
+def _fields(records, fields) -> list:
+    """One list per field of its values over the records; KeyError if a
+    record lacks one."""
+    return [list(map(dict.__getitem__, records, repeat(f))) for f in fields]
+
+
+class _Table:
+    """The records of one table, checked a column at a time.
+
+    A record that is not an object or lacks a field is reported and left
+    out; ``rows`` numbers the records kept and ``cols`` maps each field to
+    its values over them.  ``flag`` reports the kept records a mask marks.
+    ``errors`` lists the reports by record, and within a record in the
+    order of the checks that made them."""
+
+    def __init__(self, rows, where, fields):
+        self.where = where
+        self._found = []
+        kept = _typed(rows, lambda t: issubclass(t, dict))
+        objs = list(compress(rows, kept))
+        try:
+            cols = _fields(objs, fields)
+            clean = kept.all() and sum(map(len, objs)) == len(fields) * len(objs)
+        except KeyError:
+            clean = False
+        if not clean:
+            want = dict.fromkeys(fields).keys()
+            odd = ~kept
+            odd[kept] = list(map(want.__ne__, map(dict.keys, objs)))
+            for i in np.flatnonzero(odd).tolist():
+                msgs = []
+                kept[i] = _check_fields(rows[i], f"{where}[{i}]", fields, msgs)
+                self._found += [(i, e) for e in msgs]
+            cols = _fields(list(compress(rows, kept)), fields)
+        self.rows = np.flatnonzero(kept)
+        self.cols = dict(zip(fields, cols))
+
+    def flag(self, bad, text):
+        """Report each kept record that the mask bad marks, by its name and
+        text, where {} stands for the record's number."""
+        self._found += [(i, f"{self.where}[{i}]" + text.format(i))
+                        for i in self.rows[bad].tolist()]
+
+    def ids(self, field):
+        """Report the records whose field is not their number."""
+        self.flag(_numbers(self.cols[field]) != self.rows, f": {field} must be {{}}")
+
+    def errors(self) -> list:
+        return [e for _, e in sorted(self._found, key=operator.itemgetter(0))]
+
+
+def _vertex_key(key):
+    try:
+        return int(key)
+    except ValueError:
+        return None
+
+
+# -- map ------------------------------------------------------------------------
+
+def map_to_json(m: CombMap, emb: CylinderEmbedding | None = None) -> dict:
+    if m.v0 is None:
+        raise ValueError("map JSON requires the marked pair")
+    V, E = m.num_vertices, m.num_edges
+    theta = height = [None] * V
+    dtheta = [None] * E
+    if emb is not None:
+        theta, height, dtheta = _tolist(emb.theta), _tolist(emb.height), _tolist(emb.dtheta)
+        for x in (m.v0, m.v1):
+            theta[x] = height[x] = None
+    verts = [{"id": x, "theta": th, "height": hh}
+             for x, th, hh in zip(range(V), theta, height)]
+    edges = [{"id": k, "tail": t, "head": h, "conductance": c, "dtheta": dt}
+             for k, t, h, c, dt in zip(range(E), m.edge_tail.tolist(),
+                                       m.edge_head.tolist(), _tolist(m.conductance),
+                                       dtheta)]
+    darts, ptr = m.vert_dart.tolist(), m.vert_ptr.tolist()
+    rotation = {str(v): darts[ptr[v]:ptr[v + 1]] for v in range(V)}
+    return {
+        "schema": SCHEMA,
+        "kind": "map",
+        "num_vertices": V,
+        "marked": {"v0": m.v0, "v1": m.v1},
+        "vertices": verts,
+        "edges": edges,
+        "rotation": rotation,
+    }
+
+
 def map_from_json(obj) -> tuple:
     """Validate exhaustively, then build.  Returns (map, embedding-or-None)."""
     errors = []
@@ -187,7 +342,7 @@ def map_from_json(obj) -> tuple:
     if obj.get("kind") != "map":
         errors.append(f"kind: expected 'map', got {obj.get('kind')!r}")
     V = obj.get("num_vertices")
-    if not isinstance(V, int) or V < 2:
+    if not _int_type(type(V)) or V < 2:
         errors.append("num_vertices: need an integer >= 2")
         raise SchemaError(errors)
 
@@ -196,122 +351,92 @@ def map_from_json(obj) -> tuple:
     if _check_fields(marked, "marked", ("v0", "v1"), errors):
         v0, v1 = marked.get("v0"), marked.get("v1")
         for name, v in (("v0", v0), ("v1", v1)):
-            if not isinstance(v, int) or not (0 <= v < V):
+            if not _int_type(type(v)) or not (0 <= v < V):
                 errors.append(f"marked.{name}: not a vertex id")
                 v0 = v1 = None
         if v0 is not None and v0 == v1:
             errors.append("marked: v0 and v1 must differ")
             v0 = v1 = None
 
-    coords = {}
     verts = obj.get("vertices")
     if not isinstance(verts, list) or len(verts) != V:
         errors.append(f"vertices: expected a list of {V} entries")
-    else:
-        for i, rec in enumerate(verts):
-            if not _check_fields(rec, f"vertices[{i}]",
-                                 ("id", "theta", "height"), errors):
-                continue
-            if rec.get("id") != i:
-                errors.append(f"vertices[{i}]: id must be {i}")
-            th, hh = rec.get("theta"), rec.get("height")
-            if (th is None) != (hh is None):
-                errors.append(f"vertices[{i}]: theta and height must both be "
-                              "numbers or both null")
-                continue
-            if th is not None and not all(
-                    isinstance(u, (int, float)) and math.isfinite(u)
-                    for u in (th, hh)):
-                errors.append(f"vertices[{i}]: coordinates must be finite")
-                continue
-            coords[i] = (th, hh)
+        verts = []
+    vt = _Table(verts, "vertices", ("id", "theta", "height"))
+    vt.ids("id")
+    null = _typed(vt.cols["theta"], lambda t: t is type(None))
+    paired = null == _typed(vt.cols["height"], lambda t: t is type(None))
+    vt.flag(~paired, ": theta and height must both be numbers or both null")
+    theta, height = _numbers(vt.cols["theta"]), _numbers(vt.cols["height"])
+    vt.flag(paired & ~null & ~(np.isfinite(theta) & np.isfinite(height)),
+            ": coordinates must be finite")
+    errors += vt.errors()
 
     edges_json = obj.get("edges")
-    edges = []
-    dthetas = []
     if not isinstance(edges_json, list) or not edges_json:
         errors.append("edges: expected a nonempty list")
         edges_json = []
-    for k, rec in enumerate(edges_json):
-        if not _check_fields(rec, f"edges[{k}]",
-                             ("id", "tail", "head", "conductance", "dtheta"),
-                             errors):
-            continue
-        if rec.get("id") != k:
-            errors.append(f"edges[{k}]: id must be {k}")
-        t, h, c = rec.get("tail"), rec.get("head"), rec.get("conductance")
-        bad = False
-        for name, v in (("tail", t), ("head", h)):
-            if not isinstance(v, int) or not (0 <= v < V):
-                errors.append(f"edges[{k}].{name}: not a vertex id")
-                bad = True
-        if not isinstance(c, (int, float)) or not (c > 0) or not math.isfinite(c):
-            errors.append(f"edges[{k}].conductance: need a finite positive number")
-            bad = True
-        dt = rec.get("dtheta")
-        if dt is not None and not (isinstance(dt, (int, float)) and math.isfinite(dt)):
-            errors.append(f"edges[{k}].dtheta: need a finite number or null")
-            bad = True
-        if not bad:
-            edges.append((t, h, float(c)))
-            dthetas.append(dt)
+    et = _Table(edges_json, "edges", ("id", "tail", "head", "conductance", "dtheta"))
+    et.ids("id")
+    for name in ("tail", "head"):
+        et.flag(~_below(et.cols[name], V), f".{name}: not a vertex id")
+    cond = _numbers(et.cols["conductance"])
+    et.flag(~(np.isfinite(cond) & (cond > 0)),
+            ".conductance: need a finite positive number")
+    no_dt = _typed(et.cols["dtheta"], lambda t: t is type(None))
+    dtheta = _numbers(et.cols["dtheta"])
+    et.flag(~no_dt & ~np.isfinite(dtheta), ".dtheta: need a finite number or null")
+    errors += et.errors()
 
     rot_json = obj.get("rotation")
-    rotation = [[] for _ in range(V)]
     if not isinstance(rot_json, dict):
         errors.append("rotation: expected an object keyed by vertex id")
         rot_json = {}
-    seen_darts = set()
-    for key, cyc in sorted(rot_json.items()):
-        try:
-            v = int(key)
-        except ValueError:
-            errors.append(f"rotation[{key!r}]: key is not a vertex id")
-            continue
-        if not (0 <= v < V):
-            errors.append(f"rotation[{key!r}]: key is not a vertex id")
-            continue
-        if not isinstance(cyc, list) or not cyc:
-            errors.append(f"rotation[{key}]: expected a nonempty dart list")
-            continue
-        good = []
-        for h in cyc:
-            if not isinstance(h, int) or not (0 <= h < 2 * len(edges_json)):
-                errors.append(f"rotation[{key}]: invalid dart {h!r}")
-            elif h in seen_darts:
-                errors.append(f"rotation[{key}]: dart {h} listed twice")
-            else:
-                seen_darts.add(h)
-                good.append(h)
-        rotation[v] = good
-    for v in range(V):
-        if isinstance(rot_json, dict) and str(v) not in rot_json:
-            errors.append(f"rotation: vertex {v} missing")
+    keys = sorted(rot_json)
+    ids = list(map(_vertex_key, keys))
+    cycles = list(map(rot_json.__getitem__, keys))
+    is_list = _typed(cycles, lambda t: issubclass(t, list))
+    lens = np.zeros(len(keys), dtype=np.int64)
+    lens[is_list] = list(map(len, compress(cycles, is_list)))
+    key_ok = _below(ids, V)
+    used = key_ok & (lens > 0)
+    darts = list(chain.from_iterable(compress(cycles, used)))
+    owner = np.repeat(np.flatnonzero(used), lens[used]).tolist()
+    valid = _below(darts, 2 * len(edges_json))
+    _, first = np.unique(np.array(list(compress(darts, valid)), dtype=np.int64),
+                         return_index=True)
+    again = valid.copy()
+    again[np.flatnonzero(valid)[first]] = False
+    found = [(k, 0, f"rotation[{keys[k]!r}]: key is not a vertex id")
+             for k in np.flatnonzero(~key_ok).tolist()]
+    found += [(k, 0, f"rotation[{keys[k]}]: expected a nonempty dart list")
+              for k in np.flatnonzero(key_ok & ~used).tolist()]
+    found += [(owner[j], j, f"rotation[{keys[owner[j]]}]: invalid dart {darts[j]!r}")
+              for j in np.flatnonzero(~valid).tolist()]
+    found += [(owner[j], j, f"rotation[{keys[owner[j]]}]: dart {darts[j]} listed twice")
+              for j in np.flatnonzero(again).tolist()]
+    errors += [e for *_, e in sorted(found, key=operator.itemgetter(0, 1))]
+    missing = set(map(str, range(V))).difference(rot_json)
+    errors += [f"rotation: vertex {v} missing" for v in sorted(map(int, missing))]
 
     if errors:
         raise SchemaError(errors)
 
-    m = build_map(V, edges, rotation, marked=(v0, v1))
+    rotation = dict(zip(ids, cycles))       # a later key for one vertex wins
+    m = build_map(V, list(zip(et.cols["tail"], et.cols["head"], cond.tolist())),
+                  list(map(rotation.__getitem__, range(V))), marked=(v0, v1))
 
-    have = [coords.get(x, (None, None))[0] is not None
-            for x in range(V) if not m.is_marked(x)]
-    have_dt = [dt is not None for dt in dthetas]
-    if not any(have) and not any(have_dt):
+    have = ~null[~m.marked]
+    if not have.any() and no_dt.all():
         return m, None
-    if not all(have) or not all(have_dt):
+    if not have.all() or no_dt.any():
         raise SchemaError(["embedding: coordinates and dtheta must be all "
                            "present or all null"])
     for x in (v0, v1):
-        if coords.get(x, (None, None))[0] is not None:
+        if not null[x]:
             raise SchemaError([f"vertices[{x}]: marked vertices must have "
                                "null coordinates"])
-    theta = np.full(V, math.nan)
-    height = np.full(V, math.nan)
-    for x, (th, hh) in coords.items():
-        if th is not None:
-            theta[x], height[x] = th, hh
-    emb = CylinderEmbedding(theta, height, np.array(dthetas, dtype=np.float64))
-    return m, emb
+    return m, CylinderEmbedding(theta, height, dtheta)
 
 
 # -- solution ---------------------------------------------------------------------
@@ -322,7 +447,7 @@ def solution_to_json(v, c=None) -> dict:
         "kind": "solution",
         "eta": float(v.eta),
         "residual": float(v.residual),
-        "h": [float(u) for u in v.values],
+        "h": _tolist(v.values),
     }
     if c is not None:
         out["w"] = c.w(np.arange(len(c.w_lift))).tolist()
@@ -332,22 +457,15 @@ def solution_to_json(v, c=None) -> dict:
 # -- diagram ----------------------------------------------------------------------
 
 def diagram_to_json(d) -> dict:
-    rects = [{"edge": k,
-              "x0": float(d.rect_x0[k]),
-              "width": float(d.rect_width[k]),
-              "y0": float(d.rect_y0[k]),
-              "y1": float(d.rect_y1[k])}
-             for k in range(len(d.rect_x0))]
-    hsegs = [{"vertex": x,
-              "start": float(d.hseg_start[x]),
-              "length": float(d.hseg_len[x]),
-              "level": float(d.hseg_level[x])}
-             for x in range(len(d.hseg_start))]
-    vsegs = [{"face": f,
-              "x": float(d.vseg_x[f]),
-              "y0": float(d.vseg_y0[f]),
-              "y1": float(d.vseg_y1[f])}
-             for f in range(len(d.vseg_x))]
+    rects = [{"edge": k, "x0": x0, "width": w, "y0": y0, "y1": y1}
+             for k, (x0, w, y0, y1) in enumerate(zip(*map(_tolist, (
+                 d.rect_x0, d.rect_width, d.rect_y0, d.rect_y1))))]
+    hsegs = [{"vertex": x, "start": s, "length": n, "level": y}
+             for x, (s, n, y) in enumerate(zip(*map(_tolist, (
+                 d.hseg_start, d.hseg_len, d.hseg_level))))]
+    vsegs = [{"face": f, "x": x, "y0": y0, "y1": y1}
+             for f, (x, y0, y1) in enumerate(zip(*map(_tolist, (
+                 d.vseg_x, d.vseg_y0, d.vseg_y1))))]
     return {"schema": SCHEMA, "kind": "diagram", "eta": float(d.eta),
             "rects": rects, "hsegs": hsegs, "vsegs": vsegs}
 
@@ -378,34 +496,25 @@ def diagram_from_json(obj) -> DiagramData:
     if obj.get("kind") != "diagram":
         errors.append(f"kind: expected 'diagram', got {obj.get('kind')!r}")
     eta = obj.get("eta")
-    if not isinstance(eta, (int, float)) or not (eta > 0):
+    if not _number_type(type(eta)) or not (eta > 0):
         errors.append("eta: need a positive number")
 
     def table(name, fields):
         rows = obj.get(name)
         if not isinstance(rows, list):
             errors.append(f"{name}: expected a list")
-            return [[] for _ in fields[1:]]
-        cols = [[] for _ in fields[1:]]
-        for i, rec in enumerate(rows):
-            if not _check_fields(rec, f"{name}[{i}]", fields, errors):
-                continue
-            if rec.get(fields[0]) != i:
-                errors.append(f"{name}[{i}]: {fields[0]} must be {i}")
-            for j, f in enumerate(fields[1:]):
-                u = rec.get(f)
-                if not isinstance(u, (int, float)) or not math.isfinite(u):
-                    errors.append(f"{name}[{i}].{f}: need a finite number")
-                    u = 0.0
-                cols[j].append(float(u))
+            rows = []
+        t = _Table(rows, name, fields)
+        t.ids(fields[0])
+        cols = [_numbers(t.cols[f]) for f in fields[1:]]
+        for f, a in zip(fields[1:], cols):
+            t.flag(~np.isfinite(a), f".{f}: need a finite number")
+        errors.extend(t.errors())
         return cols
 
-    rx0, rw, ry0, ry1 = table("rects", ("edge", "x0", "width", "y0", "y1"))
-    hs, hl, hlev = table("hsegs", ("vertex", "start", "length", "level"))
-    vx, vy0, vy1 = table("vsegs", ("face", "x", "y0", "y1"))
+    rects = table("rects", ("edge", "x0", "width", "y0", "y1"))
+    hsegs = table("hsegs", ("vertex", "start", "length", "level"))
+    vsegs = table("vsegs", ("face", "x", "y0", "y1"))
     if errors:
         raise SchemaError(errors)
-    arr = lambda a: np.array(a, dtype=np.float64)
-    return DiagramData(float(eta), arr(rx0), arr(rw), arr(ry0), arr(ry1),
-                       arr(hs), arr(hl), arr(hlev), arr(vx), arr(vy0), arr(vy1))
-
+    return DiagramData(float(eta), *rects, *hsegs, *vsegs)

@@ -3,8 +3,9 @@
 Each one restates a rule the program applies in bulk: the harmonic
 orientation of one edge, the adjacency of touching rectangles, the
 noncrossing of the arcs of a mated-CRT map, the winding of a dual cycle by
-its crossings of a cut path, the stdlib JSON encoder, and (below) the loop
-forms of the steps that now run as array code.
+its crossings of a cut path, the stdlib JSON encoder, the JSON readers
+checking one record at a time, and (below) the loop forms of the steps that
+now run as array code.
 """
 
 import json
@@ -16,10 +17,11 @@ import scipy.sparse as sp
 
 from smithtile.convergence import AffineFit, lattice_shape
 from smithtile.map_core import (TWO_PI, CombMap, CylinderEmbedding, DualMap,
-                                MapError, wrap_angle)
+                                MapError, build_map, wrap_angle)
 from smithtile.mated_crt import (LINE, LOWER, UPPER, Excursion, MatedCrtMap,
                                  SampleError)
 from smithtile.electrical import Conjugate, Voltage, harmonic_darts
+from smithtile.io_json import SCHEMA, DiagramData, SchemaError
 from smithtile.rng import make_rng
 from smithtile.smith_tiling import (SmithDiagram, SmithEmbedding, TilingError,
                                     _circle_pieces, reduce_mod)
@@ -109,6 +111,217 @@ def noncrossing(pairs) -> bool:
 def dump_json(obj) -> str:
     """``io_json.dump_json`` by the stdlib's indenting encoder."""
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _is_int(u) -> bool:
+    return isinstance(u, int) and not isinstance(u, bool)
+
+
+def _is_number(u) -> bool:
+    return isinstance(u, (int, float)) and not isinstance(u, bool)
+
+
+def _finite(u) -> bool:
+    """A number held by a finite double; an integer beyond the doubles is
+    not one."""
+    try:
+        return _is_number(u) and math.isfinite(u)
+    except OverflowError:
+        return False
+
+
+def _check_fields(obj, where, required, errors):
+    if not isinstance(obj, dict):
+        errors.append(f"{where}: expected an object")
+        return False
+    for f in sorted(set(obj) - set(required)):
+        errors.append(f"{where}: unknown field {f!r}")
+    ok = True
+    for f in required:
+        if f not in obj:
+            errors.append(f"{where}: missing field {f!r}")
+            ok = False
+    return ok
+
+
+def map_from_json(obj) -> tuple:
+    """``io_json.map_from_json`` checking one record at a time."""
+    errors = []
+    if not _check_fields(obj, "map", ("schema", "kind", "num_vertices",
+                                      "marked", "vertices", "edges",
+                                      "rotation"), errors):
+        raise SchemaError(errors)
+    if obj.get("schema") != SCHEMA:
+        errors.append(f"schema: expected {SCHEMA!r}, got {obj.get('schema')!r}")
+    if obj.get("kind") != "map":
+        errors.append(f"kind: expected 'map', got {obj.get('kind')!r}")
+    V = obj.get("num_vertices")
+    if not _is_int(V) or V < 2:
+        errors.append("num_vertices: need an integer >= 2")
+        raise SchemaError(errors)
+
+    marked = obj.get("marked")
+    v0 = v1 = None
+    if _check_fields(marked, "marked", ("v0", "v1"), errors):
+        v0, v1 = marked.get("v0"), marked.get("v1")
+        for name, v in (("v0", v0), ("v1", v1)):
+            if not _is_int(v) or not (0 <= v < V):
+                errors.append(f"marked.{name}: not a vertex id")
+                v0 = v1 = None
+        if v0 is not None and v0 == v1:
+            errors.append("marked: v0 and v1 must differ")
+            v0 = v1 = None
+
+    coords = {}
+    verts = obj.get("vertices")
+    if not isinstance(verts, list) or len(verts) != V:
+        errors.append(f"vertices: expected a list of {V} entries")
+    else:
+        for i, rec in enumerate(verts):
+            if not _check_fields(rec, f"vertices[{i}]",
+                                 ("id", "theta", "height"), errors):
+                continue
+            if isinstance(rec.get("id"), bool) or rec.get("id") != i:
+                errors.append(f"vertices[{i}]: id must be {i}")
+            th, hh = rec.get("theta"), rec.get("height")
+            if (th is None) != (hh is None):
+                errors.append(f"vertices[{i}]: theta and height must both be "
+                              "numbers or both null")
+                continue
+            if th is not None and not all(_finite(u) for u in (th, hh)):
+                errors.append(f"vertices[{i}]: coordinates must be finite")
+                continue
+            coords[i] = (th, hh)
+
+    edges_json = obj.get("edges")
+    edges = []
+    dthetas = []
+    if not isinstance(edges_json, list) or not edges_json:
+        errors.append("edges: expected a nonempty list")
+        edges_json = []
+    for k, rec in enumerate(edges_json):
+        if not _check_fields(rec, f"edges[{k}]",
+                             ("id", "tail", "head", "conductance", "dtheta"),
+                             errors):
+            continue
+        if isinstance(rec.get("id"), bool) or rec.get("id") != k:
+            errors.append(f"edges[{k}]: id must be {k}")
+        t, h, c = rec.get("tail"), rec.get("head"), rec.get("conductance")
+        bad = False
+        for name, v in (("tail", t), ("head", h)):
+            if not _is_int(v) or not (0 <= v < V):
+                errors.append(f"edges[{k}].{name}: not a vertex id")
+                bad = True
+        if not _finite(c) or not (c > 0):
+            errors.append(f"edges[{k}].conductance: need a finite positive number")
+            bad = True
+        dt = rec.get("dtheta")
+        if dt is not None and not _finite(dt):
+            errors.append(f"edges[{k}].dtheta: need a finite number or null")
+            bad = True
+        if not bad:
+            edges.append((t, h, float(c)))
+            dthetas.append(dt)
+
+    rot_json = obj.get("rotation")
+    rotation = [[] for _ in range(V)]
+    if not isinstance(rot_json, dict):
+        errors.append("rotation: expected an object keyed by vertex id")
+        rot_json = {}
+    seen_darts = set()
+    for key, cyc in sorted(rot_json.items()):
+        try:
+            v = int(key)
+        except ValueError:
+            errors.append(f"rotation[{key!r}]: key is not a vertex id")
+            continue
+        if not (0 <= v < V):
+            errors.append(f"rotation[{key!r}]: key is not a vertex id")
+            continue
+        if not isinstance(cyc, list) or not cyc:
+            errors.append(f"rotation[{key}]: expected a nonempty dart list")
+            continue
+        good = []
+        for h in cyc:
+            if not _is_int(h) or not (0 <= h < 2 * len(edges_json)):
+                errors.append(f"rotation[{key}]: invalid dart {h!r}")
+            elif h in seen_darts:
+                errors.append(f"rotation[{key}]: dart {h} listed twice")
+            else:
+                seen_darts.add(h)
+                good.append(h)
+        rotation[v] = good
+    for v in range(V):
+        if isinstance(rot_json, dict) and str(v) not in rot_json:
+            errors.append(f"rotation: vertex {v} missing")
+
+    if errors:
+        raise SchemaError(errors)
+
+    m = build_map(V, edges, rotation, marked=(v0, v1))
+
+    have = [coords.get(x, (None, None))[0] is not None
+            for x in range(V) if not m.is_marked(x)]
+    have_dt = [dt is not None for dt in dthetas]
+    if not any(have) and not any(have_dt):
+        return m, None
+    if not all(have) or not all(have_dt):
+        raise SchemaError(["embedding: coordinates and dtheta must be all "
+                           "present or all null"])
+    for x in (v0, v1):
+        if coords.get(x, (None, None))[0] is not None:
+            raise SchemaError([f"vertices[{x}]: marked vertices must have "
+                               "null coordinates"])
+    theta = np.full(V, math.nan)
+    height = np.full(V, math.nan)
+    for x, (th, hh) in coords.items():
+        if th is not None:
+            theta[x], height[x] = th, hh
+    emb = CylinderEmbedding(theta, height, np.array(dthetas, dtype=np.float64))
+    return m, emb
+
+
+def diagram_from_json(obj) -> DiagramData:
+    """``io_json.diagram_from_json`` checking one record at a time."""
+    errors = []
+    if not _check_fields(obj, "diagram", ("schema", "kind", "eta", "rects",
+                                          "hsegs", "vsegs"), errors):
+        raise SchemaError(errors)
+    if obj.get("schema") != SCHEMA:
+        errors.append(f"schema: expected {SCHEMA!r}, got {obj.get('schema')!r}")
+    if obj.get("kind") != "diagram":
+        errors.append(f"kind: expected 'diagram', got {obj.get('kind')!r}")
+    eta = obj.get("eta")
+    if not _is_number(eta) or not (eta > 0):
+        errors.append("eta: need a positive number")
+
+    def table(name, fields):
+        rows = obj.get(name)
+        if not isinstance(rows, list):
+            errors.append(f"{name}: expected a list")
+            return [[] for _ in fields[1:]]
+        cols = [[] for _ in fields[1:]]
+        for i, rec in enumerate(rows):
+            if not _check_fields(rec, f"{name}[{i}]", fields, errors):
+                continue
+            if isinstance(rec.get(fields[0]), bool) or rec.get(fields[0]) != i:
+                errors.append(f"{name}[{i}]: {fields[0]} must be {i}")
+            for j, f in enumerate(fields[1:]):
+                u = rec.get(f)
+                if not _finite(u):
+                    errors.append(f"{name}[{i}].{f}: need a finite number")
+                    u = 0.0
+                cols[j].append(float(u))
+        return cols
+
+    rx0, rw, ry0, ry1 = table("rects", ("edge", "x0", "width", "y0", "y1"))
+    hs, hl, hlev = table("hsegs", ("vertex", "start", "length", "level"))
+    vx, vy0, vy1 = table("vsegs", ("face", "x", "y0", "y1"))
+    if errors:
+        raise SchemaError(errors)
+    arr = lambda a: np.array(a, dtype=np.float64)
+    return DiagramData(float(eta), arr(rx0), arr(rw), arr(ry0), arr(ry1),
+                       arr(hs), arr(hl), arr(hlev), arr(vx), arr(vy0), arr(vy1))
 
 
 def relabel_edges(m, perm, flip):

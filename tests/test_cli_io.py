@@ -16,6 +16,7 @@ from smithtile.cli import _read_map, main
 from smithtile.io_json import (SCHEMA, SchemaError, diagram_from_json,
                                diagram_to_json, dump_json, map_from_json,
                                map_to_json, solution_to_json)
+from smithtile.map_core import MapError
 
 
 def diagram_for(m, emb=None):
@@ -49,12 +50,24 @@ EDGE_DOCUMENTS = [
     {"%s": 1, "100%": "50%", "%(x)s": [{"%": 1, "%%": 2}]},
     [{"a": 1, "b": 2.0}, {"b": 3.0, "a": 4}, {"a": None, "b": -0.0}],
     [{"a": 1}, {"a": 1, "b": 2}, {"b": [1, 2]}, {}],
+    [{"a": 1}, {"a": 2, "b": 3}],
+    [{"a": 1, "b": 2}, {"a": 1, "c": 2}],
     [{"rec": {"in": [1, 2]}, "t": (1, 2)}, {"rec": {"in": []}, "t": ()}],
     [1, 1.0, True, None, "1", [1], {"1": 1}, (1.5, "x")],
     {"tuple": (1, (2, 3)), "ints": [1, 2, 3], "floats": [0.1, 0.2, 1e16]},
     {"subclasses": [Level(3), np.float64(0.5)], "bools": [True, True]},
     {3: "int key", 2.5: "float key"},
     {"z": [{1: "a"}, {1: "b"}]},
+    # the float memo: 0.0 == -0.0 must not share a repr, within a column,
+    # across columns and across tables; repeated values reuse one
+    [0.0, -0.0, 0.0, -0.0],
+    [-0.0, 0.0],
+    {"a": [-0.0, 1.5], "b": [0.0, 1.5], "c": -0.0, "d": 0.0},
+    [{"x": 0.0, "y": -0.0}, {"x": -0.0, "y": 0.0}, {"x": 0.0, "y": 0.0}],
+    {"rects": [{"y0": 0.1, "y1": 5e-324}, {"y0": 1e16, "y1": 0.1}],
+     "hsegs": [{"level": 5e-324}, {"level": 1e16}, {"level": -0.0}],
+     "eta": 0.1, "rows": [[0.1, 5e-324], [1e16, 0.0], [-0.0, 0.1]]},
+    {"h": [[0.0], [-0.0, [0.0, -0.0]], (), [5e-324, -5e-324]], "w": (1e16, -1e16, 1e16)},
 ]
 
 
@@ -175,6 +188,29 @@ def test_map_schema_violations(path_map):
     obj["rotation"]["0"] = [0, 0]
     assert any("listed twice" in e for e in schema_errors(obj))
 
+    # a JSON boolean is neither a number nor an id, though True == 1
+    for path, value, message in [
+            (("edges", 0, "conductance"), True,
+             "edges[0].conductance: need a finite positive number"),
+            (("vertices", 1, "id"), True, "vertices[1]: id must be 1"),
+            (("edges", 1, "id"), True, "edges[1]: id must be 1"),
+            (("edges", 1, "tail"), True, "edges[1].tail: not a vertex id"),
+            (("edges", 0, "head"), True, "edges[0].head: not a vertex id"),
+            (("marked", "v1"), True, "marked.v1: not a vertex id"),
+            (("rotation", "0", 0), False, "rotation[0]: invalid dart False")]:
+        obj = json.loads(dump_json(base))
+        *where, last = path
+        rec = obj
+        for key in where:
+            rec = rec[key]
+        rec[last] = value
+        assert schema_errors(obj) == [message], path
+
+    # an integer too large for a double is not a finite number
+    text = dump_json(base).replace('"conductance": 1.0', '"conductance": 1' + "0" * 400, 1)
+    obj = json.loads(text)
+    assert schema_errors(obj) == ["edges[0].conductance: need a finite positive number"]
+
 
 def test_map_schema_embedding_rules(random_maps):
     m, emb = random_maps[0]
@@ -197,6 +233,13 @@ def test_map_schema_embedding_rules(random_maps):
     obj["vertices"][m.v0]["theta"] = 0.0
     obj["vertices"][m.v0]["height"] = 0.0
     assert any("null coordinates" in e for e in schema_errors(obj))
+
+    # booleans are not coordinates or displacements
+    obj = json.loads(dump_json(base))
+    obj["vertices"][x]["theta"] = True
+    obj["edges"][2]["dtheta"] = False
+    assert schema_errors(obj) == [f"vertices[{x}]: coordinates must be finite",
+                                  "edges[2].dtheta: need a finite number or null"]
 
 
 def test_solution_json(path_map):
@@ -262,6 +305,164 @@ def test_diagram_schema_violations(parallel3_map):
     with pytest.raises(SchemaError) as exc:
         diagram_from_json(obj)
     assert any("finite number" in e for e in exc.value.errors)
+
+    # a JSON boolean is neither a number nor an id
+    obj = json.loads(dump_json(base))
+    obj["eta"] = True
+    obj["rects"][1]["edge"] = True
+    obj["hsegs"][0]["level"] = False
+    obj["vsegs"][0]["x"] = True
+    with pytest.raises(SchemaError) as exc:
+        diagram_from_json(obj)
+    assert exc.value.errors == ["eta: need a positive number",
+                                "rects[1]: edge must be 1",
+                                "hsegs[0].level: need a finite number",
+                                "vsegs[0].x: need a finite number"]
+
+
+# values a mutation writes: wrong types, booleans, ids out of range, numbers
+# beyond the doubles and the non-finite numbers json.loads accepts
+ODD_VALUES = [None, True, False, 0, 1, -1, 2.5, -0.0, 2**70, 10**400, "1", "x",
+              [], [1], {}, {"id": 0}, float("inf"), float("nan")]
+# small enough that no reader loops over a huge num_vertices
+TOP_VALUES = [None, True, False, 0, 1, 3, -1, 2.5, "map", "smith/1", [], {},
+              {"v0": 0}, {"v0": 0, "v1": 1}, {"v0": True, "v1": 1}]
+FIELD_NAMES = ["extra", "id", "ID", "theta", "x0", "tail", "level"]
+
+
+def _mutate(data, obj, tables):
+    """Apply one to three drawn schema violations (or harmless edits) to obj
+    in place: fields dropped, added or renamed, odd values, repeated or
+    out-of-range ids, records replaced, rotation keys and darts changed,
+    partial embeddings."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        what = data.draw(st.sampled_from(
+            ["top", "drop", "add", "rename", "value", "id", "null", "unplace",
+             "place", "record", "copy", "key", "dart"]))
+        if what == "top":
+            obj[data.draw(st.sampled_from(sorted(obj) + ["extra"]))] = \
+                data.draw(st.sampled_from(TOP_VALUES))
+            continue
+        if what in ("key", "dart"):
+            rot = obj.get("rotation")
+            if not isinstance(rot, dict) or not rot:
+                continue
+            k = data.draw(st.sampled_from(sorted(rot)))
+            if what == "key":
+                op = data.draw(st.sampled_from(["drop", "add", "value"]))
+                if op == "drop":
+                    del rot[k]
+                elif op == "add":
+                    new = data.draw(st.sampled_from(["x", "-1", "999", "0" + k, " " + k, k + " "]))
+                    rot[new] = list(rot[k]) if isinstance(rot[k], list) else rot[k]
+                else:
+                    rot[k] = data.draw(st.sampled_from(ODD_VALUES))
+                continue
+            cyc = rot[k]
+            if not isinstance(cyc, list) or not cyc:
+                continue
+            j = data.draw(st.integers(0, len(cyc) - 1))
+            op = data.draw(st.sampled_from(["value", "repeat", "append"]))
+            if op == "value":
+                cyc[j] = data.draw(st.sampled_from(ODD_VALUES))
+            elif op == "repeat":
+                other = rot[data.draw(st.sampled_from(sorted(rot)))]
+                if isinstance(other, list) and other:
+                    cyc[j] = other[data.draw(st.integers(0, len(other) - 1))]
+            else:
+                cyc.append(cyc[j])
+            continue
+        table = obj.get(data.draw(st.sampled_from(tables)))
+        if not isinstance(table, list) or not table:
+            continue
+        i = data.draw(st.integers(0, len(table) - 1))
+        rec = table[i]
+        if what == "record":
+            table[i] = data.draw(st.sampled_from([5, None, [], "record", {}]))
+            continue
+        if what == "copy":
+            table[i] = table[data.draw(st.integers(0, len(table) - 1))]
+            continue
+        if not isinstance(rec, dict) or not rec:
+            continue
+        f = data.draw(st.sampled_from(sorted(rec)))
+        if what == "drop":
+            del rec[f]
+        elif what == "add":
+            rec[data.draw(st.sampled_from(FIELD_NAMES))] = data.draw(st.sampled_from(ODD_VALUES))
+        elif what == "rename":
+            rec[data.draw(st.sampled_from(FIELD_NAMES))] = rec.pop(f)
+        elif what == "value":
+            rec[f] = data.draw(st.sampled_from(ODD_VALUES))
+        elif what == "id":
+            rec[f] = data.draw(st.sampled_from([i - 1, i + 1, 0, len(table), -1, 2**64, float(i)]))
+        elif what == "null":
+            rec[f] = None
+        elif what == "unplace":
+            rec.update({k: None for k in ("theta", "height") if k in rec})
+        else:
+            rec.update({k: 0.5 for k in ("theta", "height") if k in rec})
+
+
+def _outcome(read, obj):
+    try:
+        return "built", read(obj)
+    except SchemaError as e:
+        return "SchemaError", e.errors
+    except (MapError, OverflowError, TypeError, ValueError) as e:
+        return type(e).__name__, str(e)
+
+
+def _arrays_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def schema_documents(lattice8, random_maps, mated_crt64):
+    maps = [lattice8, random_maps[1], (mated_crt64, None)]
+    texts = [dump_json(map_to_json(m, emb)) for m, emb in maps]
+    diagrams = [dump_json(diagram_to_json(diagram_for(m, emb))) for m, emb in maps]
+    return texts, diagrams
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_map_reader_matches_the_record_oracle(schema_documents, data):
+    """On mutated lattice, random and mated-CRT map documents, map_from_json
+    raises the oracle's SchemaError with the same errors in the same order,
+    or builds the same map and embedding bit for bit."""
+    obj = json.loads(data.draw(st.sampled_from(schema_documents[0])))
+    _mutate(data, obj, ["vertices", "edges"])
+    got, want = _outcome(map_from_json, obj), _outcome(oracles.map_from_json, obj)
+    assert got[0] == want[0]
+    if got[0] != "built":
+        assert got[1] == want[1]
+        return
+    (m, emb), (m_ref, emb_ref) = got[1], want[1]
+    assert (m.num_vertices, m.v0, m.v1) == (m_ref.num_vertices, m_ref.v0, m_ref.v1)
+    for f in ("edge_tail", "edge_head", "conductance", "next_dart"):
+        assert _arrays_equal(getattr(m, f), getattr(m_ref, f)), f
+    assert (emb is None) == (emb_ref is None)
+    if emb is not None:
+        for f in ("theta", "height", "dtheta"):
+            assert _arrays_equal(getattr(emb, f), getattr(emb_ref, f)), f
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_diagram_reader_matches_the_record_oracle(schema_documents, data):
+    """The same for diagram_from_json on the diagrams of those maps."""
+    obj = json.loads(data.draw(st.sampled_from(schema_documents[1])))
+    _mutate(data, obj, ["rects", "hsegs", "vsegs"])
+    got, want = _outcome(diagram_from_json, obj), _outcome(oracles.diagram_from_json, obj)
+    assert got[0] == want[0]
+    if got[0] != "built":
+        assert got[1] == want[1]
+        return
+    assert got[1].eta == want[1].eta
+    for f in ("rect_x0", "rect_width", "rect_y0", "rect_y1", "hseg_start",
+              "hseg_len", "hseg_level", "vseg_x", "vseg_y0", "vseg_y1"):
+        assert _arrays_equal(getattr(got[1], f), getattr(want[1], f)), f
 
 
 # -- cli ------------------------------------------------------------------------

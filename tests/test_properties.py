@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smithtile import (build_map, excursion_from_increments, reduce_mod,
-                       solve_voltage, step_law, wrap_angle)
+from smithtile import (build_map, excursion_from_increments, make_rng,
+                       reduce_mod, solve_voltage, step_law, wrap_angle)
 from smithtile.map_core import insert_vertices, mod_array, wrap_signed_array
 
 TWO_PI = 2.0 * math.pi
@@ -125,3 +125,19 @@ def test_excursion_from_heights(mid_l, mid_r):
     assert exc.n == n + 1
     assert np.allclose(exc.l, hl, atol=1e-9)
     assert np.allclose(exc.r, hr, atol=1e-9)
+
+
+@pytest.mark.parametrize("key", [0, 1, 12345, 2**63, 2**64 - 1])
+def test_make_rng_is_philox_keyed_by_the_seed(key):
+    """make_rng keys Philox through a one-key seed sequence: the stream is
+    the one ``Philox(key=key)`` draws."""
+    ref = np.random.Generator(np.random.Philox(key=np.uint64(key)))
+    rng = make_rng(key)
+    assert np.array_equal(rng.random(1000), ref.random(1000))
+    assert np.array_equal(rng.integers(0, 2**63, size=1000),
+                          ref.integers(0, 2**63, size=1000))
+
+
+def test_make_rng_rejects_a_negative_seed():
+    with pytest.raises(OverflowError):
+        make_rng(-1)
