@@ -25,8 +25,9 @@ from .walk_lab import (HittingLaw, InadmissibleHeights, LevelMeasure,
                        absorption_probs, admissible_sequences,
                        augment_all_levels, conditional_hitting,
                        exact_law_report, expected_conditional_winding,
-                       level_measure, level_set, projected_step_law,
-                       realized_levels, simulate, step_law)
+                       level_measure, level_measures, level_set,
+                       projected_step_law, realized_levels, simulate,
+                       step_law)
 from .mated_crt import (Excursion, MatedCrtMap, SampleError,
                         adjacency_oracle, excursion_from_increments,
                         mark_vertices, sample_excursion)
@@ -50,8 +51,8 @@ __all__ = [
     "StepBudgetExceeded", "WalkTrace", "absorption_probs",
     "admissible_sequences", "augment_all_levels", "conditional_hitting",
     "exact_law_report", "expected_conditional_winding", "level_measure",
-    "level_set", "projected_step_law", "realized_levels", "simulate",
-    "step_law",
+    "level_measures", "level_set", "projected_step_law", "realized_levels",
+    "simulate", "step_law",
     "Excursion", "MatedCrtMap", "SampleError", "adjacency_oracle",
     "excursion_from_increments", "mark_vertices", "sample_excursion",
     "AffineFit", "InvarianceReport", "converge_rows", "fit_affine",

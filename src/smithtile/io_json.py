@@ -496,7 +496,7 @@ def diagram_from_json(obj) -> DiagramData:
     if obj.get("kind") != "diagram":
         errors.append(f"kind: expected 'diagram', got {obj.get('kind')!r}")
     eta = obj.get("eta")
-    if not _number_type(type(eta)) or not (eta > 0):
+    if not _number_type(type(eta)) or not 0 < _double(eta) < math.inf:
         errors.append("eta: need a positive number")
 
     def table(name, fields):

@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -296,12 +296,20 @@ class CombMap:
         return v == self.v0 or v == self.v1
 
     @cached_property
-    def walk_tables(self) -> tuple:
-        """Python lists for the walk kernel: head per dart, darts per vertex,
-        and cumulative conductance over each vertex's darts."""
-        return (self.dart_head.tolist(),
-                [d.tolist() for d in self.vertex_darts],
-                [np.cumsum(self.conductance[d >> 1]).tolist() for d in self.vertex_darts])
+    def step_rows(self) -> list:
+        """One row per vertex for the walk kernel, as Python lists: (darts in
+        rotation order, cumulative conductance over them, the total, and the
+        head of each dart).  The cumulative sums add left to right, as
+        ``np.cumsum`` does."""
+        ptr = self.vert_ptr.tolist()
+        darts = self.vert_dart.tolist()
+        heads = self.dart_head[self.vert_dart].tolist()
+        cond = self.conductance[self.vert_dart >> 1].tolist()
+        rows = []
+        for a, b in zip(ptr, ptr[1:]):
+            cum = list(accumulate(cond[a:b]))
+            rows.append((darts[a:b], cum, cum[-1], heads[a:b]))
+        return rows
 
     def __repr__(self):
         return (f"CombMap(V={self.num_vertices}, E={self.num_edges}, "

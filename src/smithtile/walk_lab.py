@@ -3,16 +3,25 @@
 The conductance-weighted walk steps along darts with probability proportional
 to conductance (a self-loop is stepped from either of its two darts).
 ``augment_all_levels`` inserts vertices so that every queried voltage level is
-fully vertexed, once per map.  On that level-graded map one forward-backward
-pass over the level sets gives the exact conditional law of the walk given its
-height sequence, and the expected winding of the re-randomized tiled-cylinder
-walk is a drift-weighted sum over the transitions the pass recorded.  Monte
-Carlo walks all step through the one kernel ``walk``; its users are
-``simulate`` and ``convergence.invariance_diagnostic``.  The kernel takes one
-value per step from ``uniforms``, a stream that draws the generator's
-uniforms BLOCK at a time: ``rng.random(k)`` returns the same doubles as k
-calls of ``rng.random()``, so a walk sees the values that one call per step
-would give it, at a fraction of the per-call cost.
+fully vertexed, once per map.  ``level_measures`` gives the level measures of
+any number of levels in one pass: one ``segment_sums`` call takes the flow
+sums of every vertex, and one search of the edge ranges finds every crossed
+level.  On the level-graded map one forward-backward pass over the level sets
+gives the exact conditional law of the walk given its height sequence, and
+the expected winding of the re-randomized tiled-cylinder walk is a
+drift-weighted sum over the transitions the pass recorded.  The projection
+check watches the walk on a half-edge refinement at the original vertices:
+one absorption solve, with every original vertex absorbing, gives the jump
+chain of all of them at once (``projected_step_law``).
+
+Monte Carlo walks all step through the one kernel ``walk``; its users are
+``simulate`` and ``convergence.invariance_diagnostic``.  The kernel reads one
+cached row per vertex, ``CombMap.step_rows``: the darts, their cumulative
+conductance, its total and the dart heads.  It takes one value per step from
+``uniforms``, a stream that draws the generator's uniforms BLOCK at a time:
+``rng.random(k)`` returns the same doubles as k calls of ``rng.random()``, so
+a walk sees the values that one call per step would give it, at a fraction of
+the per-call cost.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .map_core import (CombMap, CylinderEmbedding, insert_vertices, dual,
                        segment_sums)
@@ -87,7 +97,7 @@ def walk(m: CombMap, u, start: int, stop: set, max_steps: int) -> list:
     StepBudgetExceeded when the walk needs more than ``max_steps`` steps."""
     if not stop:
         raise ValueError("stop set must be nonempty")
-    head, vertex_darts, cum = m.walk_tables
+    rows = m.step_rows
     draw = u.__next__
     darts: list = []
     step = darts.append
@@ -95,13 +105,12 @@ def walk(m: CombMap, u, start: int, stop: set, max_steps: int) -> list:
     for _ in range(max_steps):
         if v in stop:
             return darts
-        c = cum[v]
-        total = c[-1]
+        out, cum, total, heads = rows[v]
         x = draw() * total
         # a draw that rounds up to the total still picks the last dart
-        h = vertex_darts[v][bisect_right(c, x) if x < total else -1]
-        step(h)
-        v = head[h]
+        i = bisect_right(cum, x) if x < total else -1
+        step(out[i])
+        v = heads[i]
     if v in stop:
         return darts
     raise StepBudgetExceeded(f"no stop vertex within {max_steps} steps")
@@ -147,10 +156,17 @@ def level_set(m: CombMap, v: Voltage, a: float, tol: float = 1e-12) -> np.ndarra
     return x[(x != m.v0) & (x != m.v1)]
 
 
+def _strictly_inside(levels, lo, hi, tol: float) -> tuple:
+    """Per edge, the slice [start, stop) of the sorted levels a with
+    lo + tol < a < hi - tol."""
+    return (np.searchsorted(levels, lo + tol, side="right"),
+            np.searchsorted(levels, hi - tol, side="left"))
+
+
 @dataclass
 class Augmented:
-    """A map with its queried levels vertexed; ``measure(a)`` is the level
-    measure of level a at the same tol, computed once per level."""
+    """A map with its queried levels vertexed; ``measures(levels)`` are their
+    level measures at the same tol, each level computed once."""
     map: CombMap
     voltage: Voltage
     emb: CylinderEmbedding | None
@@ -158,11 +174,18 @@ class Augmented:
     tol: float
     _measures: dict = field(default_factory=dict, repr=False, compare=False)
 
+    def measures(self, levels) -> list:
+        """The level measures of ``levels``, those not yet cached computed in
+        one ``level_measures`` pass."""
+        levels = [float(a) for a in levels]
+        new = [a for a in dict.fromkeys(levels) if a not in self._measures]
+        if new:
+            self._measures.update(zip(new, level_measures(self.map, self.voltage, new,
+                                                           self.tol)))
+        return [self._measures[a] for a in levels]
+
     def measure(self, a: float) -> LevelMeasure:
-        a = float(a)
-        if a not in self._measures:
-            self._measures[a] = level_measure(self.map, self.voltage, a, self.tol)
-        return self._measures[a]
+        return self.measures([a])[0]
 
 
 def augment_all_levels(m: CombMap, v: Voltage, extra=(),
@@ -188,8 +211,7 @@ def augment_all_levels(m: CombMap, v: Voltage, extra=(),
     # points come in (edge, fraction) order, the order of the new vertices
     ht, hh = v.values[m.edge_tail], v.values[m.edge_head]
     lo, hi = np.minimum(ht, hh), np.maximum(ht, hh)
-    start = np.searchsorted(levels, lo + tol, side="right")
-    stop = np.searchsorted(levels, hi - tol, side="left")
+    start, stop = _strictly_inside(levels, lo, hi, tol)
     cnt = np.where(hi - lo > 2 * tol, np.maximum(stop - start, 0), 0)
     if not cnt.any():
         return Augmented(m, v, emb, 0, tol)
@@ -216,42 +238,76 @@ class LevelMeasure:
         return float(self.mass.sum())
 
 
-def level_measure(m: CombMap, v: Voltage, a: float, tol: float = 1e-12) -> LevelMeasure:
-    """Harmonic measure of a fully vertexed level: mass(x) = in-flow / eta.
+def level_measures(m: CombMap, v: Voltage, levels, tol: float = 1e-12) -> list:
+    """Harmonic measures of fully vertexed levels: mass(x) = in-flow / eta,
+    one ``LevelMeasure`` per level, in the given order.
 
     In-flow and out-flow must agree at every level vertex (harmonicity); the
-    defect is asserted against BALANCE_TOL."""
+    defect is asserted against BALANCE_TOL.  One pass serves all the levels:
+    the flow sums of every vertex come from one ``segment_sums`` call, each
+    sum the ``np.sum`` of that vertex's darts in rotation order, and the
+    crossings of all levels from one search of the edge ranges.  A bad level
+    raises what ``level_measure`` on each level in turn would raise first."""
+    a = np.asarray(levels, dtype=np.float64)
+    n = len(a)
+    # crossings: per edge the sorted levels strictly inside its voltage range
+    srt = np.argsort(a, kind="stable")
     ht, hh = v.values[m.edge_tail], v.values[m.edge_head]
-    crossing = (np.minimum(ht, hh) + tol < a) & (a < np.maximum(ht, hh) - tol)
-    if crossing.any():
-        k = int(np.argmax(crossing))
-        raise LevelNotVertexed(f"edge {k} crosses level {a} away from a vertex")
-    verts = level_set(m, v, a, tol)
-    if len(verts) == 0:
-        raise ValueError(f"level {a} is not realized by any vertex")
-    # the darts of the level vertices in rotation order; each vertex's
-    # in-flows, out-flows and conductances keep that order, so every sum is
-    # the np.sum a loop over the vertices would take
-    k = len(verts)
-    at = np.zeros(m.num_vertices, dtype=bool)
-    at[verts] = True
+    lo, hi = np.minimum(ht, hh), np.maximum(ht, hh)
+    start, stop = _strictly_inside(a[srt], lo, hi, tol)
+    cut = stop > start
+    crossed = np.empty(n, dtype=bool)
+    crossed[srt] = np.cumsum(np.bincount(start[cut], minlength=n + 1)
+                             - np.bincount(stop[cut], minlength=n + 1))[:n] > 0
+    # level sets: unmarked vertices within tol, found among the sorted values
+    # in a window wide enough for any rounding of |value - a| <= tol, then
+    # kept by that test itself
+    ids = np.flatnonzero(~m.marked)
+    ids = ids[np.argsort(v.values[ids], kind="stable")]
+    slack = 2.0 * tol + 4.0 * np.finfo(np.float64).eps * np.maximum(1.0, np.abs(a))
+    first = np.searchsorted(v.values[ids], a - slack, side="left")
+    cnt = np.searchsorted(v.values[ids], a + slack, side="right") - first
+    lev = np.repeat(np.arange(n), cnt)
+    x = ids[np.arange(len(lev)) + np.repeat(first - np.cumsum(cnt) + cnt, cnt)]
+    keep = np.abs(v.values[x] - a[lev]) <= tol
+    o = np.lexsort((x[keep], lev[keep]))
+    lev, x = lev[keep][o], x[keep][o]
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(lev, minlength=n))])
+    # flow sums of every vertex, its darts in rotation order
+    V = m.num_vertices
     deg = np.diff(m.vert_ptr)
-    g = m.vert_dart[np.repeat(at, deg)]
+    g = m.vert_dart
     fl = v.dart_flow(g)
-    owner = np.repeat(np.arange(k), deg[verts])
+    owner = np.repeat(np.arange(V), deg)
     neg, pos = fl < 0, fl > 0
-    sizes = np.concatenate([np.bincount(owner[neg], minlength=k),
-                            np.bincount(owner[pos], minlength=k), deg[verts]])
+    sizes = np.concatenate([np.bincount(owner[neg], minlength=V),
+                            np.bincount(owner[pos], minlength=V), deg])
     sums = segment_sums(np.concatenate([fl[neg], fl[pos], m.conductance[g >> 1]]),
                         np.concatenate([[0], np.cumsum(sizes)]))
-    inflow, outflow, csum = -sums[:k], sums[k:2 * k], sums[2 * k:]
+    inflow, outflow, csum = -sums[:V], sums[V:2 * V], sums[2 * V:]
     # rounding in each dart flow scales with its conductance, which mid-edge
     # insertion at small fractions can make large
     bad = np.abs(inflow - outflow) > BALANCE_TOL * np.maximum(np.maximum(1.0, inflow), csum)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"vertex {int(verts[i])}: flow imbalance {float(inflow[i] - outflow[i])}")
-    return LevelMeasure(a, verts, inflow / v.eta)
+    unbalanced = np.bincount(lev[bad[x]], minlength=n) > 0
+    failed = np.flatnonzero(crossed | (ptr[1:] == ptr[:-1]) | unbalanced)
+    if len(failed):
+        i = int(failed[0])
+        if crossed[i]:
+            k = int(np.argmax((lo + tol < a[i]) & (a[i] < hi - tol)))
+            raise LevelNotVertexed(f"edge {k} crosses level {levels[i]} away from a vertex")
+        if ptr[i] == ptr[i + 1]:
+            raise ValueError(f"level {levels[i]} is not realized by any vertex")
+        y = int(x[ptr[i] + np.argmax(bad[x[ptr[i]:ptr[i + 1]]])])
+        raise ValueError(f"vertex {y}: flow imbalance {float(inflow[y] - outflow[y])}")
+    mass = inflow[x] / v.eta
+    return [LevelMeasure(levels[i], x[ptr[i]:ptr[i + 1]], mass[ptr[i]:ptr[i + 1]])
+            for i in range(n)]
+
+
+def level_measure(m: CombMap, v: Voltage, a: float, tol: float = 1e-12) -> LevelMeasure:
+    """Harmonic measure of one fully vertexed level: ``level_measures`` of
+    the one level a."""
+    return level_measures(m, v, [a], tol)[0]
 
 
 # -- exact conditional laws --------------------------------------------------
@@ -288,7 +344,7 @@ def conditional_hitting(aug: Augmented, heights) -> HittingLaw:
     recursions over the (small) level sets; no sampling."""
     m = aug.map
     heights = np.atleast_1d(np.asarray(heights, dtype=np.float64))
-    head, vertex_darts, _cum = m.walk_tables
+    rows = m.step_rows
     pi, c = m.pi_weight, m.conductance.tolist()
 
     levels = [level_set(m, aug.voltage, float(a), aug.tol) for a in heights]
@@ -301,8 +357,8 @@ def conditional_hitting(aug: Augmented, heights) -> HittingLaw:
     steps = []
     for i in range(N - 1):
         nxt = {x: j for j, x in enumerate(levels[i + 1].tolist())}
-        step = [(j, g, jj) for j, x in enumerate(levels[i].tolist()) for g in vertex_darts[x]
-                if (jj := nxt.get(head[g])) is not None]
+        step = [(j, g, jj) for j, x in enumerate(levels[i].tolist())
+                for g, y in zip(rows[x][0], rows[x][3]) if (jj := nxt.get(y)) is not None]
         p = pi[levels[i]]
         for j, g, jj in step:
             fwd[i + 1][jj] += fwd[i][j] * c[g >> 1] / p[j]
@@ -350,8 +406,13 @@ def expected_conditional_winding(law: HittingLaw, diagram: SmithDiagram) -> floa
 def absorption_probs(m: CombMap, absorbing) -> tuple:
     """Exact absorption distribution: rows P(X hits w first | start v).
 
-    Dense solve of (I - P_free) X = P_free->absorbing; fine for the map sizes
-    this is used at."""
+    Dense solve of (I - P_free) X = P_free->absorbing, one factorization for
+    all the absorbing columns.  Its one caller in a stage is the projection
+    check of ``exact_law_report``, which absorbs at every original vertex of
+    a half-edge refinement: the free vertices are the E edge midpoints, so
+    the solve is E x E with V right-hand sides.  That takes 0.1-0.4 s on a
+    2-core host at E = 1277 (the gamma = 1.8, n = 512 mated-CRT map of seed
+    3), and its memory grows as E^2: 8 E^2 bytes for the matrix."""
     absorbing = sorted(set(int(x) for x in absorbing))
     if not absorbing:
         raise ValueError("absorbing set must be nonempty")
@@ -380,14 +441,28 @@ def absorption_probs(m: CombMap, absorbing) -> tuple:
     return out, np.array(absorbing, dtype=np.int64)
 
 
-def projected_step_law(m: CombMap, originals, x: int) -> dict:
-    """Law of the next original vertex distinct from x hit by the refined walk
-    (the jump chain of the projection).  Matches step_law of the unrefined map
-    at loop-free vertices by the series law."""
-    originals = set(int(s) for s in originals)
-    targets = sorted(originals - {int(x)})
-    probs, order = absorption_probs(m, targets)
-    return {int(w): float(probs[int(x), j]) for j, w in enumerate(order)}
+def projected_step_law(m: CombMap, originals) -> np.ndarray:
+    """Jump chain of the walk watched at the original vertices: entry [i, j]
+    is the probability that the next original vertex other than the i-th
+    that the walk hits is the j-th (originals in ascending id); the diagonal
+    is zero.  Matches step_law of the unrefined map at loop-free vertices by
+    the series law.
+
+    One absorption solve with every original vertex absorbing gives
+    Q[x, w] = sum over the darts x -> y of p(x -> y) * P(y hits w first), the
+    law of the first original vertex hit after leaving x, x itself included;
+    the jump chain is Q[x, w] / (1 - Q[x, x]) for w != x."""
+    probs, order = absorption_probs(m, originals)
+    n = len(order)
+    row = np.full(m.num_vertices, -1)
+    row[order] = np.arange(n)
+    g = m.vert_dart[np.repeat(row >= 0, np.diff(m.vert_ptr))]
+    x = m.dart_tail[g]
+    p = m.conductance[g >> 1] / m.pi_weight[x]
+    Q = sp.csr_matrix((p, (row[x], m.dart_head[g])), shape=(n, m.num_vertices)) @ probs
+    stay = Q.diagonal().copy()
+    np.fill_diagonal(Q, 0.0)
+    return Q / (1.0 - stay)[:, None]
 
 
 # -- exact-law sweep (used by the verify command) -----------------------------
@@ -448,8 +523,8 @@ def exact_law_report(m: CombMap, v: Voltage,
     resolved = aug.map if len(levels) else m
     noise = float(np.finfo(np.float64).eps) * float(max(1.0, resolved.conductance.max()))
     mass_dev = 0.0
-    for a in levels:
-        mass_dev = max(mass_dev, abs(aug.measure(a).total - 1.0))
+    for lm in aug.measures(levels):
+        mass_dev = max(mass_dev, abs(lm.total - 1.0))
 
     hit_dev = 0.0
     wind_dev = 0.0
@@ -458,16 +533,16 @@ def exact_law_report(m: CombMap, v: Voltage,
         hit_dev = max(hit_dev, law.max_deviation())
         wind_dev = max(wind_dev, abs(expected_conditional_winding(law, diag)))
 
+    V = m.num_vertices
+    step = np.zeros((V, V))
+    for x in range(V):
+        law = step_law(m, x)
+        step[x, list(law)] = list(law.values())
     half = [(k, 0.5) for k in range(m.num_edges)]
     m2, _e2, _origin = insert_vertices(m, None, half)
-    proj_dev = 0.0
-    for x in range(m.num_vertices):
-        want = step_law(m, x)
-        got = projected_step_law(m2, range(m.num_vertices), x)
-        keys = set(want) | set(got)
-        keys.discard(x)    # jump chain: compare away from self-transitions
-        proj_dev = max(proj_dev, max(abs(want.get(k, 0.0) - got.get(k, 0.0))
-                                     for k in keys))
+    # jump chain: compare away from self-transitions
+    off = ~np.eye(V, dtype=bool)
+    proj_dev = float(np.max(np.abs(step - projected_step_law(m2, range(V)))[off]))
 
     return {
         "level_mass_max_dev": mass_dev,

@@ -292,7 +292,7 @@ def diagram_from_json(obj) -> DiagramData:
     if obj.get("kind") != "diagram":
         errors.append(f"kind: expected 'diagram', got {obj.get('kind')!r}")
     eta = obj.get("eta")
-    if not _is_number(eta) or not (eta > 0):
+    if not _finite(eta) or not (eta > 0):
         errors.append("eta: need a positive number")
 
     def table(name, fields):
@@ -1214,3 +1214,13 @@ def absorption_probs(m: CombMap, absorbing) -> tuple:
     if nf:
         out[free] = np.linalg.solve(np.eye(nf) - P, B)
     return out, np.array(absorbing, dtype=np.int64)
+
+
+def projected_step_law(m: CombMap, originals, x: int) -> dict:
+    """``walk_lab.projected_step_law`` one row at a time: for the start x,
+    one dense absorption solve at the originals other than x, x left free so
+    that returns to it are summed by the solve."""
+    originals = set(int(s) for s in originals)
+    targets = sorted(originals - {int(x)})
+    probs, order = absorption_probs(m, targets)
+    return {int(w): float(probs[int(x), j]) for j, w in enumerate(order)}

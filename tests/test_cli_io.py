@@ -289,10 +289,10 @@ def test_diagram_schema_violations(parallel3_map):
     d = diagram_for(parallel3_map)
     base = diagram_to_json(d)
 
-    obj = dict(base, eta=-1.0)
-    with pytest.raises(SchemaError) as exc:
-        diagram_from_json(obj)
-    assert any("eta" in e for e in exc.value.errors)
+    for eta in (-1.0, 0.0, float("inf"), float("nan"), 10**400):
+        with pytest.raises(SchemaError) as exc:
+            diagram_from_json(dict(base, eta=eta))
+        assert exc.value.errors == ["eta: need a positive number"]
 
     obj = json.loads(dump_json(base))
     del obj["rects"]
@@ -596,6 +596,20 @@ def test_cli_schema_error_reported(tmp_path, capsys, path_map):
     assert "must differ" in capsys.readouterr().err
 
 
+def test_cli_render_rejects_infinite_eta(tmp_path, capsys):
+    # an infinite circumference would scale every rectangle to 0 x 0
+    mp, dj, svg = (str(tmp_path / f) for f in ("map.json", "diag.json", "out.svg"))
+    assert main(["mated-crt", "--gamma", "1.8", "--n", "24", "--seed", "3", "-o", mp]) == 0
+    assert main(["tile", mp, "-o", dj]) == 0
+    obj = json.loads((tmp_path / "diag.json").read_text())
+    obj["eta"] = float("inf")
+    (tmp_path / "diag.json").write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["render", dj, "-o", svg]) == 1
+    assert capsys.readouterr().err == "error: eta: need a positive number\n"
+    assert not (tmp_path / "out.svg").exists()
+
+
 def test_cli_invalid_topology_reported(tmp_path, capsys):
     # schema-valid JSON whose interleaved self-loops give a torus rotation
     obj = {
@@ -687,12 +701,12 @@ def test_cli_mated_crt_golden_bytes():
 # --seed s`, FILE holding the increments of the gamma = 1.8, n = 48
 # plain-rejection sample of that seed
 VERIFY_GOLDEN = {
-    1: (1, "81d0134087be123e22992c8a2f3051daaceadde64d5513068ee064640b6aae8e"),
-    2: (1, "c86ad5674e589d50f99405c03f25bd346037ffb23df7ba5c008e495afa0fa6ff"),
-    3: (0, "309d03d4d545dd77da72980d29ac91001bc7d6b268747845f83a0798d60cef9a"),
-    4: (1, "91b4a266168372a779dce363cfe9b871979efadfea52617d428ca55060d8ce9d"),
-    5: (0, "80f3786b2e53d08f2de8238675e84ea11ac61fb3c723ca09c727771e1413bc18"),
-    6: (0, "c0228399218ee56756dd0e1afbc9ab5ddce66a5e1c089f67bfaae39ac673a965"),
+    1: (1, "90e7bfc74d6cfb031bbe622f5ce62eecb198bc569a0ce85fd3e09c65675fe978"),
+    2: (1, "b7068c519ce8227d3669e5252a79932e49e34203b5eee6208106c5baaa93dff3"),
+    3: (0, "b2531d225ca7e6430f969eb33a7f98361d2ca89c7356ed7898120a3420ba4f27"),
+    4: (1, "aaf02883e1144601a9727f4a7d601ade060c9469ead324b1e5bf827dafbb0e4f"),
+    5: (0, "1355af658ffee026a6f11a258b0bf83f7e308f8c4224113e41ebb0aabd743bfe"),
+    6: (0, "66894b3d220fcc6ef4fe5b5ce2601d9f3454a480f6984e8ed60e227621fe17c3"),
 }
 
 

@@ -359,13 +359,37 @@ def test_absorption_empty(path_map):
 def test_projected_step_law_matches(rung_map):
     half = [(k, 0.5) for k in range(rung_map.num_edges)]
     m2, _, _ = insert_vertices(rung_map, None, half)
+    got = projected_step_law(m2, range(rung_map.num_vertices))
     for x in range(rung_map.num_vertices):
         want = step_law(rung_map, x)
-        got = projected_step_law(m2, range(rung_map.num_vertices), x)
-        keys = (set(want) | set(got)) - {x}
-        for k in keys:
-            assert got.get(k, 0.0) == pytest.approx(want.get(k, 0.0),
-                                                    abs=1e-10)
+        assert got[x, x] == 0.0
+        for k in set(range(rung_map.num_vertices)) - {x}:
+            assert got[x, k] == pytest.approx(want.get(k, 0.0), abs=1e-10)
+
+
+def loop_bundle_map():
+    """Self-loops at an interior vertex and at a pole, and parallel edges of
+    unequal conductance: step_law keeps mass on x -> x at the loops."""
+    return build_map(4, [(0, 1, 1.0), (1, 1, 0.5), (1, 2, 0.3), (1, 2, 1.7),
+                         (2, 3, 1.0), (0, 2, 0.4), (3, 3, 2.0)],
+                     [[0, 10], [1, 2, 3, 4, 6], [5, 8, 11, 7], [9, 12, 13]],
+                     marked=(0, 3))
+
+
+def test_projected_step_law_matches_per_vertex_oracle(random_maps, rung_map,
+                                                      parallel3_map, crt48_maps):
+    loops = loop_bundle_map()
+    assert step_law(loops, 1)[1] > 0.0 and step_law(loops, 3)[3] > 0.0
+    maps = [m for m, _ in random_maps] + [rung_map, parallel3_map, *crt48_maps, loops]
+    for m in maps:
+        V = m.num_vertices
+        m2, _, _ = insert_vertices(m, None, [(k, 0.5) for k in range(m.num_edges)])
+        got = projected_step_law(m2, range(V))
+        want = np.zeros((V, V))
+        for x in range(V):
+            for w, p in oracles.projected_step_law(m2, range(V), x).items():
+                want[x, w] = p
+        assert np.max(np.abs(got - want)) <= 1e-14
 
 
 # -- sequence generation and report -------------------------------------------
@@ -561,7 +585,7 @@ def test_walk_draw_rounding_up_picks_last_dart():
     # with subnormal conductances u * c[-1] can round up to c[-1], so the
     # search lands past the last dart
     m = build_map(2, [(0, 1, 5e-324)] * 3, [[0, 2, 4], [5, 3, 1]], marked=(0, 1))
-    c = m.walk_tables[2][0]
+    c = m.step_rows[0][1]
     u = 1.0 - 2.0 ** -53        # the largest value rng.random() returns
     assert u * c[-1] == c[-1]
     assert walk_lab.walk(m, iter([u]), 0, {1}, 1) == [4]
@@ -727,7 +751,7 @@ def ref_exact_law_report(m, v, emb=None, num_sequences=5, length=4, seed=0):
     proj_dev = 0.0
     for x in range(m.num_vertices):
         want = step_law(m, x)
-        got = projected_step_law(m2, range(m.num_vertices), x)
+        got = oracles.projected_step_law(m2, range(m.num_vertices), x)
         keys = set(want) | set(got)
         keys.discard(x)
         proj_dev = max(proj_dev, max(abs(want.get(k, 0.0) - got.get(k, 0.0))
@@ -750,9 +774,14 @@ def law_maps(random_maps, small_random_maps, lattice8, rung_map, parallel3_map,
 
 
 def test_exact_law_report_matches_reference(law_maps):
+    # the projection is one solve for all vertices, where the reference
+    # solves once per vertex: its entries agree within 1e-14, and so does
+    # their largest deviation from step_law
     for m, emb in law_maps:
         v = solve_voltage(m)
-        assert exact_law_report(m, v, emb) == ref_exact_law_report(m, v, emb)
+        got, want = exact_law_report(m, v, emb), ref_exact_law_report(m, v, emb)
+        assert abs(got.pop("projection_max_dev") - want.pop("projection_max_dev")) <= 1e-14
+        assert got == want
 
 
 def test_crt48_hitting_failure_stays_visible(crt48_maps):
@@ -779,20 +808,85 @@ def test_hitting_and_winding_match_reference(law_maps):
 
 
 def test_exact_law_report_builds_once(random_maps, monkeypatch):
-    # one augmentation, dual, conjugate and diagram per report, and one level
-    # measure per realized level
+    # one augmentation, dual, conjugate and diagram per report, one pass for
+    # all the level measures and one absorption solve for the projection
     m, emb = random_maps[1]
     v = solve_voltage(m)
     calls = {}
     for name in ("augment_all_levels", "dual", "conjugate", "build_diagram",
-                 "level_measure"):
+                 "level_measures", "level_measure", "absorption_probs"):
         def counted(*args, _f=getattr(walk_lab, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _f(*args, **kwargs)
         monkeypatch.setattr(walk_lab, name, counted)
     walk_lab.exact_law_report(m, v, emb)
+    assert len(realized_levels(m, v)) > 1
     assert calls == {"augment_all_levels": 1, "dual": 1, "conjugate": 1,
-                     "build_diagram": 1, "level_measure": len(realized_levels(m, v))}
+                     "build_diagram": 1, "level_measures": 1, "absorption_probs": 1}
+
+
+def test_level_measures_match_per_level(law_maps):
+    for m, emb in law_maps:
+        v = solve_voltage(m)
+        aug = augment_all_levels(m, v, emb=emb)
+        levels = realized_levels(aug.map, aug.voltage)
+        # every level, some twice and out of order
+        order = np.concatenate([levels, levels[::-3]])
+        got = walk_lab.level_measures(aug.map, aug.voltage, order)
+        assert len(got) == len(order)
+        for lm, a in zip(got, order):
+            for want in (level_measure(aug.map, aug.voltage, a),
+                         oracles.level_measure(aug.map, aug.voltage, a)):
+                assert lm.level == want.level
+                assert lm.vertices.tolist() == want.vertices.tolist()
+                assert lm.mass.tobytes() == want.mass.tobytes()
+
+
+def first_level_error(measure, *args):
+    try:
+        measure(*args)
+    except ValueError as err:
+        return type(err), str(err)
+    return None
+
+
+def test_level_measures_raise_like_per_level(law_maps, lattice8_solved, path_map):
+    # on unvertexed maps: crossed levels, levels with no vertex and balanced
+    # ones in one list; the pass raises what the loop raises first
+    tol = 1e-12
+    cases = []
+    for m, _emb in law_maps:
+        v = solve_voltage(m)
+        lv = realized_levels(m, v)
+        mids = list((lv[:-1] + lv[1:]) / 2) if len(lv) > 1 else [0.37]
+        cases.append((m, v, list(lv) + mids + [0.0, 1.0], tol))
+        cases.append((m, v, [1.0, 0.0] + mids[::-1] + list(lv), tol))
+        cases.append((m, v, list(lv[::-1]), tol))
+    # levels exactly tol from a vertex (h = 0, 1/2, 1), with a tol that makes
+    # the distances exact: on the boundary of both the crossing test and the
+    # level-set test
+    v = solve_voltage(path_map)
+    tol = 2.0 ** -40
+    for a in (tol, 0.5 - tol, 0.5 + tol, 1.0 - tol, 0.5 - 2 * tol, 0.5 + 2 * tol):
+        cases.append((path_map, v, [a], tol))
+    # the imbalanced row of test_level_measure_names_first_imbalanced_vertex
+    m, _, v = lattice8_solved
+    values = v.values.copy()
+    for col, lift in ((5, 1e-3), (2, 2e-3)):
+        values[4 * 8 + col] += lift
+    bad = Voltage(m, values, v.residual, v.eta, v.eta_mismatch)
+    rows = [float(values[8 * r]) for r in range(1, 4)]
+    cases.append((m, bad, rows, 1e-12))
+    cases.append((m, bad, rows[::-1], 1e-12))
+    raised = set()
+    for m, v, levels, tol in cases:
+        def loop(m=m, v=v, levels=levels, tol=tol):
+            for a in levels:
+                oracles.level_measure(m, v, a, tol)
+        want = first_level_error(loop)
+        assert first_level_error(walk_lab.level_measures, m, v, levels, tol) == want
+        raised.add(want and want[0])
+    assert raised == {None, LevelNotVertexed, ValueError}
 
 
 def test_level_set_and_crossing_match_loops(law_maps):
