@@ -259,20 +259,12 @@ def level_measures(m: CombMap, v: Voltage, levels, tol: float = 1e-12) -> list:
     crossed = np.empty(n, dtype=bool)
     crossed[srt] = np.cumsum(np.bincount(start[cut], minlength=n + 1)
                              - np.bincount(stop[cut], minlength=n + 1))[:n] > 0
-    # level sets: unmarked vertices within tol, found among the sorted values
-    # in a window wide enough for any rounding of |value - a| <= tol, then
-    # kept by that test itself
-    ids = np.flatnonzero(~m.marked)
-    ids = ids[np.argsort(v.values[ids], kind="stable")]
-    slack = 2.0 * tol + 4.0 * np.finfo(np.float64).eps * np.maximum(1.0, np.abs(a))
-    first = np.searchsorted(v.values[ids], a - slack, side="left")
-    cnt = np.searchsorted(v.values[ids], a + slack, side="right") - first
-    lev = np.repeat(np.arange(n), cnt)
-    x = ids[np.arange(len(lev)) + np.repeat(first - np.cumsum(cnt) + cnt, cnt)]
-    keep = np.abs(v.values[x] - a[lev]) <= tol
-    o = np.lexsort((x[keep], lev[keep]))
-    lev, x = lev[keep][o], x[keep][o]
-    ptr = np.concatenate([[0], np.cumsum(np.bincount(lev, minlength=n))])
+    # level sets, each in ascending id
+    verts = [level_set(m, v, float(b), tol) for b in a]
+    lengths = np.array([len(s) for s in verts], dtype=np.int64)
+    x = np.concatenate([np.zeros(0, dtype=np.int64)] + verts)
+    lev = np.repeat(np.arange(n), lengths)
+    ptr = np.concatenate([[0], np.cumsum(lengths)])
     # flow sums of every vertex, its darts in rotation order
     V = m.num_vertices
     deg = np.diff(m.vert_ptr)
@@ -540,9 +532,9 @@ def exact_law_report(m: CombMap, v: Voltage,
         step[x, list(law)] = list(law.values())
     half = [(k, 0.5) for k in range(m.num_edges)]
     m2, _e2, _origin = insert_vertices(m, None, half)
-    # jump chain: compare away from self-transitions
-    off = ~np.eye(V, dtype=bool)
-    proj_dev = float(np.max(np.abs(step - projected_step_law(m2, range(V)))[off]))
+    # the jump chain has no self-transitions
+    np.fill_diagonal(step, 0.0)
+    proj_dev = float(np.max(np.abs(step - projected_step_law(m2, range(V)))))
 
     return {
         "level_mass_max_dev": mass_dev,

@@ -392,6 +392,25 @@ def test_projected_step_law_matches_per_vertex_oracle(random_maps, rung_map,
         assert np.max(np.abs(got - want)) <= 1e-14
 
 
+def test_exact_law_report_projection_skips_self_transitions():
+    # the loop at vertex 1 keeps step_law mass 1/4 on 1 -> 1, more than any
+    # off-diagonal gap to the jump chain (at most 1/6), which the report takes
+    m = build_map(4, [(0, 1, 1.0), (1, 1, 0.5), (1, 2, 0.3), (1, 2, 1.7),
+                      (2, 3, 1.0), (0, 2, 0.4)],
+                  [[0, 10], [1, 2, 3, 4, 6], [5, 8, 11, 7], [9]], marked=(0, 3))
+    V = m.num_vertices
+    m2, _, _ = insert_vertices(m, None, [(k, 0.5) for k in range(m.num_edges)])
+    want = 0.0
+    for x in range(V):
+        jump = oracles.projected_step_law(m2, range(V), x)
+        for y, p in step_law(m, x).items():
+            if y != x:
+                want = max(want, abs(p - jump[y]))
+    assert step_law(m, 1)[1] > want
+    rep = exact_law_report(m, solve_voltage(m), num_sequences=2, length=3, seed=0)
+    assert abs(rep["projection_max_dev"] - want) <= 1e-14
+
+
 # -- sequence generation and report -------------------------------------------
 
 def test_admissible_sequences_single_level(path_map):
@@ -878,6 +897,11 @@ def test_level_measures_raise_like_per_level(law_maps, lattice8_solved, path_map
     rows = [float(values[8 * r]) for r in range(1, 4)]
     cases.append((m, bad, rows, 1e-12))
     cases.append((m, bad, rows[::-1], 1e-12))
+    # an imbalanced row of 8 vertices next to a level of one lifted vertex:
+    # each level's vertices must be charged to that level
+    lifted = float(values[4 * 8 + 5])
+    cases.append((m, bad, [rows[-1], lifted], 1e-12))
+    cases.append((m, bad, [lifted, rows[-1]], 1e-12))
     raised = set()
     for m, v, levels, tol in cases:
         def loop(m=m, v=v, levels=levels, tol=tol):
