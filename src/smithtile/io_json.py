@@ -359,7 +359,8 @@ def map_from_json(obj) -> tuple:
             v0 = v1 = None
 
     verts = obj.get("vertices")
-    if not isinstance(verts, list) or len(verts) != V:
+    sized = isinstance(verts, list) and len(verts) == V
+    if not sized:
         errors.append(f"vertices: expected a list of {V} entries")
         verts = []
     vt = _Table(verts, "vertices", ("id", "theta", "height"))
@@ -416,8 +417,11 @@ def map_from_json(obj) -> tuple:
     found += [(owner[j], j, f"rotation[{keys[owner[j]]}]: dart {darts[j]} listed twice")
               for j in np.flatnonzero(again).tolist()]
     errors += [e for *_, e in sorted(found, key=operator.itemgetter(0, 1))]
-    missing = set(map(str, range(V))).difference(rot_json)
-    errors += [f"rotation: vertex {v} missing" for v in sorted(map(int, missing))]
+    if sized:
+        # V is only as trusted as the vertex list: a bare count must not
+        # cost an error per vertex
+        missing = set(map(str, range(V))).difference(rot_json)
+        errors += [f"rotation: vertex {v} missing" for v in sorted(map(int, missing))]
 
     if errors:
         raise SchemaError(errors)

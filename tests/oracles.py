@@ -174,7 +174,8 @@ def map_from_json(obj) -> tuple:
 
     coords = {}
     verts = obj.get("vertices")
-    if not isinstance(verts, list) or len(verts) != V:
+    sized = isinstance(verts, list) and len(verts) == V
+    if not sized:
         errors.append(f"vertices: expected a list of {V} entries")
     else:
         for i, rec in enumerate(verts):
@@ -224,7 +225,7 @@ def map_from_json(obj) -> tuple:
             dthetas.append(dt)
 
     rot_json = obj.get("rotation")
-    rotation = [[] for _ in range(V)]
+    rotation = {}
     if not isinstance(rot_json, dict):
         errors.append("rotation: expected an object keyed by vertex id")
         rot_json = {}
@@ -251,14 +252,14 @@ def map_from_json(obj) -> tuple:
                 seen_darts.add(h)
                 good.append(h)
         rotation[v] = good
-    for v in range(V):
-        if isinstance(rot_json, dict) and str(v) not in rot_json:
+    for v in range(V if sized else 0):
+        if str(v) not in rot_json:
             errors.append(f"rotation: vertex {v} missing")
 
     if errors:
         raise SchemaError(errors)
 
-    m = build_map(V, edges, rotation, marked=(v0, v1))
+    m = build_map(V, edges, [rotation[v] for v in range(V)], marked=(v0, v1))
 
     have = [coords.get(x, (None, None))[0] is not None
             for x in range(V) if not m.is_marked(x)]

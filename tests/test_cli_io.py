@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -210,6 +211,20 @@ def test_map_schema_violations(path_map):
     text = dump_json(base).replace('"conductance": 1.0', '"conductance": 1' + "0" * 400, 1)
     obj = json.loads(text)
     assert schema_errors(obj) == ["edges[0].conductance: need a finite positive number"]
+
+
+def test_map_reader_reports_a_bare_vertex_count_once():
+    # num_vertices is not backed by a vertex list, so no error or array
+    # may grow with it
+    text = ('{"schema": "smith/1", "kind": "map", "num_vertices": 300000, '
+            '"marked": {"v0": 0, "v1": 1}, "vertices": [], "edges": [], "rotation": {}}')
+    obj = json.loads(text)
+    start = time.perf_counter()
+    errors = schema_errors(obj)
+    assert time.perf_counter() - start < 0.1
+    assert 0 < len(errors) < 10
+    assert "vertices: expected a list of 300000 entries" in errors
+    assert _outcome(oracles.map_from_json, obj) == ("SchemaError", errors)
 
 
 def test_map_schema_embedding_rules(random_maps):

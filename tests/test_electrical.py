@@ -1,7 +1,11 @@
 """Harmonic voltages, flows, and the conjugate width function."""
 
+import collections
 import dataclasses
+import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ import pytest
 from smithtile import (MapError, SolveError, build_diagram, build_map, conjugate,
                        dual, harmonic_darts, insert_vertices, make_lattice,
                        make_rng, mark_vertices, solve_voltage)
-from smithtile import electrical
+from smithtile import electrical, mated_crt
 from smithtile.electrical import Conjugate
 from smithtile.map_core import components, marked_cut_path
 from smithtile.mated_crt import build_map as build_mated
@@ -79,16 +83,100 @@ def test_lattice_rows_equipotential(lattice8_solved):
     assert v.eta == pytest.approx(n / (M + 1), abs=1e-10)
 
 
-def test_large_lattice_uses_iterative_solver():
-    # 674 vertices: above the dense cutoff, so this exercises the CG branch
-    m, _ = make_lattice(32, 2.0)
-    assert m.num_vertices > 500
-    v = solve_voltage(m)
-    n, M = 32, (m.num_vertices - 2) // 32
+class CountingSolvers:
+    """``scipy.sparse.linalg`` as ``electrical`` reaches it, counting the
+    calls of its sparse solvers."""
+
+    def __init__(self):
+        self._spla = electrical.spla
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        fn = getattr(self._spla, name)
+        if name not in ("splu", "cg", "spsolve"):
+            return fn
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+
+def solver_calls(monkeypatch, m):
+    """solve_voltage(m) and the sparse solver calls it made."""
+    spy = CountingSolvers()
+    with monkeypatch.context() as patch:
+        patch.setattr(electrical, "spla", spy)
+        v = solve_voltage(m)
+    return v, dict(spy.calls)
+
+
+def check_lattice_rows(m, v, n):
+    M = (m.num_vertices - 2) // n
     rows = v.values[:n * M].reshape(M, n)
     want = (np.arange(M) + 1.0) / (M + 1)
     assert np.max(np.abs(rows - want[:, None])) < 1e-10
     assert v.eta == pytest.approx(n / (M + 1), abs=1e-9)
+
+
+def test_large_lattice_uses_iterative_solver(monkeypatch):
+    # 674 vertices: above the dense cutoff, and the 64 darts at the poles
+    # make S^2 = 4096 > 2n, so this exercises the CG branch
+    m, _ = make_lattice(32, 2.0)
+    assert m.num_vertices > 500
+    v, calls = solver_calls(monkeypatch, m)
+    assert calls == {"cg": 1}
+    check_lattice_rows(m, v, 32)
+
+
+@pytest.mark.parametrize("n, H, path", [(64, 4.0, "cg"), (64, 8.0, "splu")])
+def test_lattice_solver_follows_the_mark_degree(monkeypatch, n, H, path):
+    # S = 128 darts at the poles: S^2 / n is 3.08 at H = 4 and 1.57 at H = 8
+    m, _ = make_lattice(n, H)
+    v, calls = solver_calls(monkeypatch, m)
+    assert calls == {path: 1}
+    check_lattice_rows(m, v, n)
+
+
+def test_point_marked_map_is_factored_directly(monkeypatch):
+    # the map of `smith mated-crt --gamma 1.8 --n 1024 --seed 1`: 14 darts at
+    # the marks against 1022 unknowns, and no currents below the flow floor,
+    # so the snap moves nothing beyond rounding
+    m = mark_vertices(build_mated(mated_crt.sample_excursion(1.8, 1024, 1)), seed=1).map
+    assert (m.degree(m.v0) + m.degree(m.v1)) ** 2 < 2 * (m.num_vertices - 2)
+    v, calls = solver_calls(monkeypatch, m)
+    assert calls == {"splu": 1}
+    assert np.max(np.abs(v.values - oracle_voltage(m)[0])) <= 1e-13
+
+
+def test_stalled_cg_falls_back_to_spsolve(monkeypatch):
+    m, _ = make_lattice(32, 2.0)
+    spy = CountingSolvers()
+    budgets = []
+
+    def stalled(A, b, maxiter, **kwargs):
+        budgets.append(maxiter)
+        return np.zeros_like(b), maxiter
+    spy.cg = stalled
+    monkeypatch.setattr(electrical, "spla", spy)
+    v = solve_voltage(m)
+    assert budgets == [10 * math.ceil(math.sqrt(m.num_vertices - 2))]
+    assert spy.calls == {"spsolve": 1}
+    assert np.max(np.abs(v.values - oracle_voltage(m)[0])) <= 1e-13
+
+
+def test_tile_repeats_on_a_factored_map():
+    """``smith tile`` on the n = 1024 map, whose voltage is factored
+    directly, writes the same bytes twice."""
+    cli = [sys.executable, "-m", "smithtile.cli"]
+    r = subprocess.run(cli + ["mated-crt", "--gamma", "1.8", "--n", "1024",
+                              "--seed", "1"], capture_output=True)
+    assert r.returncode == 0, r.stderr
+    outs = [subprocess.run(cli + ["tile"], input=r.stdout, capture_output=True)
+            for _ in range(2)]
+    assert all(o.returncode == 0 for o in outs), outs[0].stderr
+    assert json.loads(outs[0].stdout)["kind"] == "diagram"
+    assert outs[0].stdout == outs[1].stdout
 
 
 def test_voltage_matches_dense_oracle(random_maps):
@@ -157,7 +245,9 @@ def test_snap_leaves_weak_currents_outside_clusters(map_seed, mark_seed, monkeyp
     # keeps its voltage bit for bit, and every one stays near the dense solve
     m = mark_vertices(build_mated(oracles.sample_excursion(1.8, 1024, seed=map_seed)),
                       seed=mark_seed).map
-    h = solve_voltage(m).values
+    v, calls = solver_calls(monkeypatch, m)
+    assert calls == {"splu": 1}
+    h = v.values
     with monkeypatch.context() as patch:
         patch.setattr(electrical, "snap_clusters", lambda m, h: h)
         raw = solve_voltage(m).values
