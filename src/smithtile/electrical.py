@@ -25,16 +25,25 @@ about 9 entries per unknown (nested dissection; Lipton, Rose and Tarjan,
 1979), where Jacobi-CG needs 6-10 sqrt(n) iterations.  Pole marks, the
 whole end rows of a cylinder, keep Jacobi-CG, which converges in at most
 about 2.2 sqrt(n) iterations there and beats the LU, whose fill is larger.
-Measured on a 2-core x86 VM, in ms per ``solve_voltage`` call:
+It runs as plain CG on the symmetrically scaled system S A S y = S b,
+S = diag^(-1/2), x = S y (split preconditioning; Saad, "Iterative Methods
+for Sparse Linear Systems", 2003, 9.2): the iterations are those of CG
+with M = diag^-1, without a call of the preconditioner in each.
+Measured on a 2-core x86 VM, in ms per ``solve_voltage`` call on the
+mated-CRT rows, and per linear solve, min to median of 7 runs (3 at
+n=256), on the lattice rows:
 
     maps                                 S^2/n       with LU     with CG
     gamma=1.8 mated-CRT, n=1024, seed 1  0.19        2.3-4.1     8-12
     gamma=1.8 mated-CRT, n=4096, seed 1  0.03        7-10        48-53
     gamma=1.8 mated-CRT, n=16384, seed 1 0.01        31-43       350-460
     gamma=1.8 mated-CRT, seeds 1-3       <= 0.19     LU faster
-    lattices, H=4, n=24...256            3.05-3.13   CG faster by 1.1-1.4x
-    make_lattice(64, 8.0)                1.57        26          41
-    make_lattice(64, 1.0)                12.2        CG faster
+    make_lattice(24, 4.0)                3.10        2.4         2.3-2.4
+    make_lattice(64, 4.0)                3.08        20-24       7-12
+    make_lattice(128, 4.0)               3.14        98-120      78-82
+    make_lattice(256, 4.0)               3.13        793-795     573-613
+    make_lattice(64, 8.0)                1.57        25-36       40-53
+    make_lattice(64, 1.0)                12.2        2.9-3.6     1.1-1.4
 """
 
 from __future__ import annotations
@@ -105,7 +114,7 @@ def solve_voltage(m: CombMap, tol: float = 1e-10) -> Voltage:
     """Solve the Dirichlet problem on the reduced SPD system of n unknowns:
     dense elimination below DENSE_LIMIT; above it, a sparse LU when the
     marks are points, S^2 < 2n with S = deg(v0) + deg(v1), and otherwise
-    conjugate-gradient with Jacobi scaling, within 10 ceil(sqrt(n))
+    conjugate-gradient on the Jacobi-scaled system, within 10 ceil(sqrt(n))
     iterations, falling back to ``spsolve`` if it stalls.  The module
     docstring gives the measurements behind the rule.  The equipotential
     clusters are then snapped (``snap_clusters``); the residual must stay
@@ -126,9 +135,12 @@ def solve_voltage(m: CombMap, tol: float = 1e-10) -> Voltage:
                            options=dict(SymmetricMode=True))
             x = lu.solve(b)
         else:
-            M = sp.diags(1.0 / diag)
-            x, info = spla.cg(A, b, rtol=1e-13, atol=0.0, M=M,
+            # Jacobi-CG as plain CG on S A S, S = diag^(-1/2), with x = S y
+            s = 1.0 / np.sqrt(diag)
+            S = sp.diags(s)
+            y, info = spla.cg(S @ A @ S, s * b, rtol=1e-13, atol=0.0,
                               maxiter=10 * math.ceil(math.sqrt(n)))
+            x = s * y
             if info != 0 or np.max(np.abs(A @ x - b)) > 1e-11 * max(1.0, np.max(diag)):
                 x = spla.spsolve(A.tocsc(), b)
         res = np.max(np.abs(A @ x - b) / diag)

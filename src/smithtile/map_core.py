@@ -15,7 +15,18 @@ naming the face right of each dart.  Every cycle starts at its smallest dart
 and follows the permutation from there; faces are numbered in the order of
 their smallest darts.  The cycles are found by pointer doubling over the
 whole permutation at once (``_cycles``).  ``vertex_darts`` and ``face_darts``
-are the same cycles as lists of arrays, built on first use.
+are the same cycles as lists of arrays, built on first use.  A map marked
+anew (``with_marks``) shares all of these with the map it marks.
+
+The dual takes its cycles from the primal's, with no pointer doubling and no
+topology check, since the dual of a connected sphere map is one too: its
+vertices are the primal faces and its faces the primal vertices (Brooks,
+Smith, Stone and Tutte, 1940).  Dual dart h keeps its id and runs from the
+face right of primal dart h to the face left of it, and its next dart is
+prev_dart[h] ^ 1.  So each dual rotation is a primal face read backward
+from its smallest dart, and each dual face is a primal rotation with its
+darts twinned, read backward from its smallest twin.  Only the check that
+every reciprocal conductance is positive and finite runs again.
 
 ``bfs_tree`` is the breadth-first search of a FIFO queue that pops a vertex
 and scans its darts in rotation order, taking each dart to an unseen vertex
@@ -50,6 +61,7 @@ no coordinates (nan).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -190,11 +202,47 @@ class CombMap:
         self._build_faces()
 
         self._check_topology()
-        for a in (self.edge_tail, self.edge_head, self.conductance,
-                  self.next_dart, self.prev_dart, self.dart_tail,
-                  self.dart_head, self.face_of, self.vert_ptr, self.vert_dart,
-                  self.face_ptr, self.face_dart):
-            a.flags.writeable = False
+        self._freeze()
+
+    # the arrays of a map, read-only once it is built
+    ARRAYS = ("edge_tail", "edge_head", "conductance", "next_dart", "prev_dart",
+              "dart_tail", "dart_head", "face_of", "vert_ptr", "vert_dart",
+              "face_ptr", "face_dart")
+
+    def _freeze(self):
+        for name in self.ARRAYS:
+            getattr(self, name).flags.writeable = False
+
+    @classmethod
+    def _from_cycles(cls, num_vertices, conductance, next_dart, prev_dart,
+                     dart_tail, face_of, vert_ptr, vert_dart, face_ptr, face_dart):
+        """An unmarked map from cycle systems already known to be those of a
+        sphere map (see ``dual``): no checks and no cycle search."""
+        m = cls.__new__(cls)
+        m.num_vertices = int(num_vertices)
+        m.num_edges = len(conductance)
+        m.num_darts = 2 * m.num_edges
+        m.num_faces = len(face_ptr) - 1
+        m.v0 = m.v1 = None
+        m.edge_tail, m.edge_head = dart_tail[0::2], dart_tail[1::2]
+        m.conductance, m.next_dart, m.prev_dart = conductance, next_dart, prev_dart
+        m.dart_tail, m.dart_head = dart_tail, dart_tail[np.arange(m.num_darts) ^ 1]
+        m.face_of, m.vert_ptr, m.vert_dart = face_of, vert_ptr, vert_dart
+        m.face_ptr, m.face_dart = face_ptr, face_dart
+        m._check_conductance()
+        m._freeze()
+        return m
+
+    def with_marks(self, v0, v1) -> CombMap:
+        """The same map marked at (v0, v1).  It shares this map's read-only
+        arrays and its cached rotation, face and step lists; only ``marked``
+        is its own."""
+        m = copy.copy(self)
+        m.v0 = None if v0 is None else int(v0)
+        m.v1 = None if v1 is None else int(v1)
+        m.__dict__.pop("marked", None)
+        m._check_marks()
+        return m
 
     # -- construction checks ------------------------------------------------
 
@@ -205,14 +253,20 @@ class CombMap:
         for arr, name in ((self.edge_tail, "tail"), (self.edge_head, "head")):
             if arr.min(initial=0) < 0 or arr.max(initial=-1) >= self.num_vertices:
                 raise MapError(f"edge {name} out of range")
-        if np.any(self.conductance <= 0) or not np.all(np.isfinite(self.conductance)):
-            raise MapError("conductances must be positive and finite")
+        self._check_conductance()
         nd = self.next_dart
         if (len(nd) != 2 * E or nd.min() < 0 or nd.max() >= 2 * E
                 or np.any(np.bincount(nd, minlength=2 * E) != 1)):
             raise MapError("next_dart is not a permutation of the darts")
         if np.any(self.dart_tail[nd] != self.dart_tail):
             raise MapError("rotation moves a dart to a different vertex")
+        self._check_marks()
+
+    def _check_conductance(self):
+        if np.any(self.conductance <= 0) or not np.all(np.isfinite(self.conductance)):
+            raise MapError("conductances must be positive and finite")
+
+    def _check_marks(self):
         if self.v0 is not None and self.v1 is not None and self.v0 == self.v1:
             raise MapError("marked vertices must be distinct")
         for v in (self.v0, self.v1):
@@ -458,16 +512,41 @@ def _face_mean_lifts(m: CombMap, emb: CylinderEmbedding) -> np.ndarray:
                        ~m.marked[m.dart_tail[walk]], walk)
 
 
+def _dual_map(m: CombMap) -> CombMap:
+    """The dual's CombMap, read off the primal's cycles (module docstring).
+
+    The dual's next dart prev_dart[h] ^ 1 inverts the face permutation, and
+    the dual face of h, the orbit of h -> prev_dart[h ^ 1] ^ 1, twins the
+    rotation at head(h) read backward; the dual face of h is numbered by
+    the rank of that rotation's smallest twin."""
+    n = m.num_darts
+    # slot i > 0 of a face, read backward, is slot d - i: an involution
+    ptr = m.face_ptr
+    back = np.repeat(ptr[:-1] + ptr[1:], np.diff(ptr)) - np.arange(n)
+    back[ptr[:-1]] = ptr[:-1]
+    vert_dart = m.face_dart[back]
+
+    # dual face r is the rotation at vertex order[r] read backward from the
+    # slot of its least twin, wrapping round at the rotation's first slot
+    twin = m.vert_dart ^ 1
+    least = np.minimum.reduceat(twin, m.vert_ptr[:-1])
+    slot = np.empty(n, dtype=np.int64)
+    slot[m.vert_dart] = np.arange(n)
+    order = np.argsort(least)
+    number = np.empty(m.num_vertices, dtype=np.int64)
+    number[order] = np.arange(m.num_vertices)
+    size = np.diff(m.vert_ptr)[order]
+    face_ptr = np.concatenate([[0], np.cumsum(size)])
+    src = np.repeat(slot[least[order] ^ 1] + face_ptr[:-1], size) - np.arange(n)
+    src += np.repeat(size, size) * (src < np.repeat(m.vert_ptr[order], size))
+    return CombMap._from_cycles(
+        m.num_faces, 1.0 / m.conductance, m.prev_dart ^ 1, m.next_dart[np.arange(n) ^ 1],
+        m.face_of, number[m.dart_head], m.face_ptr, vert_dart, face_ptr, twin[src])
+
+
 def dual(m: CombMap, emb: CylinderEmbedding | None = None) -> DualMap:
     """Construct the dual map; with an embedding, also representative points."""
-    E = m.num_edges
-    dual_next = (m.prev_dart ^ 1).copy()
-    # dual dart h: tail = face_of[h], head = face_of[h^1]
-    d_tail = m.face_of[2 * np.arange(E)]
-    d_head = m.face_of[2 * np.arange(E) + 1]
-    dmap = CombMap(m.num_faces, d_tail, d_head, 1.0 / m.conductance, dual_next)
-    if dmap.num_faces != m.num_vertices:
-        raise MapError("dual face count does not match primal vertex count")
+    dmap = _dual_map(m)
 
     pole_faces = (None, None)
     if m.v0 is not None:

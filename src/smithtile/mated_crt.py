@@ -306,10 +306,7 @@ def mark_vertices(mm: MatedCrtMap, policy: str = "uniform-pair",
         v0, v1 = 0, n - 1
     else:
         raise ValueError(f"unknown marking policy {policy!r}")
-    base = mm.map
-    marked = CombMap(base.num_vertices, base.edge_tail, base.edge_head,
-                     base.conductance, base.next_dart, v0=v0, v1=v1)
-    return MatedCrtMap(marked, mm.exc, mm.kind)
+    return MatedCrtMap(mm.map.with_marks(v0, v1), mm.exc, mm.kind)
 
 
 # -- structural reports --------------------------------------------------------

@@ -14,13 +14,14 @@ from collections import deque
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from smithtile.convergence import AffineFit, lattice_shape
 from smithtile.map_core import (TWO_PI, CombMap, CylinderEmbedding, DualMap,
                                 MapError, build_map, wrap_angle)
 from smithtile.mated_crt import (LINE, LOWER, UPPER, Excursion, MatedCrtMap,
                                  SampleError)
-from smithtile.electrical import Conjugate, Voltage, harmonic_darts
+from smithtile.electrical import Conjugate, Voltage, harmonic_darts, snap_clusters
 from smithtile.io_json import SCHEMA, DiagramData, SchemaError
 from smithtile.rng import make_rng
 from smithtile.smith_tiling import (SmithDiagram, SmithEmbedding, TilingError,
@@ -605,6 +606,32 @@ def dirichlet_system(m: CombMap) -> tuple:
     return interior, A, b, diag
 
 
+def jacobi_cg_voltage(m: CombMap) -> tuple:
+    """``electrical.solve_voltage`` on its CG path as it ran with the
+    Jacobi preconditioner handed to CG as M = diag^-1: (voltage, the number
+    of CG iterations).  The residual checks are left out."""
+    interior, A, b, diag = dirichlet_system(m)
+    n = len(interior)
+    iters = []
+    x, info = spla.cg(A, b, rtol=1e-13, atol=0.0, M=sp.diags(1.0 / diag),
+                      maxiter=10 * math.ceil(math.sqrt(n)), callback=iters.append)
+    assert info == 0
+    h = np.zeros(m.num_vertices)
+    h[m.v1] = 1.0
+    h[interior] = np.clip(x, 0.0, 1.0)
+    v = Voltage(m, snap_clusters(m, h), 0.0, 0.0, 0.0)
+    v.eta = float(np.sum(v.dart_flow(m.vertex_darts[m.v0])))
+    return v, len(iters)
+
+
+def dual_map(m: CombMap) -> CombMap:
+    """``map_core.dual``'s map built through ``CombMap``: dual dart h runs
+    from the face right of primal dart h to the face left of it, and its
+    next dart is prev_dart[h] ^ 1."""
+    return CombMap(m.num_faces, m.face_of[0::2], m.face_of[1::2], 1.0 / m.conductance,
+                   m.prev_dart ^ 1)
+
+
 def build_diagram(m: CombMap, dmap: DualMap, v: Voltage, c: Conjugate,
                   tol: float = 1e-9) -> SmithDiagram:
     """``smith_tiling.build_diagram`` one vertex and one face at a time."""
@@ -1149,6 +1176,21 @@ def augment_all_levels(m: CombMap, v: Voltage, extra=(),
     vals2 = np.concatenate([v.values, np.array(new_vals)])
     v2 = Voltage(m2, vals2, v.residual, v.eta, v.eta_mismatch)
     return Augmented(m2, v2, emb2, len(points), tol)
+
+
+def assert_same_map(m, ref) -> None:
+    """Every field of m, cached lists included, equals ref's, with the same
+    dtypes, and m's arrays are read-only."""
+    for f in ("num_vertices", "num_edges", "num_darts", "num_faces", "v0", "v1"):
+        assert getattr(m, f) == getattr(ref, f), f
+    for f in CombMap.ARRAYS + ("marked",):
+        a, b = getattr(m, f), getattr(ref, f)
+        assert a.dtype == b.dtype and np.array_equal(a, b), f
+        assert not a.flags.writeable, f
+    for f in ("vertex_darts", "face_darts"):
+        assert len(getattr(m, f)) == len(getattr(ref, f))
+        assert all(np.array_equal(a, b) for a, b in zip(getattr(m, f), getattr(ref, f))), f
+    assert m.step_rows == ref.step_rows
 
 
 def assert_same_refinement(m, emb, m_ref, emb_ref) -> None:

@@ -1,5 +1,6 @@
 """JSON schema round-trips and the command-line interface."""
 
+import copy
 import hashlib
 import json
 import subprocess
@@ -343,6 +344,9 @@ ODD_VALUES = [None, True, False, 0, 1, -1, 2.5, -0.0, 2**70, 10**400, "1", "x",
 TOP_VALUES = [None, True, False, 0, 1, 3, -1, 2.5, "map", "smith/1", [], {},
               {"v0": 0}, {"v0": 0, "v1": 1}, {"v0": True, "v1": 1}]
 FIELD_NAMES = ["extra", "id", "ID", "theta", "x0", "tail", "level"]
+# fresh copies: a drawn list must not carry one example's edits into the next
+ODD = st.sampled_from(ODD_VALUES).map(copy.deepcopy)
+TOP = st.sampled_from(TOP_VALUES).map(copy.deepcopy)
 
 
 def _mutate(data, obj, tables):
@@ -356,7 +360,7 @@ def _mutate(data, obj, tables):
              "place", "record", "copy", "key", "dart"]))
         if what == "top":
             obj[data.draw(st.sampled_from(sorted(obj) + ["extra"]))] = \
-                data.draw(st.sampled_from(TOP_VALUES))
+                data.draw(TOP)
             continue
         if what in ("key", "dart"):
             rot = obj.get("rotation")
@@ -371,7 +375,7 @@ def _mutate(data, obj, tables):
                     new = data.draw(st.sampled_from(["x", "-1", "999", "0" + k, " " + k, k + " "]))
                     rot[new] = list(rot[k]) if isinstance(rot[k], list) else rot[k]
                 else:
-                    rot[k] = data.draw(st.sampled_from(ODD_VALUES))
+                    rot[k] = data.draw(ODD)
                 continue
             cyc = rot[k]
             if not isinstance(cyc, list) or not cyc:
@@ -379,7 +383,7 @@ def _mutate(data, obj, tables):
             j = data.draw(st.integers(0, len(cyc) - 1))
             op = data.draw(st.sampled_from(["value", "repeat", "append"]))
             if op == "value":
-                cyc[j] = data.draw(st.sampled_from(ODD_VALUES))
+                cyc[j] = data.draw(ODD)
             elif op == "repeat":
                 other = rot[data.draw(st.sampled_from(sorted(rot)))]
                 if isinstance(other, list) and other:
@@ -404,11 +408,11 @@ def _mutate(data, obj, tables):
         if what == "drop":
             del rec[f]
         elif what == "add":
-            rec[data.draw(st.sampled_from(FIELD_NAMES))] = data.draw(st.sampled_from(ODD_VALUES))
+            rec[data.draw(st.sampled_from(FIELD_NAMES))] = data.draw(ODD)
         elif what == "rename":
             rec[data.draw(st.sampled_from(FIELD_NAMES))] = rec.pop(f)
         elif what == "value":
-            rec[f] = data.draw(st.sampled_from(ODD_VALUES))
+            rec[f] = data.draw(ODD)
         elif what == "id":
             rec[f] = data.draw(st.sampled_from([i - 1, i + 1, 0, len(table), -1, 2**64, float(i)]))
         elif what == "null":

@@ -138,6 +138,24 @@ def test_lattice_solver_follows_the_mark_degree(monkeypatch, n, H, path):
     check_lattice_rows(m, v, n)
 
 
+@pytest.mark.parametrize("n, H, iters", [(32, 2.0, 28), (64, 4.0, 126), (128, 4.0, 245)])
+def test_scaled_cg_matches_jacobi_preconditioned_cg(monkeypatch, n, H, iters):
+    # CG on S A S with S = diag^(-1/2) is Jacobi-CG: the same iterations,
+    # and on these lattices the same voltages, eta and conjugate, bit for bit
+    m, emb = make_lattice(n, H)
+    spy = CountingSolvers()
+    counted = []
+    spy.cg = lambda *args, **kwargs: spy._spla.cg(*args, callback=counted.append, **kwargs)
+    monkeypatch.setattr(electrical, "spla", spy)
+    v = solve_voltage(m)
+    ref, ref_iters = oracles.jacobi_cg_voltage(m)
+    assert len(counted) == ref_iters == iters
+    assert np.array_equal(v.values, ref.values)
+    assert v.eta == ref.eta
+    dm = dual(m, emb)
+    assert np.array_equal(conjugate(dm, v).w_lift, conjugate(dm, ref).w_lift)
+
+
 def test_point_marked_map_is_factored_directly(monkeypatch):
     # the map of `smith mated-crt --gamma 1.8 --n 1024 --seed 1`: 14 darts at
     # the marks against 1022 unknowns, and no currents below the flow floor,

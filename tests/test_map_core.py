@@ -13,7 +13,7 @@ from smithtile.map_core import (bfs_tree, components, marked_cut_path,
                                 wrap_signed_array)
 
 import oracles
-from oracles import relabel_edges
+from oracles import assert_same_map, relabel_edges
 
 TWO_PI = 2.0 * math.pi
 
@@ -184,6 +184,7 @@ def test_cycles_and_dual_match_loops_under_relabeling(relabel_maps, seed):
         emb2 = None if emb is None else relabel_embedding(emb, perm, flip)
         dm = dual(m2, emb2)
         same_cycles(dm.map)
+        assert_same_map(dm.map, oracles.dual_map(m2))
         f0 = sorted({int(m2.face_of[h]) for h in m2.vertex_darts[m2.v0]})
         f1 = sorted({int(m2.face_of[h]) for h in m2.vertex_darts[m2.v1]})
         assert dm.pole_faces == (f0, f1)
@@ -346,6 +347,42 @@ def test_dual_pole_faces_flank_marked_vertices(lattice8):
         orbit = m.face_darts[f]
         assert any(int(m.dart_tail[h]) == m.v0 for h in orbit)
     assert not set(bot) & set(top)
+
+
+def test_dual_map_matches_its_combmap_build(random_maps, mated_crt64, path_map,
+                                            parallel3_map):
+    # lattices, random maps, a mated-CRT map, self-loops (the loop map and
+    # the dual of path_map) and parallel edges (the loop map, parallel3_map)
+    maps = [make_lattice(n, 4.0)[0] for n in range(3, 17)] + [m for m, _ in random_maps]
+    maps += [mated_crt64, path_map, parallel3_map, _loop_and_parallel_map()]
+    for m in maps:
+        d = dual(m).map
+        assert_same_map(d, oracles.dual_map(m))
+        assert_same_map(dual(d).map, oracles.dual_map(d))
+
+
+def test_dual_rejects_a_conductance_whose_reciprocal_overflows(path_map):
+    m = CombMap(3, path_map.edge_tail, path_map.edge_head, [1.0, 1e-320],
+                path_map.next_dart, v0=0, v1=2)
+    with np.errstate(over="ignore"), pytest.raises(
+            MapError, match="conductances must be positive and finite"):
+        dual(m)
+
+
+def test_with_marks_matches_a_full_build(mated_crt64, lattice8):
+    for m in (mated_crt64, lattice8[0]):
+        m.step_rows, m.vertex_darts, m.face_darts      # cached on the base map
+        before = (m.v0, m.v1, m.marked.copy())
+        for marks in ((1, 0), (0, m.num_vertices - 1), (None, 2), (None, None)):
+            got = m.with_marks(*marks)
+            assert_same_map(got, CombMap(m.num_vertices, m.edge_tail, m.edge_head,
+                                         m.conductance, m.next_dart, *marks))
+            assert got.vertex_darts is m.vertex_darts and got.vert_dart is m.vert_dart
+        assert (m.v0, m.v1) == before[:2] and np.array_equal(m.marked, before[2])
+        for marks in ((3, 3), (0, m.num_vertices), (-1, 2)):
+            want = map_error(CombMap, m.num_vertices, m.edge_tail, m.edge_head,
+                             m.conductance, m.next_dart, *marks)
+            assert want is not None and map_error(m.with_marks, *marks) == want
 
 
 def test_marked_cut_path_runs_bottom_to_top(lattice8):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.stats import ks_2samp
 
 import oracles
-from smithtile import (Excursion, MapError, SampleError, adjacency_oracle,
+from smithtile import (CombMap, Excursion, MapError, SampleError, adjacency_oracle,
                        build_diagram, build_map, conjugate, dual,
                        excursion_from_increments, make_rng, mark_vertices,
                        mated_crt, sample_excursion, solve_voltage, validate)
@@ -384,6 +384,20 @@ def test_mark_uniform_reproducible():
     assert base.map.v0 is None          # original untouched
     assert np.array_equal(a.map.edge_tail, base.map.edge_tail)
     assert np.array_equal(a.map.next_dart, base.map.next_dart)
+
+
+def test_marking_shares_the_base_map():
+    # the marked map equals a full build with those marks, field by field,
+    # and holds the base map's arrays and cached lists
+    base = build_mated(sample_excursion(1.8, 64, seed=3))
+    base.map.vertex_darts, base.map.face_darts, base.map.step_rows
+    for policy, seed in (("uniform-pair", 7), ("first-last", 0)):
+        m = mark_vertices(base, policy=policy, seed=seed).map
+        b = base.map
+        oracles.assert_same_map(m, CombMap(b.num_vertices, b.edge_tail, b.edge_head,
+                                           b.conductance, b.next_dart, v0=m.v0, v1=m.v1))
+        assert m.face_dart is b.face_dart and m.face_darts is b.face_darts
+        assert m.marked.sum() == 2 and not b.marked.any()
 
 
 def test_mark_unknown_policy():
