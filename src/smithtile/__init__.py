@@ -22,12 +22,11 @@ from .smith_tiling import (SmithDiagram, SmithEmbedding, TilingError,
                            render_svg, smith_embedding, validate)
 from .walk_lab import (HittingLaw, InadmissibleHeights, LevelMeasure,
                        LevelNotVertexed, StepBudgetExceeded, WalkTrace,
-                       absorption_probs, admissible_sequences,
-                       augment_all_levels, conditional_hitting,
-                       exact_law_report, expected_conditional_winding,
-                       level_measure, level_measures, level_set,
-                       projected_step_law, realized_levels, simulate,
-                       step_law)
+                       admissible_sequences, augment_all_levels,
+                       conditional_hitting, exact_law_report,
+                       expected_conditional_winding, level_measures,
+                       level_sets, projected_step_law, realized_levels,
+                       simulate)
 from .mated_crt import (Excursion, MatedCrtMap, SampleError,
                         adjacency_oracle, excursion_from_increments,
                         mark_vertices, sample_excursion)
@@ -48,11 +47,10 @@ __all__ = [
     "build_diagram", "dart_drift", "reduce_mod", "render_svg",
     "smith_embedding", "validate",
     "HittingLaw", "InadmissibleHeights", "LevelMeasure", "LevelNotVertexed",
-    "StepBudgetExceeded", "WalkTrace", "absorption_probs",
-    "admissible_sequences", "augment_all_levels", "conditional_hitting",
-    "exact_law_report", "expected_conditional_winding", "level_measure",
-    "level_measures", "level_set", "projected_step_law", "realized_levels",
-    "simulate", "step_law",
+    "StepBudgetExceeded", "WalkTrace", "admissible_sequences",
+    "augment_all_levels", "conditional_hitting", "exact_law_report",
+    "expected_conditional_winding", "level_measures", "level_sets",
+    "projected_step_law", "realized_levels", "simulate",
     "Excursion", "MatedCrtMap", "SampleError", "adjacency_oracle",
     "excursion_from_increments", "mark_vertices", "sample_excursion",
     "AffineFit", "InvarianceReport", "converge_rows", "fit_affine",

@@ -3,16 +3,21 @@
 The conductance-weighted walk steps along darts with probability proportional
 to conductance (a self-loop is stepped from either of its two darts).
 ``augment_all_levels`` inserts vertices so that every queried voltage level is
-fully vertexed, once per map.  ``level_measures`` gives the level measures of
-any number of levels in one pass: one ``segment_sums`` call takes the flow
+fully vertexed, once per map.  ``level_sets`` finds the vertices of any number
+of levels from one sort of the voltages: each level searches a window of the
+sorted values that holds every vertex within tol of it, then applies the test
+|v(x) - a| <= tol to the window alone.  ``level_measures`` gives the level
+measures of those sets in one pass: one ``segment_sums`` call takes the flow
 sums of every vertex, and one search of the edge ranges finds every crossed
 level.  On the level-graded map one forward-backward pass over the level sets
 gives the exact conditional law of the walk given its height sequence, and
 the expected winding of the re-randomized tiled-cylinder walk is a
 drift-weighted sum over the transitions the pass recorded.  The projection
-check watches the walk on a half-edge refinement at the original vertices:
-one absorption solve, with every original vertex absorbing, gives the jump
-chain of all of them at once (``projected_step_law``).
+check watches the walk on a half-edge refinement at the original vertices.
+There every free vertex (an edge midpoint) steps straight to original ones,
+so the jump chain of all of them is one sparse product
+(``projected_step_law``), held against the one-step law as a sparse matrix.
+No step of the report builds a V x V or E x E array.
 
 Monte Carlo walks all step through the one kernel ``walk``; its users are
 ``simulate`` and ``convergence.invariance_diagnostic``.  The kernel reads one
@@ -41,7 +46,7 @@ from .rng import make_rng
 # Uniforms drawn per generator call by ``uniforms``.
 BLOCK = 128
 
-# Relative bound on the flow imbalance at a level vertex in ``level_measure``.
+# Relative bound on the flow imbalance at a level vertex in ``level_measures``.
 BALANCE_TOL = 1e-9
 
 
@@ -58,18 +63,6 @@ class LevelNotVertexed(ValueError):
 
 
 # -- stepping ----------------------------------------------------------------
-
-def step_law(m: CombMap, x: int) -> dict:
-    """One-step distribution over neighbours: P(y) = sum c_xy / pi(x)."""
-    darts = m.vertex_darts[x]
-    c = m.conductance[darts >> 1]
-    tot = float(c.sum())
-    law: dict = {}
-    for h, w in zip(darts, c):
-        y = int(m.dart_head[h])
-        law[y] = law.get(y, 0.0) + float(w) / tot
-    return law
-
 
 @dataclass
 class WalkTrace:
@@ -150,10 +143,27 @@ def realized_levels(m: CombMap, v: Voltage, tol: float = 1e-12) -> np.ndarray:
     return _merge_levels(v.values[~m.marked], tol)
 
 
-def level_set(m: CombMap, v: Voltage, a: float, tol: float = 1e-12) -> np.ndarray:
-    """Non-marked vertices within tol of level a, in ascending id."""
-    x = np.flatnonzero(np.abs(v.values - a) <= tol)
-    return x[(x != m.v0) & (x != m.v1)]
+def level_sets(m: CombMap, v: Voltage, levels, tol: float = 1e-12) -> list:
+    """Per level a, the non-marked vertices x with |v(x) - a| <= tol, in
+    ascending id; levels may repeat, come in any order and share vertices.
+
+    The voltages are sorted once.  Each level searches the sorted values for
+    the window a - pad .. a + pad, pad = 2 tol + 4 eps max(1, |a|).  A vertex
+    that passes the test lies within tol (1 + eps) of a, and each window end
+    is off by at most eps (|a| + pad) / 2, so the window holds every vertex
+    that passes; the test is then applied to the window alone."""
+    a = np.asarray(levels, dtype=np.float64)
+    order = np.argsort(v.values, kind="stable")
+    h = v.values[order]
+    pad = 2.0 * tol + 4.0 * np.finfo(np.float64).eps * np.maximum(1.0, np.abs(a))
+    lo = np.searchsorted(h, a - pad, side="left")
+    cnt = np.maximum(np.searchsorted(h, a + pad, side="right") - lo, 0)
+    lev = np.repeat(np.arange(len(a)), cnt)
+    x = order[np.arange(len(lev)) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)]
+    keep = (np.abs(v.values[x] - a[lev]) <= tol) & ~m.marked[x]
+    lev, x = lev[keep], x[keep]
+    x = x[np.lexsort((x, lev))]
+    return np.split(x, np.cumsum(np.bincount(lev, minlength=len(a))))[:-1]
 
 
 def _strictly_inside(levels, lo, hi, tol: float) -> tuple:
@@ -183,9 +193,6 @@ class Augmented:
             self._measures.update(zip(new, level_measures(self.map, self.voltage, new,
                                                            self.tol)))
         return [self._measures[a] for a in levels]
-
-    def measure(self, a: float) -> LevelMeasure:
-        return self.measures([a])[0]
 
 
 def augment_all_levels(m: CombMap, v: Voltage, extra=(),
@@ -245,9 +252,10 @@ def level_measures(m: CombMap, v: Voltage, levels, tol: float = 1e-12) -> list:
     In-flow and out-flow must agree at every level vertex (harmonicity); the
     defect is asserted against BALANCE_TOL.  One pass serves all the levels:
     the flow sums of every vertex come from one ``segment_sums`` call, each
-    sum the ``np.sum`` of that vertex's darts in rotation order, and the
-    crossings of all levels from one search of the edge ranges.  A bad level
-    raises what ``level_measure`` on each level in turn would raise first."""
+    sum the ``np.sum`` of that vertex's darts in rotation order, the level
+    sets from one ``level_sets`` call, and the crossings of all levels from
+    one search of the edge ranges.  A bad level raises what a call on each
+    level alone, in turn, would raise first."""
     a = np.asarray(levels, dtype=np.float64)
     n = len(a)
     # crossings: per edge the sorted levels strictly inside its voltage range
@@ -259,8 +267,7 @@ def level_measures(m: CombMap, v: Voltage, levels, tol: float = 1e-12) -> list:
     crossed = np.empty(n, dtype=bool)
     crossed[srt] = np.cumsum(np.bincount(start[cut], minlength=n + 1)
                              - np.bincount(stop[cut], minlength=n + 1))[:n] > 0
-    # level sets, each in ascending id
-    verts = [level_set(m, v, float(b), tol) for b in a]
+    verts = level_sets(m, v, a, tol)
     lengths = np.array([len(s) for s in verts], dtype=np.int64)
     x = np.concatenate([np.zeros(0, dtype=np.int64)] + verts)
     lev = np.repeat(np.arange(n), lengths)
@@ -296,12 +303,6 @@ def level_measures(m: CombMap, v: Voltage, levels, tol: float = 1e-12) -> list:
             for i in range(n)]
 
 
-def level_measure(m: CombMap, v: Voltage, a: float, tol: float = 1e-12) -> LevelMeasure:
-    """Harmonic measure of one fully vertexed level: ``level_measures`` of
-    the one level a."""
-    return level_measures(m, v, [a], tol)[0]
-
-
 # -- exact conditional laws --------------------------------------------------
 
 @dataclass
@@ -309,10 +310,10 @@ class HittingLaw:
     """Forward-backward decomposition of the walk conditioned on its heights.
 
     conditional[i][j] = P(X_i = levels[i][j] | full height sequence); mu[i] is
-    the level measure of heights[i] on the same vertex order.  steps[i] lists
-    the transitions (j, dart, jj) from levels[i][j] to levels[i + 1][jj] in
-    the order the forward pass adds them.  forward and backward are the
-    unnormalized recursions with norm their pairing."""
+    the level measure of heights[i] on the same vertex order.  steps[i] holds
+    the arrays (j, dart, jj) of the transitions from levels[i][j] to
+    levels[i + 1][jj], in the order the forward pass adds them.  forward and
+    backward are the unnormalized recursions with norm their pairing."""
     map: CombMap
     heights: np.ndarray
     levels: list
@@ -332,44 +333,52 @@ def conditional_hitting(aug: Augmented, heights) -> HittingLaw:
     """Exact conditional law of the walk given its full voltage-level sequence.
 
     ``aug`` must vertex every height (``augment_all_levels`` with them as
-    extras); the walk starts from the level measure of heights[0].  Dense
-    recursions over the (small) level sets; no sampling."""
+    extras); the walk starts from the level measure of heights[0].  The
+    transitions between consecutive level sets are read from the rotation
+    arrays, and each recursion step adds them up in that order with one
+    ``np.bincount``; no sampling."""
     m = aug.map
     heights = np.atleast_1d(np.asarray(heights, dtype=np.float64))
-    rows = m.step_rows
-    pi, c = m.pi_weight, m.conductance.tolist()
+    pi, c, ptr = m.pi_weight, m.conductance, m.vert_ptr
 
-    levels = [level_set(m, aug.voltage, float(a), aug.tol) for a in heights]
+    levels = level_sets(m, aug.voltage, heights, aug.tol)
     for a, lv in zip(heights, levels):
         if len(lv) == 0:
             raise InadmissibleHeights(f"no vertex at level {a}")
     N = len(heights)
 
-    fwd = [aug.measure(heights[0]).mass] + [np.zeros(len(lv)) for lv in levels[1:]]
+    fwd = [aug.measures(heights[:1])[0].mass]
+    slot = np.full(m.num_vertices, -1)
     steps = []
     for i in range(N - 1):
-        nxt = {x: j for j, x in enumerate(levels[i + 1].tolist())}
-        step = [(j, g, jj) for j, x in enumerate(levels[i].tolist())
-                for g, y in zip(rows[x][0], rows[x][3]) if (jj := nxt.get(y)) is not None]
-        p = pi[levels[i]]
-        for j, g, jj in step:
-            fwd[i + 1][jj] += fwd[i][j] * c[g >> 1] / p[j]
+        # the darts of each level vertex in rotation order, kept where they
+        # land on the next level
+        lv, nxt = levels[i], levels[i + 1]
+        deg = ptr[lv + 1] - ptr[lv]
+        j = np.repeat(np.arange(len(lv)), deg)
+        g = m.vert_dart[np.arange(len(j)) + np.repeat(ptr[lv] - np.cumsum(deg) + deg, deg)]
+        slot[nxt] = np.arange(len(nxt))
+        jj = slot[m.dart_head[g]]
+        slot[nxt] = -1
+        on = jj >= 0
+        j, g, jj = j[on], g[on], jj[on]
+        fwd.append(np.bincount(jj, fwd[i][j] * c[g >> 1] / pi[lv][j], minlength=len(nxt)))
         if fwd[i + 1].sum() <= 0.0:
             raise InadmissibleHeights(
                 f"step {i + 1}: level {heights[i + 1]} unreachable from {heights[i]}")
-        steps.append(step)
+        steps.append((j, g, jj))
 
-    bwd = [np.zeros(len(lv)) for lv in levels[:-1]] + [np.ones(len(levels[-1]))]
+    bwd = [None] * (N - 1) + [np.ones(len(levels[-1]))]
     for i in range(N - 2, -1, -1):
-        p = pi[levels[i]]
-        for j, g, jj in steps[i]:
-            bwd[i][j] += c[g >> 1] / p[j] * bwd[i + 1][jj]
+        j, g, jj = steps[i]
+        bwd[i] = np.bincount(j, c[g >> 1] / pi[levels[i]][j] * bwd[i + 1][jj],
+                             minlength=len(levels[i]))
 
     norm = float(np.sum(fwd[-1]))
     if norm <= 0.0:
         raise InadmissibleHeights("height sequence has zero probability")
     cond = [fwd[i] * bwd[i] / norm for i in range(N)]
-    mus = [aug.measure(a).mass for a in heights]
+    mus = [lm.mass for lm in aug.measures(heights)]
     return HittingLaw(m, heights, levels, cond, mus, steps, fwd, bwd, norm)
 
 
@@ -382,79 +391,65 @@ def expected_conditional_winding(law: HittingLaw, diagram: SmithDiagram) -> floa
     ``diagram`` must tile the law's own map.  Zero by the winding law."""
     if diagram.map is not law.map:
         raise ValueError("diagram must tile the map of the hitting law")
-    pi, c = law.map.pi_weight, law.map.conductance.tolist()
+    pi, c = law.map.pi_weight, law.map.conductance
     total = 0.0
-    for i, step in enumerate(law.steps):
-        fwd, bwd, p = law.forward[i], law.backward[i + 1], pi[law.levels[i]]
-        for j, g, jj in step:
-            wgt = fwd[j] * c[g >> 1] / p[j] * bwd[jj]
-            if wgt != 0.0:
-                total += wgt * dart_drift(diagram, g)
+    for i, (j, g, jj) in enumerate(law.steps):
+        wgt = law.forward[i][j] * c[g >> 1] / pi[law.levels[i]][j] * law.backward[i + 1][jj]
+        on = wgt != 0.0
+        for w, h in zip(wgt[on].tolist(), g[on].tolist()):
+            total += w * dart_drift(diagram, h)
     return total / (diagram.eta * law.norm)
 
 
-# -- absorption and projection ------------------------------------------------
+# -- projection -----------------------------------------------------------------
 
-def absorption_probs(m: CombMap, absorbing) -> tuple:
-    """Exact absorption distribution: rows P(X hits w first | start v).
-
-    Dense solve of (I - P_free) X = P_free->absorbing, one factorization for
-    all the absorbing columns.  Its one caller in a stage is the projection
-    check of ``exact_law_report``, which absorbs at every original vertex of
-    a half-edge refinement: the free vertices are the E edge midpoints, so
-    the solve is E x E with V right-hand sides.  That takes 0.1-0.4 s on a
-    2-core host at E = 1277 (the gamma = 1.8, n = 512 mated-CRT map of seed
-    3), and its memory grows as E^2: 8 E^2 bytes for the matrix."""
-    absorbing = sorted(set(int(x) for x in absorbing))
-    if not absorbing:
-        raise ValueError("absorbing set must be nonempty")
-    V, na = m.num_vertices, len(absorbing)
-    stops = np.zeros(V, dtype=bool)
-    stops[absorbing] = True
-    free = np.flatnonzero(~stops)
-    nf = len(free)
-    slot = np.empty(V, dtype=np.int64)
-    slot[free] = np.arange(nf)
-    slot[absorbing] = np.arange(na)
-    # every entry adds its darts' terms from 0.0 in rotation order, as a loop
-    # over the free vertices and their darts would
-    g = m.vert_dart[np.repeat(~stops, np.diff(m.vert_ptr))]
-    x, y = m.dart_tail[g], m.dart_head[g]
-    p = m.conductance[g >> 1] / m.pi_weight[x]
-    hit = stops[y]
-    P = np.zeros((nf, nf))
-    B = np.zeros((nf, na))
-    np.add.at(P, (slot[x[~hit]], slot[y[~hit]]), p[~hit])
-    np.add.at(B, (slot[x[hit]], slot[y[hit]]), p[hit])
-    out = np.zeros((V, na))
-    out[absorbing, np.arange(na)] = 1.0
-    if nf:
-        out[free] = np.linalg.solve(np.eye(nf) - P, B)
-    return out, np.array(absorbing, dtype=np.int64)
+def _csr_sums(rows, cols, vals, shape) -> sp.csr_matrix:
+    """Sparse matrix whose entry (r, c) adds the vals given at (r, c) from
+    0.0 in input order, as a loop of ``+=`` would, with sorted columns."""
+    n = shape[1]
+    key, at = np.unique(rows * n + cols, return_inverse=True)
+    ptr = np.searchsorted(key, np.arange(shape[0] + 1) * n)
+    return sp.csr_matrix((np.bincount(at, vals), key % n, ptr), shape=shape)
 
 
-def projected_step_law(m: CombMap, originals) -> np.ndarray:
+def projected_step_law(m: CombMap, originals) -> sp.csr_matrix:
     """Jump chain of the walk watched at the original vertices: entry [i, j]
     is the probability that the next original vertex other than the i-th
     that the walk hits is the j-th (originals in ascending id); the diagonal
-    is zero.  Matches step_law of the unrefined map at loop-free vertices by
-    the series law.
+    is empty.  Every other vertex must step only to original ones, as the
+    midpoints of a half-edge refinement do, else ValueError.  On such a
+    refinement the chain matches the one-step law of the unrefined map at
+    loop-free vertices by the series law.
 
-    One absorption solve with every original vertex absorbing gives
-    Q[x, w] = sum over the darts x -> y of p(x -> y) * P(y hits w first), the
-    law of the first original vertex hit after leaving x, x itself included;
-    the jump chain is Q[x, w] / (1 - Q[x, x]) for w != x."""
-    probs, order = absorption_probs(m, originals)
-    n = len(order)
-    row = np.full(m.num_vertices, -1)
+    With the originals absorbing, a free vertex is absorbed at its first
+    step, so Q = P_oo + P_of P_fo is one sparse product: the steps out of
+    the originals times the absorption law, identity rows at the originals
+    and the one-step law at the free vertices.  Q[x, w] is the law of the
+    first original vertex hit after leaving x, x itself included, each
+    entry added over x's darts in column order; the jump chain is
+    Q[x, w] / (1 - Q[x, x]) for w != x."""
+    order = np.unique(np.fromiter(originals, dtype=np.int64))
+    if not len(order):
+        raise ValueError("originals must be nonempty")
+    V, n = m.num_vertices, len(order)
+    row = np.full(V, -1)
     row[order] = np.arange(n)
-    g = m.vert_dart[np.repeat(row >= 0, np.diff(m.vert_ptr))]
-    x = m.dart_tail[g]
+    g = m.vert_dart
+    x, y = m.dart_tail[g], m.dart_head[g]
     p = m.conductance[g >> 1] / m.pi_weight[x]
-    Q = sp.csr_matrix((p, (row[x], m.dart_head[g])), shape=(n, m.num_vertices)) @ probs
-    stay = Q.diagonal().copy()
-    np.fill_diagonal(Q, 0.0)
-    return Q / (1.0 - stay)[:, None]
+    out = row[x] >= 0
+    stuck = np.flatnonzero(~out & (row[y] < 0))
+    if len(stuck):
+        k = int(stuck[0])
+        raise ValueError(f"free vertex {x[k]} steps to free vertex {y[k]}")
+    absorb = _csr_sums(np.concatenate([order, x[~out]]),
+                       np.concatenate([np.arange(n), row[y[~out]]]),
+                       np.concatenate([np.ones(n), p[~out]]), (V, n))
+    Q = (_csr_sums(row[x[out]], y[out], p[out], (n, V)) @ absorb).tocoo()
+    stay = Q.diagonal()
+    off = Q.row != Q.col
+    r = Q.row[off]
+    return sp.csr_matrix((Q.data[off] / (1.0 - stay)[r], (r, Q.col[off])), shape=(n, n))
 
 
 # -- exact-law sweep (used by the verify command) -----------------------------
@@ -525,16 +520,20 @@ def exact_law_report(m: CombMap, v: Voltage,
         hit_dev = max(hit_dev, law.max_deviation())
         wind_dev = max(wind_dev, abs(expected_conditional_winding(law, diag)))
 
+    # the one-step law: per dart its conductance over the np.sum of its
+    # vertex's, added up per entry in rotation order; the jump chain has no
+    # self-transitions
     V = m.num_vertices
-    step = np.zeros((V, V))
-    for x in range(V):
-        law = step_law(m, x)
-        step[x, list(law)] = list(law.values())
+    g = m.vert_dart
+    x, y = m.dart_tail[g], m.dart_head[g]
+    c = m.conductance[g >> 1]
+    p = c / segment_sums(c, m.vert_ptr)[x]
+    move = x != y
+    step = _csr_sums(x[move], y[move], p[move], (V, V))
     half = [(k, 0.5) for k in range(m.num_edges)]
     m2, _e2, _origin = insert_vertices(m, None, half)
-    # the jump chain has no self-transitions
-    np.fill_diagonal(step, 0.0)
-    proj_dev = float(np.max(np.abs(step - projected_step_law(m2, range(V)))))
+    diff = abs(step - projected_step_law(m2, range(V)))
+    proj_dev = float(np.max(diff.data, initial=0.0))
 
     return {
         "level_mass_max_dev": mass_dev,

@@ -27,7 +27,7 @@ from smithtile.rng import make_rng
 from smithtile.smith_tiling import (SmithDiagram, SmithEmbedding, TilingError,
                                     _circle_pieces, reduce_mod)
 from smithtile.walk_lab import (Augmented, LevelMeasure, LevelNotVertexed,
-                               _merge_levels, level_set, realized_levels)
+                               _merge_levels, realized_levels)
 
 
 def harmonic_dart(v: Voltage, k: int) -> int:
@@ -1207,9 +1207,30 @@ def assert_same_refinement(m, emb, m_ref, emb_ref) -> None:
 
 # -- the walk-layer steps before they ran as array code ------------------------
 
+def step_law(m: CombMap, x: int) -> dict:
+    """One-step distribution over neighbours: P(y) = sum c_xy / pi(x), each
+    sum added dart by dart in rotation order."""
+    darts = m.vertex_darts[x]
+    c = m.conductance[darts >> 1]
+    tot = float(c.sum())
+    law: dict = {}
+    for h, w in zip(darts, c):
+        y = int(m.dart_head[h])
+        law[y] = law.get(y, 0.0) + float(w) / tot
+    return law
+
+
+def level_set(m: CombMap, v: Voltage, a: float, tol: float = 1e-12) -> np.ndarray:
+    """Non-marked vertices within tol of level a, in ascending id, one vertex
+    at a time (``walk_lab.level_sets`` of one level)."""
+    return np.array([x for x in range(m.num_vertices)
+                     if not m.is_marked(x) and abs(v.values[x] - a) <= tol],
+                    dtype=np.int64)
+
+
 def level_measure(m: CombMap, v: Voltage, a: float, tol: float = 1e-12,
                   balance_tol: float = 1e-9) -> LevelMeasure:
-    """``walk_lab.level_measure`` vertex by vertex."""
+    """``walk_lab.level_measures`` of the one level a, vertex by vertex."""
     ht, hh = v.values[m.edge_tail], v.values[m.edge_head]
     crossing = (np.minimum(ht, hh) + tol < a) & (a < np.maximum(ht, hh) - tol)
     if crossing.any():
@@ -1231,7 +1252,9 @@ def level_measure(m: CombMap, v: Voltage, a: float, tol: float = 1e-12,
 
 
 def absorption_probs(m: CombMap, absorbing) -> tuple:
-    """``walk_lab.absorption_probs`` filling P and B dart by dart."""
+    """Exact absorption distribution: rows P(X hits w first | start v), the
+    absorbing set in ascending id.  A dense solve of (I - P_free) X =
+    P_free->absorbing, with P and B filled dart by dart."""
     absorbing = sorted(set(int(x) for x in absorbing))
     if not absorbing:
         raise ValueError("absorbing set must be nonempty")

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from smithtile import (TilingReport, build_diagram, build_map, conjugate,
                        dart_drift, dual, make_lattice, mark_vertices,
-                       reduce_mod, render_svg, smith_embedding,
-                       solve_voltage, validate)
+                       reduce_mod, render_svg, sample_excursion,
+                       smith_embedding, solve_voltage, validate)
 from smithtile.mated_crt import build_map as build_mated
 from smithtile import smith_tiling
 from smithtile.smith_tiling import TilingError, _circle_pieces
@@ -172,6 +172,25 @@ def test_weak_current_does_not_split_a_falling_run(map_seed, mark_seed):
                       seed=mark_seed).map
     rep = validate(diagram_for(m))
     assert rep.passed(1e-9), rep
+
+
+@pytest.mark.parametrize("seed, x, flows", [(18, 61, (-2.05e-12, 9.1e-13)),
+                                            (30, 105, (4.11e-12, -9.1e-13))])
+def test_flow_floor_keeps_one_sided_noise_a_point_segment(seed, x, flows):
+    # the gamma = 1.8, n = 256 maps of `smith mated-crt --seed 18` and `30`:
+    # vertex x of a snapped cluster keeps two rounding-noise flows of
+    # opposite signs, one above the flow floor (1e-12) and one below it.
+    # Classed against the floor, its darts carry one class only, so its
+    # segment is a point of length exactly 0; classed against 0 it would
+    # open to the larger flow, 2.1e-12 and 4.1e-12.
+    m = mark_vertices(build_mated(sample_excursion(1.8, 256, seed)), seed=seed).map
+    v = solve_voltage(m)
+    dm = dual(m)
+    d = build_diagram(m, dm, v, conjugate(dm, v))
+    fl = v.dart_flow(m.vertex_darts[x])
+    assert fl[fl != 0.0] == pytest.approx(flows, rel=0.01)
+    assert d.hseg_len[x] == 0.0
+    assert validate(d).passed(1e-9)
 
 
 # -- array code against the loop oracle ----------------------------------------

@@ -1,20 +1,24 @@
 """Walk laws: stepping, level machinery, exact conditional laws."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import oracles
-from smithtile import walk_lab
+from smithtile import mated_crt, walk_lab
 from smithtile.convergence import invariance_diagnostic
 from smithtile.rng import make_rng
+from oracles import absorption_probs, step_law
 from smithtile import (InadmissibleHeights, LevelNotVertexed,
-                       StepBudgetExceeded, Voltage, absorption_probs,
-                       admissible_sequences, augment_all_levels, build_diagram,
-                       build_map, conditional_hitting, conjugate, dart_drift,
-                       dual, exact_law_report, expected_conditional_winding,
-                       insert_vertices, level_measure, level_set,
+                       StepBudgetExceeded, Voltage, admissible_sequences,
+                       augment_all_levels, build_diagram, build_map,
+                       conditional_hitting, conjugate, dart_drift, dual,
+                       exact_law_report, expected_conditional_winding,
+                       insert_vertices, level_measures, level_sets,
                        projected_step_law, realized_levels, simulate,
-                       solve_voltage, step_law)
+                       solve_voltage)
 
 
 def diagram_for(m, emb=None):
@@ -23,7 +27,7 @@ def diagram_for(m, emb=None):
     return build_diagram(m, dm, v, conjugate(dm, v))
 
 
-# -- one-step law ------------------------------------------------------------
+# -- one-step law (the oracle the projection check is held against) ----------
 
 def test_step_law_uniform(path_map):
     assert step_law(path_map, 1) == pytest.approx({0: 0.5, 2: 0.5})
@@ -100,6 +104,13 @@ def test_realized_levels(path_map, rung_map, lattice8_solved):
         (np.arange(M) + 1.0) / (M + 1), abs=1e-10)
 
 
+def chain_map(values) -> tuple:
+    """A path of six vertices, marked at its ends, with the given voltages."""
+    m = build_map(6, [(i, i + 1, 1.0) for i in range(5)],
+                  [[0]] + [[2 * i - 1, 2 * i] for i in range(1, 5)] + [[9]], marked=(0, 5))
+    return m, Voltage(m, np.array(values, dtype=np.float64), 0.0, 1.0, 0.0)
+
+
 def test_merge_levels_keeps_a_chain_of_close_values_apart():
     # each value is kept if it is more than tol above the last kept one, so a
     # chain of values tol/2 apart keeps every second one, and a dropped value
@@ -108,18 +119,15 @@ def test_merge_levels_keeps_a_chain_of_close_values_apart():
     tol = 1e-12
     chain = [0.0, 0.6e-12, 1.2e-12, 1.8e-12]
     assert walk_lab._merge_levels(chain, tol).tolist() == [0.0, 1.2e-12]
-    m = build_map(6, [(i, i + 1, 1.0) for i in range(5)],
-                  [[0]] + [[2 * i - 1, 2 * i] for i in range(1, 5)] + [[9]], marked=(0, 5))
-    v = Voltage(m, np.array([0.0] + chain + [1.0]), 0.0, 1.0, 0.0)
+    m, v = chain_map([0.0] + chain + [1.0])
     assert realized_levels(m, v, tol).tolist() == [0.0, 1.2e-12]
-    assert level_set(m, v, 0.0, tol).tolist() == [1, 2]
-    assert level_set(m, v, 1.2e-12, tol).tolist() == [2, 3, 4]
+    assert [s.tolist() for s in level_sets(m, v, [0.0, 1.2e-12], tol)] == [[1, 2], [2, 3, 4]]
 
 
 def test_level_set_row(lattice8_solved):
     m, _, v = lattice8_solved
     M = (m.num_vertices - 2) // 8
-    got = level_set(m, v, 2.0 / (M + 1), tol=1e-9)
+    got, = level_sets(m, v, [2.0 / (M + 1)], tol=1e-9)
     assert got.tolist() == list(range(8, 16))
 
 
@@ -130,7 +138,7 @@ def test_level_augment_parallel(parallel3_map):
     assert aug.inserted == 3
     assert aug.map.num_vertices == 5
     assert np.allclose(aug.voltage.values[2:], 0.4)
-    lm = level_measure(aug.map, aug.voltage, 0.4)
+    lm, = level_measures(aug.map, aug.voltage, [0.4])
     assert np.allclose(lm.mass, 1.0 / 3.0, atol=1e-12)
     assert lm.total == pytest.approx(1.0, abs=1e-12)
 
@@ -205,7 +213,7 @@ def test_augment_all_levels_matches_loop(refinement_cases):
 
 def test_level_measure_path_atom(path_map):
     v = solve_voltage(path_map)
-    lm = level_measure(path_map, v, 0.5)
+    lm, = level_measures(path_map, v, [0.5])
     assert lm.vertices.tolist() == [1]
     assert lm.mass.tolist() == pytest.approx([1.0])
     assert lm.as_dict() == pytest.approx({1: 1.0})
@@ -214,7 +222,7 @@ def test_level_measure_path_atom(path_map):
 def test_level_measure_lattice_uniform(lattice8_solved):
     m, _, v = lattice8_solved
     M = (m.num_vertices - 2) // 8
-    lm = level_measure(m, v, 3.0 / (M + 1), tol=1e-9)
+    lm, = level_measures(m, v, [3.0 / (M + 1)], tol=1e-9)
     assert len(lm.vertices) == 8
     assert np.allclose(lm.mass, 1.0 / 8.0, atol=1e-10)
 
@@ -223,7 +231,7 @@ def test_level_measure_requires_vertexed(lattice8_solved):
     m, _, v = lattice8_solved
     M = (m.num_vertices - 2) // 8
     with pytest.raises(LevelNotVertexed, match="crosses"):
-        level_measure(m, v, 1.5 / (M + 1))
+        level_measures(m, v, [1.5 / (M + 1)])
 
 
 # -- exact conditional laws ---------------------------------------------------
@@ -328,7 +336,7 @@ def test_winding_rejects_diagram_of_another_map(parallel3_map):
         expected_conditional_winding(law, diagram_for(parallel3_map))
 
 
-# -- absorption and projection ------------------------------------------------
+# -- absorption (the dense oracle) and projection --------------------------------
 
 def test_absorption_path(path_map, path4_map):
     probs, order = absorption_probs(path_map, {0, 2})
@@ -359,7 +367,7 @@ def test_absorption_empty(path_map):
 def test_projected_step_law_matches(rung_map):
     half = [(k, 0.5) for k in range(rung_map.num_edges)]
     m2, _, _ = insert_vertices(rung_map, None, half)
-    got = projected_step_law(m2, range(rung_map.num_vertices))
+    got = projected_step_law(m2, range(rung_map.num_vertices)).toarray()
     for x in range(rung_map.num_vertices):
         want = step_law(rung_map, x)
         assert got[x, x] == 0.0
@@ -376,20 +384,79 @@ def loop_bundle_map():
                      marked=(0, 3))
 
 
+def parallel4_map():
+    """Four parallel edges out of id order in the rotation: one entry of the
+    one-step law adds four terms, in rotation order."""
+    return build_map(4, [(0, 1, 1.0)] + [(1, 2, c) for c in (0.1, 0.2, 0.7, 0.6)]
+                     + [(2, 3, 1.0)],
+                     [[0], [1, 6, 2, 8, 4], [10, 5, 9, 3, 7], [11]], marked=(0, 3))
+
+
 def test_projected_step_law_matches_per_vertex_oracle(random_maps, rung_map,
                                                       parallel3_map, crt48_maps):
     loops = loop_bundle_map()
     assert step_law(loops, 1)[1] > 0.0 and step_law(loops, 3)[3] > 0.0
-    maps = [m for m, _ in random_maps] + [rung_map, parallel3_map, *crt48_maps, loops]
+    maps = [m for m, _ in random_maps] + [rung_map, parallel3_map, *crt48_maps, loops,
+                                          parallel4_map()]
     for m in maps:
         V = m.num_vertices
         m2, _, _ = insert_vertices(m, None, [(k, 0.5) for k in range(m.num_edges)])
-        got = projected_step_law(m2, range(V))
+        got = projected_step_law(m2, range(V)).toarray()
         want = np.zeros((V, V))
         for x in range(V):
             for w, p in oracles.projected_step_law(m2, range(V), x).items():
                 want[x, w] = p
         assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_projected_step_law_is_the_dense_solve_bit_for_bit(random_maps, rung_map,
+                                                          parallel3_map, crt48_maps):
+    # the dense form: the absorption solve against the identity with every
+    # original vertex absorbing, then the steps out of the originals times it
+    self_loop = build_map(2, [(0, 1, 1.0), (0, 0, 2.0)], [[0, 2, 3], [1]], marked=(0, 1))
+    maps = [m for m, _ in random_maps[:8]] + [rung_map, parallel3_map, *crt48_maps,
+                                              loop_bundle_map(), parallel4_map(), self_loop]
+    for m in maps:
+        V = m.num_vertices
+        m2, _, _ = insert_vertices(m, None, [(k, 0.5) for k in range(m.num_edges)])
+        probs, _ = absorption_probs(m2, range(V))
+        g = m2.vert_dart[m2.dart_tail[m2.vert_dart] < V]
+        x = m2.dart_tail[g]
+        step = sp.csr_matrix((m2.conductance[g >> 1] / m2.pi_weight[x], (x, m2.dart_head[g])),
+                             shape=(V, m2.num_vertices))
+        Q = step @ probs
+        stay = Q.diagonal().copy()
+        np.fill_diagonal(Q, 0.0)
+        want = Q / (1.0 - stay)[:, None]
+        assert np.array_equal(projected_step_law(m2, range(V)).toarray(), want)
+
+
+def test_projected_step_law_needs_one_step_absorption(path_map):
+    # two points on one edge: the first steps to the second, so the walk from
+    # a free vertex is not absorbed at its first step
+    m2, _, _ = insert_vertices(path_map, None, [(0, 1 / 3), (0, 2 / 3)])
+    with pytest.raises(ValueError, match="^free vertex 3 steps to free vertex 4$"):
+        projected_step_law(m2, range(path_map.num_vertices))
+    with pytest.raises(ValueError, match="nonempty"):
+        projected_step_law(m2, [])
+
+
+def test_exact_law_report_memory_stays_sparse():
+    # the gamma = 1.8, n = 512 mated-CRT map of `smith mated-crt --seed 3`
+    # (V = 512, E = 1277): the dense E x E absorption solve alone took 12 MB
+    # and the V x V step matrix 2 MB, with a traced peak of 64 MB
+    mm = mated_crt.mark_vertices(mated_crt.build_map(
+        mated_crt.sample_excursion(1.8, 512, 3)), seed=3)
+    m = mm.map
+    v = solve_voltage(m)
+    assert (m.num_vertices, m.num_edges) == (512, 1277)
+    tracemalloc.start()
+    try:
+        exact_law_report(m, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
 
 
 def test_exact_law_report_projection_skips_self_transitions():
@@ -612,32 +679,12 @@ def test_walk_draw_rounding_up_picks_last_dart():
 
 # -- array kernels against the loops they replaced ------------------------------
 
-def test_absorption_probs_matches_loop(random_maps, parallel3_map, rung_map):
-    self_loop = build_map(2, [(0, 1, 1.0), (0, 0, 2.0)], [[0, 2, 3], [1]], marked=(0, 1))
-    # four parallel edges out of id order in the rotation: one entry adds four
-    # terms, in rotation order
-    bundle = build_map(4, [(0, 1, 1.0)] + [(1, 2, c) for c in (0.1, 0.2, 0.7, 0.6)]
-                       + [(2, 3, 1.0)],
-                       [[0], [1, 6, 2, 8, 4], [10, 5, 9, 3, 7], [11]], marked=(0, 3))
-    maps = [m for m, _ in random_maps[:8]] + [parallel3_map, rung_map, self_loop, bundle]
-    for m in maps:
-        half, _, _ = insert_vertices(m, None, [(k, 0.5) for k in range(m.num_edges)])
-        for mm in (m, half):
-            V = mm.num_vertices
-            order = make_rng(V).permutation(V)
-            for size in sorted({1, 2, V // 3, V // 2, V - 2, V - 1} - {0}):
-                got = absorption_probs(mm, order[:size])
-                want = oracles.absorption_probs(mm, order[:size])
-                assert np.array_equal(got[0], want[0])
-                assert np.array_equal(got[1], want[1])
-
-
 def test_level_measure_matches_loop(random_maps, lattice8):
     for m, emb in list(random_maps[:8]) + [lattice8]:
         v = solve_voltage(m)
         aug = augment_all_levels(m, v, emb=emb)
-        for a in realized_levels(m, v):
-            got = level_measure(aug.map, aug.voltage, a)
+        levels = realized_levels(m, v)
+        for a, got in zip(levels, level_measures(aug.map, aug.voltage, levels)):
             want = oracles.level_measure(aug.map, aug.voltage, a)
             assert got.vertices.tolist() == want.vertices.tolist()
             assert got.mass.tobytes() == want.mass.tobytes()
@@ -653,7 +700,8 @@ def test_level_measure_names_first_imbalanced_vertex(lattice8_solved):
     bad = Voltage(m, values, v.residual, v.eta, v.eta_mismatch)
     a = float(values[3 * 8])
     errors = []
-    for measure in (level_measure, oracles.level_measure):
+    for measure in (lambda *args: level_measures(*args[:2], [args[2]]),
+                    oracles.level_measure):
         with pytest.raises(ValueError, match="^vertex 26: flow imbalance") as err:
             measure(m, bad, a)
         errors.append(str(err.value))
@@ -665,12 +713,6 @@ def test_level_measure_names_first_imbalanced_vertex(lattice8_solved):
 # conjugated and tiled the map again for every height sequence.  The report
 # built on one level-graded map must reproduce them bit for bit, including the
 # deviations of maps that fail verify.
-
-def ref_level_set(m, v, a, tol=1e-12):
-    return np.array([x for x in range(m.num_vertices)
-                     if not m.is_marked(x) and abs(v.values[x] - a) <= tol],
-                    dtype=np.int64)
-
 
 def ref_first_crossing(m, v, a, tol=1e-12):
     for k in range(m.num_edges):
@@ -688,10 +730,10 @@ def ref_conditional_hitting(m, v, heights, emb=None, tol=1e-12):
     aug = augment_all_levels(m, v, extra=heights, emb=emb, tol=tol)
     m2, v2 = aug.map, aug.voltage
     pi = m2.pi_weight
-    levels = [ref_level_set(m2, v2, float(a), tol) for a in heights]
+    levels = [oracles.level_set(m2, v2, float(a), tol) for a in heights]
     index = [{int(x): j for j, x in enumerate(lv)} for lv in levels]
     N = len(heights)
-    mu0 = level_measure(m2, v2, float(heights[0]), tol).as_dict()
+    mu0 = oracles.level_measure(m2, v2, float(heights[0]), tol).as_dict()
     fwd = [np.zeros(len(lv)) for lv in levels]
     fwd[0] = np.array([mu0.get(int(x), 0.0) for x in levels[0]])
     for i in range(N - 1):
@@ -720,7 +762,7 @@ def ref_conditional_hitting(m, v, heights, emb=None, tol=1e-12):
     cond = [fwd[i] * bwd[i] / norm for i in range(N)]
     mus = []
     for a, lv in zip(heights, levels):
-        lm = level_measure(m2, v2, float(a), tol).as_dict()
+        lm = oracles.level_measure(m2, v2, float(a), tol).as_dict()
         mus.append(np.array([lm.get(int(x), 0.0) for x in lv]))
     return m2, v2, aug.emb, levels, cond, mus, fwd, bwd, norm
 
@@ -757,7 +799,8 @@ def ref_exact_law_report(m, v, emb=None, num_sequences=5, length=4, seed=0):
     noise = float(np.finfo(np.float64).eps) * float(max(1.0, aug.map.conductance.max()))
     mass_dev = 0.0
     for a in realized_levels(aug.map, aug.voltage):
-        mass_dev = max(mass_dev, abs(level_measure(aug.map, aug.voltage, a).total - 1.0))
+        mass_dev = max(mass_dev, abs(oracles.level_measure(aug.map, aug.voltage, a).total
+                                     - 1.0))
     hit_dev = 0.0
     wind_dev = 0.0
     sequences = admissible_sequences(m, v, num_sequences, length, seed)
@@ -828,12 +871,12 @@ def test_hitting_and_winding_match_reference(law_maps):
 
 def test_exact_law_report_builds_once(random_maps, monkeypatch):
     # one augmentation, dual, conjugate and diagram per report, one pass for
-    # all the level measures and one absorption solve for the projection
+    # all the level measures and one sparse product for the projection
     m, emb = random_maps[1]
     v = solve_voltage(m)
     calls = {}
     for name in ("augment_all_levels", "dual", "conjugate", "build_diagram",
-                 "level_measures", "level_measure", "absorption_probs"):
+                 "level_measures", "projected_step_law"):
         def counted(*args, _f=getattr(walk_lab, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _f(*args, **kwargs)
@@ -841,7 +884,7 @@ def test_exact_law_report_builds_once(random_maps, monkeypatch):
     walk_lab.exact_law_report(m, v, emb)
     assert len(realized_levels(m, v)) > 1
     assert calls == {"augment_all_levels": 1, "dual": 1, "conjugate": 1,
-                     "build_diagram": 1, "level_measures": 1, "absorption_probs": 1}
+                     "build_diagram": 1, "level_measures": 1, "projected_step_law": 1}
 
 
 def test_level_measures_match_per_level(law_maps):
@@ -854,7 +897,7 @@ def test_level_measures_match_per_level(law_maps):
         got = walk_lab.level_measures(aug.map, aug.voltage, order)
         assert len(got) == len(order)
         for lm, a in zip(got, order):
-            for want in (level_measure(aug.map, aug.voltage, a),
+            for want in (level_measures(aug.map, aug.voltage, [a])[0],
                          oracles.level_measure(aug.map, aug.voltage, a)):
                 assert lm.level == want.level
                 assert lm.vertices.tolist() == want.vertices.tolist()
@@ -913,18 +956,46 @@ def test_level_measures_raise_like_per_level(law_maps, lattice8_solved, path_map
     assert raised == {None, LevelNotVertexed, ValueError}
 
 
-def test_level_set_and_crossing_match_loops(law_maps):
-    for m, emb in law_maps:
+def test_level_set_and_crossing_match_loops(law_maps, path_map):
+    # each probe alone and all of them in one call: repeated, out of order,
+    # and at tol = 0
+    cases = []
+    for m, _emb in law_maps:
         v = solve_voltage(m)
         lv = realized_levels(m, v)
         probes = list(lv) + [0.0, 1.0, 0.37, 0.5]
         if len(lv) > 1:
             probes += list((lv[:-1] + lv[1:]) / 2)
+        cases.append((m, v, probes, (0.0, 1e-12, 1e-9)))
         for a in probes:
-            for tol in (1e-12, 1e-9):
-                assert level_set(m, v, a, tol).tolist() == ref_level_set(m, v, a, tol).tolist()
             k = ref_first_crossing(m, v, a)
             if k is None:
                 continue
             with pytest.raises(LevelNotVertexed, match=f"^edge {k} crosses level"):
-                level_measure(m, v, a)
+                level_measures(m, v, [a])
+    # the chained levels of test_merge_levels_keeps_a_chain_of_close_values_apart,
+    # whose sets overlap
+    chain = [0.0, 0.6e-12, 1.2e-12, 1.8e-12]
+    cases.append((*chain_map([0.0] + chain + [1.0]), chain, (0.0, 0.6e-12, 1e-12)))
+    # levels exactly tol from a vertex and one ulp further, where the window
+    # must not cut the set short
+    tol = 2.0 ** -40
+    near = [b for a in (0.5 - tol, 0.5 + tol) for b in (a, np.nextafter(a, 0.0),
+                                                          np.nextafter(a, 1.0))]
+    cases.append((path_map, solve_voltage(path_map), near, (tol,)))
+    # large voltages, whose rounding dwarfs tol
+    ulp = float(np.spacing(1e8))
+    big = [1e8 + k * ulp for k in range(4)]
+    cases.append((*chain_map([0.0] + big + [2e8]), big, (0.0, 1e-12, 1.5 * ulp)))
+    for m, v, probes, tols in cases:
+        many = probes[::-1] + probes[::2]
+        for tol in tols:
+            for a in probes:
+                got, = level_sets(m, v, [a], tol)
+                assert got.tolist() == oracles.level_set(m, v, a, tol).tolist()
+            got = level_sets(m, v, many, tol)
+            assert [s.tolist() for s in got] == \
+                [oracles.level_set(m, v, a, tol).tolist() for a in many]
+            assert level_sets(m, v, [], tol) == []
+    overlap = level_sets(*cases[-1][:2], big[1:3], 1.5 * ulp)
+    assert [s.tolist() for s in overlap] == [[1, 2, 3], [2, 3, 4]]
