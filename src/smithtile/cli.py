@@ -1,7 +1,6 @@
 """Command-line surface: a single binary with subcommands built for piping.
 
-    smith mated-crt --gamma 1.4 --n 64 --seed 7 | smith solve | \
-        smith tile | smith render -o tiling.svg
+    smith mated-crt --gamma 1.4 --n 64 --seed 7 | smith tile | smith render -o tiling.svg
 
 All JSON documents carry schema "smith/1".  Exit codes: 0 success,
 1 validation or computation failure, 2 usage error.  Every output is
@@ -25,6 +24,22 @@ SCHEMA_NOTE = 'reads/writes JSON with "schema": "smith/1"'
 
 class CliError(RuntimeError):
     pass
+
+
+def _int_from(lo, hi=None, span=None):
+    """An argparse type: an integer of at least lo, and below hi if given,
+    with span naming the interval in the error."""
+    def parse(text):
+        v = int(text)
+        if v < lo or (hi is not None and v >= hi):
+            raise argparse.ArgumentTypeError(
+                f"need an integer {span or f'>= {lo}'}, got {v}")
+        return v
+    parse.__name__ = "int"      # argparse's name for a value int() rejects
+    return parse
+
+
+SEED = _int_from(0, 2**64, "in [0, 2**64)")     # the 64-bit keys of rng.make_rng
 
 
 def _read_json(path):
@@ -207,7 +222,7 @@ def _build_parser():
     sp.add_argument("diagram", nargs="?", default="-")
     sp.add_argument("-o", "--output", default="-")
     sp.add_argument("--color-by", choices=("order", "size"), default="order")
-    sp.add_argument("--width", type=int, default=800, help="pixel width")
+    sp.add_argument("--width", type=_int_from(1), default=800, help="pixel width")
     sp.add_argument("--no-segments", action="store_true",
                     help="omit the horizontal vertex segments")
 
@@ -216,10 +231,11 @@ def _build_parser():
     sp.add_argument("map", nargs="?", default="-")
     sp.add_argument("-o", "--output", default=None,
                     help="optional verify-report JSON path")
-    sp.add_argument("--sequences", type=int, default=5,
+    sp.add_argument("--sequences", type=_int_from(1), default=5,
                     help="admissible height sequences to test (default 5)")
-    sp.add_argument("--length", type=int, default=4)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--length", type=_int_from(2), default=4,
+                    help="heights per sequence, at least 2 (default 4)")
+    sp.add_argument("--seed", type=SEED, default=0)
     sp.add_argument("--tol", type=float, default=1e-9,
                     help="geometric tolerance (default 1e-9)")
     sp.add_argument("--tol-algebraic", type=float, default=1e-10)
@@ -229,8 +245,8 @@ def _build_parser():
     sp.add_argument("--gamma", type=float, default=1.0,
                     help="coupling parameter in (0, 2) (default 1.0)")
     sp.add_argument("--n", type=int, default=32, help="number of cells")
-    sp.add_argument("--seed", type=int, default=None,
-                    help="RNG seed (required unless --increments is given)")
+    sp.add_argument("--seed", type=SEED, default=None,
+                    help="RNG seed in [0, 2**64) (required unless --increments is given)")
     sp.add_argument("--increments", default=None,
                     help="JSON file with 'dl'/'dr' increment arrays instead "
                          "of sampling")

@@ -20,12 +20,16 @@ diagram: {"schema", "kind": "diagram", "eta",
 Numbers are written by Python's float repr (shortest string that round-trips
 the IEEE double), so a document parsed back from ``dump_json`` is bit-exact.
 ``dump_json`` is deterministic: sorted keys, two-space indent, trailing
-newline.  It formats each distinct nonzero float of a document once,
-through a memo that lives for one call, since a vertex voltage reappears as
-a segment level and as rectangle and segment bounds.  Zeros are formatted
-where they occur: 0.0 == -0.0, so a memo keyed by value would give both one
-repr.  The writers build their records from whole array columns
-(``ndarray.tolist``).
+newline.  ``map_to_json`` and ``diagram_to_json`` hold their tables
+(``vertices``, ``edges``, ``rects``, ``hsegs``, ``vsegs``) as ``Table``s:
+one array per field, with a null mask for a float field.  ``dump_json``
+writes a table from its arrays.  It formats each distinct float bit pattern
+of the document's tables once, since a vertex voltage reappears as a
+segment level and as rectangle and segment bounds; 0.0 and -0.0 keep their
+own reprs.  Each table's records fill one %-template.  ``Table.records()``
+gives the records as dicts, for a caller that edits a document; the stdlib
+writes them to the same bytes.  The ``rotation`` is a ``Rotation``, written
+from the map's ``vert_ptr`` and ``vert_dart``.
 
 The readers check each table (``vertices``, ``edges``, ``rotation``,
 ``rects``, ``hsegs``, ``vsegs``) a column at a time: the field set of every
@@ -42,7 +46,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -63,100 +67,191 @@ class SchemaError(ValueError):
 def dump_json(obj) -> str:
     """The bytes of ``json.dumps(obj, indent=2, sort_keys=True,
     allow_nan=False) + "\n"``, written without the stdlib's pure-Python
-    indenting encoder.
+    indenting encoder, where a ``Table`` or ``Rotation`` stands for its
+    ``records()``.
 
     Scalars are encoded by ``float.__repr__``, ``int.__repr__`` and
-    ``encode_basestring_ascii``, a whole column of one type at a time; a list
-    of dicts with one key set (the records of a table) fills one %-template
-    per record.  The values of a dict form one column, and the items of a
-    list of lists (the rotation) one flat column.  ``float.__repr__`` runs
-    once per distinct nonzero float of the document: a memo for this call
-    maps each float written so far to its repr.  Zeros are formatted where
-    they occur, since 0.0 == -0.0 would share one memo entry.  What this
-    writer does not cover (keys that are not strings, scalar subclasses,
-    unknown types, non-finite floats) goes to the stdlib, which encodes it
-    or raises its own error."""
+    ``encode_basestring_ascii``, a whole column of one type at a time: the
+    items of a list, or the values of a dict.  A ``Table`` or ``Rotation``
+    is written from its arrays (see ``_table_text`` and ``_rotation``).
+    What this writer does not cover (keys that are not strings, scalar
+    subclasses, unknown types, non-finite floats) goes to the stdlib, which
+    encodes it or raises its own error."""
     try:
-        return _encode(obj, "\n", _Reprs()) + "\n"
+        tops = obj.values() if type(obj) is dict else ()
+        return _encode(obj, "\n", _table_text([t for t in tops if type(t) is Table])) + "\n"
     except _Unsupported:
-        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
+                          default=_table_records) + "\n"
 
 
 class _Unsupported(Exception):
     """A value that dump_json leaves to the stdlib encoder."""
 
 
-class _Reprs(dict):
-    """The float memo of one document: each float met so far to its repr.
-    Zeros are formatted each time they occur, since 0.0 == -0.0 would share
-    one entry."""
+class Table:
+    """A table of a document (``vertices``, ``edges``, ``rects``, ...) held
+    by column for ``dump_json``: one record per row, the field names in
+    sorted order.
 
-    def __missing__(self, u):
-        if not math.isfinite(u):
+    ``cols`` holds one int or float array per field, all of one length;
+    ``null`` per field None, or for a float column a boolean mask of the
+    entries written as null, whose array values are ignored."""
+
+    def __init__(self, columns: dict, null: dict | None = None):
+        null = null or {}
+        self.fields = sorted(columns)
+        self.cols = [np.asarray(columns[f]) for f in self.fields]
+        self.null = [None if null.get(f) is None else np.asarray(null[f], dtype=bool)
+                     for f in self.fields]
+        n = len(self.cols[0])
+        for f, a, mask in zip(self.fields, self.cols, self.null):
+            if a.ndim != 1 or a.dtype.kind not in "iuf" or len(a) != n:
+                raise TypeError(f"table column {f!r}: need a 1-d int or float "
+                                "array as long as the others")
+            if mask is not None and (a.dtype.kind != "f" or mask.shape != a.shape):
+                raise TypeError(f"table column {f!r}: a null mask needs a float "
+                                "column of its length")
+
+    def __len__(self) -> int:
+        return len(self.cols[0])
+
+    def records(self) -> list:
+        """The records as dicts of Python scalars, None where null: the
+        table as ``json.loads`` reads it back."""
+        cols = []
+        for a, null in zip(self.cols, self.null):
+            col = a.tolist()
+            if null is not None:
+                for i in np.flatnonzero(null).tolist():
+                    col[i] = None
+            cols.append(col)
+        return [dict(zip(self.fields, row)) for row in zip(*cols)]
+
+
+class Rotation:
+    """A map's rotation object held by its arrays for ``dump_json``: the
+    darts of vertex v in counterclockwise order are ``dart[ptr[v]:ptr[v +
+    1]]``, keyed by ``str(v)``."""
+
+    def __init__(self, ptr, dart):
+        self.ptr = np.asarray(ptr, dtype=np.int64)
+        self.dart = np.asarray(dart, dtype=np.int64)
+
+    def records(self) -> dict:
+        """The rotation as ``json.loads`` reads it back."""
+        darts, ptr = self.dart.tolist(), self.ptr.tolist()
+        return {str(v): darts[ptr[v]:ptr[v + 1]] for v in range(len(ptr) - 1)}
+
+
+def _table_records(obj):
+    """The stdlib encoder's ``default``: the records of a Table or a
+    Rotation; anything else is not serializable."""
+    if type(obj) not in (Table, Rotation):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return obj.records()
+
+
+def _table_text(tables) -> dict:
+    """The column values of each table as the %-operands of ``_table``, by
+    the table's id: the ints of an int column, the encoded entries of a
+    float column.
+
+    The floats of all the tables are formatted together, ``float.__repr__``
+    running once per distinct bit pattern (so 0.0 and -0.0 stay apart);
+    null entries are written as null."""
+    floats = [a if null is None else a[~null]
+              for t in tables for a, null in zip(t.cols, t.null) if a.dtype.kind == "f"]
+    if floats:
+        flat = np.concatenate(floats, dtype=np.float64)
+        if not np.isfinite(flat).all():
             raise _Unsupported
-        s = float.__repr__(u)
-        if u:
-            self[u] = s
-        return s
+        bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+        reprs = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())),
+                         dtype=object)[inverse]
+        floats = iter(np.split(reprs, np.cumsum(list(map(len, floats)))[:-1]))
+    out = {}
+    for t in tables:
+        cols = out[id(t)] = []
+        for a, null in zip(t.cols, t.null):
+            if a.dtype.kind != "f":
+                cols.append(a.tolist())
+            elif null is None:
+                cols.append(next(floats).tolist())
+            else:
+                col = np.full(len(a), "null", dtype=object)
+                col[~null] = next(floats)
+                cols.append(col.tolist())
+    return out
 
 
-# encoders of a list of scalars of one exact type, given the float memo
+def _table(t, cols, nl) -> str:
+    """A table's records, filled into one %-template: ints by %d, which
+    writes int.__repr__'s digits, and floats and nulls by %s from their
+    encoded entries."""
+    if not len(t):
+        return "[]"
+    inner, field = nl + "  ", nl + "    "
+    spec = [": %s" if a.dtype.kind == "f" else ": %d" for a in t.cols]
+    record = "{" + field + ("," + field).join(
+        encode_basestring_ascii(f).replace("%", "%%") + s
+        for f, s in zip(t.fields, spec)) + inner + "}"
+    return ("[" + inner + ("," + inner).join([record] * len(t)) + nl + "]") % tuple(
+        chain.from_iterable(zip(*cols)))
+
+
+def _rotation(r, nl) -> str:
+    """A rotation object, filled into one %-template: in the order of the
+    sorted keys, each vertex's id and then its darts, under a template that
+    depends on its degree only."""
+    V = len(r.ptr) - 1
+    if not V:
+        return "{}"
+    inner, item = nl + "  ", nl + "    "
+    keys = np.argsort(np.arange(V).astype(str), kind="stable")
+    deg = np.diff(r.ptr)[keys]
+    form = {k: '"%d": [' + item + ("," + item).join(["%d"] * k) + inner + "]" if k
+            else '"%d": []' for k in set(deg.tolist())}
+    first = np.cumsum(deg) - deg            # each vertex's first dart in key order
+    at = np.arange(int(deg.sum())) + np.repeat(r.ptr[keys] - first, deg)
+    values = np.insert(r.dart[at], first, keys)
+    return ("{" + inner + ("," + inner).join(map(form.__getitem__, deg.tolist()))
+            + nl + "}") % tuple(values.tolist())
+
+
+def _floats(col) -> list:
+    if not all(map(math.isfinite, col)):
+        raise _Unsupported
+    return list(map(float.__repr__, col))
+
+
+# encoders of a list of scalars of one exact type
 _COLUMN = {
-    float: lambda col, memo: list(map(memo.__getitem__, col)),
-    int: lambda col, memo: list(map(int.__repr__, col)),
-    str: lambda col, memo: list(map(encode_basestring_ascii, col)),
-    bool: lambda col, memo: ["true" if u else "false" for u in col],
-    type(None): lambda col, memo: ["null"] * len(col),
+    float: _floats,
+    int: lambda col: list(map(int.__repr__, col)),
+    str: lambda col: list(map(encode_basestring_ascii, col)),
+    bool: lambda col: ["true" if u else "false" for u in col],
+    type(None): lambda col: ["null"] * len(col),
 }
 
 
-def _column(col, nl, memo):
+def _column(col, nl, tables):
     """The encoded items of a nonempty list, their nested lines starting
-    with nl.  Lists of lists are encoded as one flat column and split."""
+    with nl."""
     kinds = set(map(type, col))
     kind = kinds.pop() if len(kinds) == 1 else None
     if kind in _COLUMN:
-        return _COLUMN[kind](col, memo)
-    if kind is dict and col[0]:
-        out = _records(col, nl, memo)
-        if out is not None:
-            return out
-    if kind in (list, tuple):
-        flat = list(chain.from_iterable(col))
-        inner = nl + "  "
-        items = iter(_column(flat, inner, memo) if flat else ())
-        sep = "," + inner
-        return ["[" + inner + sep.join(islice(items, n)) + nl + "]" if n else "[]"
-                for n in map(len, col)]
-    return [_encode(u, nl, memo) for u in col]
+        return _COLUMN[kind](col)
+    return [_encode(u, nl, tables) for u in col]
 
 
-def _records(rows, nl, memo):
-    """The records of a table, dicts with one key set, each joined from the
-    fixed pieces between its values; None if the key sets differ."""
-    if not all(type(k) is str for k in rows[0]):
-        raise _Unsupported
-    keys = sorted(rows[0])
-    try:
-        cols = [list(map(dict.__getitem__, rows, repeat(k))) for k in keys]
-    except KeyError:
-        return None
-    if sum(map(len, rows)) != len(keys) * len(rows):
-        return None
-    inner = nl + "  "
-    pieces = []
-    for head, k, col in zip(["{"] + [","] * (len(keys) - 1), keys, cols):
-        pieces += [repeat(head + inner + encode_basestring_ascii(k) + ": "),
-                   _column(col, inner, memo)]
-    return list(map("".join, zip(*pieces, repeat(nl + "}"))))
-
-
-def _encode(obj, nl, memo) -> str:
+def _encode(obj, nl, tables) -> str:
     """One value whose first line is already placed and whose nested lines
-    start with nl."""
+    start with nl; tables maps the id of each Table met so far to its
+    encoded columns."""
     enc = _COLUMN.get(type(obj))
     if enc is not None:
-        return enc([obj], memo)[0]
+        return enc([obj])[0]
     inner = nl + "  "
     if type(obj) is dict:
         if not obj:
@@ -164,19 +259,33 @@ def _encode(obj, nl, memo) -> str:
         if not all(type(k) is str for k in obj):
             raise _Unsupported
         keys = sorted(obj)
-        values = _column([obj[k] for k in keys], inner, memo)
+        values = _column([obj[k] for k in keys], inner, tables)
         return "{" + inner + ("," + inner).join(
             encode_basestring_ascii(k) + ": " + v for k, v in zip(keys, values)) + nl + "}"
     if type(obj) in (list, tuple):
         if not obj:
             return "[]"
-        return "[" + inner + ("," + inner).join(_column(obj, inner, memo)) + nl + "]"
+        return "[" + inner + ("," + inner).join(_column(obj, inner, tables)) + nl + "]"
+    if type(obj) is Rotation:
+        return _rotation(obj, nl)
+    if type(obj) is Table:
+        if id(obj) not in tables:
+            tables.update(_table_text([obj]))
+        return _table(obj, tables[id(obj)], nl)
     raise _Unsupported
 
 
 def _tolist(a) -> list:
     """An array's entries as Python floats."""
     return np.asarray(a, dtype=np.float64).tolist()
+
+
+def _numbered(key, floats, ints=None, null=None) -> Table:
+    """A table numbered by the field key from 0, with float and int
+    columns."""
+    cols = {f: np.asarray(a, dtype=np.float64) for f, a in floats.items()}
+    n = len(next(iter(cols.values())))
+    return Table({key: np.arange(n), **cols, **(ints or {})}, null)
 
 
 # -- reading tables -----------------------------------------------------------------
@@ -305,28 +414,24 @@ def map_to_json(m: CombMap, emb: CylinderEmbedding | None = None) -> dict:
     if m.v0 is None:
         raise ValueError("map JSON requires the marked pair")
     V, E = m.num_vertices, m.num_edges
-    theta = height = [None] * V
-    dtheta = [None] * E
-    if emb is not None:
-        theta, height, dtheta = _tolist(emb.theta), _tolist(emb.height), _tolist(emb.dtheta)
-        for x in (m.v0, m.v1):
-            theta[x] = height[x] = None
-    verts = [{"id": x, "theta": th, "height": hh}
-             for x, th, hh in zip(range(V), theta, height)]
-    edges = [{"id": k, "tail": t, "head": h, "conductance": c, "dtheta": dt}
-             for k, t, h, c, dt in zip(range(E), m.edge_tail.tolist(),
-                                       m.edge_head.tolist(), _tolist(m.conductance),
-                                       dtheta)]
-    darts, ptr = m.vert_dart.tolist(), m.vert_ptr.tolist()
-    rotation = {str(v): darts[ptr[v]:ptr[v + 1]] for v in range(V)}
+    if emb is None:
+        theta = height = np.zeros(V)
+        dtheta = np.zeros(E)
+        unplaced, no_dt = np.ones(V, dtype=bool), np.ones(E, dtype=bool)
+    else:
+        theta, height, dtheta = emb.theta, emb.height, emb.dtheta
+        unplaced, no_dt = m.marked, None
     return {
         "schema": SCHEMA,
         "kind": "map",
         "num_vertices": V,
         "marked": {"v0": m.v0, "v1": m.v1},
-        "vertices": verts,
-        "edges": edges,
-        "rotation": rotation,
+        "vertices": _numbered("id", {"theta": theta, "height": height},
+                              null={"theta": unplaced, "height": unplaced}),
+        "edges": _numbered("id", {"conductance": m.conductance, "dtheta": dtheta},
+                           ints={"tail": m.edge_tail, "head": m.edge_head},
+                           null={"dtheta": no_dt}),
+        "rotation": Rotation(m.vert_ptr, m.vert_dart),
     }
 
 
@@ -461,17 +566,12 @@ def solution_to_json(v, c=None) -> dict:
 # -- diagram ----------------------------------------------------------------------
 
 def diagram_to_json(d) -> dict:
-    rects = [{"edge": k, "x0": x0, "width": w, "y0": y0, "y1": y1}
-             for k, (x0, w, y0, y1) in enumerate(zip(*map(_tolist, (
-                 d.rect_x0, d.rect_width, d.rect_y0, d.rect_y1))))]
-    hsegs = [{"vertex": x, "start": s, "length": n, "level": y}
-             for x, (s, n, y) in enumerate(zip(*map(_tolist, (
-                 d.hseg_start, d.hseg_len, d.hseg_level))))]
-    vsegs = [{"face": f, "x": x, "y0": y0, "y1": y1}
-             for f, (x, y0, y1) in enumerate(zip(*map(_tolist, (
-                 d.vseg_x, d.vseg_y0, d.vseg_y1))))]
     return {"schema": SCHEMA, "kind": "diagram", "eta": float(d.eta),
-            "rects": rects, "hsegs": hsegs, "vsegs": vsegs}
+            "rects": _numbered("edge", {"x0": d.rect_x0, "width": d.rect_width,
+                                        "y0": d.rect_y0, "y1": d.rect_y1}),
+            "hsegs": _numbered("vertex", {"start": d.hseg_start, "length": d.hseg_len,
+                                          "level": d.hseg_level}),
+            "vsegs": _numbered("face", {"x": d.vseg_x, "y0": d.vseg_y0, "y1": d.vseg_y1})}
 
 
 @dataclass

@@ -22,7 +22,7 @@ from smithtile.map_core import (TWO_PI, CombMap, CylinderEmbedding, DualMap,
 from smithtile.mated_crt import (LINE, LOWER, UPPER, Excursion, MatedCrtMap,
                                  SampleError)
 from smithtile.electrical import Conjugate, Voltage, harmonic_darts, snap_clusters
-from smithtile.io_json import SCHEMA, DiagramData, SchemaError
+from smithtile.io_json import SCHEMA, DiagramData, Rotation, SchemaError, Table
 from smithtile.rng import make_rng
 from smithtile.smith_tiling import (SmithDiagram, SmithEmbedding, TilingError,
                                     _circle_pieces, reduce_mod)
@@ -109,9 +109,17 @@ def noncrossing(pairs) -> bool:
     return True
 
 
+def _table_records(obj):
+    if type(obj) not in (Table, Rotation):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return obj.records()
+
+
 def dump_json(obj) -> str:
-    """``io_json.dump_json`` by the stdlib's indenting encoder."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """``io_json.dump_json`` by the stdlib's indenting encoder, a ``Table``
+    or ``Rotation`` written as its records."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
+                      default=_table_records) + "\n"
 
 
 def _is_int(u) -> bool:

@@ -14,11 +14,12 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from smithtile import (build_diagram, build_map, conjugate, dual, render_svg,
                        solve_voltage)
+from smithtile import cli
 from smithtile.cli import _read_map, main
-from smithtile.io_json import (SCHEMA, SchemaError, diagram_from_json,
+from smithtile.io_json import (SCHEMA, Rotation, SchemaError, Table, diagram_from_json,
                                diagram_to_json, dump_json, map_from_json,
                                map_to_json, solution_to_json)
-from smithtile.map_core import MapError
+from smithtile.map_core import CylinderEmbedding, MapError
 
 
 def diagram_for(m, emb=None):
@@ -60,7 +61,7 @@ EDGE_DOCUMENTS = [
     {"subclasses": [Level(3), np.float64(0.5)], "bools": [True, True]},
     {3: "int key", 2.5: "float key"},
     {"z": [{1: "a"}, {1: "b"}]},
-    # the float memo: 0.0 == -0.0 must not share a repr, within a column,
+    # 0.0 == -0.0 must not share a repr, within a column,
     # across columns and across tables; repeated values reuse one
     [0.0, -0.0, 0.0, -0.0],
     [-0.0, 0.0],
@@ -96,20 +97,89 @@ def test_dump_json_matches_stdlib_on_nested_values(obj):
     assert dump_json(obj) == oracles.dump_json(obj)
 
 
-def test_dump_json_matches_stdlib_on_documents(random_maps, mated_crt64, tmp_path):
+def test_dump_json_matches_stdlib_on_documents(random_maps, mated_crt64, lattice8,
+                                               tmp_path):
     m, emb = random_maps[0]
     v = solve_voltage(m)
     dm = dual(m, emb)
     c = conjugate(dm, v)
     d = build_diagram(m, dm, v, c)
     docs = [map_to_json(m, emb), map_to_json(m), map_to_json(mated_crt64),
-            solution_to_json(v), solution_to_json(v, c), diagram_to_json(d)]
+            solution_to_json(v), solution_to_json(v, c), diagram_to_json(d),
+            map_to_json(*lattice8), diagram_to_json(diagram_for(*lattice8)),
+            diagram_to_json(diagram_for(mated_crt64))]
     mp = write_map_file(tmp_path, m, emb)
     rep = tmp_path / "report.json"
     assert main(["verify", mp, "-o", str(rep)]) == 0
     docs.append(json.loads(rep.read_text()))
     for obj in docs:
         assert dump_json(obj) == oracles.dump_json(obj)
+
+
+def table(**cols):
+    return Table({f: np.asarray(a) for f, a in cols.items()})
+
+
+TABLE_DOCUMENTS = [
+    # 0.0 == -0.0 must not share a repr, within a column, across columns
+    # and across tables; repeated values reuse one
+    {"t": table(id=np.arange(4), x=[0.0, -0.0, 0.0, -0.0], y=[-0.0, 0.0, 1.5, -0.0]),
+     "u": table(z=[-0.0, 0.0, 5e-324, -5e-324], w=[1e16, 0.1, 0.1, -0.0]),
+     "eta": -0.0},
+    # empty tables, alone and beside others
+    {"t": table(id=np.arange(0), x=np.zeros(0))},
+    {"t": table(x=np.zeros(0)), "u": table(id=np.arange(2), x=[0.5, 0.25]),
+     "v": table(k=np.zeros(0, dtype=np.int64))},
+    # int and float columns of other widths, fields that need escaping
+    {"t": table(**{"%s": np.arange(3, dtype=np.int32), "caf\u00e9": np.float32([0.1, 2, 3]),
+                   "%(x)d": np.uint8([0, 7, 255]), "q\"": [2**62, -(2**62), 0]})},
+    # tables below the top level, or the whole document
+    {"a": {"t": table(id=np.arange(2), x=[0.1, -0.0])}, "b": [table(x=[0.1])]},
+    [table(x=[0.1, 0.2]), table(y=[0.2, 0.1])],
+    table(id=np.arange(3), x=[1.0, 2.0, 3.0]),
+    # rotations: keys sort as strings ("10" before "2"), an empty dart list
+    {"rotation": Rotation(np.cumsum([0, 1, 3, 0, 2, 1, 1, 1, 1, 1, 1, 4, 2]),
+                          np.arange(18)[::-1]),
+     "empty": Rotation([0], []), "nested": [Rotation([0, 2], [1, 0])]},
+]
+
+
+@pytest.mark.parametrize("obj", TABLE_DOCUMENTS, ids=range(len(TABLE_DOCUMENTS)))
+def test_dump_json_writes_tables_as_the_stdlib_writes_records(obj):
+    assert dump_json(obj) == oracles.dump_json(obj)
+
+
+def test_table_nulls_and_non_finite_values(random_maps, path_map):
+    t = Table({"id": np.arange(3), "x": [np.nan, 0.0, -np.inf]},
+              null={"x": np.array([True, False, True])})
+    assert t.records() == [{"id": 0, "x": None}, {"id": 1, "x": 0.0},
+                           {"id": 2, "x": None}]
+    assert dump_json({"t": t}) == oracles.dump_json({"t": t})
+    # a NaN outside the mask is not JSON, as in the stdlib with allow_nan=False
+    t.null[1] = np.array([True, False, False])
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        dump_json({"t": t})
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        dump_json({"t": table(x=[0.5]), "x": np.int64(3)})
+    with pytest.raises(TypeError, match="int or float array"):
+        Table({"id": np.arange(2), "x": [True, False]})
+    with pytest.raises(TypeError, match="null mask"):
+        Table({"id": np.arange(2)}, null={"id": [True, False]})
+    # a map's coordinates are nan at the marked vertices, under the mask,
+    # and a nan at an unmarked vertex or edge fails the write
+    m, emb = random_maps[0]
+    assert np.isnan(emb.theta[m.v0]) and np.isnan(emb.height[m.v1])
+    x = next(i for i in range(m.num_vertices) if not m.is_marked(i))
+    for field in ("theta", "height", "dtheta"):
+        bad = {f: getattr(emb, f).copy() for f in ("theta", "height", "dtheta")}
+        bad[field][0 if field == "dtheta" else x] = np.nan
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            dump_json(map_to_json(m, CylinderEmbedding(**bad)))
+    # records are the tables and rotation as json.loads reads them back
+    for obj in (map_to_json(m, emb), map_to_json(path_map)):
+        back = json.loads(dump_json(obj))
+        for name in ("vertices", "edges", "rotation"):
+            assert obj[name].records() == back[name]
 
 
 def test_map_roundtrip_bit_exact(random_maps, tmp_path):
@@ -136,7 +206,7 @@ def test_map_roundtrip_bit_exact(random_maps, tmp_path):
 
 
 def test_map_roundtrip_without_embedding(path_map):
-    obj = map_to_json(path_map)
+    obj = json.loads(dump_json(map_to_json(path_map)))
     assert all(v["theta"] is None for v in obj["vertices"])
     assert all(e["dtheta"] is None for e in obj["edges"])
     m2, emb2 = map_from_json(obj)
@@ -157,7 +227,7 @@ def schema_errors(obj):
 
 
 def test_map_schema_violations(path_map):
-    base = map_to_json(path_map)
+    base = json.loads(dump_json(map_to_json(path_map)))
 
     obj = dict(base, extra=1)
     assert any("unknown field 'extra'" in e for e in schema_errors(obj))
@@ -303,7 +373,7 @@ def test_diagram_roundtrip(parallel3_map):
 
 def test_diagram_schema_violations(parallel3_map):
     d = diagram_for(parallel3_map)
-    base = diagram_to_json(d)
+    base = json.loads(dump_json(diagram_to_json(d)))
 
     for eta in (-1.0, 0.0, float("inf"), float("nan"), 10**400):
         with pytest.raises(SchemaError) as exc:
@@ -661,6 +731,50 @@ def test_cli_usage_and_help(capsys):
     for name in ("solve", "tile", "render", "verify", "mated-crt",
                  "converge"):
         assert name in out
+
+
+OUT_OF_RANGE = [
+    (["mated-crt", "--seed", "-1"], "in [0, 2**64)"),
+    (["mated-crt", "--seed", str(2**64)], "in [0, 2**64)"),
+    (["verify", "--seed", "-1"], "in [0, 2**64)"),
+    (["verify", "--seed", str(2**64)], "in [0, 2**64)"),
+    (["verify", "--sequences", "0"], ">= 1"),
+    (["verify", "--length", "1"], ">= 2"),
+    (["render", "--width", "0"], ">= 1"),
+    (["render", "--width", "-5"], ">= 1")]
+
+
+@pytest.mark.parametrize("argv, need", OUT_OF_RANGE,
+                         ids=[" ".join(argv) for argv, _ in OUT_OF_RANGE])
+def test_cli_rejects_out_of_range_arguments(argv, need, capsys):
+    """Each is a usage error, reported in one line before any input is read."""
+    assert main(argv + ["/nonexistent/input.json"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"smith {argv[0]}: error: argument {argv[1]}: need an integer {need}, got {argv[2]}"]
+
+
+def test_cli_accepts_the_edge_seeds(tmp_path, capsys):
+    out = str(tmp_path / "map.json")
+    for seed in ("0", str(2**64 - 1)):
+        assert main(["mated-crt", "--n", "8", "--seed", seed, "-o", out]) == 0
+    capsys.readouterr()
+
+
+def test_cli_help_example_pipes(tmp_path, capsys):
+    """The pipe in ``smith --help`` runs, stage by stage, in process."""
+    line = next(t for t in cli.__doc__.splitlines() if t.strip().startswith("smith "))
+    stages = [stage.split()[1:] for stage in line.split("|")]
+    assert [s[0] for s in stages] == ["mated-crt", "tile", "render"]
+    files = [str(tmp_path / f"stage{i}") for i in range(len(stages))]
+    for i, argv in enumerate(stages):
+        if "-o" in argv:
+            argv = argv[:argv.index("-o")]
+        assert main(argv + ([files[i - 1]] if i else []) + ["-o", files[i]]) == 0
+    capsys.readouterr()
+    assert json.loads((tmp_path / "stage1").read_text())["kind"] == "diagram"
+    assert (tmp_path / "stage2").read_text().startswith("<svg")
 
 
 def test_cli_missing_file(capsys):
