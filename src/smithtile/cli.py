@@ -5,12 +5,19 @@
 All JSON documents carry schema "smith/1".  Exit codes: 0 success,
 1 validation or computation failure, 2 usage error.  Every output is
 byte-identical across runs given the same inputs, seed, and flags.
+
+Flags are checked before any input is read.  --tol, --tol-algebraic and
+converge's --height take a finite number > 0, --seed an integer in
+[0, 2**64), verify's --sequences an integer >= 1 and --length one >= 2,
+and render's --width one >= 1.  Any other value is a usage error: exit 2
+with one "error:" line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .map_core import MapError, dual
@@ -38,6 +45,16 @@ def _int_from(lo, hi=None, span=None):
     parse.__name__ = "int"      # argparse's name for a value int() rejects
     return parse
 
+
+def _positive(text):
+    """An argparse type: a finite number > 0."""
+    v = float(text)
+    if not 0 < v < math.inf:
+        raise argparse.ArgumentTypeError(f"need a finite number > 0, got {text}")
+    return v
+
+
+_positive.__name__ = "float"    # argparse's name for a value float() rejects
 
 SEED = _int_from(0, 2**64, "in [0, 2**64)")     # the 64-bit keys of rng.make_rng
 
@@ -206,16 +223,16 @@ def _build_parser():
     sp.add_argument("map", nargs="?", default="-",
                     help="map JSON path, or - for stdin (default)")
     sp.add_argument("-o", "--output", default="-", help="output path or -")
-    sp.add_argument("--tol", type=float, default=1e-10,
+    sp.add_argument("--tol", type=_positive, default=1e-10,
                     help="algebraic residual tolerance (default 1e-10)")
 
     sp = add("tile", _cmd_tile,
              "Compute the rectangle tiling of a map and emit a diagram JSON.")
     sp.add_argument("map", nargs="?", default="-")
     sp.add_argument("-o", "--output", default="-")
-    sp.add_argument("--tol", type=float, default=1e-9,
+    sp.add_argument("--tol", type=_positive, default=1e-9,
                     help="geometric tolerance (default 1e-9)")
-    sp.add_argument("--tol-algebraic", type=float, default=1e-10)
+    sp.add_argument("--tol-algebraic", type=_positive, default=1e-10)
 
     sp = add("render", _cmd_render,
              "Render a diagram JSON as SVG 1.1.")
@@ -236,9 +253,9 @@ def _build_parser():
     sp.add_argument("--length", type=_int_from(2), default=4,
                     help="heights per sequence, at least 2 (default 4)")
     sp.add_argument("--seed", type=SEED, default=0)
-    sp.add_argument("--tol", type=float, default=1e-9,
+    sp.add_argument("--tol", type=_positive, default=1e-9,
                     help="geometric tolerance (default 1e-9)")
-    sp.add_argument("--tol-algebraic", type=float, default=1e-10)
+    sp.add_argument("--tol-algebraic", type=_positive, default=1e-10)
 
     sp = add("mated-crt", _cmd_mated_crt,
              "Sample a mated-CRT style map and emit it as a map JSON.")
@@ -260,7 +277,7 @@ def _build_parser():
                     help="comma-separated column counts (default 8,16,32)")
     sp.add_argument("--band", type=float, default=1.0,
                     help="height band for the sup-error (default 1.0)")
-    sp.add_argument("--height", type=float, default=4.0,
+    sp.add_argument("--height", type=_positive, default=4.0,
                     help="lattice half-height H (default 4.0)")
     sp.add_argument("-o", "--output", default="-")
     return p

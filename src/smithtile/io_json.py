@@ -19,17 +19,19 @@ diagram: {"schema", "kind": "diagram", "eta",
 
 Numbers are written by Python's float repr (shortest string that round-trips
 the IEEE double), so a document parsed back from ``dump_json`` is bit-exact.
-``dump_json`` is deterministic: sorted keys, two-space indent, trailing
-newline.  ``map_to_json`` and ``diagram_to_json`` hold their tables
+``dump_json`` writes the stdlib's bytes: sorted keys, two-space indent,
+trailing newline.  ``map_to_json`` and ``diagram_to_json`` hold their tables
 (``vertices``, ``edges``, ``rects``, ``hsegs``, ``vsegs``) as ``Table``s:
-one array per field, with a null mask for a float field.  ``dump_json``
-writes a table from its arrays.  It formats each distinct float bit pattern
-of the document's tables once, since a vertex voltage reappears as a
-segment level and as rectangle and segment bounds; 0.0 and -0.0 keep their
-own reprs.  Each table's records fill one %-template.  ``Table.records()``
-gives the records as dicts, for a caller that edits a document; the stdlib
-writes them to the same bytes.  The ``rotation`` is a ``Rotation``, written
-from the map's ``vert_ptr`` and ``vert_dart``.
+one array per field, with a null mask for a float field.  The ``rotation``
+is a ``Rotation``, held by the map's ``vert_ptr`` and ``vert_dart``.  Of a
+document's top-level entries, each ``Table`` and the ``Rotation`` fill one
+%-template, and a list of floats (a solution's ``h`` and ``w``) is written
+as one column.  Their floats are formatted together, once per distinct bit
+pattern, since a vertex voltage reappears as a segment level and as
+rectangle and segment bounds; 0.0 and -0.0 keep their own reprs.  Every
+other entry, and a document that is not a dict with string keys, goes to
+``json.dumps``.  ``Table.records()`` gives the records as dicts, for a
+caller that edits a document; the stdlib writes them to the same bytes.
 
 The readers check each table (``vertices``, ``edges``, ``rotation``,
 ``rects``, ``hsegs``, ``vsegs``) a column at a time: the field set of every
@@ -66,27 +68,42 @@ class SchemaError(ValueError):
 
 def dump_json(obj) -> str:
     """The bytes of ``json.dumps(obj, indent=2, sort_keys=True,
-    allow_nan=False) + "\n"``, written without the stdlib's pure-Python
-    indenting encoder, where a ``Table`` or ``Rotation`` stands for its
-    ``records()``.
+    allow_nan=False) + "\n"``, where a ``Table`` or ``Rotation`` stands for
+    its ``records()``.
 
-    Scalars are encoded by ``float.__repr__``, ``int.__repr__`` and
-    ``encode_basestring_ascii``, a whole column of one type at a time: the
-    items of a list, or the values of a dict.  A ``Table`` or ``Rotation``
-    is written from its arrays (see ``_table_text`` and ``_rotation``).
-    What this writer does not cover (keys that are not strings, scalar
-    subclasses, unknown types, non-finite floats) goes to the stdlib, which
-    encodes it or raises its own error."""
-    try:
-        tops = obj.values() if type(obj) is dict else ()
-        return _encode(obj, "\n", _table_text([t for t in tops if type(t) is Table])) + "\n"
-    except _Unsupported:
-        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
-                          default=_table_records) + "\n"
+    A dict with string keys is written entry by entry in sorted key order:
+    a ``Table`` by ``_table`` and a ``Rotation`` by ``_rotation``, a
+    nonempty list of exact floats as one float column, and anything else
+    by the stdlib, each line it writes indented once more.  The float
+    columns of the tables and of the lists are formatted together by
+    ``_table_text``.  Any other ``obj`` goes to the stdlib whole."""
+    if type(obj) is not dict or not obj or not all(type(k) is str for k in obj):
+        return _stdlib(obj) + "\n"
+    keys = sorted(obj)
+    values = [obj[k] for k in keys]
+    lists = [type(u) is list and set(map(type, u)) == {float} for u in values]
+    values = [Table({"": u}) if f else u for u, f in zip(values, lists)]
+    text = _table_text([u for u in values if type(u) is Table])
+    out = ["{"]
+    for k, u, f in zip(keys, values, lists):
+        if f:
+            v = "[\n    " + ",\n    ".join(text[id(u)][0]) + "\n  ]"
+        elif type(u) is Table:
+            v = _table(u, text[id(u)], "\n  ")
+        elif type(u) is Rotation:
+            v = _rotation(u, "\n  ")
+        else:
+            v = _stdlib(u).replace("\n", "\n  ")
+        out += ["\n  ", encode_basestring_ascii(k), ": ", v, ","]
+    out[-1] = "\n}\n"
+    return "".join(out)         # each entry is copied once, into the result
 
 
-class _Unsupported(Exception):
-    """A value that dump_json leaves to the stdlib encoder."""
+def _stdlib(obj) -> str:
+    """The stdlib's indenting encoder, a Table or Rotation written as its
+    records."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
+                      default=_table_records)
 
 
 class Table:
@@ -165,7 +182,7 @@ def _table_text(tables) -> dict:
     if floats:
         flat = np.concatenate(floats, dtype=np.float64)
         if not np.isfinite(flat).all():
-            raise _Unsupported
+            raise ValueError("Out of range float values are not JSON compliant")
         bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
         reprs = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())),
                          dtype=object)[inverse]
@@ -217,62 +234,6 @@ def _rotation(r, nl) -> str:
     values = np.insert(r.dart[at], first, keys)
     return ("{" + inner + ("," + inner).join(map(form.__getitem__, deg.tolist()))
             + nl + "}") % tuple(values.tolist())
-
-
-def _floats(col) -> list:
-    if not all(map(math.isfinite, col)):
-        raise _Unsupported
-    return list(map(float.__repr__, col))
-
-
-# encoders of a list of scalars of one exact type
-_COLUMN = {
-    float: _floats,
-    int: lambda col: list(map(int.__repr__, col)),
-    str: lambda col: list(map(encode_basestring_ascii, col)),
-    bool: lambda col: ["true" if u else "false" for u in col],
-    type(None): lambda col: ["null"] * len(col),
-}
-
-
-def _column(col, nl, tables):
-    """The encoded items of a nonempty list, their nested lines starting
-    with nl."""
-    kinds = set(map(type, col))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    if kind in _COLUMN:
-        return _COLUMN[kind](col)
-    return [_encode(u, nl, tables) for u in col]
-
-
-def _encode(obj, nl, tables) -> str:
-    """One value whose first line is already placed and whose nested lines
-    start with nl; tables maps the id of each Table met so far to its
-    encoded columns."""
-    enc = _COLUMN.get(type(obj))
-    if enc is not None:
-        return enc([obj])[0]
-    inner = nl + "  "
-    if type(obj) is dict:
-        if not obj:
-            return "{}"
-        if not all(type(k) is str for k in obj):
-            raise _Unsupported
-        keys = sorted(obj)
-        values = _column([obj[k] for k in keys], inner, tables)
-        return "{" + inner + ("," + inner).join(
-            encode_basestring_ascii(k) + ": " + v for k, v in zip(keys, values)) + nl + "}"
-    if type(obj) in (list, tuple):
-        if not obj:
-            return "[]"
-        return "[" + inner + ("," + inner).join(_column(obj, inner, tables)) + nl + "]"
-    if type(obj) is Rotation:
-        return _rotation(obj, nl)
-    if type(obj) is Table:
-        if id(obj) not in tables:
-            tables.update(_table_text([obj]))
-        return _table(obj, tables[id(obj)], nl)
-    raise _Unsupported
 
 
 def _tolist(a) -> list:
@@ -348,6 +309,20 @@ def _check_fields(obj, where, required, errors):
             errors.append(f"{where}: missing field {f!r}")
             ok = False
     return ok
+
+
+def _header(obj, kind, fields) -> list:
+    """Check a document's fields ("schema", "kind" and fields) and its
+    schema and kind.  SchemaError at once if obj is not an object or lacks
+    a field; else the errors found, for the caller to extend."""
+    errors = []
+    if not _check_fields(obj, kind, ("schema", "kind", *fields), errors):
+        raise SchemaError(errors)
+    if obj.get("schema") != SCHEMA:
+        errors.append(f"schema: expected {SCHEMA!r}, got {obj.get('schema')!r}")
+    if obj.get("kind") != kind:
+        errors.append(f"kind: expected {kind!r}, got {obj.get('kind')!r}")
+    return errors
 
 
 def _fields(records, fields) -> list:
@@ -437,15 +412,8 @@ def map_to_json(m: CombMap, emb: CylinderEmbedding | None = None) -> dict:
 
 def map_from_json(obj) -> tuple:
     """Validate exhaustively, then build.  Returns (map, embedding-or-None)."""
-    errors = []
-    if not _check_fields(obj, "map", ("schema", "kind", "num_vertices",
-                                      "marked", "vertices", "edges",
-                                      "rotation"), errors):
-        raise SchemaError(errors)
-    if obj.get("schema") != SCHEMA:
-        errors.append(f"schema: expected {SCHEMA!r}, got {obj.get('schema')!r}")
-    if obj.get("kind") != "map":
-        errors.append(f"kind: expected 'map', got {obj.get('kind')!r}")
+    errors = _header(obj, "map", ("num_vertices", "marked", "vertices", "edges",
+                                  "rotation"))
     V = obj.get("num_vertices")
     if not _int_type(type(V)) or V < 2:
         errors.append("num_vertices: need an integer >= 2")
@@ -591,14 +559,7 @@ class DiagramData:
 
 
 def diagram_from_json(obj) -> DiagramData:
-    errors = []
-    if not _check_fields(obj, "diagram", ("schema", "kind", "eta", "rects",
-                                          "hsegs", "vsegs"), errors):
-        raise SchemaError(errors)
-    if obj.get("schema") != SCHEMA:
-        errors.append(f"schema: expected {SCHEMA!r}, got {obj.get('schema')!r}")
-    if obj.get("kind") != "diagram":
-        errors.append(f"kind: expected 'diagram', got {obj.get('kind')!r}")
+    errors = _header(obj, "diagram", ("eta", "rects", "hsegs", "vsegs"))
     eta = obj.get("eta")
     if not _number_type(type(eta)) or not 0 < _double(eta) < math.inf:
         errors.append("eta: need a positive number")

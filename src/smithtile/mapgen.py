@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .map_core import (CombMap, CylinderEmbedding, TWO_PI, build_map,
-                       check_embedding, insert_vertices, wrap_angle)
+                       check_embedding, insert_vertices, mod_array)
 from .convergence import make_lattice
 from .rng import make_rng
 
@@ -21,22 +21,13 @@ def _with_conductances(m: CombMap, cond) -> CombMap:
 
 
 def _jitter(m: CombMap, emb: CylinderEmbedding, rng, amount: float):
-    theta = emb.theta.copy()
-    height = emb.height.copy()
-    dth = emb.dtheta.copy()
     eps = rng.uniform(-amount, amount, m.num_vertices)
     eph = rng.uniform(-amount, amount, m.num_vertices)
-    for x in range(m.num_vertices):
-        if m.is_marked(x):
-            eps[x] = eph[x] = 0.0
-            continue
-        theta[x] = wrap_angle(theta[x] + eps[x])
-        height[x] += eph[x]
-    for k in range(m.num_edges):
-        t, h = int(m.edge_tail[k]), int(m.edge_head[k])
-        if m.is_marked(t) or m.is_marked(h):
-            continue            # marked edges keep dtheta = 0
-        dth[k] += eps[h] - eps[t]
+    theta = np.where(m.marked, emb.theta, mod_array(emb.theta + eps, TWO_PI))
+    height = np.where(m.marked, emb.height, emb.height + eph)
+    t, h = m.edge_tail, m.edge_head
+    pole = m.marked[t] | m.marked[h]        # marked edges keep dtheta = 0
+    dth = np.where(pole, emb.dtheta, emb.dtheta + (eps[h] - eps[t]))
     return CylinderEmbedding(theta, height, dth)
 
 

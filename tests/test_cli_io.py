@@ -34,7 +34,8 @@ def test_dump_json_format():
     s = dump_json({"b": 1, "a": [1.5, None]})
     assert s == '{\n  "a": [\n    1.5,\n    null\n  ],\n  "b": 1\n}\n'
     for bad in (float("nan"), float("inf"), -float("inf")):
-        for obj in ({"x": bad}, [1.0, bad], [{"a": 1.0}, {"a": bad}], bad):
+        for obj in ({"x": bad}, [1.0, bad], [{"a": 1.0}, {"a": bad}], bad,
+                    {"h": [1.0, bad]}, {"h": [0.5, bad]}):
             with pytest.raises(ValueError, match="not JSON compliant"):
                 dump_json(obj)
     with pytest.raises(TypeError, match="not JSON serializable"):
@@ -71,6 +72,10 @@ EDGE_DOCUMENTS = [
      "hsegs": [{"level": 5e-324}, {"level": 1e16}, {"level": -0.0}],
      "eta": 0.1, "rows": [[0.1, 5e-324], [1e16, 0.0], [-0.0, 0.1]]},
     {"h": [[0.0], [-0.0, [0.0, -0.0]], (), [5e-324, -5e-324]], "w": (1e16, -1e16, 1e16)},
+    # a top-level list is one float column only if every item is exactly a float
+    {"h": [1.0, 2, -0.0]},
+    {"h": [0.5, True]},
+    {"h": [5e-324, -0.0, 0.0, 5e-324]},
 ]
 
 
@@ -753,6 +758,30 @@ def test_cli_rejects_out_of_range_arguments(argv, need, capsys):
     assert "Traceback" not in err
     assert [line for line in err.splitlines() if "error:" in line] == [
         f"smith {argv[0]}: error: argument {argv[1]}: need an integer {need}, got {argv[2]}"]
+
+
+BAD_FLOATS = [
+    # a NaN bound would switch the residual check off, an infinite one every
+    # geometric check, and an infinite height overflows make_lattice
+    ["solve", "--tol", "nan"],
+    ["solve", "--tol", "0"],
+    ["tile", "--tol", "inf"],
+    ["tile", "--tol-algebraic", "-1"],
+    ["verify", "--tol", "-0.5"],
+    ["verify", "--tol-algebraic", "nan"],
+    ["converge", "--n-list", "8", "--height", "inf"],
+    ["converge", "--n-list", "8", "--height", "-2.5"]]
+
+
+@pytest.mark.parametrize("argv", BAD_FLOATS, ids=map(" ".join, BAD_FLOATS))
+def test_cli_rejects_floats_that_are_not_finite_and_positive(argv, capsys):
+    flag, value = argv[-2:]
+    source = [] if argv[0] == "converge" else ["/nonexistent/input.json"]
+    assert main(argv + source) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"smith {argv[0]}: error: argument {flag}: need a finite number > 0, got {value}"]
 
 
 def test_cli_accepts_the_edge_seeds(tmp_path, capsys):
