@@ -107,7 +107,7 @@ def _cmd_solve(args):
 def _cmd_tile(args):
     m, emb = _read_map(args.map)
     v, dm, c, d = _pipeline(m, args.tol_algebraic, args.tol, emb)
-    report = validate(d, tol=args.tol)
+    report = validate(d)
     if not report.passed(args.tol):
         print(f"tiling checks failed: {report}", file=sys.stderr)
         return 1
@@ -126,7 +126,7 @@ def _cmd_render(args):
 def _cmd_verify(args):
     m, emb = _read_map(args.map)
     v, dm, c, d = _pipeline(m, args.tol_algebraic, args.tol, emb)
-    tiling = validate(d, tol=args.tol)
+    tiling = validate(d)
     laws = exact_law_report(m, v, emb, num_sequences=args.sequences,
                             length=args.length, seed=args.seed)
     # near-coincident realized levels make the augmented conductances huge;

@@ -144,12 +144,12 @@ def solve_voltage(m: CombMap, tol: float = 1e-10) -> Voltage:
             if info != 0 or np.max(np.abs(A @ x - b)) > 1e-11 * max(1.0, np.max(diag)):
                 x = spla.spsolve(A.tocsc(), b)
         res = np.max(np.abs(A @ x - b) / diag)
-        if res > tol:
+        if not res <= tol:
             raise SolveError(f"harmonic residual {res} exceeds {tol}")
         h[interior] = np.clip(x, 0.0, 1.0)
         h = snap_clusters(m, h)
         res = np.max(np.abs(A @ h[interior] - b) / diag)
-        if res > tol:
+        if not res <= tol:
             raise SolveError(f"harmonic residual {res} after snapping exceeds {tol}")
     else:
         res = 0.0

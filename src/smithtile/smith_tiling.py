@@ -27,8 +27,11 @@ from .electrical import Conjugate, Voltage, flow_floor, harmonic_darts
 # validate() expands at most max(E // 2, SWEEP_PAIRS) (slab, piece) pairs at
 # once, unless one slab alone holds more: chunks in proportion to E keep the
 # per-chunk selection over all pieces linear overall, and half of E keeps
-# the sweep's arrays well below the size of the map's own
+# the sweep's arrays well below the size of the map's own.  A chunk also
+# spans at most SWEEP_SLABS slabs, so that the slab offsets within it fit in
+# uint16, whose stable argsort numpy does as a radix sort.
 SWEEP_PAIRS = 1 << 12
+SWEEP_SLABS = int(np.iinfo(np.uint16).max)
 
 
 class TilingError(ValueError):
@@ -295,7 +298,69 @@ def _circle_pieces(x0: float, width: float, eta: float):
     return [(x0, eta), (0.0, x0 + width - eta)]
 
 
-def validate(d: SmithDiagram, tol: float = 1e-9) -> TilingReport:
+def _sweep_slabs(d: SmithDiagram) -> tuple:
+    """The area covered by the rectangles and the area covered more than
+    once, by the merge rule of ``validate``; a function of its own so that
+    the sweep's arrays are freed before the level check runs."""
+    eta, E = d.eta, d.map.num_edges
+    ys, inv = np.unique(np.concatenate([d.rect_y0, d.rect_y1]), return_inverse=True)
+    dy = np.diff(ys)
+    # circle pieces of the rectangles of positive width, sorted by left end:
+    # an arc past the seam becomes [x0, eta) and [0, x0 + width - eta)
+    pos = np.flatnonzero(d.rect_width > 0)
+    x0, x1 = d.rect_x0[pos], d.rect_x0[pos] + d.rect_width[pos]
+    seam = x1 > eta
+    p_lo = np.concatenate([x0, np.zeros(np.count_nonzero(seam))])
+    p_hi = np.concatenate([np.where(seam, eta, x1), x1[seam] - eta])
+    rect = np.concatenate([pos, pos[seam]])
+    by_lo = np.argsort(p_lo)
+    p_lo, p_hi, rect = p_lo[by_lo], p_hi[by_lo], rect[by_lo]
+    # right ends ranked 1..K-1; rank 0 stands for "no earlier piece"
+    K = len(p_hi) + 1
+    by_hi = np.argsort(p_hi)
+    rank = np.empty(K - 1, dtype=np.int64)
+    rank[by_hi] = np.arange(1, K)
+    hi_of = np.concatenate([[-np.inf], p_hi[by_hi]])
+    # slab i lies between ys[i] and ys[i + 1]; the piece covers slabs
+    # s_lo <= i < s_hi
+    s_lo = inv[:E][rect]
+    s_hi = np.maximum(inv[E:][rect], s_lo)
+    per_slab = np.cumsum(np.bincount(s_lo, minlength=len(ys))
+                         - np.bincount(s_hi, minlength=len(ys)))[:-1]
+    pairs = np.cumsum(per_slab)
+    chunk = max(E // 2, SWEEP_PAIRS)
+    overlap_area = 0.0
+    covered = 0.0
+    a = 0
+    while a < len(dy):
+        done = pairs[a - 1] if a else 0
+        b = max(a + 1, int(np.searchsorted(pairs, done + chunk, side="right")))
+        b = min(b, a + SWEEP_SLABS)
+        sel = np.flatnonzero((s_lo < b) & (s_hi > a))
+        lo = np.maximum(s_lo[sel], a)
+        n = np.minimum(s_hi[sel], b) - lo
+        # piece j covers chunk slabs lo_j - a, ..., lo_j - a + n_j - 1; the
+        # stable sort by slab keeps the pieces of a slab in left-end order
+        off = np.arange(n.sum()) + np.repeat(lo - a - np.cumsum(n) + n, n)
+        piece = np.repeat(sel, n)[np.argsort(off.astype(np.uint16), kind="stable")]
+        slab = np.repeat(np.arange(b - a), per_slab[a:b])
+        # M of a pair: the highest rank among the earlier pairs of its slab,
+        # read off the running maximum of the pair before it
+        key = slab * K
+        run = np.maximum.accumulate(key + rank[piece])
+        prev = np.empty_like(run)
+        prev[:1] = 0
+        prev[1:] = run[:-1]
+        m_hi = hi_of[np.maximum(prev - key, 0)]
+        hi, lo_x = p_hi[piece], p_lo[piece]
+        w = dy[a:b][slab]
+        covered += float(np.sum(np.maximum(hi - np.maximum(lo_x, m_hi), 0.0) * w))
+        overlap_area += float(np.sum(np.maximum(np.minimum(hi, m_hi) - lo_x, 0.0) * w))
+        a = b
+    return covered, overlap_area
+
+
+def validate(d: SmithDiagram) -> TilingReport:
     """Exhaustive tiling checks; returns a report, never raises.
 
     Overlap and coverage come from a sweep over the slabs between
@@ -303,13 +368,16 @@ def validate(d: SmithDiagram, tol: float = 1e-9) -> TilingReport:
     because the voltage solve snaps equipotential clusters; rounding would
     otherwise split a lattice row into dozens of levels, each slab as costly
     as a real one.  Each rectangle of positive width is split into its
-    pieces on [0, eta) and found in its range of slabs by searchsorted;
-    within a slab, +1/-1 events at sorted piece ends give the depth of
-    cover, so the union is the length at depth >= 1 and the overlap the
-    length times (depth - 1).  The (slab, piece) pairs are expanded in
-    chunks of about max(E // 2, SWEEP_PAIRS) pairs, which keeps memory O(E).
-    At each vertex level, the segments there plus the rectangles spanning it
-    must fill the circumference.
+    pieces on [0, eta), and the pieces are sorted once by left end.  Within
+    a slab, taken in that order, a piece [lo, hi) adds max(0, hi - max(lo,
+    M)) to the union and max(0, min(hi, M) - lo) to the overlap, where M is
+    the largest right end of the earlier pieces there: the merge of sorted
+    intervals, done for all slabs of a chunk at once by one running maximum
+    over the integer keys slab * K + rank(hi), K above every rank.  The
+    (slab, piece) pairs are expanded in chunks of about max(E // 2,
+    SWEEP_PAIRS) pairs and at most SWEEP_SLABS slabs, which keeps memory
+    O(E).  At each vertex level, the segments there plus the rectangles
+    spanning it must fill the circumference.
     """
     eta = d.eta
     heights = d.rect_y1 - d.rect_y0
@@ -317,51 +385,7 @@ def validate(d: SmithDiagram, tol: float = 1e-9) -> TilingReport:
     max_aspect = float(aspect.max()) if len(aspect) else 0.0
     area_defect = abs(float(np.sum(d.rect_width * heights)) - eta)
 
-    ys = np.unique(np.concatenate([d.rect_y0, d.rect_y1]))
-    dy = np.diff(ys)
-    # circle pieces of the rectangles of positive width: an arc past the
-    # seam becomes [x0, eta) and [0, x0 + width - eta)
-    pos = np.flatnonzero(d.rect_width > 0)
-    x0, x1 = d.rect_x0[pos], d.rect_x0[pos] + d.rect_width[pos]
-    seam = x1 > eta
-    p_lo = np.concatenate([x0, np.zeros(np.count_nonzero(seam))])
-    p_hi = np.concatenate([np.where(seam, eta, x1), x1[seam] - eta])
-    rect = np.concatenate([pos, pos[seam]])
-    # slab i lies between ys[i] and ys[i + 1]; the rectangle covers slabs
-    # s_lo <= i < s_hi
-    s_lo = np.searchsorted(ys, d.rect_y0[rect])
-    s_hi = np.maximum(np.searchsorted(ys, d.rect_y1[rect]), s_lo)
-    per_slab = np.cumsum(np.bincount(s_lo, minlength=len(ys))
-                         - np.bincount(s_hi, minlength=len(ys)))[:-1]
-    pairs = np.cumsum(per_slab)
-    chunk = max(d.map.num_edges // 2, SWEEP_PAIRS)
-    overlap_area = 0.0
-    covered = 0.0
-    a = 0
-    while a < len(dy):
-        done = pairs[a - 1] if a else 0
-        b = max(a + 1, int(np.searchsorted(pairs, done + chunk, side="right")))
-        sel = np.flatnonzero((s_lo < b) & (s_hi > a))
-        lo = np.maximum(s_lo[sel], a)
-        n = np.minimum(s_hi[sel], b) - lo
-        # piece j covers chunk slabs lo_j - a, ..., lo_j - a + n_j - 1
-        slab = np.arange(n.sum()) + np.repeat(lo - a - np.cumsum(n) + n, n)
-        piece = np.repeat(sel, n)
-        ev_slab = np.concatenate([slab, slab])
-        ev_x = np.concatenate([p_lo[piece], p_hi[piece]])
-        ev_d = np.repeat([1, -1], len(slab))
-        order = np.lexsort((ev_x, ev_slab))
-        ev_slab, ev_x = ev_slab[order], ev_x[order]
-        depth = np.cumsum(ev_d[order])[:-1]
-        gap = np.diff(ev_x)
-        same = ev_slab[1:] == ev_slab[:-1]
-        where = ev_slab[:-1][same]
-        union = np.bincount(where, weights=(gap * (depth >= 1))[same], minlength=b - a)
-        extra = np.bincount(where, weights=(gap * np.maximum(depth - 1, 0))[same],
-                            minlength=b - a)
-        overlap_area += float(np.dot(extra, dy[a:b]))
-        covered += float(np.dot(union, dy[a:b]))
-        a = b
+    covered, overlap_area = _sweep_slabs(d)
     coverage_defect = abs(eta * 1.0 - covered)
 
     # width spanning level a: rectangles with y0 < a < y1, i.e. those of

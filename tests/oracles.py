@@ -25,7 +25,7 @@ from smithtile.electrical import Conjugate, Voltage, harmonic_darts, snap_cluste
 from smithtile.io_json import SCHEMA, DiagramData, Rotation, SchemaError, Table
 from smithtile.rng import make_rng
 from smithtile.smith_tiling import (SmithDiagram, SmithEmbedding, TilingError,
-                                    _circle_pieces, reduce_mod)
+                                    TilingReport, _circle_pieces, reduce_mod)
 from smithtile.walk_lab import (Augmented, LevelMeasure, LevelNotVertexed,
                                _merge_levels, realized_levels)
 
@@ -794,6 +794,48 @@ def smith_embedding(d: SmithDiagram) -> np.ndarray:
             pts[x] = (reduce_mod(d.hseg_start[x] + d.hseg_len[x] / 2.0, d.eta),
                       d.hseg_level[x])
     return pts
+
+
+def reference_validate(d):
+    """``smith_tiling.validate`` slab by slab: mask the active rectangles of
+    each slab, merge their sorted pieces through a running right end, and
+    mask each vertex level separately."""
+    eta = d.eta
+    heights = d.rect_y1 - d.rect_y0
+    aspect = np.abs(d.rect_width - d.map.conductance * heights)
+    max_aspect = float(aspect.max()) if len(aspect) else 0.0
+    area_defect = abs(float(np.sum(d.rect_width * heights)) - eta)
+    ys = np.unique(np.concatenate([d.rect_y0, d.rect_y1]))
+    overlap_area = 0.0
+    covered = 0.0
+    for a, b in zip(ys[:-1], ys[1:]):
+        act = np.flatnonzero((d.rect_y0 <= a) & (d.rect_y1 >= b) & (d.rect_width > 0))
+        pieces = []
+        for k in act:
+            pieces.extend(_circle_pieces(float(d.rect_x0[k]), float(d.rect_width[k]), eta))
+        pieces.sort()
+        total = sum(q - p for p, q in pieces)
+        union = 0.0
+        cur_lo, cur_hi = None, None
+        for p, q in pieces:
+            if cur_hi is None or p > cur_hi:
+                if cur_hi is not None:
+                    union += cur_hi - cur_lo
+                cur_lo, cur_hi = p, q
+            else:
+                cur_hi = max(cur_hi, q)
+        if cur_hi is not None:
+            union += cur_hi - cur_lo
+        overlap_area += (total - union) * (b - a)
+        covered += union * (b - a)
+    coverage_defect = abs(eta * 1.0 - covered)
+    max_level = 0.0
+    for a in np.unique(d.hseg_level):
+        seg = float(np.sum(d.hseg_len[d.hseg_level == a]))
+        span = float(np.sum(d.rect_width[(d.rect_y0 < a) & (d.rect_y1 > a)]))
+        max_level = max(max_level, abs(seg + span - eta))
+    return TilingReport(eta, overlap_area, coverage_defect, area_defect,
+                        max_aspect, max_level, float(d.hseg_len.max()))
 
 
 def fit_affine(se: SmithEmbedding, emb: CylinderEmbedding,

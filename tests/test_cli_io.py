@@ -863,12 +863,12 @@ def test_cli_mated_crt_golden_bytes():
 # --seed s`, FILE holding the increments of the gamma = 1.8, n = 48
 # plain-rejection sample of that seed
 VERIFY_GOLDEN = {
-    1: (1, "90e7bfc74d6cfb031bbe622f5ce62eecb198bc569a0ce85fd3e09c65675fe978"),
+    1: (1, "e2eb085a13795a614565f1cf9d2147ece3807aff200c4c0a8de7e1158a1cf7a0"),
     2: (1, "b7068c519ce8227d3669e5252a79932e49e34203b5eee6208106c5baaa93dff3"),
-    3: (0, "b2531d225ca7e6430f969eb33a7f98361d2ca89c7356ed7898120a3420ba4f27"),
-    4: (1, "aaf02883e1144601a9727f4a7d601ade060c9469ead324b1e5bf827dafbb0e4f"),
-    5: (0, "1355af658ffee026a6f11a258b0bf83f7e308f8c4224113e41ebb0aabd743bfe"),
-    6: (0, "66894b3d220fcc6ef4fe5b5ce2601d9f3454a480f6984e8ed60e227621fe17c3"),
+    3: (0, "2e843fa64dfae7a60d439c765493bdf5b6a4eef8d5a2ac386f58c61bcd92444d"),
+    4: (1, "5ac25636fac7a94d5fe22f8f8ef894ee6cd3732b470c5abae2da1ceacef5e30f"),
+    5: (0, "036b1a4edeecc6c972dd15e27dad09ba413cd57f0db657ba2036a118b8f00b49"),
+    6: (0, "5f3be9eb137e0855441003c1afa30ef9d4c3b75c2b25c61480a2207741a1c4fa"),
 }
 
 
@@ -891,5 +891,5 @@ def test_cli_verify_golden_bytes(random_maps, tmp_path, capsys):
     m, emb = random_maps[1]
     assert main(["verify", write_map_file(tmp_path, m, emb), "-o", str(rep)]) == 0
     assert hashlib.sha256(rep.read_bytes()).hexdigest() == \
-        "c8e6686c18b9d4772cd094a2a4b617f5a2f201229bc258f0025851b826fdc919"
+        "fde69cb997ecd1ed228011cefa99875ecf49cf32975a5699a561e91ed60bada0"
     capsys.readouterr()

@@ -289,6 +289,16 @@ def test_snap_rechecks_the_residual(random_maps, monkeypatch):
         solve_voltage(m)
 
 
+def test_residual_checks_fail_closed(random_maps, mated_crt64, monkeypatch):
+    # a NaN bound or a NaN residual compares false either way round
+    for m in (random_maps[1][0], mated_crt64):
+        with pytest.raises(SolveError, match=r"^harmonic residual \S+ exceeds nan$"):
+            solve_voltage(m, tol=math.nan)
+    monkeypatch.setattr(electrical, "snap_clusters", lambda m, h: np.full_like(h, np.nan))
+    with pytest.raises(SolveError, match="after snapping exceeds"):
+        solve_voltage(random_maps[1][0])
+
+
 def test_voltage_needs_marks():
     m = build_map(2, [(0, 1, 1.0)], [[0], [1]])
     with pytest.raises(MapError, match="marked"):

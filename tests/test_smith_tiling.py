@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -13,10 +14,10 @@ from smithtile import (TilingReport, build_diagram, build_map, conjugate,
                        smith_embedding, solve_voltage, validate)
 from smithtile.mated_crt import build_map as build_mated
 from smithtile import smith_tiling
-from smithtile.smith_tiling import TilingError, _circle_pieces
+from smithtile.smith_tiling import TilingError
 
 import oracles
-from oracles import contact_violations, relabel_edges
+from oracles import contact_violations, reference_validate, relabel_edges
 
 
 def diagram_for(m, emb=None):
@@ -338,48 +339,7 @@ def test_render_svg_splits_seam_rectangles(random_maps):
     assert svg.count("<rect") == 1 + drawn + seam
 
 
-# -- reference: one pass over all rectangles per slab and per level --------
-
-def reference_validate(d):
-    """The slab-by-slab validate: mask the active rectangles of each slab,
-    merge their sorted pieces, and mask each vertex level separately."""
-    eta = d.eta
-    heights = d.rect_y1 - d.rect_y0
-    aspect = np.abs(d.rect_width - d.map.conductance * heights)
-    max_aspect = float(aspect.max()) if len(aspect) else 0.0
-    area_defect = abs(float(np.sum(d.rect_width * heights)) - eta)
-    ys = np.unique(np.concatenate([d.rect_y0, d.rect_y1]))
-    overlap_area = 0.0
-    covered = 0.0
-    for a, b in zip(ys[:-1], ys[1:]):
-        act = np.flatnonzero((d.rect_y0 <= a) & (d.rect_y1 >= b) & (d.rect_width > 0))
-        pieces = []
-        for k in act:
-            pieces.extend(_circle_pieces(float(d.rect_x0[k]), float(d.rect_width[k]), eta))
-        pieces.sort()
-        total = sum(q - p for p, q in pieces)
-        union = 0.0
-        cur_lo, cur_hi = None, None
-        for p, q in pieces:
-            if cur_hi is None or p > cur_hi:
-                if cur_hi is not None:
-                    union += cur_hi - cur_lo
-                cur_lo, cur_hi = p, q
-            else:
-                cur_hi = max(cur_hi, q)
-        if cur_hi is not None:
-            union += cur_hi - cur_lo
-        overlap_area += (total - union) * (b - a)
-        covered += union * (b - a)
-    coverage_defect = abs(eta * 1.0 - covered)
-    max_level = 0.0
-    for a in np.unique(d.hseg_level):
-        seg = float(np.sum(d.hseg_len[d.hseg_level == a]))
-        span = float(np.sum(d.rect_width[(d.rect_y0 < a) & (d.rect_y1 > a)]))
-        max_level = max(max_level, abs(seg + span - eta))
-    return TilingReport(eta, overlap_area, coverage_defect, area_defect,
-                        max_aspect, max_level, float(d.hseg_len.max()))
-
+# -- validate against the slab-by-slab oracle --------------------------------
 
 REPORT_FIELDS = [f.name for f in dataclasses.fields(TilingReport)]
 
@@ -446,3 +406,64 @@ def test_validate_flags_perturbed_diagrams_like_reference(sweep_diagrams):
             for field in fields:
                 assert getattr(got, field) > 1e-9, field
             assert not got.passed() and not want.passed()
+
+
+def test_validate_slab_cap_does_not_change_report(sweep_diagrams, monkeypatch):
+    # chunks cut by the slab cap rather than the pair count
+    want = [validate(d) for d in sweep_diagrams]
+    for cap in (1, 3):
+        monkeypatch.setattr(smith_tiling, "SWEEP_SLABS", cap)
+        for d, w in zip(sweep_diagrams, want):
+            assert_reports_agree(validate(d), w)
+
+
+def test_validate_matches_reference_at_benchmark_size():
+    # the first map of the crt_tile benchmark: about 2500 edges, 1000 slabs
+    m = mark_vertices(build_mated(sample_excursion(1.8, 1024, 1)), seed=1).map
+    d = diagram_for(m)
+    got = validate(d)
+    assert got.passed()
+    assert_reports_agree(got, reference_validate(d))
+    for fields, bad in _perturbed(d):
+        got, want = validate(bad), reference_validate(bad)
+        assert_reports_agree(got, want)
+        for field in fields:
+            assert getattr(got, field) > 1e-9, field
+        assert not got.passed() and not want.passed()
+
+
+@settings(max_examples=40, deadline=None)
+@given(i=st.integers(0, 19), k=st.integers(0, 10 ** 6), j=st.integers(0, 10 ** 6),
+       frac=st.floats(-1.0, 1.0), scale=st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+def test_validate_matches_reference_on_broken_diagrams(sweep_diagrams, i, k, j, frac,
+                                                       scale):
+    d = sweep_diagrams[i]    # random_map(i)
+    E = d.map.num_edges
+    x0 = d.rect_x0.copy()
+    x0[k % E] = reduce_mod(x0[k % E] + frac * d.eta, d.eta)
+    width = d.rect_width.copy()
+    width[j % E] *= scale
+    bad = dataclasses.replace(d, rect_x0=x0, rect_width=width)
+    got, want = validate(bad), reference_validate(bad)
+    assert_reports_agree(got, want)
+    assert got.passed() == want.passed()
+
+
+def test_validate_caps_chunks_at_uint16_slabs():
+    # two pieces 61000 empty slabs apart, the second at an offset that wraps
+    # to 464 in uint16: one chunk holds them both unless it is cut at
+    # SWEEP_SLABS slabs, and a wrapped sort would swap their slabs
+    N = 70000
+    ys = (np.arange(N + 1) / N) ** 2
+    y0, y1 = ys.copy(), ys.copy()
+    x0, width = np.zeros(N + 1), np.zeros(N + 1)
+    for k, (x, w) in ((5000, (0.0, 0.25)), (66000, (0.5, 0.5))):
+        y1[k], x0[k], width[k] = ys[k + 1], x, w
+    m = types.SimpleNamespace(num_edges=N + 1, conductance=np.ones(N + 1))
+    d = types.SimpleNamespace(map=m, eta=1.0, rect_x0=x0, rect_width=width,
+                              rect_y0=y0, rect_y1=y1, hseg_level=np.zeros(1),
+                              hseg_len=np.ones(1))
+    dy = np.diff(ys)
+    rep = validate(d)
+    assert rep.overlap_area == 0.0
+    assert abs(rep.coverage_defect - (1.0 - 0.25 * dy[5000] - 0.5 * dy[66000])) <= 1e-15
