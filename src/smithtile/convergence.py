@@ -157,6 +157,7 @@ def invariance_diagnostic(m: CombMap, height, starts, h_lo: float, h_hi: float,
     if walks_per_start < 1:
         raise ValueError("walks_per_start must be positive")
     stop = lo | hi
+    heads = m.dart_head.tolist()
     u = uniforms(make_rng(seed))
     starts = np.asarray(list(starts), dtype=np.int64)
     p_exact = np.empty(len(starts))
@@ -169,7 +170,7 @@ def invariance_diagnostic(m: CombMap, height, starts, h_lo: float, h_hi: float,
         hits = 0
         for _ in range(walks_per_start):
             darts = walk(m, u, s, stop, max_steps)
-            end = int(m.dart_head[darts[-1]]) if darts else s
+            end = heads[darts[-1]] if darts else s
             if end in hi:
                 hits += 1
         p_exact[i] = p

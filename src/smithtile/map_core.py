@@ -351,10 +351,12 @@ class CombMap:
 
     @cached_property
     def step_rows(self) -> list:
-        """One row per vertex for the walk kernel, as Python lists: (darts in
-        rotation order, cumulative conductance over them, the total, and the
-        head of each dart).  The cumulative sums add left to right, as
-        ``np.cumsum`` does."""
+        """One row per vertex for the walk kernel, as Python lists: (cumulative
+        conductance over the darts in rotation order, the total, the darts and
+        the head of each dart).  The cumulative sums add left to right, as
+        ``np.cumsum`` does.  The dart and head lists repeat their last entry,
+        so a draw that rounds up to the total, which ``bisect_right`` places
+        one past the last sum, still picks the last dart."""
         ptr = self.vert_ptr.tolist()
         darts = self.vert_dart.tolist()
         heads = self.dart_head[self.vert_dart].tolist()
@@ -362,7 +364,8 @@ class CombMap:
         rows = []
         for a, b in zip(ptr, ptr[1:]):
             cum = list(accumulate(cond[a:b]))
-            rows.append((darts[a:b], cum, cum[-1], heads[a:b]))
+            rows.append((cum, cum[-1], darts[a:b] + [darts[b - 1]],
+                         heads[a:b] + [heads[b - 1]]))
         return rows
 
     def __repr__(self):

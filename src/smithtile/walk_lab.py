@@ -21,18 +21,24 @@ No step of the report builds a V x V or E x E array.
 
 Monte Carlo walks all step through the one kernel ``walk``; its users are
 ``simulate`` and ``convergence.invariance_diagnostic``.  The kernel reads one
-cached row per vertex, ``CombMap.step_rows``: the darts, their cumulative
-conductance, its total and the dart heads.  It takes one value per step from
-``uniforms``, a stream that draws the generator's uniforms BLOCK at a time:
-``rng.random(k)`` returns the same doubles as k calls of ``rng.random()``, so
-a walk sees the values that one call per step would give it, at a fraction of
-the per-call cost.
+cached row per vertex, ``CombMap.step_rows``: the cumulative conductance of
+the vertex's darts, its total, the darts and their heads, the last dart and
+head repeated once.  A step is one ``bisect_right`` of the scaled draw, and a
+draw that rounds up to the total lands on the repeated last dart, so the loop
+has no branch for it.  The stop set is tested once at the start and then
+after each move.  The values come from ``uniforms``, a C-level chain over
+blocks of BLOCK uniforms from the generator: ``rng.random(k)`` returns the
+same doubles as k calls of ``rng.random()``, so a walk sees the values that
+one call per step would give it, at a fraction of the per-call cost.  The
+kernel zips its step budget with the stream, budget first, so it takes
+exactly one value per step and none past the budget.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -77,8 +83,7 @@ def uniforms(rng):
     """Endless stream of the values of ``rng.random()``, in order, drawn
     BLOCK at a time.  A walk that stops mid-block leaves the rest of the
     block unused, so share one stream where walks must share one sequence."""
-    while True:
-        yield from rng.random(BLOCK).tolist()
+    return chain.from_iterable(iter(lambda: rng.random(BLOCK).tolist(), None))
 
 
 def walk(m: CombMap, u, start: int, stop: set, max_steps: int) -> list:
@@ -90,22 +95,20 @@ def walk(m: CombMap, u, start: int, stop: set, max_steps: int) -> list:
     StepBudgetExceeded when the walk needs more than ``max_steps`` steps."""
     if not stop:
         raise ValueError("stop set must be nonempty")
-    rows = m.step_rows
-    draw = u.__next__
-    darts: list = []
-    step = darts.append
     v = int(start)
-    for _ in range(max_steps):
-        if v in stop:
-            return darts
-        out, cum, total, heads = rows[v]
-        x = draw() * total
-        # a draw that rounds up to the total still picks the last dart
-        i = bisect_right(cum, x) if x < total else -1
-        step(out[i])
-        v = heads[i]
+    darts: list = []
     if v in stop:
         return darts
+    rows = m.step_rows
+    step = darts.append
+    # zip asks range first, so no value is taken past the budget
+    for _, x in zip(range(max_steps), u):
+        cum, total, out, heads = rows[v]
+        i = bisect_right(cum, x * total)
+        step(out[i])
+        v = heads[i]
+        if v in stop:
+            return darts
     raise StepBudgetExceeded(f"no stop vertex within {max_steps} steps")
 
 
@@ -117,10 +120,11 @@ def simulate(m: CombMap, start: int, stop_set, seed: int,
     generator, one per step, so it is bit-reproducible for a fixed seed.
     Raises StepBudgetExceeded past the cap.
     """
-    stop = set(int(s) for s in stop_set)
-    darts = np.array(walk(m, uniforms(make_rng(seed)), start, stop, max_steps),
-                     dtype=np.int64)
-    verts = np.concatenate(([int(start)], m.dart_head[darts]))
+    darts = np.array(walk(m, uniforms(make_rng(seed)), start, set(map(int, stop_set)),
+                          max_steps), dtype=np.int64)
+    verts = np.empty(len(darts) + 1, dtype=np.int64)
+    verts[0] = start
+    verts[1:] = m.dart_head[darts]
     return WalkTrace(verts, darts)
 
 

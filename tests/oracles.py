@@ -4,8 +4,8 @@ Each one restates a rule the program applies in bulk: the harmonic
 orientation of one edge, the adjacency of touching rectangles, the
 noncrossing of the arcs of a mated-CRT map, the winding of a dual cycle by
 its crossings of a cut path, the stdlib JSON encoder, the JSON readers
-checking one record at a time, and (below) the loop forms of the steps that
-now run as array code.
+checking one record at a time, (below) the loop forms of the steps that
+now run as array code, and the per-step loops of the Monte Carlo walks.
 """
 
 import json
@@ -1340,3 +1340,47 @@ def projected_step_law(m: CombMap, originals, x: int) -> dict:
     targets = sorted(originals - {int(x)})
     probs, order = absorption_probs(m, targets)
     return {int(w): float(probs[int(x), j]) for j, w in enumerate(order)}
+
+
+# -- the Monte Carlo walks before they shared walk_lab.walk --------------------
+# A numpy search over the cumulative conductances and one rng.random() per
+# step: the walk kernel must reproduce these loops bit for bit.
+
+def ref_sample_dart(m, rng, v):
+    at = m.vertex_darts[v]
+    cum = np.cumsum(m.conductance[at >> 1])
+    r = rng.random() * cum[-1]
+    i = min(int(np.searchsorted(cum, r, side="right")), len(at) - 1)
+    return int(at[i])
+
+
+def ref_simulate(m, start, stop, seed):
+    rng = make_rng(seed)
+    verts, darts = [start], []
+    v = start
+    while v not in stop:
+        h = ref_sample_dart(m, rng, v)
+        v = int(m.dart_head[h])
+        darts.append(h)
+        verts.append(v)
+    return darts, verts
+
+
+def ref_invariance(m, height, starts, h_lo, h_hi, walks, seed):
+    """Top-exit frequencies and the longest single walk."""
+    lo = {x for x in range(m.num_vertices) if height[x] <= h_lo + 1e-9}
+    hi = {x for x in range(m.num_vertices) if height[x] >= h_hi - 1e-9}
+    stop = lo | hi
+    rng = make_rng(seed)
+    p_hat, longest = [], 0
+    for s in starts:
+        hits = 0
+        for _ in range(walks):
+            v, steps = s, 0
+            while v not in stop:
+                steps += 1
+                v = int(m.dart_head[ref_sample_dart(m, rng, v)])
+            longest = max(longest, steps)
+            hits += v in hi
+        p_hat.append(hits / walks)
+    return np.array(p_hat), longest

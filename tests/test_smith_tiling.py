@@ -370,8 +370,10 @@ def test_validate_matches_slab_reference(sweep_diagrams):
 
 
 def test_validate_chunking_does_not_change_report(sweep_diagrams, monkeypatch):
-    # the CG lattice needs several chunks even at the default size; one slab
-    # per chunk is the other extreme
+    # the CG lattice needs several chunks even at the default size; with
+    # SWEEP_PAIRS = 0 every map takes the smallest chunks the pair rule
+    # allows, E // 2 pairs (one slab per chunk is the SWEEP_SLABS = 1 case of
+    # test_validate_slab_cap_does_not_change_report)
     want = [validate(d) for d in sweep_diagrams]
     monkeypatch.setattr(smith_tiling, "SWEEP_PAIRS", 0)
     for d, w in zip(sweep_diagrams, want):

@@ -10,7 +10,7 @@ import oracles
 from smithtile import mated_crt, walk_lab
 from smithtile.convergence import invariance_diagnostic
 from smithtile.rng import make_rng
-from oracles import absorption_probs, step_law
+from oracles import absorption_probs, ref_invariance, ref_simulate, step_law
 from smithtile import (InadmissibleHeights, LevelNotVertexed,
                        StepBudgetExceeded, Voltage, admissible_sequences,
                        augment_all_levels, build_diagram, build_map,
@@ -521,50 +521,10 @@ def test_exact_law_report_keys(rung_map):
 
 
 # -- the walk kernel against the per-step loop it replaced ---------------------
-# Each reference below is the loop its function ran before every Monte Carlo
-# walk went through walk_lab.walk: a numpy search over the cumulative
-# conductances, one rng.random() per step.  The kernel must reproduce it bit
-# for bit, and the step counts give the exact step-budget boundaries.
-
-def ref_sample_dart(m, rng, v):
-    at = m.vertex_darts[v]
-    cum = np.cumsum(m.conductance[at >> 1])
-    r = rng.random() * cum[-1]
-    i = min(int(np.searchsorted(cum, r, side="right")), len(at) - 1)
-    return int(at[i])
-
-
-def ref_simulate(m, start, stop, seed):
-    rng = make_rng(seed)
-    verts, darts = [start], []
-    v = start
-    while v not in stop:
-        h = ref_sample_dart(m, rng, v)
-        v = int(m.dart_head[h])
-        darts.append(h)
-        verts.append(v)
-    return darts, verts
-
-
-def ref_invariance(m, height, starts, h_lo, h_hi, walks, seed):
-    """Top-exit frequencies and the longest single walk."""
-    lo = {x for x in range(m.num_vertices) if height[x] <= h_lo + 1e-9}
-    hi = {x for x in range(m.num_vertices) if height[x] >= h_hi - 1e-9}
-    stop = lo | hi
-    rng = make_rng(seed)
-    p_hat, longest = [], 0
-    for s in starts:
-        hits = 0
-        for _ in range(walks):
-            v, steps = s, 0
-            while v not in stop:
-                steps += 1
-                v = int(m.dart_head[ref_sample_dart(m, rng, v)])
-            longest = max(longest, steps)
-            hits += v in hi
-        p_hat.append(hits / walks)
-    return np.array(p_hat), longest
-
+# The references (oracles.ref_simulate, oracles.ref_invariance) are the loops
+# their functions ran before every Monte Carlo walk went through
+# walk_lab.walk.  The kernel must reproduce them bit for bit, and the step
+# counts give the exact step-budget boundaries.
 
 class WalkCase:
     """A map with the stop sets and starts every walk function needs."""
@@ -655,6 +615,31 @@ def test_walks_on_one_stream_take_one_value_per_step(walk_cases):
                      for i in range(len(walks))]
 
 
+def test_walk_takes_no_value_past_its_budget(walk_cases):
+    c = walk_cases[-2]          # the lattice
+    k = len(walk_lab.walk(c.m, walk_lab.uniforms(make_rng(2)), c.x, c.stop, 10_000))
+    assert k > 2
+    for budget in (0, 1, k // 2, k - 1):
+        u = Counted(walk_lab.uniforms(make_rng(2)))
+        with pytest.raises(StepBudgetExceeded):
+            walk_lab.walk(c.m, u, c.x, c.stop, budget)
+        assert u.taken == budget
+    u = Counted(walk_lab.uniforms(make_rng(3)))
+    assert walk_lab.walk(c.m, u, c.m.v1, c.stop, 0) == []
+    assert walk_lab.walk(c.m, u, c.m.v0, c.stop, 10) == []
+    assert u.taken == 0
+
+
+def test_simulate_takes_numpy_vertices(walk_cases):
+    for c in (walk_cases[0], walk_cases[-2]):      # a random map, the lattice
+        want = simulate(c.m, c.x, c.stop, seed=2)
+        got = simulate(c.m, np.int64(c.x), set(np.array(sorted(c.stop))), seed=2)
+        for a, b in ((got.vertices, want.vertices), (got.darts, want.darts)):
+            assert a.dtype == b.dtype == np.int64
+            assert np.array_equal(a, b)
+        assert len(want) > 1
+
+
 @pytest.mark.parametrize("block", [1, 7])
 def test_walks_do_not_depend_on_block(walk_cases, monkeypatch, block):
     monkeypatch.setattr(walk_lab, "BLOCK", block)
@@ -671,7 +656,7 @@ def test_walk_draw_rounding_up_picks_last_dart():
     # with subnormal conductances u * c[-1] can round up to c[-1], so the
     # search lands past the last dart
     m = build_map(2, [(0, 1, 5e-324)] * 3, [[0, 2, 4], [5, 3, 1]], marked=(0, 1))
-    c = m.step_rows[0][1]
+    c = m.step_rows[0][0]
     u = 1.0 - 2.0 ** -53        # the largest value rng.random() returns
     assert u * c[-1] == c[-1]
     assert walk_lab.walk(m, iter([u]), 0, {1}, 1) == [4]
