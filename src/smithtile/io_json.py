@@ -36,10 +36,14 @@ caller that edits a document; the stdlib writes them to the same bytes.
 The readers check each table (``vertices``, ``edges``, ``rotation``,
 ``rects``, ``hsegs``, ``vsegs``) a column at a time: the field set of every
 record, the id sequence 0, 1, 2, ..., the type of every value, and, with
-numpy, ranges, finiteness and repeated darts.  They report every violation
-in one SchemaError, record by record in document order.  A JSON boolean is
-neither a number nor an id, though Python counts it as an int, and an
-integer too large for a double is not a finite number.
+numpy, ranges, finiteness, repeated darts and darts listed under a vertex
+they do not start at.  Only ``str(v)`` names vertex v in the rotation.
+They report every violation in one SchemaError, record by record in
+document order.  A JSON boolean is neither a number nor an id, though
+Python counts it as an int, and an integer too large for a double is not a
+finite number.  ``map_from_json`` then builds the map from the columns its
+checks made: the tail, head and conductance arrays, and ``next_dart`` from
+the rotation's darts and list lengths by ``map_core.next_dart_from``.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .map_core import CombMap, CylinderEmbedding, build_map
+from .map_core import CombMap, CylinderEmbedding, next_dart_from
 
 SCHEMA = "smith/1"
 
@@ -290,11 +294,13 @@ def _numbers(col) -> np.ndarray:
 
 
 def _below(col, hi) -> np.ndarray:
-    """Mask of the entries of col that are integers in [0, hi)."""
+    """col as int64, -1 at each entry that is not an integer in [0, hi)."""
     ok = _typed(col, _int_type)
     v = np.array(col if ok.all() else list(compress(col, ok)))  # float64 or object beyond int64
-    ok[np.flatnonzero(ok)] = (v >= 0) & (v < hi)
-    return ok
+    inside = (v >= 0) & (v < hi)
+    out = np.full(len(col), -1, dtype=np.int64)
+    out[np.flatnonzero(ok)[inside]] = v[inside]
+    return out
 
 
 def _check_fields(obj, where, required, errors):
@@ -377,10 +383,12 @@ class _Table:
 
 
 def _vertex_key(key):
+    """The vertex a rotation key names: v for the key str(v) only."""
     try:
-        return int(key)
+        v = int(key)
     except ValueError:
         return None
+    return v if str(v) == key else None
 
 
 # -- map ------------------------------------------------------------------------
@@ -452,8 +460,9 @@ def map_from_json(obj) -> tuple:
         edges_json = []
     et = _Table(edges_json, "edges", ("id", "tail", "head", "conductance", "dtheta"))
     et.ids("id")
-    for name in ("tail", "head"):
-        et.flag(~_below(et.cols[name], V), f".{name}: not a vertex id")
+    ends = [_below(et.cols[name], V) for name in ("tail", "head")]
+    for name, end in zip(("tail", "head"), ends):
+        et.flag(end < 0, f".{name}: not a vertex id")
     cond = _numbers(et.cols["conductance"])
     et.flag(~(np.isfinite(cond) & (cond > 0)),
             ".conductance: need a finite positive number")
@@ -467,41 +476,51 @@ def map_from_json(obj) -> tuple:
         errors.append("rotation: expected an object keyed by vertex id")
         rot_json = {}
     keys = sorted(rot_json)
-    ids = list(map(_vertex_key, keys))
+    ids = _below(list(map(_vertex_key, keys)), V)
     cycles = list(map(rot_json.__getitem__, keys))
     is_list = _typed(cycles, lambda t: issubclass(t, list))
     lens = np.zeros(len(keys), dtype=np.int64)
     lens[is_list] = list(map(len, compress(cycles, is_list)))
-    key_ok = _below(ids, V)
-    used = key_ok & (lens > 0)
+    used = (ids >= 0) & (lens > 0)
+    lens = lens[used]
     darts = list(chain.from_iterable(compress(cycles, used)))
-    owner = np.repeat(np.flatnonzero(used), lens[used]).tolist()
-    valid = _below(darts, 2 * len(edges_json))
-    _, first = np.unique(np.array(list(compress(darts, valid)), dtype=np.int64),
-                         return_index=True)
+    owner = np.repeat(np.flatnonzero(used), lens)
+    flat = _below(darts, 2 * len(edges_json))
+    valid = flat >= 0
+    _, first = np.unique(flat[valid], return_index=True)
     again = valid.copy()
     again[np.flatnonzero(valid)[first]] = False
+    # the vertex each dart starts at, -1 where its edge's end is not known
+    dart_tail = np.full((len(edges_json), 2), -1)
+    dart_tail[et.rows] = np.stack(ends, axis=1)
+    at = dart_tail.ravel()[flat[valid]]
+    astray = valid.copy()
+    astray[valid] = (at >= 0) & (at != ids[owner[valid]])
+    owner = owner.tolist()
     found = [(k, 0, f"rotation[{keys[k]!r}]: key is not a vertex id")
-             for k in np.flatnonzero(~key_ok).tolist()]
+             for k in np.flatnonzero(ids < 0).tolist()]
     found += [(k, 0, f"rotation[{keys[k]}]: expected a nonempty dart list")
-              for k in np.flatnonzero(key_ok & ~used).tolist()]
+              for k in np.flatnonzero((ids >= 0) & ~used).tolist()]
     found += [(owner[j], j, f"rotation[{keys[owner[j]]}]: invalid dart {darts[j]!r}")
               for j in np.flatnonzero(~valid).tolist()]
     found += [(owner[j], j, f"rotation[{keys[owner[j]]}]: dart {darts[j]} listed twice")
               for j in np.flatnonzero(again).tolist()]
+    found += [(owner[j], j, f"rotation[{keys[owner[j]]}]: dart {darts[j]} does not "
+               f"start at vertex {keys[owner[j]]}") for j in np.flatnonzero(astray).tolist()]
     errors += [e for *_, e in sorted(found, key=operator.itemgetter(0, 1))]
     if sized:
         # V is only as trusted as the vertex list: a bare count must not
         # cost an error per vertex
-        missing = set(map(str, range(V))).difference(rot_json)
-        errors += [f"rotation: vertex {v} missing" for v in sorted(map(int, missing))]
+        missing = np.ones(V, dtype=bool)
+        missing[ids[ids >= 0]] = False
+        errors += [f"rotation: vertex {v} missing" for v in np.flatnonzero(missing).tolist()]
 
     if errors:
         raise SchemaError(errors)
 
-    rotation = dict(zip(ids, cycles))       # a later key for one vertex wins
-    m = build_map(V, list(zip(et.cols["tail"], et.cols["head"], cond.tolist())),
-                  list(map(rotation.__getitem__, range(V))), marked=(v0, v1))
+    # every key is a vertex's and every dart in its key's list once, so the
+    # checked columns are the map: the key order of the cycles does not matter
+    m = CombMap(V, *ends, cond, next_dart_from(flat, lens, 2 * len(edges_json)), v0, v1)
 
     have = ~null[~m.marked]
     if not have.any() and no_dt.all():

@@ -386,21 +386,31 @@ def build_map(num_vertices, edges, rotation, marked=None) -> CombMap:
     outside = np.flatnonzero((flat < 0) | (flat >= 2 * E))
     if len(outside):
         raise MapError(f"dart {flat[outside[0]]} in rotation data is not a dart of the map")
-    # each listed dart is followed by the next one of its cycle, the last by the first
-    start = np.cumsum(lens) - lens
-    succ = np.arange(1, len(flat) + 1)
-    succ[(start + lens - 1)[lens > 0]] = start[lens > 0]
     _, first = np.unique(flat, return_index=True)
     again = np.ones(len(flat), dtype=bool)
     again[first] = False
     if again.any():
         raise MapError(f"dart {flat[np.argmax(again)]} appears twice in rotation data")
-    if len(first) != 2 * E:
-        raise MapError("rotation data does not cover every dart")
-    nxt = np.empty(2 * E, dtype=np.int64)
-    nxt[flat] = flat[succ]
     v0, v1 = (None, None) if marked is None else marked
-    return CombMap(num_vertices, tails, heads, cond, nxt, v0=v0, v1=v1)
+    return CombMap(num_vertices, tails, heads, cond, next_dart_from(flat, lens, 2 * E),
+                   v0=v0, v1=v1)
+
+
+def next_dart_from(darts, lens, num_darts) -> np.ndarray:
+    """The next_dart permutation of rotation cycles listed back to back:
+    cycle i is the next lens[i] entries of darts, in CCW order, and each
+    dart is followed by the next one of its cycle, the last by the first.
+
+    The darts must be distinct and in [0, num_darts); MapError if they are
+    fewer than num_darts."""
+    if len(darts) != num_darts:
+        raise MapError("rotation data does not cover every dart")
+    start = np.cumsum(lens) - lens
+    succ = np.arange(1, len(darts) + 1)
+    succ[(start + lens - 1)[lens > 0]] = start[lens > 0]
+    nxt = np.empty(num_darts, dtype=np.int64)
+    nxt[darts] = darts[succ]
+    return nxt
 
 
 # -- cylinder embedding -----------------------------------------------------

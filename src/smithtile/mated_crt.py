@@ -12,10 +12,14 @@ vertices on a line, lower arcs below, upper arcs above, rotation given by
 the tangent order of nested semicircles; the Euler check in the map
 constructor fails loudly if that order is ever inconsistent.
 
-The arcs of each path come from one sweep with a monotone stack of the left
-cells that can still be joined, in O(n) plus the pairs it meets, instead of
-an O(n^2) scan.  The rotations come from one lexsort of all darts.
-tests/oracles.py keeps the loops these replaced as references.
+The arcs of each path come from its chains of weak records: from each left
+cell, the lattice points that reach a new running minimum, up to the first
+point below the cell's minimum.  Every chain advances at once, one array
+step per record, over a next-point-at-or-below table found by binary
+lifting on a sparse table of range minima; the cost is O(n log n) plus the
+pairs met, instead of an O(n^2) scan.  The rotations come from one lexsort
+of all darts.  tests/oracles.py keeps the loops these replaced as
+references.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .map_core import CombMap, MapError
+from .map_core import CombMap, MapError, next_dart_from
 from .rng import make_rng
 
 LINE, LOWER, UPPER = 0, 1, 2
@@ -181,59 +185,73 @@ def adjacency_oracle(exc: Excursion, x1: int, x2: int) -> tuple:
     return _condition(exc.l, j1, j2), _condition(exc.r, j1, j2)
 
 
+def _next_at_or_below(C: np.ndarray) -> np.ndarray:
+    """For each lattice point q = 0..n, the first p > q with C[p] <= C[q],
+    or n + 1 if there is none.
+
+    A sparse table holds min C over the blocks [i, i + 2^k) for k < K, where
+    2^K > n, with C extended by -inf at n + 1 (so a block reaching past n
+    holds -inf and is never skipped).  Binary lifting then moves every
+    search at once, largest block first, past each block whose minimum lies
+    above the search's value: K vectorized rounds."""
+    n = len(C) - 1
+    K = max(1, n.bit_length())
+    table = [np.append(C, -np.inf)]
+    for k in range(1, K):
+        a, h = table[-1], 1 << (k - 1)
+        table.append(np.append(np.minimum(a[:-h], a[h:]), np.full(h, -np.inf)))
+    pos = np.arange(1, n + 2)
+    for k in range(K - 1, -1, -1):
+        pos += (table[k][pos] > C) << k
+    return pos
+
+
 def _arc_pairs(C: np.ndarray) -> np.ndarray:
     """All non-consecutive 1-based cell pairs (j1, j2) joined under C (same
     rule as _condition), as a (pairs, 2) array in lexicographic order.
 
-    One sweep over the lattice points p = 1..n-1 keeps a stack of the live
-    left cells: those whose minimum is at or below every lattice value from
-    their own right end to p.  A cell dies once a value falls below its
-    minimum and can never join a later cell, so the stack's minima never
-    decrease upward.  At p, first pop the cells whose minimum exceeds C[p],
-    then read off the pairs with j2 = p + 1, then push cell p (pushing first
-    would bury the cells that C[p] kills).
+    For a left cell j1, let R be the first lattice point below cmin[j1]
+    (n + 1 if none): the gap minimum of (j1, j2) stays at or above cmin[j1]
+    exactly while j2 <= R.  Walk the chain of weak records of C from j1,
+    q -> nse(q), the first later point at or below C[q]; it ends at R.  The
+    gap minimum of (j1, j2) is C at the last record before j2, and a cell
+    j2 can have cmin[j2] at or below it only if j2 - 1 or j2 is a record.
+    So each record q < R gives the candidates j2 = q + 1 (for q > j1) and
+    j2 = nse(q) (when that is not q + 1), both with gap C[q]; every other
+    j2 fails the max-min test.  The candidates then meet _condition's
+    max-min test and both pinch exclusions unchanged.
 
-    Each stack entry also carries the minimum of C over the lattice points
-    from its cell's right end to the next entry's (for the top entry, to p),
-    so the gap minimum of (j1, j2) is the running minimum walking down from
-    the top.  A popped entry's values are at or above its own minimum, hence
-    above C[p], which the new top takes in; so nothing is merged on a pop.
-    The running minimum only falls, so the walk stops at the first gap below
-    cell j2's minimum; the two pinch exclusions are applied unchanged on the
-    way.  Cost: O(n) for the sweep, one step per pair met (the arcs and the
-    pinches they exclude) and a sort of the arcs.
+    nse comes from _next_at_or_below, and all chains advance together, one
+    round per record.  Each record after the first gives a candidate j2 =
+    q + 1 that passes the max-min test, so the work is O(n log n) for the
+    table plus one step per pair met (the arcs and the pinches they
+    exclude).  A chain emits its candidates in increasing j2, so a stable
+    sort by j1 puts the pairs in lexicographic order.
     """
     n = len(C) - 1
-    c = C.tolist()
-    cmin = [0.0] + np.minimum(C[:-1], C[1:]).tolist()
-    cells, gaps = [], []                # the stack, bottom first
-    pairs = []
-    for p in range(1, n):
-        x = c[p]
-        while cells and cmin[cells[-1]] > x:
-            cells.pop()
-            gaps.pop()
-        if gaps and x < gaps[-1]:
-            gaps[-1] = x
-        j2 = p + 1
-        cm2 = cmin[j2]
-        g = math.inf
-        for k in range(len(cells) - 1, -1, -1):
-            if gaps[k] < g:
-                g = gaps[k]
-            if g < cm2:
-                break
-            j1 = cells[k]
-            cm1 = cmin[j1]
-            if cm2 >= cm1 and cm2 == x == g:
-                continue
-            if cm1 >= cm2 and cm1 == c[j1] == g:
-                continue
-            pairs.append((j1, j2))
-        cells.append(p)
-        gaps.append(x)
-    out = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    return out[np.lexsort((out[:, 1], out[:, 0]))]
+    nse = _next_at_or_below(C)
+    Cx = np.append(C, -np.inf)
+    cmin = np.concatenate([[np.inf], np.minimum(C[:-1], C[1:])])
+    j1 = np.arange(1, n - 1)
+    lo, q = cmin[j1], j1
+    left, right, gap = [j1[:0]], [j1[:0]], [C[:0]]
+    while len(q):
+        nq, g = nse[q], C[q]
+        b = (q > j1) & (q < n)
+        a = (nq > q + 1) & (nq <= n)
+        left += [j1[b], j1[a]]
+        right += [q[b] + 1, nq[a]]
+        gap += [g[b], g[a]]
+        go = Cx[nq] >= lo           # nq < R
+        j1, lo, q = j1[go], lo[go], nq[go]
+    j1, j2, g = map(np.concatenate, (left, right, gap))
+    cm1, cm2, c1, c2 = cmin[j1], cmin[j2], C[j1], C[j2 - 1]
+    keep = ((np.maximum(cm1, cm2) <= g)
+            & ~((cm2 >= cm1) & (cm2 == c2) & (c2 == g))
+            & ~((cm1 >= cm2) & (cm1 == c1) & (c1 == g)))
+    j1, j2 = j1[keep], j2[keep]
+    order = np.argsort(j1, kind="stable")
+    return np.stack([j1[order], j2[order]], axis=1)
 
 
 @dataclass
@@ -277,12 +295,7 @@ def build_map(exc: Excursion) -> MatedCrtMap:
     dkind = np.repeat(kind, 2)
     group = _ROTATION_GROUP[dkind, np.arange(len(at)) & 1]
     order = np.lexsort((np.where(dkind == LOWER, -far, far), group, at))
-    deg = np.bincount(at, minlength=n)
-    start = np.cumsum(deg) - deg
-    succ = np.arange(1, len(at) + 1)
-    succ[start + deg - 1] = start       # each rotation closes on its first dart
-    nxt = np.empty(len(at), dtype=np.int64)
-    nxt[order] = order[succ]
+    nxt = next_dart_from(order, np.bincount(at, minlength=n), len(at))
     try:
         m = CombMap(n, tail, head, np.ones(len(tail)), nxt)
     except MapError as err:

@@ -206,6 +206,7 @@ def map_from_json(obj) -> tuple:
     edges_json = obj.get("edges")
     edges = []
     dthetas = []
+    dart_tail = {}          # the vertex a dart starts at, where its edge gives one
     if not isinstance(edges_json, list) or not edges_json:
         errors.append("edges: expected a nonempty list")
         edges_json = []
@@ -218,10 +219,12 @@ def map_from_json(obj) -> tuple:
             errors.append(f"edges[{k}]: id must be {k}")
         t, h, c = rec.get("tail"), rec.get("head"), rec.get("conductance")
         bad = False
-        for name, v in (("tail", t), ("head", h)):
+        for name, v, dart in (("tail", t, 2 * k), ("head", h, 2 * k + 1)):
             if not _is_int(v) or not (0 <= v < V):
                 errors.append(f"edges[{k}].{name}: not a vertex id")
                 bad = True
+            else:
+                dart_tail[dart] = v
         if not _finite(c) or not (c > 0):
             errors.append(f"edges[{k}].conductance: need a finite positive number")
             bad = True
@@ -245,7 +248,7 @@ def map_from_json(obj) -> tuple:
         except ValueError:
             errors.append(f"rotation[{key!r}]: key is not a vertex id")
             continue
-        if not (0 <= v < V):
+        if str(v) != key or not (0 <= v < V):
             errors.append(f"rotation[{key!r}]: key is not a vertex id")
             continue
         if not isinstance(cyc, list) or not cyc:
@@ -255,11 +258,14 @@ def map_from_json(obj) -> tuple:
         for h in cyc:
             if not _is_int(h) or not (0 <= h < 2 * len(edges_json)):
                 errors.append(f"rotation[{key}]: invalid dart {h!r}")
-            elif h in seen_darts:
+                continue
+            if h in seen_darts:
                 errors.append(f"rotation[{key}]: dart {h} listed twice")
             else:
                 seen_darts.add(h)
                 good.append(h)
+            if dart_tail.get(h, v) != v:
+                errors.append(f"rotation[{key}]: dart {h} does not start at vertex {key}")
         rotation[v] = good
     for v in range(V if sized else 0):
         if str(v) not in rot_json:

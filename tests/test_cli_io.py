@@ -303,6 +303,76 @@ def test_map_reader_reports_a_bare_vertex_count_once():
     assert _outcome(oracles.map_from_json, obj) == ("SchemaError", errors)
 
 
+def test_map_roundtrip_keeps_every_array(lattice8, random_maps, mated_crt64):
+    """Reading a written map gives back every array of the map bit for bit,
+    dtype included, on lattice, random and mated-CRT maps."""
+    for m, emb in [lattice8, random_maps[1], random_maps[7], (mated_crt64, None)]:
+        m2, _ = map_from_json(json.loads(dump_json(map_to_json(m, emb))))
+        assert (m2.num_vertices, m2.num_faces, m2.v0, m2.v1) == \
+            (m.num_vertices, m.num_faces, m.v0, m.v1)
+        for name in m.ARRAYS:
+            assert _arrays_equal(getattr(m2, name), getattr(m, name)), name
+
+
+def test_map_reader_rejects_a_rotation_that_leaves_a_dart_out(path_map):
+    # every key names a vertex and every listed dart is its own, but one
+    # dart of the map is listed nowhere
+    obj = json.loads(dump_json(map_to_json(path_map)))
+    rot = obj["rotation"]
+    v = next(k for k in sorted(rot) if len(rot[k]) > 1)
+    rot[v].pop()
+    want = ("MapError", "rotation data does not cover every dart")
+    assert _outcome(map_from_json, obj) == want
+    assert _outcome(oracles.map_from_json, obj) == want
+
+
+def test_map_reader_rejects_rotation_lists_under_the_wrong_key(random_maps):
+    """A dart listed under a vertex it does not start at is reported, not
+    left for the map's cycle check, which passes when two whole lists trade
+    places."""
+    m, emb = random_maps[1]
+    obj = json.loads(dump_json(map_to_json(m, emb)))
+    rot = obj["rotation"]
+    rot["0"], rot["1"] = rot["1"], rot["0"]
+    want = ([f"rotation[0]: dart {h} does not start at vertex 0" for h in rot["0"]]
+            + [f"rotation[1]: dart {h} does not start at vertex 1" for h in rot["1"]])
+    assert schema_errors(obj) == want
+    assert _outcome(oracles.map_from_json, obj) == ("SchemaError", want)
+
+    # one dart moved into another vertex's list, in document order with
+    # the other rotation errors
+    obj = json.loads(dump_json(map_to_json(m, emb)))
+    rot = obj["rotation"]
+    h = rot["1"].pop()
+    rot["0"].append(h)
+    rot["0"].insert(0, -1)
+    want = ["rotation[0]: invalid dart -1",
+            f"rotation[0]: dart {h} does not start at vertex 0"]
+    assert schema_errors(obj) == want
+    assert _outcome(oracles.map_from_json, obj) == ("SchemaError", want)
+
+
+@pytest.mark.parametrize("key", ["00", " 1", "1 ", "+1", "1_0", "01", "\u0661", "-0"])
+def test_map_reader_takes_only_canonical_vertex_keys(random_maps, key):
+    """Only str(v) names vertex v: a key that int() reads as a vertex id but
+    is not its canonical form is reported as such, not as a second list of
+    that vertex's darts."""
+    m, emb = random_maps[1]
+    base = json.loads(dump_json(map_to_json(m, emb)))
+    v = str(int(key))
+    obj = copy.deepcopy(base)
+    obj["rotation"][key] = list(obj["rotation"][v])
+    want = [f"rotation[{key!r}]: key is not a vertex id"]
+    assert schema_errors(obj) == want
+    assert _outcome(oracles.map_from_json, obj) == ("SchemaError", want)
+
+    obj = copy.deepcopy(base)
+    obj["rotation"][key] = obj["rotation"].pop(v)
+    want = [f"rotation[{key!r}]: key is not a vertex id", f"rotation: vertex {v} missing"]
+    assert schema_errors(obj) == want
+    assert _outcome(oracles.map_from_json, obj) == ("SchemaError", want)
+
+
 def test_map_schema_embedding_rules(random_maps):
     m, emb = random_maps[0]
     base = map_to_json(m, emb)

@@ -212,7 +212,7 @@ def test_excursion_from_increments_validation():
 # -- adjacency rule ----------------------------------------------------------
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(-2, 2), min_size=2, max_size=40))
+@given(st.lists(st.integers(-2, 2), min_size=2, max_size=200))
 @example([-2, -2, -2])      # pushing cell 2 before popping buries cell 1
 def test_arc_pairs_match_scan(steps):
     # integer steps make the ties and pinches the exclusions handle
@@ -220,6 +220,40 @@ def test_arc_pairs_match_scan(steps):
     got = _arc_pairs(C)
     assert got.dtype == np.int64
     assert [tuple(p) for p in got.tolist()] == oracles.arc_pairs(C)
+
+
+def assert_arc_pairs_match_scan(C):
+    got = _arc_pairs(C)
+    assert got.dtype == np.int64 and got.shape[1:] == (2,)
+    assert [tuple(p) for p in got.tolist()] == oracles.arc_pairs(C)
+
+
+@pytest.mark.parametrize("n", sorted({m for k in range(1, 10)
+                                      for m in (2**k - 1, 2**k, 2**k + 1) if m >= 2}))
+def test_arc_pairs_match_scan_at_table_edges(n):
+    """Float paths whose n + 1 lattice points just fill, just miss or just
+    pass a power of two, the sparse table's edge cases: sampled excursions,
+    raw and rounded to a coarse grid (ties and pinches), and free walks."""
+    rng = make_rng(n)
+    for seed in range(2):
+        exc = sample_excursion(1.8 if seed else 1.4, n, seed=seed)
+        for C in (exc.l, exc.r):
+            assert_arc_pairs_match_scan(C)
+            assert_arc_pairs_match_scan(np.round(C * 4.0) / 4.0)
+    assert_arc_pairs_match_scan(np.concatenate([[0.0], np.cumsum(rng.standard_normal(n))]))
+    assert_arc_pairs_match_scan(np.round(np.concatenate([[0.0], np.cumsum(
+        rng.standard_normal(n))])))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 64, 129])
+def test_arc_pairs_match_scan_on_flat_and_monotone_paths(n):
+    # a flat path pinches every pair; monotone paths have no arcs, and each
+    # of their record chains is as long or as short as it gets
+    for C in (np.zeros(n + 1), np.full(n + 1, 2.5), np.arange(n + 1.0),
+              -np.arange(n + 1.0), np.sqrt(np.arange(n + 1.0)),
+              np.concatenate([[0.0], np.arange(n, 0, -1.0)]),
+              np.concatenate([np.arange(n, 0, -1.0), [0.0]])):
+        assert_arc_pairs_match_scan(C)
 
 
 def assert_same_map_as_loop(exc) -> bool:
@@ -252,6 +286,8 @@ def closed_excursion(steps) -> list:
 def test_rotation_matches_loop_on_fixed_maps():
     for n, seed in [(2, 0), (3, 1), (16, 2), (64, 7), (64, 8), (64, 9)]:
         assert assert_same_map_as_loop(sample_excursion(1.8, n, seed=seed))
+    for gamma, seed in [(1.8, 1), (1.8, 2), (1.4, 3)]:
+        assert assert_same_map_as_loop(sample_excursion(gamma, 1024, seed=seed))
     assert assert_same_map_as_loop(excursion_from_increments(
         [1.0, -1.0, 1.0, -1.0], [2.0, -1.0, -0.5, -0.5]))
     assert not assert_same_map_as_loop(excursion_from_increments(
