@@ -6,20 +6,20 @@ cylinder of circumference eta (the flow strength) by one rectangle per edge,
 with aspect ratio equal to the conductance.  The modules hold that one
 pipeline: maps, duals and refinement (``map_core``), the voltage and
 conjugate solves (``electrical``), the tiling and its checks
-(``smith_tiling``), the exact walk laws that ``smith verify`` checks on the
-tiling (``walk_lab``), mated-CRT and random test maps (``mated_crt``,
-``mapgen``), and the comparison with an a priori embedding on lattices
-(``convergence``).
+(``smith_tiling``, whose ``tile`` is the voltage -> tiling stage and returns
+a diagram that carries the voltage, dual and conjugate), the exact walk laws
+that ``smith verify`` checks on the tiling (``walk_lab``), mated-CRT and
+random test maps (``mated_crt``, ``mapgen``), and the comparison with an a
+priori embedding on lattices (``convergence``).
 """
 
 from .map_core import (CombMap, CylinderEmbedding, DualMap, MapError,
-                       build_map, check_embedding, dual, insert_vertices,
-                       wrap_angle)
+                       build_map, check_embedding, dual, insert_vertices)
 from .electrical import (Conjugate, SolveError, Voltage, conjugate,
                          harmonic_darts, solve_voltage)
 from .smith_tiling import (SmithDiagram, SmithEmbedding, TilingError,
                            TilingReport, build_diagram, dart_drift, reduce_mod,
-                           render_svg, smith_embedding, validate)
+                           render_svg, smith_embedding, tile, validate)
 from .walk_lab import (HittingLaw, InadmissibleHeights, LevelMeasure,
                        LevelNotVertexed, StepBudgetExceeded, WalkTrace,
                        admissible_sequences, augment_all_levels,
@@ -40,12 +40,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CombMap", "CylinderEmbedding", "DualMap", "MapError", "build_map",
-    "check_embedding", "dual", "insert_vertices", "wrap_angle",
+    "check_embedding", "dual", "insert_vertices",
     "Conjugate", "SolveError", "Voltage", "conjugate", "harmonic_darts",
     "solve_voltage",
     "SmithDiagram", "SmithEmbedding", "TilingError", "TilingReport",
     "build_diagram", "dart_drift", "reduce_mod", "render_svg",
-    "smith_embedding", "validate",
+    "smith_embedding", "tile", "validate",
     "HittingLaw", "InadmissibleHeights", "LevelMeasure", "LevelNotVertexed",
     "StepBudgetExceeded", "WalkTrace", "admissible_sequences",
     "augment_all_levels", "conditional_hitting", "exact_law_report",

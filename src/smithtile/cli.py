@@ -22,7 +22,7 @@ import sys
 
 from .map_core import MapError, dual
 from .electrical import SolveError, solve_voltage, conjugate
-from .smith_tiling import TilingError, build_diagram, render_svg, validate
+from .smith_tiling import TilingError, render_svg, tile, validate
 from .walk_lab import exact_law_report
 from . import convergence, io_json, mated_crt
 
@@ -87,14 +87,6 @@ def _read_map(path):
     return io_json.map_from_json(_read_json(path))
 
 
-def _pipeline(m, tol_alg, tol_geo, emb=None):
-    v = solve_voltage(m, tol=tol_alg)
-    dm = dual(m, emb)
-    c = conjugate(dm, v, tol=tol_geo)
-    d = build_diagram(m, dm, v, c, tol=tol_geo)
-    return v, dm, c, d
-
-
 def _cmd_solve(args):
     m, emb = _read_map(args.map)
     v = solve_voltage(m, tol=args.tol)
@@ -106,7 +98,7 @@ def _cmd_solve(args):
 
 def _cmd_tile(args):
     m, emb = _read_map(args.map)
-    v, dm, c, d = _pipeline(m, args.tol_algebraic, args.tol, emb)
+    d = tile(solve_voltage(m, tol=args.tol_algebraic), emb, tol=args.tol)
     report = validate(d)
     if not report.passed(args.tol):
         print(f"tiling checks failed: {report}", file=sys.stderr)
@@ -125,9 +117,9 @@ def _cmd_render(args):
 
 def _cmd_verify(args):
     m, emb = _read_map(args.map)
-    v, dm, c, d = _pipeline(m, args.tol_algebraic, args.tol, emb)
+    d = tile(solve_voltage(m, tol=args.tol_algebraic), emb, tol=args.tol)
     tiling = validate(d)
-    laws = exact_law_report(m, v, emb, num_sequences=args.sequences,
+    laws = exact_law_report(m, d.voltage, emb, num_sequences=args.sequences,
                             length=args.length, seed=args.seed)
     # near-coincident realized levels make the augmented conductances huge;
     # below the reported noise floor the law checks are not resolvable in
@@ -146,7 +138,7 @@ def _cmd_verify(args):
     report = {
         "schema": io_json.SCHEMA,
         "kind": "verify-report",
-        "eta": float(v.eta),
+        "eta": float(d.eta),
         "passed": ok,
         "tiling": {
             "overlap_area": tiling.overlap_area,

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .map_core import (CombMap, CylinderEmbedding, check_embedding, dual,
-                       wrap_angle, wrap_signed_array, TWO_PI)
-from .electrical import solve_voltage, conjugate
-from .smith_tiling import SmithEmbedding, build_diagram, smith_embedding
+from .map_core import (CombMap, CylinderEmbedding, check_embedding, mod_array,
+                       wrap_signed_array, TWO_PI)
+from .electrical import solve_voltage
+from .smith_tiling import SmithEmbedding, smith_embedding, tile
 from .rng import make_rng
 
 from .walk_lab import uniforms, walk
@@ -115,7 +115,7 @@ def fit_affine(se: SmithEmbedding, emb: CylinderEmbedding,
 
     alpha = emb.theta[K] - (TWO_PI / eta) * s_re
     b_w = math.atan2(float(np.mean(np.sin(alpha))), float(np.mean(np.cos(alpha))))
-    b_w = wrap_angle(b_w)
+    b_w = float(mod_array(b_w, TWO_PI))
 
     herr = np.abs(c_h * s_im + b_h - emb.height[K])
     aerr = np.abs(wrap_signed_array((TWO_PI / eta) * s_re + b_w - emb.theta[K]))
@@ -187,15 +187,11 @@ def invariance_diagnostic(m: CombMap, height, starts, h_lo: float, h_hi: float,
 
 def lattice_report(n: int, band: float = 1.0, H: float = 4.0) -> dict:
     m, emb = make_lattice(n, H)
-    v = solve_voltage(m)
-    dm = dual(m, emb)
-    c = conjugate(dm, v)
-    d = build_diagram(m, dm, v, c)
-    se = smith_embedding(d)
-    fit = fit_affine(se, emb, band)
+    d = tile(solve_voltage(m), emb)
+    fit = fit_affine(smith_embedding(d), emb, band)
     return {
         "n": n,
-        "eta": v.eta,
+        "eta": d.eta,
         "c_h": fit.c_h,
         "b_h": fit.b_h,
         "b_w": fit.b_w,

@@ -76,18 +76,9 @@ class MapError(ValueError):
     """Structural contract violation in map data."""
 
 
-def wrap_angle(x: float) -> float:
-    """Reduce an angle to [0, 2*pi)."""
-    r = math.fmod(x, TWO_PI)
-    if r < 0:
-        r += TWO_PI
-    # r + TWO_PI can round up to TWO_PI when r is a tiny negative
-    return 0.0 if r >= TWO_PI else r
-
-
 def mod_array(x, period: float) -> np.ndarray:
-    """Elementwise ``wrap_angle`` (and ``smith_tiling.reduce_mod``): reduce
-    to [0, period); ``np.fmod`` is exact, like ``math.fmod``."""
+    """Elementwise ``smith_tiling.reduce_mod``: reduce to [0, period);
+    ``np.fmod`` is exact, like ``math.fmod``."""
     r = np.fmod(x, period)
     r = np.where(r < 0, r + period, r)
     return np.where(r >= period, 0.0, r)

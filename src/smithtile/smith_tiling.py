@@ -1,10 +1,13 @@
 """Rectangle tilings of the finite cylinder built from voltage and conjugate.
 
-Each edge becomes a rectangle whose height is its voltage increment and whose
-width is its flow, so the aspect ratio equals the conductance.  Each vertex
-becomes a horizontal segment (its incoming rectangles chained side by side,
-which must form one arc), each face a vertical segment.  The circumference of
-the tiled cylinder is the flow strength eta and the height runs from 0 to 1.
+``tile`` is the voltage -> tiling stage: from a solved voltage it builds the
+dual, integrates the conjugate on it and assembles the diagram, which carries
+the voltage, the dual and the conjugate with the tiling.  Each edge becomes a
+rectangle whose height is its voltage increment and whose width is its flow,
+so the aspect ratio equals the conductance.  Each vertex becomes a horizontal
+segment (its incoming rectangles chained side by side, which must form one
+arc), each face a vertical segment.  The circumference of the tiled
+cylinder is the flow strength eta and the height runs from 0 to 1.
 
 The voltage solve snaps each cluster of vertices joined by zero-current
 edges to one voltage (see ``electrical``), so the vertices of a cluster lie
@@ -20,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .map_core import CombMap, DualMap, by_position, mod_array, segment_sums
-from .electrical import Conjugate, Voltage, flow_floor, harmonic_darts
+from .map_core import (CombMap, CylinderEmbedding, DualMap, by_position, dual,
+                       mod_array, segment_sums)
+from .electrical import Conjugate, Voltage, conjugate, flow_floor, harmonic_darts
 
 
 # validate() expands at most max(E // 2, SWEEP_PAIRS) (slab, piece) pairs at
@@ -254,6 +258,15 @@ def build_diagram(m: CombMap, dmap: DualMap, v: Voltage, c: Conjugate,
     return SmithDiagram(m, dmap, v, c, eta, harm, x0, widths, y0, y1,
                         hseg_start, hseg_len, h.copy(), mod_array(c.w_lift, eta),
                         np.where(east, lo_e, lo_w), np.where(east, hi_e, hi_w), sheet)
+
+
+def tile(v: Voltage, emb: CylinderEmbedding | None = None,
+         tol: float = 1e-9) -> SmithDiagram:
+    """The tiling of a solved voltage: its map's dual, the conjugate on it,
+    then the diagram, both stages at ``tol``.  ``emb`` picks the conjugate's
+    base face (see ``electrical.conjugate``)."""
+    dm = dual(v.map, emb)
+    return build_diagram(v.map, dm, v, conjugate(dm, v, tol=tol), tol=tol)
 
 
 @dataclass

@@ -184,7 +184,6 @@ class Augmented:
     map: CombMap
     voltage: Voltage
     emb: CylinderEmbedding | None
-    inserted: int
     tol: float
     _measures: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -225,14 +224,14 @@ def augment_all_levels(m: CombMap, v: Voltage, extra=(),
     start, stop = _strictly_inside(levels, lo, hi, tol)
     cnt = np.where(hi - lo > 2 * tol, np.maximum(stop - start, 0), 0)
     if not cnt.any():
-        return Augmented(m, v, emb, 0, tol)
+        return Augmented(m, v, emb, tol)
     k = np.repeat(np.arange(m.num_edges), cnt)
     r = np.arange(len(k)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
     a = levels[np.where(hh[k] > ht[k], start[k] + r, stop[k] - 1 - r)]
     t = (a - ht[k]) / (hh[k] - ht[k])
     m2, emb2, _origin = insert_vertices(m, emb, np.column_stack([k, t]))
     v2 = Voltage(m2, np.concatenate([v.values, a]), v.residual, v.eta, v.eta_mismatch)
-    return Augmented(m2, v2, emb2, len(a), tol)
+    return Augmented(m2, v2, emb2, tol)
 
 
 @dataclass
@@ -240,9 +239,6 @@ class LevelMeasure:
     level: float
     vertices: np.ndarray
     mass: np.ndarray
-
-    def as_dict(self) -> dict:
-        return {int(x): float(p) for x, p in zip(self.vertices, self.mass)}
 
     @property
     def total(self) -> float:
@@ -314,12 +310,11 @@ class HittingLaw:
     """Forward-backward decomposition of the walk conditioned on its heights.
 
     conditional[i][j] = P(X_i = levels[i][j] | full height sequence); mu[i] is
-    the level measure of heights[i] on the same vertex order.  steps[i] holds
-    the arrays (j, dart, jj) of the transitions from levels[i][j] to
+    the level measure of the i-th height on the same vertex order.  steps[i]
+    holds the arrays (j, dart, jj) of the transitions from levels[i][j] to
     levels[i + 1][jj], in the order the forward pass adds them.  forward and
     backward are the unnormalized recursions with norm their pairing."""
     map: CombMap
-    heights: np.ndarray
     levels: list
     conditional: list
     mu: list
@@ -383,7 +378,7 @@ def conditional_hitting(aug: Augmented, heights) -> HittingLaw:
         raise InadmissibleHeights("height sequence has zero probability")
     cond = [fwd[i] * bwd[i] / norm for i in range(N)]
     mus = [lm.mass for lm in aug.measures(heights)]
-    return HittingLaw(m, heights, levels, cond, mus, steps, fwd, bwd, norm)
+    return HittingLaw(m, levels, cond, mus, steps, fwd, bwd, norm)
 
 
 def expected_conditional_winding(law: HittingLaw, diagram: SmithDiagram) -> float:

@@ -18,7 +18,7 @@ import scipy.sparse.linalg as spla
 
 from smithtile.convergence import AffineFit, lattice_shape
 from smithtile.map_core import (TWO_PI, CombMap, CylinderEmbedding, DualMap,
-                                MapError, build_map, wrap_angle)
+                                MapError, build_map)
 from smithtile.mated_crt import (LINE, LOWER, UPPER, Excursion, MatedCrtMap,
                                  SampleError)
 from smithtile.electrical import Conjugate, Voltage, harmonic_darts, snap_clusters
@@ -28,6 +28,15 @@ from smithtile.smith_tiling import (SmithDiagram, SmithEmbedding, TilingError,
                                     TilingReport, _circle_pieces, reduce_mod)
 from smithtile.walk_lab import (Augmented, LevelMeasure, LevelNotVertexed,
                                _merge_levels, realized_levels)
+
+
+def wrap_angle(x: float) -> float:
+    """Reduce an angle to [0, 2*pi)."""
+    r = math.fmod(x, TWO_PI)
+    if r < 0:
+        r += TWO_PI
+    # r + TWO_PI can round up to TWO_PI when r is a tiny negative
+    return 0.0 if r >= TWO_PI else r
 
 
 def harmonic_dart(v: Voltage, k: int) -> int:
@@ -1226,12 +1235,12 @@ def augment_all_levels(m: CombMap, v: Voltage, extra=(),
             points.append((k, t))
             new_vals.append(a)
     if not points:
-        return Augmented(m, v, emb, 0, tol)
+        return Augmented(m, v, emb, tol)
     m2, emb2, _origin = insert_vertices(m, emb, points)
     # insert_vertices numbers new vertices in (edge, fraction) order = points order
     vals2 = np.concatenate([v.values, np.array(new_vals)])
     v2 = Voltage(m2, vals2, v.residual, v.eta, v.eta_mismatch)
-    return Augmented(m2, v2, emb2, len(points), tol)
+    return Augmented(m2, v2, emb2, tol)
 
 
 def assert_same_map(m, ref) -> None:

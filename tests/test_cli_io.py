@@ -12,20 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from smithtile import (build_diagram, build_map, conjugate, dual, render_svg,
-                       solve_voltage)
+from smithtile import (build_map, conjugate, dual, make_lattice, render_svg,
+                       solve_voltage, tile)
 from smithtile import cli
 from smithtile.cli import _read_map, main
 from smithtile.io_json import (SCHEMA, Rotation, SchemaError, Table, diagram_from_json,
                                diagram_to_json, dump_json, map_from_json,
                                map_to_json, solution_to_json)
 from smithtile.map_core import CylinderEmbedding, MapError
-
-
-def diagram_for(m, emb=None):
-    v = solve_voltage(m)
-    dm = dual(m, emb)
-    return build_diagram(m, dm, v, conjugate(dm, v))
 
 
 # -- json schema ---------------------------------------------------------------
@@ -105,14 +99,13 @@ def test_dump_json_matches_stdlib_on_nested_values(obj):
 def test_dump_json_matches_stdlib_on_documents(random_maps, mated_crt64, lattice8,
                                                tmp_path):
     m, emb = random_maps[0]
-    v = solve_voltage(m)
-    dm = dual(m, emb)
-    c = conjugate(dm, v)
-    d = build_diagram(m, dm, v, c)
+    d = tile(solve_voltage(m), emb)
+    v, c = d.voltage, d.conjugate
+    lm, lemb = lattice8
     docs = [map_to_json(m, emb), map_to_json(m), map_to_json(mated_crt64),
             solution_to_json(v), solution_to_json(v, c), diagram_to_json(d),
-            map_to_json(*lattice8), diagram_to_json(diagram_for(*lattice8)),
-            diagram_to_json(diagram_for(mated_crt64))]
+            map_to_json(lm, lemb), diagram_to_json(tile(solve_voltage(lm), lemb)),
+            diagram_to_json(tile(solve_voltage(mated_crt64)))]
     mp = write_map_file(tmp_path, m, emb)
     rep = tmp_path / "report.json"
     assert main(["verify", mp, "-o", str(rep)]) == 0
@@ -419,9 +412,8 @@ def test_solution_w_is_the_diagram_vseg_x(lattice8, random_maps, mated_crt64, tm
     # a tiny negative lift reduces to 0.0, not to eta: lattice8 has four
     # faces whose w a plain floating mod would round up to eta
     for m, emb in [lattice8, (mated_crt64, None)] + list(random_maps):
-        v, dm = solve_voltage(m), dual(m, emb)
-        c = conjugate(dm, v)
-        d = build_diagram(m, dm, v, c)
+        d = tile(solve_voltage(m), emb)
+        v, c = d.voltage, d.conjugate
         w = np.array(json.loads(dump_json(solution_to_json(v, c)))["w"])
         assert np.all((w >= 0.0) & (w < v.eta))
         assert np.array_equal(w, d.vseg_x)
@@ -433,7 +425,7 @@ def test_solution_w_is_the_diagram_vseg_x(lattice8, random_maps, mated_crt64, tm
 
 
 def test_diagram_roundtrip(parallel3_map):
-    d = diagram_for(parallel3_map)
+    d = tile(solve_voltage(parallel3_map))
     obj = json.loads(dump_json(diagram_to_json(d)))
     dd = diagram_from_json(obj)
     assert dd.eta == d.eta
@@ -447,7 +439,7 @@ def test_diagram_roundtrip(parallel3_map):
 
 
 def test_diagram_schema_violations(parallel3_map):
-    d = diagram_for(parallel3_map)
+    d = tile(solve_voltage(parallel3_map))
     base = json.loads(dump_json(diagram_to_json(d)))
 
     for eta in (-1.0, 0.0, float("inf"), float("nan"), 10**400):
@@ -585,7 +577,7 @@ def _arrays_equal(a, b):
 def schema_documents(lattice8, random_maps, mated_crt64):
     maps = [lattice8, random_maps[1], (mated_crt64, None)]
     texts = [dump_json(map_to_json(m, emb)) for m, emb in maps]
-    diagrams = [dump_json(diagram_to_json(diagram_for(m, emb))) for m, emb in maps]
+    diagrams = [dump_json(diagram_to_json(tile(solve_voltage(m), emb))) for m, emb in maps]
     return texts, diagrams
 
 
@@ -963,3 +955,21 @@ def test_cli_verify_golden_bytes(random_maps, tmp_path, capsys):
     assert hashlib.sha256(rep.read_bytes()).hexdigest() == \
         "fde69cb997ecd1ed228011cefa99875ecf49cf32975a5699a561e91ed60bada0"
     capsys.readouterr()
+
+
+def test_cli_tile_and_converge_golden_bytes(tmp_path):
+    """The bytes of ``tile`` on the make_lattice(16, 2.0) map with its
+    embedding, and of ``converge --n-list 8,16,32``, pinned by hash: the
+    embedding picks the conjugate's base face, so a tiling stage that lost
+    it would move every abscissa here, and b_w in the table."""
+    mp = write_map_file(tmp_path, *make_lattice(16, 2.0))
+    with open(mp, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == \
+            "6fb5924cf9f8d5cfbff07263bfa8abd8462e633f1140f42ca4c08530be3e040d"
+    out = tmp_path / "out"
+    assert main(["tile", mp, "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "9477508380cb284602c48f6928a225885479d7eb27c818c01b3d69512ed11953"
+    assert main(["converge", "--n-list", "8,16,32", "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "c9490c2dcb8f46303eb21f08b9c7151b092662912a8ae778ab230fef0bc2e82d"

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from smithtile import (SmithEmbedding, build_diagram, conjugate, converge_rows,
-                       dual, fit_affine, invariance_diagnostic, lattice_report,
-                       make_lattice, smith_embedding, solve_voltage)
+from smithtile import (SmithEmbedding, converge_rows, dual, fit_affine,
+                       invariance_diagnostic, lattice_report, make_lattice,
+                       smith_embedding, solve_voltage, tile)
 from smithtile.convergence import lattice_shape
 
 import oracles
@@ -61,8 +61,7 @@ def test_lattice_embedding_geometry(lattice8):
 def test_fit_affine_exact_on_synthetic_points(lattice8_solved):
     # feed points that are exactly an affine image of the a priori embedding
     m, emb, v = lattice8_solved
-    dm = dual(m, emb)
-    d = build_diagram(m, dm, v, conjugate(dm, v))
+    d = tile(v, emb)
     se = smith_embedding(d)
     eta = d.eta
     pts = se.points.copy()
@@ -80,8 +79,7 @@ def test_fit_affine_exact_on_synthetic_points(lattice8_solved):
 
 def test_fit_affine_lattice_is_exact(lattice8_solved):
     m, emb, v = lattice8_solved
-    dm = dual(m, emb)
-    d = build_diagram(m, dm, v, conjugate(dm, v))
+    d = tile(v, emb)
     se = smith_embedding(d)
     fit = fit_affine(se, emb, band=1.5)
     n = 8
@@ -99,9 +97,7 @@ def test_fit_affine_lattice_is_exact(lattice8_solved):
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_fit_affine_and_points_match_loop_oracle(n):
     m, emb = make_lattice(n, 4.0)
-    v = solve_voltage(m)
-    dm = dual(m, emb)
-    se = smith_embedding(build_diagram(m, dm, v, conjugate(dm, v)))
+    se = smith_embedding(tile(solve_voltage(m), emb))
     assert np.array_equal(se.points, oracles.smith_embedding(se.diagram))
     for band in (1.0, 2.5, 4.0):
         assert fit_affine(se, emb, band) == oracles.fit_affine(se, emb, band)
@@ -109,8 +105,7 @@ def test_fit_affine_and_points_match_loop_oracle(n):
 
 def test_fit_affine_band_errors(lattice8_solved):
     m, emb, v = lattice8_solved
-    dm = dual(m, emb)
-    d = build_diagram(m, dm, v, conjugate(dm, v))
+    d = tile(v, emb)
     se = smith_embedding(d)
     # only the central row fits in a sliver band: one Smith height
     with pytest.raises(ValueError, match="single Smith height"):

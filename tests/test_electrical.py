@@ -10,9 +10,9 @@ import sys
 import numpy as np
 import pytest
 
-from smithtile import (MapError, SolveError, build_diagram, build_map, conjugate,
-                       dual, harmonic_darts, insert_vertices, make_lattice,
-                       make_rng, mark_vertices, solve_voltage)
+from smithtile import (MapError, SolveError, build_map, conjugate, dual,
+                       harmonic_darts, insert_vertices, make_lattice, make_rng,
+                       mark_vertices, solve_voltage, tile)
 from smithtile import electrical, mated_crt
 from smithtile.electrical import Conjugate
 from smithtile.map_core import components, marked_cut_path
@@ -232,8 +232,7 @@ def test_lattice_snaps_to_its_rows():
     rows = v.values[:n * M].reshape(M, n)
     assert np.array_equal(rows, np.repeat(rows[:, :1], n, axis=1))
     assert np.max(np.abs(rows[:, 0] - (np.arange(M) + 1.0) / (M + 1))) <= 1e-12
-    dm = dual(m, emb)
-    d = build_diagram(m, dm, v, conjugate(dm, v))
+    d = tile(v, emb)
     assert len(np.unique(np.concatenate([d.rect_y0, d.rect_y1]))) == M + 2
     assert len(np.unique(d.hseg_level)) == M + 2
 

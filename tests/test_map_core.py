@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smithtile import (CombMap, CylinderEmbedding, MapError, build_map,
-                       check_embedding, dual, insert_vertices, make_lattice,
-                       wrap_angle)
+                       check_embedding, dual, insert_vertices, make_lattice)
 from smithtile.map_core import (bfs_tree, components, marked_cut_path,
                                 wrap_signed_array)
 
 import oracles
-from oracles import assert_same_map, relabel_edges
+from oracles import assert_same_map, relabel_edges, wrap_angle
 
 TWO_PI = 2.0 * math.pi
 

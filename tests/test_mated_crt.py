@@ -10,9 +10,9 @@ from scipy.stats import ks_2samp
 
 import oracles
 from smithtile import (CombMap, Excursion, MapError, SampleError, adjacency_oracle,
-                       build_diagram, build_map, conjugate, dual,
-                       excursion_from_increments, make_rng, mark_vertices,
-                       mated_crt, sample_excursion, solve_voltage, validate)
+                       build_map, excursion_from_increments, make_rng,
+                       mark_vertices, mated_crt, sample_excursion, solve_voltage,
+                       tile, validate)
 from smithtile.mated_crt import (LINE, LOWER, UPPER, _arc_pairs,
                                  build_map as build_mated,
                                  face_degree_histogram)
@@ -449,9 +449,7 @@ def test_mated_map_tiles_into_squares():
     exc = sample_excursion(1.8, 32, seed=1)
     mm = mark_vertices(build_mated(exc), policy="first-last")
     m = mm.map
-    v = solve_voltage(m)
-    dm = dual(m)
-    d = build_diagram(m, dm, v, conjugate(dm, v))
+    d = tile(solve_voltage(m))
     rep = validate(d)
     assert rep.passed(1e-9), rep
     assert contact_violations(d) == 0

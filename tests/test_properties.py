@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import step_law
+from oracles import step_law, wrap_angle
 from smithtile import (build_map, excursion_from_increments, make_rng,
-                       reduce_mod, solve_voltage, wrap_angle)
+                       reduce_mod, solve_voltage)
 from smithtile.map_core import insert_vertices, mod_array, wrap_signed_array
 
 TWO_PI = 2.0 * math.pi

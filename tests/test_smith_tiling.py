@@ -11,19 +11,13 @@ from hypothesis import given, settings, strategies as st
 from smithtile import (TilingReport, build_diagram, build_map, conjugate,
                        dart_drift, dual, make_lattice, mark_vertices,
                        reduce_mod, render_svg, sample_excursion,
-                       smith_embedding, solve_voltage, validate)
+                       smith_embedding, solve_voltage, tile, validate)
 from smithtile.mated_crt import build_map as build_mated
 from smithtile import smith_tiling
 from smithtile.smith_tiling import TilingError
 
 import oracles
 from oracles import contact_violations, reference_validate, relabel_edges
-
-
-def diagram_for(m, emb=None):
-    v = solve_voltage(m)
-    dm = dual(m, emb)
-    return build_diagram(m, dm, v, conjugate(dm, v))
 
 
 def report_is_exact(rep, tol=1e-12):
@@ -44,7 +38,7 @@ def test_reduce_mod_range():
 
 def test_path_diagram_two_belts(path_map):
     # both rectangles wrap the whole circumference eta = 1/2
-    d = diagram_for(path_map)
+    d = tile(solve_voltage(path_map))
     assert d.eta == pytest.approx(0.5, abs=1e-12)
     assert np.allclose(d.rect_width, [0.5, 0.5], atol=1e-12)
     assert np.allclose(d.rect_x0, [0.0, 0.0], atol=1e-12)
@@ -55,7 +49,7 @@ def test_path_diagram_two_belts(path_map):
 
 
 def test_path_smith_points(path_map):
-    d = diagram_for(path_map)
+    d = tile(solve_voltage(path_map))
     se = smith_embedding(d)
     assert np.allclose(se.points, [[0.0, 0.0], [0.25, 0.5], [0.0, 1.0]],
                        atol=1e-12)
@@ -63,7 +57,7 @@ def test_path_smith_points(path_map):
 
 
 def test_parallel3_diagram_unit_squares(parallel3_map):
-    d = diagram_for(parallel3_map)
+    d = tile(solve_voltage(parallel3_map))
     assert d.eta == pytest.approx(3.0, abs=1e-12)
     assert np.allclose(d.rect_width, 1.0, atol=1e-12)
     assert np.allclose(d.rect_y0, 0.0, atol=0.0)
@@ -82,7 +76,7 @@ def test_parallel3_diagram_unit_squares(parallel3_map):
 def test_rung_keeps_degenerate_rectangle(rung_map):
     # the symmetric rung carries no current: its rectangle has zero width
     # but is still present, and the tiling remains exact
-    d = diagram_for(rung_map)
+    d = tile(solve_voltage(rung_map))
     assert d.eta == pytest.approx(1.0, abs=1e-12)
     assert d.rect_width[4] == 0.0
     assert np.allclose(np.sort(d.rect_width), [0.0, 0.5, 0.5, 0.5, 0.5],
@@ -98,11 +92,53 @@ def test_report_passed_gate():
     assert not bad.passed(1e-9)
 
 
+# -- the tiling stage ----------------------------------------------------------
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_tile_is_the_stage_sequence(lattice8, random_maps, mated_crt64, rung_map):
+    """tile gives, bit for bit, the diagram and conjugate of dual ->
+    conjugate -> build_diagram, with the embedding picking the base face."""
+    cases = [lattice8, *random_maps[:4], (mated_crt64, None), (rung_map, None)]
+    for m, emb in cases:
+        v = solve_voltage(m)
+        dm = dual(m, emb)
+        c = conjugate(dm, v)
+        want = build_diagram(m, dm, v, c)
+        got = tile(v, emb)
+        assert got.map is m and got.voltage is v and got.eta == want.eta
+        for f in dataclasses.fields(want):
+            if isinstance(getattr(want, f.name), np.ndarray):
+                assert same_bits(getattr(got, f.name), getattr(want, f.name)), f.name
+        assert same_bits(got.conjugate.w_lift, c.w_lift)
+        assert got.conjugate.base == c.base
+    m, emb = lattice8
+    v = solve_voltage(m)
+    assert tile(v).conjugate.base != tile(v, emb).conjugate.base
+
+
+def test_tile_passes_tol_to_both_stages(lattice8, monkeypatch):
+    seen = []
+    for name in ("conjugate", "build_diagram"):
+        def record(*args, _f=getattr(smith_tiling, name), _name=name, **kwargs):
+            seen.append((_name, kwargs.get("tol")))
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(smith_tiling, name, record)
+    m, emb = lattice8
+    v = solve_voltage(m)
+    tile(v, emb)
+    tile(v, emb, tol=3e-7)
+    assert seen == [("conjugate", 1e-9), ("build_diagram", 1e-9),
+                    ("conjugate", 3e-7), ("build_diagram", 3e-7)]
+
+
 # -- generic maps ------------------------------------------------------------
 
 def test_random_maps_tile_exactly(random_maps):
     for m, emb in random_maps:
-        d = diagram_for(m, emb)
+        d = tile(solve_voltage(m), emb)
         rep = validate(d)
         assert rep.passed(1e-9), rep
         assert contact_violations(d) == 0
@@ -111,7 +147,7 @@ def test_random_maps_tile_exactly(random_maps):
 def test_rect_widths_are_flows(random_maps):
     m, emb = random_maps[0]
     v = solve_voltage(m)
-    d = diagram_for(m, emb)
+    d = tile(v, emb)
     assert np.allclose(d.rect_width, np.abs(v.dart_flow(2 * np.arange(m.num_edges))),
                        atol=1e-12)
     assert np.all(d.rect_y1 >= d.rect_y0)
@@ -134,7 +170,7 @@ def circle_gap(a, b, eta):
 @pytest.fixture(scope="module")
 def chain_maps(rung_map, random_maps, mated_crt64):
     maps = [pendant_map(), rung_map, random_maps[0][0], mated_crt64]
-    return [(m, diagram_for(m)) for m in maps]
+    return [(m, tile(solve_voltage(m))) for m in maps]
 
 
 @settings(max_examples=25, deadline=None)
@@ -171,7 +207,7 @@ def test_weak_current_does_not_split_a_falling_run(map_seed, mark_seed):
     # must not start
     m = mark_vertices(build_mated(oracles.sample_excursion(1.8, 1024, seed=map_seed)),
                       seed=mark_seed).map
-    rep = validate(diagram_for(m))
+    rep = validate(tile(solve_voltage(m)))
     assert rep.passed(1e-9), rep
 
 
@@ -186,8 +222,7 @@ def test_flow_floor_keeps_one_sided_noise_a_point_segment(seed, x, flows):
     # open to the larger flow, 2.1e-12 and 4.1e-12.
     m = mark_vertices(build_mated(sample_excursion(1.8, 256, seed)), seed=seed).map
     v = solve_voltage(m)
-    dm = dual(m)
-    d = build_diagram(m, dm, v, conjugate(dm, v))
+    d = tile(v)
     fl = v.dart_flow(m.vertex_darts[x])
     assert fl[fl != 0.0] == pytest.approx(flows, rel=0.01)
     assert d.hseg_len[x] == 0.0
@@ -243,7 +278,7 @@ def test_diagram_errors_match_loop_oracle(random_maps, mated_crt64):
 
 def test_smith_embedding_matches_loop_oracle(lattice8, random_maps, mated_crt64):
     for m, emb in [lattice8, random_maps[3], (mated_crt64, None)]:
-        d = diagram_for(m, emb)
+        d = tile(solve_voltage(m), emb)
         assert np.array_equal(smith_embedding(d).points, oracles.smith_embedding(d))
 
 
@@ -251,7 +286,7 @@ def test_smith_embedding_matches_loop_oracle(lattice8, random_maps, mated_crt64)
 
 def test_lattice_squares(lattice8_solved):
     m, emb, v = lattice8_solved
-    d = diagram_for(m, emb)
+    d = tile(solve_voltage(m), emb)
     n = 8
     M = (m.num_vertices - 2) // n
     side = 1.0 / (M + 1)
@@ -267,7 +302,7 @@ def test_lattice_columns_aligned(lattice8_solved):
     # segment midpoints in one lattice column share an abscissa mod eta, and
     # neighboring columns sit eta/n apart
     m, emb, v = lattice8_solved
-    d = diagram_for(m, emb)
+    d = tile(solve_voltage(m), emb)
     se = smith_embedding(d)
     n = 8
     M = (m.num_vertices - 2) // n
@@ -287,7 +322,7 @@ def test_lattice_columns_aligned(lattice8_solved):
 
 def test_drift_telescopes_around_faces(random_maps):
     m, emb = random_maps[1]
-    d = diagram_for(m, emb)
+    d = tile(solve_voltage(m), emb)
     for orbit in m.face_darts:
         if any(m.is_marked(int(m.dart_tail[h])) for h in orbit):
             continue
@@ -297,7 +332,7 @@ def test_drift_telescopes_around_faces(random_maps):
 
 def test_drift_row_cycle_winds_once(lattice8_solved):
     m, emb, v = lattice8_solved
-    d = diagram_for(m, emb)
+    d = tile(solve_voltage(m), emb)
     row = [2 * (3 * 8 + j) for j in range(8)]
     s = sum(dart_drift(d, h) for h in row)
     assert s == pytest.approx(d.eta, abs=1e-12)
@@ -306,7 +341,7 @@ def test_drift_row_cycle_winds_once(lattice8_solved):
 # -- rendering ---------------------------------------------------------------
 
 def test_render_svg_basic(path_map):
-    d = diagram_for(path_map)
+    d = tile(solve_voltage(path_map))
     svg = render_svg(d)
     assert svg.startswith("<svg")
     assert svg.rstrip().endswith("</svg>")
@@ -316,7 +351,7 @@ def test_render_svg_basic(path_map):
 
 
 def test_render_svg_options(parallel3_map):
-    d = diagram_for(parallel3_map)
+    d = tile(solve_voltage(parallel3_map))
     assert render_svg(d) == render_svg(d)
     assert render_svg(d, color_by="size") != render_svg(d, color_by="order")
     no_seg = render_svg(d, segments=False)
@@ -329,7 +364,7 @@ def test_render_svg_options(parallel3_map):
 
 def test_render_svg_splits_seam_rectangles(random_maps):
     m, emb = random_maps[0]
-    d = diagram_for(m, emb)
+    d = tile(solve_voltage(m), emb)
     eta = d.eta
     seam = sum(1 for k in range(m.num_edges)
                if d.rect_width[k] > 0 and d.rect_x0[k] + d.rect_width[k] > eta)
@@ -358,7 +393,7 @@ def sweep_diagrams(random_maps, rung_map, path_map, parallel3_map, lattice8,
     cases = list(random_maps) + [(rung_map, None), (path_map, None),
                                  (parallel3_map, None), lattice8,
                                  make_lattice(32, 2.0), (mated_crt64, None)]
-    return [diagram_for(m, emb) for m, emb in cases]
+    return [tile(solve_voltage(m), emb) for m, emb in cases]
 
 
 def test_validate_matches_slab_reference(sweep_diagrams):
@@ -422,7 +457,7 @@ def test_validate_slab_cap_does_not_change_report(sweep_diagrams, monkeypatch):
 def test_validate_matches_reference_at_benchmark_size():
     # the first map of the crt_tile benchmark: about 2500 edges, 1000 slabs
     m = mark_vertices(build_mated(sample_excursion(1.8, 1024, 1)), seed=1).map
-    d = diagram_for(m)
+    d = tile(solve_voltage(m))
     got = validate(d)
     assert got.passed()
     assert_reports_agree(got, reference_validate(d))

@@ -18,13 +18,12 @@ from smithtile import (InadmissibleHeights, LevelNotVertexed,
                        exact_law_report, expected_conditional_winding,
                        insert_vertices, level_measures, level_sets,
                        projected_step_law, realized_levels, simulate,
-                       solve_voltage)
+                       solve_voltage, tile)
 
 
-def diagram_for(m, emb=None):
-    v = solve_voltage(m)
-    dm = dual(m, emb)
-    return build_diagram(m, dm, v, conjugate(dm, v))
+def measure_dict(lm):
+    """A level measure as {vertex: mass}."""
+    return {int(x): float(p) for x, p in zip(lm.vertices, lm.mass)}
 
 
 # -- one-step law (the oracle the projection check is held against) ----------
@@ -135,7 +134,7 @@ def test_level_augment_parallel(parallel3_map):
     # no interior vertex, so the extra level is the only one
     v = solve_voltage(parallel3_map)
     aug = augment_all_levels(parallel3_map, v, extra=[0.4])
-    assert aug.inserted == 3
+    assert aug.map.num_vertices - parallel3_map.num_vertices == 3
     assert aug.map.num_vertices == 5
     assert np.allclose(aug.voltage.values[2:], 0.4)
     lm, = level_measures(aug.map, aug.voltage, [0.4])
@@ -147,7 +146,7 @@ def test_level_augment_path_conductances(path_map):
     # the realized level 0.5 is already vertexed; only 0.25 is inserted
     v = solve_voltage(path_map)
     aug = augment_all_levels(path_map, v, extra=[0.25])
-    assert aug.inserted == 1
+    assert aug.map.num_vertices - path_map.num_vertices == 1
     new = aug.map.num_vertices - 1
     assert aug.voltage.values[new] == pytest.approx(0.25)
     # the unit edge split at its midpoint: both halves get conductance 2
@@ -161,7 +160,7 @@ def test_level_augment_notice_when_realized(path_map):
     # hands back the map itself
     v = solve_voltage(path_map)
     aug = augment_all_levels(path_map, v, extra=[0.5])
-    assert aug.inserted == 0
+    assert aug.map.num_vertices - path_map.num_vertices == 0
     assert aug.map is path_map
     assert aug.voltage is v
 
@@ -177,7 +176,7 @@ def test_level_augment_voltage_matches_resolve(random_maps):
     m, emb = random_maps[3]
     v = solve_voltage(m)
     aug = augment_all_levels(m, v, extra=[0.37], emb=emb)
-    assert aug.inserted > 0
+    assert aug.map.num_vertices - m.num_vertices > 0
     v2 = solve_voltage(aug.map)
     assert np.max(np.abs(v2.values - aug.voltage.values)) < 1e-9
 
@@ -206,7 +205,7 @@ def test_augment_all_levels_matches_loop(refinement_cases):
             for e in (emb, None):
                 got = augment_all_levels(m, v, extra=extra, emb=e)
                 want = oracles.augment_all_levels(m, v, extra=extra, emb=e)
-                assert got.inserted == want.inserted
+                assert got.map.num_vertices == want.map.num_vertices
                 oracles.assert_same_refinement(got.map, got.emb, want.map, want.emb)
                 assert np.array_equal(got.voltage.values, want.voltage.values)
 
@@ -216,7 +215,7 @@ def test_level_measure_path_atom(path_map):
     lm, = level_measures(path_map, v, [0.5])
     assert lm.vertices.tolist() == [1]
     assert lm.mass.tolist() == pytest.approx([1.0])
-    assert lm.as_dict() == pytest.approx({1: 1.0})
+    assert measure_dict(lm) == pytest.approx({1: 1.0})
 
 
 def test_level_measure_lattice_uniform(lattice8_solved):
@@ -236,18 +235,14 @@ def test_level_measure_requires_vertexed(lattice8_solved):
 
 # -- exact conditional laws ---------------------------------------------------
 
-def aug_diagram(aug):
-    dm = dual(aug.map, aug.emb)
-    return build_diagram(aug.map, dm, aug.voltage, conjugate(dm, aug.voltage))
-
-
 def hitting(m, v, heights, emb=None):
     return conditional_hitting(augment_all_levels(m, v, extra=heights, emb=emb), heights)
 
 
 def cond_winding(m, v, heights, emb=None):
     aug = augment_all_levels(m, v, extra=heights, emb=emb)
-    return expected_conditional_winding(conditional_hitting(aug, heights), aug_diagram(aug))
+    return expected_conditional_winding(conditional_hitting(aug, heights),
+                                        tile(aug.voltage, aug.emb))
 
 
 def test_hitting_single_height_is_level_measure(lattice8_solved):
@@ -333,7 +328,7 @@ def test_winding_rejects_diagram_of_another_map(parallel3_map):
     law = hitting(parallel3_map, v, [0.25, 0.5])
     assert law.map is not parallel3_map
     with pytest.raises(ValueError, match="diagram must tile"):
-        expected_conditional_winding(law, diagram_for(parallel3_map))
+        expected_conditional_winding(law, tile(solve_voltage(parallel3_map)))
 
 
 # -- absorption (the dense oracle) and projection --------------------------------
@@ -718,7 +713,7 @@ def ref_conditional_hitting(m, v, heights, emb=None, tol=1e-12):
     levels = [oracles.level_set(m2, v2, float(a), tol) for a in heights]
     index = [{int(x): j for j, x in enumerate(lv)} for lv in levels]
     N = len(heights)
-    mu0 = oracles.level_measure(m2, v2, float(heights[0]), tol).as_dict()
+    mu0 = measure_dict(oracles.level_measure(m2, v2, float(heights[0]), tol))
     fwd = [np.zeros(len(lv)) for lv in levels]
     fwd[0] = np.array([mu0.get(int(x), 0.0) for x in levels[0]])
     for i in range(N - 1):
@@ -747,7 +742,7 @@ def ref_conditional_hitting(m, v, heights, emb=None, tol=1e-12):
     cond = [fwd[i] * bwd[i] / norm for i in range(N)]
     mus = []
     for a, lv in zip(heights, levels):
-        lm = oracles.level_measure(m2, v2, float(a), tol).as_dict()
+        lm = measure_dict(oracles.level_measure(m2, v2, float(a), tol))
         mus.append(np.array([lm.get(int(x), 0.0) for x in lv]))
     return m2, v2, aug.emb, levels, cond, mus, fwd, bwd, norm
 
@@ -850,7 +845,7 @@ def test_hitting_and_winding_match_reference(law_maps):
                               (law.mu, mus), (law.forward, fwd), (law.backward, bwd)):
                 assert [a.tolist() for a in got] == [a.tolist() for a in want]
             assert law.norm == norm
-            assert expected_conditional_winding(law, aug_diagram(aug)) == \
+            assert expected_conditional_winding(law, tile(aug.voltage, aug.emb)) == \
                 ref_expected_conditional_winding(m, v, c, seq, emb=emb)
 
 
