@@ -16,13 +16,15 @@ into many.  ``solve_voltage`` therefore snaps each equipotential cluster,
 found through the edges whose flow is below the flow floor, to one voltage,
 and checks the harmonic residual again on the snapped values.
 
-The reduced Laplacian is solved one of three ways.  Below ``DENSE_LIMIT``
-unknowns it is solved densely.  Above, the choice reads S = deg(v0) +
-deg(v1), the number of darts at the two marks, against the n unknowns.
-Point marks (S^2 < 2n), as on mated-CRT maps with the sphere topology, get a
-sparse LU with a symmetric minimum-degree ordering: on planar maps it fills
-about 9 entries per unknown (nested dissection; Lipton, Rose and Tarjan,
-1979), where Jacobi-CG needs 6-10 sqrt(n) iterations.  Pole marks, the
+The reduced Laplacian is solved one of two ways, by a sparse LU or by
+Jacobi-CG.  Below ``LU_LIMIT`` unknowns it gets the LU, whose bits, unlike
+those of a dense LAPACK solve, do not depend on the BLAS thread count.
+Above, the choice reads S = deg(v0) + deg(v1), the number of darts at the
+two marks, against the n unknowns.  Point marks (S^2 < 2n), as on mated-CRT
+maps with the sphere topology, get the LU too: with a symmetric
+minimum-degree ordering, on planar maps it fills about 9 entries per
+unknown (nested dissection; Lipton, Rose and Tarjan, 1979), where
+Jacobi-CG needs 6-10 sqrt(n) iterations.  Pole marks, the
 whole end rows of a cylinder, keep Jacobi-CG, which converges in at most
 about 2.2 sqrt(n) iterations there and beats the LU, whose fill is larger.
 It runs as plain CG on the symmetrically scaled system S A S y = S b,
@@ -58,7 +60,7 @@ import scipy.sparse.linalg as spla
 from .map_core import (CombMap, DualMap, MapError, bfs_tree, components,
                        marked_cut_path, mod_array)
 
-DENSE_LIMIT = 500
+LU_LIMIT = 500
 # flows of at most FLOW_FLOOR * max(1, max |flow|) count as no current: the
 # floor separates rounding-size flows from genuine weak currents
 FLOW_FLOOR = 1e-12
@@ -112,13 +114,13 @@ def dirichlet_system(m: CombMap) -> tuple:
 
 def solve_voltage(m: CombMap, tol: float = 1e-10) -> Voltage:
     """Solve the Dirichlet problem on the reduced SPD system of n unknowns:
-    dense elimination below DENSE_LIMIT; above it, a sparse LU when the
-    marks are points, S^2 < 2n with S = deg(v0) + deg(v1), and otherwise
-    conjugate-gradient on the Jacobi-scaled system, within 10 ceil(sqrt(n))
-    iterations, falling back to ``spsolve`` if it stalls.  The module
-    docstring gives the measurements behind the rule.  The equipotential
-    clusters are then snapped (``snap_clusters``); the residual must stay
-    within ``tol`` both before and after."""
+    a sparse LU below LU_LIMIT, and above it when the marks are points,
+    S^2 < 2n with S = deg(v0) + deg(v1); otherwise conjugate-gradient on
+    the Jacobi-scaled system, within 10 ceil(sqrt(n)) iterations, falling
+    back to ``spsolve`` if it stalls.  The module docstring gives the
+    measurements behind the rule.  The equipotential clusters are then
+    snapped (``snap_clusters``); the residual must stay within ``tol``
+    both before and after."""
     if m.v0 is None or m.v1 is None:
         raise MapError("voltage needs both marked vertices")
     V = m.num_vertices
@@ -127,9 +129,7 @@ def solve_voltage(m: CombMap, tol: float = 1e-10) -> Voltage:
     h = np.zeros(V)
     h[m.v1] = 1.0
     if n > 0:
-        if n < DENSE_LIMIT:
-            x = np.linalg.solve(A.toarray(), b)
-        elif (m.degree(m.v0) + m.degree(m.v1)) ** 2 < 2 * n:
+        if n < LU_LIMIT or (m.degree(m.v0) + m.degree(m.v1)) ** 2 < 2 * n:
             # A is a symmetric, diagonally dominant M-matrix: no pivoting
             lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                            options=dict(SymmetricMode=True))

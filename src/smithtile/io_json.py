@@ -263,10 +263,14 @@ def _number_type(t) -> bool:
     return issubclass(t, (int, float)) and t is not bool
 
 
-def _typed(col, accept) -> np.ndarray:
+def _null_type(t) -> bool:
+    return t is type(None)
+
+
+def _typed(col, accept, types=None) -> np.ndarray:
     """Mask of the entries of col whose type passes accept, which is asked
-    once per distinct type."""
-    types = set(map(type, col))
+    once per distinct type; ``types`` is the set of col's types if known."""
+    types = set(map(type, col)) if types is None else types
     ok = {t for t in types if accept(t)}
     if len(ok) == len(types) or not ok:
         return np.full(len(col), bool(ok))
@@ -280,10 +284,11 @@ def _double(u) -> float:
         return math.nan
 
 
-def _numbers(col) -> np.ndarray:
+def _numbers(col, ok=None) -> np.ndarray:
     """col as float64, nan at each entry that is not a number and at each
-    integer too large for a double."""
-    ok = _typed(col, _number_type)
+    integer too large for a double; ``ok`` is the mask of the numbers if
+    known."""
+    ok = _typed(col, _number_type) if ok is None else ok
     vals = col if ok.all() else list(compress(col, ok))
     out = np.full(len(col), np.nan)
     try:
@@ -291,6 +296,19 @@ def _numbers(col) -> np.ndarray:
     except OverflowError:
         out[ok] = list(map(_double, vals))
     return out
+
+
+def _nullable(col) -> tuple:
+    """(col as ``_numbers`` reads it, the mask of its nulls), from one scan
+    of the types: in a column of numbers and nulls only, the nulls are the
+    entries that are not numbers."""
+    types = set(map(type, col))
+    ok = _typed(col, _number_type, types)
+    if all(_number_type(t) or _null_type(t) for t in types):
+        null = ~ok
+    else:
+        null = _typed(col, _null_type, types)
+    return _numbers(col, ok), null
 
 
 def _below(col, hi) -> np.ndarray:
@@ -391,6 +409,20 @@ def _vertex_key(key):
     return v if str(v) == key else None
 
 
+def _vertex_ids(keys, V) -> np.ndarray:
+    """The vertex each rotation key names as int64, -1 where the key is not
+    str(v) for a vertex v.  The keys are read as integers in one pass and
+    written back in another; only a batch in which some key does not come
+    back the same is read key by key."""
+    try:
+        ids = list(map(int, keys))
+    except (TypeError, ValueError):
+        ids = None
+    if ids is None or list(map(str, ids)) != keys:
+        ids = list(map(_vertex_key, keys))
+    return _below(ids, V)
+
+
 # -- map ------------------------------------------------------------------------
 
 def map_to_json(m: CombMap, emb: CylinderEmbedding | None = None) -> dict:
@@ -446,10 +478,10 @@ def map_from_json(obj) -> tuple:
         verts = []
     vt = _Table(verts, "vertices", ("id", "theta", "height"))
     vt.ids("id")
-    null = _typed(vt.cols["theta"], lambda t: t is type(None))
-    paired = null == _typed(vt.cols["height"], lambda t: t is type(None))
+    theta, null = _nullable(vt.cols["theta"])
+    height, null_height = _nullable(vt.cols["height"])
+    paired = null == null_height
     vt.flag(~paired, ": theta and height must both be numbers or both null")
-    theta, height = _numbers(vt.cols["theta"]), _numbers(vt.cols["height"])
     vt.flag(paired & ~null & ~(np.isfinite(theta) & np.isfinite(height)),
             ": coordinates must be finite")
     errors += vt.errors()
@@ -466,8 +498,7 @@ def map_from_json(obj) -> tuple:
     cond = _numbers(et.cols["conductance"])
     et.flag(~(np.isfinite(cond) & (cond > 0)),
             ".conductance: need a finite positive number")
-    no_dt = _typed(et.cols["dtheta"], lambda t: t is type(None))
-    dtheta = _numbers(et.cols["dtheta"])
+    dtheta, no_dt = _nullable(et.cols["dtheta"])
     et.flag(~no_dt & ~np.isfinite(dtheta), ".dtheta: need a finite number or null")
     errors += et.errors()
 
@@ -476,7 +507,7 @@ def map_from_json(obj) -> tuple:
         errors.append("rotation: expected an object keyed by vertex id")
         rot_json = {}
     keys = sorted(rot_json)
-    ids = _below(list(map(_vertex_key, keys)), V)
+    ids = _vertex_ids(keys, V)
     cycles = list(map(rot_json.__getitem__, keys))
     is_list = _typed(cycles, lambda t: issubclass(t, list))
     lens = np.zeros(len(keys), dtype=np.int64)

@@ -30,13 +30,19 @@ every reciprocal conductance is positive and finite runs again.
 
 ``bfs_tree`` is the breadth-first search of a FIFO queue that pops a vertex
 and scans its darts in rotation order, taking each dart to an unseen vertex
-into the tree.  It runs one depth at a time as array code: the darts of the
-current front in front order, then rotation order, of which the first to
-reach each unseen vertex is its tree dart, and the new front is ordered by
-the position of that dart, which is the order the queue would find the
-vertices in.  It returns the fronts because the sums along the tree (the
-conjugate's) run one depth at a time too: each vertex of a front adds its
-tree dart's term to its parent's value, which the front before has fixed.
+into the tree.  That queue is scipy's compiled traversal
+(``csgraph.breadth_first_order``) on the adjacency whose rows list the
+heads of the rotations slot by slot: it pops vertices first in, first out
+and scans each row in column order.  It returns the visiting order and
+each vertex's parent.  The tree dart of a vertex is then the first dart in
+its parent's rotation that reaches it, picked for all vertices in one pass
+over the darts.  The fronts, the vertices of each depth in queue order, are
+slices of the visiting order: since the queue pops the parents in order,
+a front ends just before the first vertex whose parent lies past the end
+of the front before.  ``bfs_tree`` returns the fronts because the sums
+along the tree (the conjugate's) run one depth at a time: each vertex of a
+front adds its tree dart's term to its parent's value, which the front
+before has fixed.
 
 Per-cycle sums run in the order a loop over each cycle would run them:
 ``by_position`` visits the darts position by position, over the cycles
@@ -68,6 +74,8 @@ from functools import cached_property
 from itertools import accumulate, chain
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 TWO_PI = 2.0 * math.pi
 
@@ -577,27 +585,26 @@ def bfs_tree(m: CombMap, root: int) -> tuple:
     module docstring): the dart that first reaches each vertex (-1 at the
     root and at unreached vertices), and the vertices first reached at each
     depth, each front in the order the FIFO queue finds them."""
-    ptr, darts, head = m.vert_ptr, m.vert_dart, m.dart_head
-    tree_dart = np.full(m.num_vertices, -1, dtype=np.int64)
-    seen = np.zeros(m.num_vertices, dtype=bool)
-    seen[root] = True
-    # first[x]: the position in its front's dart list of the first dart to
-    # reach x; each x is reached from one front only, so no entry is reused
-    first = np.full(m.num_vertices, len(head), dtype=np.int64)
-    front, fronts = np.array([root], dtype=np.int64), []
-    while len(front):
-        fronts.append(front)
-        # the front's darts, vertex after vertex, each in rotation order
-        lens = ptr[front + 1] - ptr[front]
-        h = darts[np.repeat(ptr[front] - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())]
-        h = h[~seen[head[h]]]
-        x, at = head[h], np.arange(len(h))
-        np.minimum.at(first, x, at)
-        h = h[first[x] == at]
-        front = head[h]
-        tree_dart[front] = h
-        seen[front] = True
-    return tree_dart, fronts
+    V, ptr, darts = m.num_vertices, m.vert_ptr, m.vert_dart
+    # slot i of the rotations runs from tail[i] to head[i]
+    head = m.dart_head[darts]
+    tail = np.repeat(np.arange(V), np.diff(ptr))
+    graph = csr_matrix((np.ones(len(head)), head, ptr), shape=(V, V))
+    order, pred = breadth_first_order(graph, root, directed=True, return_predecessors=True)
+    # the slots from a vertex's parent to it, the first in rotation order
+    # written last; the root and unreached vertices have a negative parent
+    at = np.flatnonzero(pred[head] == tail)[::-1]
+    tree_dart = np.full(V, -1, dtype=np.int64)
+    tree_dart[head[at]] = darts[at]
+    # front k + 1 ends before the first vertex whose parent lies past front k
+    order = order.astype(np.int64)
+    pos = np.empty(V, dtype=np.int64)
+    pos[order] = np.arange(len(order))
+    up = pos[pred[order[1:]]]
+    ends = [1]
+    while ends[-1] < len(order):
+        ends.append(int(np.searchsorted(up, ends[-1])) + 1)
+    return tree_dart, [order[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def marked_cut_path(m: CombMap) -> np.ndarray:

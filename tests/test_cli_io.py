@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -918,19 +919,40 @@ def test_cli_mated_crt_golden_bytes():
     assert hashlib.sha256(r1.stdout).hexdigest() == \
         "979ec252dda220f97fde6bd65386877271f7fab0c0dcb1d2dc9ee16c1c325a08"
     assert hashlib.sha256(r2.stdout).hexdigest() == \
-        "7143c0fccf3c6456ec698676ecc011e638d5f9daafe98e9e596e30999e4f1cf2"
+        "e992e8c40ef8c0df2418a00f643b75ae37d8b49a7bfc9f857b07bf446799a466"
+
+
+def test_cli_solve_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """``solve`` writes the same bytes under one BLAS thread and under two,
+    on the gamma = 1.8, n = 256 mated-CRT map of seed 3 and on
+    make_lattice(16, 2.0): both systems are below LU_LIMIT, where a dense
+    LAPACK solve would move their last bits with the thread count."""
+    cli = [sys.executable, "-m", "smithtile.cli"]
+    crt = str(tmp_path / "crt.json")
+    r = subprocess.run(cli + ["mated-crt", "--gamma", "1.8", "--n", "256", "--seed", "3",
+                              "-o", crt], capture_output=True)
+    assert r.returncode == 0, r.stderr
+    lattice = write_map_file(tmp_path, *make_lattice(16, 2.0), name="lattice.json")
+    for mp in (crt, lattice):
+        out = []
+        for threads in ("1", "2"):
+            r = subprocess.run(cli + ["solve", mp], capture_output=True,
+                               env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+            assert r.returncode == 0, r.stderr
+            out.append(r.stdout)
+        assert out[0] == out[1], mp
 
 
 # seed: (exit code, sha256 of the report) for `mated-crt --increments FILE
 # --seed s`, FILE holding the increments of the gamma = 1.8, n = 48
 # plain-rejection sample of that seed
 VERIFY_GOLDEN = {
-    1: (1, "e2eb085a13795a614565f1cf9d2147ece3807aff200c4c0a8de7e1158a1cf7a0"),
-    2: (1, "b7068c519ce8227d3669e5252a79932e49e34203b5eee6208106c5baaa93dff3"),
-    3: (0, "2e843fa64dfae7a60d439c765493bdf5b6a4eef8d5a2ac386f58c61bcd92444d"),
-    4: (1, "5ac25636fac7a94d5fe22f8f8ef894ee6cd3732b470c5abae2da1ceacef5e30f"),
-    5: (0, "036b1a4edeecc6c972dd15e27dad09ba413cd57f0db657ba2036a118b8f00b49"),
-    6: (0, "5f3be9eb137e0855441003c1afa30ef9d4c3b75c2b25c61480a2207741a1c4fa"),
+    1: (1, "3eb2e5e4517feb9a7884d2747f1566cca77e8a61ab86928f1c3d1a301d3331e2"),
+    2: (1, "18bebc75212c9d7b05476cf356976b8d4bb1b02344f6bac6c3596ca8b6e1fcb1"),
+    3: (0, "aef916d7ef32b36e3f2951ef0dbc0c5a430eb316690493d35ef8dddfc4e7dcb0"),
+    4: (1, "b6f6aee3357d34a7ef225d7bd7636568c5806790660ed526c94bdb755b13e949"),
+    5: (0, "83c48fe405d4f66ed78bb07a448e84324c1bde90153e3b46e48d2deb6f152516"),
+    6: (0, "28cf1528ec0b9a0ab11e4fb7e71d9862ceb86ccd83d5f8f8e782e30913689480"),
 }
 
 
@@ -953,7 +975,7 @@ def test_cli_verify_golden_bytes(random_maps, tmp_path, capsys):
     m, emb = random_maps[1]
     assert main(["verify", write_map_file(tmp_path, m, emb), "-o", str(rep)]) == 0
     assert hashlib.sha256(rep.read_bytes()).hexdigest() == \
-        "fde69cb997ecd1ed228011cefa99875ecf49cf32975a5699a561e91ed60bada0"
+        "fc3df160648bf7e444de1d4ba2bd973cf3903a009a1957d378e95fb8b3880e2b"
     capsys.readouterr()
 
 
@@ -969,7 +991,7 @@ def test_cli_tile_and_converge_golden_bytes(tmp_path):
     out = tmp_path / "out"
     assert main(["tile", mp, "-o", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "9477508380cb284602c48f6928a225885479d7eb27c818c01b3d69512ed11953"
+        "5ae1b3fdf2c94fa5e68b4d3814cf822f1a5cb8e3e42ff540d4e29cb5febc9350"
     assert main(["converge", "--n-list", "8,16,32", "-o", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "c9490c2dcb8f46303eb21f08b9c7151b092662912a8ae778ab230fef0bc2e82d"
+        "fc2f8011c55a55fc15d74b3101b47158cd8d0a1d320f44c10f3fb7b7f561dec4"

@@ -119,8 +119,18 @@ def check_lattice_rows(m, v, n):
     assert v.eta == pytest.approx(n / (M + 1), abs=1e-9)
 
 
+def test_small_system_uses_sparse_lu(monkeypatch):
+    # 178 vertices, below LU_LIMIT: the LU, though its pole marks
+    # (S^2 = 1024 > 2n) would send it to CG above
+    m, _ = make_lattice(16, 2.0)
+    assert m.num_vertices - 2 < electrical.LU_LIMIT
+    v, calls = solver_calls(monkeypatch, m)
+    assert calls == {"splu": 1}
+    check_lattice_rows(m, v, 16)
+
+
 def test_large_lattice_uses_iterative_solver(monkeypatch):
-    # 674 vertices: above the dense cutoff, and the 64 darts at the poles
+    # 674 vertices: above LU_LIMIT, and the 64 darts at the poles
     # make S^2 = 4096 > 2n, so this exercises the CG branch
     m, _ = make_lattice(32, 2.0)
     assert m.num_vertices > 500

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smithtile import (CombMap, CylinderEmbedding, MapError, build_map,
-                       check_embedding, dual, insert_vertices, make_lattice)
+from smithtile import (CombMap, CylinderEmbedding, MapError, augment_all_levels,
+                       build_map, check_embedding, dual, insert_vertices, make_lattice,
+                       solve_voltage)
 from smithtile.map_core import (bfs_tree, components, marked_cut_path,
                                 wrap_signed_array)
 
@@ -400,24 +401,48 @@ def _loop_and_parallel_map():
                      [[0, 2], [1, 3, 4, 5, 6], [7]], marked=(0, 2))
 
 
+def _first_dart_map():
+    # v0 = 0 carries a self-loop (darts 8, 9) and reaches vertex 2 first by
+    # dart 4, though dart 2 also runs from it to vertex 2; v1 = 1
+    return build_map(3, [(0, 1, 1.0), (0, 2, 1.0), (0, 2, 2.0), (1, 2, 1.0), (0, 0, 1.5)],
+                     [[0, 8, 9, 4, 2], [1, 6], [3, 5, 7]], marked=(0, 1))
+
+
 def _bfs_cases(random_maps, mated_crt64, path_map, parallel3_map):
     """Maps with marks and their duals: lattices, random maps, a mated-CRT
     map, self-loops (the loop map, and the dual of path_map) and parallel
-    edges (the loop map and parallel3_map)."""
+    edges (the loop map, parallel3_map and the first-dart map)."""
     primal = [make_lattice(n, 4.0)[0] for n in (3, 8, 16)] + [m for m, _ in random_maps[:6]]
-    primal += [mated_crt64, path_map, parallel3_map, _loop_and_parallel_map()]
+    primal += [mated_crt64, path_map, parallel3_map, _loop_and_parallel_map(),
+               _first_dart_map()]
     return primal, [dual(m).map for m in primal]
+
+
+def _assert_bfs_matches_queue_loop(m, roots):
+    for root in roots:
+        tree_dart, fronts = bfs_tree(m, root)
+        want, depth, order = oracles.bfs_tree(m, root)
+        assert tree_dart.dtype == np.int64
+        assert all(f.dtype == np.int64 for f in fronts)
+        assert np.array_equal(tree_dart, want)
+        assert np.concatenate(fronts).tolist() == order
+        assert [set(depth[f].tolist()) for f in fronts] == [{i} for i in range(len(fronts))]
 
 
 def test_bfs_tree_matches_queue_loop(random_maps, mated_crt64, path_map, parallel3_map):
     primal, duals = _bfs_cases(random_maps, mated_crt64, path_map, parallel3_map)
     for m in primal + duals:
-        for root in sorted({0, m.num_vertices // 2, m.num_vertices - 1}):
-            tree_dart, fronts = bfs_tree(m, root)
-            want, depth, order = oracles.bfs_tree(m, root)
-            assert np.array_equal(tree_dart, want)
-            assert np.concatenate(fronts).tolist() == order
-            assert [set(depth[f].tolist()) for f in fronts] == [{i} for i in range(len(fronts))]
+        _assert_bfs_matches_queue_loop(m, sorted({0, m.num_vertices // 2, m.num_vertices - 1}))
+    # deep trees: the n=16 lattice from v0 and its dual from every face, and
+    # random_map(1) with every level vertexed, whose inserted chains make
+    # long paths
+    lattice, lattice_dual = primal[2], duals[2]
+    _assert_bfs_matches_queue_loop(lattice, [lattice.v0])
+    _assert_bfs_matches_queue_loop(lattice_dual, range(lattice_dual.num_vertices))
+    m, _ = random_maps[1]
+    aug = augment_all_levels(m, solve_voltage(m)).map
+    assert aug.num_vertices > m.num_vertices
+    _assert_bfs_matches_queue_loop(aug, sorted({aug.v0, aug.v1, aug.num_vertices - 1}))
 
 
 @settings(max_examples=60, deadline=None)
