@@ -18,8 +18,8 @@ from .map_core import (CombMap, CylinderEmbedding, DualMap, MapError,
 from .electrical import (Conjugate, SolveError, Voltage, conjugate,
                          harmonic_darts, solve_voltage)
 from .smith_tiling import (SmithDiagram, SmithEmbedding, TilingError,
-                           TilingReport, build_diagram, dart_drift, reduce_mod,
-                           render_svg, smith_embedding, tile, validate)
+                           TilingReport, build_diagram, reduce_mod, render_svg,
+                           smith_embedding, tile, validate)
 from .walk_lab import (HittingLaw, InadmissibleHeights, LevelMeasure,
                        LevelNotVertexed, StepBudgetExceeded, WalkTrace,
                        admissible_sequences, augment_all_levels,
@@ -44,7 +44,7 @@ __all__ = [
     "Conjugate", "SolveError", "Voltage", "conjugate", "harmonic_darts",
     "solve_voltage",
     "SmithDiagram", "SmithEmbedding", "TilingError", "TilingReport",
-    "build_diagram", "dart_drift", "reduce_mod", "render_svg",
+    "build_diagram", "reduce_mod", "render_svg",
     "smith_embedding", "tile", "validate",
     "HittingLaw", "InadmissibleHeights", "LevelMeasure", "LevelNotVertexed",
     "StepBudgetExceeded", "WalkTrace", "admissible_sequences",

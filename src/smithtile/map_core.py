@@ -433,17 +433,23 @@ class CylinderEmbedding:
 
 
 def check_embedding(m: CombMap, emb: CylinderEmbedding, tol: float = 1e-9) -> None:
-    """Raise MapError if the embedding data is inconsistent with the map; the
-    first inconsistent edge is named, else the first inconsistent face."""
-    if len(emb.theta) != m.num_vertices or len(emb.dtheta) != m.num_edges:
+    """Raise MapError if the embedding data is inconsistent with the map or,
+    as the JSON reader does, holds a value that is not finite away from the
+    marks; the first bad vertex is named, else edge, else face."""
+    V = m.num_vertices
+    if len(emb.theta) != V or len(emb.height) != V or len(emb.dtheta) != m.num_edges:
         raise MapError("embedding arrays have wrong length")
+    bad = np.flatnonzero(~m.marked & ~(np.isfinite(emb.theta) & np.isfinite(emb.height)))
+    if len(bad):
+        raise MapError(f"vertex {int(bad[0])}: coordinates must be finite")
+    bad = np.flatnonzero(~np.isfinite(emb.dtheta))
+    if len(bad):
+        raise MapError(f"edge {int(bad[0])}: dtheta must be finite")
     t, h = m.edge_tail, m.edge_head
     pole = m.marked[t] | m.marked[h]
-    gap = emb.theta[h] - emb.theta[t] - emb.dtheta
-    with np.errstate(invalid="ignore"):     # an infinite gap fails below
-        want = wrap_signed_array(gap)
-    bad = np.flatnonzero(np.where(pole, emb.dtheta != 0.0,
-                                  (np.abs(want) > tol) | np.isinf(gap)))
+    with np.errstate(invalid="ignore"):     # a gap that overflows fails below
+        gap = np.abs(wrap_signed_array(emb.theta[h] - emb.theta[t] - emb.dtheta))
+    bad = np.flatnonzero(np.where(pole, emb.dtheta != 0.0, ~(gap <= tol)))
     if len(bad):
         k = int(bad[0])
         if pole[k]:

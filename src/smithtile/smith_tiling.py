@@ -288,20 +288,6 @@ def smith_embedding(d: SmithDiagram) -> SmithEmbedding:
     return SmithEmbedding(d, pts)
 
 
-def dart_drift(d: SmithDiagram, dart: int) -> float:
-    """Lifted displacement of segment midpoints across one walk step.
-
-    Sums of drifts telescope: around any closed dart cycle they add up to
-    eta times the cycle's winding.
-    """
-    m = d.map
-    x, y = int(m.dart_tail[dart]), int(m.dart_head[dart])
-    mid_x = d.hseg_start[x] + d.hseg_len[x] / 2.0
-    mid_y = d.hseg_start[y] + d.hseg_len[y] / 2.0
-    shift = int(d.sheet[dart]) - int(d.sheet[dart ^ 1])
-    return mid_y - mid_x + d.eta * shift
-
-
 def _circle_pieces(x0: float, width: float, eta: float):
     """Split an arc starting at x0 in [0, eta) into linear pieces."""
     if width <= 0:

@@ -12,10 +12,11 @@ sums of every vertex, and one search of the edge ranges finds every crossed
 level.  On the level-graded map one forward-backward pass over the level sets
 gives the exact conditional law of the walk given its height sequence, and
 the expected winding of the re-randomized tiled-cylinder walk is a
-drift-weighted sum over the transitions the pass recorded.  The projection
-check watches the walk on a half-edge refinement at the original vertices.
-There every free vertex (an edge midpoint) steps straight to original ones,
-so the jump chain of all of them is one sparse product
+drift-weighted sum over the transitions the pass recorded, read off the
+original map's tiling, as a graded vertex cuts an edge's rectangle.  The
+projection check watches the walk on a half-edge refinement at the original
+vertices.  There every free vertex (an edge midpoint) steps straight to
+original ones, so the jump chain of all of them is one sparse product
 (``projected_step_law``), held against the one-step law as a sparse matrix.
 No step of the report builds a V x V or E x E array.
 
@@ -46,7 +47,7 @@ import scipy.sparse as sp
 from .map_core import (CombMap, CylinderEmbedding, insert_vertices, dual,
                        segment_sums)
 from .electrical import Voltage, conjugate
-from .smith_tiling import SmithDiagram, build_diagram, dart_drift
+from .smith_tiling import SmithDiagram, build_diagram
 from .rng import make_rng
 
 # Uniforms drawn per generator call by ``uniforms``.
@@ -183,7 +184,8 @@ class Augmented:
     level measures at the same tol, each level computed once."""
     map: CombMap
     voltage: Voltage
-    emb: CylinderEmbedding | None
+    original: CombMap = field(repr=False)       # the map that was graded
+    edge_origin: np.ndarray = field(repr=False)  # its edge under each edge of map
     tol: float
     _measures: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -198,9 +200,7 @@ class Augmented:
         return [self._measures[a] for a in levels]
 
 
-def augment_all_levels(m: CombMap, v: Voltage, extra=(),
-                       emb: CylinderEmbedding | None = None,
-                       tol: float = 1e-12) -> Augmented:
+def augment_all_levels(m: CombMap, v: Voltage, extra=(), tol: float = 1e-12) -> Augmented:
     """Vertex every level realized by a vertex, plus the requested extra
     heights, which must be finite and lie strictly between 0 and 1.
 
@@ -209,7 +209,8 @@ def augment_all_levels(m: CombMap, v: Voltage, extra=(),
     exact on old vertices and assigns each inserted vertex its level.
     Afterwards every edge joins two consecutive realized levels, the standing
     assumption behind the exact level-set recursions.  One pass suffices since
-    inserted vertices sit at levels already in the set."""
+    inserted vertices sit at levels already in the set.  The graded map gets
+    no embedding (nothing tiles it), only its ``edge_origin``."""
     extra = np.atleast_1d(np.asarray(extra, dtype=np.float64))
     if not np.all(np.isfinite(extra)):
         raise ValueError("heights must be finite")
@@ -224,14 +225,14 @@ def augment_all_levels(m: CombMap, v: Voltage, extra=(),
     start, stop = _strictly_inside(levels, lo, hi, tol)
     cnt = np.where(hi - lo > 2 * tol, np.maximum(stop - start, 0), 0)
     if not cnt.any():
-        return Augmented(m, v, emb, tol)
+        return Augmented(m, v, m, np.arange(m.num_edges), tol)
     k = np.repeat(np.arange(m.num_edges), cnt)
     r = np.arange(len(k)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
     a = levels[np.where(hh[k] > ht[k], start[k] + r, stop[k] - 1 - r)]
     t = (a - ht[k]) / (hh[k] - ht[k])
-    m2, emb2, _origin = insert_vertices(m, emb, np.column_stack([k, t]))
+    m2, _emb, origin = insert_vertices(m, None, np.column_stack([k, t]))
     v2 = Voltage(m2, np.concatenate([v.values, a]), v.residual, v.eta, v.eta_mismatch)
-    return Augmented(m2, v2, emb2, tol)
+    return Augmented(m2, v2, m, origin, tol)
 
 
 @dataclass
@@ -312,9 +313,10 @@ class HittingLaw:
     conditional[i][j] = P(X_i = levels[i][j] | full height sequence); mu[i] is
     the level measure of the i-th height on the same vertex order.  steps[i]
     holds the arrays (j, dart, jj) of the transitions from levels[i][j] to
-    levels[i + 1][jj], in the order the forward pass adds them.  forward and
-    backward are the unnormalized recursions with norm their pairing."""
-    map: CombMap
+    levels[i + 1][jj] of ``augmented.map``, in the order the forward pass adds
+    them.  forward and backward are the unnormalized recursions with norm
+    their pairing."""
+    augmented: Augmented
     levels: list
     conditional: list
     mu: list
@@ -378,7 +380,22 @@ def conditional_hitting(aug: Augmented, heights) -> HittingLaw:
         raise InadmissibleHeights("height sequence has zero probability")
     cond = [fwd[i] * bwd[i] / norm for i in range(N)]
     mus = [lm.mass for lm in aug.measures(heights)]
-    return HittingLaw(m, levels, cond, mus, steps, fwd, bwd, norm)
+    return HittingLaw(aug, levels, cond, mus, steps, fwd, bwd, norm)
+
+
+def _graded_drift(d: SmithDiagram, aug: Augmented, darts) -> np.ndarray:
+    """Midpoint drift across graded darts, read off ``d``, the tiling of the
+    map that was graded, in the rectangle frame of the edge e each dart runs
+    along: a vertex inserted on e cuts e's rectangle and sits at its centre,
+    an original end x at mid(x) - sheet[h] eta, h the dart of e out of x.
+    The drifts of a chain of sub-edges add up to that of e's dart."""
+    m, V = aug.map, aug.original.num_vertices
+    h = 2 * aug.edge_origin[darts >> 1] + (darts & 1)   # e's dart, same way
+    x, out = np.stack([m.dart_tail[darts], m.dart_head[darts]]), np.stack([h, h ^ 1])
+    mid = d.hseg_start + d.hseg_len / 2.0
+    at = np.where(x < V, mid[np.minimum(x, V - 1)] - d.sheet[out] * d.eta,
+                  d.rect_x0[h >> 1] + d.rect_width[h >> 1] / 2.0)
+    return at[1] - at[0]
 
 
 def expected_conditional_winding(law: HittingLaw, diagram: SmithDiagram) -> float:
@@ -387,17 +404,18 @@ def expected_conditional_winding(law: HittingLaw, diagram: SmithDiagram) -> floa
     The uniform re-randomization on each horizontal segment has mean at the
     segment midpoint, so the expectation is the joint-law-weighted sum of
     midpoint drifts over the law's recorded transitions, divided by eta.
-    ``diagram`` must tile the law's own map.  Zero by the winding law."""
-    if diagram.map is not law.map:
-        raise ValueError("diagram must tile the map of the hitting law")
-    pi, c = law.map.pi_weight, law.map.conductance
-    total = 0.0
+    ``diagram`` must tile the map the levels were graded on, whose rectangles
+    hold every step (``_graded_drift``).  Zero by the winding law."""
+    aug = law.augmented
+    if diagram.map is not aug.original:
+        raise ValueError("diagram must tile the map the levels were graded on")
+    pi, c = aug.map.pi_weight, aug.map.conductance
+    terms = [np.zeros(1)]
     for i, (j, g, jj) in enumerate(law.steps):
         wgt = law.forward[i][j] * c[g >> 1] / pi[law.levels[i]][j] * law.backward[i + 1][jj]
-        on = wgt != 0.0
-        for w, h in zip(wgt[on].tolist(), g[on].tolist()):
-            total += w * dart_drift(diagram, h)
-    return total / (diagram.eta * law.norm)
+        terms.append(wgt * _graded_drift(diagram, aug, g))
+    # a running sum adds the terms in step order, as a scalar loop would
+    return float(np.cumsum(np.concatenate(terms))[-1]) / (diagram.eta * law.norm)
 
 
 # -- projection -----------------------------------------------------------------
@@ -491,16 +509,17 @@ def exact_law_report(m: CombMap, v: Voltage,
     """Max deviations of the exact walk laws on one map, for reporting.
 
     Draws random admissible sequences, then vertexes every realized level and
-    every sequence height in one augmentation, whose dual, conjugate and
-    diagram are built once.  On that map it checks the level-measure totals
-    and runs the hitting law and the winding law of each sequence, every
-    level measure computed once.  The walk projection is checked on a global
+    every sequence height in one augmentation.  On that map it checks the
+    level-measure totals and runs the hitting law and the winding law of
+    each sequence, every level measure computed once; the winding laws read
+    their drifts off one tiling of ``m`` (dual, conjugate, diagram), never
+    of the graded map.  The walk projection is checked on a global
     half-edge refinement of ``m``."""
     levels = realized_levels(m, v)
     sequences = admissible_sequences(m, v, num_sequences, length, seed)
-    aug = augment_all_levels(m, v, extra=[a for seq in sequences for a in seq], emb=emb)
-    dmap = dual(aug.map, aug.emb)
-    diag = build_diagram(aug.map, dmap, aug.voltage, conjugate(dmap, aug.voltage))
+    aug = augment_all_levels(m, v, extra=[a for seq in sequences for a in seq])
+    dmap = dual(m, emb)
+    diag = build_diagram(m, dmap, v, conjugate(dmap, v))
 
     # realized levels can sit arbitrarily close together, and slicing an edge
     # at nearly equal fractions amplifies machine noise by the resulting
@@ -508,16 +527,10 @@ def exact_law_report(m: CombMap, v: Voltage,
     # stand-in quartile heights of a map without levels are not the map's)
     resolved = aug.map if len(levels) else m
     noise = float(np.finfo(np.float64).eps) * float(max(1.0, resolved.conductance.max()))
-    mass_dev = 0.0
-    for lm in aug.measures(levels):
-        mass_dev = max(mass_dev, abs(lm.total - 1.0))
-
-    hit_dev = 0.0
-    wind_dev = 0.0
-    for seq in sequences:
-        law = conditional_hitting(aug, seq)
-        hit_dev = max(hit_dev, law.max_deviation())
-        wind_dev = max(wind_dev, abs(expected_conditional_winding(law, diag)))
+    mass_dev = max([0.0] + [abs(lm.total - 1.0) for lm in aug.measures(levels)])
+    laws = [conditional_hitting(aug, seq) for seq in sequences]
+    hit_dev = max([0.0] + [law.max_deviation() for law in laws])
+    wind_dev = max([0.0] + [abs(expected_conditional_winding(law, diag)) for law in laws])
 
     # the one-step law: per dart its conductance over the np.sum of its
     # vertex's, added up per entry in rotation order; the jump chain has no
@@ -529,16 +542,10 @@ def exact_law_report(m: CombMap, v: Voltage,
     p = c / segment_sums(c, m.vert_ptr)[x]
     move = x != y
     step = _csr_sums(x[move], y[move], p[move], (V, V))
-    half = [(k, 0.5) for k in range(m.num_edges)]
-    m2, _e2, _origin = insert_vertices(m, None, half)
+    m2, _e2, _origin = insert_vertices(m, None, [(k, 0.5) for k in range(m.num_edges)])
     diff = abs(step - projected_step_law(m2, range(V)))
     proj_dev = float(np.max(diff.data, initial=0.0))
 
-    return {
-        "level_mass_max_dev": mass_dev,
-        "hitting_max_dev": hit_dev,
-        "winding_max_abs": wind_dev,
-        "projection_max_dev": proj_dev,
-        "noise_floor": noise,
-        "sequences": sequences,
-    }
+    return {"level_mass_max_dev": mass_dev, "hitting_max_dev": hit_dev,
+            "winding_max_abs": wind_dev, "projection_max_dev": proj_dev,
+            "noise_floor": noise, "sequences": sequences}

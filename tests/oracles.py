@@ -534,9 +534,18 @@ def wrap_signed(x: float, period: float = TWO_PI) -> float:
 
 
 def check_embedding(m: CombMap, emb: CylinderEmbedding, tol: float = 1e-9) -> None:
-    """``map_core.check_embedding`` one edge and one face at a time."""
-    if len(emb.theta) != m.num_vertices or len(emb.dtheta) != m.num_edges:
+    """``map_core.check_embedding`` one vertex, one edge and one face at a
+    time."""
+    if (len(emb.theta), len(emb.height), len(emb.dtheta)) != \
+            (m.num_vertices, m.num_vertices, m.num_edges):
         raise MapError("embedding arrays have wrong length")
+    for x in range(m.num_vertices):
+        if not m.is_marked(x) and not (math.isfinite(emb.theta[x])
+                                       and math.isfinite(emb.height[x])):
+            raise MapError(f"vertex {x}: coordinates must be finite")
+    for k in range(m.num_edges):
+        if not math.isfinite(emb.dtheta[k]):
+            raise MapError(f"edge {k}: dtheta must be finite")
     for k in range(m.num_edges):
         t, h = int(m.edge_tail[k]), int(m.edge_head[k])
         if m.is_marked(t) or m.is_marked(h):
@@ -809,6 +818,22 @@ def smith_embedding(d: SmithDiagram) -> np.ndarray:
             pts[x] = (reduce_mod(d.hseg_start[x] + d.hseg_len[x] / 2.0, d.eta),
                       d.hseg_level[x])
     return pts
+
+
+def dart_drift(d: SmithDiagram, dart: int) -> float:
+    """Lifted displacement of segment midpoints across one walk step, read
+    off the tiling of the map the dart belongs to.  Held against
+    ``walk_lab._graded_drift`` with ``d`` the tiling of the graded map.
+
+    Sums of drifts telescope: around any closed dart cycle they add up to
+    eta times the cycle's winding.
+    """
+    m = d.map
+    x, y = int(m.dart_tail[dart]), int(m.dart_head[dart])
+    mid_x = d.hseg_start[x] + d.hseg_len[x] / 2.0
+    mid_y = d.hseg_start[y] + d.hseg_len[y] / 2.0
+    shift = int(d.sheet[dart]) - int(d.sheet[dart ^ 1])
+    return mid_y - mid_x + d.eta * shift
 
 
 def reference_validate(d):
@@ -1212,7 +1237,6 @@ def insert_vertices(m: CombMap, emb: CylinderEmbedding | None, points):
 
 
 def augment_all_levels(m: CombMap, v: Voltage, extra=(),
-                       emb: CylinderEmbedding | None = None,
                        tol: float = 1e-12) -> Augmented:
     """``walk_lab.augment_all_levels`` edge by edge, through the loop
     ``insert_vertices`` above."""
@@ -1235,12 +1259,12 @@ def augment_all_levels(m: CombMap, v: Voltage, extra=(),
             points.append((k, t))
             new_vals.append(a)
     if not points:
-        return Augmented(m, v, emb, tol)
-    m2, emb2, _origin = insert_vertices(m, emb, points)
+        return Augmented(m, v, m, np.arange(m.num_edges), tol)
+    m2, _emb, origin = insert_vertices(m, None, points)
     # insert_vertices numbers new vertices in (edge, fraction) order = points order
     vals2 = np.concatenate([v.values, np.array(new_vals)])
     v2 = Voltage(m2, vals2, v.residual, v.eta, v.eta_mismatch)
-    return Augmented(m2, v2, emb2, tol)
+    return Augmented(m2, v2, m, origin, tol)
 
 
 def assert_same_map(m, ref) -> None:

@@ -947,21 +947,22 @@ def test_cli_solve_bytes_do_not_depend_on_blas_threads(tmp_path):
 # --seed s`, FILE holding the increments of the gamma = 1.8, n = 48
 # plain-rejection sample of that seed
 VERIFY_GOLDEN = {
-    1: (1, "3eb2e5e4517feb9a7884d2747f1566cca77e8a61ab86928f1c3d1a301d3331e2"),
-    2: (1, "18bebc75212c9d7b05476cf356976b8d4bb1b02344f6bac6c3596ca8b6e1fcb1"),
-    3: (0, "aef916d7ef32b36e3f2951ef0dbc0c5a430eb316690493d35ef8dddfc4e7dcb0"),
-    4: (1, "b6f6aee3357d34a7ef225d7bd7636568c5806790660ed526c94bdb755b13e949"),
-    5: (0, "83c48fe405d4f66ed78bb07a448e84324c1bde90153e3b46e48d2deb6f152516"),
-    6: (0, "28cf1528ec0b9a0ab11e4fb7e71d9862ceb86ccd83d5f8f8e782e30913689480"),
+    1: (1, "0b31d51ae6105f228b93756f7a15dad1d54dc8d9b1c0ee7f3bd99062c6a96500"),
+    2: (1, "3818bc6daa3af207520eae9ef356c907898497e598d35f906d490d28ccc91a07"),
+    3: (0, "712fe9b2fedad46fee53e3b47c98e30b25272deb3a35f27d8e2b31c2b6c9da79"),
+    4: (1, "607be585b26c36eca4f6b8a2a7f477378c7a4b72e8701c5533d446f003b513ca"),
+    5: (0, "47bcc27dbd2df7594cf4866fb6fe87d1f3acaf17b81e4a74a35da6b10dea1510"),
+    6: (0, "fa79cfea461ebacb5759710831f5186d5e8e628fd3cb9de36b993d85e1e0ba8b"),
 }
 
 
 def test_cli_verify_golden_bytes(random_maps, tmp_path, capsys):
     """The bytes and exit codes of ``verify -o`` on the gamma = 1.8, n = 48
     mated-CRT maps of seeds 1-6 and on random_map(1) with its embedding,
-    pinned by hash: a change to the refinement, the level augmentation or
-    the laws fails here.  Seeds 1, 2 and 4 fail the hitting law (and seed 2
-    the zero winding) through their zero-gradient edges."""
+    pinned by hash: a change to the refinement, the level augmentation, the
+    laws or the tiling the winding law reads its drifts off fails here.
+    Seeds 1, 2 and 4 fail the hitting law (and seed 2 the zero winding, at
+    4.9e-6) through their zero-gradient edges."""
     inc = tmp_path / "inc.json"
     mp = str(tmp_path / "map.json")
     rep = tmp_path / "report.json"
@@ -975,7 +976,20 @@ def test_cli_verify_golden_bytes(random_maps, tmp_path, capsys):
     m, emb = random_maps[1]
     assert main(["verify", write_map_file(tmp_path, m, emb), "-o", str(rep)]) == 0
     assert hashlib.sha256(rep.read_bytes()).hexdigest() == \
-        "fc3df160648bf7e444de1d4ba2bd973cf3903a009a1957d378e95fb8b3880e2b"
+        "e17c52c58dee46143b7dfe3a0ddfcc177161aa15e927a83e2748121e0d6de336"
+    capsys.readouterr()
+
+
+def test_cli_verify_winding_is_sharp(tmp_path, capsys):
+    """The zero-winding check on the `mated-crt --gamma 1.8 --n 48 --seed 3`
+    map reads rounding, 1.2e-15: its drifts come off the map's own tiling,
+    not a tiling of the level-graded map, whose huge sub-edge conductances
+    put 2.2e-10 of noise into the same check."""
+    mp = str(tmp_path / "map.json")
+    rep = tmp_path / "report.json"
+    assert main(["mated-crt", "--gamma", "1.8", "--n", "48", "--seed", "3", "-o", mp]) == 0
+    assert main(["verify", mp, "-o", str(rep)]) == 0
+    assert json.loads(rep.read_text())["laws"]["winding_max_abs"] <= 1e-13
     capsys.readouterr()
 
 

@@ -288,6 +288,40 @@ def test_check_embedding_wrong_lengths(path_map):
         check_embedding(path_map, emb)
 
 
+def test_check_embedding_rejects_short_height():
+    # a height array three short passed every check, and dual then failed
+    # with a bare IndexError
+    m, emb = make_lattice(8, 1.0)
+    bad = CylinderEmbedding(emb.theta, emb.height[:-3], emb.dtheta)
+    for check in (check_embedding, oracles.check_embedding):
+        assert map_error(check, m, bad) == "embedding arrays have wrong length"
+
+
+def test_check_embedding_rejects_values_that_are_not_finite(lattice8):
+    # the JSON reader refuses these, and so does the check; the marks keep
+    # their nan coordinates
+    m, emb = lattice8
+    x = int(np.flatnonzero(~m.marked)[5])
+    k = int(np.flatnonzero(~(m.marked[m.edge_tail] | m.marked[m.edge_head]))[7])
+    pole = int(np.flatnonzero(m.marked[m.edge_tail] | m.marked[m.edge_head])[0])
+    assert np.isnan(emb.theta[m.marked]).all()
+    cases = []
+    for bad in (math.nan, math.inf, -math.inf):
+        for name in ("theta", "height"):
+            arrays = {"theta": emb.theta.copy(), "height": emb.height.copy(),
+                      "dtheta": emb.dtheta}
+            arrays[name][x] = bad
+            cases.append((CylinderEmbedding(**arrays), f"vertex {x}: coordinates must be finite"))
+        for edge in (k, pole):
+            dtheta = emb.dtheta.copy()
+            dtheta[edge] = bad
+            cases.append((CylinderEmbedding(emb.theta, emb.height, dtheta),
+                          f"edge {edge}: dtheta must be finite"))
+    for emb_bad, message in cases:
+        for check in (check_embedding, oracles.check_embedding):
+            assert map_error(check, m, emb_bad) == message
+
+
 # -- duality ----------------------------------------------------------------
 
 def test_dual_of_parallel3_is_triangle_cycle(parallel3_map):

@@ -9,15 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smithtile import (TilingReport, build_diagram, build_map, conjugate,
-                       dart_drift, dual, make_lattice, mark_vertices,
-                       reduce_mod, render_svg, sample_excursion,
-                       smith_embedding, solve_voltage, tile, validate)
+                       dual, make_lattice, mark_vertices, reduce_mod,
+                       render_svg, sample_excursion, smith_embedding,
+                       solve_voltage, tile, validate)
 from smithtile.mated_crt import build_map as build_mated
 from smithtile import smith_tiling
 from smithtile.smith_tiling import TilingError
 
 import oracles
-from oracles import contact_violations, reference_validate, relabel_edges
+from oracles import (contact_violations, dart_drift, reference_validate,
+                     relabel_edges)
 
 
 def report_is_exact(rep, tol=1e-12):
@@ -336,6 +337,25 @@ def test_drift_row_cycle_winds_once(lattice8_solved):
     row = [2 * (3 * 8 + j) for j in range(8)]
     s = sum(dart_drift(d, h) for h in row)
     assert s == pytest.approx(d.eta, abs=1e-12)
+
+
+def test_sheet_puts_each_rectangle_inside_its_tail_segment(random_maps, lattice8,
+                                                           mated_crt64, crt48_maps):
+    # the frame the winding law reads its drifts in: the rectangle of a
+    # dart's edge, lifted by sheet * eta, lies inside the segment of the
+    # dart's tail (marks excepted, whose segment is the whole circle);
+    # measured up to 6.2e-12 on the n = 1024 map
+    crt = [mark_vertices(build_mated(sample_excursion(1.8, n, seed=s)), seed=s).map
+           for n, s in ((48, 3), (1024, 2))]
+    maps = list(random_maps) + [lattice8] + [(m, None) for m in [mated_crt64, *crt48_maps, *crt]]
+    for m, emb in maps:
+        d = tile(solve_voltage(m), emb)
+        tol = 1e-9 * max(1.0, d.eta)
+        h = np.flatnonzero(~m.marked[m.dart_tail])
+        x, k = m.dart_tail[h], h >> 1
+        lo = d.rect_x0[k] + d.sheet[h] * d.eta
+        assert np.all(lo >= d.hseg_start[x] - tol)
+        assert np.all(lo + d.rect_width[k] <= d.hseg_start[x] + d.hseg_len[x] + tol)
 
 
 # -- rendering ---------------------------------------------------------------

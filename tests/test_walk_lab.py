@@ -14,11 +14,10 @@ from oracles import absorption_probs, ref_invariance, ref_simulate, step_law
 from smithtile import (InadmissibleHeights, LevelNotVertexed,
                        StepBudgetExceeded, Voltage, admissible_sequences,
                        augment_all_levels, build_diagram, build_map,
-                       conditional_hitting, conjugate, dart_drift, dual,
-                       exact_law_report, expected_conditional_winding,
-                       insert_vertices, level_measures, level_sets,
-                       projected_step_law, realized_levels, simulate,
-                       solve_voltage, tile)
+                       conditional_hitting, conjugate, dual, exact_law_report,
+                       expected_conditional_winding, insert_vertices,
+                       level_measures, level_sets, projected_step_law,
+                       realized_levels, simulate, solve_voltage, tile)
 
 
 def measure_dict(lm):
@@ -173,9 +172,9 @@ def test_level_augment_range(path_map):
 
 
 def test_level_augment_voltage_matches_resolve(random_maps):
-    m, emb = random_maps[3]
+    m, _ = random_maps[3]
     v = solve_voltage(m)
-    aug = augment_all_levels(m, v, extra=[0.37], emb=emb)
+    aug = augment_all_levels(m, v, extra=[0.37])
     assert aug.map.num_vertices - m.num_vertices > 0
     v2 = solve_voltage(aug.map)
     assert np.max(np.abs(v2.values - aug.voltage.values)) < 1e-9
@@ -183,9 +182,9 @@ def test_level_augment_voltage_matches_resolve(random_maps):
 
 def test_augment_all_levels_consecutive(random_maps):
     # afterwards no edge strictly crosses a realized level
-    m, emb = random_maps[4]
+    m, _ = random_maps[4]
     v = solve_voltage(m)
-    aug = augment_all_levels(m, v, emb=emb)
+    aug = augment_all_levels(m, v)
     m2, v2 = aug.map, aug.voltage
     levels = realized_levels(m2, v2)
     for k in range(m2.num_edges):
@@ -199,15 +198,16 @@ def test_augment_all_levels_matches_loop(refinement_cases):
     # parallel3_map's edges join the poles, so the quartiles go in there
     # with both ends marked; every other map gets them among its own levels.
     # Heights within tol of the poles' 0 and 1 cross no edge.
-    for m, emb in refinement_cases:
+    for m, _emb in refinement_cases:
         v = solve_voltage(m)
         for extra in ((), [0.25, 0.5, 0.75], [0.6, 0.3], [5e-13, 1.0 - 5e-13]):
-            for e in (emb, None):
-                got = augment_all_levels(m, v, extra=extra, emb=e)
-                want = oracles.augment_all_levels(m, v, extra=extra, emb=e)
-                assert got.map.num_vertices == want.map.num_vertices
-                oracles.assert_same_refinement(got.map, got.emb, want.map, want.emb)
-                assert np.array_equal(got.voltage.values, want.voltage.values)
+            got = augment_all_levels(m, v, extra=extra)
+            want = oracles.augment_all_levels(m, v, extra=extra)
+            assert got.map.num_vertices == want.map.num_vertices
+            oracles.assert_same_refinement(got.map, None, want.map, None)
+            assert np.array_equal(got.voltage.values, want.voltage.values)
+            assert got.original is want.original is m
+            assert got.edge_origin.tolist() == want.edge_origin.tolist()
 
 
 def test_level_measure_path_atom(path_map):
@@ -235,14 +235,12 @@ def test_level_measure_requires_vertexed(lattice8_solved):
 
 # -- exact conditional laws ---------------------------------------------------
 
-def hitting(m, v, heights, emb=None):
-    return conditional_hitting(augment_all_levels(m, v, extra=heights, emb=emb), heights)
+def hitting(m, v, heights):
+    return conditional_hitting(augment_all_levels(m, v, extra=heights), heights)
 
 
 def cond_winding(m, v, heights, emb=None):
-    aug = augment_all_levels(m, v, extra=heights, emb=emb)
-    return expected_conditional_winding(conditional_hitting(aug, heights),
-                                        tile(aug.voltage, aug.emb))
+    return expected_conditional_winding(hitting(m, v, heights), tile(v, emb))
 
 
 def test_hitting_single_height_is_level_measure(lattice8_solved):
@@ -270,10 +268,10 @@ def test_hitting_lattice_sequences(lattice8_solved):
 
 
 def test_hitting_law_on_generic_maps(small_random_maps):
-    for m, emb in small_random_maps:
+    for m, _emb in small_random_maps:
         v = solve_voltage(m)
         for seq in admissible_sequences(m, v, 3, 4, seed=9):
-            law = hitting(m, v, seq, emb=emb)
+            law = hitting(m, v, seq)
             assert law.max_deviation() <= 1e-9
 
 
@@ -296,8 +294,8 @@ def test_hitting_rejects_bad_heights(lattice8_solved):
 
 def test_hitting_needs_vertexed_heights(lattice8_solved):
     # a height the augmentation did not vertex has no level set on its map
-    m, emb, v = lattice8_solved
-    aug = augment_all_levels(m, v, emb=emb)
+    m, _, v = lattice8_solved
+    aug = augment_all_levels(m, v)
     with pytest.raises(InadmissibleHeights, match="no vertex at level"):
         conditional_hitting(aug, [0.5, 0.37])
 
@@ -324,11 +322,43 @@ def test_winding_law_generic(small_random_maps):
 
 
 def test_winding_rejects_diagram_of_another_map(parallel3_map):
+    # the law's steps run on the graded map, but their drifts are read off
+    # the tiling of the map that was graded, so the graded map's own tiling
+    # is refused
     v = solve_voltage(parallel3_map)
     law = hitting(parallel3_map, v, [0.25, 0.5])
-    assert law.map is not parallel3_map
+    aug = law.augmented
+    assert aug.map is not parallel3_map and aug.original is parallel3_map
     with pytest.raises(ValueError, match="diagram must tile"):
-        expected_conditional_winding(law, tile(solve_voltage(parallel3_map)))
+        expected_conditional_winding(law, tile(aug.voltage))
+    assert abs(expected_conditional_winding(law, tile(v))) <= 1e-12
+
+
+def test_graded_drift_matches_refined_tiling(random_maps, small_random_maps, lattice8):
+    # the tiling of the graded map is the original tiling cut at the levels,
+    # so away from the marks, whose segment midpoints are arbitrary (pole
+    # darts differ by up to 0.99 eta here), its midpoint drifts are those read
+    # off the original tiling; measured up to 1.9e-13 eta, on random_map(14)
+    for m, emb in list(random_maps) + list(small_random_maps) + [lattice8]:
+        v = solve_voltage(m)
+        aug = augment_all_levels(m, v)
+        d = tile(v, emb)
+        refined = tile(aug.voltage)
+        g = np.flatnonzero(~(aug.map.marked[aug.map.dart_tail]
+                             | aug.map.marked[aug.map.dart_head]))
+        got = walk_lab._graded_drift(d, aug, g)
+        want = np.array([oracles.dart_drift(refined, h) for h in g.tolist()])
+        assert np.max(np.abs(got - want)) <= 1e-12 * d.eta
+
+
+def test_graded_drift_matches_scalar_reference(law_maps):
+    for m, emb in law_maps:
+        v = solve_voltage(m)
+        aug = augment_all_levels(m, v)
+        d = tile(v, emb)
+        g = np.arange(aug.map.num_darts)
+        want = [ref_graded_drift(d, aug, h) for h in g.tolist()]
+        assert walk_lab._graded_drift(d, aug, g).tolist() == want
 
 
 # -- absorption (the dense oracle) and projection --------------------------------
@@ -660,9 +690,9 @@ def test_walk_draw_rounding_up_picks_last_dart():
 # -- array kernels against the loops they replaced ------------------------------
 
 def test_level_measure_matches_loop(random_maps, lattice8):
-    for m, emb in list(random_maps[:8]) + [lattice8]:
+    for m, _emb in list(random_maps[:8]) + [lattice8]:
         v = solve_voltage(m)
-        aug = augment_all_levels(m, v, emb=emb)
+        aug = augment_all_levels(m, v)
         levels = realized_levels(m, v)
         for a, got in zip(levels, level_measures(aug.map, aug.voltage, levels)):
             want = oracles.level_measure(aug.map, aug.voltage, a)
@@ -689,10 +719,11 @@ def test_level_measure_names_first_imbalanced_vertex(lattice8_solved):
 
 
 # -- the one-augmentation report against the per-sequence rebuild it replaced --
-# The references below are the exact-law code that augmented, dualized,
-# conjugated and tiled the map again for every height sequence.  The report
-# built on one level-graded map must reproduce them bit for bit, including the
-# deviations of maps that fail verify.
+# The references below are the exact-law code that augmented the map again
+# for every height sequence, and read each winding step's drift scalar by
+# scalar off the tiling of the original map.  The report built on one
+# level-graded map must reproduce them bit for bit, including the deviations
+# of maps that fail verify.
 
 def ref_first_crossing(m, v, a, tol=1e-12):
     for k in range(m.num_edges):
@@ -703,11 +734,11 @@ def ref_first_crossing(m, v, a, tol=1e-12):
     return None
 
 
-def ref_conditional_hitting(m, v, heights, emb=None, tol=1e-12):
-    """(augmented map, voltage, embedding, levels, conditional, mu, forward,
-    backward, norm), each heights sequence augmented on its own."""
+def ref_conditional_hitting(m, v, heights, tol=1e-12):
+    """(augmentation, levels, conditional, mu, forward, backward, norm), each
+    heights sequence augmented on its own."""
     heights = np.atleast_1d(np.asarray(heights, dtype=np.float64))
-    aug = augment_all_levels(m, v, extra=heights, emb=emb, tol=tol)
+    aug = augment_all_levels(m, v, extra=heights, tol=tol)
     m2, v2 = aug.map, aug.voltage
     pi = m2.pi_weight
     levels = [oracles.level_set(m2, v2, float(a), tol) for a in heights]
@@ -744,17 +775,26 @@ def ref_conditional_hitting(m, v, heights, emb=None, tol=1e-12):
     for a, lv in zip(heights, levels):
         lm = measure_dict(oracles.level_measure(m2, v2, float(a), tol))
         mus.append(np.array([lm.get(int(x), 0.0) for x in lv]))
-    return m2, v2, aug.emb, levels, cond, mus, fwd, bwd, norm
+    return aug, levels, cond, mus, fwd, bwd, norm
 
 
-def ref_expected_conditional_winding(m, v, c, heights, emb=None, tol=1e-12):
-    m2, v2, emb2, levels, _cond, _mus, fwd, bwd, norm = \
-        ref_conditional_hitting(m, v, heights, emb=emb, tol=tol)
-    if m2 is m:
-        diag = build_diagram(m, c.dual, v, c)
-    else:
-        dm2 = dual(m2, emb2)
-        diag = build_diagram(m2, dm2, v2, conjugate(dm2, v2))
+def ref_graded_drift(d, aug, g):
+    """The drift of graded dart g in the rectangle frame of its original
+    edge, read scalar by scalar off d, the tiling of ``aug.original``."""
+    h = 2 * int(aug.edge_origin[g >> 1]) + (g & 1)
+    e = h >> 1
+
+    def at(x, out):
+        if x >= aug.original.num_vertices:      # inserted: the rectangle's centre
+            return d.rect_x0[e] + d.rect_width[e] / 2.0
+        return d.hseg_start[x] + d.hseg_len[x] / 2.0 - int(d.sheet[out]) * d.eta
+
+    return at(int(aug.map.dart_head[g]), h ^ 1) - at(int(aug.map.dart_tail[g]), h)
+
+
+def ref_expected_conditional_winding(m, v, diag, heights, tol=1e-12):
+    aug, levels, _cond, _mus, fwd, bwd, norm = ref_conditional_hitting(m, v, heights, tol=tol)
+    m2 = aug.map
     pi = m2.pi_weight
     total = 0.0
     for i in range(len(heights) - 1):
@@ -769,13 +809,14 @@ def ref_expected_conditional_winding(m, v, c, heights, emb=None, tol=1e-12):
                     continue
                 wgt = fj * float(m2.conductance[g >> 1]) / pi[x] * bwd[i + 1][jj]
                 if wgt != 0.0:
-                    total += wgt * dart_drift(diag, int(g))
+                    total += wgt * ref_graded_drift(diag, aug, int(g))
     return total / (diag.eta * norm)
 
 
 def ref_exact_law_report(m, v, emb=None, num_sequences=5, length=4, seed=0):
     c = conjugate(dual(m, emb), v)
-    aug = augment_all_levels(m, v, emb=emb)
+    diag = build_diagram(m, c.dual, v, c)
+    aug = augment_all_levels(m, v)
     noise = float(np.finfo(np.float64).eps) * float(max(1.0, aug.map.conductance.max()))
     mass_dev = 0.0
     for a in realized_levels(aug.map, aug.voltage):
@@ -785,9 +826,9 @@ def ref_exact_law_report(m, v, emb=None, num_sequences=5, length=4, seed=0):
     wind_dev = 0.0
     sequences = admissible_sequences(m, v, num_sequences, length, seed)
     for seq in sequences:
-        _m2, _v2, _e2, _lv, cond, mus, _f, _b, _n = ref_conditional_hitting(m, v, seq, emb=emb)
+        _aug, _lv, cond, mus, _f, _b, _n = ref_conditional_hitting(m, v, seq)
         hit_dev = max(hit_dev, max(float(np.max(np.abs(c - u))) for c, u in zip(cond, mus)))
-        wind_dev = max(wind_dev, abs(ref_expected_conditional_winding(m, v, c, seq, emb=emb)))
+        wind_dev = max(wind_dev, abs(ref_expected_conditional_winding(m, v, diag, seq)))
     half = [(k, 0.5) for k in range(m.num_edges)]
     m2, _e2, _origin = insert_vertices(m, None, half)
     proj_dev = 0.0
@@ -835,42 +876,46 @@ def test_crt48_hitting_failure_stays_visible(crt48_maps):
 def test_hitting_and_winding_match_reference(law_maps):
     for m, emb in law_maps[4:]:
         v = solve_voltage(m)
-        c = conjugate(dual(m, emb), v)
+        diag = tile(v, emb)
         for seq in admissible_sequences(m, v, 3, 4, seed=5):
-            aug = augment_all_levels(m, v, extra=seq, emb=emb)
-            law = conditional_hitting(aug, seq)
-            _m2, _v2, _e2, levels, cond, mus, fwd, bwd, norm = \
-                ref_conditional_hitting(m, v, seq, emb=emb)
+            law = conditional_hitting(augment_all_levels(m, v, extra=seq), seq)
+            _aug, levels, cond, mus, fwd, bwd, norm = ref_conditional_hitting(m, v, seq)
             for got, want in ((law.levels, levels), (law.conditional, cond),
                               (law.mu, mus), (law.forward, fwd), (law.backward, bwd)):
                 assert [a.tolist() for a in got] == [a.tolist() for a in want]
             assert law.norm == norm
-            assert expected_conditional_winding(law, tile(aug.voltage, aug.emb)) == \
-                ref_expected_conditional_winding(m, v, c, seq, emb=emb)
+            assert expected_conditional_winding(law, diag) == \
+                ref_expected_conditional_winding(m, v, diag, seq)
 
 
 def test_exact_law_report_builds_once(random_maps, monkeypatch):
     # one augmentation, dual, conjugate and diagram per report, one pass for
-    # all the level measures and one sparse product for the projection
+    # all the level measures and one sparse product for the projection; the
+    # one diagram tiles m itself, never the graded map
     m, emb = random_maps[1]
     v = solve_voltage(m)
     calls = {}
+    tiled = []
     for name in ("augment_all_levels", "dual", "conjugate", "build_diagram",
                  "level_measures", "projected_step_law"):
         def counted(*args, _f=getattr(walk_lab, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
-            return _f(*args, **kwargs)
+            out = _f(*args, **kwargs)
+            if _name == "build_diagram":
+                tiled.append(out.map)
+            return out
         monkeypatch.setattr(walk_lab, name, counted)
     walk_lab.exact_law_report(m, v, emb)
     assert len(realized_levels(m, v)) > 1
     assert calls == {"augment_all_levels": 1, "dual": 1, "conjugate": 1,
                      "build_diagram": 1, "level_measures": 1, "projected_step_law": 1}
+    assert len(tiled) == 1 and tiled[0] is m
 
 
 def test_level_measures_match_per_level(law_maps):
-    for m, emb in law_maps:
+    for m, _emb in law_maps:
         v = solve_voltage(m)
-        aug = augment_all_levels(m, v, emb=emb)
+        aug = augment_all_levels(m, v)
         levels = realized_levels(aug.map, aug.voltage)
         # every level, some twice and out of order
         order = np.concatenate([levels, levels[::-3]])
