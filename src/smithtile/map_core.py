@@ -58,11 +58,13 @@ edge's orientation and are numbered in edge order, then along the chain, so
 ``edge_origin`` is nondecreasing; the inserted vertices follow the original
 ones in (edge, fraction) order, whatever the order of the points.  Original
 darts keep their places in the rotations.  An inserted vertex takes the
-angle and height of the straight line along its edge; on an edge with one
-marked end it sits at the finite end's angle, on the line from that end's
-height to one unit beyond the largest |height| toward the pole, and the
-sub-edges carry displacement zero.  On an edge joining the two poles it has
-no coordinates (nan).
+angle and height of the straight line along its edge.  A mark's side lies
+one unit beyond the largest finite |height| hmax: v0's at -(hmax + 1), v1's
+at hmax + 1, whichever way the edge runs.  On an edge with one marked end
+the vertex sits at the finite end's angle, on the line from that end's
+height to the mark's side; on an edge joining the two marks it sits at
+angle 0, on the line between their sides.  Sub-edges of an edge at a mark
+carry displacement zero.
 """
 
 from __future__ import annotations
@@ -234,8 +236,8 @@ class CombMap:
 
     def with_marks(self, v0, v1) -> CombMap:
         """The same map marked at (v0, v1).  It shares this map's read-only
-        arrays and its cached rotation, face and step lists; only ``marked``
-        is its own."""
+        arrays and its cached rotation, face and step lists and ``pi_weight``;
+        only ``marked`` is its own."""
         m = copy.copy(self)
         m.v0 = None if v0 is None else int(v0)
         m.v1 = None if v1 is None else int(v1)
@@ -337,12 +339,14 @@ class CombMap:
     def degree(self, v: int) -> int:
         return int(self.vert_ptr[v + 1] - self.vert_ptr[v])
 
-    @property
-    def pi_weight(self):
-        """Total conductance at each vertex, darts counted individually
-        (a self-loop contributes twice)."""
-        w = np.zeros(self.num_vertices)
-        np.add.at(w, self.dart_tail, self.conductance[np.arange(self.num_darts) >> 1])
+    @cached_property
+    def pi_weight(self) -> np.ndarray:
+        """Total conductance at each vertex, darts counted individually (a
+        self-loop contributes twice), added in dart order: the walk's
+        stationary weight.  Read-only, summed once per map."""
+        w = np.bincount(self.dart_tail, weights=self.conductance[np.arange(self.num_darts) >> 1],
+                        minlength=self.num_vertices)
+        w.flags.writeable = False
         return w
 
     def is_marked(self, v: int) -> bool:
@@ -698,12 +702,17 @@ def insert_vertices(m: CombMap, emb: CylinderEmbedding | None, points):
     u, w = m.edge_tail[e], m.edge_head[e]
     um, wm = m.marked[u], m.marked[w]
     th, h = emb.theta, emb.height
+    # the height of a mark's side, read at the marks only
+    side = np.where(np.arange(V) == m.v0, -(hmax + 1.0), hmax + 1.0)
     theta = mod_array(np.where(um, th[w], np.where(wm, th[u], th[u] + t * emb.dtheta[e])),
                       TWO_PI)
-    height = np.where(um, h[w] - (1.0 - t) * (h[w] + hmax + 1.0),
-                      np.where(wm, h[u] + t * (hmax + 1.0 - h[u]), h[u] + t * (h[w] - h[u])))
-    both = um & wm
-    theta[both] = height[both] = math.nan
+    theta[um & wm] = 0.0
+    height = np.select(
+        [um & wm, um & (side[u] < 0), um, wm & (side[w] > 0), wm],
+        [side[u] + t * (side[w] - side[u]),
+         h[w] - (1.0 - t) * (h[w] + hmax + 1.0), h[w] + (1.0 - t) * (hmax + 1.0 - h[w]),
+         h[u] + t * (hmax + 1.0 - h[u]), h[u] - t * (h[u] + hmax + 1.0)],
+        h[u] + t * (h[w] - h[u]))
     pole = (m.marked[m.edge_tail] | m.marked[m.edge_head])[origin]
     dtheta = np.where(pole & (cnt[origin] > 0), 0.0, emb.dtheta[origin] * dt)
     emb2 = CylinderEmbedding(np.concatenate([th, theta]), np.concatenate([h, height]), dtheta)

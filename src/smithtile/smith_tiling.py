@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .map_core import (CombMap, CylinderEmbedding, DualMap, by_position, dual,
-                       mod_array, segment_sums)
+                       mod_array)
 from .electrical import Conjugate, Voltage, conjugate, flow_floor, harmonic_darts
 
 
@@ -129,7 +129,7 @@ def build_diagram(m: CombMap, dmap: DualMap, v: Voltage, c: Conjugate,
     ptr, darts = m.vert_ptr, m.vert_dart
     deg = np.diff(ptr)
     owner = np.repeat(np.arange(V), deg)        # vertex of each rotation slot
-    noise = 8.0 * eps * vs * segment_sums(m.conductance[darts >> 1], ptr)
+    noise = 8.0 * eps * vs * m.pi_weight
     hseg_start = np.zeros(V)
     hseg_len = np.where(m.marked, eta, 0.0)
     sheet = np.zeros(m.num_darts, dtype=np.int64)

@@ -9,8 +9,10 @@ sorted values that holds every vertex within tol of it, then applies the test
 |v(x) - a| <= tol to the window alone.  ``level_measures`` gives the level
 measures of those sets in one pass: one ``segment_sums`` call takes the flow
 sums of every vertex, and one search of the edge ranges finds every crossed
-level.  On the level-graded map one forward-backward pass over the level sets
-gives the exact conditional law of the walk given its height sequence, and
+level.  ``Augmented.measures`` keeps each level's measure, so a report sorts
+the graded voltages once.  On the level-graded map one forward-backward pass
+over the level sets, each read off its height's measure, gives the exact
+conditional law of the walk given its height sequence, and
 the expected winding of the re-randomized tiled-cylinder walk is a
 drift-weighted sum over the transitions the pass recorded, read off the
 original map's tiling, as a graded vertex cuts an edge's rectangle.  The
@@ -251,7 +253,8 @@ def level_measures(m: CombMap, v: Voltage, levels, tol: float = 1e-12) -> list:
     one ``LevelMeasure`` per level, in the given order.
 
     In-flow and out-flow must agree at every level vertex (harmonicity); the
-    defect is asserted against BALANCE_TOL.  One pass serves all the levels:
+    defect is asserted against BALANCE_TOL times the larger of 1, the
+    in-flow and the vertex's ``pi_weight``.  One pass serves all the levels:
     the flow sums of every vertex come from one ``segment_sums`` call, each
     sum the ``np.sum`` of that vertex's darts in rotation order, the level
     sets from one ``level_sets`` call, and the crossings of all levels from
@@ -275,19 +278,18 @@ def level_measures(m: CombMap, v: Voltage, levels, tol: float = 1e-12) -> list:
     ptr = np.concatenate([[0], np.cumsum(lengths)])
     # flow sums of every vertex, its darts in rotation order
     V = m.num_vertices
-    deg = np.diff(m.vert_ptr)
-    g = m.vert_dart
-    fl = v.dart_flow(g)
-    owner = np.repeat(np.arange(V), deg)
+    fl = v.dart_flow(m.vert_dart)
+    owner = np.repeat(np.arange(V), np.diff(m.vert_ptr))
     neg, pos = fl < 0, fl > 0
     sizes = np.concatenate([np.bincount(owner[neg], minlength=V),
-                            np.bincount(owner[pos], minlength=V), deg])
-    sums = segment_sums(np.concatenate([fl[neg], fl[pos], m.conductance[g >> 1]]),
+                            np.bincount(owner[pos], minlength=V)])
+    sums = segment_sums(np.concatenate([fl[neg], fl[pos]]),
                         np.concatenate([[0], np.cumsum(sizes)]))
-    inflow, outflow, csum = -sums[:V], sums[V:2 * V], sums[2 * V:]
+    inflow, outflow = -sums[:V], sums[V:]
     # rounding in each dart flow scales with its conductance, which mid-edge
     # insertion at small fractions can make large
-    bad = np.abs(inflow - outflow) > BALANCE_TOL * np.maximum(np.maximum(1.0, inflow), csum)
+    bad = np.abs(inflow - outflow) > BALANCE_TOL * np.maximum(np.maximum(1.0, inflow),
+                                                              m.pi_weight)
     unbalanced = np.bincount(lev[bad[x]], minlength=n) > 0
     failed = np.flatnonzero(crossed | (ptr[1:] == ptr[:-1]) | unbalanced)
     if len(failed):
@@ -334,21 +336,21 @@ def conditional_hitting(aug: Augmented, heights) -> HittingLaw:
     """Exact conditional law of the walk given its full voltage-level sequence.
 
     ``aug`` must vertex every height (``augment_all_levels`` with them as
-    extras); the walk starts from the level measure of heights[0].  The
-    transitions between consecutive level sets are read from the rotation
-    arrays, and each recursion step adds them up in that order with one
-    ``np.bincount``; no sampling."""
+    extras), else its level measures raise LevelNotVertexed; the walk
+    starts from the level measure of heights[0].  Each height's level set is
+    its measure's vertex array.  The transitions between consecutive level
+    sets are read from the rotation arrays, and each recursion step adds
+    them up in that order with one ``np.bincount``; no sampling.  Raises
+    InadmissibleHeights for a level the walk cannot reach from the one
+    before, or a sequence of zero probability."""
     m = aug.map
     heights = np.atleast_1d(np.asarray(heights, dtype=np.float64))
     pi, c, ptr = m.pi_weight, m.conductance, m.vert_ptr
-
-    levels = level_sets(m, aug.voltage, heights, aug.tol)
-    for a, lv in zip(heights, levels):
-        if len(lv) == 0:
-            raise InadmissibleHeights(f"no vertex at level {a}")
+    measures = aug.measures(heights)
+    levels = [lm.vertices for lm in measures]
     N = len(heights)
 
-    fwd = [aug.measures(heights[:1])[0].mass]
+    fwd = [measures[0].mass]
     slot = np.full(m.num_vertices, -1)
     steps = []
     for i in range(N - 1):
@@ -379,8 +381,7 @@ def conditional_hitting(aug: Augmented, heights) -> HittingLaw:
     if norm <= 0.0:
         raise InadmissibleHeights("height sequence has zero probability")
     cond = [fwd[i] * bwd[i] / norm for i in range(N)]
-    mus = [lm.mass for lm in aug.measures(heights)]
-    return HittingLaw(aug, levels, cond, mus, steps, fwd, bwd, norm)
+    return HittingLaw(aug, levels, cond, [lm.mass for lm in measures], steps, fwd, bwd, norm)
 
 
 def _graded_drift(d: SmithDiagram, aug: Augmented, darts) -> np.ndarray:

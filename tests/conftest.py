@@ -83,13 +83,20 @@ def crt48_maps():
 def refinement_cases(random_maps, lattice8, rung_map, mated_crt64,
                      parallel3_map):
     """(map, embedding or None) pairs for the refinement oracles: generic
-    and lattice maps with embeddings, maps without, and parallel3_map with
-    the one embedding it has, no finite coordinates, so that its edges join
-    the two poles."""
+    and lattice maps with embeddings, the lattice with every other edge
+    flipped (so edges leave v1 and enter v0), maps without, and
+    parallel3_map with the one embedding it has, no finite coordinates, so
+    that its edges join the two poles, with and without an edge flipped."""
     poles_only = CylinderEmbedding(np.full(2, np.nan), np.full(2, np.nan),
                                    np.zeros(3))
-    return random_maps[:6] + [lattice8, (rung_map, None), (mated_crt64, None),
-                              (parallel3_map, None), (parallel3_map, poles_only)]
+    m, emb = lattice8
+    flip = np.arange(m.num_edges) % 2
+    flipped = (oracles.relabel_edges(m, np.arange(m.num_edges), flip)[0],
+               CylinderEmbedding(emb.theta, emb.height, np.where(flip, -emb.dtheta, emb.dtheta)))
+    par3 = oracles.relabel_edges(parallel3_map, np.arange(3), np.array([0, 1, 0]))[0]
+    return random_maps[:6] + [lattice8, flipped, (rung_map, None), (mated_crt64, None),
+                              (parallel3_map, None), (parallel3_map, poles_only),
+                              (par3, poles_only)]
 
 
 @pytest.fixture(scope="session")

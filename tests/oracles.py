@@ -1153,14 +1153,23 @@ def insert_vertices(m: CombMap, emb: CylinderEmbedding | None, points):
         if emb is None:
             return math.nan, math.nan
         um, wm = m.is_marked(u), m.is_marked(w)
+
+        def side(x):
+            # v0 sits one unit below the deepest vertex, v1 one unit above
+            return -(hmax + 1.0) if x == m.v0 else hmax + 1.0
+
         if um and wm:
-            return math.nan, math.nan
-        if um:
+            return 0.0, side(u) + t * (side(w) - side(u))
+        if um and u == m.v0:
             # pole at t = 0: come up from one unit below the deepest vertex
             hh = emb.height[w] - (1.0 - t) * (emb.height[w] + hmax + 1.0)
             return wrap_angle(emb.theta[w]), hh
-        if wm:
+        if um:
+            return wrap_angle(emb.theta[w]), emb.height[w] + (1.0 - t) * (hmax + 1.0 - emb.height[w])
+        if w == m.v1:
             return wrap_angle(emb.theta[u]), emb.height[u] + t * (hmax + 1.0 - emb.height[u])
+        if wm:
+            return wrap_angle(emb.theta[u]), emb.height[u] - t * (emb.height[u] + hmax + 1.0)
         th = wrap_angle(emb.theta[u] + t * emb.dtheta[k])
         return th, emb.height[u] + t * (emb.height[w] - emb.height[u])
 

@@ -958,11 +958,12 @@ VERIFY_GOLDEN = {
 
 def test_cli_verify_golden_bytes(random_maps, tmp_path, capsys):
     """The bytes and exit codes of ``verify -o`` on the gamma = 1.8, n = 48
-    mated-CRT maps of seeds 1-6 and on random_map(1) with its embedding,
-    pinned by hash: a change to the refinement, the level augmentation, the
-    laws or the tiling the winding law reads its drifts off fails here.
-    Seeds 1, 2 and 4 fail the hitting law (and seed 2 the zero winding, at
-    4.9e-6) through their zero-gradient edges."""
+    mated-CRT maps of seeds 1-6, on random_map(1) with its embedding and on
+    the `mated-crt --gamma 1.8 --n 512 --seed 3` map, whose realized levels
+    lie as close as 1.9e-12, pinned by hash: a change to the refinement,
+    the level augmentation, the laws or the tiling the winding law reads its
+    drifts off fails here.  Seeds 1, 2 and 4 fail the hitting law (and seed
+    2 the zero winding, at 4.9e-6) through their zero-gradient edges."""
     inc = tmp_path / "inc.json"
     mp = str(tmp_path / "map.json")
     rep = tmp_path / "report.json"
@@ -977,6 +978,10 @@ def test_cli_verify_golden_bytes(random_maps, tmp_path, capsys):
     assert main(["verify", write_map_file(tmp_path, m, emb), "-o", str(rep)]) == 0
     assert hashlib.sha256(rep.read_bytes()).hexdigest() == \
         "e17c52c58dee46143b7dfe3a0ddfcc177161aa15e927a83e2748121e0d6de336"
+    assert main(["mated-crt", "--gamma", "1.8", "--n", "512", "--seed", "3", "-o", mp]) == 0
+    assert main(["verify", mp, "-o", str(rep)]) == 0
+    assert hashlib.sha256(rep.read_bytes()).hexdigest() == \
+        "94568a1b6f4def2388aa2266468087143adfbe5aad0d4e1f2bfd0a7b5642cf33"
     capsys.readouterr()
 
 

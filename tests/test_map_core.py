@@ -1,5 +1,6 @@
 """Rotation-system maps: construction checks, duality, refinement."""
 
+import json
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smithtile import (CombMap, CylinderEmbedding, MapError, augment_all_levels,
-                       build_map, check_embedding, dual, insert_vertices, make_lattice,
-                       solve_voltage)
+                       build_map, check_embedding, dual, insert_vertices, io_json,
+                       make_lattice, solve_voltage)
 from smithtile.map_core import (bfs_tree, components, marked_cut_path,
                                 wrap_signed_array)
 
@@ -214,6 +215,24 @@ def test_pi_weight_counts_self_loops_twice():
                   marked=(0, 1))
     assert m.pi_weight[0] == pytest.approx(1.0 + 2.0 * 2.0)
     assert m.pi_weight[1] == pytest.approx(1.0)
+
+
+def test_pi_weight_is_summed_once(random_maps, mated_crt64, crt48_maps, lattice8_solved):
+    # cached, read-only, shared by the marked copies, and the bits of the
+    # np.add.at loop over the darts it replaced
+    m, _, v = lattice8_solved
+    loop = build_map(2, [(0, 1, 1.0), (0, 0, 2.0), (1, 1, 0.3)], [[0, 2, 3], [1, 4, 5]],
+                     marked=(0, 1))
+    maps = ([mm for mm, _ in random_maps] + [mated_crt64] + crt48_maps
+            + [augment_all_levels(m, v).map, loop])
+    for mm in maps:
+        want = np.zeros(mm.num_vertices)
+        np.add.at(want, mm.dart_tail, mm.conductance[np.arange(mm.num_darts) >> 1])
+        pi = mm.pi_weight
+        assert pi.tobytes() == want.tobytes()
+        assert mm.pi_weight is pi and mm.with_marks(None, None).pi_weight is pi
+        with pytest.raises(ValueError):
+            pi[0] = 1.0
 
 
 def test_arrays_are_frozen(path_map):
@@ -594,6 +613,50 @@ def test_insert_euler_still_sphere(random_maps):
     m, emb = random_maps[1]
     m2, emb2, _ = insert_vertices(m, emb, [(0, 0.5), (0, 0.75), (1, 0.1)])
     assert m2.num_vertices - m2.num_edges + m2.num_faces == 2
+
+
+def test_insert_on_a_pole_edge_goes_toward_its_mark():
+    # a vertex on an edge at a mark heads for that mark's side, v0's below
+    # every vertex and v1's above, whichever way the edge runs: flipping the
+    # edge moves its t-vertex to where 1 - t was.  The flipped top edge once
+    # put its midpoint at -0.5, below its finite end at 0.785
+    m, emb = make_lattice(8, 1.0)
+    pole = np.flatnonzero(m.marked[m.edge_tail] | m.marked[m.edge_head])
+    bottom, top = int(pole[0]), int(pole[-1])
+    assert m.edge_tail[bottom] == m.v0 and m.edge_head[top] == m.v1
+    for flip in ([bottom, top], [top]):
+        mask = np.isin(np.arange(m.num_edges), flip).astype(np.int64)
+        mf, _ = relabel_edges(m, np.arange(m.num_edges), mask)
+        ef = CylinderEmbedding(emb.theta, emb.height, np.where(mask, -emb.dtheta, emb.dtheta))
+        for t in (0.25, 0.5):
+            pts = [(k, 1.0 - t if k in flip else t) for k in (bottom, top)]
+            _, e1, _ = insert_vertices(m, emb, [(bottom, t), (top, t)])
+            m2, e2, _ = insert_vertices(mf, ef, pts)
+            assert e2.height[-2:].tobytes() == e1.height[-2:].tobytes()
+            assert e2.theta[-2:].tobytes() == e1.theta[-2:].tobytes()
+            assert e2.height[-2] < emb.height[m.edge_head[bottom]]
+            assert e2.height[-1] > emb.height[m.edge_tail[top]]
+            check_embedding(m2, e2)
+
+
+def test_insert_between_the_marks_has_finite_coordinates(parallel3_map):
+    # on an edge joining v0 to v1 a vertex sits at angle 0, on the line
+    # from -(hmax + 1) to hmax + 1; the refined map checks and round-trips
+    # through its JSON bytes
+    poles_only = CylinderEmbedding(np.full(2, np.nan), np.full(2, np.nan), np.zeros(3))
+    flip = np.array([0, 1, 0])
+    flipped, _ = relabel_edges(parallel3_map, np.arange(3), flip)
+    for m, heights in ((parallel3_map, [0.0, -0.5]), (flipped, [0.0, 0.5])):
+        m2, e2, _ = insert_vertices(m, poles_only, [(0, 0.5), (1, 0.25)])
+        assert e2.theta[2:].tolist() == [0.0, 0.0]
+        assert e2.height[2:].tolist() == heights
+        check_embedding(m2, e2)
+        text = io_json.dump_json(io_json.map_to_json(m2, e2))
+        m3, e3 = io_json.map_from_json(json.loads(text))
+        assert_same_map(m3, m2)
+        for name in ("theta", "height", "dtheta"):
+            assert np.array_equal(getattr(e3, name), getattr(e2, name), equal_nan=True)
+        assert io_json.dump_json(io_json.map_to_json(m3, e3)) == text
 
 
 def test_insert_matches_loop(refinement_cases):

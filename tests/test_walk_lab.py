@@ -293,10 +293,11 @@ def test_hitting_rejects_bad_heights(lattice8_solved):
 
 
 def test_hitting_needs_vertexed_heights(lattice8_solved):
-    # a height the augmentation did not vertex has no level set on its map
+    # a height the augmentation did not vertex has no level measure on its
+    # map: edges still cross it
     m, _, v = lattice8_solved
     aug = augment_all_levels(m, v)
-    with pytest.raises(InadmissibleHeights, match="no vertex at level"):
+    with pytest.raises(LevelNotVertexed, match="crosses level 0.37"):
         conditional_hitting(aug, [0.5, 0.37])
 
 
@@ -890,14 +891,15 @@ def test_hitting_and_winding_match_reference(law_maps):
 
 def test_exact_law_report_builds_once(random_maps, monkeypatch):
     # one augmentation, dual, conjugate and diagram per report, one pass for
-    # all the level measures and one sparse product for the projection; the
-    # one diagram tiles m itself, never the graded map
+    # all the level measures, one sort of the graded voltages, and one
+    # sparse product for the projection; the one diagram tiles m itself,
+    # never the graded map
     m, emb = random_maps[1]
     v = solve_voltage(m)
     calls = {}
     tiled = []
     for name in ("augment_all_levels", "dual", "conjugate", "build_diagram",
-                 "level_measures", "projected_step_law"):
+                 "level_measures", "level_sets", "projected_step_law"):
         def counted(*args, _f=getattr(walk_lab, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             out = _f(*args, **kwargs)
@@ -908,7 +910,8 @@ def test_exact_law_report_builds_once(random_maps, monkeypatch):
     walk_lab.exact_law_report(m, v, emb)
     assert len(realized_levels(m, v)) > 1
     assert calls == {"augment_all_levels": 1, "dual": 1, "conjugate": 1,
-                     "build_diagram": 1, "level_measures": 1, "projected_step_law": 1}
+                     "build_diagram": 1, "level_measures": 1, "level_sets": 1,
+                     "projected_step_law": 1}
     assert len(tiled) == 1 and tiled[0] is m
 
 
