@@ -43,7 +43,8 @@ document order.  A JSON boolean is neither a number nor an id, though
 Python counts it as an int, and an integer too large for a double is not a
 finite number.  ``map_from_json`` then builds the map from the columns its
 checks made: the tail, head and conductance arrays, and ``next_dart`` from
-the rotation's darts and list lengths by ``map_core.next_dart_from``.
+the rotation's darts and list lengths by ``map_core.next_dart_from``.  An a
+priori embedding must then pass ``map_core.check_embedding``.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .map_core import CombMap, CylinderEmbedding, next_dart_from
+from .map_core import CombMap, CylinderEmbedding, check_embedding, next_dart_from
 
 SCHEMA = "smith/1"
 
@@ -451,7 +452,10 @@ def map_to_json(m: CombMap, emb: CylinderEmbedding | None = None) -> dict:
 
 
 def map_from_json(obj) -> tuple:
-    """Validate exhaustively, then build.  Returns (map, embedding-or-None)."""
+    """Validate exhaustively, then build.  Returns (map, embedding-or-None).
+
+    An embedding must also pass ``map_core.check_embedding``, whose MapError
+    names the first vertex, edge or face that breaks it."""
     errors = _header(obj, "map", ("num_vertices", "marked", "vertices", "edges",
                                   "rotation"))
     V = obj.get("num_vertices")
@@ -563,7 +567,9 @@ def map_from_json(obj) -> tuple:
         if not null[x]:
             raise SchemaError([f"vertices[{x}]: marked vertices must have "
                                "null coordinates"])
-    return m, CylinderEmbedding(theta, height, dtheta)
+    emb = CylinderEmbedding(theta, height, dtheta)
+    check_embedding(m, emb)
+    return m, emb
 
 
 # -- solution ---------------------------------------------------------------------

@@ -543,7 +543,9 @@ def exact_law_report(m: CombMap, v: Voltage,
     p = c / segment_sums(c, m.vert_ptr)[x]
     move = x != y
     step = _csr_sums(x[move], y[move], p[move], (V, V))
-    m2, _e2, _origin = insert_vertices(m, None, [(k, 0.5) for k in range(m.num_edges)])
+    E = m.num_edges
+    half = np.column_stack((np.arange(E), np.full(E, 0.5)))
+    m2, _e2, _origin = insert_vertices(m, None, half)
     diff = abs(step - projected_step_law(m2, range(V)))
     proj_dev = float(np.max(diff.data, initial=0.0))
 

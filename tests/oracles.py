@@ -303,6 +303,7 @@ def map_from_json(obj) -> tuple:
         if th is not None:
             theta[x], height[x] = th, hh
     emb = CylinderEmbedding(theta, height, np.array(dthetas, dtype=np.float64))
+    check_embedding(m, emb)
     return m, emb
 
 

@@ -299,13 +299,37 @@ def test_map_reader_reports_a_bare_vertex_count_once():
 
 def test_map_roundtrip_keeps_every_array(lattice8, random_maps, mated_crt64):
     """Reading a written map gives back every array of the map bit for bit,
-    dtype included, on lattice, random and mated-CRT maps."""
-    for m, emb in [lattice8, random_maps[1], random_maps[7], (mated_crt64, None)]:
-        m2, _ = map_from_json(json.loads(dump_json(map_to_json(m, emb))))
+    dtype included, and both readers give back the document's bytes, on
+    lattice, random and mated-CRT maps; the embedding check on read passes
+    every embedding these generators make."""
+    for m, emb in [lattice8, make_lattice(8, 1.0), *random_maps, (mated_crt64, None)]:
+        blob = dump_json(map_to_json(m, emb))
+        m2, emb2 = map_from_json(json.loads(blob))
         assert (m2.num_vertices, m2.num_faces, m2.v0, m2.v1) == \
             (m.num_vertices, m.num_faces, m.v0, m.v1)
         for name in m.ARRAYS:
             assert _arrays_equal(getattr(m2, name), getattr(m, name)), name
+        assert dump_json(map_to_json(m2, emb2)) == blob
+        assert dump_json(map_to_json(*oracles.map_from_json(json.loads(blob)))) == blob
+
+
+def test_map_reader_checks_the_embedding(tmp_path, capsys):
+    """An a priori embedding that breaks check_embedding is a MapError of
+    both readers, and tile and verify exit 1 with its message."""
+    m, emb = make_lattice(8, 1.0)
+    pole = int(np.flatnonzero(m.marked[m.edge_tail] | m.marked[m.edge_head])[0])
+    assert not (m.marked[m.edge_tail[3]] or m.marked[m.edge_head[3]])
+    for k, message in [(3, "edge 3: dtheta inconsistent with theta difference"),
+                       (pole, f"edge {pole} touches a marked vertex but has dtheta != 0")]:
+        obj = json.loads(dump_json(map_to_json(m, emb)))
+        obj["edges"][k]["dtheta"] += 1.0
+        assert _outcome(map_from_json, obj) == ("MapError", message)
+        assert _outcome(oracles.map_from_json, obj) == ("MapError", message)
+        p = tmp_path / "bad.json"
+        p.write_text(dump_json(obj))
+        for cmd in ("tile", "verify"):
+            assert main([cmd, str(p), "-o", str(tmp_path / "out.json")]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_map_reader_rejects_a_rotation_that_leaves_a_dart_out(path_map):

@@ -484,7 +484,10 @@ def _fundamental_cycle(dm, tree_dart, h):
 def reference_conjugate(dmap, v, base=None, tol=1e-9):
     """The per-cycle conjugate: integrate over a list-queue BFS tree, then walk
     every fundamental cycle and count its cut crossings one by one.  The cut
-    path is read from the electrical module, as conjugate() reads it."""
+    path is read from the electrical module, as conjugate() reads it.  The
+    winding is derived twice, as the defect's nearest multiple of eta and as
+    the cycle's cut crossings; a closure fails unless the two agree and the
+    defect lies within the allowance of that multiple."""
     m = dmap.primal
     dm = dmap.map
     F = dm.num_vertices
@@ -517,7 +520,7 @@ def reference_conjugate(dmap, v, base=None, tol=1e-9):
                 queue.append(g)
     if np.any(np.isnan(w)):
         raise MapError("dual graph is not connected")
-    cut = electrical.marked_cut_path(m) if (m.v0 is not None and m.v1 is not None) else None
+    cut = electrical.marked_cut_path(m)
     max_defect = 0.0
     scale = max(1.0, eta)
     for k in np.flatnonzero(~in_tree):
@@ -526,14 +529,11 @@ def reference_conjugate(dmap, v, base=None, tol=1e-9):
         err = abs(defect - eta * wind)
         allow = tol * scale + 8.0 * (errinc[2 * k] + werr[dm.dart_tail[2 * k]]
                                      + werr[dm.dart_head[2 * k]])
-        if err > allow:
-            raise MapError(f"dual edge {k}: closure defect {defect} not in eta*Z")
-        if cut is not None:
-            cyc = _fundamental_cycle(dm, tree_dart, int(2 * k))
-            wind_cut = dual_cycle_winding_cut(dmap, cyc, cut=cut)
-            if wind_cut != wind:
-                raise MapError(
-                    f"dual edge {k}: defect winding {wind} != cycle winding {wind_cut}")
+        cyc = _fundamental_cycle(dm, tree_dart, int(2 * k))
+        wind_cut = dual_cycle_winding_cut(dmap, cyc, cut=cut)
+        if err > allow or wind_cut != wind:
+            raise MapError(f"dual edge {k}: closure defect {defect} "
+                           f"!= eta * cycle winding {wind_cut}")
         max_defect = max(max_defect, err)
     return Conjugate(dmap, v, base, w, max_defect, tree_dart, werr)
 
@@ -553,6 +553,9 @@ def test_conjugate_matches_per_cycle_reference(random_maps, lattice8, parallel3_
         assert got.max_defect == want.max_defect
 
 
+CLOSURE = r"closure defect .* != eta \* cycle winding -?\d+$"
+
+
 def test_conjugate_rejects_closure_defect(random_maps):
     m, emb = random_maps[0]
     v = solve_voltage(m)
@@ -561,7 +564,7 @@ def test_conjugate_rejects_closure_defect(random_maps):
     values[x] += 1e-3
     bad = dataclasses.replace(v, values=values)
     dmc = dual(m, emb)
-    with pytest.raises(MapError, match="closure defect .* not in eta\\*Z") as got:
+    with pytest.raises(MapError, match=CLOSURE) as got:
         conjugate(dmc, bad)
     with pytest.raises(MapError) as want:
         reference_conjugate(dmc, bad)
@@ -576,11 +579,47 @@ def test_conjugate_rejects_wrong_cut_winding(random_maps, lattice8, monkeypatch)
     for m, emb in (random_maps[0], lattice8):
         v = solve_voltage(m)
         dmc = dual(m, emb)
-        with pytest.raises(MapError, match="defect winding -?\\d+ != cycle winding") as got:
+        with pytest.raises(MapError, match=CLOSURE) as got:
             conjugate(dmc, v)
         with pytest.raises(MapError) as want:
             reference_conjugate(dmc, v)
         assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("sigma", [1e-14, 1e-11, 1e-9, 1e-6, 1e-3, 1e-1])
+@pytest.mark.parametrize("count", [1, 3, 20])
+def test_conjugate_matches_reference_on_perturbed_voltages(random_maps, lattice8,
+                                                           mated_crt64, count, sigma):
+    # noise on a few voltages breaks flow conservation at their vertices:
+    # the one cut winding must fail the same edges as the two derivations
+    cases = list(random_maps[:8]) + [lattice8, (mated_crt64, None)]
+    for m, emb in cases:
+        v = solve_voltage(m)
+        dmc = dual(m, emb)
+        free = np.flatnonzero(~m.marked)
+        for seed in range(12):
+            rng = make_rng(seed)
+            values = v.values.copy()
+            x = rng.choice(free, size=min(count, len(free)), replace=False)
+            values[x] += sigma * rng.standard_normal(len(x))
+            noisy = dataclasses.replace(v, values=values)
+            try:
+                want = reference_conjugate(dmc, noisy)
+            except MapError as e:
+                with pytest.raises(MapError, match=CLOSURE) as got:
+                    conjugate(dmc, noisy)
+                assert str(got.value) == str(e)
+                continue
+            got = conjugate(dmc, noisy)
+            assert got.max_defect == want.max_defect
+            assert np.array_equal(got.w_lift, want.w_lift)
+
+
+def test_conjugate_needs_both_marks(lattice8):
+    m, emb = lattice8
+    v = solve_voltage(m)
+    with pytest.raises(MapError, match="both marked vertices"):
+        conjugate(dual(m.with_marks(None, None), emb), v)
 
 
 def test_interpolate_h_matches_refined_solve(random_maps):
