@@ -138,17 +138,18 @@ class InvarianceReport:
 
 def invariance_diagnostic(m: CombMap, height, starts, h_lo: float, h_hi: float,
                           walks_per_start: int, seed: int,
-                          tol: float = 1e-9,
                           max_steps: int = 10_000_000) -> InvarianceReport:
     """Gambler's-ruin check: empirical top-exit frequencies from each start
     against the exact linear law (height is a walk martingale on lattice
-    rows), at three sigma.
+    rows), at three sigma.  The walks stop at heights within 1e-9 of h_lo
+    and above, or of h_hi and below.
 
     Works for the primal lattice with vertex heights and for the dual with
     face representative heights (the dual of the lattice is the shifted
     lattice).  All walks take their steps from one ``uniforms`` stream of the
     seed's generator, one value per step, in the order the walks run."""
     height = np.asarray(height, dtype=np.float64)
+    tol = 1e-9
     with np.errstate(invalid="ignore"):
         lo = {x for x in range(m.num_vertices) if height[x] <= h_lo + tol}
         hi = {x for x in range(m.num_vertices) if height[x] >= h_hi - tol}

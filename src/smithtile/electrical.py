@@ -207,7 +207,6 @@ def harmonic_darts(v: Voltage) -> np.ndarray:
 class Conjugate:
     dual: DualMap
     voltage: Voltage
-    base: int
     w_lift: np.ndarray          # real lift per dual vertex, w = w_lift mod eta
     max_defect: float           # worst |defect - eta * winding| over non-tree duals
     tree_dart: np.ndarray       # dual dart used to reach each face (-1 at base)
@@ -218,8 +217,7 @@ class Conjugate:
         return mod_array(self.w_lift[f], self.voltage.eta)
 
 
-def conjugate(dmap: DualMap, v: Voltage, base: int | None = None,
-              tol: float = 1e-9) -> Conjugate:
+def conjugate(dmap: DualMap, v: Voltage, tol: float = 1e-9) -> Conjugate:
     """Integrate the flow over a BFS spanning tree of the dual.
 
     Every non-tree dual edge closes a cycle whose integration defect must be
@@ -229,25 +227,20 @@ def conjugate(dmap: DualMap, v: Voltage, base: int | None = None,
     to v1 on each face's tree path, so the fundamental cycle through dart h
     winds cross[tail(h)] + sign(h) - cross[head(h)] times.  A defect farther
     than the rounding allowance, or than eta/2, from eta times that winding
-    means the flow is not conserved; the embedding only picks the base face.
-    All non-tree edges are checked at once; the first failing edge raises.
-    Both marks are needed, as for the voltage.
+    means the flow is not conserved.  All non-tree edges are checked at
+    once; the first failing edge raises.  Both marks are needed, as for the
+    voltage.
 
-    The tree is ``map_core.bfs_tree`` from the base face.  The sums along it
-    run one front at a time, each face adding its tree dart's term to its
-    parent's value, which are the same float additions a face-by-face walk
-    down the tree would do.
+    The tree is ``map_core.bfs_tree`` from ``dmap.base``, where w_lift is 0;
+    the dual picks that face by its a priori embedding, if any.  The sums
+    along the tree run one front at a time, each face adding its tree dart's
+    term to its parent's value, which are the same float additions a
+    face-by-face walk down the tree would do.
     """
     m = dmap.primal
     dm = dmap.map
     F = dm.num_vertices
     eta = v.eta
-    if base is None:
-        if dmap.rep_theta is not None:
-            score = np.minimum(dmap.rep_theta, 2 * math.pi - dmap.rep_theta)
-            base = int(np.lexsort((np.arange(F), np.abs(dmap.rep_height), score))[0])
-        else:
-            base = 0
 
     cut = marked_cut_path(m)
     sgn = np.zeros(dm.num_darts, dtype=np.int64)
@@ -257,15 +250,14 @@ def conjugate(dmap: DualMap, v: Voltage, base: int | None = None,
     # in the crossing direction that keeps the flow on the left, so on a
     # lattice w increases with the a priori angle
     inc = -v.dart_flow(np.arange(dm.num_darts))
-    # one increment carries cancellation noise ~ eps * conductance * |v|:
-    # level augmentation can slice an edge at nearly equal fractions, and the
-    # resulting sliver conductances amplify machine-level voltage noise far
-    # above any fixed tolerance while staying far below genuine defects
+    # one increment carries cancellation noise ~ eps * conductance * |v|: on
+    # an input map with large conductances that noise grows far above any
+    # fixed tolerance while staying far below genuine defects
     vs = float(max(1.0, np.abs(v.values).max()))
     errinc = np.finfo(np.float64).eps * vs \
         * m.conductance[np.arange(dm.num_darts) >> 1]
 
-    tree_dart, fronts = bfs_tree(dm, base)
+    tree_dart, fronts = bfs_tree(dm, dmap.base)
     if sum(map(len, fronts)) < F:
         raise MapError("dual graph is not connected")
     w = np.zeros(F)
@@ -293,5 +285,5 @@ def conjugate(dmap: DualMap, v: Voltage, base: int | None = None,
         raise MapError(f"dual edge {int(hs[i]) >> 1}: closure defect {defect[i]} "
                        f"!= eta * cycle winding {wind[i]}")
     max_defect = float(err.max(initial=0.0))
-    return Conjugate(dmap, v, base, w, max_defect, tree_dart, werr)
+    return Conjugate(dmap, v, w, max_defect, tree_dart, werr)
 

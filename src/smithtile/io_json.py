@@ -241,11 +241,6 @@ def _rotation(r, nl) -> str:
             + nl + "}") % tuple(values.tolist())
 
 
-def _tolist(a) -> list:
-    """An array's entries as Python floats."""
-    return np.asarray(a, dtype=np.float64).tolist()
-
-
 def _numbered(key, floats, ints=None, null=None) -> Table:
     """A table numbered by the field key from 0, with float and int
     columns."""
@@ -574,17 +569,10 @@ def map_from_json(obj) -> tuple:
 
 # -- solution ---------------------------------------------------------------------
 
-def solution_to_json(v, c=None) -> dict:
-    out = {
-        "schema": SCHEMA,
-        "kind": "solution",
-        "eta": float(v.eta),
-        "residual": float(v.residual),
-        "h": _tolist(v.values),
-    }
-    if c is not None:
-        out["w"] = c.w(np.arange(len(c.w_lift))).tolist()
-    return out
+def solution_to_json(v, c) -> dict:
+    return {"schema": SCHEMA, "kind": "solution", "eta": float(v.eta),
+            "residual": float(v.residual), "h": v.values.tolist(),
+            "w": c.w(np.arange(len(c.w_lift))).tolist()}
 
 
 # -- diagram ----------------------------------------------------------------------

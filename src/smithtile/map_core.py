@@ -436,10 +436,12 @@ class CylinderEmbedding:
         return np.where(h & 1, -self.dtheta[h >> 1], self.dtheta[h >> 1])
 
 
-def check_embedding(m: CombMap, emb: CylinderEmbedding, tol: float = 1e-9) -> None:
-    """Raise MapError if the embedding data is inconsistent with the map or,
-    as the JSON reader does, holds a value that is not finite away from the
-    marks; the first bad vertex is named, else edge, else face."""
+def check_embedding(m: CombMap, emb: CylinderEmbedding) -> None:
+    """Raise MapError if the embedding data is inconsistent with the map,
+    within 1e-9 radians, or, as the JSON reader does, holds a value that is
+    not finite away from the marks; the first bad vertex is named, else
+    edge, else face."""
+    tol = 1e-9
     V = m.num_vertices
     if len(emb.theta) != V or len(emb.height) != V or len(emb.dtheta) != m.num_edges:
         raise MapError("embedding arrays have wrong length")
@@ -477,16 +479,17 @@ class DualMap:
     The dual reuses the primal dart ids: dual dart h runs from the face right
     of primal dart h to the face left of it (the primal dart rotated CCW), so
     dual edge k keeps index k with conductance 1/c_k.  With an embedding,
-    rep_theta/rep_height give a representative point per face: ``conjugate``
-    picks its base face by them, and the dual walks of the invariance
-    diagnostic stop by rep_height.  pole_faces lists the faces around v0 and
-    around v1.
+    rep_height gives each face a representative height, by which the dual
+    walks of the invariance diagnostic stop, and base, where ``conjugate``
+    puts w = 0, is the face nearest angle 0, then of least |rep_height|, then
+    of least id; without one, base is face 0.  pole_faces lists the faces
+    around v0 and around v1.
     """
     primal: CombMap
     map: CombMap
-    rep_theta: np.ndarray | None
     rep_height: np.ndarray | None
     pole_faces: tuple
+    base: int
 
 
 def _face_means(m: CombMap, values, keep, darts) -> np.ndarray:
@@ -567,27 +570,31 @@ def _dual_map(m: CombMap) -> CombMap:
 
 
 def dual(m: CombMap, emb: CylinderEmbedding | None = None) -> DualMap:
-    """Construct the dual map; with an embedding, also representative points."""
+    """Construct the dual map; with an embedding, also each face's
+    representative height and, by its mean lifted corner angle, the base
+    face."""
     dmap = _dual_map(m)
+    F = m.num_faces
 
     pole_faces = (None, None)
+    at_v0 = at_v1 = np.zeros(F, dtype=bool)
     if m.v0 is not None:
-        ptr = m.vert_ptr
-        pole_faces = tuple(np.unique(m.face_of[m.vert_dart[ptr[v]:ptr[v + 1]]]).tolist()
-                           for v in (m.v0, m.v1))
+        at_v0, at_v1 = (np.bincount(m.face_of[m.dart_tail == v], minlength=F) > 0
+                        for v in (m.v0, m.v1))
+        pole_faces = (np.flatnonzero(at_v0).tolist(), np.flatnonzero(at_v1).tolist())
 
     if emb is None:
-        return DualMap(m, dmap, None, None, pole_faces)
+        return DualMap(m, dmap, None, pole_faces, 0)
 
     rep_theta = mod_array(_face_mean_lifts(m, emb), TWO_PI)
     hmax = float(np.nanmax(np.abs(emb.height))) if np.any(np.isfinite(emb.height)) else 0.0
     corner = m.dart_tail[m.face_dart]
     mean = _face_means(m, emb.height[corner], ~m.marked[corner], m.face_dart)
-    at_v0, at_v1 = (np.bincount(m.face_of[m.dart_tail == v], minlength=m.num_faces) > 0
-                    for v in (m.v0, m.v1))
     rep_height = np.where(at_v0 & ~at_v1, -(hmax + 1.0),
                           np.where(at_v1 & ~at_v0, hmax + 1.0, mean))
-    return DualMap(m, dmap, rep_theta, rep_height, pole_faces)
+    score = np.minimum(rep_theta, TWO_PI - rep_theta)
+    base = int(np.lexsort((np.arange(F), np.abs(rep_height), score))[0])
+    return DualMap(m, dmap, rep_height, pole_faces, base)
 
 
 def bfs_tree(m: CombMap, root: int) -> tuple:

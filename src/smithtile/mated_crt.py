@@ -53,7 +53,8 @@ class Excursion:
     r: np.ndarray
     attempts: int = 1
 
-    def check(self, tol: float = 1e-12) -> None:
+    def check(self) -> None:
+        tol = 1e-12
         if abs(self.l[0]) > 0 or abs(self.r[0]) > 0:
             raise ValueError("excursion must start at the origin")
         if abs(self.l[-1]) > tol or abs(self.r[-1]) > tol:

@@ -263,8 +263,8 @@ def build_diagram(m: CombMap, dmap: DualMap, v: Voltage, c: Conjugate,
 def tile(v: Voltage, emb: CylinderEmbedding | None = None,
          tol: float = 1e-9) -> SmithDiagram:
     """The tiling of a solved voltage: its map's dual, the conjugate on it,
-    then the diagram, both stages at ``tol``.  ``emb`` picks the conjugate's
-    base face (see ``electrical.conjugate``)."""
+    then the diagram, both stages at ``tol``.  ``emb`` only picks the dual's
+    base face, where the conjugate is 0 (see ``map_core.DualMap``)."""
     dm = dual(v.map, emb)
     return build_diagram(v.map, dm, v, conjugate(dm, v, tol=tol), tol=tol)
 

@@ -3,11 +3,12 @@
 The conductance-weighted walk steps along darts with probability proportional
 to conductance (a self-loop is stepped from either of its two darts).
 ``augment_all_levels`` inserts vertices so that every queried voltage level is
-fully vertexed, once per map.  ``level_sets`` finds the vertices of any number
-of levels from one sort of the voltages: each level searches a window of the
-sorted values that holds every vertex within tol of it, then applies the test
-|v(x) - a| <= tol to the window alone.  ``level_measures`` gives the level
-measures of those sets in one pass: one ``segment_sums`` call takes the flow
+fully vertexed, once per map.  Voltages within LEVEL_TOL lie on one level.
+``level_sets`` finds the vertices of any number of levels from one sort of
+the voltages: each level searches a window of the sorted values that holds
+every vertex within LEVEL_TOL of it, then applies the test
+|v(x) - a| <= LEVEL_TOL to the window alone.  ``level_measures`` gives the
+level measures of those sets in one pass: one ``segment_sums`` call takes the flow
 sums of every vertex, and one search of the edge ranges finds every crossed
 level.  ``Augmented.measures`` keeps each level's measure, so a report sorts
 the graded voltages once.  On the level-graded map one forward-backward pass
@@ -57,6 +58,9 @@ BLOCK = 128
 
 # Relative bound on the flow imbalance at a level vertex in ``level_measures``.
 BALANCE_TOL = 1e-9
+
+# Voltages at most this far apart lie on one level (module docstring).
+LEVEL_TOL = 1e-12
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -133,32 +137,38 @@ def simulate(m: CombMap, start: int, stop_set, seed: int,
 
 # -- level structure ---------------------------------------------------------
 
-def _merge_levels(values, tol: float) -> np.ndarray:
+def _merge_levels(values) -> np.ndarray:
     """Sorted values, each kept only if it exceeds the last kept one by more
-    than tol.  A chain of close values is not one level: a value more than
-    tol above the last kept one is kept even when a dropped value lies
-    within tol of both, which then sits within tol of two kept levels."""
+    than LEVEL_TOL.  A chain of close values is not one level: a value more
+    than LEVEL_TOL above the last kept one is kept even when a dropped value
+    lies within LEVEL_TOL of both, which then sits within LEVEL_TOL of two
+    kept levels."""
     out: list = []
     for a in np.sort(np.asarray(values, dtype=np.float64)):
-        if not out or a - out[-1] > tol:
+        if not out or a - out[-1] > LEVEL_TOL:
             out.append(float(a))
     return np.array(out)
 
 
-def realized_levels(m: CombMap, v: Voltage, tol: float = 1e-12) -> np.ndarray:
-    """Sorted distinct voltage values over non-marked vertices."""
-    return _merge_levels(v.values[~m.marked], tol)
+def realized_levels(m: CombMap, v: Voltage) -> np.ndarray:
+    """Sorted distinct voltage values strictly between 0 and 1 over
+    non-marked vertices.  A vertex at a mark's voltage lies in that mark's
+    equipotential cluster, so its value is no level."""
+    h = v.values[~m.marked]
+    return _merge_levels(h[(h > 0.0) & (h < 1.0)])
 
 
-def level_sets(m: CombMap, v: Voltage, levels, tol: float = 1e-12) -> list:
+def level_sets(m: CombMap, v: Voltage, levels) -> list:
     """Per level a, the non-marked vertices x with |v(x) - a| <= tol, in
-    ascending id; levels may repeat, come in any order and share vertices.
+    ascending id, tol = LEVEL_TOL; levels may repeat, come in any order and
+    share vertices.
 
     The voltages are sorted once.  Each level searches the sorted values for
     the window a - pad .. a + pad, pad = 2 tol + 4 eps max(1, |a|).  A vertex
     that passes the test lies within tol (1 + eps) of a, and each window end
     is off by at most eps (|a| + pad) / 2, so the window holds every vertex
     that passes; the test is then applied to the window alone."""
+    tol = LEVEL_TOL
     a = np.asarray(levels, dtype=np.float64)
     order = np.argsort(v.values, kind="stable")
     h = v.values[order]
@@ -173,22 +183,21 @@ def level_sets(m: CombMap, v: Voltage, levels, tol: float = 1e-12) -> list:
     return np.split(x, np.cumsum(np.bincount(lev, minlength=len(a))))[:-1]
 
 
-def _strictly_inside(levels, lo, hi, tol: float) -> tuple:
+def _strictly_inside(levels, lo, hi) -> tuple:
     """Per edge, the slice [start, stop) of the sorted levels a with
-    lo + tol < a < hi - tol."""
-    return (np.searchsorted(levels, lo + tol, side="right"),
-            np.searchsorted(levels, hi - tol, side="left"))
+    lo + LEVEL_TOL < a < hi - LEVEL_TOL."""
+    return (np.searchsorted(levels, lo + LEVEL_TOL, side="right"),
+            np.searchsorted(levels, hi - LEVEL_TOL, side="left"))
 
 
 @dataclass
 class Augmented:
     """A map with its queried levels vertexed; ``measures(levels)`` are their
-    level measures at the same tol, each level computed once."""
+    level measures, each level computed once."""
     map: CombMap
     voltage: Voltage
     original: CombMap = field(repr=False)       # the map that was graded
     edge_origin: np.ndarray = field(repr=False)  # its edge under each edge of map
-    tol: float
     _measures: dict = field(default_factory=dict, repr=False, compare=False)
 
     def measures(self, levels) -> list:
@@ -197,12 +206,11 @@ class Augmented:
         levels = [float(a) for a in levels]
         new = [a for a in dict.fromkeys(levels) if a not in self._measures]
         if new:
-            self._measures.update(zip(new, level_measures(self.map, self.voltage, new,
-                                                           self.tol)))
+            self._measures.update(zip(new, level_measures(self.map, self.voltage, new)))
         return [self._measures[a] for a in levels]
 
 
-def augment_all_levels(m: CombMap, v: Voltage, extra=(), tol: float = 1e-12) -> Augmented:
+def augment_all_levels(m: CombMap, v: Voltage, extra=()) -> Augmented:
     """Vertex every level realized by a vertex, plus the requested extra
     heights, which must be finite and lie strictly between 0 and 1.
 
@@ -218,23 +226,23 @@ def augment_all_levels(m: CombMap, v: Voltage, extra=(), tol: float = 1e-12) -> 
         raise ValueError("heights must be finite")
     if np.any((extra <= 0.0) | (extra >= 1.0)):
         raise ValueError("heights must lie strictly between 0 and 1")
-    levels = _merge_levels(np.concatenate([realized_levels(m, v, tol), extra]), tol)
+    levels = _merge_levels(np.concatenate([realized_levels(m, v), extra]))
     # the levels strictly inside each edge are levels[start:stop]; they go in
     # ascending along a rising edge and descending along a falling one, so the
     # points come in (edge, fraction) order, the order of the new vertices
     ht, hh = v.values[m.edge_tail], v.values[m.edge_head]
     lo, hi = np.minimum(ht, hh), np.maximum(ht, hh)
-    start, stop = _strictly_inside(levels, lo, hi, tol)
-    cnt = np.where(hi - lo > 2 * tol, np.maximum(stop - start, 0), 0)
+    start, stop = _strictly_inside(levels, lo, hi)
+    cnt = np.where(hi - lo > 2 * LEVEL_TOL, np.maximum(stop - start, 0), 0)
     if not cnt.any():
-        return Augmented(m, v, m, np.arange(m.num_edges), tol)
+        return Augmented(m, v, m, np.arange(m.num_edges))
     k = np.repeat(np.arange(m.num_edges), cnt)
     r = np.arange(len(k)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
     a = levels[np.where(hh[k] > ht[k], start[k] + r, stop[k] - 1 - r)]
     t = (a - ht[k]) / (hh[k] - ht[k])
     m2, _emb, origin = insert_vertices(m, None, np.column_stack([k, t]))
     v2 = Voltage(m2, np.concatenate([v.values, a]), v.residual, v.eta, v.eta_mismatch)
-    return Augmented(m2, v2, m, origin, tol)
+    return Augmented(m2, v2, m, origin)
 
 
 @dataclass
@@ -248,7 +256,7 @@ class LevelMeasure:
         return float(self.mass.sum())
 
 
-def level_measures(m: CombMap, v: Voltage, levels, tol: float = 1e-12) -> list:
+def level_measures(m: CombMap, v: Voltage, levels) -> list:
     """Harmonic measures of fully vertexed levels: mass(x) = in-flow / eta,
     one ``LevelMeasure`` per level, in the given order.
 
@@ -266,12 +274,12 @@ def level_measures(m: CombMap, v: Voltage, levels, tol: float = 1e-12) -> list:
     srt = np.argsort(a, kind="stable")
     ht, hh = v.values[m.edge_tail], v.values[m.edge_head]
     lo, hi = np.minimum(ht, hh), np.maximum(ht, hh)
-    start, stop = _strictly_inside(a[srt], lo, hi, tol)
+    start, stop = _strictly_inside(a[srt], lo, hi)
     cut = stop > start
     crossed = np.empty(n, dtype=bool)
     crossed[srt] = np.cumsum(np.bincount(start[cut], minlength=n + 1)
                              - np.bincount(stop[cut], minlength=n + 1))[:n] > 0
-    verts = level_sets(m, v, a, tol)
+    verts = level_sets(m, v, a)
     lengths = np.array([len(s) for s in verts], dtype=np.int64)
     x = np.concatenate([np.zeros(0, dtype=np.int64)] + verts)
     lev = np.repeat(np.arange(n), lengths)
@@ -295,7 +303,7 @@ def level_measures(m: CombMap, v: Voltage, levels, tol: float = 1e-12) -> list:
     if len(failed):
         i = int(failed[0])
         if crossed[i]:
-            k = int(np.argmax((lo + tol < a[i]) & (a[i] < hi - tol)))
+            k = int(np.argmax((lo + LEVEL_TOL < a[i]) & (a[i] < hi - LEVEL_TOL)))
             raise LevelNotVertexed(f"edge {k} crosses level {levels[i]} away from a vertex")
         if ptr[i] == ptr[i + 1]:
             raise ValueError(f"level {levels[i]} is not realized by any vertex")
@@ -472,20 +480,15 @@ def projected_step_law(m: CombMap, originals) -> sp.csr_matrix:
 
 # -- exact-law sweep (used by the verify command) -----------------------------
 
-def admissible_sequences(m: CombMap, v: Voltage, count: int, length: int,
-                         seed: int, tol: float = 1e-12) -> list:
-    """Random height sequences stepping between adjacent realized levels.
+def admissible_sequences(levels, count: int, length: int, seed: int) -> list:
+    """Random height sequences stepping between adjacent rungs of the
+    nonempty sorted ladder ``levels``, a map's realized levels.
 
     Consecutive heights always differ: the exact hitting and winding laws
     need every step to change level (a map with zero-gradient edges can make
     same-level steps, but those break the two-height dichotomy the laws rest
-    on).  A map with a single interior level only admits one-point sequences,
-    for which both laws are vacuous.  A map with no interior vertices at all
-    has no realized levels; the laws still apply to any levels once those are
-    vertexed, so quartile heights stand in as the ladder."""
-    levels = realized_levels(m, v, tol)
-    if len(levels) == 0:
-        levels = np.array([0.25, 0.5, 0.75])
+    on).  A ladder of one level only admits one-point sequences, for which
+    both laws are vacuous."""
     rng = make_rng(seed)
     out = []
     for _ in range(count):
@@ -509,15 +512,19 @@ def exact_law_report(m: CombMap, v: Voltage,
                      seed: int = 0) -> dict:
     """Max deviations of the exact walk laws on one map, for reporting.
 
-    Draws random admissible sequences, then vertexes every realized level and
-    every sequence height in one augmentation.  On that map it checks the
-    level-measure totals and runs the hitting law and the winding law of
-    each sequence, every level measure computed once; the winding laws read
-    their drifts off one tiling of ``m`` (dual, conjugate, diagram), never
-    of the graded map.  The walk projection is checked on a global
-    half-edge refinement of ``m``."""
+    Draws random admissible sequences on the ladder of realized levels, then
+    vertexes every realized level and every sequence height in one
+    augmentation.  A map with no interior level has no ladder of its own;
+    the laws still apply to any levels once those are vertexed, so quartile
+    heights stand in for it.  On the graded map it checks the level-measure
+    totals and runs the hitting law and the winding law of each sequence,
+    every level measure computed once; the winding laws read their drifts
+    off one tiling of ``m`` (dual, conjugate, diagram), never of the graded
+    map.  The walk projection is checked on a global half-edge refinement
+    of ``m``."""
     levels = realized_levels(m, v)
-    sequences = admissible_sequences(m, v, num_sequences, length, seed)
+    ladder = levels if len(levels) else np.array([0.25, 0.5, 0.75])
+    sequences = admissible_sequences(ladder, num_sequences, length, seed)
     aug = augment_all_levels(m, v, extra=[a for seq in sequences for a in seq])
     dmap = dual(m, emb)
     diag = build_diagram(m, dmap, v, conjugate(dmap, v))

@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from smithtile import walk_lab
 from smithtile.convergence import AffineFit, lattice_shape
 from smithtile.map_core import (TWO_PI, CombMap, CylinderEmbedding, DualMap,
                                 MapError, build_map)
@@ -587,7 +588,8 @@ def face_mean_lifts(m: CombMap, emb: CylinderEmbedding) -> np.ndarray:
 
 def dual_points(m: CombMap, emb: CylinderEmbedding) -> tuple:
     """(rep_theta, rep_height, pole_faces) of ``map_core.dual``, one face at
-    a time."""
+    a time; rep_theta, each face's representative angle in [0, 2 pi), is
+    local to ``dual``, which picks the base face by it."""
     f0 = {int(m.face_of[h]) for h in m.vertex_darts[m.v0]}
     f1 = {int(m.face_of[h]) for h in m.vertex_darts[m.v1]}
     pole_faces = (sorted(f0), sorted(f1))
@@ -1246,16 +1248,16 @@ def insert_vertices(m: CombMap, emb: CylinderEmbedding | None, points):
     return m2, emb2, np.array(origin, dtype=np.int64)
 
 
-def augment_all_levels(m: CombMap, v: Voltage, extra=(),
-                       tol: float = 1e-12) -> Augmented:
+def augment_all_levels(m: CombMap, v: Voltage, extra=()) -> Augmented:
     """``walk_lab.augment_all_levels`` edge by edge, through the loop
-    ``insert_vertices`` above."""
+    ``insert_vertices`` above, at tol ``walk_lab.LEVEL_TOL``."""
+    tol = walk_lab.LEVEL_TOL
     extra = np.atleast_1d(np.asarray(extra, dtype=np.float64))
     if not np.all(np.isfinite(extra)):
         raise ValueError("heights must be finite")
     if np.any((extra <= 0.0) | (extra >= 1.0)):
         raise ValueError("heights must lie strictly between 0 and 1")
-    levels = _merge_levels(list(realized_levels(m, v, tol)) + extra.tolist(), tol)
+    levels = _merge_levels(list(realized_levels(m, v)) + extra.tolist())
     points, new_vals = [], []
     for k in range(m.num_edges):
         ht = float(v.values[m.edge_tail[k]])
@@ -1269,12 +1271,12 @@ def augment_all_levels(m: CombMap, v: Voltage, extra=(),
             points.append((k, t))
             new_vals.append(a)
     if not points:
-        return Augmented(m, v, m, np.arange(m.num_edges), tol)
+        return Augmented(m, v, m, np.arange(m.num_edges))
     m2, _emb, origin = insert_vertices(m, None, points)
     # insert_vertices numbers new vertices in (edge, fraction) order = points order
     vals2 = np.concatenate([v.values, np.array(new_vals)])
     v2 = Voltage(m2, vals2, v.residual, v.eta, v.eta_mismatch)
-    return Augmented(m2, v2, m, origin, tol)
+    return Augmented(m2, v2, m, origin)
 
 
 def assert_same_map(m, ref) -> None:

@@ -104,7 +104,7 @@ def test_dump_json_matches_stdlib_on_documents(random_maps, mated_crt64, lattice
     v, c = d.voltage, d.conjugate
     lm, lemb = lattice8
     docs = [map_to_json(m, emb), map_to_json(m), map_to_json(mated_crt64),
-            solution_to_json(v), solution_to_json(v, c), diagram_to_json(d),
+            solution_to_json(v, c), diagram_to_json(d),
             map_to_json(lm, lemb), diagram_to_json(tile(solve_voltage(lm), lemb)),
             diagram_to_json(tile(solve_voltage(mated_crt64)))]
     mp = write_map_file(tmp_path, m, emb)
@@ -430,7 +430,6 @@ def test_solution_json(path_map):
     assert obj["eta"] == pytest.approx(0.5)
     assert obj["h"] == pytest.approx([0.0, 0.5, 1.0])
     assert len(obj["w"]) == path_map.num_faces
-    assert "w" not in solution_to_json(v)
 
 
 def test_solution_w_is_the_diagram_vseg_x(lattice8, random_maps, mated_crt64, tmp_path):
@@ -701,6 +700,19 @@ def test_cli_verify_passes(parallel3_map, tmp_path, capsys):
     assert obj["kind"] == "verify-report"
     assert obj["passed"] is True
     assert obj["eta"] == pytest.approx(3.0)
+
+
+def test_cli_verify_passes_with_a_leaf_on_v0(tmp_path, capsys):
+    # the leaf sits at v0's voltage 0 in v0's cluster, so it is no level:
+    # no sequence holds the height 0, and no level of mass 0 is checked
+    leaf = build_map(3, [(0, 1, 1.0), (0, 2, 1.0)], [[0, 2], [1], [3]], marked=(0, 1))
+    path = build_map(4, [(0, 2, 1.0), (2, 1, 1.0), (0, 3, 1.0)],
+                     [[0, 4], [3], [1, 2], [5]], marked=(0, 1))
+    for m in (leaf, path):
+        assert main(["verify", write_map_file(tmp_path, m)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "tiling: pass", "level-measure: pass", "hitting-law: pass",
+            "zero-winding: pass", "projection: pass"]
 
 
 def test_cli_mated_crt(tmp_path, capsys):

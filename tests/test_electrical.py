@@ -394,7 +394,7 @@ def test_conjugate_parallel3(parallel3_map):
     assert c.max_defect <= 1e-12
     assert sorted(np.mod(c.w_lift, v.eta).tolist()) == pytest.approx(
         [0.0, 1.0, 2.0], abs=1e-12)
-    assert c.w_lift[c.base] == 0.0
+    assert c.w_lift[dm.base] == 0.0
 
 
 def test_conjugate_path_self_loops(path_map):
@@ -481,10 +481,11 @@ def _fundamental_cycle(dm, tree_dart, h):
     return up + [h] + down
 
 
-def reference_conjugate(dmap, v, base=None, tol=1e-9):
-    """The per-cycle conjugate: integrate over a list-queue BFS tree, then walk
-    every fundamental cycle and count its cut crossings one by one.  The cut
-    path is read from the electrical module, as conjugate() reads it.  The
+def reference_conjugate(dmap, v, tol=1e-9):
+    """The per-cycle conjugate: integrate from the dual's base face over a
+    list-queue BFS tree, then walk every fundamental cycle and count its cut
+    crossings one by one.  The cut path is read from the electrical module,
+    as conjugate() reads it.  The
     winding is derived twice, as the defect's nearest multiple of eta and as
     the cycle's cut crossings; a closure fails unless the two agree and the
     defect lies within the allowance of that multiple."""
@@ -492,12 +493,7 @@ def reference_conjugate(dmap, v, base=None, tol=1e-9):
     dm = dmap.map
     F = dm.num_vertices
     eta = v.eta
-    if base is None:
-        if dmap.rep_theta is not None:
-            score = np.minimum(dmap.rep_theta, 2 * math.pi - dmap.rep_theta)
-            base = int(np.lexsort((np.arange(F), np.abs(dmap.rep_height), score))[0])
-        else:
-            base = 0
+    base = dmap.base
     w = np.full(F, np.nan)
     w[base] = 0.0
     werr = np.zeros(F)
@@ -535,7 +531,7 @@ def reference_conjugate(dmap, v, base=None, tol=1e-9):
             raise MapError(f"dual edge {k}: closure defect {defect} "
                            f"!= eta * cycle winding {wind_cut}")
         max_defect = max(max_defect, err)
-    return Conjugate(dmap, v, base, w, max_defect, tree_dart, werr)
+    return Conjugate(dmap, v, w, max_defect, tree_dart, werr)
 
 
 def test_conjugate_matches_per_cycle_reference(random_maps, lattice8, parallel3_map,
@@ -546,7 +542,6 @@ def test_conjugate_matches_per_cycle_reference(random_maps, lattice8, parallel3_
         v = solve_voltage(m)
         dmc = dual(m, emb)
         got, want = conjugate(dmc, v), reference_conjugate(dmc, v)
-        assert got.base == want.base
         assert np.array_equal(got.w_lift, want.w_lift)
         assert np.array_equal(got.w_err, want.w_err)
         assert np.array_equal(got.tree_dart, want.tree_dart)

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from smithtile import (CombMap, CylinderEmbedding, MapError, augment_all_levels,
                        build_map, check_embedding, dual, insert_vertices, io_json,
                        make_lattice, solve_voltage)
-from smithtile.map_core import (bfs_tree, components, marked_cut_path,
+from smithtile import map_core
+from smithtile.map_core import (bfs_tree, components, marked_cut_path, mod_array,
                                 wrap_signed_array)
 
 import oracles
@@ -191,8 +192,26 @@ def test_cycles_and_dual_match_loops_under_relabeling(relabel_maps, seed):
         assert dm.pole_faces == (f0, f1)
         if emb2 is not None:
             rep_theta, rep_height, _ = oracles.dual_points(m2, emb2)
-            assert np.array_equal(dm.rep_theta, rep_theta)
+            assert np.array_equal(mod_array(map_core._face_mean_lifts(m2, emb2), TWO_PI),
+                                  rep_theta)
             assert np.array_equal(dm.rep_height, rep_height)
+            assert dm.base == base_face(m2, emb2)
+
+
+def base_face(m, emb) -> int:
+    """The face nearest angle 0, then of least |rep_height|, then of least
+    id, over ``oracles.dual_points``."""
+    theta, height, _ = oracles.dual_points(m, emb)
+    return min(range(m.num_faces),
+               key=lambda f: (min(theta[f], TWO_PI - theta[f]), abs(height[f]), f))
+
+
+def test_dual_base_face(random_maps, mated_crt64):
+    cases = [make_lattice(n, H) for n, H in ((3, 0.5), (8, 2.0), (7, 2.5), (16, 4.0))]
+    for m, emb in cases + list(random_maps):
+        assert dual(m, emb).base == base_face(m, emb)
+        assert dual(m).base == 0
+    assert dual(mated_crt64).base == 0
 
 
 @pytest.mark.parametrize("n, H", [(3, 0.5), (8, 2.0), (7, 2.5), (16, 4.0)])

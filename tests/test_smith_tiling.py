@@ -114,10 +114,10 @@ def test_tile_is_the_stage_sequence(lattice8, random_maps, mated_crt64, rung_map
             if isinstance(getattr(want, f.name), np.ndarray):
                 assert same_bits(getattr(got, f.name), getattr(want, f.name)), f.name
         assert same_bits(got.conjugate.w_lift, c.w_lift)
-        assert got.conjugate.base == c.base
+        assert got.dual.base == dm.base
     m, emb = lattice8
     v = solve_voltage(m)
-    assert tile(v).conjugate.base != tile(v, emb).conjugate.base
+    assert tile(v).dual.base != tile(v, emb).dual.base
 
 
 def test_tile_passes_tol_to_both_stages(lattice8, monkeypatch):
@@ -185,9 +185,9 @@ def test_diagram_independent_of_rotation_start(chain_maps, seed):
         face = np.empty(m.num_faces, dtype=np.int64)
         face[m.face_of] = m2.face_of[new]
         v2 = solve_voltage(m2)
-        dm2 = dual(m2)
         # the same base face, so that both conjugates share their zero
-        d2 = build_diagram(m2, dm2, v2, conjugate(dm2, v2, base=int(face[d.conjugate.base])))
+        dm2 = dataclasses.replace(dual(m2), base=int(face[d.dual.base]))
+        d2 = build_diagram(m2, dm2, v2, conjugate(dm2, v2))
         eta = d.eta
         for got, want in ((circle_gap(d2.rect_x0[perm], d.rect_x0, eta), 0.0),
                           (d2.rect_width[perm], d.rect_width),

@@ -100,6 +100,8 @@ def test_realized_levels(path_map, rung_map, lattice8_solved):
     M = (m.num_vertices - 2) // 8
     assert realized_levels(m, v) == pytest.approx(
         (np.arange(M) + 1.0) / (M + 1), abs=1e-10)
+    # a vertex at a mark's voltage lies in that mark's cluster: no level
+    assert realized_levels(*chain_map([0.0, 0.0, 0.3, 0.7, 1.0, 1.0])).tolist() == [0.3, 0.7]
 
 
 def chain_map(values) -> tuple:
@@ -110,22 +112,24 @@ def chain_map(values) -> tuple:
 
 
 def test_merge_levels_keeps_a_chain_of_close_values_apart():
-    # each value is kept if it is more than tol above the last kept one, so a
-    # chain of values tol/2 apart keeps every second one, and a dropped value
-    # lies within tol of two kept levels.  Equipotential clusters (ROADMAP
-    # open item 1) would name such a chain one level.
-    tol = 1e-12
-    chain = [0.0, 0.6e-12, 1.2e-12, 1.8e-12]
-    assert walk_lab._merge_levels(chain, tol).tolist() == [0.0, 1.2e-12]
+    # each value is kept if it is more than LEVEL_TOL = 1e-12 above the last
+    # kept one, so a chain of values about LEVEL_TOL/2 apart keeps every
+    # second one, and a dropped value lies within LEVEL_TOL of two kept
+    # levels.  Equipotential clusters (ROADMAP open item 1) would name such a
+    # chain one level.
+    chain = [0.25 + k * 0.6e-12 for k in range(4)]
+    kept = [chain[0], chain[2]]
+    assert walk_lab._merge_levels(chain).tolist() == kept
     m, v = chain_map([0.0] + chain + [1.0])
-    assert realized_levels(m, v, tol).tolist() == [0.0, 1.2e-12]
-    assert [s.tolist() for s in level_sets(m, v, [0.0, 1.2e-12], tol)] == [[1, 2], [2, 3, 4]]
+    assert realized_levels(m, v).tolist() == kept
+    assert [s.tolist() for s in level_sets(m, v, kept)] == [[1, 2], [2, 3, 4]]
 
 
-def test_level_set_row(lattice8_solved):
+def test_level_set_row(lattice8_solved, monkeypatch):
+    monkeypatch.setattr(walk_lab, "LEVEL_TOL", 1e-9)
     m, _, v = lattice8_solved
     M = (m.num_vertices - 2) // 8
-    got, = level_sets(m, v, [2.0 / (M + 1)], tol=1e-9)
+    got, = level_sets(m, v, [2.0 / (M + 1)])
     assert got.tolist() == list(range(8, 16))
 
 
@@ -218,10 +222,11 @@ def test_level_measure_path_atom(path_map):
     assert measure_dict(lm) == pytest.approx({1: 1.0})
 
 
-def test_level_measure_lattice_uniform(lattice8_solved):
+def test_level_measure_lattice_uniform(lattice8_solved, monkeypatch):
+    monkeypatch.setattr(walk_lab, "LEVEL_TOL", 1e-9)
     m, _, v = lattice8_solved
     M = (m.num_vertices - 2) // 8
-    lm, = level_measures(m, v, [3.0 / (M + 1)], tol=1e-9)
+    lm, = level_measures(m, v, [3.0 / (M + 1)])
     assert len(lm.vertices) == 8
     assert np.allclose(lm.mass, 1.0 / 8.0, atol=1e-10)
 
@@ -260,7 +265,7 @@ def test_hitting_parallel3_uniform(parallel3_map):
 
 def test_hitting_lattice_sequences(lattice8_solved):
     m, _, v = lattice8_solved
-    for seq in admissible_sequences(m, v, 4, 4, seed=2):
+    for seq in admissible_sequences(realized_levels(m, v), 4, 4, seed=2):
         law = hitting(m, v, seq)
         assert law.max_deviation() <= 1e-10
         for cond in law.conditional:
@@ -270,7 +275,7 @@ def test_hitting_lattice_sequences(lattice8_solved):
 def test_hitting_law_on_generic_maps(small_random_maps):
     for m, _emb in small_random_maps:
         v = solve_voltage(m)
-        for seq in admissible_sequences(m, v, 3, 4, seed=9):
+        for seq in admissible_sequences(realized_levels(m, v), 3, 4, seed=9):
             law = hitting(m, v, seq)
             assert law.max_deviation() <= 1e-9
 
@@ -309,7 +314,7 @@ def test_winding_law_parallel3(parallel3_map):
 
 def test_winding_law_lattice(lattice8_solved):
     m, emb, v = lattice8_solved
-    for seq in admissible_sequences(m, v, 3, 4, seed=11):
+    for seq in admissible_sequences(realized_levels(m, v), 3, 4, seed=11):
         w = cond_winding(m, v, seq, emb=emb)
         assert abs(w) <= 1e-10
 
@@ -317,7 +322,7 @@ def test_winding_law_lattice(lattice8_solved):
 def test_winding_law_generic(small_random_maps):
     for m, emb in small_random_maps[:3]:
         v = solve_voltage(m)
-        for seq in admissible_sequences(m, v, 2, 3, seed=13):
+        for seq in admissible_sequences(realized_levels(m, v), 2, 3, seed=13):
             w = cond_winding(m, v, seq, emb=emb)
             assert abs(w) <= 1e-9
 
@@ -508,13 +513,16 @@ def test_exact_law_report_projection_skips_self_transitions():
 
 def test_admissible_sequences_single_level(path_map):
     v = solve_voltage(path_map)
-    seqs = admissible_sequences(path_map, v, 3, 4, seed=0)
+    seqs = admissible_sequences(realized_levels(path_map, v), 3, 4, seed=0)
     assert seqs == [[0.5], [0.5], [0.5]]
 
 
 def test_admissible_sequences_quartile_fallback(parallel3_map):
+    # a map without interior levels: the report walks the quartiles instead
     v = solve_voltage(parallel3_map)
-    seqs = admissible_sequences(parallel3_map, v, 4, 5, seed=1)
+    assert len(realized_levels(parallel3_map, v)) == 0
+    seqs = exact_law_report(parallel3_map, v, num_sequences=4, length=5, seed=1)["sequences"]
+    assert len(seqs) == 4
     ladder = [0.25, 0.5, 0.75]
     for seq in seqs:
         assert len(seq) == 5
@@ -526,7 +534,7 @@ def test_admissible_sequences_quartile_fallback(parallel3_map):
 def test_admissible_sequences_adjacent_steps(lattice8_solved):
     m, _, v = lattice8_solved
     levels = realized_levels(m, v).tolist()
-    seqs = admissible_sequences(m, v, 6, 5, seed=3)
+    seqs = admissible_sequences(levels, 6, 5, seed=3)
     assert len(seqs) == 6
     for seq in seqs:
         idx = [levels.index(a) for a in seq]
@@ -735,11 +743,12 @@ def ref_first_crossing(m, v, a, tol=1e-12):
     return None
 
 
-def ref_conditional_hitting(m, v, heights, tol=1e-12):
+def ref_conditional_hitting(m, v, heights):
     """(augmentation, levels, conditional, mu, forward, backward, norm), each
     heights sequence augmented on its own."""
+    tol = walk_lab.LEVEL_TOL
     heights = np.atleast_1d(np.asarray(heights, dtype=np.float64))
-    aug = augment_all_levels(m, v, extra=heights, tol=tol)
+    aug = augment_all_levels(m, v, extra=heights)
     m2, v2 = aug.map, aug.voltage
     pi = m2.pi_weight
     levels = [oracles.level_set(m2, v2, float(a), tol) for a in heights]
@@ -793,8 +802,8 @@ def ref_graded_drift(d, aug, g):
     return at(int(aug.map.dart_head[g]), h ^ 1) - at(int(aug.map.dart_tail[g]), h)
 
 
-def ref_expected_conditional_winding(m, v, diag, heights, tol=1e-12):
-    aug, levels, _cond, _mus, fwd, bwd, norm = ref_conditional_hitting(m, v, heights, tol=tol)
+def ref_expected_conditional_winding(m, v, diag, heights):
+    aug, levels, _cond, _mus, fwd, bwd, norm = ref_conditional_hitting(m, v, heights)
     m2 = aug.map
     pi = m2.pi_weight
     total = 0.0
@@ -814,6 +823,13 @@ def ref_expected_conditional_winding(m, v, diag, heights, tol=1e-12):
     return total / (diag.eta * norm)
 
 
+def ladder(m, v):
+    """The report's ladder: the realized levels, the quartiles on a map
+    without any."""
+    levels = realized_levels(m, v)
+    return levels if len(levels) else [0.25, 0.5, 0.75]
+
+
 def ref_exact_law_report(m, v, emb=None, num_sequences=5, length=4, seed=0):
     c = conjugate(dual(m, emb), v)
     diag = build_diagram(m, c.dual, v, c)
@@ -825,7 +841,7 @@ def ref_exact_law_report(m, v, emb=None, num_sequences=5, length=4, seed=0):
                                      - 1.0))
     hit_dev = 0.0
     wind_dev = 0.0
-    sequences = admissible_sequences(m, v, num_sequences, length, seed)
+    sequences = admissible_sequences(ladder(m, v), num_sequences, length, seed)
     for seq in sequences:
         _aug, _lv, cond, mus, _f, _b, _n = ref_conditional_hitting(m, v, seq)
         hit_dev = max(hit_dev, max(float(np.max(np.abs(c - u))) for c, u in zip(cond, mus)))
@@ -878,7 +894,7 @@ def test_hitting_and_winding_match_reference(law_maps):
     for m, emb in law_maps[4:]:
         v = solve_voltage(m)
         diag = tile(v, emb)
-        for seq in admissible_sequences(m, v, 3, 4, seed=5):
+        for seq in admissible_sequences(ladder(m, v), 3, 4, seed=5):
             law = conditional_hitting(augment_all_levels(m, v, extra=seq), seq)
             _aug, levels, cond, mus, fwd, bwd, norm = ref_conditional_hitting(m, v, seq)
             for got, want in ((law.levels, levels), (law.conditional, cond),
@@ -940,9 +956,11 @@ def first_level_error(measure, *args):
     return None
 
 
-def test_level_measures_raise_like_per_level(law_maps, lattice8_solved, path_map):
+def test_level_measures_raise_like_per_level(law_maps, lattice8_solved, path_map,
+                                             monkeypatch):
     # on unvertexed maps: crossed levels, levels with no vertex and balanced
-    # ones in one list; the pass raises what the loop raises first
+    # ones in one list; the pass raises what the loop raises first, each
+    # case at its own LEVEL_TOL
     tol = 1e-12
     cases = []
     for m, _emb in law_maps:
@@ -979,14 +997,15 @@ def test_level_measures_raise_like_per_level(law_maps, lattice8_solved, path_map
             for a in levels:
                 oracles.level_measure(m, v, a, tol)
         want = first_level_error(loop)
-        assert first_level_error(walk_lab.level_measures, m, v, levels, tol) == want
+        monkeypatch.setattr(walk_lab, "LEVEL_TOL", tol)
+        assert first_level_error(walk_lab.level_measures, m, v, levels) == want
         raised.add(want and want[0])
     assert raised == {None, LevelNotVertexed, ValueError}
 
 
-def test_level_set_and_crossing_match_loops(law_maps, path_map):
+def test_level_set_and_crossing_match_loops(law_maps, path_map, monkeypatch):
     # each probe alone and all of them in one call: repeated, out of order,
-    # and at tol = 0
+    # and at LEVEL_TOL = 0
     cases = []
     for m, _emb in law_maps:
         v = solve_voltage(m)
@@ -1001,8 +1020,8 @@ def test_level_set_and_crossing_match_loops(law_maps, path_map):
                 continue
             with pytest.raises(LevelNotVertexed, match=f"^edge {k} crosses level"):
                 level_measures(m, v, [a])
-    # the chained levels of test_merge_levels_keeps_a_chain_of_close_values_apart,
-    # whose sets overlap
+    # a chain of levels 0.6e-12 apart from 0, whose sets overlap, with a tol
+    # exactly their gap
     chain = [0.0, 0.6e-12, 1.2e-12, 1.8e-12]
     cases.append((*chain_map([0.0] + chain + [1.0]), chain, (0.0, 0.6e-12, 1e-12)))
     # levels exactly tol from a vertex and one ulp further, where the window
@@ -1018,12 +1037,14 @@ def test_level_set_and_crossing_match_loops(law_maps, path_map):
     for m, v, probes, tols in cases:
         many = probes[::-1] + probes[::2]
         for tol in tols:
+            monkeypatch.setattr(walk_lab, "LEVEL_TOL", tol)
             for a in probes:
-                got, = level_sets(m, v, [a], tol)
+                got, = level_sets(m, v, [a])
                 assert got.tolist() == oracles.level_set(m, v, a, tol).tolist()
-            got = level_sets(m, v, many, tol)
+            got = level_sets(m, v, many)
             assert [s.tolist() for s in got] == \
                 [oracles.level_set(m, v, a, tol).tolist() for a in many]
-            assert level_sets(m, v, [], tol) == []
-    overlap = level_sets(*cases[-1][:2], big[1:3], 1.5 * ulp)
+            assert level_sets(m, v, []) == []
+    monkeypatch.setattr(walk_lab, "LEVEL_TOL", 1.5 * ulp)
+    overlap = level_sets(*cases[-1][:2], big[1:3])
     assert [s.tolist() for s in overlap] == [[1, 2, 3], [2, 3, 4]]
