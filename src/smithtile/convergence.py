@@ -149,10 +149,12 @@ def invariance_diagnostic(m: CombMap, height, starts, h_lo: float, h_hi: float,
     lattice).  All walks take their steps from one ``uniforms`` stream of the
     seed's generator, one value per step, in the order the walks run."""
     height = np.asarray(height, dtype=np.float64)
+    if height.shape != (m.num_vertices,):
+        raise ValueError("height must hold one value per vertex")
     tol = 1e-9
     with np.errstate(invalid="ignore"):
-        lo = {x for x in range(m.num_vertices) if height[x] <= h_lo + tol}
-        hi = {x for x in range(m.num_vertices) if height[x] >= h_hi - tol}
+        lo = set(np.flatnonzero(height <= h_lo + tol).tolist())
+        hi = set(np.flatnonzero(height >= h_hi - tol).tolist())
     if not lo or not hi or lo & hi:
         raise ValueError("stop levels must bound a nonempty open band")
     if walks_per_start < 1:

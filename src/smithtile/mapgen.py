@@ -3,21 +3,20 @@
 Starts from a lattice, jitters the a priori coordinates, randomizes
 conductances, splits edges, adds face diagonals, and deletes non-bridge
 edges, keeping the map/embedding pair consistent throughout.
+
+Each edit works on the current map's face and rotation arrays and builds
+one ``CombMap``.  The draws come in a fixed order, so a map's bytes depend
+only on the seed and the shape arguments; a test pins those bytes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .map_core import (CombMap, CylinderEmbedding, TWO_PI, build_map,
-                       check_embedding, insert_vertices, mod_array)
+from .map_core import (CombMap, CylinderEmbedding, TWO_PI, check_embedding,
+                       insert_vertices, mod_array, next_dart_from)
 from .convergence import make_lattice
 from .rng import make_rng
-
-
-def _with_conductances(m: CombMap, cond) -> CombMap:
-    return CombMap(m.num_vertices, m.edge_tail, m.edge_head, cond,
-                   m.next_dart, v0=m.v0, v1=m.v1)
 
 
 def _jitter(m: CombMap, emb: CylinderEmbedding, rng, amount: float):
@@ -31,26 +30,35 @@ def _jitter(m: CombMap, emb: CylinderEmbedding, rng, amount: float):
     return CylinderEmbedding(theta, height, dth)
 
 
+def _diagonal_faces(m: CombMap) -> np.ndarray:
+    """Mask of the faces a diagonal may cross: >= 4 corners, none at a mark."""
+    marked = np.bincount(m.face_of[m.marked[m.dart_tail]], minlength=m.num_faces)
+    return (np.diff(m.face_ptr) >= 4) & (marked == 0)
+
+
+def _deletable_edges(m: CombMap) -> np.ndarray:
+    """Mask of the non-bridge, non-loop edges whose ends have degree > 2."""
+    deg = np.diff(m.vert_ptr)
+    t, h = m.edge_tail, m.edge_head
+    return (m.face_of[0::2] != m.face_of[1::2]) & (t != h) & (deg[t] > 2) & (deg[h] > 2)
+
+
 def _add_diagonal(m: CombMap, emb: CylinderEmbedding, rng):
     """Splice one new edge across a bounded face with >= 4 corners.
 
     The corner of a face at the tail of orbit dart h sits between
     prev-orbit-dart^1 and h in the rotation, so the splice below leaves both
     sides of the new edge as single face cycles."""
-    faces = [orbit for orbit in m.face_darts
-             if len(orbit) >= 4
-             and not any(m.is_marked(int(m.dart_tail[g])) for g in orbit)]
-    if not faces:
+    faces = np.flatnonzero(_diagonal_faces(m))
+    if not len(faces):
         return m, emb
-    orbit = faces[rng.integers(len(faces))]
+    f = faces[rng.integers(len(faces))]
+    orbit = m.face_dart[m.face_ptr[f]:m.face_ptr[f + 1]]
     d = len(orbit)
     for _ in range(32):
         i1 = int(rng.integers(d))
         i2 = (i1 + 2 + int(rng.integers(d - 3))) % d
-        if i2 < i1:
-            i1, i2 = i2, i1
-        if i2 - i1 < 2 or i2 - i1 > d - 2:
-            continue
+        i1, i2 = min(i1, i2), max(i1, i2)     # 2 <= i2 - i1 <= d - 2
         u = int(m.dart_tail[orbit[i1]])
         x = int(m.dart_tail[orbit[i2]])
         if u != x:
@@ -71,34 +79,22 @@ def _add_diagonal(m: CombMap, emb: CylinderEmbedding, rng):
     m2 = CombMap(m.num_vertices, tails, heads, cond, nxt, v0=m.v0, v1=m.v1)
     # the new edge is homotopic to the orbit segment it cuts off
     seg = float(np.sum(emb.dart_dtheta(np.asarray(orbit[i1:i2]))))
-    emb2 = CylinderEmbedding(emb.theta, emb.height,
-                             np.concatenate([emb.dtheta, [seg]]))
-    return m2, emb2
+    return m2, CylinderEmbedding(emb.theta, emb.height, np.concatenate([emb.dtheta, [seg]]))
 
 
 def _delete_edge(m: CombMap, emb: CylinderEmbedding, rng):
     """Remove one non-bridge, non-loop edge whose endpoints keep degree >= 2."""
-    cand = [k for k in range(m.num_edges)
-            if m.face_of[2 * k] != m.face_of[2 * k + 1]
-            and m.edge_tail[k] != m.edge_head[k]
-            and m.degree(int(m.edge_tail[k])) > 2
-            and m.degree(int(m.edge_head[k])) > 2]
-    if not cand:
+    cand = np.flatnonzero(_deletable_edges(m))
+    if not len(cand):
         return m, emb
-    k = cand[int(rng.integers(len(cand)))]
-
-    def remap(h):
-        e, side = h >> 1, h & 1
-        return 2 * (e - (1 if e > k else 0)) + side
-
-    edges = [(int(m.edge_tail[e]), int(m.edge_head[e]), float(m.conductance[e]))
-             for e in range(m.num_edges) if e != k]
-    rotation = [[remap(int(h)) for h in m.vertex_darts[v] if (int(h) >> 1) != k]
-                for v in range(m.num_vertices)]
-    marked = None if m.v0 is None else (m.v0, m.v1)
-    m2 = build_map(m.num_vertices, edges, rotation, marked=marked)
-    emb2 = CylinderEmbedding(emb.theta, emb.height, np.delete(emb.dtheta, k))
-    return m2, emb2
+    k = int(cand[rng.integers(len(cand))])
+    darts = m.vert_dart[(m.vert_dart >> 1) != k]
+    lens = np.bincount(m.dart_tail[darts], minlength=m.num_vertices)
+    darts -= 2 * ((darts >> 1) > k)         # later edges move down by one
+    m2 = CombMap(m.num_vertices, np.delete(m.edge_tail, k), np.delete(m.edge_head, k),
+                 np.delete(m.conductance, k), next_dart_from(darts, lens, len(darts)),
+                 v0=m.v0, v1=m.v1)
+    return m2, CylinderEmbedding(emb.theta, emb.height, np.delete(emb.dtheta, k))
 
 
 def random_map(seed: int, n: int = 7, H: float = 2.5, jitter: float = 0.12,
@@ -108,12 +104,14 @@ def random_map(seed: int, n: int = 7, H: float = 2.5, jitter: float = 0.12,
     rng = make_rng(seed)
     m, emb = make_lattice(n, H)
     emb = _jitter(m, emb, rng, jitter * TWO_PI / n)
-    m = _with_conductances(m, 10.0 ** rng.uniform(-1.0, 1.0, m.num_edges))
+    m = CombMap(m.num_vertices, m.edge_tail, m.edge_head,
+                10.0 ** rng.uniform(-1.0, 1.0, m.num_edges), m.next_dart,
+                v0=m.v0, v1=m.v1)
 
     if splits > 0:
-        picks = rng.choice(m.num_edges, size=min(splits, m.num_edges),
-                           replace=False)
-        points = [(int(e), float(rng.uniform(0.25, 0.75))) for e in sorted(picks)]
+        picks = np.sort(rng.choice(m.num_edges, size=min(splits, m.num_edges),
+                                   replace=False))
+        points = np.column_stack([picks, rng.uniform(0.25, 0.75, len(picks))])
         m, emb, _ = insert_vertices(m, emb, points)
 
     for _ in range(diagonals):

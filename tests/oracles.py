@@ -459,6 +459,24 @@ def map_cycles(num_vertices, edge_tail, edge_head, conductance, next_dart,
     return vertex_darts, face_of, face_darts
 
 
+def diagonal_faces(m: CombMap) -> list:
+    """``mapgen``'s faces a diagonal may cross, one orbit at a time: those
+    with >= 4 corners and no corner at a mark."""
+    return [f for f, orbit in enumerate(m.face_darts)
+            if len(orbit) >= 4
+            and not any(m.is_marked(int(m.dart_tail[g])) for g in orbit)]
+
+
+def deletable_edges(m: CombMap) -> list:
+    """``mapgen``'s edges it may delete, one edge at a time: darts on two
+    faces, not a loop, both ends of degree > 2."""
+    return [k for k in range(m.num_edges)
+            if m.face_of[2 * k] != m.face_of[2 * k + 1]
+            and m.edge_tail[k] != m.edge_head[k]
+            and m.degree(int(m.edge_tail[k])) > 2
+            and m.degree(int(m.edge_head[k])) > 2]
+
+
 def rotation_next(edges, rotation) -> np.ndarray:
     """``build_map``'s next_dart, one listed dart at a time."""
     E = len(edges)

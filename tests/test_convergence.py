@@ -156,6 +156,14 @@ def test_invariance_requires_walks(lattice8):
                               walks_per_start=0, seed=0)
 
 
+def test_invariance_requires_one_height_per_vertex(lattice8):
+    m, emb = lattice8
+    for height in (emb.height[:-1], np.append(emb.height, 0.0)):
+        with pytest.raises(ValueError, match="one value per vertex"):
+            invariance_diagnostic(m, height, [0], -1.0, 1.0,
+                                  walks_per_start=10, seed=0)
+
+
 def test_invariance_dual(lattice8):
     # dual faces sit on rows shifted by half a spacing
     m, emb = lattice8

@@ -1,5 +1,6 @@
-"""Rotation-system maps: construction checks, duality, refinement."""
+"""Rotation-system maps: construction checks, duality, refinement, random maps."""
 
+import hashlib
 import json
 import math
 
@@ -9,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from smithtile import (CombMap, CylinderEmbedding, MapError, augment_all_levels,
                        build_map, check_embedding, dual, insert_vertices, io_json,
-                       make_lattice, solve_voltage)
-from smithtile import map_core
+                       make_lattice, random_map, solve_voltage)
+from smithtile import map_core, mapgen
 from smithtile.map_core import (bfs_tree, components, marked_cut_path, mod_array,
                                 wrap_signed_array)
 
@@ -698,3 +699,34 @@ def test_insert_matches_loop(refinement_cases):
                     m2, e2, o2 = insert_vertices(m, e, given)
                     oracles.assert_same_refinement(m2, e2, m1, e1)
                     assert np.array_equal(o2, o1)
+
+
+# -- random maps --------------------------------------------------------------
+
+# sha256 of dump_json(map_to_json(m, emb)) of random_map(seed) and then of
+# random_map(seed, **SMALL) for seeds 0-59, written back to back; taken
+# while mapgen still edited maps through per-face and per-edge loops
+RANDOM_MAP_BYTES = "244ea5b01cd8faacddb3a57cfc395812c6d0f31301fdc8fb464b2128dcd5a376"
+SMALL = dict(n=5, H=1.2, splits=2, diagonals=1, deletions=1)
+
+
+def test_random_map_bytes_are_pinned():
+    h = hashlib.sha256()
+    for seed in range(60):
+        for shape in ({}, SMALL):
+            m, emb = random_map(seed, **shape)
+            h.update(io_json.dump_json(io_json.map_to_json(m, emb)).encode())
+    assert h.hexdigest() == RANDOM_MAP_BYTES
+
+
+def test_random_map_candidates_match_loop_rules(random_maps, small_random_maps, lattice8):
+    # the loop-and-parallel map adds a loop and a face with a marked corner
+    maps = [m for m, _ in random_maps[:8] + small_random_maps + [lattice8]]
+    faces = edges = 0
+    for m in maps + [_loop_and_parallel_map()]:
+        face_mask, edge_mask = mapgen._diagonal_faces(m), mapgen._deletable_edges(m)
+        assert np.flatnonzero(face_mask).tolist() == oracles.diagonal_faces(m)
+        assert np.flatnonzero(edge_mask).tolist() == oracles.deletable_edges(m)
+        faces += face_mask.sum() * (~face_mask).sum()
+        edges += edge_mask.sum() * (~edge_mask).sum()
+    assert faces and edges      # both masks split some map
