@@ -14,7 +14,7 @@ priori embedding on lattices (``convergence``).
 """
 
 from .map_core import (CombMap, CylinderEmbedding, DualMap, MapError,
-                       build_map, check_embedding, dual, insert_vertices)
+                       check_embedding, dual, insert_vertices)
 from .electrical import (Conjugate, SolveError, Voltage, conjugate,
                          harmonic_darts, solve_voltage)
 from .smith_tiling import (SmithDiagram, SmithEmbedding, TilingError,
@@ -39,7 +39,7 @@ from .rng import make_rng
 __version__ = "0.1.0"
 
 __all__ = [
-    "CombMap", "CylinderEmbedding", "DualMap", "MapError", "build_map",
+    "CombMap", "CylinderEmbedding", "DualMap", "MapError",
     "check_embedding", "dual", "insert_vertices",
     "Conjugate", "SolveError", "Voltage", "conjugate", "harmonic_darts",
     "solve_voltage",

@@ -137,8 +137,7 @@ class InvarianceReport:
 
 
 def invariance_diagnostic(m: CombMap, height, starts, h_lo: float, h_hi: float,
-                          walks_per_start: int, seed: int,
-                          max_steps: int = 10_000_000) -> InvarianceReport:
+                          walks_per_start: int, seed: int) -> InvarianceReport:
     """Gambler's-ruin check: empirical top-exit frequencies from each start
     against the exact linear law (height is a walk martingale on lattice
     rows), at three sigma.  The walks stop at heights within 1e-9 of h_lo
@@ -147,7 +146,8 @@ def invariance_diagnostic(m: CombMap, height, starts, h_lo: float, h_hi: float,
     Works for the primal lattice with vertex heights and for the dual with
     face representative heights (the dual of the lattice is the shifted
     lattice).  All walks take their steps from one ``uniforms`` stream of the
-    seed's generator, one value per step, in the order the walks run."""
+    seed's generator, one value per step, in the order the walks run, each
+    walk within ``walk_lab.MAX_STEPS`` steps."""
     height = np.asarray(height, dtype=np.float64)
     if height.shape != (m.num_vertices,):
         raise ValueError("height must hold one value per vertex")
@@ -172,7 +172,7 @@ def invariance_diagnostic(m: CombMap, height, starts, h_lo: float, h_hi: float,
         p = min(1.0, max(0.0, p))
         hits = 0
         for _ in range(walks_per_start):
-            darts = walk(m, u, s, stop, max_steps)
+            darts = walk(m, u, s, stop)
             end = heads[darts[-1]] if darts else s
             if end in hi:
                 hits += 1

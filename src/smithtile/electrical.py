@@ -17,8 +17,13 @@ found through the edges whose flow is below the flow floor, to one voltage,
 and checks the harmonic residual again on the snapped values.
 
 The reduced Laplacian is solved one of two ways, by a sparse LU or by
-Jacobi-CG.  Below ``LU_LIMIT`` unknowns it gets the LU, whose bits, unlike
-those of a dense LAPACK solve, do not depend on the BLAS thread count.
+Jacobi-CG.  Below ``LU_LIMIT`` unknowns it gets the LU, whose bits do not
+depend on the BLAS thread count, while the CG path's do: scipy's ``cg``
+takes its dot products through BLAS, whose threaded sums add in another
+order (``make_lattice(128, 4.0)`` solved under 1 and 2 OpenBLAS threads
+differs in 20 480 of 20 866 voltages, by at most 1.1e-15).  So the small
+maps repeat byte for byte under any thread count, and at that size the
+LU costs about what CG does (the n = 744 lattice row below).
 Above, the choice reads S = deg(v0) + deg(v1), the number of darts at the
 two marks, against the n unknowns.  Point marks (S^2 < 2n), as on mated-CRT
 maps with the sphere topology, get the LU too: with a symmetric
@@ -31,21 +36,21 @@ It runs as plain CG on the symmetrically scaled system S A S y = S b,
 S = diag^(-1/2), x = S y (split preconditioning; Saad, "Iterative Methods
 for Sparse Linear Systems", 2003, 9.2): the iterations are those of CG
 with M = diag^-1, without a call of the preconditioner in each.
-Measured on a 2-core x86 VM, in ms per ``solve_voltage`` call on the
-mated-CRT rows, and per linear solve, min to median of 7 runs (3 at
-n=256), on the lattice rows:
+Measured on a 2-core x86 VM, in ms per linear solve of the n unknowns
+(the ``splu`` factor and solve, or the scaled ``cg`` call), min to
+median of 7 runs (3 at n=256; 3 for seeds 2 and 3):
 
-    maps                                 S^2/n       with LU     with CG
-    gamma=1.8 mated-CRT, n=1024, seed 1  0.19        2.3-4.1     8-12
-    gamma=1.8 mated-CRT, n=4096, seed 1  0.03        7-10        48-53
-    gamma=1.8 mated-CRT, n=16384, seed 1 0.01        31-43       350-460
-    gamma=1.8 mated-CRT, seeds 1-3       <= 0.19     LU faster
-    make_lattice(24, 4.0)                3.10        2.4         2.3-2.4
-    make_lattice(64, 4.0)                3.08        20-24       7-12
-    make_lattice(128, 4.0)               3.14        98-120      78-82
-    make_lattice(256, 4.0)               3.13        793-795     573-613
-    make_lattice(64, 8.0)                1.57        25-36       40-53
-    make_lattice(64, 1.0)                12.2        2.9-3.6     1.1-1.4
+    maps                                 n       S^2/n    with LU     with CG
+    gamma=1.8 mated-CRT, n=1024, seed 1  1022    0.19     2.0-2.1     9.8-10.1
+    gamma=1.8 mated-CRT, n=4096, seed 1  4094    0.03     7.4-7.7     50-52
+    gamma=1.8 mated-CRT, n=16384, seed 1 16382   0.01     28-39       445-503
+    gamma=1.8 mated-CRT, seeds 1-3       <= 0.19          LU faster
+    make_lattice(24, 4.0)                744     3.10     2.1         2.1-2.2
+    make_lattice(64, 4.0)                5312    3.08     17          11
+    make_lattice(128, 4.0)               20864   3.14     109-113     61-73
+    make_lattice(256, 4.0)               83712   3.13     741-742     545-550
+    make_lattice(64, 8.0)                10432   1.57     26-30       36-43
+    make_lattice(64, 1.0)                1344    12.2     3.6-3.8     1.1-1.4
 """
 
 from __future__ import annotations

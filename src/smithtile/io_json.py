@@ -30,8 +30,10 @@ as one column.  Their floats are formatted together, once per distinct bit
 pattern, since a vertex voltage reappears as a segment level and as
 rectangle and segment bounds; 0.0 and -0.0 keep their own reprs.  Every
 other entry, and a document that is not a dict with string keys, goes to
-``json.dumps``.  ``Table.records()`` gives the records as dicts, for a
-caller that edits a document; the stdlib writes them to the same bytes.
+``json.dumps``.  So a ``Table`` or ``Rotation`` is written only as a
+top-level entry of a dict document, where the writers put them; one
+anywhere else raises TypeError, as any object the stdlib cannot encode
+does.
 
 The readers check each table (``vertices``, ``edges``, ``rotation``,
 ``rects``, ``hsegs``, ``vsegs``) a column at a time: the field set of every
@@ -73,15 +75,17 @@ class SchemaError(ValueError):
 
 def dump_json(obj) -> str:
     """The bytes of ``json.dumps(obj, indent=2, sort_keys=True,
-    allow_nan=False) + "\n"``, where a ``Table`` or ``Rotation`` stands for
-    its ``records()``.
+    allow_nan=False) + "\n"``, where a top-level ``Table`` entry stands for
+    its records (one dict per row, None where null) and a top-level
+    ``Rotation`` entry for its dart lists keyed by ``str(v)``.
 
     A dict with string keys is written entry by entry in sorted key order:
     a ``Table`` by ``_table`` and a ``Rotation`` by ``_rotation``, a
     nonempty list of exact floats as one float column, and anything else
     by the stdlib, each line it writes indented once more.  The float
     columns of the tables and of the lists are formatted together by
-    ``_table_text``.  Any other ``obj`` goes to the stdlib whole."""
+    ``_table_text``.  Any other ``obj`` goes to the stdlib whole.  The
+    stdlib raises TypeError on a ``Table`` or ``Rotation`` it meets."""
     if type(obj) is not dict or not obj or not all(type(k) is str for k in obj):
         return _stdlib(obj) + "\n"
     keys = sorted(obj)
@@ -105,10 +109,8 @@ def dump_json(obj) -> str:
 
 
 def _stdlib(obj) -> str:
-    """The stdlib's indenting encoder, a Table or Rotation written as its
-    records."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
-                      default=_table_records)
+    """The stdlib's indenting encoder."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
 
 
 class Table:
@@ -138,18 +140,6 @@ class Table:
     def __len__(self) -> int:
         return len(self.cols[0])
 
-    def records(self) -> list:
-        """The records as dicts of Python scalars, None where null: the
-        table as ``json.loads`` reads it back."""
-        cols = []
-        for a, null in zip(self.cols, self.null):
-            col = a.tolist()
-            if null is not None:
-                for i in np.flatnonzero(null).tolist():
-                    col[i] = None
-            cols.append(col)
-        return [dict(zip(self.fields, row)) for row in zip(*cols)]
-
 
 class Rotation:
     """A map's rotation object held by its arrays for ``dump_json``: the
@@ -159,19 +149,6 @@ class Rotation:
     def __init__(self, ptr, dart):
         self.ptr = np.asarray(ptr, dtype=np.int64)
         self.dart = np.asarray(dart, dtype=np.int64)
-
-    def records(self) -> dict:
-        """The rotation as ``json.loads`` reads it back."""
-        darts, ptr = self.dart.tolist(), self.ptr.tolist()
-        return {str(v): darts[ptr[v]:ptr[v + 1]] for v in range(len(ptr) - 1)}
-
-
-def _table_records(obj):
-    """The stdlib encoder's ``default``: the records of a Table or a
-    Rotation; anything else is not serializable."""
-    if type(obj) not in (Table, Rotation):
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    return obj.records()
 
 
 def _table_text(tables) -> dict:

@@ -73,7 +73,7 @@ import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -94,10 +94,10 @@ def mod_array(x, period: float) -> np.ndarray:
     return np.where(r >= period, 0.0, r)
 
 
-def wrap_signed_array(x, period: float = TWO_PI) -> np.ndarray:
-    """Reduce to (-period/2, period/2]; ``np.fmod`` is exact."""
-    r = np.fmod(x, period)
-    return np.where(r <= -period / 2, r + period, np.where(r > period / 2, r - period, r))
+def wrap_signed_array(x) -> np.ndarray:
+    """Reduce an angle to (-pi, pi]; ``np.fmod`` is exact."""
+    r = np.fmod(x, TWO_PI)
+    return np.where(r <= -math.pi, r + TWO_PI, np.where(r > math.pi, r - TWO_PI, r))
 
 
 def by_position(lens):
@@ -374,29 +374,6 @@ class CombMap:
     def __repr__(self):
         return (f"CombMap(V={self.num_vertices}, E={self.num_edges}, "
                 f"F={self.num_faces}, marked=({self.v0}, {self.v1}))")
-
-
-def build_map(num_vertices, edges, rotation, marked=None) -> CombMap:
-    """Build a CombMap from an edge list and per-vertex CCW dart cycles.
-
-    ``edges`` is a sequence of (tail, head, conductance); edge k has darts
-    2k and 2k+1.  ``rotation[v]`` lists the darts with tail v in CCW order.
-    """
-    E = len(edges)
-    tails, heads, cond = zip(*edges) if E else ((), (), ())
-    lens = np.fromiter(map(len, rotation), dtype=np.int64, count=len(rotation))
-    flat = np.fromiter(chain.from_iterable(rotation), dtype=np.int64, count=int(lens.sum()))
-    outside = np.flatnonzero((flat < 0) | (flat >= 2 * E))
-    if len(outside):
-        raise MapError(f"dart {flat[outside[0]]} in rotation data is not a dart of the map")
-    _, first = np.unique(flat, return_index=True)
-    again = np.ones(len(flat), dtype=bool)
-    again[first] = False
-    if again.any():
-        raise MapError(f"dart {flat[np.argmax(again)]} appears twice in rotation data")
-    v0, v1 = (None, None) if marked is None else marked
-    return CombMap(num_vertices, tails, heads, cond, next_dart_from(flat, lens, 2 * E),
-                   v0=v0, v1=v1)
 
 
 def next_dart_from(darts, lens, num_darts) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Randomized weighted cylinder maps for tests and demos.
 
-Starts from a lattice, jitters the a priori coordinates, randomizes
-conductances, splits edges, adds face diagonals, and deletes non-bridge
-edges, keeping the map/embedding pair consistent throughout.
+Starts from a lattice, jitters the a priori coordinates by up to JITTER
+of the column spacing, randomizes conductances, splits edges, adds face
+diagonals, and deletes non-bridge edges, keeping the map/embedding pair
+consistent throughout.
 
 Each edit works on the current map's face and rotation arrays and builds
 one ``CombMap``.  The draws come in a fixed order, so a map's bytes depend
@@ -17,6 +18,9 @@ from .map_core import (CombMap, CylinderEmbedding, TWO_PI, check_embedding,
                        insert_vertices, mod_array, next_dart_from)
 from .convergence import make_lattice
 from .rng import make_rng
+
+# Largest jitter of a coordinate, as a fraction of the column spacing 2 pi / n.
+JITTER = 0.12
 
 
 def _jitter(m: CombMap, emb: CylinderEmbedding, rng, amount: float):
@@ -97,13 +101,13 @@ def _delete_edge(m: CombMap, emb: CylinderEmbedding, rng):
     return m2, CylinderEmbedding(emb.theta, emb.height, np.delete(emb.dtheta, k))
 
 
-def random_map(seed: int, n: int = 7, H: float = 2.5, jitter: float = 0.12,
-               splits: int = 4, diagonals: int = 3, deletions: int = 2):
+def random_map(seed: int, n: int = 7, H: float = 2.5, splits: int = 4,
+               diagonals: int = 3, deletions: int = 2):
     """Random connected doubly marked weighted cylinder map with a consistent
     a priori embedding.  Deterministic in the seed."""
     rng = make_rng(seed)
     m, emb = make_lattice(n, H)
-    emb = _jitter(m, emb, rng, jitter * TWO_PI / n)
+    emb = _jitter(m, emb, rng, JITTER * TWO_PI / n)
     m = CombMap(m.num_vertices, m.edge_tail, m.edge_head,
                 10.0 ** rng.uniform(-1.0, 1.0, m.num_edges), m.next_dart,
                 v0=m.v0, v1=m.v1)

@@ -3,14 +3,15 @@
 An excursion is a pair of piecewise-linear paths (L, R) with n Gaussian
 increment steps each, bridged to end at (0, 0) and conditioned to stay
 nonnegative.  The sampler gets L's conditioning for free from the cycle
-lemma (shift the bridge to start at its minimum) and rejects on R alone;
-see sample_excursion.  Cells j = 1..n are the strips [(j-1)/n, j/n]; two
-cells are adjacent when a horizontal segment fits under L (lower arc) or
-over R (upper arc) between their strips, with consecutive cells always
-joined by a single line edge.  The planar structure is the arc diagram:
-vertices on a line, lower arcs below, upper arcs above, rotation given by
-the tangent order of nested semicircles; the Euler check in the map
-constructor fails loudly if that order is ever inconsistent.
+lemma (shift the bridge to start at its minimum) and rejects on R alone,
+within MAX_ATTEMPTS attempts; see sample_excursion.  Cells j = 1..n are
+the strips [(j-1)/n, j/n]; two cells are adjacent when a horizontal
+segment fits under L (lower arc) or over R (upper arc) between their
+strips, with consecutive cells always joined by a single line edge.
+The planar structure is the arc diagram: vertices on a line, lower arcs
+below, upper arcs above, rotation given by the tangent order of nested
+semicircles; the Euler check in the map constructor fails loudly if that
+order is ever inconsistent.
 
 The arcs of each path come from its chains of weak records: from each left
 cell, the lattice points that reach a new running minimum, up to the first
@@ -38,6 +39,8 @@ LINE, LOWER, UPPER = 0, 1, 2
 _ROTATION_GROUP = np.array([[0, 3], [5, 4], [1, 2]])
 # Most normals drawn at once by the sampler: 64 attempts (about 1 MB) at n = 1024.
 BLOCK_NORMALS = 1 << 17
+# Most attempts the sampler makes before it raises SampleError.
+MAX_ATTEMPTS = 200_000
 
 
 class SampleError(RuntimeError):
@@ -75,8 +78,7 @@ def excursion_from_increments(dl, dr) -> Excursion:
     return exc
 
 
-def sample_excursion(gamma: float, n: int, seed: int,
-                     max_attempts: int = 200_000) -> Excursion:
+def sample_excursion(gamma: float, n: int, seed: int) -> Excursion:
     """Exact sampler for the correlated excursion: cycle lemma on L,
     rejection on R.
 
@@ -101,7 +103,7 @@ def sample_excursion(gamma: float, n: int, seed: int,
     1.8 against about n times as many for plain rejection.  Attempts are
     drawn in blocks, each one (b, 2, n) array, doubling from one attempt up
     to about BLOCK_NORMALS normals, so an excursion found in a few attempts
-    draws few normals; the last block is cut at max_attempts.  Row i of a
+    draws few normals; the last block is cut at MAX_ATTEMPTS.  Row i of a
     block is the draw that the (done + i + 1)-th single (2, n) draw would
     have made, and goes through the same float operations, so the result
     does not depend on the block sizes.
@@ -117,8 +119,8 @@ def sample_excursion(gamma: float, n: int, seed: int,
     cap = max(1, BLOCK_NORMALS // (2 * n))
     shift = np.arange(n + 1)
     block, done = 1, 0
-    while done < max_attempts:
-        b = min(block, max_attempts - done)
+    while done < MAX_ATTEMPTS:
+        b = min(block, MAX_ATTEMPTS - done)
         block = min(2 * block, cap)
         z = rng.standard_normal((b, 2, n))
         zl = z[:, 0] / scale
@@ -140,8 +142,8 @@ def sample_excursion(gamma: float, n: int, seed: int,
                              _lattice(rv[i]), done + int(i) + 1)
         done += b
     raise SampleError(
-        f"no excursion in {max_attempts} attempts at n={n} "
-        f"(acceptance rate below {1.0 / max_attempts:.2e}; lower n)")
+        f"no excursion in {MAX_ATTEMPTS} attempts at n={n} "
+        f"(acceptance rate below {1.0 / MAX_ATTEMPTS:.2e}; lower n)")
 
 
 def _lattice(partial: np.ndarray) -> np.ndarray:

@@ -34,8 +34,8 @@ after each move.  The values come from ``uniforms``, a C-level chain over
 blocks of BLOCK uniforms from the generator: ``rng.random(k)`` returns the
 same doubles as k calls of ``rng.random()``, so a walk sees the values that
 one call per step would give it, at a fraction of the per-call cost.  The
-kernel zips its step budget with the stream, budget first, so it takes
-exactly one value per step and none past the budget.
+kernel zips its step budget, MAX_STEPS, with the stream, budget first, so
+it takes exactly one value per step and none past the budget.
 """
 
 from __future__ import annotations
@@ -61,6 +61,9 @@ BALANCE_TOL = 1e-9
 
 # Voltages at most this far apart lie on one level (module docstring).
 LEVEL_TOL = 1e-12
+
+# Most steps a Monte Carlo walk takes before it raises StepBudgetExceeded.
+MAX_STEPS = 10_000_000
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -93,13 +96,13 @@ def uniforms(rng):
     return chain.from_iterable(iter(lambda: rng.random(BLOCK).tolist(), None))
 
 
-def walk(m: CombMap, u, start: int, stop: set, max_steps: int) -> list:
+def walk(m: CombMap, u, start: int, stop: set) -> list:
     """Darts of the conductance-weighted walk from ``start`` up to its first
     entry into the vertex set ``stop`` (empty when ``start`` is in it).
 
     Takes exactly one value per step from the uniform stream ``u`` (see
     ``uniforms``) and scales it by the vertex's total conductance.  Raises
-    StepBudgetExceeded when the walk needs more than ``max_steps`` steps."""
+    StepBudgetExceeded when the walk needs more than MAX_STEPS steps."""
     if not stop:
         raise ValueError("stop set must be nonempty")
     v = int(start)
@@ -109,26 +112,25 @@ def walk(m: CombMap, u, start: int, stop: set, max_steps: int) -> list:
     rows = m.step_rows
     step = darts.append
     # zip asks range first, so no value is taken past the budget
-    for _, x in zip(range(max_steps), u):
+    for _, x in zip(range(MAX_STEPS), u):
         cum, total, out, heads = rows[v]
         i = bisect_right(cum, x * total)
         step(out[i])
         v = heads[i]
         if v in stop:
             return darts
-    raise StepBudgetExceeded(f"no stop vertex within {max_steps} steps")
+    raise StepBudgetExceeded(f"no stop vertex within {MAX_STEPS} steps")
 
 
-def simulate(m: CombMap, start: int, stop_set, seed: int,
-             max_steps: int = 10_000_000) -> WalkTrace:
+def simulate(m: CombMap, start: int, stop_set, seed: int) -> WalkTrace:
     """Run the weighted walk from ``start`` until it first enters ``stop_set``.
 
     The walk takes the values of its own ``uniforms`` stream of the seed's
     generator, one per step, so it is bit-reproducible for a fixed seed.
-    Raises StepBudgetExceeded past the cap.
+    Raises StepBudgetExceeded past MAX_STEPS steps.
     """
-    darts = np.array(walk(m, uniforms(make_rng(seed)), start, set(map(int, stop_set)),
-                          max_steps), dtype=np.int64)
+    darts = np.array(walk(m, uniforms(make_rng(seed)), start, set(map(int, stop_set))),
+                     dtype=np.int64)
     verts = np.empty(len(darts) + 1, dtype=np.int64)
     verts[0] = start
     verts[1:] = m.dart_head[darts]

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import oracles
-from smithtile import (CylinderEmbedding, build_map, make_lattice,
-                       mark_vertices, random_map, solve_voltage)
+from oracles import build_map
+from smithtile import (CylinderEmbedding, make_lattice, mark_vertices,
+                       random_map, solve_voltage)
 from smithtile.mated_crt import build_map as build_mated
 
 

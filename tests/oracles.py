@@ -6,11 +6,13 @@ noncrossing of the arcs of a mated-CRT map, the winding of a dual cycle by
 its crossings of a cut path, the stdlib JSON encoder, the JSON readers
 checking one record at a time, (below) the loop forms of the steps that
 now run as array code, and the per-step loops of the Monte Carlo walks.
+``build_map`` builds the small maps that the tests write out by hand.
 """
 
 import json
 import math
 from collections import deque
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,7 +21,7 @@ import scipy.sparse.linalg as spla
 from smithtile import walk_lab
 from smithtile.convergence import AffineFit, lattice_shape
 from smithtile.map_core import (TWO_PI, CombMap, CylinderEmbedding, DualMap,
-                                MapError, build_map)
+                                MapError, next_dart_from)
 from smithtile.mated_crt import (LINE, LOWER, UPPER, Excursion, MatedCrtMap,
                                  SampleError)
 from smithtile.electrical import Conjugate, Voltage, harmonic_darts, snap_clusters
@@ -119,17 +121,31 @@ def noncrossing(pairs) -> bool:
     return True
 
 
-def _table_records(obj):
-    if type(obj) not in (Table, Rotation):
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    return obj.records()
+def records(obj):
+    """A ``Table`` or ``Rotation`` as ``json.loads`` reads it back: a
+    table's rows as dicts of Python scalars, None where null, and a
+    rotation's dart lists keyed by ``str(v)``.  As the stdlib encoder's
+    ``default`` it raises TypeError on anything else."""
+    if type(obj) is Table:
+        cols = []
+        for a, null in zip(obj.cols, obj.null):
+            col = a.tolist()
+            if null is not None:
+                for i in np.flatnonzero(null).tolist():
+                    col[i] = None
+            cols.append(col)
+        return [dict(zip(obj.fields, row)) for row in zip(*cols)]
+    if type(obj) is Rotation:
+        darts, ptr = obj.dart.tolist(), obj.ptr.tolist()
+        return {str(v): darts[ptr[v]:ptr[v + 1]] for v in range(len(ptr) - 1)}
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def dump_json(obj) -> str:
     """``io_json.dump_json`` by the stdlib's indenting encoder, a ``Table``
-    or ``Rotation`` written as its records."""
+    or ``Rotation`` written as its records, at any depth."""
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
-                      default=_table_records) + "\n"
+                      default=records) + "\n"
 
 
 def _is_int(u) -> bool:
@@ -477,6 +493,29 @@ def deletable_edges(m: CombMap) -> list:
             and m.degree(int(m.edge_head[k])) > 2]
 
 
+def build_map(num_vertices, edges, rotation, marked=None) -> CombMap:
+    """A CombMap from an edge list and per-vertex CCW dart cycles.
+
+    ``edges`` is a sequence of (tail, head, conductance); edge k has darts
+    2k and 2k+1.  ``rotation[v]`` lists the darts with tail v in CCW order.
+    """
+    E = len(edges)
+    tails, heads, cond = zip(*edges) if E else ((), (), ())
+    lens = np.fromiter(map(len, rotation), dtype=np.int64, count=len(rotation))
+    flat = np.fromiter(chain.from_iterable(rotation), dtype=np.int64, count=int(lens.sum()))
+    outside = np.flatnonzero((flat < 0) | (flat >= 2 * E))
+    if len(outside):
+        raise MapError(f"dart {flat[outside[0]]} in rotation data is not a dart of the map")
+    _, first = np.unique(flat, return_index=True)
+    again = np.ones(len(flat), dtype=bool)
+    again[first] = False
+    if again.any():
+        raise MapError(f"dart {flat[np.argmax(again)]} appears twice in rotation data")
+    v0, v1 = (None, None) if marked is None else marked
+    return CombMap(num_vertices, tails, heads, cond, next_dart_from(flat, lens, 2 * E),
+                   v0=v0, v1=v1)
+
+
 def rotation_next(edges, rotation) -> np.ndarray:
     """``build_map``'s next_dart, one listed dart at a time."""
     E = len(edges)
@@ -543,13 +582,13 @@ def lattice(n: int, H: float) -> tuple:
     return V, edges, rotation, (v0, v1), theta, height, np.array(dtheta)
 
 
-def wrap_signed(x: float, period: float = TWO_PI) -> float:
-    """``map_core.wrap_signed_array`` on one float: reduce to (-period/2, period/2]."""
-    r = math.fmod(x, period)
-    if r <= -period / 2:
-        r += period
-    elif r > period / 2:
-        r -= period
+def wrap_signed(x: float) -> float:
+    """``map_core.wrap_signed_array`` on one float: reduce to (-pi, pi]."""
+    r = math.fmod(x, TWO_PI)
+    if r <= -math.pi:
+        r += TWO_PI
+    elif r > math.pi:
+        r -= TWO_PI
     return r
 
 
@@ -1018,7 +1057,7 @@ def arc_pairs(C: np.ndarray) -> list:
 
 def mated_map(exc: Excursion) -> tuple:
     """``mated_crt.build_map`` with per-vertex sorted lists: (n, edges,
-    rotation, kind), the arguments it hands to ``map_core.build_map``."""
+    rotation, kind), the arguments of ``build_map`` for the same map."""
     exc.check()
     n = exc.n
     edges = []

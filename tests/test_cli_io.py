@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from smithtile import (build_map, conjugate, dual, make_lattice, render_svg,
-                       solve_voltage, tile)
+from oracles import build_map
+from smithtile import (conjugate, dual, make_lattice, render_svg, solve_voltage,
+                       tile)
 from smithtile import cli
 from smithtile.cli import _read_map, main
 from smithtile.io_json import (SCHEMA, Rotation, SchemaError, Table, diagram_from_json,
@@ -132,14 +133,18 @@ TABLE_DOCUMENTS = [
     # int and float columns of other widths, fields that need escaping
     {"t": table(**{"%s": np.arange(3, dtype=np.int32), "caf\u00e9": np.float32([0.1, 2, 3]),
                    "%(x)d": np.uint8([0, 7, 255]), "q\"": [2**62, -(2**62), 0]})},
-    # tables below the top level, or the whole document
-    {"a": {"t": table(id=np.arange(2), x=[0.1, -0.0])}, "b": [table(x=[0.1])]},
-    [table(x=[0.1, 0.2]), table(y=[0.2, 0.1])],
-    table(id=np.arange(3), x=[1.0, 2.0, 3.0]),
+    # a table beside nested plain values and float lists, whose floats it
+    # formats together with its own
+    {"a": {"x": [0.1, -0.0]}, "b": [0.1, 0.25, -0.0], "c": [[0.1], 2],
+     "t": table(id=np.arange(2), x=[0.1, -0.0])},
+    # table keys that need escaping, sorted among other entries
+    {"caf\u00e9": table(x=[0.5]), "\"q\"": [0.5], "%s": "x", "t": table(y=[0.2, 0.1])},
+    # a table as the only entry
+    {"t": table(id=np.arange(3), x=[1.0, 2.0, 3.0])},
     # rotations: keys sort as strings ("10" before "2"), an empty dart list
     {"rotation": Rotation(np.cumsum([0, 1, 3, 0, 2, 1, 1, 1, 1, 1, 1, 4, 2]),
                           np.arange(18)[::-1]),
-     "empty": Rotation([0], []), "nested": [Rotation([0, 2], [1, 0])]},
+     "empty": Rotation([0], []), "pair": Rotation([0, 2], [1, 0])},
 ]
 
 
@@ -148,11 +153,21 @@ def test_dump_json_writes_tables_as_the_stdlib_writes_records(obj):
     assert dump_json(obj) == oracles.dump_json(obj)
 
 
+def test_dump_json_writes_tables_only_at_the_top_level():
+    # below the top level of a dict document with string keys, a Table or
+    # Rotation is no JSON value to the stdlib
+    for obj in ({"a": {"t": table(x=[0.1])}}, {"b": [table(x=[0.1])]},
+                {"nested": [Rotation([0, 2], [1, 0])]}, {1: table(x=[0.1])},
+                [table(x=[0.1, 0.2])], table(id=np.arange(3), x=[1.0, 2.0, 3.0])):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            dump_json(obj)
+
+
 def test_table_nulls_and_non_finite_values(random_maps, path_map):
     t = Table({"id": np.arange(3), "x": [np.nan, 0.0, -np.inf]},
               null={"x": np.array([True, False, True])})
-    assert t.records() == [{"id": 0, "x": None}, {"id": 1, "x": 0.0},
-                           {"id": 2, "x": None}]
+    assert oracles.records(t) == [{"id": 0, "x": None}, {"id": 1, "x": 0.0},
+                                  {"id": 2, "x": None}]
     assert dump_json({"t": t}) == oracles.dump_json({"t": t})
     # a NaN outside the mask is not JSON, as in the stdlib with allow_nan=False
     t.null[1] = np.array([True, False, False])
@@ -178,7 +193,7 @@ def test_table_nulls_and_non_finite_values(random_maps, path_map):
     for obj in (map_to_json(m, emb), map_to_json(path_map)):
         back = json.loads(dump_json(obj))
         for name in ("vertices", "edges", "rotation"):
-            assert obj[name].records() == back[name]
+            assert oracles.records(obj[name]) == back[name]
 
 
 def test_map_roundtrip_bit_exact(random_maps, tmp_path):

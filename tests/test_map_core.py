@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smithtile import (CombMap, CylinderEmbedding, MapError, augment_all_levels,
-                       build_map, check_embedding, dual, insert_vertices, io_json,
+                       check_embedding, dual, insert_vertices, io_json,
                        make_lattice, random_map, solve_voltage)
 from smithtile import map_core, mapgen
 from smithtile.map_core import (bfs_tree, components, marked_cut_path, mod_array,
                                 wrap_signed_array)
 
 import oracles
-from oracles import assert_same_map, relabel_edges, wrap_angle
+from oracles import assert_same_map, build_map, relabel_edges, wrap_angle
 
 TWO_PI = 2.0 * math.pi
 
@@ -272,11 +272,10 @@ def test_wrap_angle_range():
 def test_wrap_signed_halves():
     assert wrap_signed_array(0.0) == 0.0
     assert wrap_signed_array(math.pi + 0.1) == pytest.approx(0.1 - math.pi)
-    assert wrap_signed_array(3.2, period=2.0) == pytest.approx(-0.8)
-    # half-period ties land on the closed upper end of (-p/2, p/2]
-    assert wrap_signed_array(3.0, period=2.0) == 1.0
-    assert wrap_signed_array(-3.0, period=2.0) == 1.0
-    assert abs(wrap_signed_array(7.7, period=1.0)) <= 0.5
+    # half-turn ties land on the closed upper end of (-pi, pi]
+    assert wrap_signed_array(math.pi) == math.pi
+    assert wrap_signed_array(-math.pi) == math.pi
+    assert abs(wrap_signed_array(7.7)) <= math.pi
     x = np.array([0.0, math.pi + 0.1, -math.pi, 7.7])
     assert np.array_equal(wrap_signed_array(x), [oracles.wrap_signed(a) for a in x])
 

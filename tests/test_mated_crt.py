@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,14 +11,14 @@ from scipy.stats import ks_2samp
 
 import oracles
 from smithtile import (CombMap, Excursion, MapError, SampleError, adjacency_oracle,
-                       build_map, excursion_from_increments, make_rng,
-                       mark_vertices, mated_crt, sample_excursion, solve_voltage,
-                       tile, validate)
+                       excursion_from_increments, make_rng, mark_vertices,
+                       mated_crt, sample_excursion, solve_voltage, tile,
+                       validate)
 from smithtile.mated_crt import (LINE, LOWER, UPPER, _arc_pairs,
                                  build_map as build_mated,
                                  face_degree_histogram)
 
-from oracles import arc_sets, contact_violations, noncrossing
+from oracles import arc_sets, build_map, contact_violations, noncrossing
 
 
 # -- sampler -----------------------------------------------------------------
@@ -30,11 +31,12 @@ def test_sampler_validates_arguments():
         sample_excursion(1.0, 1, seed=0)
 
 
-def test_sampler_exhausts_attempts():
+def test_sampler_exhausts_attempts(monkeypatch):
     # strongly negative correlation at this size: acceptance is far below
     # 1/10, so a 10-attempt budget must fail
-    with pytest.raises(SampleError, match="attempts"):
-        sample_excursion(1.0, 64, seed=0, max_attempts=10)
+    monkeypatch.setattr(mated_crt, "MAX_ATTEMPTS", 10)
+    with pytest.raises(SampleError, match="no excursion in 10 attempts"):
+        sample_excursion(1.0, 64, seed=0)
 
 
 def test_sampler_excursion_invariants():
@@ -83,12 +85,15 @@ def assert_same_excursion(got, want):
     assert type(got.attempts) is int and got.attempts == want.attempts
 
 
-def sample_both(gamma, n, seed, max_attempts):
-    """Both samplers' excursions, or both SampleError messages."""
+def sample_both(monkeypatch, gamma, n, seed, max_attempts):
+    """Both samplers' excursions, or both SampleError messages, within
+    max_attempts attempts."""
+    monkeypatch.setattr(mated_crt, "MAX_ATTEMPTS", max_attempts)
     out = []
-    for sample in (sample_excursion, oracles.sample_shifted_excursion):
+    for sample in (sample_excursion, partial(oracles.sample_shifted_excursion,
+                                             max_attempts=max_attempts)):
         try:
-            out.append(sample(gamma, n, seed, max_attempts=max_attempts))
+            out.append(sample(gamma, n, seed))
         except SampleError as err:
             out.append(str(err))
     return out
@@ -96,12 +101,12 @@ def sample_both(gamma, n, seed, max_attempts):
 
 @pytest.mark.parametrize("gamma", [1.0, 1.5, 1.8, math.sqrt(2.0)])
 @pytest.mark.parametrize("n", [2, 3, 24, 64, 256])
-def test_sampler_matches_single_draws(gamma, n):
+def test_sampler_matches_single_draws(monkeypatch, gamma, n):
     # a budget of 4000 is no multiple of any block here, and gamma = 1.0
     # exhausts it at n = 24 (seed 1) and above, so both the accepting and
     # the failing path run
     for seed in range(3):
-        got, want = sample_both(gamma, n, seed, 4000)
+        got, want = sample_both(monkeypatch, gamma, n, seed, 4000)
         if isinstance(want, str):
             assert got == want
         else:
@@ -148,9 +153,9 @@ def test_sampler_budget_cuts_last_block(monkeypatch):
         monkeypatch.setattr(mated_crt, "BLOCK_NORMALS", 2 * n * cap)
         first, last, size = block_of(cap, a)
         assert first < a - 1 and a < last and (size == cap) == (cap == 7)
-        got, want = sample_both(1.2, n, 0, a - 1)
+        got, want = sample_both(monkeypatch, 1.2, n, 0, a - 1)
         assert got == want and "no excursion in" in got
-        got, want = sample_both(1.2, n, 0, a)
+        got, want = sample_both(monkeypatch, 1.2, n, 0, a)
         assert_same_excursion(got, want)
 
 

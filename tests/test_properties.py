@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import step_law, wrap_angle
-from smithtile import (build_map, excursion_from_increments, make_rng,
-                       reduce_mod, solve_voltage)
+from oracles import build_map, step_law, wrap_angle, wrap_signed
+from smithtile import (excursion_from_increments, make_rng, reduce_mod,
+                       solve_voltage)
 from smithtile.map_core import insert_vertices, mod_array, wrap_signed_array
 
 TWO_PI = 2.0 * math.pi
@@ -29,12 +29,13 @@ def test_wrap_angle_is_congruent(x):
 
 
 @settings(max_examples=80, deadline=None)
-@given(finite, st.floats(min_value=0.1, max_value=100.0))
-def test_wrap_signed_range(x, period):
-    r = float(wrap_signed_array(x, period))
-    assert -period / 2 < r <= period / 2 + 1e-12
-    k = (x - r) / period
+@given(finite)
+def test_wrap_signed_range(x):
+    r = float(wrap_signed_array(x))
+    assert -math.pi < r <= math.pi
+    k = (x - r) / TWO_PI
     assert abs(k - round(k)) < 1e-6
+    assert repr(r) == repr(wrap_signed(x))
 
 
 tiny = st.floats(min_value=-1e-300, max_value=-5e-324)

@@ -8,17 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smithtile import (TilingReport, build_diagram, build_map, conjugate,
-                       dual, make_lattice, mark_vertices, reduce_mod,
-                       render_svg, sample_excursion, smith_embedding,
-                       solve_voltage, tile, validate)
+from smithtile import (TilingReport, build_diagram, conjugate, dual,
+                       make_lattice, mark_vertices, reduce_mod, render_svg,
+                       sample_excursion, smith_embedding, solve_voltage, tile,
+                       validate)
 from smithtile.mated_crt import build_map as build_mated
 from smithtile import smith_tiling
 from smithtile.smith_tiling import TilingError
 
 import oracles
-from oracles import (contact_violations, dart_drift, reference_validate,
-                     relabel_edges)
+from oracles import (build_map, contact_violations, dart_drift,
+                     reference_validate, relabel_edges)
 
 
 def report_is_exact(rep, tol=1e-12):

@@ -10,11 +10,12 @@ import oracles
 from smithtile import mated_crt, walk_lab
 from smithtile.convergence import invariance_diagnostic
 from smithtile.rng import make_rng
-from oracles import absorption_probs, ref_invariance, ref_simulate, step_law
+from oracles import (absorption_probs, build_map, ref_invariance, ref_simulate,
+                     step_law)
 from smithtile import (InadmissibleHeights, LevelNotVertexed,
                        StepBudgetExceeded, Voltage, admissible_sequences,
-                       augment_all_levels, build_diagram, build_map,
-                       conditional_hitting, conjugate, dual, exact_law_report,
+                       augment_all_levels, build_diagram, conditional_hitting,
+                       conjugate, dual, exact_law_report,
                        expected_conditional_winding, insert_vertices,
                        level_measures, level_sets, projected_step_law,
                        realized_levels, simulate, solve_voltage, tile)
@@ -79,9 +80,10 @@ def test_simulate_reproducible(lattice8_solved):
     assert not (len(c) == len(a) and np.array_equal(c.vertices, a.vertices))
 
 
-def test_simulate_budget(path_map):
+def test_simulate_budget(path_map, monkeypatch):
+    monkeypatch.setattr(walk_lab, "MAX_STEPS", 0)
     with pytest.raises(StepBudgetExceeded):
-        simulate(path_map, 1, {0}, seed=1, max_steps=0)
+        simulate(path_map, 1, {0}, seed=1)
 
 
 def test_simulate_empty_stop_set(path_map):
@@ -600,25 +602,29 @@ def test_kernel_matches_reference_invariance(walk_cases):
             assert np.array_equal(rep.p_hat, p_hat)
 
 
-# a walk of exactly max_steps steps passes; one more step than the budget raises
+# a walk of exactly MAX_STEPS steps passes; one more step than the budget raises
 
-def test_budget_boundary_simulate(walk_cases):
+def test_budget_boundary_simulate(walk_cases, monkeypatch):
     c = walk_cases[0]
     k = len(ref_simulate(c.m, c.x, c.stop, 5)[0])
-    assert len(simulate(c.m, c.x, c.stop, seed=5, max_steps=k).darts) == k
+    monkeypatch.setattr(walk_lab, "MAX_STEPS", k)
+    assert len(simulate(c.m, c.x, c.stop, seed=5).darts) == k
+    monkeypatch.setattr(walk_lab, "MAX_STEPS", k - 1)
     with pytest.raises(StepBudgetExceeded):
-        simulate(c.m, c.x, c.stop, seed=5, max_steps=k - 1)
+        simulate(c.m, c.x, c.stop, seed=5)
 
 
-def test_budget_boundary_invariance(walk_cases):
+def test_budget_boundary_invariance(walk_cases, monkeypatch):
     c = walk_cases[0]
     p_hat, k = ref_invariance(c.m, c.height, c.starts, 0.25, 0.75, 20, 5)
+    monkeypatch.setattr(walk_lab, "MAX_STEPS", k)
     rep = invariance_diagnostic(c.m, c.height, c.starts, 0.25, 0.75,
-                                walks_per_start=20, seed=5, max_steps=k)
+                                walks_per_start=20, seed=5)
     assert np.array_equal(rep.p_hat, p_hat)
+    monkeypatch.setattr(walk_lab, "MAX_STEPS", k - 1)
     with pytest.raises(StepBudgetExceeded):
         invariance_diagnostic(c.m, c.height, c.starts, 0.25, 0.75,
-                              walks_per_start=20, seed=5, max_steps=k - 1)
+                              walks_per_start=20, seed=5)
 
 
 class Counted:
@@ -635,32 +641,37 @@ class Counted:
         return next(self.stream)
 
 
-def test_walks_on_one_stream_take_one_value_per_step(walk_cases):
+def test_walks_on_one_stream_take_one_value_per_step(walk_cases, monkeypatch):
+    monkeypatch.setattr(walk_lab, "MAX_STEPS", 10_000)
     c = walk_cases[-2]          # the lattice
     u = Counted(walk_lab.uniforms(make_rng(3)))
     walks = []
     while u.taken <= 2 * walk_lab.BLOCK:
         start = c.starts[len(walks) % len(c.starts)]
-        walks.append(walk_lab.walk(c.m, u, start, c.stop, 10_000))
+        walks.append(walk_lab.walk(c.m, u, start, c.stop))
         assert u.taken == sum(map(len, walks))
     # each walk picks up the stream where the one before left it
     flat = iter(make_rng(3).random(u.taken).tolist())
-    assert walks == [walk_lab.walk(c.m, flat, c.starts[i % len(c.starts)], c.stop, 10_000)
+    assert walks == [walk_lab.walk(c.m, flat, c.starts[i % len(c.starts)], c.stop)
                      for i in range(len(walks))]
 
 
-def test_walk_takes_no_value_past_its_budget(walk_cases):
+def test_walk_takes_no_value_past_its_budget(walk_cases, monkeypatch):
     c = walk_cases[-2]          # the lattice
-    k = len(walk_lab.walk(c.m, walk_lab.uniforms(make_rng(2)), c.x, c.stop, 10_000))
+    monkeypatch.setattr(walk_lab, "MAX_STEPS", 10_000)
+    k = len(walk_lab.walk(c.m, walk_lab.uniforms(make_rng(2)), c.x, c.stop))
     assert k > 2
     for budget in (0, 1, k // 2, k - 1):
+        monkeypatch.setattr(walk_lab, "MAX_STEPS", budget)
         u = Counted(walk_lab.uniforms(make_rng(2)))
         with pytest.raises(StepBudgetExceeded):
-            walk_lab.walk(c.m, u, c.x, c.stop, budget)
+            walk_lab.walk(c.m, u, c.x, c.stop)
         assert u.taken == budget
     u = Counted(walk_lab.uniforms(make_rng(3)))
-    assert walk_lab.walk(c.m, u, c.m.v1, c.stop, 0) == []
-    assert walk_lab.walk(c.m, u, c.m.v0, c.stop, 10) == []
+    monkeypatch.setattr(walk_lab, "MAX_STEPS", 0)
+    assert walk_lab.walk(c.m, u, c.m.v1, c.stop) == []
+    monkeypatch.setattr(walk_lab, "MAX_STEPS", 10)
+    assert walk_lab.walk(c.m, u, c.m.v0, c.stop) == []
     assert u.taken == 0
 
 
@@ -686,14 +697,15 @@ def test_walks_do_not_depend_on_block(walk_cases, monkeypatch, block):
                                                         0.25, 0.75, 5, 1)[0])
 
 
-def test_walk_draw_rounding_up_picks_last_dart():
+def test_walk_draw_rounding_up_picks_last_dart(monkeypatch):
     # with subnormal conductances u * c[-1] can round up to c[-1], so the
     # search lands past the last dart
     m = build_map(2, [(0, 1, 5e-324)] * 3, [[0, 2, 4], [5, 3, 1]], marked=(0, 1))
     c = m.step_rows[0][0]
     u = 1.0 - 2.0 ** -53        # the largest value rng.random() returns
     assert u * c[-1] == c[-1]
-    assert walk_lab.walk(m, iter([u]), 0, {1}, 1) == [4]
+    monkeypatch.setattr(walk_lab, "MAX_STEPS", 1)
+    assert walk_lab.walk(m, iter([u]), 0, {1}) == [4]
 
 
 # -- array kernels against the loops they replaced ------------------------------
