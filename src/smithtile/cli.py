@@ -7,10 +7,11 @@ All JSON documents carry schema "smith/1".  Exit codes: 0 success,
 byte-identical across runs given the same inputs, seed, and flags.
 
 Flags are checked before any input is read.  --tol, --tol-algebraic and
-converge's --height take a finite number > 0, --seed an integer in
-[0, 2**64), verify's --sequences an integer >= 1 and --length one >= 2,
-and render's --width one >= 1.  Any other value is a usage error: exit 2
-with one "error:" line.
+converge's --height take a finite number > 0, converge's --band a number
+> 0, mated-crt's --gamma a number in (0, 2) and --n an integer >= 2,
+--seed an integer in [0, 2**64), verify's --sequences an integer >= 1 and
+--length one >= 2, and render's --width one >= 1.  Any other value, nan
+included, is a usage error: exit 2 with one "error:" line.
 """
 
 from __future__ import annotations
@@ -46,16 +47,19 @@ def _int_from(lo, hi=None, span=None):
     return parse
 
 
-def _positive(text):
-    """An argparse type: a finite number > 0."""
-    v = float(text)
-    if not 0 < v < math.inf:
-        raise argparse.ArgumentTypeError(f"need a finite number > 0, got {text}")
-    return v
+def _float_where(ok, span):
+    """An argparse type: a float for which ok holds, with span naming those
+    floats in the error; nan fails every comparison, so ok rejects it."""
+    def parse(text):
+        v = float(text)
+        if not ok(v):
+            raise argparse.ArgumentTypeError(f"need {span}, got {text}")
+        return v
+    parse.__name__ = "float"    # argparse's name for a value float() rejects
+    return parse
 
 
-_positive.__name__ = "float"    # argparse's name for a value float() rejects
-
+_positive = _float_where(lambda v: 0 < v < math.inf, "a finite number > 0")
 SEED = _int_from(0, 2**64, "in [0, 2**64)")     # the 64-bit keys of rng.make_rng
 
 
@@ -253,9 +257,10 @@ def _build_parser():
 
     sp = add("mated-crt", _cmd_mated_crt,
              "Sample a mated-CRT style map and emit it as a map JSON.")
-    sp.add_argument("--gamma", type=float, default=1.0,
-                    help="coupling parameter in (0, 2) (default 1.0)")
-    sp.add_argument("--n", type=int, default=32, help="number of cells")
+    sp.add_argument("--gamma", type=_float_where(lambda v: 0 < v < 2, "a number in (0, 2)"),
+                    default=1.0, help="coupling parameter in (0, 2) (default 1.0)")
+    sp.add_argument("--n", type=_int_from(2), default=32,
+                    help="number of cells, at least 2 (default 32)")
     sp.add_argument("--seed", type=SEED, default=None,
                     help="RNG seed in [0, 2**64) (required unless --increments is given)")
     sp.add_argument("--increments", default=None,
@@ -269,8 +274,8 @@ def _build_parser():
              "Affine-fit error table over a family of lattices, as CSV.")
     sp.add_argument("--n-list", default="8,16,32",
                     help="comma-separated column counts (default 8,16,32)")
-    sp.add_argument("--band", type=float, default=1.0,
-                    help="height band for the sup-error (default 1.0)")
+    sp.add_argument("--band", type=_float_where(lambda v: v > 0, "a number > 0"),
+                    default=1.0, help="height band for the sup-error (default 1.0)")
     sp.add_argument("--height", type=_positive, default=4.0,
                     help="lattice half-height H (default 4.0)")
     sp.add_argument("-o", "--output", default="-")

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .map_core import (CombMap, CylinderEmbedding, check_embedding, mod_array,
-                       wrap_signed_array, TWO_PI)
+from .map_core import (INDEX, CombMap, CylinderEmbedding, check_embedding, check_size,
+                       mod_array, wrap_signed_array, TWO_PI)
 from .electrical import solve_voltage
 from .smith_tiling import SmithEmbedding, smith_embedding, tile
 from .rng import make_rng
@@ -45,16 +45,17 @@ def make_lattice(n: int, H: float) -> tuple:
         raise ValueError("height bound must be positive")
     M, s = lattice_shape(n, H)
     V = n * M + 2
+    check_size(2 * n * (2 * M + 1), V)
     v0, v1 = n * M, n * M + 1
-    g = np.arange(n * M)                    # grid vertex ids
+    g = np.arange(n * M, dtype=INDEX)       # grid vertex ids
     r, j = np.divmod(g, n)
-    col = np.arange(n)
+    col = np.arange(n, dtype=INDEX)
     top = (M - 1) * n + col
     eh = n * M                              # first vertical edge
     eb = eh + n * (M - 1)                   # first bottom apex edge
     et = eb + n                             # first top apex edge
-    tail = np.concatenate([g, g[:-n], np.full(n, v0), top])
-    head = np.concatenate([r * n + (j + 1) % n, g[n:], col, np.full(n, v1)])
+    tail = np.concatenate([g, g[:-n], np.full(n, v0), top], dtype=INDEX)
+    head = np.concatenate([r * n + (j + 1) % n, g[n:], col, np.full(n, v1)], dtype=INDEX)
     dtheta = np.concatenate([np.full(n * M, s), np.zeros(len(tail) - n * M)])
 
     # grid rotation: east, north, west, south
@@ -62,7 +63,7 @@ def make_lattice(n: int, H: float) -> tuple:
     north = np.where(r < M - 1, 2 * (eh + g), 2 * (et + j))
     west = 2 * (r * n + (j - 1) % n) + 1
     south = np.where(r > 0, 2 * (eh + g - n) + 1, 2 * (eb + j) + 1)
-    nxt = np.empty(2 * len(tail), dtype=np.int64)
+    nxt = np.empty(2 * len(tail), dtype=INDEX)
     nxt[east], nxt[north], nxt[west], nxt[south] = north, west, south, east
     # apex rotations: CCW seen from outside the sphere reverses theta at the
     # bottom pole

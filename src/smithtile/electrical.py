@@ -57,12 +57,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .map_core import (CombMap, DualMap, MapError, bfs_tree, components,
+from .map_core import (INDEX, CombMap, DualMap, MapError, bfs_tree, components,
                        marked_cut_path, mod_array)
 
 LU_LIMIT = 500
@@ -89,6 +90,15 @@ class Voltage:
         return self.map.conductance[h >> 1] * (
             self.values[self.map.dart_head[h]] - self.values[self.map.dart_tail[h]])
 
+    @cached_property
+    def flows(self) -> np.ndarray:
+        """``dart_flow`` of every dart, in dart order: read-only, taken once
+        for the conjugate and the diagram, which both read it."""
+        m = self.map
+        f = np.repeat(m.conductance, 2) * (self.values[m.dart_head] - self.values[m.dart_tail])
+        f.flags.writeable = False
+        return f
+
 
 def dirichlet_system(m: CombMap) -> tuple:
     """(interior, A, b, diag): the reduced Laplacian on the unmarked
@@ -99,8 +109,8 @@ def dirichlet_system(m: CombMap) -> tuple:
     same sequence."""
     interior = np.flatnonzero(~m.marked)
     n = len(interior)
-    idx = np.full(m.num_vertices, -1, dtype=np.int64)
-    idx[interior] = np.arange(n)
+    idx = np.full(m.num_vertices, -1, dtype=INDEX)
+    idx[interior] = np.arange(n, dtype=INDEX)
     k = np.flatnonzero(m.edge_tail != m.edge_head)
     a = np.stack([m.edge_tail[k], m.edge_head[k]], axis=1).ravel()
     bb = np.stack([m.edge_head[k], m.edge_tail[k]], axis=1).ravel()
@@ -248,19 +258,18 @@ def conjugate(dmap: DualMap, v: Voltage, tol: float = 1e-9) -> Conjugate:
     eta = v.eta
 
     cut = marked_cut_path(m)
-    sgn = np.zeros(dm.num_darts, dtype=np.int64)
+    sgn = np.zeros(dm.num_darts, dtype=np.int8)
     sgn[cut] = -1       # dual dart h crosses the upward path right-to-left
     sgn[cut ^ 1] = 1
     # discrete Cauchy-Riemann with the orientation-preserving sign: w grows
     # in the crossing direction that keeps the flow on the left, so on a
     # lattice w increases with the a priori angle
-    inc = -v.dart_flow(np.arange(dm.num_darts))
+    inc = -v.flows
     # one increment carries cancellation noise ~ eps * conductance * |v|: on
     # an input map with large conductances that noise grows far above any
     # fixed tolerance while staying far below genuine defects
     vs = float(max(1.0, np.abs(v.values).max()))
-    errinc = np.finfo(np.float64).eps * vs \
-        * m.conductance[np.arange(dm.num_darts) >> 1]
+    errinc = np.finfo(np.float64).eps * vs * np.repeat(m.conductance, 2)
 
     tree_dart, fronts = bfs_tree(dm, dmap.base)
     if sum(map(len, fronts)) < F:
@@ -268,9 +277,10 @@ def conjugate(dmap: DualMap, v: Voltage, tol: float = 1e-9) -> Conjugate:
     w = np.zeros(F)
     werr = np.zeros(F)
     cross = np.zeros(F, dtype=np.int64)
+    parent = dm.dart_tail[tree_dart].astype(np.intp)    # a loop index: see map_core
     for g in fronts[1:]:
         h = tree_dart[g]
-        f = dm.dart_tail[h]
+        f = parent[g]
         w[g] = w[f] + inc[h]
         werr[g] = werr[f] + errinc[h]
         cross[g] = cross[f] + sgn[h]

@@ -60,7 +60,8 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .map_core import CombMap, CylinderEmbedding, check_embedding, next_dart_from
+from .map_core import (INDEX, INDEX_LIMIT, CombMap, CylinderEmbedding, check_embedding,
+                       next_dart_from)
 
 SCHEMA = "smith/1"
 
@@ -147,8 +148,8 @@ class Rotation:
     1]]``, keyed by ``str(v)``."""
 
     def __init__(self, ptr, dart):
-        self.ptr = np.asarray(ptr, dtype=np.int64)
-        self.dart = np.asarray(dart, dtype=np.int64)
+        self.ptr = np.asarray(ptr, dtype=INDEX)
+        self.dart = np.asarray(dart, dtype=INDEX)
 
 
 def _table_text(tables) -> dict:
@@ -285,11 +286,12 @@ def _nullable(col) -> tuple:
 
 
 def _below(col, hi) -> np.ndarray:
-    """col as int64, -1 at each entry that is not an integer in [0, hi)."""
+    """col as INDEX, -1 at each entry that is not an integer in [0, hi);
+    no map has INDEX_LIMIT vertices or darts, so no id reaches it."""
     ok = _typed(col, _int_type)
     v = np.array(col if ok.all() else list(compress(col, ok)))  # float64 or object beyond int64
-    inside = (v >= 0) & (v < hi)
-    out = np.full(len(col), -1, dtype=np.int64)
+    inside = (v >= 0) & (v < min(hi, INDEX_LIMIT))
+    out = np.full(len(col), -1, dtype=INDEX)
     out[np.flatnonzero(ok)[inside]] = v[inside]
     return out
 
@@ -383,7 +385,7 @@ def _vertex_key(key):
 
 
 def _vertex_ids(keys, V) -> np.ndarray:
-    """The vertex each rotation key names as int64, -1 where the key is not
+    """The vertex each rotation key names as INDEX, -1 where the key is not
     str(v) for a vertex v.  The keys are read as integers in one pass and
     written back in another; only a batch in which some key does not come
     back the same is read key by key."""
@@ -486,19 +488,19 @@ def map_from_json(obj) -> tuple:
     ids = _vertex_ids(keys, V)
     cycles = list(map(rot_json.__getitem__, keys))
     is_list = _typed(cycles, lambda t: issubclass(t, list))
-    lens = np.zeros(len(keys), dtype=np.int64)
+    lens = np.zeros(len(keys), dtype=INDEX)
     lens[is_list] = list(map(len, compress(cycles, is_list)))
     used = (ids >= 0) & (lens > 0)
     lens = lens[used]
     darts = list(chain.from_iterable(compress(cycles, used)))
-    owner = np.repeat(np.flatnonzero(used), lens)
+    owner = np.repeat(np.flatnonzero(used).astype(INDEX), lens)
     flat = _below(darts, 2 * len(edges_json))
     valid = flat >= 0
     _, first = np.unique(flat[valid], return_index=True)
     again = valid.copy()
     again[np.flatnonzero(valid)[first]] = False
     # the vertex each dart starts at, -1 where its edge's end is not known
-    dart_tail = np.full((len(edges_json), 2), -1)
+    dart_tail = np.full((len(edges_json), 2), -1, dtype=INDEX)
     dart_tail[et.rows] = np.stack(ends, axis=1)
     at = dart_tail.ravel()[flat[valid]]
     astray = valid.copy()

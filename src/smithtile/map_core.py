@@ -18,6 +18,17 @@ whole permutation at once (``_cycles``).  ``vertex_darts`` and ``face_darts``
 are the same cycles as lists of arrays, built on first use.  A map marked
 anew (``with_marks``) shares all of these with the map it marks.
 
+Every index array of a map (vertex, edge, dart and face ids, and the CSR
+offsets) is int32, and so is every array the builders assemble them from:
+a map has fewer than 2^31 darts and vertices, else MapError, so each id and
+each offset fits.  A product or sum of index values that can pass 2^31,
+such as a row id times a column count in a sparse key, is formed in int64.
+numpy gathers through intp (int64) indices on a fast path that int32 ones
+miss, so an array that a loop indexes with round after round (the pointers
+of ``_cycles`` and ``components``, the face orbits of ``_face_mean_lifts``,
+the slots of ``_dual_map``) is a transient intp array; what a map keeps
+stays int32.
+
 The dual takes its cycles from the primal's, with no pointer doubling and no
 topology check, since the dual of a connected sphere map is one too: its
 vertices are the primal faces and its faces the primal vertices (Brooks,
@@ -80,6 +91,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 
 TWO_PI = 2.0 * math.pi
+# dtype of every index array of a map, and the bound its counts stay below
+INDEX = np.int32
+INDEX_LIMIT = 2**31
 
 
 class MapError(ValueError):
@@ -123,6 +137,38 @@ def segment_sums(values, ptr) -> np.ndarray:
     return out
 
 
+def check_size(num_darts: int, num_vertices: int) -> None:
+    """MapError unless a map of this many darts and vertices fits INDEX."""
+    if num_darts >= INDEX_LIMIT or num_vertices >= INDEX_LIMIT:
+        raise MapError(f"map too large: {num_darts} darts and {num_vertices} "
+                       "vertices, need fewer than 2**31 of each")
+
+
+def _indices(a, error) -> np.ndarray:
+    """a as an INDEX array, a itself if it is one; MapError(error) if a
+    value does not fit."""
+    a = np.asarray(a)
+    if a.dtype == INDEX:
+        return a
+    out = a.astype(INDEX)
+    if not np.array_equal(out, a):
+        raise MapError(error)
+    return out
+
+
+def _offsets(counts) -> np.ndarray:
+    """The INDEX offsets 0, c0, c0 + c1, ... of consecutive runs of the
+    given lengths."""
+    ptr = np.zeros(len(counts) + 1, dtype=INDEX)
+    np.cumsum(counts, out=ptr[1:])
+    return ptr
+
+
+def _twins(a) -> np.ndarray:
+    """a[h ^ 1] for every dart h, read pairwise with no index array."""
+    return a.reshape(-1, 2)[:, ::-1].ravel()
+
+
 def _cycles(perm):
     """(root, steps) of each element of a permutation: the smallest element
     of its cycle and the number of steps from it forward to that root.
@@ -130,9 +176,9 @@ def _cycles(perm):
     Pointer doubling: after round k, root[h] is the smallest element among
     the 2^k starting at h.  A round that changes nothing means every window
     already holds its cycle's minimum."""
-    root = np.arange(len(perm))
-    steps = np.zeros(len(perm), dtype=np.int64)
-    jump, stride = perm, 1
+    root = np.arange(len(perm), dtype=INDEX)
+    steps = np.zeros(len(perm), dtype=INDEX)
+    jump, stride = perm.astype(np.intp), 1
     while True:
         ahead = root[jump]
         better = ahead < root
@@ -151,6 +197,7 @@ def components(num_vertices, tail, head) -> np.ndarray:
     shares an edge with, then every vertex jumps to its root; each component
     ends as one star whose root is its smallest vertex."""
     root = np.arange(num_vertices)
+    tail, head = tail.astype(np.intp), head.astype(np.intp)
     while True:
         a, b = root[tail], root[head]
         cross = a != b
@@ -179,36 +226,39 @@ class CombMap:
     def __init__(self, num_vertices, edge_tail, edge_head, conductance,
                  next_dart, v0=None, v1=None):
         self.num_vertices = int(num_vertices)
-        self.edge_tail = np.asarray(edge_tail, dtype=np.int64)
-        self.edge_head = np.asarray(edge_head, dtype=np.int64)
+        E = len(edge_tail)
+        check_size(2 * E, self.num_vertices)
+        self.edge_tail = _indices(edge_tail, "edge tail out of range")
+        self.edge_head = _indices(edge_head, "edge head out of range")
         self.conductance = np.asarray(conductance, dtype=np.float64)
-        self.next_dart = np.asarray(next_dart, dtype=np.int64)
+        self.next_dart = _indices(next_dart, "next_dart is not a permutation of the darts")
         self.v0 = None if v0 is None else int(v0)
         self.v1 = None if v1 is None else int(v1)
 
-        E = len(self.edge_tail)
         self.num_edges = E
         self.num_darts = 2 * E
         # dart_tail[2k] = edge_tail[k], dart_tail[2k+1] = edge_head[k]
-        self.dart_tail = np.empty(2 * E, dtype=np.int64)
+        self.dart_tail = np.empty(2 * E, dtype=INDEX)
         self.dart_tail[0::2] = self.edge_tail
         self.dart_tail[1::2] = self.edge_head
-        self.dart_head = self.dart_tail[np.arange(2 * E) ^ 1] if E else np.empty(0, dtype=np.int64)
+        self.dart_head = _twins(self.dart_tail)
 
         self._check_structure()
 
         self.prev_dart = np.empty_like(self.next_dart)
-        self.prev_dart[self.next_dart] = np.arange(self.num_darts)
+        self.prev_dart[self.next_dart] = np.arange(self.num_darts, dtype=INDEX)
         self._build_rotations()
         self._build_faces()
 
         self._check_topology()
         self._freeze()
 
-    # the arrays of a map, read-only once it is built
-    ARRAYS = ("edge_tail", "edge_head", "conductance", "next_dart", "prev_dart",
-              "dart_tail", "dart_head", "face_of", "vert_ptr", "vert_dart",
-              "face_ptr", "face_dart")
+    # the index arrays of a map, all INDEX; they and the conductances are
+    # read-only once it is built
+    INDEX_ARRAYS = ("edge_tail", "edge_head", "next_dart", "prev_dart", "dart_tail",
+                    "dart_head", "face_of", "vert_ptr", "vert_dart", "face_ptr",
+                    "face_dart")
+    ARRAYS = ("conductance",) + INDEX_ARRAYS
 
     def _freeze(self):
         for name in self.ARRAYS:
@@ -227,7 +277,7 @@ class CombMap:
         m.v0 = m.v1 = None
         m.edge_tail, m.edge_head = dart_tail[0::2], dart_tail[1::2]
         m.conductance, m.next_dart, m.prev_dart = conductance, next_dart, prev_dart
-        m.dart_tail, m.dart_head = dart_tail, dart_tail[np.arange(m.num_darts) ^ 1]
+        m.dart_tail, m.dart_head = dart_tail, _twins(dart_tail)
         m.face_of, m.vert_ptr, m.vert_dart = face_of, vert_ptr, vert_dart
         m.face_ptr, m.face_dart = face_ptr, face_dart
         m._check_conductance()
@@ -277,37 +327,36 @@ class CombMap:
     def _build_rotations(self):
         """Rotation cycle at each vertex, starting from its smallest dart."""
         tail = self.dart_tail
-        deg = np.bincount(tail, minlength=self.num_vertices)
+        darts = np.arange(self.num_darts, dtype=INDEX)
+        deg = np.bincount(tail, minlength=self.num_vertices).astype(INDEX)
         root, steps = _cycles(self.next_dart)
         # the rotation keeps each dart at its tail, so each cycle lies at one
         # vertex; count the cycles (their roots) at each vertex
-        cycles = np.bincount(tail[root == np.arange(self.num_darts)],
-                             minlength=self.num_vertices)
+        cycles = np.bincount(tail[root == darts], minlength=self.num_vertices)
         bad = np.flatnonzero(cycles != 1)
         if len(bad):
             v = int(bad[0])
             if deg[v] == 0:
                 raise MapError(f"vertex {v} has no incident dart")
             raise MapError(f"rotation at vertex {v} is not a single cycle")
-        self.vert_ptr = np.concatenate([[0], np.cumsum(deg)])
-        self.vert_dart = np.empty(self.num_darts, dtype=np.int64)
+        self.vert_ptr = _offsets(deg)
+        self.vert_dart = np.empty(self.num_darts, dtype=INDEX)
         d = deg[tail]
-        self.vert_dart[self.vert_ptr[tail] + (d - steps) % d] = np.arange(self.num_darts)
+        self.vert_dart[self.vert_ptr[tail] + (d - steps) % d] = darts
 
     def _build_faces(self):
         """Orbits of h -> next_dart[twin(h)]; each orbit is the face right of its darts."""
-        n = self.num_darts
-        root, steps = _cycles(self.next_dart[np.arange(n) ^ 1])
-        roots = np.flatnonzero(root == np.arange(n))
-        number = np.empty(n, dtype=np.int64)
-        number[roots] = np.arange(len(roots))
+        darts = np.arange(self.num_darts, dtype=INDEX)
+        root, steps = _cycles(_twins(self.next_dart))
+        roots = root == darts
+        self.num_faces = int(np.count_nonzero(roots))
+        number = np.cumsum(roots, dtype=INDEX) - 1     # the rank of each root
         self.face_of = number[root]
-        self.num_faces = len(roots)
-        size = np.bincount(self.face_of, minlength=self.num_faces)
-        self.face_ptr = np.concatenate([[0], np.cumsum(size)])
-        self.face_dart = np.empty(n, dtype=np.int64)
+        size = np.bincount(self.face_of, minlength=self.num_faces).astype(INDEX)
+        self.face_ptr = _offsets(size)
+        self.face_dart = np.empty(self.num_darts, dtype=INDEX)
         d = size[self.face_of]
-        self.face_dart[self.face_ptr[self.face_of] + (d - steps) % d] = np.arange(n)
+        self.face_dart[self.face_ptr[self.face_of] + (d - steps) % d] = darts
 
     def _check_topology(self):
         if components(self.num_vertices, self.edge_tail, self.edge_head).any():
@@ -344,7 +393,7 @@ class CombMap:
         """Total conductance at each vertex, darts counted individually (a
         self-loop contributes twice), added in dart order: the walk's
         stationary weight.  Read-only, summed once per map."""
-        w = np.bincount(self.dart_tail, weights=self.conductance[np.arange(self.num_darts) >> 1],
+        w = np.bincount(self.dart_tail, weights=np.repeat(self.conductance, 2),
                         minlength=self.num_vertices)
         w.flags.writeable = False
         return w
@@ -385,10 +434,10 @@ def next_dart_from(darts, lens, num_darts) -> np.ndarray:
     fewer than num_darts."""
     if len(darts) != num_darts:
         raise MapError("rotation data does not cover every dart")
-    start = np.cumsum(lens) - lens
-    succ = np.arange(1, len(darts) + 1)
+    start = _offsets(lens)[:-1]
+    succ = np.arange(1, len(darts) + 1, dtype=INDEX)
     succ[(start + lens - 1)[lens > 0]] = start[lens > 0]
-    nxt = np.empty(num_darts, dtype=np.int64)
+    nxt = np.empty(num_darts, dtype=INDEX)
     nxt[darts] = darts[succ]
     return nxt
 
@@ -486,23 +535,24 @@ def _face_mean_lifts(m: CombMap, emb: CylinderEmbedding) -> np.ndarray:
     has no meaning); the lift is anchored so the first finite corner sits at
     its theta in [0, 2*pi)."""
     F = m.num_faces
-    ptr, size = m.face_ptr, np.diff(m.face_ptr)
-    pole = m.marked[m.dart_tail[m.face_dart]]
+    ptr, darts = m.face_ptr.astype(np.intp), m.face_dart.astype(np.intp)   # loop indices
+    size = np.diff(ptr)
+    pole = m.marked[m.dart_tail[darts]]
     # each orbit starts at its first dart with a marked tail, else its first dart
     at = np.flatnonzero(pole)
-    face = m.face_of[m.face_dart[at]]
+    face = m.face_of[darts[at]]
     first = np.diff(face, prepend=-1) != 0
-    start = np.zeros(F, dtype=np.int64)
+    start = np.zeros(F, dtype=np.intp)
     start[face[first]] = at[first] - ptr[face[first]]
     dd = emb.dart_dtheta(np.arange(m.num_darts))
     x = np.zeros(F)
     shift = np.zeros(F)
     seen = np.zeros(F, dtype=bool)
     lift = np.empty(m.num_darts)           # x at each dart of the orbit walk
-    walk = np.empty(m.num_darts, dtype=np.int64)   # the orbits from their starts
+    walk = np.empty(m.num_darts, dtype=np.intp)    # the orbits from their starts
     for j, f in by_position(size):
         slot = ptr[f] + (start[f] + j) % size[f]
-        h = m.face_dart[slot]
+        h = darts[slot]
         walk[ptr[f] + j] = h
         lift[h] = x[f]
         new = ~seen[f] & ~pole[slot]
@@ -522,8 +572,9 @@ def _dual_map(m: CombMap) -> CombMap:
     rotation at head(h) read backward; the dual face of h is numbered by
     the rank of that rotation's smallest twin."""
     n = m.num_darts
-    # slot i > 0 of a face, read backward, is slot d - i: an involution
-    ptr = m.face_ptr
+    # slot i > 0 of a face, read backward, is slot d - i: an involution; the
+    # slots index, so they are intp (module docstring)
+    ptr = m.face_ptr.astype(np.intp)
     back = np.repeat(ptr[:-1] + ptr[1:], np.diff(ptr)) - np.arange(n)
     back[ptr[:-1]] = ptr[:-1]
     vert_dart = m.face_dart[back]
@@ -532,17 +583,17 @@ def _dual_map(m: CombMap) -> CombMap:
     # slot of its least twin, wrapping round at the rotation's first slot
     twin = m.vert_dart ^ 1
     least = np.minimum.reduceat(twin, m.vert_ptr[:-1])
-    slot = np.empty(n, dtype=np.int64)
+    slot = np.empty(n, dtype=np.intp)
     slot[m.vert_dart] = np.arange(n)
     order = np.argsort(least)
-    number = np.empty(m.num_vertices, dtype=np.int64)
+    number = np.empty(m.num_vertices, dtype=INDEX)
     number[order] = np.arange(m.num_vertices)
     size = np.diff(m.vert_ptr)[order]
-    face_ptr = np.concatenate([[0], np.cumsum(size)])
+    face_ptr = _offsets(size)
     src = np.repeat(slot[least[order] ^ 1] + face_ptr[:-1], size) - np.arange(n)
     src += np.repeat(size, size) * (src < np.repeat(m.vert_ptr[order], size))
     return CombMap._from_cycles(
-        m.num_faces, 1.0 / m.conductance, m.prev_dart ^ 1, m.next_dart[np.arange(n) ^ 1],
+        m.num_faces, 1.0 / m.conductance, m.prev_dart ^ 1, _twins(m.next_dart),
         m.face_of, number[m.dart_head], m.face_ptr, vert_dart, face_ptr, twin[src])
 
 
@@ -582,7 +633,7 @@ def bfs_tree(m: CombMap, root: int) -> tuple:
     V, ptr, darts = m.num_vertices, m.vert_ptr, m.vert_dart
     # slot i of the rotations runs from tail[i] to head[i]
     head = m.dart_head[darts]
-    tail = np.repeat(np.arange(V), np.diff(ptr))
+    tail = np.repeat(np.arange(V, dtype=INDEX), np.diff(ptr))
     graph = csr_matrix((np.ones(len(head)), head, ptr), shape=(V, V))
     order, pred = breadth_first_order(graph, root, directed=True, return_predecessors=True)
     # the slots from a vertex's parent to it, the first in rotation order
@@ -651,13 +702,14 @@ def insert_vertices(m: CombMap, emb: CylinderEmbedding | None, points):
     # edge k becomes cnt[k] + 1 sub-edges, numbered from start[k] on; the
     # inserted vertex at the head of every sub-edge g but the last of its
     # edge is V + g - origin[g], point g - origin[g] in (edge, fraction) order
-    cnt = np.bincount(e, minlength=E)
-    start = np.cumsum(cnt + 1) - (cnt + 1)
-    origin = np.repeat(np.arange(E), cnt + 1)
-    g = np.arange(E + n)
+    check_size(2 * (E + n), V + n)
+    cnt = np.bincount(e, minlength=E).astype(INDEX)
+    start = _offsets(cnt + 1)[:-1]
+    origin = np.repeat(np.arange(E, dtype=INDEX), cnt + 1)
+    g = np.arange(E + n, dtype=INDEX)
     pos = g - start[origin]
     first, last = pos == 0, pos == cnt[origin]
-    inner = V + g - origin
+    inner = V + (g - origin)
     tails = np.where(first, m.edge_tail[origin], inner - 1)
     heads = np.where(last, m.edge_head[origin], inner)
     lo, hi = np.zeros(E + n), np.ones(E + n)
@@ -668,10 +720,10 @@ def insert_vertices(m: CombMap, emb: CylinderEmbedding | None, points):
     # original darts keep their rotation slots, dart 2k now the first
     # sub-edge's and 2k + 1 the last's; each inserted vertex holds the
     # 2-cycle of its darts back and forward along the chain
-    lead = np.empty(2 * E, dtype=np.int64)
+    lead = np.empty(2 * E, dtype=INDEX)
     lead[0::2] = 2 * start
     lead[1::2] = 2 * (start + cnt) + 1
-    nxt = np.empty(2 * (E + n), dtype=np.int64)
+    nxt = np.empty(2 * (E + n), dtype=INDEX)
     nxt[lead] = lead[m.next_dart]
     fwd = 2 * g[~first]
     nxt[fwd] = fwd - 1

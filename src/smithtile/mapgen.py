@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .map_core import (CombMap, CylinderEmbedding, TWO_PI, check_embedding,
+from .map_core import (INDEX, CombMap, CylinderEmbedding, TWO_PI, check_embedding,
                        insert_vertices, mod_array, next_dart_from)
 from .convergence import make_lattice
 from .rng import make_rng
@@ -72,13 +72,13 @@ def _add_diagonal(m: CombMap, emb: CylinderEmbedding, rng):
 
     E = m.num_edges
     p, q = 2 * E, 2 * E + 1
-    nxt = np.concatenate([m.next_dart, [0, 0]])
+    nxt = np.concatenate([m.next_dart, [0, 0]], dtype=INDEX)
     nxt[int(orbit[i1 - 1]) ^ 1] = p
     nxt[p] = int(orbit[i1])
     nxt[int(orbit[i2 - 1]) ^ 1] = q
     nxt[q] = int(orbit[i2])
-    tails = np.concatenate([m.edge_tail, [u]])
-    heads = np.concatenate([m.edge_head, [x]])
+    tails = np.concatenate([m.edge_tail, [u]], dtype=INDEX)
+    heads = np.concatenate([m.edge_head, [x]], dtype=INDEX)
     cond = np.concatenate([m.conductance, [10.0 ** rng.uniform(-1.0, 1.0)]])
     m2 = CombMap(m.num_vertices, tails, heads, cond, nxt, v0=m.v0, v1=m.v1)
     # the new edge is homotopic to the orbit segment it cuts off

@@ -30,13 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .map_core import CombMap, MapError, next_dart_from
+from .map_core import INDEX, CombMap, MapError, check_size, next_dart_from
 from .rng import make_rng
 
 LINE, LOWER, UPPER = 0, 1, 2
 # Place in the counterclockwise rotation of a dart, by [kind, dart & 1]:
 # line-right, upper-right, upper-left, line-left, lower-left, lower-right.
-_ROTATION_GROUP = np.array([[0, 3], [5, 4], [1, 2]])
+_ROTATION_GROUP = np.array([[0, 3], [5, 4], [1, 2]], dtype=np.int8)
 # Most normals drawn at once by the sampler: 64 attempts (about 1 MB) at n = 1024.
 BLOCK_NORMALS = 1 << 17
 # Most attempts the sampler makes before it raises SampleError.
@@ -268,6 +268,36 @@ class MatedCrtMap:
         return self.exc.n
 
 
+def _arc_edges(exc: Excursion) -> tuple:
+    """(tail, head, kind) of the edges of ``build_map``: the 1-based cells
+    of each kind's ends, cast once to INDEX, then moved to the 0-based
+    vertices in place."""
+    n = exc.n
+    check_size(2 * (n - 1), n)
+    low = _arc_pairs(exc.l)
+    up = _arc_pairs(exc.r)
+    kind = np.repeat(np.array([LINE, LOWER, UPPER], dtype=np.int8),
+                     [n - 1, len(low), len(up)])
+    cells = np.arange(1, n, dtype=INDEX)
+    tail = np.concatenate([cells, low[:, 0], up[:, 0]], dtype=INDEX)
+    head = np.concatenate([cells + 1, low[:, 1], up[:, 1]], dtype=INDEX)
+    tail -= 1
+    head -= 1
+    return tail, head, kind
+
+
+def _arc_rotations(n: int, tail, head, kind) -> np.ndarray:
+    """The next_dart of ``build_map``'s rotations, from one lexsort of the
+    darts by (vertex, group, far endpoint)."""
+    # dart 2k sits at the tail of edge k and points right (tail < head),
+    # dart 2k+1 at its head and points left
+    at = np.stack([tail, head], axis=1).ravel()
+    far = np.stack([head, tail], axis=1).ravel()
+    group = _ROTATION_GROUP[kind].ravel()
+    order = np.lexsort((np.where(np.repeat(kind, 2) == LOWER, -far, far), group, at))
+    return next_dart_from(order.astype(INDEX), np.bincount(at, minlength=n), len(at))
+
+
 def build_map(exc: Excursion) -> MatedCrtMap:
     """Assemble the arc-diagram planar map of an excursion.
 
@@ -284,21 +314,8 @@ def build_map(exc: Excursion) -> MatedCrtMap:
     """
     exc.check()
     n = exc.n
-    low = _arc_pairs(exc.l) - 1
-    up = _arc_pairs(exc.r) - 1
-    line = np.arange(n - 1)
-    tail = np.concatenate([line, low[:, 0], up[:, 0]])
-    head = np.concatenate([line + 1, low[:, 1], up[:, 1]])
-    kind = np.repeat(np.array([LINE, LOWER, UPPER], dtype=np.int8),
-                     [n - 1, len(low), len(up)])
-    # dart 2k sits at the tail of edge k and points right (tail < head),
-    # dart 2k+1 at its head and points left
-    at = np.stack([tail, head], axis=1).ravel()
-    far = np.stack([head, tail], axis=1).ravel()
-    dkind = np.repeat(kind, 2)
-    group = _ROTATION_GROUP[dkind, np.arange(len(at)) & 1]
-    order = np.lexsort((np.where(dkind == LOWER, -far, far), group, at))
-    nxt = next_dart_from(order, np.bincount(at, minlength=n), len(at))
+    tail, head, kind = _arc_edges(exc)
+    nxt = _arc_rotations(n, tail, head, kind)
     try:
         m = CombMap(n, tail, head, np.ones(len(tail)), nxt)
     except MapError as err:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .map_core import (CombMap, CylinderEmbedding, DualMap, by_position, dual,
+from .map_core import (INDEX, CombMap, CylinderEmbedding, DualMap, by_position, dual,
                        mod_array)
 from .electrical import Conjugate, Voltage, conjugate, flow_floor, harmonic_darts
 
@@ -110,7 +110,7 @@ def build_diagram(m: CombMap, dmap: DualMap, v: Voltage, c: Conjugate,
     # the face left of the upward dart carries the smaller w
     x0 = mod_array(c.w_lift[m.face_of[harm ^ 1]], eta)
 
-    flows = v.dart_flow(np.arange(m.num_darts))
+    flows = v.flows
     scale = max(1.0, eta)
     # the voltage solve's flow floor: the clusters below it arrive snapped,
     # and it still classes weak flows the snap left or never saw (those
@@ -128,7 +128,9 @@ def build_diagram(m: CombMap, dmap: DualMap, v: Voltage, c: Conjugate,
     V = m.num_vertices
     ptr, darts = m.vert_ptr, m.vert_dart
     deg = np.diff(ptr)
-    owner = np.repeat(np.arange(V), deg)        # vertex of each rotation slot
+    # the vertex of each rotation slot; a value per vertex is spread over
+    # its slots by np.repeat, which reads no index array
+    owner = np.repeat(np.arange(V, dtype=INDEX), deg)
     noise = 8.0 * eps * vs * m.pi_weight
     hseg_start = np.zeros(V)
     hseg_len = np.where(m.marked, eta, 0.0)
@@ -137,25 +139,28 @@ def build_diagram(m: CombMap, dmap: DualMap, v: Voltage, c: Conjugate,
     # classify with a flow tolerance: exact symmetries leave whole clusters
     # at one potential, where rounding noise must not masquerade as current;
     # a one-sided star cannot carry balanced current, so it is noise too
-    cls = np.where(flows > zf, 1, np.where(flows < -zf, -1, 0))
+    cls = (flows > zf).astype(np.int8) - (flows < -zf)
     rot_cls = cls[darts]
     live = ((np.bincount(owner[rot_cls > 0], minlength=V) > 0)
             & (np.bincount(owner[rot_cls < 0], minlength=V) > 0) & ~m.marked)
+    on = np.repeat(live, deg)
     # all incident flows vanish: degenerate point segment
     dead = ~live & ~m.marked
     a = mod_array(c.w_lift[m.face_of[darts[ptr[:-1]]]], eta)
     hseg_start[dead] = a[dead]
-    g = darts[dead[owner]]
+    g = darts[np.repeat(dead, deg)]
     sheet[g] = np.rint((a[m.dart_tail[g]] - x0[g >> 1]) / eta)
 
     # the chain starts where a falling run begins: at the first falling
     # dart whose previous dart of nonzero class is rising (a zero-class
     # dart inside a falling run does not end the run); one exists, as
     # the vertex has darts of both classes
-    last = np.maximum.accumulate(np.where(rot_cls != 0, np.arange(m.num_darts), -1))
-    prev = np.concatenate([[-1], last[:-1]])
-    prev = np.where(prev < ptr[owner], last[ptr[owner + 1] - 1], prev)   # wrap around
-    cand = np.flatnonzero(live[owner] & (rot_cls < 0) & (rot_cls[prev] > 0))
+    slots = np.arange(m.num_darts, dtype=INDEX)
+    last = np.maximum.accumulate(np.where(rot_cls != 0, slots, -1))
+    prev = np.concatenate([[-1], last[:-1]], dtype=INDEX)
+    prev = np.where(prev < np.repeat(ptr[:-1], deg),     # wrap around
+                    np.repeat(last[ptr[1:] - 1], deg), prev)
+    cand = np.flatnonzero(on & (rot_cls < 0) & (rot_cls[prev] > 0))
     first = cand[np.diff(owner[cand], prepend=-1) != 0]
     lv = owner[first]
     anchor = np.zeros(V)
@@ -166,9 +171,9 @@ def build_diagram(m: CombMap, dmap: DualMap, v: Voltage, c: Conjugate,
     # the chain of vertex x fills slots ptr[x]... in chain order: chain holds
     # the darts and pos the chain position before each; crossing a dart CCW
     # moves from its right face to its left, where w is smaller by the flow
-    chain = np.zeros(m.num_darts, dtype=np.int64)
+    chain = np.zeros(m.num_darts, dtype=INDEX)
     pos = np.zeros(m.num_darts)
-    base, dl, st = ptr[lv], deg[lv], first - ptr[lv]
+    base, dl, st = ptr[lv].astype(np.intp), deg[lv], first - ptr[lv]    # loop indices
     run = np.zeros(len(lv))
     for j, i in by_position(dl):
         g = darts[base[i] + (st[i] + j) % dl[i]]
@@ -178,14 +183,14 @@ def build_diagram(m: CombMap, dmap: DualMap, v: Voltage, c: Conjugate,
     end = np.zeros(V)
     end[lv] = run
 
-    on = live[owner]
     f = flows[chain]
     nxt = pos - f
     rlo = np.where(nxt < pos, nxt, pos)
     k = chain >> 1
-    off = anchor[owner] + rlo - x0[k]
+    off = np.repeat(anchor, deg) + rlo - x0[k]
     s = np.rint(off / eta)
-    allow = tol * scale + noise[owner] + 8.0 * (werr_a[owner] + werr[m.face_of[harm[k] ^ 1]])
+    allow = tol * scale + np.repeat(noise, deg) + 8.0 * (np.repeat(werr_a, deg)
+                                                         + werr[m.face_of[harm[k] ^ 1]])
     misaligned = on & (np.abs(off - s * eta) > allow)
 
     def lowest(x, keep):
@@ -226,7 +231,7 @@ def build_diagram(m: CombMap, dmap: DualMap, v: Voltage, c: Conjugate,
     # tail and head frames through the shared rectangle
     r = np.zeros(V)
     r[lv] = np.rint((anchor[lv] + up_lo[lv] - hseg_start[lv]) / eta)
-    sheet[chain[on]] = (s - r[owner])[on]
+    sheet[chain[on]] = (s - np.repeat(r, deg))[on]
 
     # vertical segments: union of edge voltage intervals on each side of a
     # face, the rectangle east of its left face and west of its right face

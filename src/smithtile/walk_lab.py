@@ -369,7 +369,8 @@ def conditional_hitting(aug: Augmented, heights) -> HittingLaw:
         lv, nxt = levels[i], levels[i + 1]
         deg = ptr[lv + 1] - ptr[lv]
         j = np.repeat(np.arange(len(lv)), deg)
-        g = m.vert_dart[np.arange(len(j)) + np.repeat(ptr[lv] - np.cumsum(deg) + deg, deg)]
+        at = np.arange(len(j)) + np.repeat(ptr[lv] - np.cumsum(deg) + deg, deg)
+        g = m.vert_dart[at].astype(np.intp)     # the steps index below (see map_core)
         slot[nxt] = np.arange(len(nxt))
         jj = slot[m.dart_head[g]]
         slot[nxt] = -1
@@ -433,9 +434,11 @@ def expected_conditional_winding(law: HittingLaw, diagram: SmithDiagram) -> floa
 
 def _csr_sums(rows, cols, vals, shape) -> sp.csr_matrix:
     """Sparse matrix whose entry (r, c) adds the vals given at (r, c) from
-    0.0 in input order, as a loop of ``+=`` would, with sorted columns."""
+    0.0 in input order, as a loop of ``+=`` would, with sorted columns.  The
+    keys r * n + c pass 2^31 on large maps, so they are formed in int64
+    whatever the dtype of the ids."""
     n = shape[1]
-    key, at = np.unique(rows * n + cols, return_inverse=True)
+    key, at = np.unique(rows.astype(np.int64) * n + cols, return_inverse=True)
     ptr = np.searchsorted(key, np.arange(shape[0] + 1) * n)
     return sp.csr_matrix((np.bincount(at, vals), key % n, ptr), shape=shape)
 

@@ -898,6 +898,35 @@ def test_cli_rejects_floats_that_are_not_finite_and_positive(argv, capsys):
         f"smith {argv[0]}: error: argument {flag}: need a finite number > 0, got {value}"]
 
 
+def _usage_errors(argv, capsys):
+    """The "error:" lines of a call that must exit 2 with no traceback."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return [line for line in err.splitlines() if "error:" in line]
+
+
+@pytest.mark.parametrize("value", ["0", "2", "-0.5", "2.5", "nan", "inf"])
+def test_cli_rejects_gamma_outside_open_interval(value, capsys):
+    # checked before the increments file is read
+    assert _usage_errors(["mated-crt", "--gamma", value, "--seed", "1",
+                          "--increments", "/nonexistent/inc.json"], capsys) == [
+        f"smith mated-crt: error: argument --gamma: need a number in (0, 2), got {value}"]
+
+
+@pytest.mark.parametrize("value", ["1", "0", "-3"])
+def test_cli_rejects_fewer_than_two_cells(value, capsys):
+    assert _usage_errors(["mated-crt", "--n", value, "--seed", "1",
+                          "--increments", "/nonexistent/inc.json"], capsys) == [
+        f"smith mated-crt: error: argument --n: need an integer >= 2, got {value}"]
+
+
+@pytest.mark.parametrize("value", ["0", "-0.0", "-1", "nan"])
+def test_cli_rejects_band_not_above_zero(value, capsys):
+    assert _usage_errors(["converge", "--n-list", "8", "--band", value], capsys) == [
+        f"smith converge: error: argument --band: need a number > 0, got {value}"]
+
+
 def test_cli_accepts_the_edge_seeds(tmp_path, capsys):
     out = str(tmp_path / "map.json")
     for seed in ("0", str(2**64 - 1)):

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from smithtile import (CombMap, CylinderEmbedding, MapError, augment_all_levels,
                        check_embedding, dual, insert_vertices, io_json,
                        make_lattice, random_map, solve_voltage)
-from smithtile import map_core, mapgen
+from smithtile import map_core, mapgen, mated_crt
 from smithtile.map_core import (bfs_tree, components, marked_cut_path, mod_array,
                                 wrap_signed_array)
 
@@ -118,6 +118,10 @@ STRUCTURAL_ERRORS = [
     (2, [(0, 1)], [1, 0], "rotation moves a dart to a different vertex"),
     (4, [(0, 1), (2, 3)], [0, 1, 2, 3], "map is not connected"),
     (1, [(0, 0), (0, 0)], [2, 3, 1, 0], "Euler characteristic 0 != 2: not a sphere map"),
+    # ids past int32 must not wrap round into range
+    (2, [(2**32, 1)], [0, 1], "edge tail out of range"),
+    (2, [(0, 2**32 + 1)], [0, 1], "edge head out of range"),
+    (2, [(0, 1)], [0, 2**32 + 1], "next_dart is not a permutation of the darts"),
 ]
 
 
@@ -258,6 +262,57 @@ def test_pi_weight_is_summed_once(random_maps, mated_crt64, crt48_maps, lattice8
 def test_arrays_are_frozen(path_map):
     with pytest.raises(ValueError):
         path_map.conductance[0] = 5.0
+
+
+def _index_arrays_are_int32_and_read_only(m):
+    assert len(CombMap.INDEX_ARRAYS) == 11
+    for name in CombMap.INDEX_ARRAYS:
+        a = getattr(m, name)
+        assert a.dtype == np.int32, name
+        assert not a.flags.writeable, name
+
+
+def test_every_map_builder_makes_int32_index_arrays():
+    m, emb = make_lattice(8, 2.0)
+    maps = [m, m.with_marks(3, 7), dual(m).map, dual(m, emb).map,
+            insert_vertices(m, emb, [(0, 0.5), (3, 0.25), (3, 0.75)])[0],
+            insert_vertices(m, None, [(5, 0.5)])[0],
+            io_json.map_from_json(json.loads(io_json.dump_json(io_json.map_to_json(m, emb))))[0],
+            random_map(3)[0],
+            mated_crt.build_map(mated_crt.sample_excursion(1.8, 64, 1)).map]
+    # the constructor casts int64 arrays and lists of ids
+    maps.append(CombMap(m.num_vertices, m.edge_tail.astype(np.int64),
+                        m.edge_head.tolist(), m.conductance,
+                        m.next_dart.astype(np.int64), v0=m.v0, v1=m.v1))
+    for mm in maps:
+        _index_arrays_are_int32_and_read_only(mm)
+    for name in CombMap.INDEX_ARRAYS:
+        assert np.array_equal(getattr(maps[-1], name), getattr(m, name))
+
+
+def test_maps_past_the_index_limit_are_refused(monkeypatch):
+    # the limit is 2^31, int32's; it is lowered here so that a check that
+    # did not fire would build a small map rather than allocate gigabytes
+    assert map_core.INDEX_LIMIT == 2**31 == np.iinfo(map_core.INDEX).max + 1
+    m, _ = make_lattice(8, 2.0)
+    assert (m.num_darts, m.num_vertices) == (240, 58)
+    args = (m.num_vertices, m.edge_tail, m.edge_head, m.conductance, m.next_dart)
+    exc = mated_crt.sample_excursion(1.8, 64, 1)
+    monkeypatch.setattr(map_core, "INDEX_LIMIT", 241)
+    CombMap(*args)
+    make_lattice(8, 2.0)
+    with pytest.raises(MapError, match="^map too large: 242 darts and 59 vertices, "
+                                      r"need fewer than 2\*\*31 of each$"):
+        insert_vertices(m, None, [(0, 0.5)])
+    monkeypatch.setattr(map_core, "INDEX_LIMIT", 240)
+    for build in (lambda: CombMap(*args), lambda: make_lattice(8, 2.0)):
+        with pytest.raises(MapError, match="^map too large: 240 darts and 58 vertices"):
+            build()
+    monkeypatch.setattr(map_core, "INDEX_LIMIT", 58)
+    with pytest.raises(MapError, match="240 darts and 58 vertices"):
+        CombMap(*args)
+    with pytest.raises(MapError, match="^map too large: 126 darts and 64 vertices"):
+        mated_crt.build_map(exc)
 
 
 # -- angle helpers ----------------------------------------------------------

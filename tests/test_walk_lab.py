@@ -464,6 +464,22 @@ def test_projected_step_law_is_the_dense_solve_bit_for_bit(random_maps, rung_map
         assert np.array_equal(projected_step_law(m2, range(V)).toarray(), want)
 
 
+def test_csr_sums_forms_its_keys_in_int64():
+    # with 2^17 columns the key row * n + col of row 70 000 passes 2^31; in
+    # int32 it would wrap (70 000 * 131 072 + 5 reads 585 105 413)
+    n = 1 << 17
+    rows = np.array([70000, 3, 70000, 46341, 3, 0], dtype=np.int32)
+    cols = np.array([5, n - 1, 5, 0, n - 1, 7], dtype=np.int32)
+    vals = np.array([0.5, 0.25, 0.125, 2.0, 1.0, 4.0])
+    shape = (70001, n)
+    got = walk_lab._csr_sums(rows, cols, vals, shape)
+    want = walk_lab._csr_sums(rows.astype(np.int64), cols.astype(np.int64), vals, shape)
+    for a in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, a), getattr(want, a)), a
+    assert got[70000, 5] == 0.625 and got[3, n - 1] == 1.25 and got[46341, 0] == 2.0
+    assert got.nnz == 4
+
+
 def test_projected_step_law_needs_one_step_absorption(path_map):
     # two points on one edge: the first steps to the second, so the walk from
     # a free vertex is not absorbed at its first step
