@@ -84,16 +84,10 @@ class Voltage:
     eta: float                  # flow strength (out of v0 == into v1)
     eta_mismatch: float
 
-    def dart_flow(self, h):
-        """Signed flow c_e * (h(head) - h(tail)) along dart h."""
-        h = np.asarray(h)
-        return self.map.conductance[h >> 1] * (
-            self.values[self.map.dart_head[h]] - self.values[self.map.dart_tail[h]])
-
     @cached_property
     def flows(self) -> np.ndarray:
-        """``dart_flow`` of every dart, in dart order: read-only, taken once
-        for the conjugate and the diagram, which both read it."""
+        """Signed flow c_e * (h(head) - h(tail)) along every dart, in dart
+        order: read-only, taken once for eta, the conjugate and the diagram."""
         m = self.map
         f = np.repeat(m.conductance, 2) * (self.values[m.dart_head] - self.values[m.dart_tail])
         f.flags.writeable = False
@@ -111,10 +105,8 @@ def dirichlet_system(m: CombMap) -> tuple:
     n = len(interior)
     idx = np.full(m.num_vertices, -1, dtype=INDEX)
     idx[interior] = np.arange(n, dtype=INDEX)
-    k = np.flatnonzero(m.edge_tail != m.edge_head)
-    a = np.stack([m.edge_tail[k], m.edge_head[k]], axis=1).ravel()
-    bb = np.stack([m.edge_head[k], m.edge_tail[k]], axis=1).ravel()
-    c = np.repeat(m.conductance[k], 2)
+    d = np.flatnonzero(m.dart_tail != m.dart_head)     # both darts of each edge
+    a, bb, c = m.dart_tail[d], m.dart_head[d], m.conductance[d >> 1]
     at = idx[a] >= 0
     pair = at & (idx[bb] >= 0)
     top = at & (bb == m.v1)
@@ -171,8 +163,8 @@ def solve_voltage(m: CombMap, tol: float = 1e-10) -> Voltage:
 
     volt = Voltage(m, h, float(res), 0.0, 0.0)
     ptr = m.vert_ptr
-    eta0 = float(np.sum(volt.dart_flow(m.vert_dart[ptr[m.v0]:ptr[m.v0 + 1]])))
-    eta1 = float(-np.sum(volt.dart_flow(m.vert_dart[ptr[m.v1]:ptr[m.v1 + 1]])))
+    eta0 = float(np.sum(volt.flows[m.vert_dart[ptr[m.v0]:ptr[m.v0 + 1]]]))
+    eta1 = float(-np.sum(volt.flows[m.vert_dart[ptr[m.v1]:ptr[m.v1 + 1]]]))
     mism = abs(eta0 - eta1)
     if mism > 1e-10 * max(1.0, abs(eta0)):
         raise SolveError(f"flow strength mismatch {mism}")

@@ -4,9 +4,11 @@ A map is stored as a rotation system: edge k owns darts 2k (tail -> head) and
 2k + 1 (head -> tail), twin(h) = h ^ 1, and ``next_dart[h]`` is the next dart
 counterclockwise around tail(h).  Faces are the orbits of h -> next_dart[h ^ 1];
 the face of an orbit lies to the RIGHT of each of its darts (bounded faces are
-traversed clockwise).  A map drawn on the cylinder carries two marked vertices
-pinned to the two ends at infinity; those vertices have no finite coordinates
-and every edge touching them has horizontal displacement zero.
+traversed clockwise).  Each fact is stored once: ``edge_tail`` and
+``edge_head`` are views of the even and odd entries of ``dart_tail``.  A map
+drawn on the cylinder carries two marked vertices pinned to the two ends at
+infinity; those vertices have no finite coordinates and every edge touching
+them has horizontal displacement zero.
 
 Both cycle systems are stored CSR-style, as one dart array and one offset
 array: the rotation at vertex v is ``vert_dart[vert_ptr[v]:vert_ptr[v + 1]]``
@@ -34,10 +36,11 @@ topology check, since the dual of a connected sphere map is one too: its
 vertices are the primal faces and its faces the primal vertices (Brooks,
 Smith, Stone and Tutte, 1940).  Dual dart h keeps its id and runs from the
 face right of primal dart h to the face left of it, and its next dart is
-prev_dart[h] ^ 1.  So each dual rotation is a primal face read backward
-from its smallest dart, and each dual face is a primal rotation with its
-darts twinned, read backward from its smallest twin.  Only the check that
-every reciprocal conductance is positive and finite runs again.
+next^-1(h) ^ 1, by the inverse of ``next_dart`` that only duals build.  So
+each dual rotation is a primal face read backward from its smallest dart,
+and each dual face is a primal rotation with its darts twinned, read
+backward from its smallest twin.  Only the check that every reciprocal
+conductance is positive and finite runs again.
 
 ``bfs_tree`` is the breadth-first search of a FIFO queue that pops a vertex
 and scans its darts in rotation order, taking each dart to an unseen vertex
@@ -169,6 +172,15 @@ def _twins(a) -> np.ndarray:
     return a.reshape(-1, 2)[:, ::-1].ravel()
 
 
+def _layout(owner, size, steps) -> tuple:
+    """(ptr, darts) of cycles stored CSR-style: dart h, steps[h] steps from
+    its root (``_cycles``), lies that many slots before it in cycle owner[h]."""
+    ptr, d = _offsets(size), size[owner]
+    darts = np.empty(len(owner), dtype=INDEX)
+    darts[ptr[owner] + (d - steps) % d] = np.arange(len(owner), dtype=INDEX)
+    return ptr, darts
+
+
 def _cycles(perm):
     """(root, steps) of each element of a permutation: the smallest element
     of its cycle and the number of steps from it forward to that root.
@@ -228,8 +240,6 @@ class CombMap:
         self.num_vertices = int(num_vertices)
         E = len(edge_tail)
         check_size(2 * E, self.num_vertices)
-        self.edge_tail = _indices(edge_tail, "edge tail out of range")
-        self.edge_head = _indices(edge_head, "edge head out of range")
         self.conductance = np.asarray(conductance, dtype=np.float64)
         self.next_dart = _indices(next_dart, "next_dart is not a permutation of the darts")
         self.v0 = None if v0 is None else int(v0)
@@ -237,16 +247,15 @@ class CombMap:
 
         self.num_edges = E
         self.num_darts = 2 * E
-        # dart_tail[2k] = edge_tail[k], dart_tail[2k+1] = edge_head[k]
+        # dart_tail[2k] = edge_tail[k], dart_tail[2k+1] = edge_head[k], as views
         self.dart_tail = np.empty(2 * E, dtype=INDEX)
-        self.dart_tail[0::2] = self.edge_tail
-        self.dart_tail[1::2] = self.edge_head
+        self.dart_tail[0::2] = _indices(edge_tail, "edge tail out of range")
+        self.dart_tail[1::2] = _indices(edge_head, "edge head out of range")
+        self.edge_tail, self.edge_head = self.dart_tail[0::2], self.dart_tail[1::2]
         self.dart_head = _twins(self.dart_tail)
 
         self._check_structure()
 
-        self.prev_dart = np.empty_like(self.next_dart)
-        self.prev_dart[self.next_dart] = np.arange(self.num_darts, dtype=INDEX)
         self._build_rotations()
         self._build_faces()
 
@@ -255,9 +264,8 @@ class CombMap:
 
     # the index arrays of a map, all INDEX; they and the conductances are
     # read-only once it is built
-    INDEX_ARRAYS = ("edge_tail", "edge_head", "next_dart", "prev_dart", "dart_tail",
-                    "dart_head", "face_of", "vert_ptr", "vert_dart", "face_ptr",
-                    "face_dart")
+    INDEX_ARRAYS = ("edge_tail", "edge_head", "next_dart", "dart_tail", "dart_head",
+                    "face_of", "vert_ptr", "vert_dart", "face_ptr", "face_dart")
     ARRAYS = ("conductance",) + INDEX_ARRAYS
 
     def _freeze(self):
@@ -265,8 +273,8 @@ class CombMap:
             getattr(self, name).flags.writeable = False
 
     @classmethod
-    def _from_cycles(cls, num_vertices, conductance, next_dart, prev_dart,
-                     dart_tail, face_of, vert_ptr, vert_dart, face_ptr, face_dart):
+    def _from_cycles(cls, num_vertices, conductance, next_dart, dart_tail, face_of,
+                     vert_ptr, vert_dart, face_ptr, face_dart):
         """An unmarked map from cycle systems already known to be those of a
         sphere map (see ``dual``): no checks and no cycle search."""
         m = cls.__new__(cls)
@@ -276,7 +284,7 @@ class CombMap:
         m.num_faces = len(face_ptr) - 1
         m.v0 = m.v1 = None
         m.edge_tail, m.edge_head = dart_tail[0::2], dart_tail[1::2]
-        m.conductance, m.next_dart, m.prev_dart = conductance, next_dart, prev_dart
+        m.conductance, m.next_dart = conductance, next_dart
         m.dart_tail, m.dart_head = dart_tail, _twins(dart_tail)
         m.face_of, m.vert_ptr, m.vert_dart = face_of, vert_ptr, vert_dart
         m.face_ptr, m.face_dart = face_ptr, face_dart
@@ -327,36 +335,28 @@ class CombMap:
     def _build_rotations(self):
         """Rotation cycle at each vertex, starting from its smallest dart."""
         tail = self.dart_tail
-        darts = np.arange(self.num_darts, dtype=INDEX)
         deg = np.bincount(tail, minlength=self.num_vertices).astype(INDEX)
         root, steps = _cycles(self.next_dart)
         # the rotation keeps each dart at its tail, so each cycle lies at one
         # vertex; count the cycles (their roots) at each vertex
-        cycles = np.bincount(tail[root == darts], minlength=self.num_vertices)
+        cycles = np.bincount(tail[root == np.arange(len(tail), dtype=INDEX)], minlength=len(deg))
         bad = np.flatnonzero(cycles != 1)
         if len(bad):
             v = int(bad[0])
             if deg[v] == 0:
                 raise MapError(f"vertex {v} has no incident dart")
             raise MapError(f"rotation at vertex {v} is not a single cycle")
-        self.vert_ptr = _offsets(deg)
-        self.vert_dart = np.empty(self.num_darts, dtype=INDEX)
-        d = deg[tail]
-        self.vert_dart[self.vert_ptr[tail] + (d - steps) % d] = darts
+        self.vert_ptr, self.vert_dart = _layout(tail, deg, steps)
 
     def _build_faces(self):
         """Orbits of h -> next_dart[twin(h)]; each orbit is the face right of its darts."""
-        darts = np.arange(self.num_darts, dtype=INDEX)
         root, steps = _cycles(_twins(self.next_dart))
-        roots = root == darts
+        roots = root == np.arange(self.num_darts, dtype=INDEX)
         self.num_faces = int(np.count_nonzero(roots))
         number = np.cumsum(roots, dtype=INDEX) - 1     # the rank of each root
         self.face_of = number[root]
         size = np.bincount(self.face_of, minlength=self.num_faces).astype(INDEX)
-        self.face_ptr = _offsets(size)
-        self.face_dart = np.empty(self.num_darts, dtype=INDEX)
-        d = size[self.face_of]
-        self.face_dart[self.face_ptr[self.face_of] + (d - steps) % d] = darts
+        self.face_ptr, self.face_dart = _layout(self.face_of, size, steps)
 
     def _check_topology(self):
         if components(self.num_vertices, self.edge_tail, self.edge_head).any():
@@ -567,11 +567,13 @@ def _face_mean_lifts(m: CombMap, emb: CylinderEmbedding) -> np.ndarray:
 def _dual_map(m: CombMap) -> CombMap:
     """The dual's CombMap, read off the primal's cycles (module docstring).
 
-    The dual's next dart prev_dart[h] ^ 1 inverts the face permutation, and
-    the dual face of h, the orbit of h -> prev_dart[h ^ 1] ^ 1, twins the
-    rotation at head(h) read backward; the dual face of h is numbered by
-    the rank of that rotation's smallest twin."""
+    The dual's next dart next^-1(h) ^ 1, scattered here, inverts the face
+    permutation, and the dual face of h, the orbit of h -> next^-1(h ^ 1) ^ 1,
+    twins the rotation at head(h) read backward; the dual face of h is
+    numbered by the rank of that rotation's smallest twin."""
     n = m.num_darts
+    nxt = np.empty(n, dtype=INDEX)
+    nxt[m.next_dart] = np.arange(n, dtype=INDEX) ^ 1
     # slot i > 0 of a face, read backward, is slot d - i: an involution; the
     # slots index, so they are intp (module docstring)
     ptr = m.face_ptr.astype(np.intp)
@@ -593,8 +595,8 @@ def _dual_map(m: CombMap) -> CombMap:
     src = np.repeat(slot[least[order] ^ 1] + face_ptr[:-1], size) - np.arange(n)
     src += np.repeat(size, size) * (src < np.repeat(m.vert_ptr[order], size))
     return CombMap._from_cycles(
-        m.num_faces, 1.0 / m.conductance, m.prev_dart ^ 1, _twins(m.next_dart),
-        m.face_of, number[m.dart_head], m.face_ptr, vert_dart, face_ptr, twin[src])
+        m.num_faces, 1.0 / m.conductance, nxt, m.face_of, number[m.dart_head],
+        m.face_ptr, vert_dart, face_ptr, twin[src])
 
 
 def dual(m: CombMap, emb: CylinderEmbedding | None = None) -> DualMap:

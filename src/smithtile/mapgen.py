@@ -7,7 +7,7 @@ consistent throughout.
 
 Each edit works on the current map's face and rotation arrays and builds
 one ``CombMap``.  The draws come in a fixed order, so a map's bytes depend
-only on the seed and the shape arguments; a test pins those bytes.
+only on the seed and the shape constants; a test pins those bytes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,10 @@ from .map_core import (INDEX, CombMap, CylinderEmbedding, TWO_PI, check_embeddin
 from .convergence import make_lattice
 from .rng import make_rng
 
-# Largest jitter of a coordinate, as a fraction of the column spacing 2 pi / n.
+# Every map's lattice columns and half-height, then its splits, diagonals and deletions.
+N, H = 7, 2.5
+SPLITS, DIAGONALS, DELETIONS = 4, 3, 2
+# Largest jitter of a coordinate, as a fraction of the column spacing 2 pi / N.
 JITTER = 0.12
 
 
@@ -101,26 +104,23 @@ def _delete_edge(m: CombMap, emb: CylinderEmbedding, rng):
     return m2, CylinderEmbedding(emb.theta, emb.height, np.delete(emb.dtheta, k))
 
 
-def random_map(seed: int, n: int = 7, H: float = 2.5, splits: int = 4,
-               diagonals: int = 3, deletions: int = 2):
-    """Random connected doubly marked weighted cylinder map with a consistent
-    a priori embedding.  Deterministic in the seed."""
+def random_map(seed: int):
+    """Random connected doubly marked weighted cylinder map of the module's
+    shape with a consistent a priori embedding.  Deterministic in the seed."""
     rng = make_rng(seed)
-    m, emb = make_lattice(n, H)
-    emb = _jitter(m, emb, rng, JITTER * TWO_PI / n)
+    m, emb = make_lattice(N, H)
+    emb = _jitter(m, emb, rng, JITTER * TWO_PI / N)
     m = CombMap(m.num_vertices, m.edge_tail, m.edge_head,
                 10.0 ** rng.uniform(-1.0, 1.0, m.num_edges), m.next_dart,
                 v0=m.v0, v1=m.v1)
 
-    if splits > 0:
-        picks = np.sort(rng.choice(m.num_edges, size=min(splits, m.num_edges),
-                                   replace=False))
-        points = np.column_stack([picks, rng.uniform(0.25, 0.75, len(picks))])
-        m, emb, _ = insert_vertices(m, emb, points)
+    picks = np.sort(rng.choice(m.num_edges, size=SPLITS, replace=False))
+    points = np.column_stack([picks, rng.uniform(0.25, 0.75, len(picks))])
+    m, emb, _ = insert_vertices(m, emb, points)
 
-    for _ in range(diagonals):
+    for _ in range(DIAGONALS):
         m, emb = _add_diagonal(m, emb, rng)
-    for _ in range(deletions):
+    for _ in range(DELETIONS):
         m, emb = _delete_edge(m, emb, rng)
 
     check_embedding(m, emb)

@@ -71,6 +71,8 @@ def excursion_from_increments(dl, dr) -> Excursion:
     dr = np.asarray(dr, dtype=np.float64)
     if dl.shape != dr.shape or dl.ndim != 1 or len(dl) < 2:
         raise ValueError("increment arrays must be equal-length 1-d, n >= 2")
+    if not (np.all(np.isfinite(dl)) and np.all(np.isfinite(dr))):
+        raise ValueError("increments must be finite")
     lv = np.concatenate([[0.0], np.cumsum(dl)])
     rv = np.concatenate([[0.0], np.cumsum(dr)])
     exc = Excursion(len(dl), dl, dr, lv, rv)

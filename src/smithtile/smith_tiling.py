@@ -97,11 +97,15 @@ def build_diagram(m: CombMap, dmap: DualMap, v: Voltage, c: Conjugate,
     All vertices are handled at once.  Each vertex's segment chain is walked
     dart by dart from its chain start, position by position over the
     vertices sorted by degree (``map_core.by_position``), so the running
-    sums add in the order of a walk around one vertex at a time."""
+    sums add in the order of a walk around one vertex at a time.  A saddle
+    (falls and rises alternating more than once around a vertex; no solved
+    voltage has one) fails "segment union not contiguous modulo eta" only if
+    its chain dips below its start: one starting at its larger fall passes."""
     eta = v.eta
     h = v.values
     harm = harmonic_darts(v)
-    widths = v.dart_flow(harm)
+    flows = v.flows
+    widths = flows[harm]
     if np.any(widths < -tol):
         raise TilingError("negative width on a harmonically oriented edge")
     widths = np.maximum(widths, 0.0)
@@ -110,7 +114,6 @@ def build_diagram(m: CombMap, dmap: DualMap, v: Voltage, c: Conjugate,
     # the face left of the upward dart carries the smaller w
     x0 = mod_array(c.w_lift[m.face_of[harm ^ 1]], eta)
 
-    flows = v.flows
     scale = max(1.0, eta)
     # the voltage solve's flow floor: the clusters below it arrive snapped,
     # and it still classes weak flows the snap left or never saw (those

@@ -288,7 +288,7 @@ def level_measures(m: CombMap, v: Voltage, levels) -> list:
     ptr = np.concatenate([[0], np.cumsum(lengths)])
     # flow sums of every vertex, its darts in rotation order
     V = m.num_vertices
-    fl = v.dart_flow(m.vert_dart)
+    fl = v.flows[m.vert_dart]
     owner = np.repeat(np.arange(V), np.diff(m.vert_ptr))
     neg, pos = fl < 0, fl > 0
     sizes = np.concatenate([np.bincount(owner[neg], minlength=V),

@@ -109,10 +109,6 @@ def random_maps():
 @pytest.fixture(scope="session")
 def small_random_maps():
     """Five maps small enough for the dense exact-law recursions."""
-    out = []
-    for seed in range(5):
-        m, emb = random_map(seed, n=5, H=1.2, splits=2, diagonals=1,
-                            deletions=1)
-        assert m.num_vertices <= 50
-        out.append((m, emb))
+    out = [oracles.small_random_map(seed) for seed in range(5)]
+    assert all(m.num_vertices <= 50 for m, _ in out)
     return out

@@ -6,7 +6,8 @@ noncrossing of the arcs of a mated-CRT map, the winding of a dual cycle by
 its crossings of a cut path, the stdlib JSON encoder, the JSON readers
 checking one record at a time, (below) the loop forms of the steps that
 now run as array code, and the per-step loops of the Monte Carlo walks.
-``build_map`` builds the small maps that the tests write out by hand.
+``build_map`` builds the small maps that the tests write out by hand, and
+``small_random_map`` the random maps of ``SMALL_SHAPE``.
 """
 
 import json
@@ -15,10 +16,11 @@ from collections import deque
 from itertools import chain
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from smithtile import walk_lab
+from smithtile import mapgen, walk_lab
 from smithtile.convergence import AffineFit, lattice_shape
 from smithtile.map_core import (TWO_PI, CombMap, CylinderEmbedding, DualMap,
                                 MapError, next_dart_from)
@@ -31,6 +33,27 @@ from smithtile.smith_tiling import (SmithDiagram, SmithEmbedding, TilingError,
                                     TilingReport, _circle_pieces, reduce_mod)
 from smithtile.walk_lab import (Augmented, LevelMeasure, LevelNotVertexed,
                                _merge_levels, realized_levels)
+
+
+# mapgen's shape constants for maps small enough for the dense exact-law
+# recursions
+SMALL_SHAPE = dict(N=5, H=1.2, SPLITS=2, DIAGONALS=1, DELETIONS=1)
+
+
+def small_random_map(seed: int) -> tuple:
+    """``mapgen.random_map(seed)`` with the shape constants of SMALL_SHAPE."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in SMALL_SHAPE.items():
+            mp.setattr(mapgen, name, value)
+        return mapgen.random_map(seed)
+
+
+def dart_flow(v: Voltage, h) -> np.ndarray:
+    """Signed flow c_e * (h(head) - h(tail)) along darts h, from the
+    voltage's values and the conductances, not from ``Voltage.flows``."""
+    h = np.asarray(h)
+    m = v.map
+    return m.conductance[h >> 1] * (v.values[m.dart_head[h]] - v.values[m.dart_tail[h]])
 
 
 def wrap_angle(x: float) -> float:
@@ -712,16 +735,17 @@ def jacobi_cg_voltage(m: CombMap) -> tuple:
     h[m.v1] = 1.0
     h[interior] = np.clip(x, 0.0, 1.0)
     v = Voltage(m, snap_clusters(m, h), 0.0, 0.0, 0.0)
-    v.eta = float(np.sum(v.dart_flow(m.vertex_darts[m.v0])))
+    v.eta = float(np.sum(dart_flow(v, m.vertex_darts[m.v0])))
     return v, len(iters)
 
 
 def dual_map(m: CombMap) -> CombMap:
     """``map_core.dual``'s map built through ``CombMap``: dual dart h runs
     from the face right of primal dart h to the face left of it, and its
-    next dart is prev_dart[h] ^ 1."""
+    next dart is g ^ 1 for the dart g that next_dart takes to h: the
+    inverse permutation, by sorting."""
     return CombMap(m.num_faces, m.face_of[0::2], m.face_of[1::2], 1.0 / m.conductance,
-                   m.prev_dart ^ 1)
+                   np.argsort(m.next_dart) ^ 1)
 
 
 def build_diagram(m: CombMap, dmap: DualMap, v: Voltage, c: Conjugate,
@@ -731,7 +755,7 @@ def build_diagram(m: CombMap, dmap: DualMap, v: Voltage, c: Conjugate,
     eta = v.eta
     h = v.values
     harm = harmonic_darts(v)
-    widths = v.dart_flow(harm)
+    widths = dart_flow(v, harm)
     if np.any(widths < -tol):
         raise TilingError("negative width on a harmonically oriented edge")
     widths = np.maximum(widths, 0.0)
@@ -740,7 +764,7 @@ def build_diagram(m: CombMap, dmap: DualMap, v: Voltage, c: Conjugate,
     # the face left of the upward dart carries the smaller w
     x0 = np.array([reduce_mod(c.w_lift[m.face_of[harm[k] ^ 1]], eta) for k in range(E)])
 
-    flows = v.dart_flow(np.arange(m.num_darts))
+    flows = dart_flow(v, np.arange(m.num_darts))
     hseg_start = np.zeros(m.num_vertices)
     hseg_len = np.zeros(m.num_vertices)
     sheet = np.zeros(m.num_darts, dtype=np.int64)
@@ -1399,7 +1423,7 @@ def level_measure(m: CombMap, v: Voltage, a: float, tol: float = 1e-12,
         raise ValueError(f"level {a} is not realized by any vertex")
     mass = np.zeros(len(verts))
     for i, x in enumerate(verts):
-        fl = v.dart_flow(m.vertex_darts[x])
+        fl = dart_flow(v, m.vertex_darts[x])
         inflow = -float(fl[fl < 0].sum())
         outflow = float(fl[fl > 0].sum())
         csum = float(np.sum(m.conductance[np.asarray(m.vertex_darts[x]) >> 1]))

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -765,6 +766,19 @@ def test_cli_mated_crt_increments(tmp_path, capsys):
     bad.write_text(json.dumps({"dl": [1.0, -1.0]}))
     assert main(["mated-crt", "--increments", str(bad)]) == 1
     assert "'dl' and 'dr'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_cli_mated_crt_rejects_non_finite_increments(tmp_path, capsys, bad):
+    # json.load takes these non-standard literals, so the excursion refuses them
+    inc = tmp_path / "inc.json"
+    inc.write_text(f'{{"dl": [0.5, {bad}, -0.5], "dr": [0.5, 0.0, -0.5]}}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["mated-crt", "--increments", str(inc), "--mark", "first-last"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err == "error: increments must be finite\n"
 
 
 def test_cli_converge_csv(tmp_path):

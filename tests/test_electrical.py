@@ -68,7 +68,7 @@ def test_parallel3_voltage(parallel3_map):
 def test_rung_carries_no_current(rung_map):
     v = solve_voltage(rung_map)
     assert np.allclose(v.values, [0.0, 0.5, 0.5, 1.0], atol=1e-12)
-    assert v.dart_flow(2 * 4) == pytest.approx(0.0, abs=1e-13)
+    assert v.flows[2 * 4] == pytest.approx(0.0, abs=1e-13)
     assert v.eta == pytest.approx(1.0, abs=1e-12)
 
 
@@ -332,18 +332,27 @@ def test_node_law(random_maps):
         for x in range(m.num_vertices):
             if m.is_marked(x):
                 continue
-            net = float(np.sum(v.dart_flow(m.vertex_darts[x])))
+            net = float(np.sum(v.flows[m.vertex_darts[x]]))
             assert abs(net) <= 1e-10 * pi[x]
 
 
 def test_flow_antisymmetry_and_sign(path_map):
     v = solve_voltage(path_map)
-    assert v.dart_flow(0) == pytest.approx(0.5)       # toward higher voltage
-    assert v.dart_flow(1) == pytest.approx(-0.5)
+    assert v.flows[0] == pytest.approx(0.5)       # toward higher voltage
+    assert v.flows[1] == pytest.approx(-0.5)
     hs = np.arange(path_map.num_darts)
-    assert np.allclose(v.dart_flow(hs), -v.dart_flow(hs ^ 1), atol=0.0)
+    assert np.allclose(v.flows[hs], -v.flows[hs ^ 1], atol=0.0)
     # the strength eta is the flow out of v0
-    assert float(np.sum(v.dart_flow(path_map.vertex_darts[path_map.v0]))) == v.eta
+    assert float(np.sum(v.flows[path_map.vertex_darts[path_map.v0]])) == v.eta
+
+
+def test_flows_match_the_per_dart_formula(random_maps, lattice8_solved):
+    # the one per-dart flow array holds c_e * (h(head) - h(tail)) bit for bit
+    volts = [solve_voltage(m) for m, _ in random_maps[:5]] + [lattice8_solved[2]]
+    for v in volts:
+        assert v.flows.tobytes() == oracles.dart_flow(v, np.arange(v.map.num_darts)).tobytes()
+        assert v.flows is v.flows and not v.flows.flags.writeable
+    assert not hasattr(v, "dart_flow")
 
 
 def test_harmonic_dart_orientations(rung_map):
@@ -353,7 +362,7 @@ def test_harmonic_dart_orientations(rung_map):
     # edge 4 = (1, 2) has equal endpoint voltages: lexicographic tie-break
     assert harmonic_dart(v, 4) == 8
     darts = harmonic_darts(v)
-    assert np.all(v.dart_flow(darts) >= 0.0)
+    assert np.all(v.flows[darts] >= 0.0)
 
 
 def test_harmonic_darts_match_per_edge_rule(rung_map, path_map, random_maps,
@@ -416,7 +425,8 @@ def test_conjugate_increment_is_minus_flow(lattice8_solved):
     c = conjugate(dual(m, emb), v)
     g = np.flatnonzero(c.tree_dart >= 0)
     h = c.tree_dart[g]
-    assert np.array_equal(c.w_lift[g], c.w_lift[c.dual.map.dart_tail[h]] + -v.dart_flow(h))
+    assert np.array_equal(c.w_lift[g],
+                          c.w_lift[c.dual.map.dart_tail[h]] + -oracles.dart_flow(v, h))
 
 
 def test_conjugate_aspect_identity(random_maps):
@@ -425,7 +435,7 @@ def test_conjugate_aspect_identity(random_maps):
         v = solve_voltage(m)
         ks = np.arange(m.num_edges)
         dh = v.values[m.edge_head] - v.values[m.edge_tail]
-        dw = -v.dart_flow(2 * ks)
+        dw = -v.flows[2 * ks]
         assert np.max(np.abs(np.abs(dw) - m.conductance * np.abs(dh))) < 1e-12
 
 
@@ -460,7 +470,7 @@ def test_random_dual_cycles_quantized(random_maps):
             if f != f0:
                 continue
             done += 1
-            total = float(np.sum(-v.dart_flow(np.array(darts))))
+            total = float(np.sum(-v.flows[np.array(darts)]))
             wind = dual_cycle_winding_cut(dmc, darts, cut=cut)
             assert abs(total - v.eta * wind) <= 1e-10 * scale
 
@@ -502,7 +512,7 @@ def reference_conjugate(dmap, v, tol=1e-9):
     tree_dart = np.full(F, -1, dtype=np.int64)
     in_tree = np.zeros(m.num_edges, dtype=bool)
     queue = [base]
-    inc = -v.dart_flow(np.arange(dm.num_darts))
+    inc = -oracles.dart_flow(v, np.arange(dm.num_darts))
     vs = float(max(1.0, np.abs(v.values).max()))
     errinc = np.finfo(np.float64).eps * vs \
         * m.conductance[np.arange(dm.num_darts) >> 1]

@@ -214,6 +214,15 @@ def test_excursion_from_increments_validation():
         excursion_from_increments([-1.0, 1.0], [1.0, -1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_excursion_from_increments_rejects_non_finite(bad):
+    # a nan compares false in every range check, so it must be refused first
+    for dl, dr in (([0.5, bad, -0.5], [0.5, 0.0, -0.5]),
+                   ([0.5, 0.0, -0.5], [0.5, bad, -0.5])):
+        with pytest.raises(ValueError, match="increments must be finite"):
+            excursion_from_increments(dl, dr)
+
+
 # -- adjacency rule ----------------------------------------------------------
 
 @settings(max_examples=300, deadline=None)

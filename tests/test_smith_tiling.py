@@ -15,6 +15,7 @@ from smithtile import (TilingReport, build_diagram, conjugate, dual,
                        validate)
 from smithtile.mated_crt import build_map as build_mated
 from smithtile import smith_tiling
+from smithtile.electrical import Conjugate, Voltage
 from smithtile.smith_tiling import TilingError
 
 import oracles
@@ -140,9 +141,11 @@ def test_tile_passes_tol_to_both_stages(lattice8, monkeypatch):
 
 def test_solve_and_tile_peak_memory_per_edge():
     """The tracemalloc peak of solving and tiling the gamma = 1.8, n = 4096
-    seed-1 map, per edge: 481.7 B with int32 index arrays (603.3 B with int64
-    ones), bounded 10% above.  numpy reports its allocations to
-    tracemalloc, so the figure does not depend on the host."""
+    seed-1 map, per edge: 473.8 B with each fact of the map and the
+    voltage held once (481.7 B with prev_dart, edge-end arrays of the map's
+    own and a second flow formula; 603.3 B with int64 index arrays),
+    bounded 10% above.  numpy reports its allocations to tracemalloc, so
+    the figure does not depend on the host."""
     m = mark_vertices(build_mated(sample_excursion(1.8, 4096, 1)), seed=1).map
     tracemalloc.start()
     try:
@@ -150,7 +153,7 @@ def test_solve_and_tile_peak_memory_per_edge():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / m.num_edges < 530
+    assert peak / m.num_edges < 521
 
 
 def test_random_maps_tile_exactly(random_maps):
@@ -165,7 +168,7 @@ def test_rect_widths_are_flows(random_maps):
     m, emb = random_maps[0]
     v = solve_voltage(m)
     d = tile(v, emb)
-    assert np.allclose(d.rect_width, np.abs(v.dart_flow(2 * np.arange(m.num_edges))),
+    assert np.allclose(d.rect_width, np.abs(v.flows[2 * np.arange(m.num_edges)]),
                        atol=1e-12)
     assert np.all(d.rect_y1 >= d.rect_y0)
 
@@ -240,7 +243,7 @@ def test_flow_floor_keeps_one_sided_noise_a_point_segment(seed, x, flows):
     m = mark_vertices(build_mated(sample_excursion(1.8, 256, seed)), seed=seed).map
     v = solve_voltage(m)
     d = tile(v)
-    fl = v.dart_flow(m.vertex_darts[x])
+    fl = v.flows[m.vertex_darts[x]]
     assert fl[fl != 0.0] == pytest.approx(flows, rel=0.01)
     assert d.hseg_len[x] == 0.0
     assert validate(d).passed(1e-9)
@@ -291,6 +294,47 @@ def test_diagram_errors_match_loop_oracle(random_maps, mated_crt64):
             kinds.add(got if got is None else got.split(": ", 1)[1].split(" of edge")[0])
     assert {None, "rectangle", "flows do not balance around the rotation",
             "segment longer than the circumference"} <= kinds
+
+
+def _saddle(spokes):
+    """A hand-made saddle at vertex 0: spokes of conductance 10 to vertices
+    1-4, in that CCW order, at the voltages ``spokes`` around 0.5, a rim of
+    conductance 1, and the marks 5 and 6 as pendants of vertices 3 and 2.
+    The voltage is not harmonic; the conjugate's faces around vertex 0 take
+    the running sums of its flows from the face right of dart 0, and every
+    other face w = 0."""
+    edges = [(0, 1, 10.0), (0, 2, 10.0), (0, 3, 10.0), (0, 4, 10.0), (1, 2, 1.0),
+             (2, 3, 1.0), (3, 4, 1.0), (4, 1, 1.0), (5, 3, 1.0), (2, 6, 1.0)]
+    rotation = [[0, 2, 4, 6], [8, 1, 15], [18, 10, 3, 9], [5, 11, 17, 12],
+                [14, 7, 13], [16], [19]]
+    m = build_map(7, edges, rotation, marked=(5, 6))
+    v = Voltage(m, np.array([0.5, *spokes, 0.0, 1.0]), 0.0, 4.0, 0.0)
+    w = np.zeros(m.num_faces)
+    for g in (0, 2, 4):
+        w[m.face_of[g + 2]] = w[m.face_of[g]] - v.flows[g]
+    dm = dual(m)
+    c = Conjugate(dm, v, w, 0.0, np.full(m.num_faces, -1), np.zeros(m.num_faces))
+    return m, dm, v, c
+
+
+def test_saddle_whose_chain_dips_is_not_contiguous():
+    # falling, rising, falling, rising with flows 1, 2, 2 and 1: the chain
+    # starts at the fall of 1, so its running sum dips to -1 after the rise
+    # of 2, and vertex 0's segment union is not contiguous
+    m, dm, v, c = _saddle([0.4, 0.7, 0.3, 0.6])
+    assert np.allclose(v.flows[[0, 2, 4, 6]], [-1.0, 2.0, -2.0, 1.0])
+    msg = "vertex 0: segment union not contiguous modulo eta"
+    with pytest.raises(TilingError, match=msg):
+        build_diagram(m, dm, v, c)
+    assert tiling_error(oracles.build_diagram, m, dm, v, c) == msg
+    # the limit of that check: with the non-dipping fall first (flows 2, 1,
+    # 1 and 2) the running sum stays in [0, 2], every check of vertex 0
+    # passes, and the error names a later vertex
+    m, dm, v, c = _saddle([0.3, 0.6, 0.4, 0.7])
+    assert np.allclose(v.flows[[0, 2, 4, 6]], [-2.0, 1.0, -1.0, 2.0])
+    msg = "vertex 2: rectangle of edge 1 misaligned with the segment chain"
+    assert tiling_error(build_diagram, m, dm, v, c) == msg
+    assert tiling_error(oracles.build_diagram, m, dm, v, c) == msg
 
 
 def test_smith_embedding_matches_loop_oracle(lattice8, random_maps, mated_crt64):
