@@ -16,9 +16,10 @@ and face f is ``face_dart[face_ptr[f]:face_ptr[f + 1]]``, with ``face_of``
 naming the face right of each dart.  Every cycle starts at its smallest dart
 and follows the permutation from there; faces are numbered in the order of
 their smallest darts.  The cycles are found by pointer doubling over the
-whole permutation at once (``_cycles``).  ``vertex_darts`` and ``face_darts``
-are the same cycles as lists of arrays, built on first use.  A map marked
-anew (``with_marks``) shares all of these with the map it marks.
+whole permutation at once (``_cycles``), the faces on first read.
+``vertex_darts`` and ``face_darts`` are the same cycles as lists of arrays,
+built on first use; a map marked anew (``with_marks``) shares what of these
+is found with the map it marks.
 
 Every index array of a map (vertex, edge, dart and face ids, and the CSR
 offsets) is int32, and so is every array the builders assemble them from:
@@ -28,19 +29,18 @@ such as a row id times a column count in a sparse key, is formed in int64.
 numpy gathers through intp (int64) indices on a fast path that int32 ones
 miss, so an array that a loop indexes with round after round (the pointers
 of ``_cycles`` and ``components``, the face orbits of ``_face_mean_lifts``,
-the slots of ``_dual_map``) is a transient intp array; what a map keeps
-stays int32.
+the face slots of ``_dual_map``) is a transient intp array; what a map
+keeps stays int32.
 
-The dual takes its cycles from the primal's, with no pointer doubling and no
-topology check, since the dual of a connected sphere map is one too: its
-vertices are the primal faces and its faces the primal vertices (Brooks,
-Smith, Stone and Tutte, 1940).  Dual dart h keeps its id and runs from the
-face right of primal dart h to the face left of it, and its next dart is
-next^-1(h) ^ 1, by the inverse of ``next_dart`` that only duals build.  So
-each dual rotation is a primal face read backward from its smallest dart,
-and each dual face is a primal rotation with its darts twinned, read
-backward from its smallest twin.  Only the check that every reciprocal
-conductance is positive and finite runs again.
+The dual takes its rotations from the primal's faces, with no cycle search
+and no topology check, since the dual of a connected sphere map is one too:
+its vertices are the primal faces and its faces the primal vertices
+(Brooks, Smith, Stone and Tutte, 1940).  Dual dart h keeps its id and runs
+from the face right of primal dart h to the face left of it, and its next
+dart is next^-1(h) ^ 1, by the inverse of ``next_dart`` that only duals
+build.  So each dual rotation is a primal face read backward from its
+smallest dart.  Only the check that every reciprocal conductance is
+positive and finite runs again.
 
 ``bfs_tree`` is the breadth-first search of a FIFO queue that pops a vertex
 and scans its darts in rotation order, taking each dart to an unseen vertex
@@ -70,11 +70,14 @@ t_(i+1) with conductance c_k / (t_(i+1) - t_i).  By the series law every
 voltage on the original vertices stays the same.  The sub-edges keep the
 edge's orientation and are numbered in edge order, then along the chain, so
 ``edge_origin`` is nondecreasing; the inserted vertices follow the original
-ones in (edge, fraction) order, whatever the order of the points.  Original
-darts keep their places in the rotations.  An inserted vertex takes the
-angle and height of the straight line along its edge.  A mark's side lies
-one unit beyond the largest finite |height| hmax: v0's at -(hmax + 1), v1's
-at hmax + 1, whichever way the edge runs.  On an edge with one marked end
+ones in (edge, fraction) order, whatever the order of the points.  The
+rotations are the original's, with no search or check (a split edge keeps a
+sphere map one): dart 2k, now the first sub-edge's, and 2k + 1, the last's,
+keep their slots, and an inserted vertex holds the darts back and forward
+along its chain.  An inserted vertex takes the angle and height of the
+straight line along its edge.  A mark's side lies one unit beyond the
+largest finite |height| hmax: v0's at -(hmax + 1), v1's at hmax + 1,
+whichever way the edge runs.  On an edge with one marked end
 the vertex sits at the finite end's angle, on the line from that end's
 height to the mark's side; on an edge joining the two marks it sits at
 angle 0, on the line between their sides.  Sub-edges of an edge at a mark
@@ -159,6 +162,11 @@ def _indices(a, error) -> np.ndarray:
     return out
 
 
+def _owned(a, given) -> np.ndarray:
+    """a, or a copy if it is the caller's writable ``given`` itself."""
+    return a.copy() if a is given and a.flags.writeable else a
+
+
 def _offsets(counts) -> np.ndarray:
     """The INDEX offsets 0, c0, c0 + c1, ... of consecutive runs of the
     given lengths."""
@@ -226,6 +234,12 @@ def components(num_vertices, tail, head) -> np.ndarray:
 class CombMap:
     """Connected planar map of sphere topology given by a rotation system.
 
+    ``CombMap(...)`` searches both cycle systems and checks that they make a
+    connected sphere map; ``dual`` and ``insert_vertices`` derive rotations
+    from their parent's (``_from_cycles``) and do neither.  Faces are found
+    on first read.  A map owns what it freezes: it copies a writable
+    ``next_dart`` or ``conductance`` of its caller's, and shares a read-only one.
+
     Parameters
     ----------
     num_vertices : int
@@ -240,8 +254,9 @@ class CombMap:
         self.num_vertices = int(num_vertices)
         E = len(edge_tail)
         check_size(2 * E, self.num_vertices)
-        self.conductance = np.asarray(conductance, dtype=np.float64)
-        self.next_dart = _indices(next_dart, "next_dart is not a permutation of the darts")
+        self.conductance = _owned(np.asarray(conductance, dtype=np.float64), conductance)
+        self.next_dart = _owned(_indices(next_dart, "next_dart is not a permutation of the darts"),
+                                next_dart)
         self.v0 = None if v0 is None else int(v0)
         self.v1 = None if v1 is None else int(v1)
 
@@ -257,45 +272,42 @@ class CombMap:
         self._check_structure()
 
         self._build_rotations()
-        self._build_faces()
-
         self._check_topology()
         self._freeze()
 
     # the index arrays of a map, all INDEX; they and the conductances are
-    # read-only once it is built
+    # read-only once it is built, the face arrays (last) once they are found
     INDEX_ARRAYS = ("edge_tail", "edge_head", "next_dart", "dart_tail", "dart_head",
-                    "face_of", "vert_ptr", "vert_dart", "face_ptr", "face_dart")
+                    "vert_ptr", "vert_dart", "face_of", "face_ptr", "face_dart")
     ARRAYS = ("conductance",) + INDEX_ARRAYS
 
     def _freeze(self):
-        for name in self.ARRAYS:
+        for name in self.ARRAYS[:-3]:
             getattr(self, name).flags.writeable = False
 
     @classmethod
-    def _from_cycles(cls, num_vertices, conductance, next_dart, dart_tail, face_of,
-                     vert_ptr, vert_dart, face_ptr, face_dart):
-        """An unmarked map from cycle systems already known to be those of a
-        sphere map (see ``dual``): no checks and no cycle search."""
+    def _from_cycles(cls, num_vertices, conductance, next_dart, dart_tail,
+                     vert_ptr, vert_dart, v0=None, v1=None):
+        """A map from rotations already known to be those of a sphere map
+        (see ``dual`` and ``insert_vertices``): no cycle search, and no check
+        but the conductances'."""
         m = cls.__new__(cls)
         m.num_vertices = int(num_vertices)
         m.num_edges = len(conductance)
         m.num_darts = 2 * m.num_edges
-        m.num_faces = len(face_ptr) - 1
-        m.v0 = m.v1 = None
+        m.v0, m.v1 = v0, v1
         m.edge_tail, m.edge_head = dart_tail[0::2], dart_tail[1::2]
         m.conductance, m.next_dart = conductance, next_dart
         m.dart_tail, m.dart_head = dart_tail, _twins(dart_tail)
-        m.face_of, m.vert_ptr, m.vert_dart = face_of, vert_ptr, vert_dart
-        m.face_ptr, m.face_dart = face_ptr, face_dart
+        m.vert_ptr, m.vert_dart = vert_ptr, vert_dart
         m._check_conductance()
         m._freeze()
         return m
 
     def with_marks(self, v0, v1) -> CombMap:
         """The same map marked at (v0, v1).  It shares this map's read-only
-        arrays and its cached rotation, face and step lists and ``pi_weight``;
-        only ``marked`` is its own."""
+        arrays and whatever it has found of its faces, its rotation, face and
+        step lists and ``pi_weight``; only ``marked`` is its own."""
         m = copy.copy(self)
         m.v0 = None if v0 is None else int(v0)
         m.v1 = None if v1 is None else int(v1)
@@ -348,15 +360,23 @@ class CombMap:
             raise MapError(f"rotation at vertex {v} is not a single cycle")
         self.vert_ptr, self.vert_dart = _layout(tail, deg, steps)
 
-    def _build_faces(self):
-        """Orbits of h -> next_dart[twin(h)]; each orbit is the face right of its darts."""
+    @cached_property
+    def _faces(self) -> tuple:
+        """(face_of, face_ptr, face_dart), read-only: the orbits of
+        h -> next_dart[twin(h)], each the face right of its darts."""
         root, steps = _cycles(_twins(self.next_dart))
         roots = root == np.arange(self.num_darts, dtype=INDEX)
-        self.num_faces = int(np.count_nonzero(roots))
         number = np.cumsum(roots, dtype=INDEX) - 1     # the rank of each root
-        self.face_of = number[root]
-        size = np.bincount(self.face_of, minlength=self.num_faces).astype(INDEX)
-        self.face_ptr, self.face_dart = _layout(self.face_of, size, steps)
+        face_of = number[root]
+        faces = (face_of,) + _layout(face_of, np.bincount(face_of).astype(INDEX), steps)
+        for a in faces:
+            a.flags.writeable = False
+        return faces
+
+    face_of = property(lambda self: self._faces[0])
+    face_ptr = property(lambda self: self._faces[1])
+    face_dart = property(lambda self: self._faces[2])
+    num_faces = property(lambda self: len(self._faces[1]) - 1)
 
     def _check_topology(self):
         if components(self.num_vertices, self.edge_tail, self.edge_head).any():
@@ -565,12 +585,8 @@ def _face_mean_lifts(m: CombMap, emb: CylinderEmbedding) -> np.ndarray:
 
 
 def _dual_map(m: CombMap) -> CombMap:
-    """The dual's CombMap, read off the primal's cycles (module docstring).
-
-    The dual's next dart next^-1(h) ^ 1, scattered here, inverts the face
-    permutation, and the dual face of h, the orbit of h -> next^-1(h ^ 1) ^ 1,
-    twins the rotation at head(h) read backward; the dual face of h is
-    numbered by the rank of that rotation's smallest twin."""
+    """The dual's CombMap, its rotations read off the primal's faces (module
+    docstring); its next dart next^-1(h) ^ 1 inverts the face permutation."""
     n = m.num_darts
     nxt = np.empty(n, dtype=INDEX)
     nxt[m.next_dart] = np.arange(n, dtype=INDEX) ^ 1
@@ -579,24 +595,8 @@ def _dual_map(m: CombMap) -> CombMap:
     ptr = m.face_ptr.astype(np.intp)
     back = np.repeat(ptr[:-1] + ptr[1:], np.diff(ptr)) - np.arange(n)
     back[ptr[:-1]] = ptr[:-1]
-    vert_dart = m.face_dart[back]
-
-    # dual face r is the rotation at vertex order[r] read backward from the
-    # slot of its least twin, wrapping round at the rotation's first slot
-    twin = m.vert_dart ^ 1
-    least = np.minimum.reduceat(twin, m.vert_ptr[:-1])
-    slot = np.empty(n, dtype=np.intp)
-    slot[m.vert_dart] = np.arange(n)
-    order = np.argsort(least)
-    number = np.empty(m.num_vertices, dtype=INDEX)
-    number[order] = np.arange(m.num_vertices)
-    size = np.diff(m.vert_ptr)[order]
-    face_ptr = _offsets(size)
-    src = np.repeat(slot[least[order] ^ 1] + face_ptr[:-1], size) - np.arange(n)
-    src += np.repeat(size, size) * (src < np.repeat(m.vert_ptr[order], size))
-    return CombMap._from_cycles(
-        m.num_faces, 1.0 / m.conductance, nxt, m.face_of, number[m.dart_head],
-        m.face_ptr, vert_dart, face_ptr, twin[src])
+    return CombMap._from_cycles(m.num_faces, 1.0 / m.conductance, nxt, m.face_of,
+                                m.face_ptr, m.face_dart[back])
 
 
 def dual(m: CombMap, emb: CylinderEmbedding | None = None) -> DualMap:
@@ -712,31 +712,31 @@ def insert_vertices(m: CombMap, emb: CylinderEmbedding | None, points):
     pos = g - start[origin]
     first, last = pos == 0, pos == cnt[origin]
     inner = V + (g - origin)
-    tails = np.where(first, m.edge_tail[origin], inner - 1)
-    heads = np.where(last, m.edge_head[origin], inner)
+    dart_tail = np.column_stack([np.where(first, m.edge_tail[origin], inner - 1),
+                                 np.where(last, m.edge_head[origin], inner)]).ravel()
     lo, hi = np.zeros(E + n), np.ones(E + n)
     lo[~first] = t
     hi[~last] = t
     dt = hi - lo
 
-    # original darts keep their rotation slots, dart 2k now the first
-    # sub-edge's and 2k + 1 the last's; each inserted vertex holds the
-    # 2-cycle of its darts back and forward along the chain
+    # original darts keep their rotation slots, dart 2k now the first sub-edge's
+    # and 2k + 1 the last's; lead is increasing, so each rotation still starts
+    # at its smallest dart.  Inserted vertex V + i holds (fwd[i] - 1, fwd[i])
     lead = np.empty(2 * E, dtype=INDEX)
     lead[0::2] = 2 * start
     lead[1::2] = 2 * (start + cnt) + 1
     nxt = np.empty(2 * (E + n), dtype=INDEX)
     nxt[lead] = lead[m.next_dart]
     fwd = 2 * g[~first]
-    nxt[fwd] = fwd - 1
-    nxt[fwd - 1] = fwd
-    m2 = CombMap(V + n, tails, heads, m.conductance[origin] / dt, nxt, v0=m.v0, v1=m.v1)
+    nxt[fwd], nxt[fwd - 1] = fwd - 1, fwd
+    vert_ptr = np.concatenate([m.vert_ptr, m.vert_ptr[-1] + 2 * np.arange(1, n + 1, dtype=INDEX)])
+    vert_dart = np.concatenate([lead[m.vert_dart], np.column_stack([fwd - 1, fwd]).ravel()])
+    m2 = CombMap._from_cycles(V + n, m.conductance[origin] / dt, nxt, dart_tail,
+                              vert_ptr, vert_dart, m.v0, m.v1)
     if emb is None:
         return m2, None, origin
 
-    hmax = 0.0
-    if np.any(np.isfinite(emb.height)):
-        hmax = float(np.nanmax(np.abs(emb.height)))
+    hmax = float(np.nanmax(np.abs(emb.height))) if np.any(np.isfinite(emb.height)) else 0.0
     u, w = m.edge_tail[e], m.edge_head[e]
     um, wm = m.marked[u], m.marked[w]
     th, h = emb.theta, emb.height

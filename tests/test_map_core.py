@@ -320,6 +320,36 @@ def test_built_map_holds_each_fact_once():
     assert held / m.num_edges <= 66
 
 
+def test_map_keeps_its_callers_arrays_apart():
+    # a writable next_dart or conductance is copied, so the caller may edit
+    # it after; a read-only one is shared, as random_map shares next_dart
+    m, _ = make_lattice(8, 2.0)
+    nd, c = m.next_dart.copy(), m.conductance.copy()
+    mm = CombMap(m.num_vertices, m.edge_tail, m.edge_head, c, nd, v0=m.v0, v1=m.v1)
+    assert nd.flags.writeable and c.flags.writeable
+    assert mm.next_dart is not nd and mm.conductance is not c
+    nd[0], c[0] = nd[1], 5.0
+    assert_same_map(mm, m)
+    shared = CombMap(m.num_vertices, m.edge_tail, m.edge_head, m.conductance,
+                     m.next_dart, v0=m.v0, v1=m.v1)
+    assert shared.next_dart is m.next_dart and shared.conductance is m.conductance
+
+
+def test_dual_peak_memory_per_edge():
+    """The tracemalloc peak of dualizing the gamma = 1.8, n = 4096 seed-1
+    map, per edge: 60.9 B with the dual's faces left unfound until read
+    (119.9 B while the dual derived them), bounded 10% above."""
+    m = mated_crt.mark_vertices(mated_crt.build_map(mated_crt.sample_excursion(1.8, 4096, 1)),
+                                seed=1).map
+    tracemalloc.start()
+    try:
+        dual(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / m.num_edges <= 67
+
+
 def test_maps_past_the_index_limit_are_refused(monkeypatch):
     # the limit is 2^31, int32's; it is lowered here so that a check that
     # did not fire would build a small map rather than allocate gigabytes
@@ -516,6 +546,40 @@ def test_dual_map_matches_its_combmap_build(random_maps, mated_crt64, path_map,
         d = dual(m).map
         assert_same_map(d, oracles.dual_map(m))
         assert_same_map(dual(d).map, oracles.dual_map(d))
+
+
+def _searched(m) -> CombMap:
+    """m rebuilt by ``CombMap(...)``, which searches and checks its cycles."""
+    return CombMap(m.num_vertices, m.edge_tail.copy(), m.edge_head.copy(),
+                   m.conductance.copy(), m.next_dart.copy(), m.v0, m.v1)
+
+
+def test_derived_maps_are_searched_maps(monkeypatch):
+    # duals, half-edge and random refinements and level-graded maps take
+    # their rotations from their parent's and check nothing but the
+    # conductances; each equals the map the full search builds, faces and
+    # marks included.  None of them runs the cycle search
+    cases = [random_map(seed) for seed in range(1, 30, 2)]
+    cases += [make_lattice(n, 2.0) for n in (3, 5, 8, 17)]
+    cases += [(mated_crt.mark_vertices(mated_crt.build_map(
+        mated_crt.sample_excursion(1.8, n, s)), seed=s).map, None)
+              for n in (64, 1024) for s in (1, 2, 3)]
+    rng = np.random.default_rng(5)
+    cycles = map_core._cycles
+    for m, emb in cases:
+        v, E = solve_voltage(m), m.num_edges
+        m.face_of                       # random_map's own map is a refinement
+        random_points = [(int(k), float(t)) for k in rng.choice(E, E // 3 + 1, replace=False)
+                         for t in np.sort(rng.uniform(0.05, 0.95, rng.integers(1, 4)))]
+        monkeypatch.setattr(map_core, "_cycles", None)
+        duals = [dual(m).map, dual(m, emb).map]
+        refined = [augment_all_levels(m, v).map]
+        for pts in ([(k, 0.5) for k in range(E)], random_points):
+            refined += [insert_vertices(m, e, pts)[0] for e in (emb, None)]
+        monkeypatch.setattr(map_core, "_cycles", cycles)
+        for d in duals + refined:
+            assert (d.v0, d.v1) == ((None, None) if d in duals else (m.v0, m.v1))
+            assert_same_map(d, _searched(d))
 
 
 def test_dual_rejects_a_conductance_whose_reciprocal_overflows(path_map):

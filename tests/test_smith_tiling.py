@@ -141,11 +141,11 @@ def test_tile_passes_tol_to_both_stages(lattice8, monkeypatch):
 
 def test_solve_and_tile_peak_memory_per_edge():
     """The tracemalloc peak of solving and tiling the gamma = 1.8, n = 4096
-    seed-1 map, per edge: 473.8 B with each fact of the map and the
-    voltage held once (481.7 B with prev_dart, edge-end arrays of the map's
-    own and a second flow formula; 603.3 B with int64 index arrays),
-    bounded 10% above.  numpy reports its allocations to tracemalloc, so
-    the figure does not depend on the host."""
+    seed-1 map, per edge: 457.1 B with the dual's faces left unfound
+    (474.9 B while the dual derived them; 481.7 B with prev_dart, edge-end
+    arrays of the map's own and a second flow formula; 603.3 B with int64
+    index arrays), bounded 10% above.  numpy reports its allocations to
+    tracemalloc, so the figure does not depend on the host."""
     m = mark_vertices(build_mated(sample_excursion(1.8, 4096, 1)), seed=1).map
     tracemalloc.start()
     try:
@@ -153,7 +153,7 @@ def test_solve_and_tile_peak_memory_per_edge():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / m.num_edges < 521
+    assert peak / m.num_edges < 503
 
 
 def test_random_maps_tile_exactly(random_maps):

@@ -508,6 +508,22 @@ def test_exact_law_report_memory_stays_sparse():
     assert peak < 40 * 2 ** 20
 
 
+def test_augment_all_levels_peak_memory():
+    # the gamma = 1.8, n = 4096 map of `smith mated-crt --seed 3` (E = 10 207,
+    # 3 425 levels): a traced peak of 50.8 MB with the graded map's faces
+    # left unfound, 73.7 MB while it searched and checked both cycle systems
+    m = mated_crt.mark_vertices(mated_crt.build_map(
+        mated_crt.sample_excursion(1.8, 4096, 3)), seed=3).map
+    v = solve_voltage(m)
+    tracemalloc.start()
+    try:
+        augment_all_levels(m, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 56e6
+
+
 def test_exact_law_report_projection_skips_self_transitions():
     # the loop at vertex 1 keeps step_law mass 1/4 on 1 -> 1, more than any
     # off-diagonal gap to the jump chain (at most 1/6), which the report takes
