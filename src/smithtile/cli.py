@@ -168,7 +168,15 @@ def _cmd_mated_crt(args):
         if not isinstance(inc, dict) or "dl" not in inc or "dr" not in inc:
             raise CliError(f"{args.increments}: expected an object with "
                            "'dl' and 'dr' arrays")
-        exc = mated_crt.excursion_from_increments(inc["dl"], inc["dr"])
+        for key in ("dl", "dr"):
+            # a JSON boolean is no number (as in io_json)
+            if not isinstance(inc[key], list) or not all(type(a) in (int, float)
+                                                          for a in inc[key]):
+                raise CliError(f"{args.increments}: '{key}' must be an array of numbers")
+        try:
+            exc = mated_crt.excursion_from_increments(inc["dl"], inc["dr"])
+        except OverflowError:       # an integer beyond the doubles
+            raise CliError("increments must be finite")
     else:
         if args.seed is None:
             raise CliError("--seed is required when sampling")

@@ -6,8 +6,10 @@ the voltage, the dual and the conjugate with the tiling.  Each edge becomes a
 rectangle whose height is its voltage increment and whose width is its flow,
 so the aspect ratio equals the conductance.  Each vertex becomes a horizontal
 segment (its incoming rectangles chained side by side, which must form one
-arc), each face a vertical segment.  The circumference of the tiled
-cylinder is the flow strength eta and the height runs from 0 to 1.
+arc), each face a vertical segment, the range of its corner voltages: its
+boundary walk crosses each level between them rising and falling, so the
+rectangles on either side cover that range exactly.  The circumference of
+the tiled cylinder is the flow strength eta and the height runs from 0 to 1.
 
 The voltage solve snaps each cluster of vertices joined by zero-current
 edges to one voltage (see ``electrical``), so the vertices of a cluster lie
@@ -91,8 +93,8 @@ class TilingReport:
 
 def build_diagram(m: CombMap, dmap: DualMap, v: Voltage, c: Conjugate,
                   tol: float = 1e-9) -> SmithDiagram:
-    """Assemble the tiling; raise TilingError at the first vertex, else the
-    first face, whose segment cannot be formed within tolerance.
+    """Assemble the tiling; raise TilingError at the first vertex whose
+    segment cannot be formed within tolerance (no face's can fail).
 
     All vertices are handled at once.  Each vertex's segment chain is walked
     dart by dart from its chain start, position by position over the
@@ -105,10 +107,7 @@ def build_diagram(m: CombMap, dmap: DualMap, v: Voltage, c: Conjugate,
     h = v.values
     harm = harmonic_darts(v)
     flows = v.flows
-    widths = flows[harm]
-    if np.any(widths < -tol):
-        raise TilingError("negative width on a harmonically oriented edge")
-    widths = np.maximum(widths, 0.0)
+    widths = flows[harm]        # c * (h_hi - h_lo) >= 0: harm points upward
     y0 = h[m.dart_tail[harm]]
     y1 = h[m.dart_head[harm]]
     # the face left of the upward dart carries the smaller w
@@ -236,36 +235,17 @@ def build_diagram(m: CombMap, dmap: DualMap, v: Voltage, c: Conjugate,
     r[lv] = np.rint((anchor[lv] + up_lo[lv] - hseg_start[lv]) / eta)
     sheet[chain[on]] = (s - np.repeat(r, deg))[on]
 
-    # vertical segments: union of edge voltage intervals on each side of a
-    # face, the rectangle east of its left face and west of its right face
-    F = m.num_faces
-    sides = []
-    for face in (m.face_of[harm ^ 1], m.face_of[harm]):
-        o = np.lexsort((y1, y0, face))
-        lo_y, hi_y = y0[o], y1[o]
-        count = np.bincount(face, minlength=F)
-        start = np.cumsum(count) - count
-        lo_f, hi_f = np.full(F, np.nan), np.full(F, np.nan)
-        gap = np.zeros(F, dtype=bool)
-        for j, i in by_position(count):
-            a, b = lo_y[start[i] + j], hi_y[start[i] + j]
-            if j == 0:
-                lo_f[i], hi_f[i] = a, b
-            else:
-                gap[i] |= a > hi_f[i] + tol
-                hi_f[i] = np.where(b > hi_f[i], b, hi_f[i])
-        sides.append((count > 0, lo_f, hi_f, gap))
-    (east, lo_e, hi_e, gap_e), (west, lo_w, hi_w, gap_w) = sides
-    differ = east & west & ((np.abs(lo_e - lo_w) > tol) | (np.abs(hi_e - hi_w) > tol))
-    bad = gap_e | gap_w | differ
-    if bad.any():
-        f = int(np.argmax(bad))
-        raise TilingError(f"face {f}: vertical segment union not contiguous"
-                          if gap_e[f] or gap_w[f] else f"face {f}: left and right unions differ")
-
+    # vertical segments: a face's darts form a closed walk with the face on
+    # their right, rising darts carrying the rectangles west of it and
+    # falling darts those east.  Each level strictly between the walk's
+    # extreme corners is crossed by a strictly rising and a strictly falling
+    # step, and the extremes end such steps, so each side covers exactly
+    # [min, max] of the corners, for any voltage (y0, y1 read the same h)
+    corner = h[m.dart_tail[m.face_dart]]
     return SmithDiagram(m, dmap, v, c, eta, harm, x0, widths, y0, y1,
                         hseg_start, hseg_len, h.copy(), mod_array(c.w_lift, eta),
-                        np.where(east, lo_e, lo_w), np.where(east, hi_e, hi_w), sheet)
+                        np.minimum.reduceat(corner, m.face_ptr[:-1]),
+                        np.maximum.reduceat(corner, m.face_ptr[:-1]), sheet)
 
 
 def tile(v: Voltage, emb: CylinderEmbedding | None = None,

@@ -449,8 +449,9 @@ def projected_step_law(m: CombMap, originals) -> sp.csr_matrix:
     that the walk hits is the j-th (originals in ascending id); the diagonal
     is empty.  Every other vertex must step only to original ones, as the
     midpoints of a half-edge refinement do, else ValueError.  On such a
-    refinement the chain matches the one-step law of the unrefined map at
-    loop-free vertices by the series law.
+    refinement the chain matches, by the series law, the one-step law of
+    the unrefined map conditioned on moving, which is the law itself at a
+    vertex without self-loops.
 
     With the originals absorbing, a free vertex is absorbed at its first
     step, so Q = P_oo + P_of P_fo is one sparse product: the steps out of
@@ -545,15 +546,15 @@ def exact_law_report(m: CombMap, v: Voltage,
     hit_dev = max([0.0] + [law.max_deviation() for law in laws])
     wind_dev = max([0.0] + [abs(expected_conditional_winding(law, diag)) for law in laws])
 
-    # the one-step law: per dart its conductance over the np.sum of its
-    # vertex's, added up per entry in rotation order; the jump chain has no
-    # self-transitions
+    # the one-step law conditioned on moving, as the jump chain has no
+    # self-transitions: per dart its conductance over the np.sum of its
+    # vertex's darts that move, added up per entry in rotation order
     V = m.num_vertices
     g = m.vert_dart
     x, y = m.dart_tail[g], m.dart_head[g]
     c = m.conductance[g >> 1]
-    p = c / segment_sums(c, m.vert_ptr)[x]
     move = x != y
+    p = c / segment_sums(np.where(move, c, 0.0), m.vert_ptr)[x]
     step = _csr_sums(x[move], y[move], p[move], (V, V))
     E = m.num_edges
     half = np.column_stack((np.arange(E), np.full(E, 0.5)))

@@ -891,6 +891,31 @@ def build_diagram(m: CombMap, dmap: DualMap, v: Voltage, c: Conjugate,
                         hseg_start, hseg_len, h.copy(), vx, vy0, vy1, sheet)
 
 
+def face_side_unions(m: CombMap, h) -> list:
+    """Per face, the unions of the voltage intervals of the rectangles east
+    and west of it, one edge at a time: each a sorted list of disjoint
+    closed intervals, where touching intervals merge, and empty for a side
+    with no rectangle.  ``h`` is any voltage per vertex."""
+    h = np.asarray(h, dtype=np.float64)
+    harm = harmonic_darts(Voltage(m, h, 0.0, 1.0, 0.0))
+    sides = [([], []) for _ in range(m.num_faces)]
+    for k in range(m.num_edges):
+        iv = (float(h[m.dart_tail[harm[k]]]), float(h[m.dart_head[harm[k]]]))
+        sides[int(m.face_of[harm[k] ^ 1])][0].append(iv)   # rect east of its left face
+        sides[int(m.face_of[harm[k]])][1].append(iv)       # rect west of its right face
+    out = []
+    for east, west in sides:
+        merged = ([], [])
+        for ivs, union in zip((east, west), merged):
+            for a, b in sorted(ivs):
+                if union and a <= union[-1][1]:
+                    union[-1] = (union[-1][0], max(union[-1][1], b))
+                else:
+                    union.append((a, b))
+        out.append(merged)
+    return out
+
+
 def smith_embedding(d: SmithDiagram) -> np.ndarray:
     """The points of ``smith_tiling.smith_embedding``, one vertex at a time."""
     V = d.map.num_vertices

@@ -731,6 +731,17 @@ def test_cli_verify_passes_with_a_leaf_on_v0(tmp_path, capsys):
             "zero-winding: pass", "projection: pass"]
 
 
+def test_cli_verify_passes_with_a_self_loop(tmp_path, capsys):
+    # the jump chain never takes the loop at vertex 2, so the projection
+    # check holds it against the one-step law conditioned on moving
+    m = build_map(3, [(0, 2, 1.0), (2, 1, 1.0), (2, 2, 1.0)], [[0], [3], [1, 4, 5, 2]],
+                  marked=(0, 1))
+    assert main(["verify", write_map_file(tmp_path, m)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "tiling: pass", "level-measure: pass", "hitting-law: pass",
+        "zero-winding: pass", "projection: pass"]
+
+
 def test_cli_mated_crt(tmp_path, capsys):
     out = tmp_path / "mated.json"
     rc = main(["mated-crt", "--gamma", "1.8", "--n", "24", "--seed", "3",
@@ -768,9 +779,11 @@ def test_cli_mated_crt_increments(tmp_path, capsys):
     assert "'dl' and 'dr'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity",
+                                 pytest.param("1" + "0" * 400, id="int-beyond-doubles")])
 def test_cli_mated_crt_rejects_non_finite_increments(tmp_path, capsys, bad):
-    # json.load takes these non-standard literals, so the excursion refuses them
+    # json.load takes these non-standard literals and integers of any size,
+    # so the excursion refuses them
     inc = tmp_path / "inc.json"
     inc.write_text(f'{{"dl": [0.5, {bad}, -0.5], "dr": [0.5, 0.0, -0.5]}}')
     with warnings.catch_warnings():
@@ -779,6 +792,20 @@ def test_cli_mated_crt_rejects_non_finite_increments(tmp_path, capsys, bad):
     out, err = capsys.readouterr()
     assert rc == 1 and out == ""
     assert err == "error: increments must be finite\n"
+
+
+@pytest.mark.parametrize("key, bad", [("dl", "{}"), ("dl", '"0.5, -0.5"'),
+                                      ("dr", "[true, -1]"), ("dl", "[0.5, null]"),
+                                      ("dl", "null"), ("dr", "[[0.5], -0.5]")])
+def test_cli_mated_crt_rejects_increments_that_are_not_numbers(tmp_path, capsys, key, bad):
+    # a JSON boolean is no number, as io_json reads one
+    inc = tmp_path / "inc.json"
+    arrays = {"dl": "[0.5, -0.5]", "dr": "[0.5, -0.5]", key: bad}
+    inc.write_text(f'{{"dl": {arrays["dl"]}, "dr": {arrays["dr"]}}}')
+    rc = main(["mated-crt", "--increments", str(inc), "--mark", "first-last"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err == f"error: {inc}: '{key}' must be an array of numbers\n"
 
 
 def test_cli_converge_csv(tmp_path):

@@ -1,15 +1,18 @@
 """Property-based checks of the algebraic helpers and small-map laws."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from oracles import build_map, step_law, wrap_angle, wrap_signed
-from smithtile import (excursion_from_increments, make_rng, reduce_mod,
-                       solve_voltage)
+from smithtile import (excursion_from_increments, make_rng, mark_vertices, reduce_mod,
+                       sample_excursion, solve_voltage)
 from smithtile.map_core import insert_vertices, mod_array, wrap_signed_array
+from smithtile.mated_crt import build_map as build_mated
 
 TWO_PI = 2.0 * math.pi
 
@@ -127,6 +130,35 @@ def test_excursion_from_heights(mid_l, mid_r):
     assert exc.n == n + 1
     assert np.allclose(exc.l, hl, atol=1e-9)
     assert np.allclose(exc.r, hr, atol=1e-9)
+
+
+@functools.cache
+def _face_lemma_maps() -> tuple:
+    """Small maps with splits, diagonals and deletions, a mated-CRT map with
+    multiple edges, and a path with a self-loop."""
+    loop = build_map(3, [(0, 2, 1.0), (2, 1, 1.0), (2, 2, 1.0)], [[0], [3], [1, 4, 5, 2]],
+                     marked=(0, 1))
+    crt = mark_vertices(build_mated(sample_excursion(1.8, 24, 1)), seed=1).map
+    return (*(oracles.small_random_map(seed)[0] for seed in range(4)), crt, loop)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5), st.data())
+def test_face_sides_cover_the_range_of_their_corners(which, data):
+    # the face lemma behind build_diagram's vertical segments: for any
+    # voltage, ties and flat edges included, the rectangles on each side of
+    # a face cover exactly [min, max] of its corner voltages, without a gap
+    m = _face_lemma_maps()[which]
+    value = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+    h = np.array(data.draw(st.lists(value, min_size=m.num_vertices, max_size=m.num_vertices)))
+    corner = h[m.dart_tail[m.face_dart]]
+    lo = np.minimum.reduceat(corner, m.face_ptr[:-1])
+    hi = np.maximum.reduceat(corner, m.face_ptr[:-1])
+    for f, sides in enumerate(oracles.face_side_unions(m, h)):
+        spans = [union for union in sides if union]
+        assert spans and all(union == [(lo[f], hi[f])] for union in spans)
+        # a walk that rises and falls has rectangles on both sides
+        assert len(spans) == 2 or lo[f] == hi[f]
 
 
 @pytest.mark.parametrize("key", [0, 1, 12345, 2**63, 2**64 - 1])

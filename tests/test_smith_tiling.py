@@ -141,11 +141,12 @@ def test_tile_passes_tol_to_both_stages(lattice8, monkeypatch):
 
 def test_solve_and_tile_peak_memory_per_edge():
     """The tracemalloc peak of solving and tiling the gamma = 1.8, n = 4096
-    seed-1 map, per edge: 457.1 B with the dual's faces left unfound
-    (474.9 B while the dual derived them; 481.7 B with prev_dart, edge-end
-    arrays of the map's own and a second flow formula; 603.3 B with int64
-    index arrays), bounded 10% above.  numpy reports its allocations to
-    tracemalloc, so the figure does not depend on the host."""
+    seed-1 map, per edge: 412.7-415.0 B with each face's segment read off
+    its corners (456.1 B with the face-union sweep; 474.9 B while the dual
+    derived its faces; 481.7 B with prev_dart, edge-end arrays of the map's
+    own and a second flow formula; 603.3 B with int64 index arrays),
+    bounded about 10% above, below the sweep's figure.  numpy reports its
+    allocations to tracemalloc, so the figure does not depend on the host."""
     m = mark_vertices(build_mated(sample_excursion(1.8, 4096, 1)), seed=1).map
     tracemalloc.start()
     try:
@@ -153,7 +154,7 @@ def test_solve_and_tile_peak_memory_per_edge():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / m.num_edges < 503
+    assert peak / m.num_edges < 452
 
 
 def test_random_maps_tile_exactly(random_maps):
@@ -260,9 +261,9 @@ def tiling_error(fn, *args):
 
 
 def test_diagram_errors_match_loop_oracle(random_maps, mated_crt64):
-    """Inputs perturbed three ways fail at the same first vertex or face,
-    with the same text, as the vertex-by-vertex loop; unperturbed and
-    harmlessly perturbed ones give the same diagram."""
+    """Inputs perturbed three ways fail at the same first vertex, with the
+    same text, as the vertex-by-vertex loop; unperturbed and harmlessly
+    perturbed ones give the same diagram."""
     kinds = set()
     for m, emb in (random_maps[2], (mated_crt64, None)):
         v = solve_voltage(m)

@@ -525,8 +525,9 @@ def test_augment_all_levels_peak_memory():
 
 
 def test_exact_law_report_projection_skips_self_transitions():
-    # the loop at vertex 1 keeps step_law mass 1/4 on 1 -> 1, more than any
-    # off-diagonal gap to the jump chain (at most 1/6), which the report takes
+    # the loop at vertex 1 keeps 1/4 of its one-step law on 1 -> 1, which
+    # the jump chain never takes: the report holds the chain against the
+    # law conditioned on moving, and the two agree to rounding
     m = build_map(4, [(0, 1, 1.0), (1, 1, 0.5), (1, 2, 0.3), (1, 2, 1.7),
                       (2, 3, 1.0), (0, 2, 0.4)],
                   [[0, 10], [1, 2, 3, 4, 6], [5, 8, 11, 7], [9]], marked=(0, 3))
@@ -535,10 +536,11 @@ def test_exact_law_report_projection_skips_self_transitions():
     want = 0.0
     for x in range(V):
         jump = oracles.projected_step_law(m2, range(V), x)
-        for y, p in step_law(m, x).items():
-            if y != x:
-                want = max(want, abs(p - jump[y]))
-    assert step_law(m, 1)[1] > want
+        law = step_law(m, x)
+        stay = law.pop(x, 0.0)
+        for y, p in law.items():
+            want = max(want, abs(p / (1.0 - stay) - jump[y]))
+    assert step_law(m, 1)[1] == pytest.approx(0.25) and want <= 1e-15
     rep = exact_law_report(m, solve_voltage(m), num_sequences=2, length=3, seed=0)
     assert abs(rep["projection_max_dev"] - want) <= 1e-14
 
