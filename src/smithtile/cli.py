@@ -147,8 +147,7 @@ def _cmd_verify(args):
         "eta": float(d.eta),
         "passed": ok,
         "tiling": {
-            "overlap_area": tiling.overlap_area,
-            "coverage_defect": tiling.coverage_defect,
+            "max_cover_defect": tiling.max_cover_defect,
             "area_defect": tiling.area_defect,
             "max_aspect_defect": tiling.max_aspect_defect,
             "max_level_defect": tiling.max_level_defect,

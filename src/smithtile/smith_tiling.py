@@ -10,6 +10,9 @@ arc), each face a vertical segment, the range of its corner voltages: its
 boundary walk crosses each level between them rising and falling, so the
 rectangles on either side cover that range exactly.  The circumference of
 the tiled cylinder is the flow strength eta and the height runs from 0 to 1.
+``validate`` certifies the tiling level by level: at each level the
+rectangles that start there and those that end there cover the circle to the
+same depth, which telescopes to every slab between levels being covered once.
 
 The voltage solve snaps each cluster of vertices joined by zero-current
 edges to one voltage (see ``electrical``), so the vertices of a cluster lie
@@ -28,16 +31,6 @@ import numpy as np
 from .map_core import (INDEX, CombMap, CylinderEmbedding, DualMap, by_position, dual,
                        mod_array)
 from .electrical import Conjugate, Voltage, conjugate, flow_floor, harmonic_darts
-
-
-# validate() expands at most max(E // 2, SWEEP_PAIRS) (slab, piece) pairs at
-# once, unless one slab alone holds more: chunks in proportion to E keep the
-# per-chunk selection over all pieces linear overall, and half of E keeps
-# the sweep's arrays well below the size of the map's own.  A chunk also
-# spans at most SWEEP_SLABS slabs, so that the slab offsets within it fit in
-# uint16, whose stable argsort numpy does as a radix sort.
-SWEEP_PAIRS = 1 << 12
-SWEEP_SLABS = int(np.iinfo(np.uint16).max)
 
 
 class TilingError(ValueError):
@@ -77,17 +70,15 @@ class SmithDiagram:
 @dataclass
 class TilingReport:
     eta: float
-    overlap_area: float
-    coverage_defect: float
+    max_cover_defect: float
     area_defect: float
     max_aspect_defect: float
     max_level_defect: float
     max_seg_length: float
 
     def passed(self, tol: float = 1e-9) -> bool:
-        return (self.overlap_area <= tol and self.coverage_defect <= tol
-                and self.area_defect <= tol and self.max_aspect_defect <= tol
-                and self.max_level_defect <= tol
+        return (self.max_cover_defect <= tol and self.area_defect <= tol
+                and self.max_aspect_defect <= tol and self.max_level_defect <= tol
                 and self.max_seg_length <= self.eta + tol)
 
 
@@ -116,9 +107,8 @@ def build_diagram(m: CombMap, dmap: DualMap, v: Voltage, c: Conjugate,
     scale = max(1.0, eta)
     # the voltage solve's flow floor: the clusters below it arrive snapped,
     # and it still classes weak flows the snap left or never saw (those
-    # that fell below it after snapping, or of refined maps); the
-    # contiguity checks below absorb anything between rounding and genuine
-    # currents
+    # that fell below it after snapping); the contiguity checks below
+    # absorb anything between rounding and genuine currents
     zf = flow_floor(flows)
     # each flow carries cancellation noise ~ eps * conductance, so the chain
     # checks around a vertex cannot resolve below the incident conductance sum;
@@ -285,86 +275,61 @@ def _circle_pieces(x0: float, width: float, eta: float):
     return [(x0, eta), (0.0, x0 + width - eta)]
 
 
-def _sweep_slabs(d: SmithDiagram) -> tuple:
-    """The area covered by the rectangles and the area covered more than
-    once, by the merge rule of ``validate``; a function of its own so that
-    the sweep's arrays are freed before the level check runs."""
-    eta, E = d.eta, d.map.num_edges
-    ys, inv = np.unique(np.concatenate([d.rect_y0, d.rect_y1]), return_inverse=True)
-    dy = np.diff(ys)
-    # circle pieces of the rectangles of positive width, sorted by left end:
-    # an arc past the seam becomes [x0, eta) and [0, x0 + width - eta)
-    pos = np.flatnonzero(d.rect_width > 0)
-    x0, x1 = d.rect_x0[pos], d.rect_x0[pos] + d.rect_width[pos]
+def _max_cover_defect(d: SmithDiagram) -> float:
+    """The largest cover defect D(a) over the levels, by the event rule of
+    ``validate``; a function of its own so that its arrays are freed before
+    the level check runs."""
+    eta = d.eta
+    keep = (d.rect_width > 0) & (d.rect_y1 > d.rect_y0)
+    x0, y0, y1 = d.rect_x0[keep], d.rect_y0[keep], d.rect_y1[keep]
+    x1 = x0 + d.rect_width[keep]
+    # an arc past the seam becomes [x0, eta) and [0, x1 - eta); the extra
+    # circle ends at level 0 and starts at level 1
     seam = x1 > eta
-    p_lo = np.concatenate([x0, np.zeros(np.count_nonzero(seam))])
-    p_hi = np.concatenate([np.where(seam, eta, x1), x1[seam] - eta])
-    rect = np.concatenate([pos, pos[seam]])
-    by_lo = np.argsort(p_lo)
-    p_lo, p_hi, rect = p_lo[by_lo], p_hi[by_lo], rect[by_lo]
-    # right ends ranked 1..K-1; rank 0 stands for "no earlier piece"
-    K = len(p_hi) + 1
-    by_hi = np.argsort(p_hi)
-    rank = np.empty(K - 1, dtype=np.int64)
-    rank[by_hi] = np.arange(1, K)
-    hi_of = np.concatenate([[-np.inf], p_hi[by_hi]])
-    # slab i lies between ys[i] and ys[i + 1]; the piece covers slabs
-    # s_lo <= i < s_hi
-    s_lo = inv[:E][rect]
-    s_hi = np.maximum(inv[E:][rect], s_lo)
-    per_slab = np.cumsum(np.bincount(s_lo, minlength=len(ys))
-                         - np.bincount(s_hi, minlength=len(ys)))[:-1]
-    pairs = np.cumsum(per_slab)
-    chunk = max(E // 2, SWEEP_PAIRS)
-    overlap_area = 0.0
-    covered = 0.0
-    a = 0
-    while a < len(dy):
-        done = pairs[a - 1] if a else 0
-        b = max(a + 1, int(np.searchsorted(pairs, done + chunk, side="right")))
-        b = min(b, a + SWEEP_SLABS)
-        sel = np.flatnonzero((s_lo < b) & (s_hi > a))
-        lo = np.maximum(s_lo[sel], a)
-        n = np.minimum(s_hi[sel], b) - lo
-        # piece j covers chunk slabs lo_j - a, ..., lo_j - a + n_j - 1; the
-        # stable sort by slab keeps the pieces of a slab in left-end order
-        off = np.arange(n.sum()) + np.repeat(lo - a - np.cumsum(n) + n, n)
-        piece = np.repeat(sel, n)[np.argsort(off.astype(np.uint16), kind="stable")]
-        slab = np.repeat(np.arange(b - a), per_slab[a:b])
-        # M of a pair: the highest rank among the earlier pairs of its slab,
-        # read off the running maximum of the pair before it
-        key = slab * K
-        run = np.maximum.accumulate(key + rank[piece])
-        prev = np.empty_like(run)
-        prev[:1] = 0
-        prev[1:] = run[:-1]
-        m_hi = hi_of[np.maximum(prev - key, 0)]
-        hi, lo_x = p_hi[piece], p_lo[piece]
-        w = dy[a:b][slab]
-        covered += float(np.sum(np.maximum(hi - np.maximum(lo_x, m_hi), 0.0) * w))
-        overlap_area += float(np.sum(np.maximum(np.minimum(hi, m_hi) - lo_x, 0.0) * w))
-        a = b
-    return covered, overlap_area
+    lo = np.concatenate([x0, np.zeros(np.count_nonzero(seam)), [0.0]])
+    hi = np.concatenate([np.where(seam, eta, x1), x1[seam] - eta, [eta]])
+    bottom = np.concatenate([y0, y0[seam], [1.0]])
+    top = np.concatenate([y1, y1[seam], [0.0]])
+    ends = np.concatenate([lo, hi])
+    level = np.concatenate([bottom, bottom, top, top])
+    step = np.repeat(np.array([1, -1, -1, 1], dtype=np.int8), len(lo))
+    # the sort holds the peak: free what it does not read
+    del keep, x0, y0, y1, x1, seam, lo, hi, bottom, top
+    # event i is end i at its bottom and event i + K the same end at its top,
+    # K = len(ends), so one sort of the ends orders all events by x; then a
+    # stable sort by level (ties in x border a gap of width 0)
+    o = np.argsort(ends)
+    o = np.column_stack([o, o + len(ends)]).ravel()
+    o = o[np.argsort(level[o], kind="stable")]
+    x = ends[o % len(ends)]
+    level, step = level[o], step[o]
+    del o
+    # each level's steps sum to 0, so the running sum is d_start - d_end
+    # within a level and 0 at its last event
+    diff = np.abs(np.cumsum(step)[:-1]) * np.diff(x)
+    first = np.flatnonzero(np.concatenate([[True], level[1:] != level[:-1]]))
+    return float(np.add.reduceat(np.append(diff, 0.0), first).max())
 
 
 def validate(d: SmithDiagram) -> TilingReport:
     """Exhaustive tiling checks; returns a report, never raises.
 
-    Overlap and coverage come from a sweep over the slabs between
-    consecutive distinct rectangle levels, which are the distinct potentials
-    because the voltage solve snaps equipotential clusters; rounding would
-    otherwise split a lattice row into dozens of levels, each slab as costly
-    as a real one.  Each rectangle of positive width is split into its
-    pieces on [0, eta), and the pieces are sorted once by left end.  Within
-    a slab, taken in that order, a piece [lo, hi) adds max(0, hi - max(lo,
-    M)) to the union and max(0, min(hi, M) - lo) to the overlap, where M is
-    the largest right end of the earlier pieces there: the merge of sorted
-    intervals, done for all slabs of a chunk at once by one running maximum
-    over the integer keys slab * K + rank(hi), K above every rank.  The
-    (slab, piece) pairs are expanded in chunks of about max(E // 2,
-    SWEEP_PAIRS) pairs and at most SWEEP_SLABS slabs, which keeps memory
-    O(E).  At each vertex level, the segments there plus the rectangles
-    spanning it must fill the circumference.
+    The cover check takes each rectangle of positive width and height as
+    its pieces on [0, eta).  At every level a it compares the pieces of the
+    rectangles whose bottom is at a with those whose top is at a, one extra
+    full circle ending at level 0 and starting at level 1.  Their covering
+    depths d_start and d_end must agree: the defect D(a) is the integral of
+    |d_start - d_end| over the circle, a length like the level defect.
+    With the levels a_0 < a_1 < ..., the depth just above a_i, minus 1, is
+    the sum of d_start - d_end over the a_j with j <= i, so every slab
+    between consecutive levels is covered exactly once iff D(a) = 0 at
+    every level.  In general the overlap area plus the gap area is at most
+    the sum of D(a), as the slabs in [0, 1] add up to height 1.  The levels
+    are the snapped voltages, so the rectangles that meet at a vertex read
+    one float there.  Each piece gives four events, +1 at (bottom, lo), -1
+    at (bottom, hi), -1 at (top, lo) and +1 at (top, hi), sorted once by
+    level and x.  At each vertex level, the segments there plus the
+    rectangles spanning it must fill the circumference.
     """
     eta = d.eta
     heights = d.rect_y1 - d.rect_y0
@@ -372,8 +337,7 @@ def validate(d: SmithDiagram) -> TilingReport:
     max_aspect = float(aspect.max()) if len(aspect) else 0.0
     area_defect = abs(float(np.sum(d.rect_width * heights)) - eta)
 
-    covered, overlap_area = _sweep_slabs(d)
-    coverage_defect = abs(eta * 1.0 - covered)
+    max_cover = _max_cover_defect(d)
 
     # width spanning level a: rectangles with y0 < a < y1, i.e. those of
     # positive height with y0 < a, less those with y1 <= a
@@ -388,8 +352,8 @@ def validate(d: SmithDiagram) -> TilingReport:
             - c1[np.searchsorted(y1[o1], levels, side="right")])
     max_level = float(np.abs(seg + span - eta).max(initial=0.0))
 
-    return TilingReport(eta, overlap_area, coverage_defect, area_defect,
-                        max_aspect, max_level, float(d.hseg_len.max()))
+    return TilingReport(eta, max_cover, area_defect, max_aspect, max_level,
+                        float(d.hseg_len.max()))
 
 
 def render_svg(d: SmithDiagram, color_by: str = "order", width_px: int = 800,

@@ -1068,12 +1068,12 @@ def test_cli_solve_bytes_do_not_depend_on_blas_threads(tmp_path):
 # --seed s`, FILE holding the increments of the gamma = 1.8, n = 48
 # plain-rejection sample of that seed
 VERIFY_GOLDEN = {
-    1: (1, "0b31d51ae6105f228b93756f7a15dad1d54dc8d9b1c0ee7f3bd99062c6a96500"),
-    2: (1, "3818bc6daa3af207520eae9ef356c907898497e598d35f906d490d28ccc91a07"),
-    3: (0, "712fe9b2fedad46fee53e3b47c98e30b25272deb3a35f27d8e2b31c2b6c9da79"),
-    4: (1, "607be585b26c36eca4f6b8a2a7f477378c7a4b72e8701c5533d446f003b513ca"),
-    5: (0, "47bcc27dbd2df7594cf4866fb6fe87d1f3acaf17b81e4a74a35da6b10dea1510"),
-    6: (0, "fa79cfea461ebacb5759710831f5186d5e8e628fd3cb9de36b993d85e1e0ba8b"),
+    1: (1, "06dc0a98a1cf46c4b33c1734020ba307d09ec1865babe9dbb338ea36aa065baa"),
+    2: (1, "86e6b1b0bbc9f32abc1eb276ccfe95032d38eb144ea62ba3b814ad96728e9ca6"),
+    3: (0, "04dbe5ac08575618f00f7587c7f2861a0053b4fac31773cfd8fab46d8cb21bc3"),
+    4: (1, "e4fcc31a5e9007a4db5ebb4ab42f4b2cd9f5423528df439a2a4b1f0720e7e81f"),
+    5: (0, "93db77a4b52ad4df883c2198c12f4d63df973a268f39ff6df42bc54826077725"),
+    6: (0, "9b79e52772766f4a1168c086ecf95dc602499d4332c97ae6209987f1e7c931fc"),
 }
 
 
@@ -1098,11 +1098,11 @@ def test_cli_verify_golden_bytes(random_maps, tmp_path, capsys):
     m, emb = random_maps[1]
     assert main(["verify", write_map_file(tmp_path, m, emb), "-o", str(rep)]) == 0
     assert hashlib.sha256(rep.read_bytes()).hexdigest() == \
-        "e17c52c58dee46143b7dfe3a0ddfcc177161aa15e927a83e2748121e0d6de336"
+        "9d9ae05ee5b41b0cdcef46150fc1a88cd0bef836aac9f1ce6bc988f64446c7f6"
     assert main(["mated-crt", "--gamma", "1.8", "--n", "512", "--seed", "3", "-o", mp]) == 0
     assert main(["verify", mp, "-o", str(rep)]) == 0
     assert hashlib.sha256(rep.read_bytes()).hexdigest() == \
-        "94568a1b6f4def2388aa2266468087143adfbe5aad0d4e1f2bfd0a7b5642cf33"
+        "19f7adbb28b49603205b4e9160ae239b87ff17647c7e603144b4c4b96cad545f"
     capsys.readouterr()
 
 

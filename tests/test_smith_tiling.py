@@ -24,9 +24,8 @@ from oracles import (build_map, contact_violations, dart_drift,
 
 
 def report_is_exact(rep, tol=1e-12):
-    return (rep.overlap_area <= tol and rep.coverage_defect <= tol
-            and rep.area_defect <= tol and rep.max_aspect_defect <= tol
-            and rep.max_level_defect <= tol)
+    return (rep.max_cover_defect <= tol and rep.area_defect <= tol
+            and rep.max_aspect_defect <= tol and rep.max_level_defect <= tol)
 
 
 # -- closed-form diagrams ----------------------------------------------------
@@ -89,9 +88,9 @@ def test_rung_keeps_degenerate_rectangle(rung_map):
 
 
 def test_report_passed_gate():
-    good = TilingReport(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+    good = TilingReport(1.0, 0.0, 0.0, 0.0, 0.0, 1.0)
     assert good.passed(1e-9)
-    bad = TilingReport(1.0, 0.1, 0.0, 0.0, 0.0, 0.0, 1.0)
+    bad = TilingReport(1.0, 0.1, 0.0, 0.0, 0.0, 1.0)
     assert not bad.passed(1e-9)
 
 
@@ -455,7 +454,7 @@ def test_render_svg_splits_seam_rectangles(random_maps):
     assert svg.count("<rect") == 1 + drawn + seam
 
 
-# -- validate against the slab-by-slab oracle --------------------------------
+# -- validate against the level-by-level oracle -------------------------------
 
 REPORT_FIELDS = [f.name for f in dataclasses.fields(TilingReport)]
 
@@ -485,21 +484,10 @@ def test_validate_matches_slab_reference(sweep_diagrams):
     assert seam > 0
 
 
-def test_validate_chunking_does_not_change_report(sweep_diagrams, monkeypatch):
-    # the CG lattice needs several chunks even at the default size; with
-    # SWEEP_PAIRS = 0 every map takes the smallest chunks the pair rule
-    # allows, E // 2 pairs (one slab per chunk is the SWEEP_SLABS = 1 case of
-    # test_validate_slab_cap_does_not_change_report)
-    want = [validate(d) for d in sweep_diagrams]
-    monkeypatch.setattr(smith_tiling, "SWEEP_PAIRS", 0)
-    for d, w in zip(sweep_diagrams, want):
-        assert_reports_agree(validate(d), w)
-
-
 def _perturbed(d):
     """Three broken copies of a diagram: a shifted rectangle (overlap and a
-    gap), a zero width (a coverage defect) and a wrong segment length (a
-    level defect)."""
+    gap), a zero width (a gap) and a wrong segment length (a level
+    defect)."""
     k = int(np.argmax(d.rect_width * (d.rect_y1 - d.rect_y0)))
     x0 = d.rect_x0.copy()
     x0[k] = reduce_mod(x0[k] + d.rect_width[k] / 2, d.eta)
@@ -508,16 +496,19 @@ def _perturbed(d):
     x = next(x for x in range(d.map.num_vertices) if not d.map.is_marked(x))
     seg = d.hseg_len.copy()
     seg[x] += 0.1 * d.eta
-    return [(("overlap_area", "coverage_defect"), dataclasses.replace(d, rect_x0=x0)),
-            (("coverage_defect",), dataclasses.replace(d, rect_width=width)),
+    return [(("max_cover_defect",), dataclasses.replace(d, rect_x0=x0)),
+            (("max_cover_defect",), dataclasses.replace(d, rect_width=width)),
             (("max_level_defect",), dataclasses.replace(d, hseg_len=seg))]
 
 
+def perturbable(d):
+    # path_map's belts shift onto themselves; parallel3_map has no unmarked
+    # vertex to give a wrong segment
+    return d.map.num_vertices > 3
+
+
 def test_validate_flags_perturbed_diagrams_like_reference(sweep_diagrams):
-    for d in sweep_diagrams:
-        if d.map.num_vertices <= 3:
-            continue    # path_map's belts shift onto themselves; parallel3_map
-                        # has no unmarked vertex to give a wrong segment
+    for d in filter(perturbable, sweep_diagrams):
         for fields, bad in _perturbed(d):
             got, want = validate(bad), reference_validate(bad)
             assert_reports_agree(got, want)
@@ -526,17 +517,22 @@ def test_validate_flags_perturbed_diagrams_like_reference(sweep_diagrams):
             assert not got.passed() and not want.passed()
 
 
-def test_validate_slab_cap_does_not_change_report(sweep_diagrams, monkeypatch):
-    # chunks cut by the slab cap rather than the pair count
-    want = [validate(d) for d in sweep_diagrams]
-    for cap in (1, 3):
-        monkeypatch.setattr(smith_tiling, "SWEEP_SLABS", cap)
-        for d, w in zip(sweep_diagrams, want):
-            assert_reports_agree(validate(d), w)
+def test_validate_pass_implies_no_slab_overlap_or_gap(sweep_diagrams):
+    """One way, on every fixture and every broken copy: a diagram that
+    validate passes has no overlap and no gap by the loop slab sweep."""
+    passed = 0
+    for d in sweep_diagrams:
+        broken = [bad for _, bad in _perturbed(d)] if perturbable(d) else []
+        for case in [d] + broken:
+            if validate(case).passed():
+                passed += 1
+                overlap, coverage = oracles.slab_sweep(case)
+                assert overlap <= 1e-9 and coverage <= 1e-9
+    assert passed == len(sweep_diagrams)
 
 
 def test_validate_matches_reference_at_benchmark_size():
-    # the first map of the crt_tile benchmark: about 2500 edges, 1000 slabs
+    # the first map of the crt_tile benchmark: about 2500 edges, 1000 levels
     m = mark_vertices(build_mated(sample_excursion(1.8, 1024, 1)), seed=1).map
     d = tile(solve_voltage(m))
     got = validate(d)
@@ -548,6 +544,11 @@ def test_validate_matches_reference_at_benchmark_size():
         for field in fields:
             assert getattr(got, field) > 1e-9, field
         assert not got.passed() and not want.passed()
+
+
+def assert_defects_bound_sweep(d):
+    # the overlap plus the gap area is at most the sum of D(a)
+    assert sum(oracles.cover_defects(d).values()) >= sum(oracles.slab_sweep(d)) - 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -565,23 +566,26 @@ def test_validate_matches_reference_on_broken_diagrams(sweep_diagrams, i, k, j, 
     got, want = validate(bad), reference_validate(bad)
     assert_reports_agree(got, want)
     assert got.passed() == want.passed()
+    assert_defects_bound_sweep(bad)
 
 
-def test_validate_caps_chunks_at_uint16_slabs():
-    # two pieces 61000 empty slabs apart, the second at an offset that wraps
-    # to 464 in uint16: one chunk holds them both unless it is cut at
-    # SWEEP_SLABS slabs, and a wrapped sort would swap their slabs
-    N = 70000
-    ys = (np.arange(N + 1) / N) ** 2
-    y0, y1 = ys.copy(), ys.copy()
-    x0, width = np.zeros(N + 1), np.zeros(N + 1)
-    for k, (x, w) in ((5000, (0.0, 0.25)), (66000, (0.5, 0.5))):
-        y1[k], x0[k], width[k] = ys[k + 1], x, w
-    m = types.SimpleNamespace(num_edges=N + 1, conductance=np.ones(N + 1))
-    d = types.SimpleNamespace(map=m, eta=1.0, rect_x0=x0, rect_width=width,
-                              rect_y0=y0, rect_y1=y1, hseg_level=np.zeros(1),
-                              hseg_len=np.ones(1))
-    dy = np.diff(ys)
-    rep = validate(d)
-    assert rep.overlap_area == 0.0
-    assert abs(rep.coverage_defect - (1.0 - 0.25 * dy[5000] - 0.5 * dy[66000])) <= 1e-15
+@settings(max_examples=60, deadline=None)
+@given(eta=st.floats(0.1, 4.0), levels=st.lists(st.floats(0.0, 1.0), max_size=5),
+       rects=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.floats(0.0, 1.0),
+                                st.floats(0.0, 1.0)), min_size=1, max_size=12))
+def test_cover_defects_on_random_rectangles(eta, levels, rects):
+    """Rectangles on shared levels in [0, 1], some past the seam, some of
+    zero width or height: validate's cover defect is the loop oracle's, and
+    the defects summed over the levels bound the slab sweep's overlap plus
+    gap."""
+    ys = sorted({0.0, 1.0, *levels})
+    y = np.array([sorted((ys[i % len(ys)], ys[j % len(ys)])) for i, j, _, _ in rects])
+    x0 = np.array([reduce_mod(f * eta, eta) for _, _, f, _ in rects])
+    width = np.array([w * eta for *_, w in rects])
+    m = types.SimpleNamespace(conductance=np.ones(len(rects)))
+    d = types.SimpleNamespace(map=m, eta=eta, rect_x0=x0, rect_width=width,
+                              rect_y0=y[:, 0], rect_y1=y[:, 1], hseg_level=np.zeros(1),
+                              hseg_len=np.full(1, eta))
+    assert abs(validate(d).max_cover_defect
+               - max(oracles.cover_defects(d).values())) <= 1e-12
+    assert_defects_bound_sweep(d)
