@@ -22,7 +22,7 @@ from .electrical import solve_voltage
 from .smith_tiling import SmithEmbedding, smith_embedding, tile
 from .rng import make_rng
 
-from .walk_lab import uniforms, walk
+from .walk_lab import uniforms, vertex_ids, walk
 
 
 def lattice_shape(n: int, H: float) -> tuple:
@@ -148,7 +148,8 @@ def invariance_diagnostic(m: CombMap, height, starts, h_lo: float, h_hi: float,
     face representative heights (the dual of the lattice is the shifted
     lattice).  All walks take their steps from one ``uniforms`` stream of the
     seed's generator, one value per step, in the order the walks run, each
-    walk within ``walk_lab.MAX_STEPS`` steps."""
+    walk within ``walk_lab.MAX_STEPS`` steps.  Raises ValueError, before any
+    walk, when a start is not an integer in [0, V)."""
     height = np.asarray(height, dtype=np.float64)
     if height.shape != (m.num_vertices,):
         raise ValueError("height must hold one value per vertex")
@@ -163,7 +164,7 @@ def invariance_diagnostic(m: CombMap, height, starts, h_lo: float, h_hi: float,
     stop = lo | hi
     heads = m.dart_head.tolist()
     u = uniforms(make_rng(seed))
-    starts = np.asarray(list(starts), dtype=np.int64)
+    starts = np.asarray(vertex_ids(m, starts, "start"), dtype=np.int64)
     p_exact = np.empty(len(starts))
     p_hat = np.empty(len(starts))
     z = np.empty(len(starts))

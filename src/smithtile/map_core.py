@@ -424,20 +424,19 @@ class CombMap:
     @cached_property
     def step_rows(self) -> list:
         """One row per vertex for the walk kernel, as Python lists: (cumulative
-        conductance over the darts in rotation order, the total, the darts and
-        the head of each dart).  The cumulative sums add left to right, as
-        ``np.cumsum`` does.  The dart and head lists repeat their last entry,
-        so a draw that rounds up to the total, which ``bisect_right`` places
-        one past the last sum, still picks the last dart."""
+        conductance over the darts in rotation order, the total, and the pair
+        (dart, head) of each dart).  The cumulative sums add left to right, as
+        ``np.cumsum`` does.  The pair list repeats its last pair, so a draw
+        that rounds up to the total, which ``bisect_right`` places one past
+        the last sum, still picks the last dart.  Built on the first walk, so
+        only maps that are walked hold it."""
         ptr = self.vert_ptr.tolist()
-        darts = self.vert_dart.tolist()
-        heads = self.dart_head[self.vert_dart].tolist()
+        pairs = list(zip(self.vert_dart.tolist(), self.dart_head[self.vert_dart].tolist()))
         cond = self.conductance[self.vert_dart >> 1].tolist()
         rows = []
         for a, b in zip(ptr, ptr[1:]):
             cum = list(accumulate(cond[a:b]))
-            rows.append((cum, cum[-1], darts[a:b] + [darts[b - 1]],
-                         heads[a:b] + [heads[b - 1]]))
+            rows.append((cum, cum[-1], pairs[a:b] + [pairs[b - 1]]))
         return rows
 
     def __repr__(self):

@@ -26,23 +26,27 @@ No step of the report builds a V x V or E x E array.
 Monte Carlo walks all step through the one kernel ``walk``; its users are
 ``simulate`` and ``convergence.invariance_diagnostic``.  The kernel reads one
 cached row per vertex, ``CombMap.step_rows``: the cumulative conductance of
-the vertex's darts, its total, the darts and their heads, the last dart and
-head repeated once.  A step is one ``bisect_right`` of the scaled draw, and a
-draw that rounds up to the total lands on the repeated last dart, so the loop
-has no branch for it.  The stop set is tested once at the start and then
-after each move.  The values come from ``uniforms``, a C-level chain over
-blocks of BLOCK uniforms from the generator: ``rng.random(k)`` returns the
-same doubles as k calls of ``rng.random()``, so a walk sees the values that
-one call per step would give it, at a fraction of the per-call cost.  The
-kernel zips its step budget, MAX_STEPS, with the stream, budget first, so
-it takes exactly one value per step and none past the budget.
+the vertex's darts, its total, and the (dart, head) pair of each dart, the
+last pair repeated once.  A step is one ``bisect_right`` of the scaled draw
+and one read of the pair it lands on, and a draw that rounds up to the total
+lands on the repeated last pair, so the loop has no branch for it.  The stop
+set is tested once at the start and then after each move.  The values come
+from ``uniforms``, a C-level chain over blocks of BLOCK uniforms from the
+generator: ``rng.random(k)`` returns the same doubles as k calls of
+``rng.random()``, so a walk sees the values that one call per step would give
+it, at a fraction of the per-call cost.  The kernel reads the stream through
+``islice`` with its step budget, MAX_STEPS, which asks for each value only
+when a step needs it, so it takes exactly one value per step and none past
+the budget.  ``simulate`` re-keys one shared generator per walk
+(``rng.rekeyed_rng``) rather than building one.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,7 +55,7 @@ from .map_core import (CombMap, CylinderEmbedding, insert_vertices, dual,
                        segment_sums)
 from .electrical import Voltage, conjugate
 from .smith_tiling import SmithDiagram, build_diagram
-from .rng import make_rng
+from .rng import make_rng, rekeyed_rng
 
 # Uniforms drawn per generator call by ``uniforms``.
 BLOCK = 128
@@ -79,6 +83,21 @@ class LevelNotVertexed(ValueError):
 
 
 # -- stepping ----------------------------------------------------------------
+
+def vertex_ids(m: CombMap, xs, what: str) -> list:
+    """The values of ``xs`` as Python ints; ValueError naming the first that
+    is not an integer (a float such as 0.5 included) in [0, V)."""
+    out = []
+    for x in xs:
+        try:
+            i = operator.index(x)
+        except TypeError:
+            i = -1
+        if not 0 <= i < m.num_vertices:
+            raise ValueError(f"{what} {x} is not a vertex id in [0, {m.num_vertices})")
+        out.append(i)
+    return out
+
 
 @dataclass
 class WalkTrace:
@@ -111,12 +130,11 @@ def walk(m: CombMap, u, start: int, stop: set) -> list:
         return darts
     rows = m.step_rows
     step = darts.append
-    # zip asks range first, so no value is taken past the budget
-    for _, x in zip(range(MAX_STEPS), u):
-        cum, total, out, heads = rows[v]
-        i = bisect_right(cum, x * total)
-        step(out[i])
-        v = heads[i]
+    # islice asks for each value lazily, so none is taken past the budget
+    for x in islice(u, MAX_STEPS):
+        cum, total, pairs = rows[v]
+        d, v = pairs[bisect_right(cum, x * total)]
+        step(d)
         if v in stop:
             return darts
     raise StepBudgetExceeded(f"no stop vertex within {MAX_STEPS} steps")
@@ -126,11 +144,16 @@ def simulate(m: CombMap, start: int, stop_set, seed: int) -> WalkTrace:
     """Run the weighted walk from ``start`` until it first enters ``stop_set``.
 
     The walk takes the values of its own ``uniforms`` stream of the seed's
-    generator, one per step, so it is bit-reproducible for a fixed seed.
-    Raises StepBudgetExceeded past MAX_STEPS steps.
+    generator, one per step, so it is bit-reproducible for a fixed seed.  The
+    generator is one shared Philox, re-keyed to the seed on each call
+    (``rng.rekeyed_rng``) and used up before the call returns, so the
+    function is not thread-safe.  Raises ValueError when the start or a stop
+    vertex is not an integer in [0, V), and StepBudgetExceeded past
+    MAX_STEPS steps.
     """
-    darts = np.array(walk(m, uniforms(make_rng(seed)), start, set(map(int, stop_set))),
-                     dtype=np.int64)
+    start, = vertex_ids(m, [start], "start")
+    stop = set(vertex_ids(m, stop_set, "stop vertex"))
+    darts = np.array(walk(m, uniforms(rekeyed_rng(seed)), start, stop), dtype=np.int64)
     verts = np.empty(len(darts) + 1, dtype=np.int64)
     verts[0] = start
     verts[1:] = m.dart_head[darts]

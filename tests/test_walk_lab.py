@@ -1,15 +1,16 @@
 """Walk laws: stepping, level machinery, exact conditional laws."""
 
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import oracles
-from smithtile import mated_crt, walk_lab
+from smithtile import convergence, mated_crt, walk_lab
 from smithtile.convergence import invariance_diagnostic
-from smithtile.rng import make_rng
+from smithtile.rng import make_rng, rekeyed_rng
 from oracles import (absorption_probs, build_map, ref_invariance, ref_simulate,
                      step_law)
 from smithtile import (InadmissibleHeights, LevelNotVertexed,
@@ -740,6 +741,82 @@ def test_walk_draw_rounding_up_picks_last_dart(monkeypatch):
     assert u * c[-1] == c[-1]
     monkeypatch.setattr(walk_lab, "MAX_STEPS", 1)
     assert walk_lab.walk(m, iter([u]), 0, {1}) == [4]
+
+
+# -- the re-keyed generator of simulate ---------------------------------------
+
+def test_rekeyed_rng_draws_the_stream_of_make_rng():
+    n = 3 * walk_lab.BLOCK
+    for seed in (0, 1, 2**63, 2**64 - 1):
+        rng = rekeyed_rng(seed)
+        assert np.array_equal(rng.random(n), make_rng(seed).random(n))
+        # leave a half-used buffer and a spare 32-bit word behind
+        rng.integers(0, 2**32, size=3, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    for seed in (0, 2**64 - 1):
+        got = list(islice(walk_lab.uniforms(rekeyed_rng(seed)), n))
+        assert got == make_rng(seed).random(n).tolist()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_rekeyed_rng_rejects_seeds_like_make_rng(seed):
+    with pytest.raises(OverflowError) as want:
+        make_rng(seed)
+    with pytest.raises(OverflowError) as got:
+        rekeyed_rng(seed)
+    assert str(got.value) == str(want.value)
+
+
+def test_simulate_leaves_a_live_stream_alone(walk_cases):
+    c = walk_cases[-2]          # the lattice
+    ref = walk_lab.uniforms(make_rng(3))
+    want = [walk_lab.walk(c.m, ref, x, c.stop) for x in c.starts * 3]
+    u = walk_lab.uniforms(make_rng(3))
+    got = []
+    for x in c.starts * 3:
+        got.append(walk_lab.walk(c.m, u, x, c.stop))
+        simulate(c.m, x, c.stop, seed=5)
+    assert got == want
+
+
+def test_simulate_after_a_budget_overrun_matches_reference(walk_cases, monkeypatch):
+    c = walk_cases[0]
+    darts, verts = ref_simulate(c.m, c.x, c.stop, 5)
+    assert len(darts) > 1
+    monkeypatch.setattr(walk_lab, "MAX_STEPS", 1)
+    with pytest.raises(StepBudgetExceeded):
+        simulate(c.m, c.x, c.stop, seed=5)
+    monkeypatch.setattr(walk_lab, "MAX_STEPS", 10_000)
+    tr = simulate(c.m, c.x, c.stop, seed=5)
+    assert tr.darts.tolist() == darts and tr.vertices.tolist() == verts
+
+
+# -- vertex ids of the Monte Carlo walks ---------------------------------------
+
+def bad_vertices(m):
+    return [-1, m.num_vertices, 0.5]
+
+
+def test_simulate_rejects_out_of_range_vertices(walk_cases):
+    c = walk_cases[0]
+    for x in bad_vertices(c.m):
+        with pytest.raises(ValueError, match=f"start {x} is not a vertex id"):
+            simulate(c.m, x, c.stop, seed=3)
+        with pytest.raises(ValueError, match=f"stop vertex {x} is not a vertex id"):
+            simulate(c.m, c.x, c.stop | {x}, seed=3)
+
+
+def test_invariance_rejects_out_of_range_starts_before_walking(walk_cases, monkeypatch):
+    c = walk_cases[-2]          # the lattice
+
+    def no_walk(*args):
+        raise AssertionError("walked before checking the starts")
+
+    monkeypatch.setattr(convergence, "walk", no_walk)
+    for x in bad_vertices(c.m):
+        with pytest.raises(ValueError, match=f"start {x} is not a vertex id"):
+            invariance_diagnostic(c.m, c.height, [c.x, x], 0.25, 0.75,
+                                  walks_per_start=5, seed=1)
 
 
 # -- array kernels against the loops they replaced ------------------------------
