@@ -30,27 +30,47 @@ maps with the sphere topology, get the LU too: with a symmetric
 minimum-degree ordering, on planar maps it fills about 9 entries per
 unknown (nested dissection; Lipton, Rose and Tarjan, 1979), where
 Jacobi-CG needs 6-10 sqrt(n) iterations.  Pole marks, the
-whole end rows of a cylinder, keep Jacobi-CG, which converges in at most
-about 2.2 sqrt(n) iterations there and beats the LU, whose fill is larger.
-It runs as plain CG on the symmetrically scaled system S A S y = S b,
-S = diag^(-1/2), x = S y (split preconditioning; Saad, "Iterative Methods
-for Sparse Linear Systems", 2003, 9.2): the iterations are those of CG
-with M = diag^-1, without a call of the preconditioner in each.
-Measured on a 2-core x86 VM, in ms per linear solve of the n unknowns
-(the ``splu`` factor and solve, or the scaled ``cg`` call), min to
-median of 7 runs (3 at n=256; 3 for seeds 2 and 3):
+whole end rows of a cylinder, keep Jacobi-CG, which beats the LU there,
+whose fill is larger.  It runs as plain CG on the symmetrically scaled
+system S A S y = S b, S = diag^(-1/2), x = S y (split preconditioning;
+Saad, "Iterative Methods for Sparse Linear Systems", 2003, 9.2): the
+iterations are those of CG with M = diag^-1, without a call of the
+preconditioner in each, at most 2.4 sqrt(n) on the lattices below.
 
-    maps                                 n       S^2/n    with LU     with CG
-    gamma=1.8 mated-CRT, n=1024, seed 1  1022    0.19     2.0-2.1     9.8-10.1
-    gamma=1.8 mated-CRT, n=4096, seed 1  4094    0.03     7.4-7.7     50-52
-    gamma=1.8 mated-CRT, n=16384, seed 1 16382   0.01     28-39       445-503
+When the interior graph is bipartite, as on a lattice of even
+circumference, the CG runs on half the unknowns (red-black reduction;
+Saad, 2003): the block of S A S on one colour class is the identity, so
+that class is eliminated exactly, and CG on the Schur complement left on
+the other class takes about half the iterations, at most 1.25 sqrt(n)
+on the lattices below.  The two classes are the parities of the BFS
+depth from one unknown, checked against every entry of A, so the
+reduction is taken exactly where it is exact.  On an odd circumference or a Delaunay-like
+map each class has inner entries, and eliminating the independent class
+of a pruned colouring did worse than no reduction: its Schur complement
+took 114 CG iterations against plain Jacobi-CG's 64 on
+make_lattice(33, 4.0), and 210 against 126 on make_lattice(65, 4.0).  So
+those maps keep all n unknowns, and so does an interior that the marks
+cut apart, where the BFS does not reach every unknown.  The S^2 < 2n
+rule was set against plain Jacobi-CG: the reduced CG also beats the LU
+on make_lattice(64, 8.0), which the rule still factors.
+
+Measured on a 2-core x86 VM, in ms per linear solve of the n unknowns
+(the ``splu`` factor and solve, or all of ``_jacobi_cg``: colouring,
+scaling, elimination and the ``cg`` call), min to median of 7 runs (3 at
+n=256), with the CG iterations; the lattices are bipartite and take the
+red-black reduction, and plain Jacobi-CG's iterations follow in brackets:
+
+    maps                                 n       S^2/n    with LU     with CG      CG iters
+    gamma=1.8 mated-CRT, n=1024, seed 1  1022    0.19     1.6-1.8     7.8-10       261
+    gamma=1.8 mated-CRT, n=4096, seed 1  4094    0.03     6.5-7.7     42-46        590
+    gamma=1.8 mated-CRT, n=16384, seed 1 16382   0.01     35-39       373-416      1123
     gamma=1.8 mated-CRT, seeds 1-3       <= 0.19          LU faster
-    make_lattice(24, 4.0)                744     3.10     2.1         2.1-2.2
-    make_lattice(64, 4.0)                5312    3.08     17          11
-    make_lattice(128, 4.0)               20864   3.14     109-113     61-73
-    make_lattice(256, 4.0)               83712   3.13     741-742     545-550
-    make_lattice(64, 8.0)                10432   1.57     26-30       36-43
-    make_lattice(64, 1.0)                1344    12.2     3.6-3.8     1.1-1.4
+    make_lattice(24, 4.0)                744     3.10     2.0         1.7-1.8      29 (44)
+    make_lattice(64, 4.0)                5312    3.08     16-17       6.3-6.6      69 (126)
+    make_lattice(128, 4.0)               20864   3.14     69-80       21-23        128 (245)
+    make_lattice(256, 4.0)               83712   3.13     597-606     177-186      248 (483)
+    make_lattice(64, 8.0)                10432   1.57     23-31       11-12        128 (245)
+    make_lattice(64, 1.0)                1344    12.2     2.4-2.5     1.0-1.2      21 (28)
 """
 
 from __future__ import annotations
@@ -62,6 +82,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import breadth_first_order
 
 from .map_core import (INDEX, CombMap, DualMap, MapError, bfs_tree, components,
                        marked_cut_path, mod_array)
@@ -123,11 +144,14 @@ def solve_voltage(m: CombMap, tol: float = 1e-10) -> Voltage:
     """Solve the Dirichlet problem on the reduced SPD system of n unknowns:
     a sparse LU below LU_LIMIT, and above it when the marks are points,
     S^2 < 2n with S = deg(v0) + deg(v1); otherwise conjugate-gradient on
-    the Jacobi-scaled system, within 10 ceil(sqrt(n)) iterations, falling
-    back to ``spsolve`` if it stalls.  The module docstring gives the
-    measurements behind the rule.  The equipotential clusters are then
-    snapped (``snap_clusters``); the residual must stay within ``tol``
-    both before and after."""
+    the Jacobi-scaled system (``_jacobi_cg``), within 10 ceil(sqrt(n))
+    iterations, on the red-black Schur complement of half the unknowns
+    when the interior is connected and bipartite.  The CG's x must meet
+    the residual gate on the whole system, or ``spsolve`` solves it
+    instead.  The module docstring gives the measurements behind the
+    rule.  The equipotential clusters are then snapped
+    (``snap_clusters``); the residual must stay within ``tol`` both before
+    and after."""
     if m.v0 is None or m.v1 is None:
         raise MapError("voltage needs both marked vertices")
     V = m.num_vertices
@@ -142,12 +166,7 @@ def solve_voltage(m: CombMap, tol: float = 1e-10) -> Voltage:
                            options=dict(SymmetricMode=True))
             x = lu.solve(b)
         else:
-            # Jacobi-CG as plain CG on S A S, S = diag^(-1/2), with x = S y
-            s = 1.0 / np.sqrt(diag)
-            S = sp.diags(s)
-            y, info = spla.cg(S @ A @ S, s * b, rtol=1e-13, atol=0.0,
-                              maxiter=10 * math.ceil(math.sqrt(n)))
-            x = s * y
+            x, info = _jacobi_cg(A, b, diag)
             if info != 0 or np.max(np.abs(A @ x - b)) > 1e-11 * max(1.0, np.max(diag)):
                 x = spla.spsolve(A.tocsc(), b)
         res = np.max(np.abs(A @ x - b) / diag)
@@ -173,6 +192,65 @@ def solve_voltage(m: CombMap, tol: float = 1e-10) -> Voltage:
     volt.eta = eta0
     volt.eta_mismatch = mism
     return volt
+
+
+def _red_black(A, rows: np.ndarray):
+    """The odd class of the BFS depth parity from unknown 0 on the graph of
+    the CSR matrix A, whose entry k lies in row rows[k]; None unless the
+    BFS reaches all n unknowns and every off-diagonal entry joins the two
+    classes, that is, unless the graph is connected and bipartite."""
+    n = A.shape[0]
+    order, up = breadth_first_order(A, 0, return_predecessors=True)
+    if len(order) < n:
+        return None
+    up = up.astype(np.intp)
+    up[0] = 0
+    # pointer jumping: odd[v] is the parity of the depth from up[v] to v,
+    # and each round doubles that span until every up[v] is the root
+    odd = np.arange(n) != 0
+    while up.any():
+        odd ^= odd[up]
+        up = up[up]
+    if not np.array_equal(odd[rows] != odd[A.indices], rows != A.indices):
+        return None
+    return odd
+
+
+def _jacobi_cg(A, b: np.ndarray, diag: np.ndarray) -> tuple:
+    """(x, info) of one ``spla.cg`` call within 10 ceil(sqrt(n)) iterations,
+    n = len(b), on the Jacobi-scaled system S A S y = S b, S = diag^(-1/2),
+    x = S y.
+
+    S A S has a unit diagonal.  Where ``_red_black`` splits the unknowns
+    into classes R and K with no off-diagonal entry of A inside either,
+    S A S is [[I, B], [B^T, I]] with B = S_R A_RK S_K.  Eliminating
+    y_R = c_R - B y_K, c = S b, leaves the Schur complement
+    (I - B^T B) y_K = c_K - B^T c_R, and the CG runs on that.  With sigma
+    the largest singular value of B, the condition number of S A S is
+    (1 + sigma) / (1 - sigma) and that of the Schur complement at most
+    1 / (1 - sigma^2), that over (1 + sigma)^2, about a quarter of it as
+    sigma nears 1, so CG needs about half the iterations."""
+    n = len(b)
+    s = 1.0 / np.sqrt(diag)
+    budget = 10 * math.ceil(math.sqrt(n))
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    # A's entries scaled in place: the bits of S @ A @ S with diagonal S
+    SAS = sp.csr_matrix((A.data * s[rows] * s[A.indices], A.indices, A.indptr), shape=A.shape)
+    c = s * b
+    red = _red_black(A, rows)
+    if red is None:
+        y, info = spla.cg(SAS, c, rtol=1e-13, atol=0.0, maxiter=budget)
+        return s * y, info
+    B = SAS[red][:, ~red]
+    BT = B.T
+    cR, cK = c[red], c[~red]
+    k = len(cK)
+    schur = spla.LinearOperator((k, k), matvec=lambda z: z - BT @ (B @ z), dtype=float)
+    yK, info = spla.cg(schur, cK - BT @ cR, rtol=1e-13, atol=0.0, maxiter=budget)
+    y = np.empty(n)
+    y[~red] = yK
+    y[red] = cR - B @ yK
+    return s * y, info
 
 
 def flow_floor(flows) -> float:

@@ -6,6 +6,8 @@ Setting the key and a zero counter on an existing generator therefore gives
 the stream of a new one, without building it.
 """
 
+import operator
+
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
@@ -16,7 +18,9 @@ class _Key(ISeedSequence):
     unused ``SeedSequence`` from OS entropy."""
 
     def __init__(self, key):
-        self.key = np.uint64(key)       # raises on a negative or too large seed
+        # raises on a negative or too large seed, and on one that is not an
+        # integer (np.uint64 would truncate a float to another seed's key)
+        self.key = np.uint64(operator.index(key))
 
     def generate_state(self, n_words, dtype=np.uint64):
         state = np.zeros(n_words, dtype=np.uint64)
@@ -43,9 +47,10 @@ def rekeyed_rng(seed: int) -> np.random.Generator:
     The next call re-keys the same generator, so a caller must consume the
     stream before it makes or lets another call, and must not hand the
     generator out; calls from two threads at once are not safe.  Raises the
-    ``OverflowError`` of ``make_rng`` on a seed outside [0, 2**64)."""
+    ``OverflowError`` of ``make_rng`` on a seed outside [0, 2**64), and its
+    ``TypeError`` on a seed that is not an integer."""
     _SHARED.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _ZEROS, "key": (np.uint64(seed), 0)},
+        "state": {"counter": _ZEROS, "key": (np.uint64(operator.index(seed)), 0)},
         "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return _SHARED

@@ -291,17 +291,24 @@ def _max_cover_defect(d: SmithDiagram) -> float:
     bottom = np.concatenate([y0, y0[seam], [1.0]])
     top = np.concatenate([y1, y1[seam], [0.0]])
     ends = np.concatenate([lo, hi])
-    level = np.concatenate([bottom, bottom, top, top])
     step = np.repeat(np.array([1, -1, -1, 1], dtype=np.int8), len(lo))
+    # each piece's bottom and top as ranks among the levels
+    L = len(lo)
+    _, rank = np.unique(np.concatenate([bottom, top]), return_inverse=True)
+    level = np.concatenate([rank[:L], rank[:L], rank[L:], rank[L:]])
     # the sort holds the peak: free what it does not read
-    del keep, x0, y0, y1, x1, seam, lo, hi, bottom, top
+    del keep, x0, y0, y1, x1, seam, lo, hi, bottom, top, rank
     # event i is end i at its bottom and event i + K the same end at its top,
-    # K = len(ends), so one sort of the ends orders all events by x; then a
-    # stable sort by level (ties in x border a gap of width 0)
+    # K = len(ends).  The events sort by level, then by their end's place in
+    # one sort of the ends by x (ties in x border a gap of width 0): as an
+    # end's two levels differ, the keys level * K + place are distinct
+    K = len(ends)
     o = np.argsort(ends)
-    o = np.column_stack([o, o + len(ends)]).ravel()
-    o = o[np.argsort(level[o], kind="stable")]
-    x = ends[o % len(ends)]
+    place = np.empty(K, dtype=np.int64)
+    place[o] = np.arange(K)
+    o = np.argsort(level * K + np.concatenate([place, place]))
+    del place
+    x = ends[o % K]
     level, step = level[o], step[o]
     del o
     # each level's steps sum to 0, so the running sum is d_start - d_end

@@ -1134,4 +1134,4 @@ def test_cli_tile_and_converge_golden_bytes(tmp_path):
         "5ae1b3fdf2c94fa5e68b4d3814cf822f1a5cb8e3e42ff540d4e29cb5febc9350"
     assert main(["converge", "--n-list", "8,16,32", "-o", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "fc2f8011c55a55fc15d74b3101b47158cd8d0a1d320f44c10f3fb7b7f561dec4"
+        "8497f8aea7e5e0a39b434c97d10f8d0cf0632c2131b51b860a735f53a47df3aa"

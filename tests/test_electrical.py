@@ -15,7 +15,7 @@ from smithtile import (MapError, SolveError, conjugate, dual, harmonic_darts,
                        solve_voltage, tile)
 from smithtile import electrical, mated_crt
 from smithtile.electrical import Conjugate
-from smithtile.map_core import components, marked_cut_path
+from smithtile.map_core import CombMap, components, marked_cut_path
 from smithtile.mated_crt import build_map as build_mated
 
 import oracles
@@ -148,24 +148,95 @@ def test_lattice_solver_follows_the_mark_degree(monkeypatch, n, H, path):
     check_lattice_rows(m, v, n)
 
 
-@pytest.mark.parametrize("n, H, iters", [(32, 2.0, 28), (33, 4.0, 64), (64, 4.0, 126),
-                                         (128, 4.0, 245)])
+@pytest.mark.parametrize("n, H, iters", [(33, 4.0, 64)])
 def test_scaled_cg_matches_jacobi_preconditioned_cg(monkeypatch, n, H, iters):
     # CG on S A S with S = diag^(-1/2) is Jacobi-CG: the same iterations,
-    # and on these lattices the same voltages, eta and conjugate, bit for
-    # bit; odd n = 33 makes the lattice non-bipartite
+    # and on this lattice the same voltages, eta and conjugate, bit for
+    # bit; odd n = 33 makes the lattice non-bipartite, so the solve keeps
+    # all its unknowns
     m, emb = make_lattice(n, H)
-    spy = CountingSolvers()
-    counted = []
-    spy.cg = lambda *args, **kwargs: spy._spla.cg(*args, callback=counted.append, **kwargs)
-    monkeypatch.setattr(electrical, "spla", spy)
+    sizes, counted = cg_calls(monkeypatch)
     v = solve_voltage(m)
     ref, ref_iters = oracles.jacobi_cg_voltage(m)
+    assert sizes == [m.num_vertices - 2]
     assert len(counted) == ref_iters == iters
     assert np.array_equal(v.values, ref.values)
     assert v.eta == ref.eta
     dm = dual(m, emb)
     assert np.array_equal(conjugate(dm, v).w_lift, conjugate(dm, ref).w_lift)
+
+
+def cg_calls(monkeypatch):
+    """Route ``electrical``'s CG calls through a spy: (the size of each
+    system solved, the iterates of all calls)."""
+    spy = CountingSolvers()
+    sizes, counted = [], []
+
+    def cg(A, *args, **kwargs):
+        sizes.append(A.shape[0])
+        return spy._spla.cg(A, *args, callback=counted.append, **kwargs)
+    spy.cg = cg
+    monkeypatch.setattr(electrical, "spla", spy)
+    return sizes, counted
+
+
+@pytest.mark.parametrize("n, H, iters", [(32, 2.0, 21), (32, 4.0, 37), (64, 4.0, 69),
+                                         (128, 4.0, 128)])
+def test_bipartite_lattice_solves_the_red_black_schur_complement(monkeypatch, n, H, iters):
+    # an even lattice's interior is bipartite: CG runs on the Schur
+    # complement of the odd class, half the unknowns, in fewer iterations
+    # than Jacobi-CG on all of them (28, 60, 126 and 245)
+    m, _ = make_lattice(n, H)
+    sizes, counted = cg_calls(monkeypatch)
+    v = solve_voltage(m)
+    ref, ref_iters = oracles.jacobi_cg_voltage(m)
+    assert sizes == [(m.num_vertices - 2) // 2]
+    assert len(counted) == iters < ref_iters
+    # row r of the M rows sits at (r + 1) / (M + 1) on a unit lattice
+    M = (m.num_vertices - 2) // n
+    want = np.append(np.repeat((np.arange(M) + 1.0) / (M + 1), n), [0.0, 1.0])
+    assert np.max(np.abs(v.values - want)) <= 1e-13
+    assert np.max(np.abs(v.values - ref.values)) <= 1e-13
+    if m.num_vertices <= 2000:
+        assert np.max(np.abs(v.values - oracle_voltage(m)[0])) <= 1e-13
+
+
+def test_random_conductance_lattice_solves_the_red_black_schur_complement(monkeypatch):
+    # conductances 1 and 4 make the Jacobi scaling, and so B, non-uniform.
+    # CG stops at a relative residual of 1e-13, which on this lattice leaves
+    # voltage errors near 1e-13 on either path: against a refined dense
+    # solve, 7.5e-14 here and 6.0e-14 for Jacobi-CG on all the unknowns
+    m = make_lattice(32, 4.0)[0]
+    c = make_rng(1).choice([1.0, 4.0], size=m.num_edges)
+    m = CombMap(m.num_vertices, m.edge_tail, m.edge_head, c, m.next_dart, v0=m.v0, v1=m.v1)
+    sizes, counted = cg_calls(monkeypatch)
+    v = solve_voltage(m)
+    ref, ref_iters = oracles.jacobi_cg_voltage(m)
+    assert sizes == [(m.num_vertices - 2) // 2]
+    assert len(counted) == 113 < ref_iters == 226
+    h_ref, eta_ref = oracle_voltage(m)
+    assert np.max(np.abs(v.values - h_ref)) <= 1e-12
+    assert np.max(np.abs(v.values - ref.values)) <= 1e-12
+    assert v.eta == pytest.approx(eta_ref, rel=1e-12)
+
+
+def test_cg_keeps_all_unknowns_unless_the_interior_is_bipartite_and_connected(monkeypatch):
+    # both maps have pole marks, S^2 >= 2n, and reach CG with LU_LIMIT at 0
+    odd = make_lattice(7, 2.0)[0]             # 7-cycles: not bipartite
+    # v0 and v1 joined by two paths, 0-2-3-1 and 0-4-5-1: two interior parts
+    split = build_map(6, [(0, 2, 1.0), (2, 3, 1.0), (3, 1, 1.0), (1, 5, 1.0), (5, 4, 1.0),
+                          (4, 0, 1.0)],
+                      [[0, 11], [5, 6], [1, 2], [3, 4], [9, 10], [7, 8]], marked=(0, 1))
+    monkeypatch.setattr(electrical, "LU_LIMIT", 0)
+    for m in (odd, split):
+        n = m.num_vertices - 2
+        assert (m.degree(m.v0) + m.degree(m.v1)) ** 2 >= 2 * n
+        with monkeypatch.context() as patch:
+            sizes, _ = cg_calls(patch)
+            v = solve_voltage(m)
+        assert sizes == [n]
+        assert np.max(np.abs(v.values - oracle_voltage(m)[0])) <= 1e-13
+    assert np.allclose(v.values, [0.0, 1.0, 1 / 3, 2 / 3, 1 / 3, 2 / 3], atol=1e-15)
 
 
 def test_point_marked_map_is_factored_directly(monkeypatch):

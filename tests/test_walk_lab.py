@@ -767,6 +767,22 @@ def test_rekeyed_rng_rejects_seeds_like_make_rng(seed):
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("seed", [1.5, 1.9, np.float64(1.0)])
+def test_seeds_that_are_not_integers_raise(seed):
+    # np.uint64 alone would truncate each of these to the key of seed 1
+    with pytest.raises(TypeError):
+        make_rng(seed)
+    with pytest.raises(TypeError):
+        rekeyed_rng(seed)
+
+
+@pytest.mark.parametrize("seed", [np.int64(3), np.uint64(3), np.int32(3), np.uint64(2**64 - 1)])
+def test_numpy_integer_seeds_keep_their_streams(seed):
+    want = np.random.Generator(np.random.Philox(key=int(seed))).random(8)
+    assert np.array_equal(make_rng(seed).random(8), want)
+    assert np.array_equal(rekeyed_rng(seed).random(8), want)
+
+
 def test_simulate_leaves_a_live_stream_alone(walk_cases):
     c = walk_cases[-2]          # the lattice
     ref = walk_lab.uniforms(make_rng(3))
