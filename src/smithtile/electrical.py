@@ -16,61 +16,51 @@ into many.  ``solve_voltage`` therefore snaps each equipotential cluster,
 found through the edges whose flow is below the flow floor, to one voltage,
 and checks the harmonic residual again on the snapped values.
 
-The reduced Laplacian is solved one of two ways, by a sparse LU or by
-Jacobi-CG.  Below ``LU_LIMIT`` unknowns it gets the LU, whose bits do not
-depend on the BLAS thread count, while the CG path's do: scipy's ``cg``
-takes its dot products through BLAS, whose threaded sums add in another
-order (``make_lattice(128, 4.0)`` solved under 1 and 2 OpenBLAS threads
-differs in 20 480 of 20 866 voltages, by at most 1.1e-15).  So the small
-maps repeat byte for byte under any thread count, and at that size the
-LU costs about what CG does (the n = 744 lattice row below).
-Above, the choice reads S = deg(v0) + deg(v1), the number of darts at the
-two marks, against the n unknowns.  Point marks (S^2 < 2n), as on mated-CRT
-maps with the sphere topology, get the LU too: with a symmetric
-minimum-degree ordering, on planar maps it fills about 9 entries per
-unknown (nested dissection; Lipton, Rose and Tarjan, 1979), where
-Jacobi-CG needs 6-10 sqrt(n) iterations.  Pole marks, the
-whole end rows of a cylinder, keep Jacobi-CG, which beats the LU there,
-whose fill is larger.  It runs as plain CG on the symmetrically scaled
-system S A S y = S b, S = diag^(-1/2), x = S y (split preconditioning;
-Saad, "Iterative Methods for Sparse Linear Systems", 2003, 9.2): the
-iterations are those of CG with M = diag^-1, without a call of the
-preconditioner in each, at most 2.4 sqrt(n) on the lattices below.
+The reduced Laplacian of n unknowns is solved by one rule.  Where n is at
+least ``LU_LIMIT`` and the interior graph is bipartite and connected, as on
+a lattice of even circumference, it gets conjugate-gradient on half the
+unknowns (red-black reduction; Saad, "Iterative Methods for Sparse Linear
+Systems", 2003): the block of the Jacobi-scaled system on one colour class
+is the identity, so that class is eliminated exactly, and CG on the Schur
+complement left on the other class takes at most 1.25 sqrt(n) iterations
+on the lattices below, about half those of Jacobi-CG on all n unknowns.
+The two classes are the parities of the BFS depth from one unknown,
+checked against every entry of A, so the reduction is taken exactly where
+it is exact.  Every other map gets a sparse LU: below ``LU_LIMIT``, where
+it costs about what CG does (the n = 744 lattice row below); an odd cycle,
+as on an odd circumference, a mated-CRT map or a Delaunay-like map; and an
+interior that the marks cut apart.  With a symmetric minimum-degree
+ordering, on planar maps the LU fills about 9 entries per unknown (nested
+dissection; Lipton, Rose and Tarjan, 1979).  Its bits do not depend on the
+BLAS thread count, while the CG's do: scipy's ``cg`` takes its dot
+products through BLAS, whose threaded sums add in another order
+(``make_lattice(128, 4.0)`` solved under 1 and 2 OpenBLAS threads differs
+in 20 224 of 20 866 voltages, by at most 4.8e-15).  So every map but a
+large bipartite one repeats byte for byte under any thread count.  That
+costs time on odd lattices, which plain Jacobi-CG on all n unknowns
+solved in 12-34% less time than the LU does (last rows below).
 
-When the interior graph is bipartite, as on a lattice of even
-circumference, the CG runs on half the unknowns (red-black reduction;
-Saad, 2003): the block of S A S on one colour class is the identity, so
-that class is eliminated exactly, and CG on the Schur complement left on
-the other class takes about half the iterations, at most 1.25 sqrt(n)
-on the lattices below.  The two classes are the parities of the BFS
-depth from one unknown, checked against every entry of A, so the
-reduction is taken exactly where it is exact.  On an odd circumference or a Delaunay-like
-map each class has inner entries, and eliminating the independent class
-of a pruned colouring did worse than no reduction: its Schur complement
-took 114 CG iterations against plain Jacobi-CG's 64 on
-make_lattice(33, 4.0), and 210 against 126 on make_lattice(65, 4.0).  So
-those maps keep all n unknowns, and so does an interior that the marks
-cut apart, where the BFS does not reach every unknown.  The S^2 < 2n
-rule was set against plain Jacobi-CG: the reduced CG also beats the LU
-on make_lattice(64, 8.0), which the rule still factors.
+Measured on a 2-core x86 VM under one OpenBLAS thread, in ms per linear
+solve of the n unknowns (the ``splu`` factor and solve; all of the Schur
+CG, colouring, scaling, elimination and the ``cg`` call; or the plain
+Jacobi-CG that the rule no longer runs), min to median of 7 runs (3 at
+n > 50 000), with the CG iterations in brackets; the colouring alone costs
+0.09 ms at n = 1022 and 1.8 ms at n = 16 382:
 
-Measured on a 2-core x86 VM, in ms per linear solve of the n unknowns
-(the ``splu`` factor and solve, or all of ``_jacobi_cg``: colouring,
-scaling, elimination and the ``cg`` call), min to median of 7 runs (3 at
-n=256), with the CG iterations; the lattices are bipartite and take the
-red-black reduction, and plain Jacobi-CG's iterations follow in brackets:
-
-    maps                                 n       S^2/n    with LU     with CG      CG iters
-    gamma=1.8 mated-CRT, n=1024, seed 1  1022    0.19     1.6-1.8     7.8-10       261
-    gamma=1.8 mated-CRT, n=4096, seed 1  4094    0.03     6.5-7.7     42-46        590
-    gamma=1.8 mated-CRT, n=16384, seed 1 16382   0.01     35-39       373-416      1123
-    gamma=1.8 mated-CRT, seeds 1-3       <= 0.19          LU faster
-    make_lattice(24, 4.0)                744     3.10     2.0         1.7-1.8      29 (44)
-    make_lattice(64, 4.0)                5312    3.08     16-17       6.3-6.6      69 (126)
-    make_lattice(128, 4.0)               20864   3.14     69-80       21-23        128 (245)
-    make_lattice(256, 4.0)               83712   3.13     597-606     177-186      248 (483)
-    make_lattice(64, 8.0)                10432   1.57     23-31       11-12        128 (245)
-    make_lattice(64, 1.0)                1344    12.2     2.4-2.5     1.0-1.2      21 (28)
+    maps                                 n       LU          Schur CG         plain CG
+    gamma=1.8 mated-CRT, n=1024, seed 1  1022    1.3-1.4     -                5.8-6.4 (261)
+    gamma=1.8 mated-CRT, n=4096, seed 1  4094    5.2-5.7     -                35-38 (590)
+    gamma=1.8 mated-CRT, n=16384, seed 1 16382   27-28       -                315-344 (1123)
+    make_lattice(24, 4.0)                744     1.4-1.5     1.3-1.6 (29)     1.2-1.4 (44)
+    make_lattice(64, 1.0)                1344    2.1         0.87-0.91 (21)   0.70-0.72 (28)
+    make_lattice(64, 4.0)                5312    13-14       4.3-5.4 (69)     7.6-7.8 (126)
+    make_lattice(64, 8.0)                10432   23-30       9.7-11 (128)     18-22 (245)
+    make_lattice(128, 4.0)               20864   83-95       21-24 (128)      46-49 (245)
+    make_lattice(256, 4.0)               83712   660         162-180 (248)    390-399 (483)
+    make_lattice(33, 4.0)                1419    2.3         -                1.5 (64)
+    make_lattice(65, 4.0)                5395    9.4-13      -                8.1-8.4 (126)
+    make_lattice(129, 4.0)               21285   61-69       -                44-48 (248)
+    make_lattice(255, 4.0)               82875   391-410     -                345-367 (480)
 """
 
 from __future__ import annotations
@@ -141,17 +131,15 @@ def dirichlet_system(m: CombMap) -> tuple:
 
 
 def solve_voltage(m: CombMap, tol: float = 1e-10) -> Voltage:
-    """Solve the Dirichlet problem on the reduced SPD system of n unknowns:
-    a sparse LU below LU_LIMIT, and above it when the marks are points,
-    S^2 < 2n with S = deg(v0) + deg(v1); otherwise conjugate-gradient on
-    the Jacobi-scaled system (``_jacobi_cg``), within 10 ceil(sqrt(n))
-    iterations, on the red-black Schur complement of half the unknowns
-    when the interior is connected and bipartite.  The CG's x must meet
-    the residual gate on the whole system, or ``spsolve`` solves it
-    instead.  The module docstring gives the measurements behind the
-    rule.  The equipotential clusters are then snapped
-    (``snap_clusters``); the residual must stay within ``tol`` both before
-    and after."""
+    """Solve the Dirichlet problem on the reduced SPD system of n unknowns
+    by one rule: where n is at least LU_LIMIT and ``_red_black``
+    two-colours the interior, conjugate-gradient on the red-black Schur
+    complement (``_jacobi_cg``) within 10 ceil(sqrt(n)) iterations, whose x
+    must meet the residual gate on the whole system, or ``spsolve`` solves
+    it instead; everywhere else a sparse LU.  The module docstring gives
+    the measurements behind the rule.  The equipotential clusters are then
+    snapped (``snap_clusters``); the residual must stay within ``tol`` both
+    before and after."""
     if m.v0 is None or m.v1 is None:
         raise MapError("voltage needs both marked vertices")
     V = m.num_vertices
@@ -160,15 +148,18 @@ def solve_voltage(m: CombMap, tol: float = 1e-10) -> Voltage:
     h = np.zeros(V)
     h[m.v1] = 1.0
     if n > 0:
-        if n < LU_LIMIT or (m.degree(m.v0) + m.degree(m.v1)) ** 2 < 2 * n:
-            # A is a symmetric, diagonally dominant M-matrix: no pivoting
-            lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        red = None if n < LU_LIMIT else _red_black(A)
+        if red is None:
+            # A is a symmetric, diagonally dominant M-matrix: no pivoting.
+            # It is in canonical CSR form, so A.T is its CSC form on the
+            # same arrays, with no copy
+            lu = spla.splu(A.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                            options=dict(SymmetricMode=True))
             x = lu.solve(b)
         else:
-            x, info = _jacobi_cg(A, b, diag)
+            x, info = _jacobi_cg(A, b, diag, red)
             if info != 0 or np.max(np.abs(A @ x - b)) > 1e-11 * max(1.0, np.max(diag)):
-                x = spla.spsolve(A.tocsc(), b)
+                x = spla.spsolve(A.T, b)
         res = np.max(np.abs(A @ x - b) / diag)
         if not res <= tol:
             raise SolveError(f"harmonic residual {res} exceeds {tol}")
@@ -194,11 +185,11 @@ def solve_voltage(m: CombMap, tol: float = 1e-10) -> Voltage:
     return volt
 
 
-def _red_black(A, rows: np.ndarray):
+def _red_black(A):
     """The odd class of the BFS depth parity from unknown 0 on the graph of
-    the CSR matrix A, whose entry k lies in row rows[k]; None unless the
-    BFS reaches all n unknowns and every off-diagonal entry joins the two
-    classes, that is, unless the graph is connected and bipartite."""
+    the CSR matrix A; None unless the BFS reaches all n unknowns and every
+    off-diagonal entry joins the two classes, that is, unless the graph is
+    connected and bipartite."""
     n = A.shape[0]
     order, up = breadth_first_order(A, 0, return_predecessors=True)
     if len(order) < n:
@@ -211,36 +202,34 @@ def _red_black(A, rows: np.ndarray):
     while up.any():
         odd ^= odd[up]
         up = up[up]
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
     if not np.array_equal(odd[rows] != odd[A.indices], rows != A.indices):
         return None
     return odd
 
 
-def _jacobi_cg(A, b: np.ndarray, diag: np.ndarray) -> tuple:
+def _jacobi_cg(A, b: np.ndarray, diag: np.ndarray, red: np.ndarray) -> tuple:
     """(x, info) of one ``spla.cg`` call within 10 ceil(sqrt(n)) iterations,
-    n = len(b), on the Jacobi-scaled system S A S y = S b, S = diag^(-1/2),
-    x = S y.
+    n = len(b), on the red-black Schur complement of the Jacobi-scaled
+    system S A S y = S b, S = diag^(-1/2), x = S y, where the mask ``red``
+    is one class of ``_red_black``'s two-colouring.
 
-    S A S has a unit diagonal.  Where ``_red_black`` splits the unknowns
-    into classes R and K with no off-diagonal entry of A inside either,
-    S A S is [[I, B], [B^T, I]] with B = S_R A_RK S_K.  Eliminating
-    y_R = c_R - B y_K, c = S b, leaves the Schur complement
-    (I - B^T B) y_K = c_K - B^T c_R, and the CG runs on that.  With sigma
-    the largest singular value of B, the condition number of S A S is
-    (1 + sigma) / (1 - sigma) and that of the Schur complement at most
-    1 / (1 - sigma^2), that over (1 + sigma)^2, about a quarter of it as
-    sigma nears 1, so CG needs about half the iterations."""
+    S A S has a unit diagonal, and no off-diagonal entry of A lies inside
+    the class R = red or the class K = ~red, so S A S is [[I, B], [B^T, I]]
+    with B = S_R A_RK S_K.  Eliminating y_R = c_R - B y_K, c = S b, leaves
+    the Schur complement (I - B^T B) y_K = c_K - B^T c_R, and the CG runs
+    on that.  With sigma the largest singular value of B, the condition
+    number of S A S is (1 + sigma) / (1 - sigma) and that of the Schur
+    complement at most 1 / (1 - sigma^2), that over (1 + sigma)^2, about a
+    quarter of it as sigma nears 1, so CG needs about half the iterations
+    of Jacobi-CG on all n unknowns."""
     n = len(b)
     s = 1.0 / np.sqrt(diag)
     budget = 10 * math.ceil(math.sqrt(n))
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
     # A's entries scaled in place: the bits of S @ A @ S with diagonal S
-    SAS = sp.csr_matrix((A.data * s[rows] * s[A.indices], A.indices, A.indptr), shape=A.shape)
+    SAS = sp.csr_matrix((A.data * np.repeat(s, np.diff(A.indptr)) * s[A.indices],
+                         A.indices, A.indptr), shape=A.shape)
     c = s * b
-    red = _red_black(A, rows)
-    if red is None:
-        y, info = spla.cg(SAS, c, rtol=1e-13, atol=0.0, maxiter=budget)
-        return s * y, info
     B = SAS[red][:, ~red]
     BT = B.T
     cR, cK = c[red], c[~red]

@@ -722,9 +722,10 @@ def dirichlet_system(m: CombMap) -> tuple:
 
 
 def jacobi_cg_voltage(m: CombMap) -> tuple:
-    """``electrical.solve_voltage`` on its CG path as it ran with the
-    Jacobi preconditioner handed to CG as M = diag^-1: (voltage, the number
-    of CG iterations).  The residual checks are left out."""
+    """Jacobi-CG on all n unknowns, the preconditioner handed to CG as
+    M = diag^-1, with ``electrical.solve_voltage``'s tolerance and budget:
+    (voltage, the number of CG iterations), the reference for the
+    red-black Schur CG.  The residual checks are left out."""
     interior, A, b, diag = dirichlet_system(m)
     n = len(interior)
     iters = []

@@ -9,10 +9,11 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import breadth_first_order
 
 from smithtile import (MapError, SolveError, conjugate, dual, harmonic_darts,
                        insert_vertices, make_lattice, make_rng, mark_vertices,
-                       solve_voltage, tile)
+                       random_map, solve_voltage, tile)
 from smithtile import electrical, mated_crt
 from smithtile.electrical import Conjugate
 from smithtile.map_core import CombMap, components, marked_cut_path
@@ -120,8 +121,7 @@ def check_lattice_rows(m, v, n):
 
 
 def test_small_system_uses_sparse_lu(monkeypatch):
-    # 178 vertices, below LU_LIMIT: the LU, though its pole marks
-    # (S^2 = 1024 > 2n) would send it to CG above
+    # 178 vertices, below LU_LIMIT: the LU, though the interior two-colours
     m, _ = make_lattice(16, 2.0)
     assert m.num_vertices - 2 < electrical.LU_LIMIT
     v, calls = solver_calls(monkeypatch, m)
@@ -130,8 +130,8 @@ def test_small_system_uses_sparse_lu(monkeypatch):
 
 
 def test_large_lattice_uses_iterative_solver(monkeypatch):
-    # 674 vertices: above LU_LIMIT, and the 64 darts at the poles
-    # make S^2 = 4096 > 2n, so this exercises the CG branch
+    # 674 vertices: above LU_LIMIT, and an even lattice two-colours, so
+    # this exercises the CG branch
     m, _ = make_lattice(32, 2.0)
     assert m.num_vertices > 500
     v, calls = solver_calls(monkeypatch, m)
@@ -139,31 +139,49 @@ def test_large_lattice_uses_iterative_solver(monkeypatch):
     check_lattice_rows(m, v, 32)
 
 
-@pytest.mark.parametrize("n, H, path", [(64, 4.0, "cg"), (64, 8.0, "splu")])
-def test_lattice_solver_follows_the_mark_degree(monkeypatch, n, H, path):
-    # S = 128 darts at the poles: S^2 / n is 3.08 at H = 4 and 1.57 at H = 8
-    m, _ = make_lattice(n, H)
+def lattice_voltage(m, n):
+    """The exact voltage of a unit lattice of n columns: row r of its M
+    rows at (r + 1) / (M + 1), then v0 and v1."""
+    M = (m.num_vertices - 2) // n
+    return np.append(np.repeat((np.arange(M) + 1.0) / (M + 1), n), [0.0, 1.0])
+
+
+def crt_map(n, seed):
+    return mark_vertices(build_mated(mated_crt.sample_excursion(1.8, n, seed)), seed=seed).map
+
+
+SOLVER_RULE = [
+    ("lattice", (16, 2.0), "splu"),       # below LU_LIMIT
+    ("lattice", (32, 2.0), "cg"),
+    ("lattice", (64, 4.0), "cg"),
+    ("lattice", (64, 8.0), "cg"),
+    ("lattice", (33, 4.0), "splu"),       # odd columns: not bipartite
+    ("lattice", (65, 4.0), "splu"),
+    ("crt", (1024, 1), "splu"),           # gamma = 1.8
+    ("random", (1,), "splu"),             # below LU_LIMIT
+]
+
+
+@pytest.mark.parametrize("family, args, solver", SOLVER_RULE,
+                         ids=["-".join(map(str, (f, *a, s))) for f, a, s in SOLVER_RULE])
+def test_solver_follows_the_colouring(monkeypatch, family, args, solver):
+    # one rule: the LU below LU_LIMIT; above it the CG where the interior
+    # two-colours and the LU where it does not
+    m = {"lattice": lambda n, H: make_lattice(n, H)[0], "crt": crt_map,
+         "random": lambda seed: random_map(seed)[0]}[family](*args)
+    bfs = []
+
+    def counted_bfs(*a, **k):
+        bfs.append(1)
+        return breadth_first_order(*a, **k)
+    monkeypatch.setattr(electrical, "breadth_first_order", counted_bfs)
     v, calls = solver_calls(monkeypatch, m)
-    assert calls == {path: 1}
-    check_lattice_rows(m, v, n)
-
-
-@pytest.mark.parametrize("n, H, iters", [(33, 4.0, 64)])
-def test_scaled_cg_matches_jacobi_preconditioned_cg(monkeypatch, n, H, iters):
-    # CG on S A S with S = diag^(-1/2) is Jacobi-CG: the same iterations,
-    # and on this lattice the same voltages, eta and conjugate, bit for
-    # bit; odd n = 33 makes the lattice non-bipartite, so the solve keeps
-    # all its unknowns
-    m, emb = make_lattice(n, H)
-    sizes, counted = cg_calls(monkeypatch)
-    v = solve_voltage(m)
-    ref, ref_iters = oracles.jacobi_cg_voltage(m)
-    assert sizes == [m.num_vertices - 2]
-    assert len(counted) == ref_iters == iters
-    assert np.array_equal(v.values, ref.values)
-    assert v.eta == ref.eta
-    dm = dual(m, emb)
-    assert np.array_equal(conjugate(dm, v).w_lift, conjugate(dm, ref).w_lift)
+    assert calls == {solver: 1}
+    assert len(bfs) == (m.num_vertices - 2 >= electrical.LU_LIMIT)
+    # the dense solve of the 5314 vertices of make_lattice(64, 4.0) would
+    # take 0.2 GB, of the larger lattices more
+    want = oracle_voltage(m)[0] if m.num_vertices <= 2000 else lattice_voltage(m, args[0])
+    assert np.max(np.abs(v.values - want)) <= 1e-13
 
 
 def cg_calls(monkeypatch):
@@ -181,21 +199,18 @@ def cg_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("n, H, iters", [(32, 2.0, 21), (32, 4.0, 37), (64, 4.0, 69),
-                                         (128, 4.0, 128)])
+                                         (64, 8.0, 128), (128, 4.0, 128)])
 def test_bipartite_lattice_solves_the_red_black_schur_complement(monkeypatch, n, H, iters):
     # an even lattice's interior is bipartite: CG runs on the Schur
     # complement of the odd class, half the unknowns, in fewer iterations
-    # than Jacobi-CG on all of them (28, 60, 126 and 245)
+    # than Jacobi-CG on all of them (28, 60, 126, 245 and 245)
     m, _ = make_lattice(n, H)
     sizes, counted = cg_calls(monkeypatch)
     v = solve_voltage(m)
     ref, ref_iters = oracles.jacobi_cg_voltage(m)
     assert sizes == [(m.num_vertices - 2) // 2]
     assert len(counted) == iters < ref_iters
-    # row r of the M rows sits at (r + 1) / (M + 1) on a unit lattice
-    M = (m.num_vertices - 2) // n
-    want = np.append(np.repeat((np.arange(M) + 1.0) / (M + 1), n), [0.0, 1.0])
-    assert np.max(np.abs(v.values - want)) <= 1e-13
+    assert np.max(np.abs(v.values - lattice_voltage(m, n))) <= 1e-13
     assert np.max(np.abs(v.values - ref.values)) <= 1e-13
     if m.num_vertices <= 2000:
         assert np.max(np.abs(v.values - oracle_voltage(m)[0])) <= 1e-13
@@ -220,8 +235,8 @@ def test_random_conductance_lattice_solves_the_red_black_schur_complement(monkey
     assert v.eta == pytest.approx(eta_ref, rel=1e-12)
 
 
-def test_cg_keeps_all_unknowns_unless_the_interior_is_bipartite_and_connected(monkeypatch):
-    # both maps have pole marks, S^2 >= 2n, and reach CG with LU_LIMIT at 0
+def test_interior_without_a_two_colouring_is_factored(monkeypatch):
+    # with LU_LIMIT at 0 both maps are coloured, and neither colouring holds
     odd = make_lattice(7, 2.0)[0]             # 7-cycles: not bipartite
     # v0 and v1 joined by two paths, 0-2-3-1 and 0-4-5-1: two interior parts
     split = build_map(6, [(0, 2, 1.0), (2, 3, 1.0), (3, 1, 1.0), (1, 5, 1.0), (5, 4, 1.0),
@@ -229,14 +244,22 @@ def test_cg_keeps_all_unknowns_unless_the_interior_is_bipartite_and_connected(mo
                       [[0, 11], [5, 6], [1, 2], [3, 4], [9, 10], [7, 8]], marked=(0, 1))
     monkeypatch.setattr(electrical, "LU_LIMIT", 0)
     for m in (odd, split):
-        n = m.num_vertices - 2
-        assert (m.degree(m.v0) + m.degree(m.v1)) ** 2 >= 2 * n
-        with monkeypatch.context() as patch:
-            sizes, _ = cg_calls(patch)
-            v = solve_voltage(m)
-        assert sizes == [n]
+        v, calls = solver_calls(monkeypatch, m)
+        assert calls == {"splu": 1}
         assert np.max(np.abs(v.values - oracle_voltage(m)[0])) <= 1e-13
     assert np.allclose(v.values, [0.0, 1.0, 1 / 3, 2 / 3, 1 / 3, 2 / 3], atol=1e-15)
+
+
+def test_reduced_laplacian_transposes_to_its_csc_form(lattice8, random_maps, mated_crt64):
+    # solve_voltage factors A.T: the CSC form of the symmetric A, on A's
+    # own arrays, where A.tocsc() would copy them
+    for m in [lattice8[0], mated_crt64, make_lattice(33, 4.0)[0]] + [m for m, _ in random_maps[:3]]:
+        A = electrical.dirichlet_system(m)[1]
+        At, csc = A.T, A.tocsc()
+        assert At.format == csc.format == "csc"
+        for field in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(At, field), getattr(csc, field))
+            assert np.shares_memory(getattr(At, field), getattr(A, field))
 
 
 def test_point_marked_map_is_factored_directly(monkeypatch):
